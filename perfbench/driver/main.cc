@@ -8,10 +8,10 @@
  *   perfbench_driver --make-golden NAME   (seed 0, full scalar oracle)
  *   perfbench_driver --selftest
  *
- * --trace 0 measures end to end: the set-up (generation, contexts and
- * the first pass) kSetupReps times, then passes until S seconds have
- * gone. --trace 1 runs a traced serial pass between two untraced ones
- * and reports the per-stage split. Every pass is checked against the
+ * --trace 0 measures end to end: kSetupReps times, a set-up
+ * (generation, contexts and the first pass) followed by timed passes
+ * for S / kSetupReps seconds. --trace 1 runs a traced serial pass
+ * between two untraced ones and reports the per-stage split. Every pass is checked against the
  * first one, and the first one against the oracle: the committed
  * golden digest at seed 0, else the scalar engine on a sample drawn
  * from the seed. perfbench/run.py builds this binary, runs it and
@@ -278,8 +278,15 @@ measure(const WorkloadDef &w, uint64_t seed, double seconds,
     printHostFacts(w, lanes);
     const uint64_t gen_seed = generationSeed(w, seed);
 
+    // Each set-up is followed by its share of the timed passes, so the
+    // passes are spread over the whole run rather than its last
+    // seconds: on a shared host, memory-bound code runs through
+    // slower and faster phases lasting seconds to minutes.
     std::unique_ptr<Workload> wl;
-    std::vector<double> setups;
+    std::vector<double> setups, passes;
+    PassResult ref;
+    bool ref_ok = true;
+    int64_t attempted = 0, failed = 0;
     for (int rep = 0; rep < kSetupReps; ++rep) {
         wl.reset(); // free the previous set-up before the next
         const double t0 = nowS();
@@ -287,27 +294,37 @@ measure(const WorkloadDef &w, uint64_t seed, double seconds,
         wl->setup(gen_seed, lanes, nullptr);
         wl->pass();
         setups.push_back(nowS() - t0);
-    }
-    const PassResult ref = wl->result();
-    int64_t attempted = 0, failed = 0;
-    for (int i = 0; i < wl->warmPasses(); ++i) {
-        wl->pass();
-        tally(ref, wl->result(), true, false, &attempted, &failed);
-    }
-    const bool ref_ok = checkReference(*wl, w, seed, ref, golden_path);
-    if (!ref_ok)
-        failed = attempted;
+        if (rep == 0) {
+            ref = wl->result();
+        } else {
+            // A set-up from the same seed must give the same first pass.
+            tally(ref, wl->result(), ref_ok, false, &attempted, &failed);
+        }
+        for (int i = 0; i < wl->warmPasses(); ++i) {
+            wl->pass();
+            tally(ref, wl->result(), ref_ok, false, &attempted, &failed);
+        }
+        if (rep == 0) {
+            ref_ok = checkReference(*wl, w, seed, ref, golden_path);
+            if (!ref_ok)
+                failed = attempted;
+        }
 
-    std::vector<double> passes;
-    const double start = nowS();
-    while (passes.empty() || nowS() - start < seconds) {
-        const double t0 = nowS();
-        wl->pass();
-        passes.push_back(nowS() - t0);
-        tally(ref, wl->result(), ref_ok, false, &attempted, &failed);
+        const double start = nowS();
+        const double share = seconds / kSetupReps;
+        do {
+            const double p0 = nowS();
+            wl->pass();
+            passes.push_back(nowS() - p0);
+            tally(ref, wl->result(), ref_ok, false, &attempted, &failed);
+        } while (nowS() - start < share);
     }
 
     std::printf("host setup_reps %d\n", kSetupReps);
+    std::printf("host pass_times");
+    for (double s : passes)
+        std::printf(" %.4f", s);
+    std::printf("\n");
     std::printf("host ops_per_pass %lld\n",
                 static_cast<long long>(opsIn(ref)));
     for (const Metric &m : wl->extraMetrics())
