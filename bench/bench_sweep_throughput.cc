@@ -13,8 +13,8 @@
  *  - cached and uncached sweeps produce identical event totals;
  *  - fast-engine outputs (plan-cached included) are bitwise
  *    identical to EngineKind::Scalar;
- *  - tile-stripe sharded runs are bitwise identical to serial at
- *    every checked thread count.
+ *  - row-stripe sharded functional runs are bitwise identical to
+ *    serial at every checked thread count.
  *
  * With --plan-store DIR a third phase runs the same sweep through a
  * persistent cross-process plan store: the first invocation encodes
@@ -39,7 +39,6 @@
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -286,7 +285,7 @@ main(int argc, char **argv)
 
     // ---- functional bitwise checks ------------------------------
     // Scalar vs fast vs plan-cached functional outputs on one
-    // architecture, then tile-stripe sharded runs at several lane
+    // architecture, then row-stripe sharded runs at several lane
     // counts against the serial run.
     AcceleratorConfig fcfg;
     fcfg.array = args.arch == "s2ta-w" ? ArrayConfig::s2taW()
@@ -326,82 +325,9 @@ main(int argc, char **argv)
         }
     }
 
-    // ---- event-loop sharding row --------------------------------
-    // Events-only runs (no functional output) on tile grids past
-    // the shard cutover: the per-PE operand-register loops and the
-    // SMT sampled queue automata are the dominant per-point cost,
-    // and both now stripe across RunOptions::shard_pool. Timed from
-    // pre-built plans so the encode (a one-time sweep cost, already
-    // measured above) stays out of the ratio. The pooled runs must
-    // stay bitwise identical to serial; the wall-clock gate follows
-    // the engine bench's overlap pattern — enforced where a second
-    // core exists, recorded with mode "serial-bound-single-core"
-    // where the pool lanes timeshare one core and a measured win is
-    // physically impossible.
-    std::printf("\ntiming sharded event loops (large tile "
-                "grids)...\n");
-    Rng shard_rng(0x5A4D);
-    const GemmProblem shard_aw_p =
-        makeDbbGemm(4096, 64, 2048, 4, 4, shard_rng);
-    const GemmProblem shard_smt_p =
-        makeUnstructuredGemm(2048, 512, 2048, 0.5, 0.5, shard_rng);
-    const GemmPlan shard_aw_plan = GemmPlan::build(shard_aw_p);
-    const GemmPlan shard_smt_plan = GemmPlan::build(shard_smt_p);
-    ThreadPool event_pool(4);
-    const auto timeEvents = [&](const ArrayConfig &cfg,
-                                const GemmPlan &plan,
-                                ThreadPool *pool, GemmRun &out) {
-        const auto model = makeArrayModel(cfg);
-        RunOptions opt;
-        opt.compute_output = false;
-        opt.validate_operands = false;
-        opt.shard_pool = pool;
-        double best = 0.0;
-        for (int rep = 0; rep < std::max(args.reps, 3); ++rep) {
-            const double t0 = benchNow();
-            GemmRun r = model->run(plan, opt);
-            const double dt = benchNow() - t0;
-            if (rep == 0 || dt < best) {
-                best = dt;
-                out = std::move(r);
-            }
-        }
-        return best;
-    };
-    GemmRun aw_serial, aw_pooled, smt_serial, smt_pooled;
-    const double aw_serial_s = timeEvents(
-        ArrayConfig::s2taAw(4), shard_aw_plan, nullptr, aw_serial);
-    const double aw_pooled_s =
-        timeEvents(ArrayConfig::s2taAw(4), shard_aw_plan,
-                   &event_pool, aw_pooled);
-    const double smt_serial_s =
-        timeEvents(ArrayConfig::saSmt(2), shard_smt_plan, nullptr,
-                   smt_serial);
-    const double smt_pooled_s =
-        timeEvents(ArrayConfig::saSmt(2), shard_smt_plan,
-                   &event_pool, smt_pooled);
-    const bool event_shard_equal =
-        aw_serial.events == aw_pooled.events &&
-        smt_serial.events == smt_pooled.events;
-    const double event_shard_serial_s = aw_serial_s + smt_serial_s;
-    const double event_shard_pool_s = aw_pooled_s + smt_pooled_s;
-    const double event_shard_speedup =
-        event_shard_serial_s / event_shard_pool_s;
-    const unsigned event_shard_cores =
-        std::thread::hardware_concurrency();
-    const bool event_shard_measurable = event_shard_cores >= 2;
-    const char *event_shard_mode =
-        event_shard_measurable ? "measured"
-                               : "serial-bound-single-core";
-    std::printf("  event loops: serial %.4f s | pool(4) %.4f s | "
-                "%.2fx (%s) | events %s\n",
-                event_shard_serial_s, event_shard_pool_s,
-                event_shard_speedup, event_shard_mode,
-                event_shard_equal ? "identical" : "DIFFERENT");
-
     const bool all_equal = events_equal && scalar_equal &&
                            functional_equal && sharded_equal &&
-                           event_shard_equal && store_equal;
+                           store_equal;
     const double speedup = base_seconds / cached_seconds;
     // Warm-start gate: hydration must beat cold encode by 2x at
     // the point it accelerates — time to the first design point
@@ -464,27 +390,11 @@ main(int argc, char **argv)
         .field("bitwise_equal_scalar",
                scalar_equal && functional_equal)
         .field("bitwise_equal_sharded", sharded_equal)
-        .field("shard_threads_checked", "2,4")
-        .field("event_shard_serial_seconds", event_shard_serial_s)
-        .field("event_shard_pool_seconds", event_shard_pool_s)
-        .field("event_shard_speedup", event_shard_speedup, 3)
-        .field("event_shard_mode", event_shard_mode)
-        .field("event_shard_cores",
-               static_cast<int64_t>(event_shard_cores))
-        .field("bitwise_equal_event_shard", event_shard_equal);
+        .field("shard_threads_checked", "2,4");
     jw.write(json_path);
 
     if (!all_equal)
         s2ta_fatal("sweep engine outputs diverged");
-    // Event-shard gate: with a second core the pooled event loops
-    // must not lose to serial; on one core the bitwise check above
-    // is the contract and the recorded ratio is informational.
-    if (!args.smoke && event_shard_measurable &&
-        event_shard_speedup <= 1.0) {
-        s2ta_fatal("event-loop sharding speedup %.2fx is not a win "
-                   "on a %u-core host", event_shard_speedup,
-                   event_shard_cores);
-    }
     if (warm_start && !args.smoke &&
         warm_start_speedup < kWarmStartGate) {
         s2ta_fatal("warm-start first design point %.2fx cold encode "

@@ -297,9 +297,10 @@ benchFlagList()
 }
 
 /**
- * SIMD dispatch tiers usable on this host *and* build, for --simd
- * error messages ("avx512" needs both -DS2TA_ENABLE_X86_64_V4 and
- * AVX-512 silicon; "ssse3"/"avx2" need the v2 build).
+ * SIMD dispatch tiers usable on this host, for --simd error
+ * messages: every x86-64 build compiles every tier, so this is the
+ * CPU's feature set ("avx512" needs AVX-512 BW+VBMI silicon); a
+ * non-x86 build offers only "auto|scalar".
  */
 inline std::string
 benchSupportedSimdTiers()

@@ -105,7 +105,8 @@ BM_MaskIntersectGemm(benchmark::State &state)
 }
 BENCHMARK(BM_MaskIntersectGemm)->Unit(benchmark::kMillisecond);
 
-/** True when @p kind's kernel is compiled in and the CPU has it. */
+/** True when this CPU has @p kind's kernel (only scalar on non-x86
+ *  builds). */
 bool
 tierUsable(DbbKernelKind kind)
 {

@@ -1,6 +1,7 @@
 #include "arch/accelerator.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "arch/plan_cache.hh"
@@ -56,6 +57,8 @@ Accelerator::Accelerator(AcceleratorConfig cfg_) : cfg(cfg_)
         s2ta_fatal("non-positive SRAM size");
     if (cfg.dma_bytes_per_cycle <= 0.0)
         s2ta_fatal("non-positive DMA bandwidth");
+    if (cfg.mcu_count <= 0 || cfg.mcu_elems_per_cycle <= 0.0)
+        s2ta_fatal("non-positive MCU throughput");
     if (cfg.sim_threads < 0)
         s2ta_fatal("negative sim_threads %d", cfg.sim_threads);
     if (cfg.sim_threads > 1) {
@@ -257,10 +260,9 @@ Accelerator::executePrepared(const PreparedLayer &prep,
     lr.act_nnz_used = wl.act_nnz;
 
     // The GEMM-level options inherit the caller's engine/cache
-    // knobs; the shard pool lets a single big GEMM fan out even when
-    // the group fan-out is 1 — both the functional kernels (row
-    // stripes) and the per-PE timing/event loops of the models
-    // (tile-grid stripes, SMT tile samples) shard over it.
+    // knobs; the shard pool lets a single big GEMM's functional
+    // kernels fan out in row stripes even when the group fan-out is
+    // 1 (the event models always run serially).
     RunOptions gemm_opt = opt;
     gemm_opt.shard_pool = shardPool();
 
@@ -340,15 +342,22 @@ Accelerator::executePrepared(const PreparedLayer &prep,
     }
 
     // The MCU cluster must keep up with the activation-function
-    // stream (the paper sizes it so it never bottlenecks; warn if a
-    // configuration breaks that assumption).
+    // stream (the paper sizes it so it never bottlenecks). A
+    // configuration that breaks that assumption gets the MCU
+    // latency, and the layer is marked; the warning prints once per
+    // process, since a sweep can hit it on every layer.
     const double mcu_tput = cfg.mcu_count * cfg.mcu_elems_per_cycle;
     const double mcu_cycles =
         static_cast<double>(lr.events.actfn_elements) / mcu_tput;
     if (mcu_cycles > static_cast<double>(lr.events.cycles)) {
-        s2ta_warn("layer '%s': MCU cluster is the bottleneck "
-                  "(%.0f > %ld cycles)", wl.name.c_str(), mcu_cycles,
-                  lr.events.cycles);
+        static std::atomic_flag warned = ATOMIC_FLAG_INIT;
+        if (!warned.test_and_set(std::memory_order_relaxed)) {
+            s2ta_warn("layer '%s': MCU cluster is the bottleneck "
+                      "(%.0f > %ld cycles); further MCU-bound layers "
+                      "are marked LayerRun::mcu_bound, not reported",
+                      wl.name.c_str(), mcu_cycles, lr.events.cycles);
+        }
+        lr.mcu_bound = true;
         lr.events.cycles =
             static_cast<int64_t>(std::ceil(mcu_cycles));
     }

@@ -50,7 +50,7 @@ struct AcceleratorConfig
 
 /**
  * Per-run options for layer and network simulation: the GEMM-level
- * RunOptions knobs (engine, validation, SMT sampling seed, ...)
+ * RunOptions knobs (engine, validation, plan cache, ...)
  * with the functional output off by default — network sweeps are
  * usually events-only.
  */
@@ -143,7 +143,10 @@ struct LayerRun
     int act_nnz_used = 8;
     /** True when DMA, not compute, set the layer latency. */
     bool memory_bound = false;
-    /** Compute-only cycles (before the DMA bound was applied). */
+    /** True when the MCU cluster's activation-function throughput,
+     *  not compute or DMA, set the layer latency. */
+    bool mcu_bound = false;
+    /** Compute-only cycles (before the DMA and MCU bounds). */
     int64_t compute_cycles = 0;
     /** Samples the layer processed (the workload's batch). */
     int batch = 1;
@@ -298,7 +301,7 @@ class Accelerator
     void runIndexed(int64_t n,
                     const std::function<void(int64_t)> &fn) const;
 
-    /** Pool functional GEMM kernels shard tile stripes onto
+    /** Pool functional GEMM kernels shard row stripes onto
      *  (nullptr when the accelerator is configured serial). */
     ThreadPool *shardPool() const;
 

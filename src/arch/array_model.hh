@@ -57,12 +57,6 @@ struct RunOptions
     bool validate_operands = true;
     /** Simulation engine; results are engine-independent. */
     EngineKind engine = EngineKind::DbbFast;
-    /** Seed for SMT queue-timing sampling (deterministic). */
-    uint64_t seed = 0xC0FFEE;
-    /** PEs sampled per tile for SMT timing. */
-    int smt_sample_pes = 192;
-    /** Tiles simulated for SMT timing (mean reused for the rest). */
-    int smt_sample_tiles = 6;
     /**
      * Cross-run plan cache: when set (and the engine is not
      * Scalar), run(GemmProblem) reuses the cached DBB encoding of
@@ -72,14 +66,11 @@ struct RunOptions
      */
     PlanCache *plan_cache = nullptr;
     /**
-     * Intra-GEMM tile-stripe sharding: when set, the functional
-     * kernels split the output tile grid into row stripes across
-     * this pool's lanes, the per-PE tile-grid event loops of the
-     * S2TA models shard the same way for large grids
-     * (ArrayModel::sumTileGrid), and the SMT queue-timing loop fans
-     * its sampled tiles across the pool after a serial RNG
-     * pre-draw. Every path is bitwise identical to serial at any
-     * lane count. Not owned; nullptr = serial.
+     * Intra-GEMM row-stripe sharding of the functional kernels:
+     * when set, dbbGemm splits the output rows into stripes across
+     * this pool's lanes (bitwise identical to serial at any lane
+     * count). The event and timing loops always run serially. Not
+     * owned; nullptr = serial.
      */
     ThreadPool *shard_pool = nullptr;
 };
@@ -173,14 +164,6 @@ class ArrayModel
     /** Same contract, from a plan's cached masks (popcount test). */
     void checkPlan(const GemmPlan &plan) const;
 
-    /**
-     * Tile grids at or above this many tiles shard their per-tile
-     * event loops across RunOptions::shard_pool (below it, stripe
-     * dispatch would cost more than the loop). Public so tests and
-     * benches can construct grids on either side of the cutover.
-     */
-    static constexpr int64_t kShardTileThreshold = 1024;
-
   protected:
     explicit ArrayModel(ArrayConfig cfg_);
 
@@ -204,7 +187,7 @@ class ArrayModel
     /**
      * Functional output for architectures whose datapath sums in
      * reference order: gemmReference on the scalar engine, dbbGemm
-     * (tile-stripe sharded over opt.shard_pool when set) on the
+     * (row-stripe sharded over opt.shard_pool when set) on the
      * fast engine.
      */
     static void referenceOutput(const GemmPlan &plan,
@@ -247,51 +230,6 @@ class ArrayModel
     };
 
     TileGrid tileGrid(int m, int n) const;
-
-    /**
-     * Sum @p tile_fn(trow, tcol) over the whole tile grid. Large
-     * grids (>= kShardTileThreshold tiles) with a pool split the
-     * tile rows into stripes with one partial accumulator per
-     * stripe, reduced in stripe order afterwards; stripes own
-     * disjoint rows and INT64 wrapping addition is
-     * order-independent, so the result is bitwise identical to the
-     * serial double loop at any lane count (and with the pool off).
-     */
-    template <typename TileFn>
-    static int64_t
-    sumTileGrid(const TileGrid &grid, ThreadPool *pool,
-                const TileFn &tile_fn)
-    {
-        if (pool == nullptr || grid.tiles() < kShardTileThreshold) {
-            int64_t sum = 0;
-            for (int trow = 0; trow < grid.row_tiles; ++trow)
-                for (int tcol = 0; tcol < grid.col_tiles; ++tcol)
-                    sum += tile_fn(trow, tcol);
-            return sum;
-        }
-        constexpr int64_t kStripeTileRows = 8;
-        const int64_t stripes =
-            (grid.row_tiles + kStripeTileRows - 1) /
-            kStripeTileRows;
-        std::vector<int64_t> partial(static_cast<size_t>(stripes),
-                                     0);
-        pool->parallelForStripes(
-            grid.row_tiles, kStripeTileRows,
-            [&](int64_t begin, int64_t end) {
-                int64_t sum = 0;
-                for (int64_t trow = begin; trow < end; ++trow)
-                    for (int tcol = 0; tcol < grid.col_tiles;
-                         ++tcol)
-                        sum += tile_fn(static_cast<int>(trow),
-                                       tcol);
-                partial[static_cast<size_t>(begin /
-                                            kStripeTileRows)] = sum;
-            });
-        int64_t sum = 0;
-        for (int64_t s = 0; s < stripes; ++s)
-            sum += partial[static_cast<size_t>(s)];
-        return sum;
-    }
 
     ArrayConfig cfg;
 };

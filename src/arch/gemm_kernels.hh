@@ -4,16 +4,15 @@
  * row-dot kernels.
  *
  * Each SIMD tier lives in its own translation unit compiled with
- * exactly the ISA it needs (see S2TA_ENABLE_X86_64_V2 in
- * CMakeLists.txt); this header carries only declarations so
- * including it never instantiates code under a raised ISA. Callers
- * go through dbbActiveKernel() in gemm_plan.hh — these symbols are
- * exposed for the dispatcher and for the kernel-equivalence property
- * tests, which compare every compiled-in tier against the scalar
- * rank-gather loop on the same block rows. When a tier is compiled
- * out (option off, or a non-x86 target) its entry point is a scalar
- * alias and its probe reports unsupported, so the symbols always
- * link.
+ * exactly the ISA it needs (every x86-64 build; see CMakeLists.txt);
+ * this header carries only declarations so including it never
+ * instantiates code under a raised ISA. Callers go through
+ * dbbActiveKernel() in gemm_plan.hh — these symbols are exposed for
+ * the dispatcher, for the kernel-equivalence property tests (which
+ * compare every tier this CPU has against the scalar rank-gather
+ * loop on the same block rows) and for tools/simd_probe. On a
+ * non-x86 target each entry point is a scalar alias and each probe
+ * reports unsupported, so the symbols always link.
  */
 
 #ifndef S2TA_ARCH_GEMM_KERNELS_HH
@@ -29,7 +28,7 @@ struct DbbBlock;
 int32_t dbbDotRowSimdV2(const DbbBlock *a, const DbbBlock *w,
                         int nblocks);
 
-/** True when the SSSE3 tier is compiled in and this CPU has it. */
+/** True when this CPU has SSSE3 (false on non-x86 builds). */
 bool dbbSimdKernelSupportedImpl();
 
 /**
@@ -40,7 +39,7 @@ bool dbbSimdKernelSupportedImpl();
 int32_t dbbDotRowAvx2(const DbbBlock *a, const DbbBlock *w,
                       int nblocks);
 
-/** True when the AVX2 tier is compiled in and this CPU has it. */
+/** True when this CPU has AVX2 (false on non-x86 builds). */
 bool dbbAvx2KernelSupportedImpl();
 
 /**
@@ -52,8 +51,8 @@ bool dbbAvx2KernelSupportedImpl();
 int32_t dbbDotRowAvx512(const DbbBlock *a, const DbbBlock *w,
                         int nblocks);
 
-/** True when the AVX-512 intersection kernel is compiled in and
- *  this CPU has avx512bw + avx512vbmi. */
+/** True when this CPU has avx512bw + avx512vbmi, the AVX-512
+ *  intersection kernel's features (false on non-x86 builds). */
 bool dbbAvx512KernelSupportedImpl();
 
 /**
@@ -65,8 +64,8 @@ bool dbbAvx512KernelSupportedImpl();
  */
 int32_t dbbDenseDotVnni(const int8_t *a, const int8_t *w, int k);
 
-/** True when the VNNI dense dot is compiled in and this CPU has
- *  avx512vnni (probed independently of the intersection kernel). */
+/** True when this CPU has avx512vnni, probed independently of the
+ *  intersection kernel (false on non-x86 builds). */
 bool dbbVnniKernelSupportedImpl();
 
 /**
@@ -83,8 +82,8 @@ bool dbbVnniKernelSupportedImpl();
 int64_t dbbProfileVectorAvx512(const DbbBlock *blocks, int nblocks,
                                int32_t *hist, int hist_len);
 
-/** True when the VPOPCNTDQ profile path is compiled in and this CPU
- *  has avx512vpopcntdq + avx512bw. */
+/** True when this CPU has avx512vpopcntdq + avx512bw, the profile
+ *  path's features (false on non-x86 builds). */
 bool dbbVpopcntKernelSupportedImpl();
 
 } // namespace s2ta

@@ -14,28 +14,26 @@
  * in tests/arch/test_gemm_kernels.cc).
  *
  * This translation unit is the only one compiled with AVX2 codegen
- * (see S2TA_ENABLE_X86_64_V2 in CMakeLists.txt — one build option
- * gates every x86 tier; each tier probes its own cpuid bit).
- * Callers reach it through dbbActiveKernel()'s runtime dispatch,
- * which prefers this tier, then SSSE3, then scalar. Like the SSSE3
- * TU, the SIMD branch must not call inline functions from shared
- * headers: a comdat copy compiled here could be kept by the linker
- * for the whole program and break the runtime fallback on older
- * CPUs. The odd tail therefore pads with all-zero partner blocks
+ * (every x86-64 build; see CMakeLists.txt — each tier probes its own
+ * cpuid bit). Callers reach it through dbbActiveKernel()'s runtime
+ * dispatch, which prefers this tier, then SSSE3, then scalar. Like
+ * the SSSE3 TU, the SIMD branch must not call inline functions from
+ * shared headers: a comdat copy compiled here could be kept by the
+ * linker for the whole program and break the runtime fallback on
+ * older CPUs. The odd tail therefore pads with all-zero partner blocks
  * (mask 0 expands to all-zero lanes, contributing exact zeros).
  */
 
 #include "arch/gemm_kernels.hh"
 #include "core/dbb.hh"
 
-#if defined(S2TA_X86_64_V2) && defined(__AVX2__)
+#ifdef __AVX2__
 #include <immintrin.h>
-#define S2TA_HAVE_SIMD_AVX2 1
 #endif
 
 namespace s2ta {
 
-#ifdef S2TA_HAVE_SIMD_AVX2
+#ifdef __AVX2__
 
 namespace {
 
@@ -159,13 +157,12 @@ dbbAvx2KernelSupportedImpl()
     return __builtin_cpu_supports("avx2");
 }
 
-#else // !S2TA_HAVE_SIMD_AVX2
+#else // !__AVX2__
 
-// Built without the x86-64-v2 option (or on a target without AVX2
-// codegen): keep the symbols so the dispatcher links, but report
-// the tier unavailable — dbbActiveKernel() then falls through to
-// the SSSE3 tier or the scalar path and this alias is never called
-// in anger.
+// Built for a target without AVX2 codegen (non-x86): keep the
+// symbols so the dispatcher links, but report the tier unavailable
+// — dbbActiveKernel() then falls through to the SSSE3 tier or the
+// scalar path and this alias is never called in anger.
 int32_t
 dbbDotRowAvx2(const DbbBlock *a, const DbbBlock *w, int nblocks)
 {
@@ -178,6 +175,6 @@ dbbAvx2KernelSupportedImpl()
     return false;
 }
 
-#endif // S2TA_HAVE_SIMD_AVX2
+#endif // __AVX2__
 
 } // namespace s2ta

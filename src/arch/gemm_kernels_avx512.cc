@@ -31,7 +31,7 @@
  * tests/arch/test_gemm_kernels.cc).
  *
  * This translation unit is the only one compiled with AVX-512
- * codegen (see S2TA_ENABLE_X86_64_V4 in CMakeLists.txt). Each
+ * codegen (every x86-64 build; see CMakeLists.txt). Each
  * sub-kernel probes its own cpuid bits, so a CPU with e.g.
  * avx512bw but no VNNI still gets the intersection kernel while the
  * dense path falls back to SSE2. Like the lower tiers, the SIMD
@@ -43,9 +43,9 @@
 #include "arch/gemm_kernels.hh"
 #include "core/dbb.hh"
 
-#if defined(S2TA_X86_64_V4) && defined(__AVX512F__) &&                \
-    defined(__AVX512BW__) && defined(__AVX512VBMI__) &&               \
-    defined(__AVX512VNNI__) && defined(__AVX512VPOPCNTDQ__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) &&                  \
+    defined(__AVX512VBMI__) && defined(__AVX512VNNI__) &&             \
+    defined(__AVX512VPOPCNTDQ__)
 #include <immintrin.h>
 #define S2TA_HAVE_SIMD_AVX512 1
 #endif
@@ -146,6 +146,23 @@ groupMasks(const DbbBlock *b)
     for (int j = 0; j < 8; ++j)
         km |= static_cast<uint64_t>(b[j].mask) << (8 * j);
     return km;
+}
+
+/**
+ * Add one 16-position slice of a group's mask bits into hist[0..15]:
+ * @p lane holds the slice as 0/-1 bytes, widened here to 0/-1 INT32
+ * lanes and subtracted (x - (-1) == x + 1). The maskz form with an
+ * all-ones mask is the same instruction as the plain variant, but
+ * its expansion avoids the _mm*_undefined_* helpers
+ * -Werror=uninitialized rejects.
+ */
+inline void
+countSlice(int32_t *hist, __m128i lane)
+{
+    const __m512i wide = _mm512_maskz_cvtepi8_epi32(
+        static_cast<__mmask16>(0xFFFF), lane);
+    _mm512_storeu_si512(
+        hist, _mm512_sub_epi32(_mm512_loadu_si512(hist), wide));
 }
 
 /**
@@ -358,23 +375,21 @@ dbbProfileVectorAvx512(const DbbBlock *blocks, int nblocks,
                 _mm512_popcnt_epi64(_mm512_load_si512(words)));
             wi = 0;
         }
-        // Widen the 64 mask bits to 0/-1 bytes, then to 0/-1 INT32
-        // lanes, and subtract into the histogram (x - (-1) == x+1).
+        // Widen the 64 mask bits to 0/-1 bytes and count them into
+        // the histogram 16 positions at a time. The extract's lane
+        // index must be an immediate at every optimization level, so
+        // the four slices are spelled out rather than looped.
         const __m512i bytes =
             _mm512_movm_epi8(static_cast<__mmask64>(km));
+        const __mmask8 all = 0xF;
         int32_t *h = hist + g * 64;
-        for (int c = 0; c < 4; ++c) {
-            // maskz forms with all-ones masks: same instructions as
-            // the plain variants, but their expansions avoid the
-            // _mm*_undefined_* helpers -Werror=uninitialized rejects.
-            const __m512i wide = _mm512_maskz_cvtepi8_epi32(
-                static_cast<__mmask16>(0xFFFF),
-                _mm512_maskz_extracti32x4_epi32(
-                    static_cast<__mmask8>(0xF), bytes, c));
-            const __m512i cur = _mm512_loadu_si512(h + c * 16);
-            _mm512_storeu_si512(h + c * 16,
-                                _mm512_sub_epi32(cur, wide));
-        }
+        countSlice(h, _mm512_maskz_extracti32x4_epi32(all, bytes, 0));
+        countSlice(h + 16,
+                   _mm512_maskz_extracti32x4_epi32(all, bytes, 1));
+        countSlice(h + 32,
+                   _mm512_maskz_extracti32x4_epi32(all, bytes, 2));
+        countSlice(h + 48,
+                   _mm512_maskz_extracti32x4_epi32(all, bytes, 3));
     }
     if (wi > 0) {
         for (int z = wi; z < 8; ++z)
@@ -409,11 +424,11 @@ dbbVpopcntKernelSupportedImpl()
 
 #else // !S2TA_HAVE_SIMD_AVX512
 
-// Built without the x86-64-v4 option (or on a target without
-// AVX-512 codegen): keep the symbols so the dispatcher links, but
-// report every sub-feature unavailable — dbbActiveKernel() then
-// falls through to the AVX2/SSSE3 tiers or the scalar path and
-// these aliases are never called in anger.
+// Built for a target without AVX-512 codegen (non-x86): keep the
+// symbols so the dispatcher links, but report every sub-feature
+// unavailable — dbbActiveKernel() then falls through to the
+// AVX2/SSSE3 tiers or the scalar path and these aliases are never
+// called in anger.
 int32_t
 dbbDotRowAvx512(const DbbBlock *a, const DbbBlock *w, int nblocks)
 {

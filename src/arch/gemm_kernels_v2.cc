@@ -1,7 +1,6 @@
 /**
  * @file
- * x86-64-v2 (SSSE3) implementation of the mask-intersection row
- * dot product.
+ * SSSE3 implementation of the mask-intersection row dot product.
  *
  * The scalar kernel walks the AND of the two positional masks and
  * gathers each matched value by rank — O(matched nnz) work but a
@@ -18,23 +17,21 @@
  * so the result is bit-identical to dbbDotRow.
  *
  * This translation unit is the only one compiled with SSSE3 codegen
- * (see S2TA_ENABLE_X86_64_V2 in CMakeLists.txt); callers reach it
- * through dbbActiveKernel()'s runtime dispatch, which consults the
- * cpuid probe below and falls back to the scalar kernel on older
- * CPUs or when the option is off.
+ * (every x86-64 build; see CMakeLists.txt); callers reach it through
+ * dbbActiveKernel()'s runtime dispatch, which consults the cpuid
+ * probe below and falls back to the scalar kernel on older CPUs.
  */
 
 #include "arch/gemm_kernels.hh"
 #include "core/dbb.hh"
 
-#if defined(S2TA_X86_64_V2) && defined(__SSSE3__)
+#ifdef __SSSE3__
 #include <tmmintrin.h>
-#define S2TA_HAVE_SIMD_V2 1
 #endif
 
 namespace s2ta {
 
-#ifdef S2TA_HAVE_SIMD_V2
+#ifdef __SSSE3__
 
 namespace {
 
@@ -138,10 +135,10 @@ dbbSimdKernelSupportedImpl()
     return __builtin_cpu_supports("ssse3");
 }
 
-#else // !S2TA_HAVE_SIMD_V2
+#else // !__SSSE3__
 
-// Built without the x86-64-v2 option (or on a non-SSSE3 target):
-// keep the symbols so the dispatcher links, but report the kernel
+// Built for a target without SSSE3 codegen (non-x86): keep the
+// symbols so the dispatcher links, but report the kernel
 // unavailable — dbbActiveKernel() then always picks the scalar
 // path and this alias is never called in anger.
 int32_t
@@ -156,6 +153,6 @@ dbbSimdKernelSupportedImpl()
     return false;
 }
 
-#endif // S2TA_HAVE_SIMD_V2
+#endif // __SSSE3__
 
 } // namespace s2ta

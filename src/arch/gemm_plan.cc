@@ -23,8 +23,8 @@ using RowDotFn = int32_t (*)(const DbbBlock *, const DbbBlock *,
 /** Dense-dot signature the dense-mirror contraction dispatches. */
 using DenseDotFn = int32_t (*)(const int8_t *, const int8_t *, int);
 
-/** Widest compiled-in tier this CPU supports (cpuid results cannot
- *  change at runtime; memoized). */
+/** Widest tier this CPU supports (cpuid results cannot change at
+ *  runtime; memoized). */
 DbbKernelKind
 widestSupportedKernel()
 {
@@ -55,7 +55,7 @@ wantsDenseKernel(const OperandProfile &prof, int64_t block_pairs)
  * encodings for output rows [row_begin, row_end): an activation
  * stripe stays cache-resident while each weight column's blocks
  * stream through once per stripe. @p dot is the dispatched row-dot
- * kernel (scalar rank gathers or the SSSE3 expansion).
+ * kernel (scalar rank gathers or one of the SIMD expansion tiers).
  */
 void
 intersectGemmRows(const DbbMatrix &act, const DbbMatrix &wgt, int n,
@@ -180,14 +180,6 @@ dbbKernelKindName(DbbKernelKind kind)
     s2ta_panic("unknown kernel kind");
 }
 
-bool
-dbbSimdKernelAvailable()
-{
-    // The probe lives in the v2 TU so the compile-time gate, the
-    // cpuid check, and the kernel all sit under the same flags.
-    return dbbSimdKernelSupportedImpl();
-}
-
 DbbKernelKind
 dbbActiveKernel()
 {
@@ -209,13 +201,6 @@ dbbKernelCap()
 {
     return static_cast<DbbKernelKind>(
         kernel_cap.load(std::memory_order_relaxed));
-}
-
-void
-dbbForceScalarKernel(bool force)
-{
-    dbbForceKernelCap(force ? DbbKernelKind::Scalar
-                            : DbbKernelKind::Avx512);
 }
 
 bool

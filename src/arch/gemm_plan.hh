@@ -35,16 +35,16 @@ class ThreadPool;
 
 /**
  * Implementation the mask-intersection kernel dispatches to. The
- * SSSE3 (x86-64-v2) variant expands both compressed blocks to dense
- * lanes with one pshufb each (the shuffle control is the positional
- * mask's expansion permutation, looked up in a 256-entry table) and
+ * SSSE3 variant expands both compressed blocks to dense lanes with
+ * one pshufb each (the shuffle control is the positional mask's
+ * expansion permutation, looked up in a 256-entry table) and
  * contracts them with the same madd tree as the dense kernel; the
  * AVX2 tier widens the same scheme to four blocks per operand per
- * 256-bit shuffle; the AVX-512 tier (x86-64-v4) expands eight
- * blocks per masked-zeroing vpermi2b and carries the VNNI dense-dot
- * and VPOPCNTDQ profile sub-kernels. Every tier is bit-identical to
- * the scalar rank-gather loop (skipped positions contribute exact
- * zeros and INT32 wraparound addition is order-independent).
+ * 256-bit shuffle; the AVX-512 tier expands eight blocks per
+ * masked-zeroing vpermi2b and carries the VNNI dense-dot and
+ * VPOPCNTDQ profile sub-kernels. Every tier is bit-identical to the
+ * scalar rank-gather loop (skipped positions contribute exact zeros
+ * and INT32 wraparound addition is order-independent).
  */
 enum class DbbKernelKind
 {
@@ -63,17 +63,9 @@ enum class DbbKernelKind
  *  "avx512") — the value bench JSON records as simd_kernel. */
 const char *dbbKernelKindName(DbbKernelKind kind);
 
-/**
- * True when the SSSE3 kernel was compiled in (S2TA_ENABLE_X86_64_V2)
- * and this CPU supports it; the dispatcher falls back to the scalar
- * kernel otherwise. The wider tiers are probed separately and
- * preferred when present.
- */
-bool dbbSimdKernelAvailable();
-
 /** The kernel dbbGemm's intersection path will actually use: the
- *  widest compiled-in tier this CPU supports, clamped to the forced
- *  cap (dbbForceKernelCap). */
+ *  widest tier this CPU supports (scalar on non-x86 builds), clamped
+ *  to the forced cap (dbbForceKernelCap). */
 DbbKernelKind dbbActiveKernel();
 
 /**
@@ -90,21 +82,12 @@ void dbbForceKernelCap(DbbKernelKind cap);
 /** The currently forced cap (Avx512 = unclamped). */
 DbbKernelKind dbbKernelCap();
 
-/**
- * Test hook: pin the intersection kernel to the scalar
- * implementation even when the SIMD one is available (for
- * equivalence tests that compare both in one process). Equivalent
- * to dbbForceKernelCap(Scalar) / (Avx512). Not for production use;
- * thread-safe.
- */
-void dbbForceScalarKernel(bool force);
-
 /** True when dbbGemm's dense-mirror path will use the VNNI
- *  vpdpbusd dot (compiled in, CPU support, cap not below Avx512). */
+ *  vpdpbusd dot (CPU support, cap not below Avx512). */
 bool dbbVnniDenseEnabled();
 
 /** True when OperandProfile::fromDbb may use the AVX-512 VPOPCNTDQ
- *  derivation (compiled in, CPU support, cap not below Avx512). */
+ *  derivation (CPU support, cap not below Avx512). */
 bool dbbProfileSimdEnabled();
 
 /**

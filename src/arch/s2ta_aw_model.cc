@@ -58,23 +58,22 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     // Operand registers at TPE granularity. Activation blocks are
     // serialized (values plus the positional mask) and hop across
     // TPE columns; weight blocks are latched once per block and
-    // reused for all NNZ_a serialized cycles. Large grids shard the
-    // per-tile loop across the pool (bitwise identical to serial).
-    ev.operand_reg_bytes += sumTileGrid(
-        grid, opt.shard_pool, [&](int trow, int tcol) {
-            const int rows = std::min(grid.eff_rows,
-                                      p.m - trow * grid.eff_rows);
-            const int cols = std::min(grid.eff_cols,
-                                      p.n - tcol * grid.eff_cols);
-            const int tpe_rows =
-                (rows + cfg.tpe.a - 1) / cfg.tpe.a;
-            const int tpe_cols =
-                (cols + cfg.tpe.c - 1) / cfg.tpe.c;
-            return static_cast<int64_t>(nblocks) * ablock_bytes *
-                       rows * tpe_cols +
-                   static_cast<int64_t>(nblocks) * wblock_bytes *
-                       cols * tpe_rows;
-        });
+    // reused for all NNZ_a serialized cycles.
+    for (int trow = 0; trow < grid.row_tiles; ++trow) {
+        const int rows =
+            std::min(grid.eff_rows, p.m - trow * grid.eff_rows);
+        const int tpe_rows = (rows + cfg.tpe.a - 1) / cfg.tpe.a;
+        for (int tcol = 0; tcol < grid.col_tiles; ++tcol) {
+            const int cols =
+                std::min(grid.eff_cols, p.n - tcol * grid.eff_cols);
+            const int tpe_cols = (cols + cfg.tpe.c - 1) / cfg.tpe.c;
+            ev.operand_reg_bytes +=
+                static_cast<int64_t>(nblocks) * ablock_bytes * rows *
+                    tpe_cols +
+                static_cast<int64_t>(nblocks) * wblock_bytes * cols *
+                    tpe_rows;
+        }
+    }
 
     // SRAM: both operands move compressed (the dominant energy win
     // of S2TA-AW over S2TA-W, Fig. 10).

@@ -66,25 +66,24 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     // Operand registers at TPE granularity: activation blocks hop
     // across the TPE columns, weight blocks down the TPE rows; each
     // value is reused by A x C datapaths once latched (the new
-    // data-reuse dimension of Sec. 6.1). Large grids shard the
-    // per-tile loop across the pool (bitwise identical to serial).
-    ev.operand_reg_bytes += sumTileGrid(
-        grid, opt.shard_pool, [&](int trow, int tcol) {
-            const int rows = std::min(grid.eff_rows,
-                                      p.m - trow * grid.eff_rows);
-            const int cols = std::min(grid.eff_cols,
-                                      p.n - tcol * grid.eff_cols);
-            const int tpe_rows =
-                (rows + cfg.tpe.a - 1) / cfg.tpe.a;
-            const int tpe_cols =
-                (cols + cfg.tpe.c - 1) / cfg.tpe.c;
+    // data-reuse dimension of Sec. 6.1).
+    for (int trow = 0; trow < grid.row_tiles; ++trow) {
+        const int rows =
+            std::min(grid.eff_rows, p.m - trow * grid.eff_rows);
+        const int tpe_rows = (rows + cfg.tpe.a - 1) / cfg.tpe.a;
+        for (int tcol = 0; tcol < grid.col_tiles; ++tcol) {
+            const int cols =
+                std::min(grid.eff_cols, p.n - tcol * grid.eff_cols);
+            const int tpe_cols = (cols + cfg.tpe.c - 1) / cfg.tpe.c;
             // Dense activation blocks (bz bytes per row per hop)
             // plus compressed weight blocks (stored values + mask).
-            return static_cast<int64_t>(nblocks) * bz * rows *
-                       tpe_cols +
-                   static_cast<int64_t>(nblocks) * wblock_bytes *
-                       cols * tpe_rows;
-        });
+            ev.operand_reg_bytes +=
+                static_cast<int64_t>(nblocks) * bz * rows *
+                    tpe_cols +
+                static_cast<int64_t>(nblocks) * wblock_bytes * cols *
+                    tpe_rows;
+        }
+    }
 
     // SRAM: weights move compressed; activations are dense.
     ev.act_sram_read_bytes =

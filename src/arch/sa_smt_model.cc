@@ -6,6 +6,17 @@
 
 namespace s2ta {
 
+namespace {
+
+/** Seed of the sampled queue-timing simulation (deterministic). */
+constexpr uint64_t kSampleSeed = 0xC0FFEE;
+/** PEs sampled per simulated tile. */
+constexpr int kSamplePes = 192;
+/** Tiles simulated; their mean is reused for the rest. */
+constexpr int kSampleTiles = 6;
+
+} // anonymous namespace
+
 SaSmtModel::SaSmtModel(ArrayConfig cfg_) : ArrayModel(cfg_)
 {
     s2ta_assert(cfg.kind == ArchKind::SaSmt, "SaSmtModel kind");
@@ -91,23 +102,13 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     // non-zero tests from the cached masks instead of the dense
     // operands; the booleans (and so the cycle totals) are
     // identical.
-    //
-    // The whole sample schedule is drawn serially first, in exactly
-    // the order the serial loop would consume the RNG; the
-    // expensive part (arrival histograms + queue automata) then
-    // fans the sampled tiles across opt.shard_pool when set. Each
-    // tile writes only its own worst-PE slot and the per-tile
-    // results are reduced in tile order, so the cycle totals are
-    // bitwise identical at any lane count (and with the pool off).
-    Rng rng(opt.seed);
+    Rng rng(kSampleSeed);
     const int64_t total_tiles = grid.tiles();
-    const int sim_tiles = static_cast<int>(std::min<int64_t>(
-        total_tiles, std::max(1, opt.smt_sample_tiles)));
+    const int sim_tiles = static_cast<int>(
+        std::min<int64_t>(total_tiles, kSampleTiles));
     const int64_t fill = cfg.tileRows() + cfg.tileCols();
-    const int samples = std::max(1, opt.smt_sample_pes);
-
-    std::vector<int> pe_i(static_cast<size_t>(sim_tiles) * samples);
-    std::vector<int> pe_j(static_cast<size_t>(sim_tiles) * samples);
+    std::vector<int> arrivals(static_cast<size_t>(slots_per_thread));
+    int64_t sampled_cycles = 0;
     for (int s = 0; s < sim_tiles; ++s) {
         const int tr = static_cast<int>(
             rng.uniformInt(0, grid.row_tiles - 1));
@@ -117,27 +118,12 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
         const int col0 = tc * grid.eff_cols;
         const int rows = std::min(grid.eff_rows, p.m - row0);
         const int cols = std::min(grid.eff_cols, p.n - col0);
-        for (int t = 0; t < samples; ++t) {
-            const size_t slot =
-                static_cast<size_t>(s) * samples + t;
-            pe_i[slot] = row0 + static_cast<int>(
-                                    rng.uniformInt(0, rows - 1));
-            pe_j[slot] = col0 + static_cast<int>(
-                                    rng.uniformInt(0, cols - 1));
-        }
-    }
-
-    std::vector<int64_t> tile_worst(static_cast<size_t>(sim_tiles),
-                                    0);
-    const auto simTile = [&](int s) {
-        std::vector<int> arrivals(
-            static_cast<size_t>(slots_per_thread));
         int64_t worst = 0;
-        for (int t = 0; t < samples; ++t) {
-            const size_t slot =
-                static_cast<size_t>(s) * samples + t;
-            const int i = pe_i[slot];
-            const int j = pe_j[slot];
+        for (int t = 0; t < kSamplePes; ++t) {
+            const int i =
+                row0 + static_cast<int>(rng.uniformInt(0, rows - 1));
+            const int j =
+                col0 + static_cast<int>(rng.uniformInt(0, cols - 1));
             // Thread th owns the contiguous K chunk
             // [th*slots_per_thread, ...).
             if (scalar) {
@@ -178,19 +164,8 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
             }
             worst = std::max(worst, queueCycles(arrivals, qdepth));
         }
-        tile_worst[static_cast<size_t>(s)] = worst;
-    };
-    if (opt.shard_pool != nullptr && sim_tiles > 1) {
-        opt.shard_pool->parallelFor(sim_tiles, [&](int64_t s) {
-            simTile(static_cast<int>(s));
-        });
-    } else {
-        for (int s = 0; s < sim_tiles; ++s)
-            simTile(s);
+        sampled_cycles += worst + fill;
     }
-    int64_t sampled_cycles = 0;
-    for (int s = 0; s < sim_tiles; ++s)
-        sampled_cycles += tile_worst[static_cast<size_t>(s)] + fill;
     const double mean_tile =
         static_cast<double>(sampled_cycles) / sim_tiles;
     ev.cycles = static_cast<int64_t>(

@@ -2,7 +2,7 @@
  * @file
  * Fixed-size thread pool behind every parallel tier of the
  * simulator: the layer/group fan-out of Accelerator::runNetwork,
- * the intra-GEMM tile-stripe sharding of dbbGemm
+ * the intra-GEMM row-stripe sharding of dbbGemm
  * (RunOptions::shard_pool), and the request-level fan-out of
  * serve::StreamScheduler.
  *

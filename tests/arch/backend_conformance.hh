@@ -162,6 +162,7 @@ expectSameLayer(const LayerRun &a, const LayerRun &b,
     EXPECT_EQ(a.d2h_bytes, b.d2h_bytes) << what;
     EXPECT_EQ(a.compute_cycles, b.compute_cycles) << what;
     EXPECT_EQ(a.memory_bound, b.memory_bound) << what;
+    EXPECT_EQ(a.mcu_bound, b.mcu_bound) << what;
     EXPECT_EQ(a.batch, b.batch) << what;
 }
 

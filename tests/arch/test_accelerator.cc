@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "arch/accelerator.hh"
 #include "workload/model_workloads.hh"
 #include "workload/sparse_gen.hh"
@@ -104,6 +106,36 @@ TEST(Accelerator, FcLayersAreMemoryBound)
     // Batch-1 FC: DMA (weight streaming) dominates (Sec. 8.3).
     EXPECT_TRUE(lr.memory_bound);
     EXPECT_GT(lr.events.cycles, lr.compute_cycles);
+}
+
+TEST(Accelerator, McuBottleneckIsMarkedAndSetsLatency)
+{
+    // One MCU cannot keep up with this layer's activation-function
+    // stream: the layer takes the MCU latency and is marked, while
+    // the paper's 4-MCU cluster keeps up with the same layer.
+    Rng rng(8);
+    const LayerWorkload wl = smallLayer(3, 4, rng);
+    AcceleratorConfig cfg = configFor(ArrayConfig::s2taAw(3));
+    const LayerRun paper = Accelerator(cfg).runLayer(wl);
+    EXPECT_FALSE(paper.mcu_bound);
+
+    cfg.mcu_count = 1;
+    const LayerRun lr = Accelerator(cfg).runLayer(wl);
+    ASSERT_TRUE(lr.mcu_bound);
+    const double tput = cfg.mcu_count * cfg.mcu_elems_per_cycle;
+    EXPECT_EQ(lr.events.cycles,
+              static_cast<int64_t>(std::ceil(
+                  static_cast<double>(lr.events.actfn_elements) /
+                  tput)));
+    EXPECT_GT(lr.events.cycles, lr.compute_cycles);
+    // Only the latency moves: compute and every other event stay.
+    EXPECT_EQ(lr.compute_cycles, paper.compute_cycles);
+    EXPECT_EQ(lr.events.macs_executed, paper.events.macs_executed);
+    EXPECT_EQ(lr.events.dma_bytes, paper.events.dma_bytes);
+
+    cfg.mcu_count = 0;
+    EXPECT_DEATH({ const Accelerator acc(cfg); },
+                 "non-positive MCU throughput");
 }
 
 TEST(Accelerator, DapComparisonsOnlyOnS2taAw)

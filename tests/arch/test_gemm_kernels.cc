@@ -1,12 +1,14 @@
 /** @file Property tests for the SIMD tiers of the mask-intersection
  *  row-dot kernel: across random masks (including all-zero runs and
  *  fully dense blocks), random stored values, and every row length
- *  around the tiers' batch widths, each compiled-in tier must match
- *  the scalar rank-gather loop bit for bit. Tiers the running CPU
- *  lacks fall back to the scalar alias and pass trivially. The same
+ *  around the tiers' batch widths, each tier the running CPU has
+ *  must match the scalar rank-gather loop bit for bit. The same
  *  contract covers the AVX-512 sub-kernels (VNNI dense dot,
  *  VPOPCNTDQ profile derivation) and the forced-cap dispatcher used
- *  by the benches' --simd flag.
+ *  by the benches' --simd flag. On x86-64 every build compiles every
+ *  tier, so each probe must report exactly what the CPU has — a tier
+ *  test can only skip because the CPU lacks the tier, never because
+ *  the build dropped it.
  */
 
 #include <gtest/gtest.h>
@@ -51,6 +53,28 @@ randomRow(Rng &rng, int nblocks, double zero_mask_prob)
         b = randomBlock(rng, zero_mask_prob);
     return row;
 }
+
+#ifdef __x86_64__
+TEST(GemmKernels, ProbesReportExactlyTheCpuFeatures)
+{
+    // The probes are the ladder's only gate on x86-64: they must
+    // agree with the CPU's own feature bits, so a build compiled
+    // without a tier's ISA flags fails here instead of letting the
+    // tier tests below compare scalar with scalar.
+    EXPECT_EQ(dbbSimdKernelSupportedImpl(),
+              __builtin_cpu_supports("ssse3") != 0);
+    EXPECT_EQ(dbbAvx2KernelSupportedImpl(),
+              __builtin_cpu_supports("avx2") != 0);
+    EXPECT_EQ(dbbAvx512KernelSupportedImpl(),
+              __builtin_cpu_supports("avx512bw") &&
+                  __builtin_cpu_supports("avx512vbmi"));
+    EXPECT_EQ(dbbVnniKernelSupportedImpl(),
+              __builtin_cpu_supports("avx512vnni") != 0);
+    EXPECT_EQ(dbbVpopcntKernelSupportedImpl(),
+              __builtin_cpu_supports("avx512vpopcntdq") &&
+                  __builtin_cpu_supports("avx512bw"));
+}
+#endif
 
 TEST(GemmKernels, SimdTiersMatchScalarRowDot)
 {
@@ -138,7 +162,7 @@ denseDotRef(const int8_t *a, const int8_t *w, int k)
 TEST(GemmKernels, VnniDenseDotMatchesScalar)
 {
     if (!dbbVnniKernelSupportedImpl())
-        GTEST_SKIP() << "no AVX512-VNNI on this host/build";
+        GTEST_SKIP() << "this CPU lacks AVX512-VNNI";
     Rng rng(0x51DD);
     // Lengths around the 64-byte batch width, incl. masked tails.
     for (const int k : {0, 1, 7, 63, 64, 65, 127, 128, 200, 1152}) {
@@ -212,9 +236,9 @@ TEST(GemmKernels, ProfileDerivationMatchesScalarOnConvCorpus)
     // OperandProfile::fromDbb under the widest cap (VPOPCNTDQ
     // histogram path where supported) vs the forced-scalar per-bit
     // derivation vs the dense reference scan: all three must be
-    // bitwise identical over conv-shaped operands. On hosts/builds
-    // without the AVX-512 tier both caps run the same loops and the
-    // test degrades to fromDbb-vs-build.
+    // bitwise identical over conv-shaped operands. On CPUs without
+    // VPOPCNTDQ both caps run the same loops and the test degrades
+    // to fromDbb-vs-build.
     Rng rng(0xF0CC);
     const DbbSpec dense8{8, 8};
     for (int trial = 0; trial < 12; ++trial) {
@@ -242,14 +266,14 @@ TEST(GemmKernels, ProfileDerivationMatchesScalarOnConvCorpus)
 
 TEST(GemmKernels, DispatcherPrefersWidestTier)
 {
-    dbbForceScalarKernel(true);
+    dbbForceKernelCap(DbbKernelKind::Scalar);
     EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Scalar);
-    dbbForceScalarKernel(false);
+    dbbForceKernelCap(DbbKernelKind::Avx512);
     if (dbbAvx512KernelSupportedImpl())
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx512);
     else if (dbbAvx2KernelSupportedImpl())
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx2);
-    else if (dbbSimdKernelAvailable())
+    else if (dbbSimdKernelSupportedImpl())
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::SimdV2);
     else
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Scalar);

@@ -196,11 +196,10 @@ TEST(EngineEquivalence, TileStripeShardingIsBitwiseIdentical)
 
 TEST(EngineEquivalence, SimdV2KernelMatchesScalarKernel)
 {
-    // With the x86-64-v2 build off (or an old CPU) this pins the
-    // dispatcher to the scalar kernel twice — trivially equal; with
-    // it on, it is the widest-SIMD-tier-vs-scalar bitwise check
-    // (AVX-512 with the v4 build on capable hardware, then AVX2,
-    // then SSSE3).
+    // The widest-SIMD-tier-vs-scalar bitwise check (AVX-512 on
+    // capable hardware, then AVX2, then SSSE3); on a CPU without
+    // any tier (or a non-x86 build) it pins the scalar kernel twice
+    // and is trivially equal.
     Rng rng(0xE6);
     // Sparse operating point so dbbGemm picks the intersection
     // kernel (the dense-mirror path bypasses the dispatcher).
@@ -209,10 +208,10 @@ TEST(EngineEquivalence, SimdV2KernelMatchesScalarKernel)
     RunOptions opt;
     opt.compute_output = true;
 
-    dbbForceScalarKernel(true);
+    dbbForceKernelCap(DbbKernelKind::Scalar);
     EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Scalar);
     const GemmRun scalar_kernel = model->run(p, opt);
-    dbbForceScalarKernel(false);
+    dbbForceKernelCap(DbbKernelKind::Avx512);
     const GemmRun auto_kernel = model->run(p, opt);
 
     EXPECT_EQ(scalar_kernel.output, auto_kernel.output);
@@ -221,7 +220,7 @@ TEST(EngineEquivalence, SimdV2KernelMatchesScalarKernel)
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx512);
     } else if (dbbAvx2KernelSupportedImpl()) {
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx2);
-    } else if (dbbSimdKernelAvailable()) {
+    } else if (dbbSimdKernelSupportedImpl()) {
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::SimdV2);
     }
 }
