@@ -12,6 +12,7 @@
 #include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
+#include "arch/plan_store.hh"
 #include "core/dap.hh"
 #include "core/dbb.hh"
 #include "core/weight_pruner.hh"
@@ -280,6 +281,68 @@ BM_DbbEncodeDecode(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 512 * 64);
 }
 BENCHMARK(BM_DbbEncodeDecode)->Unit(benchmark::kMicrosecond);
+
+/**
+ * VGG-16 fc6 at batch 1 and W 4/8: a 25088 x 4096 weight operand
+ * (102 MB) whose 4096 column block streams lie 28 KB apart. The
+ * 512 x 64 row above never leaves cache or TLB; here an encoder or
+ * spill decoder that scatters across the column streams is
+ * TLB-bound, and that shows as a kernel number.
+ */
+const GemmProblem &
+fc6Problem()
+{
+    static const GemmProblem p = [] {
+        Rng rng(0xFC6);
+        return makeDbbGemm(1, 25088, 4096, 4, 8, rng);
+    }();
+    return p;
+}
+
+void
+BM_DbbEncodeWeightsFc(benchmark::State &state)
+{
+    const GemmProblem &p = fc6Problem();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            DbbMatrix::fromWeights(p, DbbSpec{8, 8}));
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<int64_t>(p.w.size()));
+}
+BENCHMARK(BM_DbbEncodeWeightsFc)->Unit(benchmark::kMillisecond);
+
+void
+BM_SpillDecodeFc(benchmark::State &state)
+{
+    // The spill tier's rehydration of the same layer: block stream
+    // decode, dense operand reconstruction and profile derivation.
+    const GemmProblem &p = fc6Problem();
+    const std::vector<uint8_t> image =
+        spillEncode(CachedPlan(p, 8, false));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            spillDecode(image.data(), image.size()));
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<int64_t>(p.w.size()));
+}
+BENCHMARK(BM_SpillDecodeFc)->Unit(benchmark::kMillisecond);
+
+void
+BM_DbbEncodeActivationsConv(benchmark::State &state)
+{
+    // VGG-16 conv1_2 lowered at A 4/8: 224 x 224 output pixels by
+    // 3 x 3 x 64 taps (29 MB of activations).
+    static const GemmProblem p = [] {
+        Rng rng(0xC12);
+        return makeDbbGemm(50176, 576, 1, 8, 4, rng);
+    }();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            DbbMatrix::fromActivations(p, DbbSpec{8, 8}));
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<int64_t>(p.a.size()));
+}
+BENCHMARK(BM_DbbEncodeActivationsConv)->Unit(benchmark::kMillisecond);
 
 void
 BM_DapPrune(benchmark::State &state)

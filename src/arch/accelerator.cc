@@ -16,9 +16,13 @@ namespace {
 /**
  * Content key of one layer's lowered GEMMs: the conv geometry, the
  * lowering alignment, and fingerprints of both operand tensors.
- * Two layers with identical key lower to bit-identical problems,
- * so a PlanCache entry built under this key is valid for any array
- * config that shares the alignment and block size.
+ * Two layers with identical key lower to bit-identical problems.
+ * When the alignment divides groupInC no channel segment is
+ * padded, so every alignment lowers identically and the key drops
+ * it: the SA-family designs (alignment 1) and the S2TA designs
+ * (alignment bz) then share one plan per block size. A layer whose
+ * segments are padded (a 3-channel stem, a depthwise tap) keeps
+ * one plan per alignment.
  */
 uint64_t
 layerPlanKey(const LayerWorkload &wl, int channel_align,
@@ -26,6 +30,8 @@ layerPlanKey(const LayerWorkload &wl, int channel_align,
 {
     uint64_t key = 0x4C41594552ull; // domain tag
     const Conv2dShape &s = wl.shape;
+    if (s.groupInC() % channel_align == 0)
+        channel_align = 1;
     for (int field : {s.in_c, s.in_h, s.in_w, s.out_c, s.kernel_h,
                       s.kernel_w, s.stride, s.pad, s.groups,
                       wl.batch, channel_align}) {

@@ -175,53 +175,6 @@ decodeBlocks(const uint8_t *&p, const uint8_t *end,
     }
 }
 
-/**
- * Reconstruct the dense operands from their encodings. Encoding is
- * lossless (every non-zero keeps its position and value; padding
- * positions stay unset), so this inverts it exactly.
- */
-GemmProblem
-problemFromBlocks(int m, int k, int n, int bz, int nb,
-                  const std::vector<DbbBlock> &act,
-                  const std::vector<DbbBlock> &wgt)
-{
-    GemmProblem p(m, k, n);
-    for (int i = 0; i < m; ++i) {
-        const DbbBlock *row = &act[static_cast<size_t>(i) * nb];
-        int8_t *dst = &p.a[static_cast<size_t>(i) * k];
-        for (int b = 0; b < nb; ++b) {
-            const DbbBlock &blk = row[b];
-            int slot = 0;
-            for (Mask8 mm = blk.mask; mm;
-                 mm = maskClearLowest(mm)) {
-                const int kk = b * bz + maskLowestSetBit(mm);
-                s2ta_assert(kk < k,
-                            "spilled activation non-zero in the "
-                            "padding tail");
-                dst[kk] =
-                    blk.values[static_cast<size_t>(slot++)];
-            }
-        }
-    }
-    for (int j = 0; j < n; ++j) {
-        const DbbBlock *col = &wgt[static_cast<size_t>(j) * nb];
-        for (int b = 0; b < nb; ++b) {
-            const DbbBlock &blk = col[b];
-            int slot = 0;
-            for (Mask8 mm = blk.mask; mm;
-                 mm = maskClearLowest(mm)) {
-                const int kk = b * bz + maskLowestSetBit(mm);
-                s2ta_assert(kk < k,
-                            "spilled weight non-zero in the "
-                            "padding tail");
-                p.w[static_cast<size_t>(kk) * n + j] =
-                    blk.values[static_cast<size_t>(slot++)];
-            }
-        }
-    }
-    return p;
-}
-
 constexpr uint8_t kSpillMagic = 0x53; // 'S'
 constexpr uint8_t kSpillVersion = 1;
 
@@ -712,18 +665,21 @@ spillDecode(const uint8_t *data, size_t len)
     decodeBlocks(p, end, wgt_blks);
     s2ta_assert(p == end, "trailing bytes in spill image");
 
-    GemmProblem prob =
-        problemFromBlocks(m, k, n, bz, nb, act_blks, wgt_blks);
+    // Encoding is lossless (every non-zero keeps its position and
+    // value; padding positions stay unset), so expanding the blocks
+    // reconstructs the dense operands exactly.
     const DbbSpec spec{bz, bz};
+    DbbMatrix act =
+        DbbMatrix::fromParts(spec, m, nb, std::move(act_blks));
+    DbbMatrix wgt =
+        DbbMatrix::fromParts(spec, n, nb, std::move(wgt_blks));
+    GemmProblem prob(m, k, n);
+    act.activationsInto(prob);
+    wgt.weightsInto(prob);
     return std::make_shared<const CachedPlan>(
         std::move(prob), [&](const GemmProblem &owned) {
-            return GemmPlan::rebuild(
-                owned, bz,
-                DbbMatrix::fromParts(spec, m, nb,
-                                     std::move(act_blks)),
-                DbbMatrix::fromParts(spec, n, nb,
-                                     std::move(wgt_blks)),
-                mirror);
+            return GemmPlan::rebuild(owned, bz, std::move(act),
+                                     std::move(wgt), mirror);
         });
 }
 

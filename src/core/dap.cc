@@ -39,9 +39,10 @@ DapUnit::process(std::span<const int8_t> block, int nnz) const
     // left-biased binary-tree reduction over the elements not yet
     // selected, which is equivalent to a linear argmax scan with
     // strict-greater comparison (lowest index wins ties). Each stage
-    // burns BZ-1 comparators regardless of data (Fig. 8).
+    // burns BZ-1 comparators regardless of data (Fig. 8), including
+    // the stages left once only zeros remain.
+    res.comparisons = nnz * (cfg.bz - 1);
     for (int stage = 0; stage < nnz; ++stage) {
-        res.comparisons += cfg.bz - 1;
         int best = -1;
         int best_mag = 0;
         for (int i = 0; i < cfg.bz; ++i) {
@@ -68,6 +69,13 @@ namespace {
 /**
  * Prune contiguous channel vectors of length @p vec_len inside a
  * flat buffer, accumulating DAP statistics.
+ *
+ * A block holding no more non-zeros than its bound keeps all of
+ * them, so only over-dense blocks run the Top-NNZ selection; the
+ * comparator count is charged either way, since the cascade burns
+ * its comparators regardless of data. Squared magnitudes are summed
+ * as integers: each is at most 2^14, so the sums stay exact (and
+ * equal to a double accumulation) far past any tensor size.
  */
 DapStats
 dapPruneContiguous(int8_t *data, int64_t count, int vec_len, int nnz,
@@ -79,50 +87,52 @@ dapPruneContiguous(int8_t *data, int64_t count, int vec_len, int nnz,
                 count, vec_len);
 
     DapStats stats;
-    double l2_before = 0.0, l2_after = 0.0;
+    int64_t l2_before = 0, l2_dropped = 0;
     const bool bypass = (nnz == cfg.bz);
 
     for (int64_t base = 0; base < count; base += vec_len) {
         for (int off = 0; off < vec_len; off += cfg.bz) {
             const int len = std::min(cfg.bz, vec_len - off);
             const int bound = std::min(nnz, len);
-            std::span<int8_t> blk(data + base + off,
-                                  static_cast<size_t>(len));
+            int8_t *blk = data + base + off;
 
-            for (int8_t v : blk) {
-                if (v != 0) {
-                    ++stats.nonzeros_before;
-                    const double m = elemMagnitude(v);
-                    l2_before += m * m;
-                }
+            int nz = 0;
+            int32_t l2 = 0;
+            for (int i = 0; i < len; ++i) {
+                const int32_t v = blk[i];
+                nz += v != 0;
+                l2 += v * v;
             }
+            stats.nonzeros_before += nz;
+            l2_before += l2;
 
             if (bypass || bound >= len) {
                 ++stats.bypassed_blocks;
-                for (int8_t v : blk) {
-                    const double m = elemMagnitude(v);
-                    l2_after += m * m;
-                }
                 continue;
             }
-
             ++stats.blocks;
             stats.comparisons +=
                 static_cast<int64_t>(bound) * (len - 1);
+            if (nz <= bound)
+                continue;
+
+            std::span<int8_t> span(blk, static_cast<size_t>(len));
             const Mask8 keep =
-                topNnzMask(std::span<const int8_t>(blk), bound);
-            for (size_t i = 0; i < blk.size(); ++i) {
-                const double m = elemMagnitude(blk[i]);
-                if (maskTest(keep, static_cast<int>(i))) {
-                    l2_after += m * m;
-                } else if (blk[i] != 0) {
-                    ++stats.nonzeros_dropped;
+                topNnzMask(std::span<const int8_t>(span), bound);
+            stats.nonzeros_dropped += nz - maskPopcount(keep);
+            for (int i = 0; i < len; ++i) {
+                if (!maskTest(keep, i)) {
+                    const int32_t v = blk[i];
+                    l2_dropped += v * v;
                 }
             }
-            applyKeepMask(blk, keep);
+            applyKeepMask(span, keep);
         }
     }
-    stats.l2_retained = l2_before > 0.0 ? l2_after / l2_before : 1.0;
+    stats.l2_retained =
+        l2_before > 0 ? static_cast<double>(l2_before - l2_dropped) /
+                            static_cast<double>(l2_before)
+                      : 1.0;
     return stats;
 }
 

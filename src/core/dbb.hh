@@ -166,6 +166,16 @@ class DbbMatrix
                                      const DbbSpec &spec);
 
     /**
+     * Inverse of fromWeights: write the dense K x N weights these
+     * column blocks encode into p.w (p.n == vectors()). No mask bit
+     * may flag a position in the zero-padded tail past p.k.
+     */
+    void weightsInto(GemmProblem &p) const;
+
+    /** Inverse of fromActivations, into p.a (p.m == vectors()). */
+    void activationsInto(GemmProblem &p) const;
+
+    /**
      * Reassemble a matrix from already-encoded blocks — the plan
      * store and spill-tier hydration paths, which recover blocks
      * from a serialized image instead of re-encoding operands.

@@ -393,6 +393,95 @@ TEST(PlanCache, NetworkSweepIdenticalAcrossCacheAndThreads)
     }
 }
 
+/** A conv layer with @p in_c input channels in @p groups groups,
+ *  weights at most 4/8 dense along each tap's channels. */
+LayerWorkload
+sharingLayer(const char *name, int in_c, int out_c, int groups,
+             Rng &rng)
+{
+    LayerWorkload wl;
+    wl.name = name;
+    const int gc = in_c / groups;
+    wl.shape = {in_c, 9, 9, out_c, 3, 3, 1, 1, groups};
+    wl.act_nnz = 4;
+    wl.wgt_nnz = 4;
+    wl.input = makeDbbTensor({9, 9, in_c}, 4, rng);
+    const Int8Tensor tmp =
+        makeDbbTensor({3, 3, out_c, gc}, std::min(4, gc), rng);
+    wl.weights = Int8Tensor({3, 3, gc, out_c});
+    for (int ky = 0; ky < 3; ++ky)
+        for (int kx = 0; kx < 3; ++kx)
+            for (int c = 0; c < gc; ++c)
+                for (int oc = 0; oc < out_c; ++oc)
+                    wl.weights(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+    return wl;
+}
+
+void
+expectLayerRunsEqual(const LayerRun &a, const LayerRun &b,
+                     const std::string &at)
+{
+    EXPECT_EQ(a.name, b.name) << at;
+    EXPECT_TRUE(a.events == b.events) << at;
+    EXPECT_EQ(a.dense_macs, b.dense_macs) << at;
+    EXPECT_EQ(a.act_nnz_used, b.act_nnz_used) << at;
+    EXPECT_EQ(a.memory_bound, b.memory_bound) << at;
+    EXPECT_EQ(a.mcu_bound, b.mcu_bound) << at;
+    EXPECT_EQ(a.compute_cycles, b.compute_cycles) << at;
+    EXPECT_EQ(a.batch, b.batch) << at;
+    EXPECT_TRUE(a.output == b.output) << at;
+    EXPECT_EQ(a.h2d_bytes, b.h2d_bytes) << at;
+    EXPECT_EQ(a.d2h_bytes, b.d2h_bytes) << at;
+}
+
+TEST(PlanCache, SaAndS2taShareUnpaddedLayerPlans)
+{
+    // SA-family designs lower with channel alignment 1 and S2TA
+    // designs with bz. When bz divides groupInC no segment is
+    // padded and both lower bit-identically, so one plan serves
+    // both; a 3-channel stem and a depthwise layer pad their
+    // segments under S2TA and keep one plan per alignment.
+    Rng rng(0xE3);
+    const std::vector<LayerWorkload> layers = {
+        sharingLayer("plain", 16, 16, 1, rng),
+        sharingLayer("stem", 3, 16, 1, rng),
+        sharingLayer("depthwise", 16, 16, 16, rng)};
+    const int64_t groups[] = {1, 1, 16};
+    const int64_t s2ta_builds[] = {0, 1, 16};
+
+    for (const bool compute_output : {false, true}) {
+        PlanCache cache;
+        const std::vector<ArrayConfig> designs = {
+            ArrayConfig::saZvcg(), ArrayConfig::s2taW()};
+        for (size_t d = 0; d < designs.size(); ++d) {
+            AcceleratorConfig acfg;
+            acfg.array = designs[d];
+            acfg.sim_threads = 1;
+            const Accelerator acc(acfg);
+            NetworkRunOptions plain;
+            plain.compute_output = compute_output;
+            NetworkRunOptions cached = plain;
+            cached.plan_cache = &cache;
+            for (size_t l = 0; l < layers.size(); ++l) {
+                const std::string at = designs[d].name() + " " +
+                                       layers[l].name + " output " +
+                                       std::to_string(compute_output);
+                const PlanCache::Stats before = cache.stats();
+                const LayerRun run = acc.runLayer(layers[l], cached);
+                const PlanCache::Stats after = cache.stats();
+                const int64_t built = after.misses - before.misses;
+                EXPECT_EQ(built, d == 0 ? groups[l] : s2ta_builds[l])
+                    << at;
+                EXPECT_EQ(after.hits - before.hits,
+                          groups[l] - built)
+                    << at;
+                expectLayerRunsEqual(run, acc.runLayer(layers[l], plain),
+                                     at);
+            }
+        }
+    }
+}
+
 TEST(PlanCache, AcquireLayerBatchesAndHits)
 {
     Rng rng(0xE2);

@@ -154,6 +154,32 @@ TEST(PlanStore, SpillRoundtripIsExact)
     }
 }
 
+TEST(PlanStore, SpillRoundtripAcrossTileEdgesIsExact)
+{
+    // K = 1027 gives a ragged tail block and, at bz 8, three
+    // 64-block tiles down K; N = 101 gives four 32-column tiles, the
+    // last 5 wide. The spill decoder rebuilds the weights through
+    // the encoder's tile in reverse, so every edge must come back
+    // exact, with and without the dense mirror.
+    for (const int bz : {8, 5}) {
+        for (const bool mirror : {false, true}) {
+            Rng rng(0x53 + static_cast<uint64_t>(bz));
+            GemmProblem p(29, 1027, 101);
+            for (int8_t &v : p.a)
+                v = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
+            for (int8_t &v : p.w)
+                v = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
+            const CachedPlan entry(p, bz, mirror);
+            const auto bytes = spillEncode(entry);
+            const auto back = spillDecode(bytes.data(), bytes.size());
+            ASSERT_NE(back, nullptr);
+            EXPECT_EQ(back->problem.a, p.a) << "bz " << bz;
+            EXPECT_EQ(back->problem.w, p.w) << "bz " << bz;
+            expectEntriesEqual(entry, *back);
+        }
+    }
+}
+
 TEST(PlanStore, RoundtripEveryZooModel)
 {
     // End-to-end through the accelerator: populate a store from a

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string>
 
 #include "base/random.hh"
 #include "core/dap.hh"
@@ -68,10 +70,11 @@ TEST(DapUnit, StopsEarlyWhenOnlyZerosRemain)
     DapUnit dap;
     const auto res = dap.process(blk, 4);
     // One non-zero: later stages select nothing and the mask stays
-    // at one bit, but the first stages' comparators were exercised.
+    // at one bit, but every stage's comparators still switch.
     EXPECT_EQ(maskPopcount(res.mask), 1);
     ASSERT_EQ(res.winner_positions.size(), 1u);
     EXPECT_EQ(res.winner_positions[0], 2);
+    EXPECT_EQ(res.comparisons, 4 * 7);
 }
 
 TEST(DapUnitDeath, UnsupportedNnzRejected)
@@ -140,6 +143,120 @@ TEST(DapPrune, GemmVariantPrunesRows)
             for (int e = 0; e < 8; ++e)
                 nz += p.actAt(i, b * 8 + e) != 0;
             EXPECT_LE(nz, 2);
+        }
+    }
+}
+
+/**
+ * Per-block reference for dapPruneTensor: each BZ-block (a tail
+ * block of r < 8 channels as an r-wide unit) goes through the
+ * DapUnit comparator cascade, the tensor is pruned to its masks,
+ * and the L2 energy is accumulated in double.
+ */
+DapStats
+cascadeReference(Int8Tensor &t, int nnz)
+{
+    const int channels = t.dim(t.rank() - 1);
+    DapStats st;
+    double l2_before = 0.0, l2_after = 0.0;
+    for (int64_t base = 0; base < t.size(); base += channels) {
+        for (int off = 0; off < channels; off += 8) {
+            const int len = std::min(8, channels - off);
+            const int bound = std::min(nnz, len);
+            const std::span<int8_t> blk(t.data() + base + off,
+                                        static_cast<size_t>(len));
+            for (const int8_t v : blk) {
+                st.nonzeros_before += v != 0;
+                l2_before += static_cast<double>(v) * v;
+            }
+            Mask8 keep;
+            if (bound == len) {
+                // Dense bypass: a len-wide unit in its 8/8 mode.
+                const DapUnit unit(DapConfig{len, len});
+                const auto res = unit.process(blk, len);
+                EXPECT_EQ(res.comparisons, 0);
+                keep = res.mask;
+                ++st.bypassed_blocks;
+            } else {
+                const DapUnit unit(DapConfig{len, std::min(5, len)});
+                const auto res = unit.process(blk, bound);
+                keep = res.mask;
+                st.comparisons += res.comparisons;
+                ++st.blocks;
+            }
+            for (int i = 0; i < len; ++i) {
+                int8_t &v = blk[static_cast<size_t>(i)];
+                if (maskTest(keep, i)) {
+                    l2_after += static_cast<double>(v) * v;
+                } else {
+                    st.nonzeros_dropped += v != 0;
+                    v = 0;
+                }
+            }
+        }
+    }
+    st.l2_retained = l2_before > 0.0 ? l2_after / l2_before : 1.0;
+    return st;
+}
+
+/**
+ * A tensor whose blocks hold a uniformly random number of
+ * non-zeros (0 to the block length), so every bound meets blocks
+ * under, at and over it. Half the blocks draw from a 3-magnitude
+ * alphabet so the cascade's lowest-index tie-break is exercised.
+ */
+Int8Tensor
+mixedDensityTensor(const std::vector<int> &shape, Rng &rng)
+{
+    Int8Tensor t(shape);
+    const int channels = shape.back();
+    for (int64_t base = 0; base < t.size(); base += channels) {
+        for (int off = 0; off < channels; off += 8) {
+            const int len = std::min(8, channels - off);
+            const int nz = static_cast<int>(rng.uniformInt(0, len));
+            const bool ties = rng.bernoulli(0.5);
+            for (int pos : rng.chooseK(len, nz)) {
+                int8_t v = rng.nonZeroInt8();
+                if (ties) {
+                    v = static_cast<int8_t>(
+                        (rng.bernoulli(0.5) ? 1 : -1) *
+                        (1 + rng.uniformInt(0, 2)) * 40);
+                }
+                t.data()[base + off + pos] = v;
+            }
+        }
+    }
+    return t;
+}
+
+TEST(DapPrune, TensorMatchesPerBlockCascade)
+{
+    // Channel counts with a 5-wide tail block (13), whole blocks
+    // only (72) and a tensor narrower than one block (3).
+    const std::vector<std::vector<int>> shapes = {
+        {6, 7, 13}, {3, 5, 72}, {4, 4, 3}};
+    for (const int nnz : {1, 2, 3, 4, 5, 8}) {
+        for (size_t s = 0; s < shapes.size(); ++s) {
+            Rng rng(0xDA0 + 16 * static_cast<uint64_t>(nnz) + s);
+            const Int8Tensor input = mixedDensityTensor(shapes[s], rng);
+            Int8Tensor pruned = input;
+            Int8Tensor expected = input;
+            const DapStats got = dapPruneTensor(pruned, nnz);
+            const DapStats ref = cascadeReference(expected, nnz);
+            const std::string at = "nnz " + std::to_string(nnz) +
+                                   " shape " + std::to_string(s);
+            EXPECT_EQ(got.blocks, ref.blocks) << at;
+            EXPECT_EQ(got.bypassed_blocks, ref.bypassed_blocks) << at;
+            EXPECT_EQ(got.comparisons, ref.comparisons) << at;
+            EXPECT_EQ(got.nonzeros_dropped, ref.nonzeros_dropped) << at;
+            EXPECT_EQ(got.nonzeros_before, ref.nonzeros_before) << at;
+            EXPECT_TRUE(got.l2_retained == ref.l2_retained)
+                << at << ": " << got.l2_retained << " vs "
+                << ref.l2_retained;
+            EXPECT_TRUE(pruned == expected) << at;
+            if (nnz < std::min(8, shapes[s].back())) {
+                EXPECT_GT(ref.nonzeros_dropped, 0) << at;
+            }
         }
     }
 }
