@@ -3,7 +3,7 @@
  * End-to-end throughput of the simulation engine itself: wall-clock
  * time to run a full CNN workload (functional outputs on) through
  * the legacy scalar engine versus the DBB-native fast path
- * (mask-intersection kernels + GemmPlan caching + parallel runner),
+ * (dense-lane kernel + GemmPlan caching + parallel runner),
  * plus the encode-amortized rerun through a warm PlanCache (the
  * sweep operating point: one encode, many design points). Emits a
  * JSON record for the bench trajectory and verifies that every
@@ -21,8 +21,9 @@
  * --test-backend picks the backend (default in-process).
  *
  * And a SIMD tier row: the same serial fast-engine run with the
- * kernel ladder capped at AVX2 versus uncapped (AVX-512 with VNNI
- * and VPOPCNTDQ sub-kernels). On full runs where the host has
+ * kernels capped at scalar (SSE2 dense dot, scalar profile) versus
+ * uncapped (VNNI and VPOPCNTDQ sub-kernels). On full runs where the
+ * host has
  * AVX-512 the uncapped run must beat the cap (speedup_simd > 1);
  * hosts without it record mode avx512-unsupported-host. --simd is
  * rejected here — the tier rows pin the cap themselves.
@@ -242,23 +243,22 @@ main(int argc, char **argv)
     std::printf("  %.3f s\n", cached.seconds);
 
     // The SIMD tier rows: the serial fast engine re-timed with the
-    // dispatcher capped at AVX2 (every AVX-512 sub-path off: the
-    // VBMI intersection kernel, the VNNI dense mirror, and the
-    // VPOPCNTDQ profile derivation all fall back), then uncapped.
-    // At the 4/8 operating point the dense-mirror dot dominates, so
-    // this is chiefly VNNI-vs-SSE2 — the headline kernel-ladder
-    // win. Hosts (or builds) without the AVX-512 tier keep the rows
-    // with mode "avx512-unsupported-host" and a 1.0x ratio instead
-    // of silently comparing AVX2 against itself.
+    // dispatcher capped at scalar (both AVX-512 sub-kernels off: the
+    // dense dot falls back to SSE2 and the profile to the mask
+    // loops), then uncapped. The dense dot dominates, so this is
+    // chiefly VNNI-vs-SSE2. Hosts (or builds) without the AVX-512
+    // tier keep the rows with mode "avx512-unsupported-host" and a
+    // 1.0x ratio instead of silently comparing scalar against
+    // itself.
     const bool avx512_supported = dbbAvx512KernelSupportedImpl();
     const int tier_reps = std::max(args.reps, 3);
-    std::printf("running DBB-native engine (avx2-capped "
+    std::printf("running DBB-native engine (scalar-capped "
                 "dispatch)...\n");
-    dbbForceKernelCap(DbbKernelKind::Avx2);
-    const EngineResult tier_avx2 =
+    dbbForceKernelCap(DbbKernelKind::Scalar);
+    const EngineResult tier_scalar =
         timeEngine(serial_cfg, mw, fast_opt, tier_reps);
     dbbForceKernelCap(DbbKernelKind::Avx512);
-    std::printf("  %.3f s\n", tier_avx2.seconds);
+    std::printf("  %.3f s\n", tier_scalar.seconds);
     EngineResult tier_avx512;
     if (avx512_supported) {
         std::printf("running DBB-native engine (avx512 "
@@ -268,12 +268,12 @@ main(int argc, char **argv)
         std::printf("  %.3f s\n", tier_avx512.seconds);
     } else {
         std::printf("avx512 tier unavailable on this host/build; "
-                    "recording the avx2 row only\n");
-        tier_avx512.seconds = tier_avx2.seconds;
-        tier_avx512.run = tier_avx2.run;
+                    "recording the scalar row only\n");
+        tier_avx512.seconds = tier_scalar.seconds;
+        tier_avx512.run = tier_scalar.run;
     }
     const double speedup_simd =
-        tier_avx2.seconds / tier_avx512.seconds;
+        tier_scalar.seconds / tier_avx512.seconds;
     const char *simd_mode =
         avx512_supported ? "measured" : "avx512-unsupported-host";
 
@@ -343,7 +343,7 @@ main(int argc, char **argv)
     const bool equal = bitwiseEqualRuns(scalar.run, fast.run) &&
                        bitwiseEqualRuns(scalar.run, prod.run) &&
                        bitwiseEqualRuns(scalar.run, cached.run) &&
-                       bitwiseEqualRuns(scalar.run, tier_avx2.run) &&
+                       bitwiseEqualRuns(scalar.run, tier_scalar.run) &&
                        bitwiseEqualRuns(scalar.run,
                                         tier_avx512.run) &&
                        backend_equal;
@@ -394,15 +394,15 @@ main(int argc, char **argv)
         s2ta_fatal("async backend overlap speedup %.2fx is below "
                    "the %.1fx gate", speedup_overlap, overlap_gate);
     }
-    std::printf("simd tier: avx512 %.2fx over avx2-capped (%s)\n",
+    std::printf("simd tier: avx512 %.2fx over scalar-capped (%s)\n",
                 speedup_simd, simd_mode);
     // Where the AVX-512 tier runs at all it must win: smoke models
     // are too small for stable timing, but on the full model a
     // regression to parity means a sub-kernel fell off its fast
-    // path (e.g. the dense mirror stopped choosing VNNI).
+    // path (e.g. the dense dot stopped choosing VNNI).
     if (!args.smoke && avx512_supported && speedup_simd <= 1.0) {
-        s2ta_fatal("avx512 tier speedup %.2fx over avx2 is not a "
-                   "win; the kernel ladder regressed",
+        s2ta_fatal("avx512 tier speedup %.2fx over scalar is not a "
+                   "win; the kernel tiers regressed",
                    speedup_simd);
     }
 
@@ -423,7 +423,7 @@ main(int argc, char **argv)
         .field("speedup", speedup, 3)
         .field("speedup_parallel", speedup_parallel, 3)
         .field("speedup_cached", speedup_cached, 3)
-        .field("simd_avx2_seconds", tier_avx2.seconds)
+        .field("simd_scalar_seconds", tier_scalar.seconds)
         .field("simd_avx512_seconds", tier_avx512.seconds)
         .field("speedup_simd", speedup_simd, 3)
         .field("simd_mode", simd_mode)

@@ -293,26 +293,20 @@ benchFlagList()
            "--test-backend NAME (a BackendRegistry name, e.g. "
            "in-process|scalar-ref|remote-stub), "
            "--trace-out PATH, --metrics-out PATH, "
-           "--simd auto|scalar|ssse3|avx2|avx512";
+           "--simd auto|scalar|avx512";
 }
 
 /**
  * SIMD dispatch tiers usable on this host, for --simd error
- * messages: every x86-64 build compiles every tier, so this is the
- * CPU's feature set ("avx512" needs AVX-512 BW+VBMI silicon); a
- * non-x86 build offers only "auto|scalar".
+ * messages: every x86-64 build compiles both tiers, so this is the
+ * CPU's feature set ("avx512" needs AVX-512 BW plus VNNI or
+ * VPOPCNTDQ silicon); a non-x86 build offers only "auto|scalar".
  */
 inline std::string
 benchSupportedSimdTiers()
 {
-    std::string tiers = "auto|scalar";
-    if (dbbSimdKernelSupportedImpl())
-        tiers += "|ssse3";
-    if (dbbAvx2KernelSupportedImpl())
-        tiers += "|avx2";
-    if (dbbAvx512KernelSupportedImpl())
-        tiers += "|avx512";
-    return tiers;
+    return dbbAvx512KernelSupportedImpl() ? "auto|scalar|avx512"
+                                          : "auto|scalar";
 }
 
 /**
@@ -606,18 +600,12 @@ parseBenchArgs(int argc, char **argv)
                 cap = DbbKernelKind::Avx512; // uncapped dispatch
             } else if (a.simd == "scalar") {
                 cap = DbbKernelKind::Scalar;
-            } else if (a.simd == "ssse3") {
-                cap = DbbKernelKind::SimdV2;
-                supported = dbbSimdKernelSupportedImpl();
-            } else if (a.simd == "avx2") {
-                cap = DbbKernelKind::Avx2;
-                supported = dbbAvx2KernelSupportedImpl();
             } else if (a.simd == "avx512") {
                 cap = DbbKernelKind::Avx512;
                 supported = dbbAvx512KernelSupportedImpl();
             } else {
                 s2ta_fatal("unknown simd tier '%s' (accepted "
-                           "values: auto|scalar|ssse3|avx2|avx512; "
+                           "values: auto|scalar|avx512; "
                            "this host/build supports: %s)",
                            a.simd.c_str(),
                            benchSupportedSimdTiers().c_str());

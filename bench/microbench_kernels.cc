@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
@@ -82,112 +84,34 @@ BM_GemmPlanBuild(benchmark::State &state)
 }
 BENCHMARK(BM_GemmPlanBuild)->Unit(benchmark::kMicrosecond);
 
-void
-BM_MaskIntersectGemm(benchmark::State &state)
-{
-    // The DBB-native functional kernel on the same GEMM as
-    // BM_GemmReference: the headline per-element vs mask-intersect
-    // comparison.
-    const GemmProblem &p = sharedProblem();
-    const GemmPlan plan = GemmPlan::build(p);
-    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
-    const int nb = plan.act().blocksPerVector();
-    for (auto _ : state) {
-        for (int i = 0; i < p.m; ++i) {
-            const DbbBlock *arow = plan.act().vectorBlocks(i);
-            int32_t *orow = &out[static_cast<size_t>(i) * p.n];
-            for (int j = 0; j < p.n; ++j)
-                orow[j] =
-                    dbbDotRow(arow, plan.wgt().vectorBlocks(j), nb);
-        }
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * p.denseMacs());
-}
-BENCHMARK(BM_MaskIntersectGemm)->Unit(benchmark::kMillisecond);
-
-/** True when this CPU has @p kind's kernel (only scalar on non-x86
- *  builds). */
-bool
-tierUsable(DbbKernelKind kind)
-{
-    switch (kind) {
-      case DbbKernelKind::Scalar: return true;
-      case DbbKernelKind::SimdV2: return dbbSimdKernelSupportedImpl();
-      case DbbKernelKind::Avx2:   return dbbAvx2KernelSupportedImpl();
-      case DbbKernelKind::Avx512:
-        return dbbAvx512KernelSupportedImpl();
-    }
-    return false;
-}
-
-/** The row-dot entry point of one tier, bypassing the dispatcher. */
-int32_t (*
-tierRowDot(DbbKernelKind kind))(const DbbBlock *, const DbbBlock *,
-                                int)
-{
-    switch (kind) {
-      case DbbKernelKind::Scalar: return dbbDotRow;
-      case DbbKernelKind::SimdV2: return dbbDotRowSimdV2;
-      case DbbKernelKind::Avx2:   return dbbDotRowAvx2;
-      case DbbKernelKind::Avx512: return dbbDotRowAvx512;
-    }
-    return dbbDotRow;
-}
-
-/** Random DBB row at roughly the requested mask density. */
-std::vector<DbbBlock>
-tierRow(Rng &rng, int nblocks, int mask_bits)
-{
-    std::vector<DbbBlock> row(static_cast<size_t>(nblocks));
-    for (auto &b : row) {
-        b.mask = 0;
-        for (int s = 0; s < mask_bits; ++s)
-            b.mask = maskSet(b.mask,
-                             static_cast<int>(rng.uniformInt(0, 7)));
-        const int stored = maskPopcount(b.mask);
-        for (int s = 0; s < stored; ++s)
-            b.values[static_cast<size_t>(s)] = static_cast<int8_t>(
-                rng.uniformInt(-127, 127) | 1);
-    }
-    return row;
-}
-
 /**
- * The per-tier mask-intersection row dot: kernel-ladder rows side
- * by side. range(0) picks the tier (skipped with an error when the
- * host/build lacks it — an absent row can never be mistaken for a
- * slow one); range(1) picks the mask regime: dense 8/8 masks make
- * the expansion/permute path the whole cost, sparse 4/8 masks make
- * it an intersection-dominated dot. Bytes processed = stored DBB
- * bytes of both rows, so bytes/sec is directly comparable across
- * tiers and regimes.
+ * dbbGemm at the sparse end: the paper's typical convolution GEMM
+ * (512 x 1152 x 256, Sec. 8.2) with W and A both at range(0)/8 DBB.
+ * The functional kernel contracts dense lanes at every density; these
+ * are the operating points where a mask-intersection gather would do
+ * the least work, so a regression of the dense contraction against
+ * one shows here first.
  */
 void
-BM_DbbRowDotTier(benchmark::State &state)
+BM_DbbGemmSparse(benchmark::State &state)
 {
-    const auto kind = static_cast<DbbKernelKind>(state.range(0));
-    const bool dense = state.range(1) != 0;
-    if (!tierUsable(kind)) {
-        state.SkipWithError("tier unavailable on this host/build");
-        return;
+    const int nnz = static_cast<int>(state.range(0));
+    Rng rng(0x5EA + static_cast<uint64_t>(nnz));
+    const GemmProblem p = makeDbbGemm(512, 1152, 256, nnz, nnz, rng);
+    const GemmPlan plan = GemmPlan::build(p);
+    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
+    for (auto _ : state) {
+        dbbGemm(plan, out.data());
+        benchmark::DoNotOptimize(out.data());
     }
-    Rng rng(0xD07 + state.range(1));
-    const int nblocks = 144; // k = 1152, the conv sweet spot
-    const auto a = tierRow(rng, nblocks, dense ? 8 : 4);
-    const auto w = tierRow(rng, nblocks, dense ? 8 : 4);
-    auto *const fn = tierRowDot(kind);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(fn(a.data(), w.data(), nblocks));
-    state.SetLabel(std::string(dbbKernelKindName(kind)) +
-                   (dense ? " expansion-bound (8/8 masks)"
-                          : " intersection (4/8 masks)"));
-    state.SetBytesProcessed(state.iterations() * 2 * nblocks *
-                            static_cast<int64_t>(sizeof(DbbBlock)));
+    state.SetLabel("W,A " + std::to_string(nnz) + "/8 " +
+                   dbbKernelKindName(dbbActiveKernel()));
+    state.SetItemsProcessed(state.iterations() * p.denseMacs());
 }
-BENCHMARK(BM_DbbRowDotTier)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 3, 1), {0, 1}})
-    ->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_DbbGemmSparse)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 /** Scalar reference dense dot (the baseline the VNNI row beats). */
 int32_t
@@ -200,10 +124,8 @@ denseDotScalar(const int8_t *a, const int8_t *w, int k)
 }
 
 /**
- * The dense-mirror contraction: scalar loop vs the AVX512-VNNI
- * vpdpbusd kernel (range(0)). This is the dot product dbbGemm picks
- * when mask intersection stops paying (>= half the block pairs
- * matched), i.e. the hot loop of the 4/8-density engine bench.
+ * The dense-lane dot: scalar loop vs the AVX512-VNNI vpdpbusd kernel
+ * (range(0)). This is dbbGemm's inner loop at every density.
  */
 void
 BM_DenseDotTier(benchmark::State &state)
@@ -273,10 +195,11 @@ BM_DbbEncodeDecode(benchmark::State &state)
 {
     Rng rng(7);
     GemmProblem p = makeDbbGemm(64, 512, 64, 4, 8, rng);
-    const DbbSpec spec{4, 8};
+    GemmProblem back(p.m, p.k, p.n);
     for (auto _ : state) {
-        const DbbMatrix m = DbbMatrix::fromWeights(p, spec);
-        benchmark::DoNotOptimize(m.toDense());
+        const std::vector<DbbBlock> blocks = dbbEncodeWeights(p, 8);
+        dbbDecodeWeights(blocks.data(), 8, back);
+        benchmark::DoNotOptimize(back.w.data());
     }
     state.SetBytesProcessed(state.iterations() * 512 * 64);
 }

@@ -1,6 +1,7 @@
 #include "arch/array_model.hh"
 
 #include <algorithm>
+#include <array>
 #include <span>
 
 #include "arch/gemm_kernels.hh"
@@ -77,7 +78,7 @@ OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
     const int act_bz = act.spec().bz;
     const bool simd_profile = dbbProfileSimdEnabled();
     for (int i = 0; i < p.m; ++i) {
-        const DbbBlock *row = act.vectorBlocks(i);
+        const Mask8 *row = act.vectorMasks(i);
         int32_t nz = 0;
         if (simd_profile && act_bz == 8) {
             nz = static_cast<int32_t>(dbbProfileVectorAvx512(
@@ -85,8 +86,8 @@ OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
                 prof.act_nz_at_k.data(), p.k));
         } else {
             for (int b = 0; b < act.blocksPerVector(); ++b) {
-                nz += maskPopcount(row[b].mask);
-                for (Mask8 m = row[b].mask; m;
+                nz += maskPopcount(row[b]);
+                for (Mask8 m = row[b]; m;
                      m = maskClearLowest(m)) {
                     ++prof.act_nz_at_k[static_cast<size_t>(
                         b * act_bz + maskLowestSetBit(m))];
@@ -98,7 +99,7 @@ OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
     }
     const int wgt_bz = wgt.spec().bz;
     for (int j = 0; j < p.n; ++j) {
-        const DbbBlock *col = wgt.vectorBlocks(j);
+        const Mask8 *col = wgt.vectorMasks(j);
         int32_t nz = 0;
         if (simd_profile && wgt_bz == 8) {
             nz = static_cast<int32_t>(dbbProfileVectorAvx512(
@@ -106,8 +107,8 @@ OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
                 prof.wgt_nz_at_k.data(), p.k));
         } else {
             for (int b = 0; b < wgt.blocksPerVector(); ++b) {
-                nz += maskPopcount(col[b].mask);
-                for (Mask8 m = col[b].mask; m;
+                nz += maskPopcount(col[b]);
+                for (Mask8 m = col[b]; m;
                      m = maskClearLowest(m)) {
                     ++prof.wgt_nz_at_k[static_cast<size_t>(
                         b * wgt_bz + maskLowestSetBit(m))];
@@ -124,6 +125,31 @@ OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
             prof.wgt_nz_at_k[static_cast<size_t>(kk)];
     }
     return prof;
+}
+
+std::vector<DbbBlock>
+referenceBlocks(const GemmProblem &p, int bz, bool weights)
+{
+    const DbbSpec all{bz, bz};
+    const int nb = (p.k + bz - 1) / bz;
+    const int vectors = weights ? p.n : p.m;
+    std::vector<DbbBlock> blocks;
+    blocks.reserve(static_cast<size_t>(vectors) * nb);
+    for (int v = 0; v < vectors; ++v) {
+        for (int b = 0; b < nb; ++b) {
+            std::array<int8_t, 8> dense{};
+            for (int e = 0; e < bz && b * bz + e < p.k; ++e) {
+                const int kk = b * bz + e;
+                dense[static_cast<size_t>(e)] =
+                    weights ? p.wgtAt(kk, v) : p.actAt(v, kk);
+            }
+            blocks.push_back(dbbEncode(
+                std::span<const int8_t>(dense.data(),
+                                        static_cast<size_t>(bz)),
+                all));
+        }
+    }
+    return blocks;
 }
 
 ArrayModel::ArrayModel(ArrayConfig cfg_) : cfg(cfg_)

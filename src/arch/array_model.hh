@@ -34,8 +34,8 @@ class PlanCache;
  * Which simulation engine executes the run.
  *
  * Both engines produce bitwise-identical events and outputs; DbbFast
- * is the default and exploits the DBB format itself (mask
- * intersection + rank gathers, O(matched nnz) per block), while
+ * is the default and exploits the DBB format itself (block masks for
+ * profiles and checks, a dense-lane contraction for outputs), while
  * Scalar preserves the original per-element loops as a reference and
  * as the baseline for bench_engine_throughput.
  */
@@ -43,7 +43,8 @@ enum class EngineKind
 {
     /** Legacy per-element loops over the dense operands. */
     Scalar,
-    /** Mask-intersection kernels over cached DBB encodings. */
+    /** Mask-derived profiles and the dense-lane kernel over a
+     *  cached GemmPlan. */
     DbbFast,
 };
 

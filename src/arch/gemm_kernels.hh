@@ -1,18 +1,19 @@
 /**
  * @file
- * Internal declarations for the runtime-dispatched mask-intersection
- * row-dot kernels.
+ * Internal declarations for the runtime-dispatched AVX-512
+ * sub-kernels and the cpuid probes.
  *
- * Each SIMD tier lives in its own translation unit compiled with
- * exactly the ISA it needs (every x86-64 build; see CMakeLists.txt);
- * this header carries only declarations so including it never
- * instantiates code under a raised ISA. Callers go through
- * dbbActiveKernel() in gemm_plan.hh — these symbols are exposed for
- * the dispatcher, for the kernel-equivalence property tests (which
- * compare every tier this CPU has against the scalar rank-gather
- * loop on the same block rows) and for tools/simd_probe. On a
- * non-x86 target each entry point is a scalar alias and each probe
- * reports unsupported, so the symbols always link.
+ * The sub-kernels live in gemm_kernels_avx512.cc, the one translation
+ * unit compiled with AVX-512 codegen (every x86-64 build; see
+ * CMakeLists.txt); this header carries only declarations so
+ * including it never instantiates code under a raised ISA. Callers
+ * go through dbbVnniDenseEnabled()/dbbProfileSimdEnabled() in
+ * gemm_plan.hh — these symbols are exposed for the dispatcher, for
+ * the kernel-equivalence property tests and for tools/simd_probe. On
+ * a non-x86 target each entry point is a scalar loop and each probe
+ * reports unsupported, so the symbols always link. The AVX-512 unit
+ * includes only this header: a shared inline function compiled
+ * there could be kept by the linker for the whole program.
  */
 
 #ifndef S2TA_ARCH_GEMM_KERNELS_HH
@@ -22,67 +23,46 @@
 
 namespace s2ta {
 
-struct DbbBlock;
-
-/** SSSE3 pshufb-expansion row dot (gemm_kernels_v2.cc). */
-int32_t dbbDotRowSimdV2(const DbbBlock *a, const DbbBlock *w,
-                        int nblocks);
-
-/** True when this CPU has SSSE3 (false on non-x86 builds). */
+/** True when this CPU has SSSE3 (false on non-x86 builds). No
+ *  kernel needs it; it is a host fact the benchmarks record. */
 bool dbbSimdKernelSupportedImpl();
 
-/**
- * AVX2 tier (gemm_kernels_avx2.cc): four blocks per operand expand
- * into one 256-bit register per iteration — twice the SSSE3 batch
- * per shuffle.
- */
-int32_t dbbDotRowAvx2(const DbbBlock *a, const DbbBlock *w,
-                      int nblocks);
-
-/** True when this CPU has AVX2 (false on non-x86 builds). */
+/** True when this CPU has AVX2 (false on non-x86 builds); a host
+ *  fact like dbbSimdKernelSupportedImpl. */
 bool dbbAvx2KernelSupportedImpl();
 
-/**
- * AVX-512 tier (gemm_kernels_avx512.cc): EIGHT blocks per operand
- * expand into one 512-bit register per masked-zeroing vpermi2b
- * (AVX512VBMI), then one 512-bit madd tree contracts 64 dense INT8
- * lanes per iteration.
- */
-int32_t dbbDotRowAvx512(const DbbBlock *a, const DbbBlock *w,
-                        int nblocks);
-
-/** True when this CPU has avx512bw + avx512vbmi, the AVX-512
- *  intersection kernel's features (false on non-x86 builds). */
+/** True when this CPU can run either AVX-512 sub-kernel below
+ *  (dbbVnniKernelSupportedImpl() || dbbVpopcntKernelSupportedImpl()):
+ *  the condition for the avx512 tier (false on non-x86 builds). */
 bool dbbAvx512KernelSupportedImpl();
 
 /**
- * VNNI dense-mirror dot product (sub-feature of the AVX-512 tier):
- * one vpdpbusd contracts 64 INT8 pairs per instruction. vpdpbusd is
- * u8 x s8, so the signed result is recovered exactly as
- * dp(a ^ 0x80, w) - 128 * dp(1, w) — bit-identical to the scalar
- * INT32 wrapping accumulation.
+ * VNNI dense dot product: one vpdpbusd contracts 64 INT8 pairs per
+ * instruction. vpdpbusd is u8 x s8, so the signed result is
+ * recovered exactly as dp(a ^ 0x80, w) - 128 * dp(1, w) —
+ * bit-identical to the scalar INT32 wrapping accumulation.
  */
 int32_t dbbDenseDotVnni(const int8_t *a, const int8_t *w, int k);
 
-/** True when this CPU has avx512vnni, probed independently of the
- *  intersection kernel (false on non-x86 builds). */
+/** True when this CPU has avx512bw + avx512vnni, the VNNI dot's
+ *  features (false on non-x86 builds). */
 bool dbbVnniKernelSupportedImpl();
 
 /**
- * VPOPCNTDQ profile derivation (sub-feature of the AVX-512 tier):
- * adds the per-position non-zero counts of one encoded vector of
- * bz == 8 blocks into hist[block * 8 + bit] and returns the
- * vector's total mask popcount. Groups of 8 blocks whose full
- * 64-position window fits inside @p hist_len go through the SIMD
- * path (packed-mask vpopcntq for the total, vpmovm2b widening for
- * the histogram); trailing blocks fall back to per-bit updates.
- * Bit-identical to the scalar mask loops in
- * OperandProfile::fromDbb.
+ * VPOPCNTDQ profile derivation: adds the per-position non-zero
+ * counts of one vector of bz == 8 block masks (Mask8 bytes; this
+ * header includes no shared inline code, see the file comment) into
+ * hist[block * 8 + bit] and returns the vector's total mask
+ * popcount. Groups of 8 blocks whose full 64-position window fits
+ * inside @p hist_len go through the SIMD path (one 8-byte mask load
+ * per group, vpopcntq for the total, vpmovm2b widening for the
+ * histogram); trailing blocks fall back to per-bit updates.
+ * Bit-identical to the scalar mask loops in OperandProfile::fromDbb.
  */
-int64_t dbbProfileVectorAvx512(const DbbBlock *blocks, int nblocks,
+int64_t dbbProfileVectorAvx512(const uint8_t *masks, int nblocks,
                                int32_t *hist, int hist_len);
 
-/** True when this CPU has avx512vpopcntdq + avx512bw, the profile
+/** True when this CPU has avx512bw + avx512vpopcntdq, the profile
  *  path's features (false on non-x86 builds). */
 bool dbbVpopcntKernelSupportedImpl();
 

@@ -16,75 +16,19 @@ namespace {
 /** Forced dispatch ceiling; Avx512 (the widest tier) = unclamped. */
 std::atomic<int> kernel_cap{static_cast<int>(DbbKernelKind::Avx512)};
 
-/** Row-dot signature all intersection kernels share. */
-using RowDotFn = int32_t (*)(const DbbBlock *, const DbbBlock *,
-                             int);
-
-/** Dense-dot signature the dense-mirror contraction dispatches. */
+/** Dense-dot signature the contraction dispatches. */
 using DenseDotFn = int32_t (*)(const int8_t *, const int8_t *, int);
 
-/** Widest tier this CPU supports (cpuid results cannot change at
- *  runtime; memoized). */
-DbbKernelKind
-widestSupportedKernel()
-{
-    static const DbbKernelKind kind =
-        dbbAvx512KernelSupportedImpl() ? DbbKernelKind::Avx512
-        : dbbAvx2KernelSupportedImpl() ? DbbKernelKind::Avx2
-        : dbbSimdKernelSupportedImpl() ? DbbKernelKind::SimdV2
-                                       : DbbKernelKind::Scalar;
-    return kind;
-}
-
-/**
- * Shared kernel-selection predicate: below ~0.5 matched products
- * per block pair the gather path does less work than the eight
- * always-on SIMD lanes; above it the branch-free contraction wins
- * (the match loop's variable trip count costs more than multiplying
- * the zeros). Used both when deciding to materialize the dense
- * mirror and when dispatching dbbGemm, so the two can't drift.
- */
-bool
-wantsDenseKernel(const OperandProfile &prof, int64_t block_pairs)
-{
-    return 2 * prof.matched_products >= block_pairs;
-}
-
-/**
- * Row-tiled mask-intersection contraction over the compressed
- * encodings for output rows [row_begin, row_end): an activation
- * stripe stays cache-resident while each weight column's blocks
- * stream through once per stripe. @p dot is the dispatched row-dot
- * kernel (scalar rank gathers or one of the SIMD expansion tiers).
- */
-void
-intersectGemmRows(const DbbMatrix &act, const DbbMatrix &wgt, int n,
-                  int row_begin, int row_end, RowDotFn dot,
-                  int32_t *out)
-{
-    const int nb = act.blocksPerVector();
-    constexpr int kRowTile = 64;
-    for (int i0 = row_begin; i0 < row_end; i0 += kRowTile) {
-        const int ilim = std::min(row_end, i0 + kRowTile);
-        for (int j = 0; j < n; ++j) {
-            const DbbBlock *wcol = wgt.vectorBlocks(j);
-            for (int i = i0; i < ilim; ++i) {
-                out[static_cast<size_t>(i) * n + j] =
-                    dot(act.vectorBlocks(i), wcol, nb);
-            }
-        }
-    }
-}
-
-#ifdef __SSE2__
-
-/** Exact INT8 dot product with INT32 accumulation over k elements. */
+/** Exact INT8 dot product with INT32 accumulation over k elements:
+ *  the baseline the VNNI dot upgrades. */
 int32_t
 denseDot(const int8_t *a, const int8_t *w, int k)
 {
+    int x = 0;
+    int32_t sum = 0;
+#ifdef __SSE2__
     const __m128i zero = _mm_setzero_si128();
     __m128i acc = zero;
-    int x = 0;
     for (; x + 16 <= k; x += 16) {
         const __m128i av = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(a + x));
@@ -104,20 +48,20 @@ denseDot(const int8_t *a, const int8_t *w, int k)
         acc = _mm_add_epi32(acc, _mm_madd_epi16(alo, wlo));
         acc = _mm_add_epi32(acc, _mm_madd_epi16(ahi, whi));
     }
-    int32_t sum = 0;
-    for (; x < k; ++x)
-        sum += static_cast<int32_t>(a[x]) * w[x];
     alignas(16) int32_t lanes[4];
     _mm_store_si128(reinterpret_cast<__m128i *>(lanes), acc);
-    return sum + lanes[0] + lanes[1] + lanes[2] + lanes[3];
+    sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+#endif
+    for (; x < k; ++x)
+        sum += static_cast<int32_t>(a[x]) * w[x];
+    return sum;
 }
 
 /**
- * Branch-free SIMD contraction over the dense activation rows and
- * the transposed weight mirror, row-tiled like intersectGemmRows,
- * covering output rows [row_begin, row_end). @p ddot is the
- * dispatched dense dot (SSE2 unpack/madd baseline or the VNNI
- * vpdpbusd sub-kernel).
+ * The contraction over the dense activation rows and the transposed
+ * weight mirror for output rows [row_begin, row_end): an activation
+ * stripe stays cache-resident while each weight column streams
+ * through once per stripe. @p ddot is the dispatched dense dot.
  */
 void
 denseGemmRows(const GemmProblem &p, const int8_t *wgt_t,
@@ -137,8 +81,6 @@ denseGemmRows(const GemmProblem &p, const int8_t *wgt_t,
         }
     }
 }
-
-#endif // __SSE2__
 
 /**
  * Run @p rows_fn(row_begin, row_end) over [0, m), split into
@@ -173,8 +115,6 @@ dbbKernelKindName(DbbKernelKind kind)
 {
     switch (kind) {
       case DbbKernelKind::Scalar: return "scalar";
-      case DbbKernelKind::SimdV2: return "ssse3";
-      case DbbKernelKind::Avx2:   return "avx2";
       case DbbKernelKind::Avx512: return "avx512";
     }
     s2ta_panic("unknown kernel kind");
@@ -183,10 +123,9 @@ dbbKernelKindName(DbbKernelKind kind)
 DbbKernelKind
 dbbActiveKernel()
 {
-    const auto cap = static_cast<DbbKernelKind>(
-        kernel_cap.load(std::memory_order_relaxed));
-    const DbbKernelKind widest = widestSupportedKernel();
-    return cap < widest ? cap : widest;
+    // cpuid results cannot change at runtime; memoized.
+    static const bool avx512 = dbbAvx512KernelSupportedImpl();
+    return avx512 ? dbbKernelCap() : DbbKernelKind::Scalar;
 }
 
 void
@@ -221,36 +160,15 @@ void
 dbbGemm(const GemmPlan &plan, int32_t *out, ThreadPool *shard_pool)
 {
     const GemmProblem &p = plan.problem();
-#ifdef __SSE2__
-    const int64_t block_pairs =
-        static_cast<int64_t>(p.m) * p.n *
-        plan.act().blocksPerVector();
-    if (plan.wgtDenseT() != nullptr &&
-        wantsDenseKernel(plan.profile(), block_pairs)) {
-        // The dense-mirror contraction sub-dispatches to the VNNI
-        // vpdpbusd dot when the AVX-512 tier is active; the SSE2
-        // unpack/madd tree is the baseline. Both wrap mod 2^32, so
-        // outputs are bit-identical either way.
-        const DenseDotFn ddot =
-            dbbVnniDenseEnabled() ? dbbDenseDotVnni : denseDot;
-        forRowStripes(p.m, shard_pool,
-                      [&](int row_begin, int row_end) {
-                          denseGemmRows(p, plan.wgtDenseT(),
-                                        row_begin, row_end, ddot,
-                                        out);
-                      });
-        return;
-    }
-#endif
-    const DbbKernelKind kind = dbbActiveKernel();
-    const RowDotFn dot =
-        kind == DbbKernelKind::Avx512 ? dbbDotRowAvx512
-        : kind == DbbKernelKind::Avx2 ? dbbDotRowAvx2
-        : kind == DbbKernelKind::SimdV2 ? dbbDotRowSimdV2
-                                        : dbbDotRow;
+    const int8_t *wgt_t = plan.wgtDenseT();
+    s2ta_assert(wgt_t != nullptr,
+                "dbbGemm needs a plan built with its dense mirror");
+    // Both dots wrap mod 2^32, so outputs are bit-identical either
+    // way.
+    const DenseDotFn ddot =
+        dbbVnniDenseEnabled() ? dbbDenseDotVnni : denseDot;
     forRowStripes(p.m, shard_pool, [&](int row_begin, int row_end) {
-        intersectGemmRows(plan.act(), plan.wgt(), p.n, row_begin,
-                          row_end, dot, out);
+        denseGemmRows(p, wgt_t, row_begin, row_end, ddot, out);
     });
 }
 
@@ -262,49 +180,14 @@ GemmPlan::build(const GemmProblem &p, int bz, bool dense_mirror)
     // not a density contract; bounds are checked against the masks
     // by checkWeights / checkActivations.
     const DbbSpec all{bz, bz};
-    return assemble(p, bz, DbbMatrix::fromActivations(p, all),
-                    DbbMatrix::fromWeights(p, all), dense_mirror);
-}
-
-GemmPlan
-GemmPlan::assemble(const GemmProblem &p, int bz, DbbMatrix act,
-                   DbbMatrix wgt, bool dense_mirror)
-{
     GemmPlan plan(p);
     plan.blk_bz = bz;
-    plan.act_blocks = std::move(act);
-    plan.wgt_blocks = std::move(wgt);
-    plan.prof = OperandProfile::fromDbb(p, plan.act_blocks,
-                                        plan.wgt_blocks);
-
-    // Dense transposed weight mirror for the SIMD contraction,
-    // tiled over columns so writes stay within a few streams. Skip
-    // it whenever dbbGemm cannot pick the SIMD kernel: non-SSE2
-    // builds, and densities where the gather path wins anyway (the
-    // same heuristic dbbGemm applies).
-#ifndef __SSE2__
-    dense_mirror = false;
-#else
-    const int64_t block_pairs = static_cast<int64_t>(p.m) * p.n *
-                                plan.act_blocks.blocksPerVector();
-    dense_mirror =
-        dense_mirror && wantsDenseKernel(plan.prof, block_pairs);
-#endif
-    if (dense_mirror) {
-        plan.wgt_t.resize(static_cast<size_t>(p.n) * p.k);
-        constexpr int kColTile = 64;
-        for (int j0 = 0; j0 < p.n; j0 += kColTile) {
-            const int jlim = std::min(p.n, j0 + kColTile);
-            for (int kk = 0; kk < p.k; ++kk) {
-                const int8_t *row =
-                    &p.w[static_cast<size_t>(kk) * p.n];
-                for (int j = j0; j < jlim; ++j)
-                    plan.wgt_t[static_cast<size_t>(j) * p.k + kk] =
-                        row[j];
-            }
-        }
-    }
-
+    plan.act_masks = DbbMatrix::fromActivations(p, all);
+    plan.wgt_masks = DbbMatrix::fromWeights(p, all);
+    plan.prof = OperandProfile::fromDbb(p, plan.act_masks,
+                                        plan.wgt_masks);
+    if (dense_mirror)
+        plan.wgt_t = transposedWeights(p);
     plan.is_encoded = true;
     return plan;
 }
@@ -321,21 +204,12 @@ GemmPlan::restore(const GemmProblem &p, Parts parts)
                 parts.wgt.vectors(), p.m, p.k, p.n);
     GemmPlan plan(p);
     plan.blk_bz = parts.bz;
-    plan.act_blocks = std::move(parts.act);
-    plan.wgt_blocks = std::move(parts.wgt);
+    plan.act_masks = std::move(parts.act);
+    plan.wgt_masks = std::move(parts.wgt);
     plan.wgt_t = std::move(parts.wgt_t);
     plan.prof = std::move(parts.prof);
     plan.is_encoded = true;
     return plan;
-}
-
-GemmPlan
-GemmPlan::rebuild(const GemmProblem &p, int bz, DbbMatrix act,
-                  DbbMatrix wgt, bool dense_mirror)
-{
-    s2ta_assert(bz >= 1 && bz <= 8, "block size %d", bz);
-    return assemble(p, bz, std::move(act), std::move(wgt),
-                    dense_mirror);
 }
 
 GemmPlan
@@ -354,9 +228,9 @@ checkBlockDensity(const DbbMatrix &mat, const DbbSpec &spec,
 {
     const int nb = mat.blocksPerVector();
     for (int v = 0; v < mat.vectors(); ++v) {
-        const DbbBlock *blocks = mat.vectorBlocks(v);
+        const Mask8 *masks = mat.vectorMasks(v);
         for (int b = 0; b < nb; ++b) {
-            if (maskPopcount(blocks[b].mask) > spec.nnz) {
+            if (maskPopcount(masks[b]) > spec.nnz) {
                 s2ta_fatal("%s block (%s %d, block %d) violates %s; "
                            "run %s first", kind, vec_name, v, b,
                            spec.toString().c_str(), remedy);
@@ -374,7 +248,7 @@ GemmPlan::checkWeights(const DbbSpec &spec) const
     if (wgt_ok_spec.load(std::memory_order_acquire) ==
         encodeSpec(spec))
         return;
-    checkBlockDensity(wgt_blocks, spec, "weight", "col",
+    checkBlockDensity(wgt_masks, spec, "weight", "col",
                       "pruneWeightsDbb");
     wgt_ok_spec.store(encodeSpec(spec), std::memory_order_release);
 }
@@ -386,7 +260,7 @@ GemmPlan::checkActivations(const DbbSpec &spec) const
     if (act_ok_spec.load(std::memory_order_acquire) ==
         encodeSpec(spec))
         return;
-    checkBlockDensity(act_blocks, spec, "activation", "row", "DAP");
+    checkBlockDensity(act_masks, spec, "activation", "row", "DAP");
     act_ok_spec.store(encodeSpec(spec), std::memory_order_release);
 }
 

@@ -3,10 +3,11 @@
  * Pre-encoded execution plan for one GEMM.
  *
  * The DBB-native engine exploits the simulator's own sparse format:
- * both operands are encoded into DbbMatrix form exactly once, the
- * OperandProfile is derived from the block masks (O(nnz) bit loops
- * instead of an O(M*K + K*N) dense scan), and density validation is
- * a popcount test per block. Every architecture model consumes the
+ * both operands' block masks (DbbMatrix) are computed exactly once,
+ * the OperandProfile is derived from them (O(nnz) bit loops instead
+ * of an O(M*K + K*N) dense scan), and density validation is a
+ * popcount test per block. The values stay in the dense operands;
+ * a plan that computes outputs also caches the transposed weights. Every architecture model consumes the
  * same plan, so nothing is re-encoded inside simulate() and
  * Accelerator::runLayer reuses one plan across the whole tile grid.
  *
@@ -34,56 +35,44 @@ class GemmPlan;
 class ThreadPool;
 
 /**
- * Implementation the mask-intersection kernel dispatches to. The
- * SSSE3 variant expands both compressed blocks to dense lanes with
- * one pshufb each (the shuffle control is the positional mask's
- * expansion permutation, looked up in a 256-entry table) and
- * contracts them with the same madd tree as the dense kernel; the
- * AVX2 tier widens the same scheme to four blocks per operand per
- * 256-bit shuffle; the AVX-512 tier expands eight blocks per
- * masked-zeroing vpermi2b and carries the VNNI dense-dot and
- * VPOPCNTDQ profile sub-kernels. Every tier is bit-identical to the
- * scalar rank-gather loop (skipped positions contribute exact zeros
- * and INT32 wraparound addition is order-independent).
+ * SIMD tier of the DBB kernels. The functional GEMM always contracts
+ * dense lanes (the SSE2 madd dot on every x86-64 CPU, a plain loop
+ * elsewhere); the AVX-512 tier adds the VNNI vpdpbusd dot and the
+ * VPOPCNTDQ profile derivation where the CPU has them. Every tier is
+ * bit-identical to the scalar loops (INT32 wraparound addition is
+ * order-independent).
  */
 enum class DbbKernelKind
 {
-    /** Portable rank-gather loop (dbbDotRow). */
+    /** SSE2 dense dot (plain loop off x86) and scalar mask loops. */
     Scalar,
-    /** pshufb mask-expansion + madd contraction (SSSE3). */
-    SimdV2,
-    /** 256-bit vpshufb expansion, four blocks per shuffle (AVX2). */
-    Avx2,
-    /** 512-bit masked vpermi2b expansion, eight blocks per permute
-     *  (AVX512BW+VBMI), with VNNI/VPOPCNTDQ sub-dispatch. */
+    /** VNNI dense dot and VPOPCNTDQ profile, each where supported. */
     Avx512,
 };
 
-/** Canonical lower-case tier name ("scalar", "ssse3", "avx2",
- *  "avx512") — the value bench JSON records as simd_kernel. */
+/** Canonical lower-case tier name ("scalar", "avx512") — the value
+ *  bench JSON records as simd_kernel. */
 const char *dbbKernelKindName(DbbKernelKind kind);
 
-/** The kernel dbbGemm's intersection path will actually use: the
- *  widest tier this CPU supports (scalar on non-x86 builds), clamped
- *  to the forced cap (dbbForceKernelCap). */
+/** The tier dispatch will actually use: avx512 when this CPU has
+ *  either AVX-512 sub-kernel, clamped to the forced cap
+ *  (dbbForceKernelCap). */
 DbbKernelKind dbbActiveKernel();
 
 /**
  * Clamp runtime dispatch to at most @p cap (Avx512, the default,
- * means no clamp — dispatch picks the widest supported tier). The
- * cap pins *every* SIMD decision, not just the intersection row
- * dot: capping below Avx512 also disables the VNNI dense-mirror dot
- * and the VPOPCNTDQ profile derivation, so e.g. a forced "avx2"
- * run executes zero AVX-512 instructions anywhere. Used by the
- * --simd bench flag and by the tier-equivalence tests; thread-safe.
+ * means no clamp). Capping at Scalar disables the VNNI dense dot and
+ * the VPOPCNTDQ profile derivation, so a forced "scalar" run
+ * executes no AVX-512 instruction anywhere. Used by the --simd bench
+ * flag and by the tier-equivalence tests; thread-safe.
  */
 void dbbForceKernelCap(DbbKernelKind cap);
 
 /** The currently forced cap (Avx512 = unclamped). */
 DbbKernelKind dbbKernelCap();
 
-/** True when dbbGemm's dense-mirror path will use the VNNI
- *  vpdpbusd dot (CPU support, cap not below Avx512). */
+/** True when dbbGemm will use the VNNI vpdpbusd dot (CPU support,
+ *  cap not below Avx512). */
 bool dbbVnniDenseEnabled();
 
 /** True when OperandProfile::fromDbb may use the AVX-512 VPOPCNTDQ
@@ -91,28 +80,20 @@ bool dbbVnniDenseEnabled();
 bool dbbProfileSimdEnabled();
 
 /**
- * DBB-native functional GEMM over a plan's caches. Two exact
- * kernels, chosen by the plan's measured density:
+ * DBB functional GEMM: one dense-lane contraction of the activation
+ * rows against the plan's transposed weight mirror, at every
+ * density. Like the paper's DP4M8, the datapath multiplies eight
+ * always-on lanes; terms a mask would skip are exact zeros, and
+ * INT32 accumulation is order-independent, so the result is
+ * bit-identical to gemmReference. Row-tiled so one weight column is
+ * reused across a stripe of activation rows. Writes the row-major
+ * m x n result. The plan must have been built with its dense mirror.
  *
- *  - mask-intersection gathers (dbbDotRow) over the compressed
- *    encodings, O(matched nnz) per block — wins at the very sparse
- *    operating points and is the portable fallback;
- *  - a branch-free SIMD contraction over the dense activation rows
- *    and the plan's transposed weight mirror — at DBB densities of
- *    2/8 and up, eight always-on MAC lanes beat per-match gathers
- *    the same way the paper's DP4M8 beats index-chasing designs.
- *
- * Both are row-tiled so one weight column's data is reused across a
- * stripe of activation rows, and both produce results bit-identical
- * to gemmReference (terms skipped by a mask are exactly zero; INT32
- * accumulation is order-independent). Writes the row-major m x n
- * result.
- *
- * When @p shard_pool is non-null the output tile grid is split into
- * row stripes dispatched across the pool's lanes; stripes write
- * disjoint output rows with unchanged per-element arithmetic, so the
- * result is bitwise identical to the serial run at every thread
- * count (this is how a single big GEMM stays parallel when the
+ * When @p shard_pool is non-null the output rows are split into
+ * stripes dispatched across the pool's lanes; stripes write disjoint
+ * output rows with unchanged per-element arithmetic, so the result
+ * is bitwise identical to the serial run at every thread count
+ * (this is how a single big GEMM stays parallel when the
  * layer/group fan-out is 1).
  */
 void dbbGemm(const GemmPlan &plan, int32_t *out,
@@ -122,12 +103,12 @@ class GemmPlan
 {
   public:
     /**
-     * Encode both operands of @p p (one sequential pass each, all
+     * Compute both operands' block masks (one pass each, all
      * non-zeros kept) and derive the mask-based profile. @p bz is
      * the block size; K need not be a multiple (tail blocks are
-     * zero-padded losslessly). @p dense_mirror additionally caches
-     * the transposed dense weights for dbbGemm's SIMD contraction;
-     * skip it for events-only runs that never compute an output.
+     * zero-padded). @p dense_mirror additionally caches the
+     * transposed dense weights dbbGemm contracts against; skip it
+     * for events-only runs that never compute an output.
      */
     static GemmPlan build(const GemmProblem &p, int bz = 8,
                           bool dense_mirror = true);
@@ -151,44 +132,32 @@ class GemmPlan
 
     /**
      * Reassemble a plan from fully serialized parts (the persistent
-     * plan store's hydration path): every member — encodings,
-     * mirror, profile — is adopted verbatim, nothing is recomputed.
-     * The caller (PlanStore) is responsible for @p parts having
-     * come from a build() of operands identical to @p p; the store's
-     * checksum + fingerprint validation establishes exactly that.
+     * plan store's hydration path): masks, mirror and profile are
+     * adopted verbatim, nothing is recomputed. The caller
+     * (PlanStore) is responsible for @p parts having come from a
+     * build() of operands identical to @p p; the store's checksum
+     * + fingerprint validation establishes exactly that.
      */
     static GemmPlan restore(const GemmProblem &p, Parts parts);
-
-    /**
-     * Reassemble a plan from its encodings alone (the spill tier's
-     * rehydration path, which persists only the compressed blocks).
-     * The profile is re-derived from the masks and the dense mirror
-     * re-materialized under the same density heuristic as build(),
-     * so the result is indistinguishable from a fresh build of the
-     * same operands. @p dense_mirror is the original build request.
-     */
-    static GemmPlan rebuild(const GemmProblem &p, int bz,
-                            DbbMatrix act, DbbMatrix wgt,
-                            bool dense_mirror);
 
     const GemmProblem &problem() const { return *prob; }
     int bz() const { return blk_bz; }
     bool encoded() const { return is_encoded; }
 
-    /** Activation blocks (M vectors of ceil(K/bz) blocks). */
+    /** Activation block masks (M vectors of ceil(K/bz) blocks). */
     const DbbMatrix &
     act() const
     {
         s2ta_assert(is_encoded, "plan is shallow (scalar engine)");
-        return act_blocks;
+        return act_masks;
     }
 
-    /** Weight blocks (N vectors of ceil(K/bz) blocks). */
+    /** Weight block masks (N vectors of ceil(K/bz) blocks). */
     const DbbMatrix &
     wgt() const
     {
         s2ta_assert(is_encoded, "plan is shallow (scalar engine)");
-        return wgt_blocks;
+        return wgt_masks;
     }
 
     /** Mask-derived operand profile (only on encoded plans). */
@@ -201,8 +170,8 @@ class GemmPlan
 
     /**
      * Dense transposed weight mirror: row j holds the K elements of
-     * weight column j contiguously, feeding the SIMD contraction of
-     * dbbGemm. Null when the plan was built without it.
+     * weight column j contiguously, feeding dbbGemm's contraction.
+     * Null when the plan was built without it.
      */
     const int8_t *
     wgtDenseT() const
@@ -214,14 +183,14 @@ class GemmPlan
     bool
     actNonZero(int i, int kk) const
     {
-        return act_blocks.nonZeroAt(i, kk);
+        return act_masks.nonZeroAt(i, kk);
     }
 
     /** Mask test: weight (kk, j) non-zero. */
     bool
     wgtNonZero(int kk, int j) const
     {
-        return wgt_blocks.nonZeroAt(j, kk);
+        return wgt_masks.nonZeroAt(j, kk);
     }
 
     /**
@@ -240,8 +209,8 @@ class GemmPlan
     // heavyweight, so copies stay disallowed — share via PlanCache.
     GemmPlan(GemmPlan &&o) noexcept
         : prob(o.prob), blk_bz(o.blk_bz), is_encoded(o.is_encoded),
-          act_blocks(std::move(o.act_blocks)),
-          wgt_blocks(std::move(o.wgt_blocks)),
+          act_masks(std::move(o.act_masks)),
+          wgt_masks(std::move(o.wgt_masks)),
           wgt_t(std::move(o.wgt_t)), prof(std::move(o.prof)),
           wgt_ok_spec(o.wgt_ok_spec.load()),
           act_ok_spec(o.act_ok_spec.load())
@@ -253,8 +222,8 @@ class GemmPlan
         prob = o.prob;
         blk_bz = o.blk_bz;
         is_encoded = o.is_encoded;
-        act_blocks = std::move(o.act_blocks);
-        wgt_blocks = std::move(o.wgt_blocks);
+        act_masks = std::move(o.act_masks);
+        wgt_masks = std::move(o.wgt_masks);
         wgt_t = std::move(o.wgt_t);
         prof = std::move(o.prof);
         wgt_ok_spec.store(o.wgt_ok_spec.load());
@@ -268,16 +237,6 @@ class GemmPlan
   private:
     explicit GemmPlan(const GemmProblem &p) : prob(&p) {}
 
-    /**
-     * Shared tail of build()/rebuild(): adopt the encodings, derive
-     * the profile from the masks, and materialize the dense mirror
-     * under the density heuristic. One implementation so a
-     * rehydrated plan can never drift from a fresh build.
-     */
-    static GemmPlan assemble(const GemmProblem &p, int bz,
-                             DbbMatrix act, DbbMatrix wgt,
-                             bool dense_mirror);
-
     /** Pack a spec into a non-zero memo word (nnz >= 1 always). */
     static uint16_t
     encodeSpec(const DbbSpec &spec)
@@ -289,8 +248,8 @@ class GemmPlan
     const GemmProblem *prob;
     int blk_bz = 8;
     bool is_encoded = false;
-    DbbMatrix act_blocks;
-    DbbMatrix wgt_blocks;
+    DbbMatrix act_masks;
+    DbbMatrix wgt_masks;
     std::vector<int8_t> wgt_t;
     OperandProfile prof;
 

@@ -10,6 +10,7 @@
 #define S2TA_ARCH_MODELS_HH
 
 #include "arch/array_model.hh"
+#include "core/dbb.hh"
 
 namespace s2ta {
 
@@ -94,6 +95,15 @@ class S2taAwModel : public ArrayModel
     void simulate(const GemmPlan &plan, const RunOptions &opt,
                   GemmRun &out) const override;
 };
+
+/**
+ * The scalar reference models' operand encoding: dbbEncode of every
+ * block of @p p's weight columns (@p weights) or activation rows at
+ * the permissive bz/bz bound, vector-major, elements gathered one by
+ * one — independent of DbbMatrix's tiled mask encoder.
+ */
+std::vector<DbbBlock> referenceBlocks(const GemmProblem &p, int bz,
+                                      bool weights);
 
 } // namespace s2ta
 

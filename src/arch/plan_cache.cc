@@ -44,14 +44,11 @@ PlanCache::fingerprint(const GemmProblem &p)
 int64_t
 PlanCache::entryBytes(const CachedPlan &e)
 {
+    // Operands, one mask byte per block, and the mirror if built.
     int64_t bytes = static_cast<int64_t>(e.problem.a.size()) +
                     static_cast<int64_t>(e.problem.w.size());
-    bytes += static_cast<int64_t>(e.plan.act().vectors()) *
-             e.plan.act().blocksPerVector() *
-             static_cast<int64_t>(sizeof(DbbBlock));
-    bytes += static_cast<int64_t>(e.plan.wgt().vectors()) *
-             e.plan.wgt().blocksPerVector() *
-             static_cast<int64_t>(sizeof(DbbBlock));
+    for (const DbbMatrix *m : {&e.plan.act(), &e.plan.wgt()})
+        bytes += static_cast<int64_t>(m->vectors()) * m->blocksPerVector();
     if (e.plan.wgtDenseT() != nullptr)
         bytes += static_cast<int64_t>(e.problem.n) * e.problem.k;
     return bytes;

@@ -44,11 +44,11 @@
  * both returning plans bit-identical to a fresh build:
  *
  *  - **Spill tier** (spill_max_bytes > 0): entries evicted from the
- *    resident LRU are kept in the compact spill form (dims + block
- *    arrays, varint/RLE-coded; see arch/plan_store.hh) under their
+ *    resident LRU are kept in the compact spill form (dims + DBB
+ *    blocks, varint/RLE-coded; see arch/plan_store.hh) under their
  *    own byte budget with their own LRU. A lookup that misses the
  *    resident tier but hits the spill tier rehydrates — decode +
- *    operand reconstruction + profile/mirror re-derivation — which
+ *    operand reconstruction + plan build — which
  *    costs a fraction of the full im2col-lower + encode miss, so a
  *    bounded cache under a cyclic trace degrades smoothly instead
  *    of falling off the LRU-thrash cliff. Rehydrated entries
@@ -103,9 +103,9 @@ struct CachedPlan
      * @p build_plan, which receives the *owned* problem (plans
      * borrow the problem they were built from, so it must be this
      * entry's member, not the caller's temporary). Used by the
-     * store and spill decoders, whose plans come from
-     * GemmPlan::restore / GemmPlan::rebuild rather than a fresh
-     * encode.
+     * store and spill decoders: the store's plans come from
+     * GemmPlan::restore, the spill tier's from a build over the
+     * decoded operands.
      */
     template <typename BuildFn>
     CachedPlan(GemmProblem p, BuildFn &&build_plan)
@@ -132,7 +132,8 @@ class PlanCache
         int64_t evictions = 0;
         /** Plan entries currently resident. */
         int64_t entries = 0;
-        /** Operand + mirror bytes held by resident entries. */
+        /** Operand, mask and mirror bytes held by resident
+         *  entries. */
         int64_t resident_bytes = 0;
         /** Lookups served by rehydrating a spilled entry — counted
          *  apart from resident hits so artifacts distinguish RAM
@@ -171,8 +172,8 @@ class PlanCache
      * @param max_entries LRU entry capacity; 0 means unbounded
      *        (sweep drivers usually hold every workload of one
      *        model).
-     * @param max_bytes LRU resident-byte budget (operands +
-     *        encodings + mirrors); 0 means unbounded. Entries are
+     * @param max_bytes LRU resident-byte budget (operands + masks
+     *        + mirrors); 0 means unbounded. Entries are
      *        evicted least-recently-used until both caps hold.
      * @param spill_max_bytes Spill-tier byte budget for evicted
      *        entries in compact form; 0 disables the tier (evicted
@@ -282,7 +283,8 @@ class PlanCache
     static uint64_t fingerprint(const GemmProblem &p);
 
   private:
-    /** Bytes an entry pins in memory (operands + dense mirror). */
+    /** Bytes an entry pins in memory: operands, one mask byte per
+     *  block, and the dense mirror when built. */
     static int64_t entryBytes(const CachedPlan &e);
 
     /**

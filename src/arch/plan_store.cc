@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 #include "base/fault_injection.hh"
 #include "base/mapped_file.hh"
@@ -14,19 +16,14 @@ namespace s2ta {
 
 namespace {
 
-// The store memcpys whole block arrays; the compressed block must
-// be a padding-free POD for the image to be deterministic.
-static_assert(sizeof(DbbBlock) == 9 &&
-                  std::is_trivially_copyable_v<DbbBlock>,
-              "DbbBlock layout changed; bump kPlanStoreVersion and "
-              "adjust the (de)serializers");
-
 /** On-disk header; every field fixed-width, total 48 bytes. */
 struct PlanFileHeader
 {
     uint32_t magic = 0;
     uint32_t version = 0;
     uint64_t key = 0;
+    /** Checksum of every byte after this field: the rest of the
+     *  header (dims, flags, reserved) and the payload. */
     uint64_t payload_hash = 0;
     int32_t m = 0, k = 0, n = 0, bz = 0;
     /** Bit 0: dense transposed weight mirror present. */
@@ -39,6 +36,9 @@ static_assert(sizeof(PlanFileHeader) == 48 &&
 
 constexpr uint32_t kPlanStoreMagic = 0x53325054u; // "S2PT"
 constexpr uint32_t kFlagDenseMirror = 1u << 0;
+/** Where the checksummed bytes start (just past payload_hash). */
+constexpr size_t kHashedFrom = offsetof(PlanFileHeader, payload_hash) +
+                               sizeof(uint64_t);
 
 /** Dim bound for validation: no real workload comes close, and it
  *  keeps all size arithmetic far from int64 overflow. */
@@ -49,12 +49,12 @@ constexpr int64_t kMaxDim = int64_t{1} << 27;
  *  in this fixed order). */
 struct SectionSizes
 {
-    int64_t a, w, act_blocks, wgt_blocks, wgt_t, profile;
+    int64_t a, w, act_masks, wgt_masks, wgt_t, profile;
 
     int64_t
     payload() const
     {
-        return a + w + act_blocks + wgt_blocks + wgt_t + profile;
+        return a + w + act_masks + wgt_masks + wgt_t + profile;
     }
 };
 
@@ -65,8 +65,8 @@ sectionSizes(int64_t m, int64_t k, int64_t n, int64_t nb,
     SectionSizes s;
     s.a = m * k;
     s.w = k * n;
-    s.act_blocks = m * nb * static_cast<int64_t>(sizeof(DbbBlock));
-    s.wgt_blocks = n * nb * static_cast<int64_t>(sizeof(DbbBlock));
+    s.act_masks = m * nb;
+    s.wgt_masks = n * nb;
     s.wgt_t = mirror ? n * k : 0;
     // row_nz[m], col_nz[n], act_nz_at_k[k], wgt_nz_at_k[k], then
     // the three 64-bit nnz / matched-product totals.
@@ -129,11 +129,10 @@ getVarint(const uint8_t *&p, const uint8_t *end)
  * dominate at high sparsity, so cyclic serving traces spill small.
  */
 void
-encodeBlocks(const DbbMatrix &mat, std::vector<uint8_t> &out)
+encodeBlocks(const std::vector<DbbBlock> &blocks,
+             std::vector<uint8_t> &out)
 {
-    const DbbBlock *blocks = mat.vectorBlocks(0);
-    const int64_t total =
-        static_cast<int64_t>(mat.vectors()) * mat.blocksPerVector();
+    const auto total = static_cast<int64_t>(blocks.size());
     for (int64_t i = 0; i < total;) {
         const Mask8 mask = blocks[i].mask;
         out.push_back(mask);
@@ -175,6 +174,129 @@ decodeBlocks(const uint8_t *&p, const uint8_t *end,
     }
 }
 
+/**
+ * planStoreChecksum, fed incrementally: four independent FNV-1a
+ * streams over interleaved 8-byte strides of everything fed so far
+ * (each the same xor-multiply fold as PlanCache::hashBytes, but the
+ * four multiply chains overlap, so hashing runs at memcpy-like speed
+ * instead of being latency-bound on one 64-bit multiply per
+ * stride), the final len % 32 bytes folded into stream 0. Any split
+ * of the input gives the one-shot result.
+ */
+class Checksum
+{
+  public:
+    void
+    feed(const uint8_t *p, size_t len)
+    {
+        if (n_pending > 0) {
+            const size_t fill = std::min(len, sizeof(pending) - n_pending);
+            std::memcpy(pending + n_pending, p, fill);
+            n_pending += fill;
+            p += fill;
+            len -= fill;
+            if (n_pending < sizeof(pending))
+                return;
+            strides(pending, sizeof(pending));
+            n_pending = 0;
+        }
+        const size_t whole = len & ~size_t{31};
+        strides(p, whole);
+        n_pending = len - whole;
+        std::memcpy(pending, p + whole, n_pending);
+    }
+
+    uint64_t
+    result() const
+    {
+        uint64_t h0 = h[0];
+        for (size_t i = 0; i < n_pending; ++i)
+            h0 = (h0 ^ pending[i]) * kPrime;
+        return PlanCache::combine(
+            PlanCache::combine(PlanCache::combine(h0, h[1]), h[2]),
+            h[3]);
+    }
+
+  private:
+    static constexpr uint64_t kPrime = 0x100000001b3ull;
+
+    /** Fold @p len (a multiple of 32) bytes; the lanes live in
+     *  locals so byte loads cannot alias them. */
+    void
+    strides(const uint8_t *p, size_t len)
+    {
+        uint64_t h0 = h[0], h1 = h[1], h2 = h[2], h3 = h[3];
+        for (size_t i = 0; i < len; i += 32) {
+            uint64_t c0, c1, c2, c3;
+            std::memcpy(&c0, p + i, 8);
+            std::memcpy(&c1, p + i + 8, 8);
+            std::memcpy(&c2, p + i + 16, 8);
+            std::memcpy(&c3, p + i + 24, 8);
+            h0 = (h0 ^ c0) * kPrime;
+            h1 = (h1 ^ c1) * kPrime;
+            h2 = (h2 ^ c2) * kPrime;
+            h3 = (h3 ^ c3) * kPrime;
+        }
+        h[0] = h0;
+        h[1] = h1;
+        h[2] = h2;
+        h[3] = h3;
+    }
+
+    uint64_t h[4] = {0xcbf29ce484222325ull, 0x84222325cbf29ce4ull,
+                     0x9ce484222325cbf2ull, 0x25cbf29ce4842223ull};
+    uint8_t pending[32] = {};
+    size_t n_pending = 0;
+};
+
+/**
+ * Copies the sections out of a store image while checksumming them,
+ * in chunks small enough to hash from cache, so hydration reads the
+ * image from memory once.
+ */
+class ImageReader
+{
+  public:
+    explicit ImageReader(const uint8_t *at) : p(at) {}
+
+    /** The next @p len bytes as a byte vector (no zero fill). */
+    template <typename Byte>
+    std::vector<Byte>
+    bytes(int64_t len)
+    {
+        static_assert(sizeof(Byte) == 1);
+        constexpr int64_t kChunk = 64 << 10;
+        std::vector<Byte> v;
+        v.reserve(static_cast<size_t>(len));
+        for (int64_t at = 0; at < len; at += kChunk) {
+            const auto n = static_cast<size_t>(std::min(kChunk, len - at));
+            const auto *first = reinterpret_cast<const Byte *>(p);
+            v.insert(v.end(), first, first + n);
+            sum.feed(p, n);
+            p += n;
+        }
+        return v;
+    }
+
+    /** The next @p count values of a trivially copyable @p T. */
+    template <typename T>
+    void
+    into(T *dst, size_t count)
+    {
+        const size_t len = count * sizeof(T);
+        std::memcpy(dst, p, len);
+        sum.feed(p, len);
+        p += len;
+    }
+
+    const uint8_t *cursor() const { return p; }
+
+    Checksum sum;
+
+  private:
+    const uint8_t *p;
+};
+
 constexpr uint8_t kSpillMagic = 0x53; // 'S'
 constexpr uint8_t kSpillVersion = 1;
 
@@ -183,33 +305,9 @@ constexpr uint8_t kSpillVersion = 1;
 uint64_t
 planStoreChecksum(const void *data, size_t len)
 {
-    // Four independent FNV-1a streams over interleaved 8-byte
-    // strides: each stream is the same xor-multiply fold as
-    // PlanCache::hashBytes, but the four multiply chains overlap,
-    // so the checksum runs at memcpy-like speed instead of being
-    // latency-bound on one 64-bit multiply per stride.
-    constexpr uint64_t kPrime = 0x100000001b3ull;
-    const auto *p = static_cast<const uint8_t *>(data);
-    uint64_t h0 = 0xcbf29ce484222325ull;
-    uint64_t h1 = 0x84222325cbf29ce4ull;
-    uint64_t h2 = 0x9ce484222325cbf2ull;
-    uint64_t h3 = 0x25cbf29ce4842223ull;
-    size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-        uint64_t c0, c1, c2, c3;
-        std::memcpy(&c0, p + i, 8);
-        std::memcpy(&c1, p + i + 8, 8);
-        std::memcpy(&c2, p + i + 16, 8);
-        std::memcpy(&c3, p + i + 24, 8);
-        h0 = (h0 ^ c0) * kPrime;
-        h1 = (h1 ^ c1) * kPrime;
-        h2 = (h2 ^ c2) * kPrime;
-        h3 = (h3 ^ c3) * kPrime;
-    }
-    for (; i < len; ++i)
-        h0 = (h0 ^ p[i]) * kPrime;
-    return PlanCache::combine(
-        PlanCache::combine(PlanCache::combine(h0, h1), h2), h3);
+    Checksum sum;
+    sum.feed(static_cast<const uint8_t *>(data), len);
+    return sum.result();
 }
 
 PlanStore::PlanStore(std::string dir, int64_t size_cap_bytes)
@@ -423,10 +521,10 @@ PlanStore::serialize(uint64_t key, const CachedPlan &entry)
     out.resize(sizeof(hdr)); // hash lands after the payload exists
     put(out, p.a.data(), p.a.size());
     put(out, p.w.data(), p.w.size());
-    put(out, plan.act().vectorBlocks(0),
-        static_cast<size_t>(ss.act_blocks));
-    put(out, plan.wgt().vectorBlocks(0),
-        static_cast<size_t>(ss.wgt_blocks));
+    put(out, plan.act().vectorMasks(0),
+        static_cast<size_t>(ss.act_masks));
+    put(out, plan.wgt().vectorMasks(0),
+        static_cast<size_t>(ss.wgt_masks));
     if (mirror)
         put(out, plan.wgtDenseT(), static_cast<size_t>(ss.wgt_t));
 
@@ -453,8 +551,9 @@ PlanStore::serialize(uint64_t key, const CachedPlan &entry)
     s2ta_assert(out.size() ==
                     sizeof(hdr) + static_cast<size_t>(ss.payload()),
                 "store image size drifted from sectionSizes");
-    hdr.payload_hash = planStoreChecksum(out.data() + sizeof(hdr),
-                                         out.size() - sizeof(hdr));
+    std::memcpy(out.data(), &hdr, sizeof(hdr));
+    hdr.payload_hash = planStoreChecksum(out.data() + kHashedFrom,
+                                         out.size() - kHashedFrom);
     std::memcpy(out.data(), &hdr, sizeof(hdr));
     return out;
 }
@@ -485,53 +584,48 @@ PlanStore::deserialize(const uint8_t *data, size_t len,
     if (static_cast<int64_t>(len) !=
         static_cast<int64_t>(sizeof(hdr)) + ss.payload())
         return nullptr;
-    if (planStoreChecksum(data + sizeof(hdr),
-                          len - sizeof(hdr)) != hdr.payload_hash)
-        return nullptr;
 
-    // Validated: hydrate. Each section is one memcpy out of the
-    // image; nothing is parsed or re-derived.
-    const uint8_t *p = data + sizeof(hdr);
-    GemmProblem prob(hdr.m, hdr.k, hdr.n);
-    take(p, prob.a.data(), prob.a.size());
-    take(p, prob.w.data(), prob.w.size());
+    // Size-validated: hydrate. Each section is copied out of the
+    // image once, nothing is parsed or re-derived, and the checksum
+    // is folded in as the bytes stream past; a mismatch discards the
+    // copies.
+    ImageReader in(data + sizeof(hdr));
+    in.sum.feed(data + kHashedFrom, sizeof(hdr) - kHashedFrom);
+    GemmProblem prob;
+    prob.m = hdr.m;
+    prob.k = hdr.k;
+    prob.n = hdr.n;
+    prob.a = in.bytes<int8_t>(ss.a);
+    prob.w = in.bytes<int8_t>(ss.w);
 
     GemmPlan::Parts parts;
     parts.bz = hdr.bz;
-    std::vector<DbbBlock> act_blks(
-        static_cast<size_t>(hdr.m) * nb);
-    take(p, act_blks.data(), static_cast<size_t>(ss.act_blocks));
-    std::vector<DbbBlock> wgt_blks(
-        static_cast<size_t>(hdr.n) * nb);
-    take(p, wgt_blks.data(), static_cast<size_t>(ss.wgt_blocks));
     const DbbSpec spec{hdr.bz, hdr.bz};
     parts.act = DbbMatrix::fromParts(spec, hdr.m, nb,
-                                     std::move(act_blks));
+                                     in.bytes<Mask8>(ss.act_masks));
     parts.wgt = DbbMatrix::fromParts(spec, hdr.n, nb,
-                                     std::move(wgt_blks));
-    if (mirror) {
-        parts.wgt_t.resize(static_cast<size_t>(ss.wgt_t));
-        take(p, parts.wgt_t.data(), parts.wgt_t.size());
+                                     in.bytes<Mask8>(ss.wgt_masks));
+    parts.wgt_t = in.bytes<int8_t>(ss.wgt_t);
+    OperandProfile &prof = parts.prof;
+    prof.m = hdr.m;
+    prof.k = hdr.k;
+    prof.n = hdr.n;
+    const std::pair<std::vector<int32_t> *, int> counts[] = {
+        {&prof.row_nz, hdr.m},
+        {&prof.col_nz, hdr.n},
+        {&prof.act_nz_at_k, hdr.k},
+        {&prof.wgt_nz_at_k, hdr.k}};
+    for (const auto &[v, size] : counts) {
+        v->resize(static_cast<size_t>(size));
+        in.into(v->data(), v->size());
     }
-    parts.prof.m = hdr.m;
-    parts.prof.k = hdr.k;
-    parts.prof.n = hdr.n;
-    parts.prof.row_nz.resize(static_cast<size_t>(hdr.m));
-    take(p, parts.prof.row_nz.data(),
-         parts.prof.row_nz.size() * sizeof(int32_t));
-    parts.prof.col_nz.resize(static_cast<size_t>(hdr.n));
-    take(p, parts.prof.col_nz.data(),
-         parts.prof.col_nz.size() * sizeof(int32_t));
-    parts.prof.act_nz_at_k.resize(static_cast<size_t>(hdr.k));
-    take(p, parts.prof.act_nz_at_k.data(),
-         parts.prof.act_nz_at_k.size() * sizeof(int32_t));
-    parts.prof.wgt_nz_at_k.resize(static_cast<size_t>(hdr.k));
-    take(p, parts.prof.wgt_nz_at_k.data(),
-         parts.prof.wgt_nz_at_k.size() * sizeof(int32_t));
-    take(p, &parts.prof.act_nnz, sizeof(int64_t));
-    take(p, &parts.prof.wgt_nnz, sizeof(int64_t));
-    take(p, &parts.prof.matched_products, sizeof(int64_t));
-    s2ta_assert(p == data + len, "store image cursor drifted");
+    in.into(&prof.act_nnz, 1);
+    in.into(&prof.wgt_nnz, 1);
+    in.into(&prof.matched_products, 1);
+    s2ta_assert(in.cursor() == data + len,
+                "store image cursor drifted");
+    if (in.sum.result() != hdr.payload_hash)
+        return nullptr;
 
     return std::make_shared<const CachedPlan>(
         std::move(prob), [&parts](const GemmProblem &owned) {
@@ -634,8 +728,8 @@ spillEncode(const CachedPlan &entry)
     putVarint(out, static_cast<uint64_t>(p.n));
     out.push_back(static_cast<uint8_t>(plan.bz()));
     out.push_back(plan.wgtDenseT() != nullptr ? 1 : 0);
-    encodeBlocks(plan.act(), out);
-    encodeBlocks(plan.wgt(), out);
+    encodeBlocks(dbbEncodeActivations(p, plan.bz()), out);
+    encodeBlocks(dbbEncodeWeights(p, plan.bz()), out);
     return out;
 }
 
@@ -667,20 +761,13 @@ spillDecode(const uint8_t *data, size_t len)
 
     // Encoding is lossless (every non-zero keeps its position and
     // value; padding positions stay unset), so expanding the blocks
-    // reconstructs the dense operands exactly.
-    const DbbSpec spec{bz, bz};
-    DbbMatrix act =
-        DbbMatrix::fromParts(spec, m, nb, std::move(act_blks));
-    DbbMatrix wgt =
-        DbbMatrix::fromParts(spec, n, nb, std::move(wgt_blks));
+    // reconstructs the dense operands exactly, and a build over them
+    // reproduces the spilled plan.
     GemmProblem prob(m, k, n);
-    act.activationsInto(prob);
-    wgt.weightsInto(prob);
-    return std::make_shared<const CachedPlan>(
-        std::move(prob), [&](const GemmProblem &owned) {
-            return GemmPlan::rebuild(owned, bz, std::move(act),
-                                     std::move(wgt), mirror);
-        });
+    dbbDecodeActivations(act_blks.data(), bz, prob);
+    dbbDecodeWeights(wgt_blks.data(), bz, prob);
+    return std::make_shared<const CachedPlan>(std::move(prob), bz,
+                                              mirror);
 }
 
 } // namespace s2ta

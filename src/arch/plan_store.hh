@@ -14,27 +14,29 @@
  * size/speed trade:
  *
  *  - **Store form** (PlanStore, one file per plan): the full plan —
- *    operands, both DBB block arrays, the dense transposed weight
- *    mirror when materialized, and the OperandProfile — laid out so
- *    every section hydrates with a single memcpy from the mapped
- *    image (base/mapped_file.hh). Nothing is re-derived on load; a
- *    warm start is bounded by memory bandwidth, not encode compute.
+ *    operands, one mask byte per block of each operand, the dense
+ *    transposed weight mirror when materialized, and the
+ *    OperandProfile — laid out so every section hydrates with one
+ *    copy from the mapped image (base/mapped_file.hh), checksummed
+ *    in the same pass. Nothing is re-derived on load; a warm start
+ *    is bounded by memory bandwidth, not encode compute.
  *  - **Spill form** (spillEncode/spillDecode, in-RAM): the minimum
- *    from which a bit-identical plan can be rebuilt — dims plus the
- *    two block arrays, mask byte + stored values per block, zero
- *    runs run-length coded with varints; operands, mirror, and
- *    profile are all dropped and re-derived on rehydration (the
- *    encodings are lossless, so the operands come back exactly).
+ *    from which a bit-identical plan can be rebuilt — dims plus both
+ *    operands' DBB blocks (core/dbb.hh), mask byte + stored values
+ *    per block, zero runs run-length coded with varints; the dense
+ *    operands come back from the blocks exactly (the encoding is
+ *    lossless), and masks, mirror and profile are rebuilt from them.
  *    This is what PlanCache's spill tier holds evicted entries in.
  *
  * Store files are versioned and checksummed; load() rejects — never
  * trusts — anything that fails validation: short or truncated
  * files, wrong magic, version mismatch after a format bump, key
  * mismatch (a file renamed or hash-colliding), implausible dims,
- * size/dims disagreement, or payload checksum mismatch (bit rot,
- * torn concurrent write on a non-POSIX filesystem). A rejected or
- * absent file is an ordinary cache miss: the caller re-encodes and
- * save() silently replaces the bad file via an atomic temp+rename,
+ * size/dims disagreement, or a checksum mismatch over dims, flags
+ * and payload (bit rot, torn concurrent write on a non-POSIX
+ * filesystem). A rejected or absent file is an ordinary cache miss:
+ * the caller re-encodes and save() silently replaces the bad file
+ * via an atomic temp+rename,
  * so corruption degrades to a cold start, never to wrong results
  * and never to a fatal error. Readers of one store directory are
  * fully concurrent (files are immutable once published; rename
@@ -46,9 +48,11 @@
  * on its 64-bit multiply chain, which would make validation as
  * expensive as the memcpy it guards; four independent streams run
  * at memcpy-like speed and are combined order-dependently at the
- * end. Like hashBytes, it is deterministic across platforms of the
- * same endianness — a store directory is a same-arch artifact, not
- * an interchange format.
+ * end. Hydration folds each section into the checksum right after
+ * copying it, while it is still in cache, so a load reads the image
+ * from memory once. Like hashBytes, it is deterministic across
+ * platforms of the same endianness — a store directory is a
+ * same-arch artifact, not an interchange format.
  */
 
 #ifndef S2TA_ARCH_PLAN_STORE_HH
@@ -67,7 +71,7 @@ namespace s2ta {
 class FaultInjector;
 
 /** Bump on any layout change; old files are rejected and rebuilt. */
-constexpr uint32_t kPlanStoreVersion = 1;
+constexpr uint32_t kPlanStoreVersion = 2;
 
 /** 4-lane interleaved FNV-1a over @p len bytes (see file comment). */
 uint64_t planStoreChecksum(const void *data, size_t len);
@@ -206,19 +210,19 @@ class PlanStore
 };
 
 /**
- * Spill-form image of @p entry: dims + varint/RLE-coded block
- * arrays only (mask byte + stored values per non-empty block, zero
- * runs length-coded). Typically 3-6x smaller than the entry's
- * resident footprint.
+ * Spill-form image of @p entry: dims + varint/RLE-coded DBB blocks
+ * only (mask byte + stored values per non-empty block, zero runs
+ * length-coded), the values gathered from the entry's dense
+ * operands. About half the entry's resident footprint at 4/8
+ * density, less still next to an entry that holds a mirror.
  */
 std::vector<uint8_t> spillEncode(const CachedPlan &entry);
 
 /**
  * Rebuild a full entry from a spill-form image: operands are
- * reconstructed from the lossless encodings, the profile re-derived
- * from the masks, and the dense mirror re-materialized under
- * build()'s heuristic — bit-identical to the entry that was
- * spilled. Fatal on a malformed image (spill bytes never leave the
+ * expanded from the lossless blocks, and a build() over them with
+ * the spilled entry's mirror request gives masks, profile and
+ * mirror — bit-identical to the entry that was spilled. Fatal on a malformed image (spill bytes never leave the
  * process; corruption here is a program bug, not an input).
  */
 std::shared_ptr<const CachedPlan> spillDecode(const uint8_t *data,

@@ -91,9 +91,9 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     if (!scalar) {
         // DBB-native fast path: serializing the stored activations
         // and muxing against the weight mask computes exactly the
-        // products at intersecting mask positions, so the datapath
-        // result is the mask-intersection dot product of the cached
-        // encodings.
+        // products at intersecting mask positions; every other
+        // product has a zero operand, so the dense-lane contraction
+        // gives the same result.
         dbbGemm(plan, out.output.data(), opt.shard_pool);
         return;
     }
@@ -104,15 +104,16 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     // slot whose mask bit matches (Fig. 6e). Encode permissively —
     // density enforcement belongs to checkOperands, which
     // RunOptions may have skipped.
-    const DbbSpec all{bz, bz};
-    const DbbMatrix am = DbbMatrix::fromActivations(p, all);
-    const DbbMatrix wm = DbbMatrix::fromWeights(p, all);
+    const std::vector<DbbBlock> ablocks = referenceBlocks(p, bz, false);
+    const std::vector<DbbBlock> wblocks = referenceBlocks(p, bz, true);
     for (int i = 0; i < p.m; ++i) {
         for (int j = 0; j < p.n; ++j) {
             int32_t acc = 0;
             for (int b = 0; b < nblocks; ++b) {
-                const DbbBlock &ab = am.block(i, b);
-                const DbbBlock &wb = wm.block(j, b);
+                const DbbBlock &ab =
+                    ablocks[static_cast<size_t>(i) * nblocks + b];
+                const DbbBlock &wb =
+                    wblocks[static_cast<size_t>(j) * nblocks + b];
                 const int stored = ab.storedCount();
                 for (int s = 0; s < stored; ++s) {
                     const int pos = maskNthSetBit(ab.mask, s);

@@ -99,9 +99,9 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     out.output.assign(static_cast<size_t>(p.m) * p.n, 0);
     if (!scalar) {
         // DBB-native fast path: the mux steering selects exactly the
-        // activations at the weight mask's positions, and zero
-        // activations contribute nothing, so the datapath result is
-        // the mask-intersection dot product of the cached encodings.
+        // activations at the weight mask's positions, and every
+        // product outside them has a zero weight, so the dense-lane
+        // contraction gives the same result.
         dbbGemm(plan, out.output.data(), opt.shard_pool);
         return;
     }
@@ -111,13 +111,13 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     // selects the activation at the weight's expanded position
     // (Fig. 6c). Encode permissively — density enforcement belongs
     // to checkOperands, which RunOptions may have skipped.
-    const DbbMatrix wm =
-        DbbMatrix::fromWeights(p, DbbSpec{bz, bz});
+    const std::vector<DbbBlock> wblocks = referenceBlocks(p, bz, true);
     for (int i = 0; i < p.m; ++i) {
         for (int j = 0; j < p.n; ++j) {
             int32_t acc = 0;
             for (int b = 0; b < nblocks; ++b) {
-                const DbbBlock &blk = wm.block(j, b);
+                const DbbBlock &blk =
+                    wblocks[static_cast<size_t>(j) * nblocks + b];
                 const int stored = blk.storedCount();
                 for (int s = 0; s < stored; ++s) {
                     const int pos = maskNthSetBit(blk.mask, s);

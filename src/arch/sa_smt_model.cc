@@ -147,13 +147,12 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
                 // identical to the per-element scan (tail padding
                 // positions are never set in any mask).
                 std::fill(arrivals.begin(), arrivals.end(), 0);
-                const DbbBlock *arow = plan.act().vectorBlocks(i);
-                const DbbBlock *wcol = plan.wgt().vectorBlocks(j);
+                const Mask8 *arow = plan.act().vectorMasks(i);
+                const Mask8 *wcol = plan.wgt().vectorMasks(j);
                 const int nb = plan.act().blocksPerVector();
                 const int bz = plan.bz();
                 for (int b = 0; b < nb; ++b) {
-                    for (Mask8 m = maskAnd(arow[b].mask,
-                                           wcol[b].mask);
+                    for (Mask8 m = maskAnd(arow[b], wcol[b]);
                          m; m = maskClearLowest(m)) {
                         const int kk =
                             b * bz + maskLowestSetBit(m);

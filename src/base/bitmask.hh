@@ -112,22 +112,6 @@ maskAnd(Mask8 a, Mask8 b)
     return static_cast<Mask8>(a & b);
 }
 
-/**
- * Unchecked rank for hot kernels: set bits of @p m strictly below
- * position i. Unlike maskRank, bit i need not be set and no argument
- * validation is performed; callers must guarantee 0 <= i < 8.
- */
-inline int
-maskRankUnchecked(Mask8 m, int i)
-{
-#ifdef __POPCNT__
-    return std::popcount(
-        static_cast<unsigned>(m & ((1u << i) - 1u)));
-#else
-    return detail::mask_popcount_table[m & ((1u << i) - 1u)];
-#endif
-}
-
 /** Position of the lowest set bit; @p m must be non-zero. */
 inline int
 maskLowestSetBit(Mask8 m)

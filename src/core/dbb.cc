@@ -297,6 +297,64 @@ forWeightTiles(int k, int n, int bz, int blocks, Fn &&fn)
     }
 }
 
+/**
+ * Visit every block of @p p's weight operand as @p bz contiguous
+ * dense elements, zero past K: fn(column, block, elements). Each
+ * tile is read row by row and transposed in L1, so W streams in row
+ * order instead of scattering across N column streams, and each
+ * column's blocks come in runs of kTileBlocks.
+ */
+template <typename Fn>
+void
+forWeightBlocks(const GemmProblem &p, int bz, Fn &&fn)
+{
+    alignas(64) int8_t tile[kTileCols * kTileBlocks * 8];
+    const int8_t *w = p.w.data();
+    const size_t ld = static_cast<size_t>(p.n);
+    forWeightTiles(p.k, p.n, bz, (p.k + bz - 1) / bz,
+                   [&](int b0, int nb, int rows, int j0, int cols) {
+        const int seg = nb * bz;
+        tileCopy<true>(w + b0 * bz * ld + j0, ld, rows, cols, seg,
+                       tile);
+        for (int c = 0; c < cols; ++c) {
+            int8_t *col = tile + c * seg;
+            std::fill(col + rows, col + seg, int8_t{0});
+            for (int b = 0; b < nb; ++b)
+                fn(j0 + c, b0 + b, col + b * bz);
+        }
+    });
+}
+
+/** The same for activation rows, which are contiguous already:
+ *  fn(row, block, elements, length), length < bz on K's tail. */
+template <typename Fn>
+void
+forActivationBlocks(const GemmProblem &p, int bz, Fn &&fn)
+{
+    const int nb = (p.k + bz - 1) / bz;
+    for (int i = 0; i < p.m; ++i) {
+        const int8_t *row = &p.a[static_cast<size_t>(i) * p.k];
+        for (int b = 0; b < nb; ++b)
+            fn(i, b, row + b * bz, std::min(bz, p.k - b * bz));
+    }
+}
+
+/** Positional mask of @p len <= 8 contiguous elements. */
+inline Mask8
+blockMask(const int8_t *src, int len)
+{
+    return flagsToMask(nonZeroBytes(loadBytes(src, len)));
+}
+
+/** The mask of the last block of a vector must leave K's padding
+ *  tail (positions @p tail and up) unset. */
+inline void
+checkTail(Mask8 last, int tail, const char *kind, int v)
+{
+    s2ta_assert((last >> tail) == 0,
+                "%s non-zero in the padding tail (vector %d)", kind, v);
+}
+
 } // anonymous namespace
 
 DbbMatrix
@@ -305,37 +363,17 @@ DbbMatrix::fromWeights(const GemmProblem &p, const DbbSpec &spec)
     s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
                 spec.nnz, spec.bz);
     const int bz = spec.bz;
-    DbbMatrix m(spec, p.n, (p.k + bz - 1) / bz);
-    // W is K x N row-major but its blocks run down each column.
-    // Each tile is read row by row, transposed in L1, and every
-    // column's blocks are encoded from its contiguous segment into
-    // a contiguous run of output blocks, so reads and writes both
-    // stream instead of scattering across N column streams.
-    alignas(64) int8_t tile[kTileCols * kTileBlocks * 8];
-    const int8_t *w = p.w.data();
-    const size_t ld = static_cast<size_t>(p.n);
-    DbbBlock *blks = m.blks.data();
-    const int nbv = m.n_blocks;
-    forWeightTiles(p.k, p.n, bz, nbv, [&](int b0, int nb, int rows,
-                                          int j0, int cols) {
-        const int seg = nb * bz;
-        tileCopy<true>(w + b0 * bz * ld + j0, ld, rows, cols, seg,
-                       tile);
-        for (int c = 0; c < cols; ++c) {
-            int8_t *col = tile + c * seg;
-            std::fill(col + rows, col + seg, int8_t{0});
-            DbbBlock *out =
-                blks + static_cast<size_t>(j0 + c) * nbv + b0;
-            for (int b = 0; b < nb; ++b) {
-                const int nz = encodeBlock(col + b * bz, bz, out[b]);
-                s2ta_assert(nz <= spec.nnz,
-                            "weight block (col %d, block %d) "
-                            "violates %s density bound; prune first",
-                            j0 + c, b0 + b, spec.toString().c_str());
-            }
-        }
+    const int nb = (p.k + bz - 1) / bz;
+    std::vector<Mask8> masks(static_cast<size_t>(p.n) * nb);
+    forWeightBlocks(p, bz, [&](int j, int b, const int8_t *blk) {
+        const Mask8 m = blockMask(blk, bz);
+        s2ta_assert(maskPopcount(m) <= spec.nnz,
+                    "weight block (col %d, block %d) violates %s "
+                    "density bound; prune first",
+                    j, b, spec.toString().c_str());
+        masks[static_cast<size_t>(j) * nb + b] = m;
     });
-    return m;
+    return DbbMatrix(spec, p.n, nb, std::move(masks));
 }
 
 DbbMatrix
@@ -344,72 +382,18 @@ DbbMatrix::fromActivations(const GemmProblem &p, const DbbSpec &spec)
     s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
                 spec.nnz, spec.bz);
     const int bz = spec.bz;
-    DbbMatrix m(spec, p.m, (p.k + bz - 1) / bz);
-    for (int i = 0; i < p.m; ++i) {
-        const int8_t *row = &p.a[static_cast<size_t>(i) * p.k];
-        DbbBlock *out = &m.blks[static_cast<size_t>(i) * m.n_blocks];
-        for (int b = 0; b < m.n_blocks; ++b) {
-            const int nz = encodeBlock(
-                row + b * bz, std::min(bz, p.k - b * bz), out[b]);
-            s2ta_assert(nz <= spec.nnz,
-                        "activation block (row %d, block %d) "
-                        "violates %s density bound; prune first",
-                        i, b, spec.toString().c_str());
-        }
-    }
-    return m;
-}
-
-void
-DbbMatrix::weightsInto(GemmProblem &p) const
-{
-    const int bz = dbb_spec.bz;
-    s2ta_assert(p.n == n_vectors && (p.k + bz - 1) / bz == n_blocks,
-                "%d x %d weight blocks for a %dx%d operand", n_vectors,
-                n_blocks, p.k, p.n);
-    // fromWeights in reverse, through the same tile: each column's
-    // blocks expand into its tile segment, and the tile is
-    // transposed back into W's rows.
-    const int tail = p.k - (n_blocks - 1) * bz;
-    alignas(64) int8_t tile[kTileCols * kTileBlocks * 8];
-    int8_t *w = p.w.data();
-    const size_t ld = static_cast<size_t>(p.n);
-    forWeightTiles(p.k, p.n, bz, n_blocks, [&](int b0, int nb, int rows,
-                                               int j0, int cols) {
-        const int seg = nb * bz;
-        const bool last = b0 + nb == n_blocks;
-        for (int c = 0; c < cols; ++c) {
-            const DbbBlock *in = vectorBlocks(j0 + c) + b0;
-            s2ta_assert(!last || (in[nb - 1].mask >> tail) == 0,
-                        "weight non-zero in the padding tail "
-                        "(col %d)", j0 + c);
-            int8_t *col = tile + c * seg;
-            for (int b = 0; b < nb; ++b)
-                decodeBlock(in[b], bz, col + b * bz);
-        }
-        tileCopy<false>(w + b0 * bz * ld + j0, ld, rows, cols, seg,
-                        tile);
+    const int nb = (p.k + bz - 1) / bz;
+    std::vector<Mask8> masks(static_cast<size_t>(p.m) * nb);
+    forActivationBlocks(p, bz, [&](int i, int b, const int8_t *blk,
+                                   int len) {
+        const Mask8 m = blockMask(blk, len);
+        s2ta_assert(maskPopcount(m) <= spec.nnz,
+                    "activation block (row %d, block %d) violates %s "
+                    "density bound; prune first",
+                    i, b, spec.toString().c_str());
+        masks[static_cast<size_t>(i) * nb + b] = m;
     });
-}
-
-void
-DbbMatrix::activationsInto(GemmProblem &p) const
-{
-    const int bz = dbb_spec.bz;
-    s2ta_assert(p.m == n_vectors && (p.k + bz - 1) / bz == n_blocks,
-                "%d x %d activation blocks for a %dx%d operand",
-                n_vectors, n_blocks, p.m, p.k);
-    const int tail = p.k - (n_blocks - 1) * bz;
-    for (int i = 0; i < p.m; ++i) {
-        const DbbBlock *in = vectorBlocks(i);
-        s2ta_assert((in[n_blocks - 1].mask >> tail) == 0,
-                    "activation non-zero in the padding tail (row %d)",
-                    i);
-        int8_t *row = &p.a[static_cast<size_t>(i) * p.k];
-        for (int b = 0; b < n_blocks; ++b)
-            decodeBlock(in[b], std::min(bz, p.k - b * bz),
-                        row + b * bz);
-    }
+    return DbbMatrix(spec, p.m, nb, std::move(masks));
 }
 
 int64_t
@@ -420,28 +404,87 @@ DbbMatrix::compressedBytes() const
            (dbb_spec.nnz + 1);
 }
 
-double
-DbbMatrix::occupancy() const
+std::vector<DbbBlock>
+dbbEncodeWeights(const GemmProblem &p, int bz)
 {
-    if (blks.empty())
-        return 0.0;
-    int64_t stored = 0;
-    for (const DbbBlock &b : blks)
-        stored += b.storedCount();
-    return static_cast<double>(stored) /
-           (static_cast<double>(blks.size()) * dbb_spec.nnz);
+    const int nb = (p.k + bz - 1) / bz;
+    std::vector<DbbBlock> blks(static_cast<size_t>(p.n) * nb);
+    forWeightBlocks(p, bz, [&](int j, int b, const int8_t *blk) {
+        encodeBlock(blk, bz, blks[static_cast<size_t>(j) * nb + b]);
+    });
+    return blks;
+}
+
+std::vector<DbbBlock>
+dbbEncodeActivations(const GemmProblem &p, int bz)
+{
+    const int nb = (p.k + bz - 1) / bz;
+    std::vector<DbbBlock> blks(static_cast<size_t>(p.m) * nb);
+    forActivationBlocks(p, bz, [&](int i, int b, const int8_t *blk,
+                                   int len) {
+        encodeBlock(blk, len, blks[static_cast<size_t>(i) * nb + b]);
+    });
+    return blks;
+}
+
+void
+dbbDecodeWeights(const DbbBlock *blocks, int bz, GemmProblem &p)
+{
+    // forWeightBlocks in reverse, through the same tile: each
+    // column's blocks expand into its tile segment, and the tile is
+    // transposed back into W's rows.
+    const int n_blocks = (p.k + bz - 1) / bz;
+    const int tail = p.k - (n_blocks - 1) * bz;
+    alignas(64) int8_t tile[kTileCols * kTileBlocks * 8];
+    int8_t *w = p.w.data();
+    const size_t ld = static_cast<size_t>(p.n);
+    forWeightTiles(p.k, p.n, bz, n_blocks, [&](int b0, int nb, int rows,
+                                               int j0, int cols) {
+        const int seg = nb * bz;
+        const bool last = b0 + nb == n_blocks;
+        for (int c = 0; c < cols; ++c) {
+            const DbbBlock *in =
+                blocks + static_cast<size_t>(j0 + c) * n_blocks + b0;
+            if (last)
+                checkTail(in[nb - 1].mask, tail, "weight", j0 + c);
+            int8_t *col = tile + c * seg;
+            for (int b = 0; b < nb; ++b)
+                decodeBlock(in[b], bz, col + b * bz);
+        }
+        tileCopy<false>(w + b0 * bz * ld + j0, ld, rows, cols, seg,
+                        tile);
+    });
+}
+
+void
+dbbDecodeActivations(const DbbBlock *blocks, int bz, GemmProblem &p)
+{
+    const int nb = (p.k + bz - 1) / bz;
+    const int tail = p.k - (nb - 1) * bz;
+    for (int i = 0; i < p.m; ++i) {
+        const DbbBlock *in = blocks + static_cast<size_t>(i) * nb;
+        checkTail(in[nb - 1].mask, tail, "activation", i);
+        int8_t *row = &p.a[static_cast<size_t>(i) * p.k];
+        for (int b = 0; b < nb; ++b)
+            decodeBlock(in[b], std::min(bz, p.k - b * bz),
+                        row + b * bz);
+    }
 }
 
 std::vector<int8_t>
-DbbMatrix::toDense() const
+transposedWeights(const GemmProblem &p)
 {
-    // Vector-major with K padded to whole blocks, so block i expands
-    // to elements [i * bz, (i + 1) * bz).
-    const int bz = dbb_spec.bz;
-    std::vector<int8_t> dense(blks.size() * static_cast<size_t>(bz));
-    for (size_t i = 0; i < blks.size(); ++i)
-        decodeBlock(blks[i], bz, &dense[i * static_cast<size_t>(bz)]);
-    return dense;
+    // The weight tiles' transpose, written straight into the n x k
+    // result (its rows are the tile's column segments, k apart).
+    std::vector<int8_t> wt(static_cast<size_t>(p.n) * p.k);
+    const size_t ld = static_cast<size_t>(p.n);
+    forWeightTiles(p.k, p.n, 8, (p.k + 7) / 8,
+                   [&](int b0, int, int rows, int j0, int cols) {
+        tileCopy<true>(p.w.data() + b0 * 8 * ld + j0, ld, rows, cols,
+                       p.k, wt.data() + static_cast<size_t>(j0) * p.k +
+                                b0 * 8);
+    });
+    return wt;
 }
 
 } // namespace s2ta

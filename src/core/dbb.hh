@@ -7,6 +7,12 @@
  * 8-bit positional bitmask. A block is referred to by its ratio
  * NNZ/BZ (e.g. "4/8"). Blocks holding fewer than NNZ non-zeros are
  * padded with zero values in compressed form.
+ *
+ * As in the hardware, operands are compressed only where they are
+ * stored and moved: in memory the simulator keeps the dense operand
+ * plus one mask per block (DbbMatrix), and compressed blocks
+ * (DbbBlock) exist in serialized form and in the scalar reference
+ * models.
  */
 
 #ifndef S2TA_CORE_DBB_HH
@@ -57,8 +63,11 @@ struct DbbSpec
 };
 
 /**
- * One compressed DBB block: up to 8 stored values and the positional
- * bitmask M. Storage cost is nnz value bytes plus one mask byte.
+ * One compressed DBB block (paper Fig. 5): up to 8 stored values and
+ * the positional bitmask M, nnz value bytes plus one mask byte. This
+ * is the stored form: dbbEncode/dbbDecode, the spill codec's wire
+ * format and the scalar reference models use it. Resident plans keep
+ * only the masks (DbbMatrix) next to the dense operands.
  */
 struct DbbBlock
 {
@@ -81,44 +90,6 @@ struct DbbBlock
 };
 
 /**
- * Mask-intersection dot product of one block pair: the DBB-native
- * fast path. A single AND of the two positional masks yields the
- * matched positions; each match gathers its stored values by rank.
- * Work is O(popcount(a.mask & w.mask)), not O(bz), and the INT32 sum
- * is bit-identical to the dense product of the expanded blocks
- * (skipped terms are exactly zero).
- */
-inline int32_t
-dbbDotBlocks(const DbbBlock &a, const DbbBlock &w)
-{
-    int32_t acc = 0;
-    for (Mask8 inter = maskAnd(a.mask, w.mask); inter;
-         inter = maskClearLowest(inter)) {
-        const int pos = maskLowestSetBit(inter);
-        acc += static_cast<int32_t>(
-                   a.values[static_cast<size_t>(
-                       maskRankUnchecked(a.mask, pos))]) *
-               static_cast<int32_t>(
-                   w.values[static_cast<size_t>(
-                       maskRankUnchecked(w.mask, pos))]);
-    }
-    return acc;
-}
-
-/**
- * Mask-intersection dot product over @p nblocks consecutive block
- * pairs (one activation row against one weight column).
- */
-inline int32_t
-dbbDotRow(const DbbBlock *a, const DbbBlock *w, int nblocks)
-{
-    int32_t acc = 0;
-    for (int b = 0; b < nblocks; ++b)
-        acc += dbbDotBlocks(a[b], w[b]);
-    return acc;
-}
-
-/**
  * Encode a dense block into DBB form.
  *
  * The block must already satisfy the density bound (apply a pruner
@@ -138,13 +109,16 @@ void dbbDecode(const DbbBlock &block, const DbbSpec &spec,
 bool dbbSatisfies(std::span<const int8_t> dense, const DbbSpec &spec);
 
 /**
- * A GEMM operand compressed in DBB form along the K dimension.
+ * The block masks of a GEMM operand blocked along K: one Mask8 per
+ * block, bit i set when the block's expanded position i is non-zero.
+ * The values stay in the dense operand, which the kernels contract
+ * as dense lanes the masks steer.
  *
  * For weights (K x N) vectors run down each column; for activations
  * (M x K) vectors run along each row. 'vectors' is the number of
  * rows/columns and 'blocks_per_vector' is ceil(K / bz); when bz does
- * not divide K the tail block is zero-padded, which encodes
- * losslessly (padding positions simply stay unset in the mask).
+ * not divide K the tail block is zero-padded (padding positions stay
+ * unset in its mask).
  */
 class DbbMatrix
 {
@@ -152,80 +126,64 @@ class DbbMatrix
     DbbMatrix() = default;
 
     /**
-     * Compress the weight operand of @p p (K x N, blocked along K).
+     * Masks of the weight operand of @p p (K x N, blocked along K).
      * Every block of every column must satisfy @p spec.
      */
     static DbbMatrix fromWeights(const GemmProblem &p,
                                  const DbbSpec &spec);
 
     /**
-     * Compress the activation operand of @p p (M x K, blocked along
+     * Masks of the activation operand of @p p (M x K, blocked along
      * K). Every block of every row must satisfy @p spec.
      */
     static DbbMatrix fromActivations(const GemmProblem &p,
                                      const DbbSpec &spec);
 
     /**
-     * Inverse of fromWeights: write the dense K x N weights these
-     * column blocks encode into p.w (p.n == vectors()). No mask bit
-     * may flag a position in the zero-padded tail past p.k.
-     */
-    void weightsInto(GemmProblem &p) const;
-
-    /** Inverse of fromActivations, into p.a (p.m == vectors()). */
-    void activationsInto(GemmProblem &p) const;
-
-    /**
-     * Reassemble a matrix from already-encoded blocks — the plan
-     * store and spill-tier hydration paths, which recover blocks
-     * from a serialized image instead of re-encoding operands.
-     * @p blks must hold exactly vectors * blocks_per_vector blocks
-     * in vector-major order (the layout vectorBlocks exposes).
+     * Adopt already-computed masks (the plan store's hydration
+     * path). @p masks must hold exactly vectors * blocks_per_vector
+     * masks in vector-major order (the layout vectorMasks exposes).
      */
     static DbbMatrix
     fromParts(DbbSpec s, int vectors, int blocks_per_vector,
-              std::vector<DbbBlock> blks)
+              std::vector<Mask8> masks)
     {
-        s2ta_assert(blks.size() == static_cast<size_t>(vectors) *
-                                       blocks_per_vector,
-                    "%zu blocks for %d x %d", blks.size(), vectors,
+        s2ta_assert(masks.size() == static_cast<size_t>(vectors) *
+                                        blocks_per_vector,
+                    "%zu masks for %d x %d", masks.size(), vectors,
                     blocks_per_vector);
         return DbbMatrix(s, vectors, blocks_per_vector,
-                         std::move(blks));
+                         std::move(masks));
     }
 
     const DbbSpec &spec() const { return dbb_spec; }
     int vectors() const { return n_vectors; }
     int blocksPerVector() const { return n_blocks; }
 
-    /** Block @p b of vector @p v. */
-    const DbbBlock &
-    block(int v, int b) const
+    /** Mask of block @p b of vector @p v. */
+    Mask8
+    mask(int v, int b) const
     {
         s2ta_assert(v >= 0 && v < n_vectors && b >= 0 && b < n_blocks,
                     "block (%d, %d)", v, b);
-        return blks[static_cast<size_t>(v) * n_blocks + b];
+        return masks[static_cast<size_t>(v) * n_blocks + b];
     }
 
-    /**
-     * Unchecked pointer to the blocks of vector @p v, for the hot
-     * kernels (dbbDotRow et al.).
-     */
-    const DbbBlock *
-    vectorBlocks(int v) const
+    /** Unchecked pointer to the masks of vector @p v. */
+    const Mask8 *
+    vectorMasks(int v) const
     {
-        return blks.data() + static_cast<size_t>(v) * n_blocks;
+        return masks.data() + static_cast<size_t>(v) * n_blocks;
     }
 
-    /** True when expanded position @p kk of vector @p v is non-zero;
-     *  a pure mask test, no value gather. */
+    /** True when expanded position @p kk of vector @p v is non-zero. */
     bool
     nonZeroAt(int v, int kk) const
     {
-        const DbbBlock &blk =
-            blks[static_cast<size_t>(v) * n_blocks +
-                 kk / dbb_spec.bz];
-        return (blk.mask >> (kk % dbb_spec.bz)) & 1u;
+        return (masks[static_cast<size_t>(v) * n_blocks +
+                      kk / dbb_spec.bz] >>
+                (kk % dbb_spec.bz)) &
+               1u;
     }
 
     /**
@@ -242,35 +200,47 @@ class DbbMatrix
                dbb_spec.bz;
     }
 
-    /** Mean stored-value occupancy over all blocks, in [0, 1]. */
-    double occupancy() const;
-
-    /**
-     * Decompress back to a dense row-major matrix of
-     * vectors x (blocksPerVector() * bz); when bz does not divide
-     * the original K, the tail columns hold the zero padding.
-     */
-    std::vector<int8_t> toDense() const;
-
   private:
-    DbbMatrix(DbbSpec s, int vectors, int blocks)
-        : dbb_spec(s), n_vectors(vectors), n_blocks(blocks),
-          blks(static_cast<size_t>(vectors) * blocks)
-    {}
-
-    /** Adopt already-encoded blocks without the zero-fill pass
-     *  (the hydration paths memcpy/decode straight into place). */
     DbbMatrix(DbbSpec s, int vectors, int blocks,
-              std::vector<DbbBlock> b)
+              std::vector<Mask8> m)
         : dbb_spec(s), n_vectors(vectors), n_blocks(blocks),
-          blks(std::move(b))
+          masks(std::move(m))
     {}
 
     DbbSpec dbb_spec;
     int n_vectors = 0;
     int n_blocks = 0;
-    std::vector<DbbBlock> blks;
+    std::vector<Mask8> masks;
 };
+
+/**
+ * The compressed blocks of @p p's weight operand at block size
+ * @p bz, every non-zero kept, in DbbMatrix::fromWeights order
+ * (column-major, ceil(K / bz) blocks per column): the stored form
+ * the spill codec writes.
+ */
+std::vector<DbbBlock> dbbEncodeWeights(const GemmProblem &p, int bz);
+
+/** The same for the activation operand (row-major blocks). */
+std::vector<DbbBlock> dbbEncodeActivations(const GemmProblem &p,
+                                           int bz);
+
+/**
+ * Inverse of dbbEncodeWeights: expand @p blocks into p.w. No mask
+ * bit may flag a position in the zero-padded tail past p.k.
+ */
+void dbbDecodeWeights(const DbbBlock *blocks, int bz, GemmProblem &p);
+
+/** Inverse of dbbEncodeActivations, into p.a. */
+void dbbDecodeActivations(const DbbBlock *blocks, int bz,
+                          GemmProblem &p);
+
+/**
+ * The transposed weights W^T (n x k, row j holding weight column j's
+ * K elements contiguously): the dense lanes the functional kernel
+ * contracts against.
+ */
+std::vector<int8_t> transposedWeights(const GemmProblem &p);
 
 } // namespace s2ta
 

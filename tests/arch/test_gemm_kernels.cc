@@ -1,14 +1,11 @@
-/** @file Property tests for the SIMD tiers of the mask-intersection
- *  row-dot kernel: across random masks (including all-zero runs and
- *  fully dense blocks), random stored values, and every row length
- *  around the tiers' batch widths, each tier the running CPU has
- *  must match the scalar rank-gather loop bit for bit. The same
- *  contract covers the AVX-512 sub-kernels (VNNI dense dot,
- *  VPOPCNTDQ profile derivation) and the forced-cap dispatcher used
- *  by the benches' --simd flag. On x86-64 every build compiles every
- *  tier, so each probe must report exactly what the CPU has — a tier
- *  test can only skip because the CPU lacks the tier, never because
- *  the build dropped it.
+/** @file Property tests for the SIMD tiers: the VNNI dense dot and
+ *  the VPOPCNTDQ profile derivation must match their scalar loops
+ *  bit for bit, and the forced-cap dispatcher used by the benches'
+ *  --simd flag must switch every AVX-512 sub-kernel off below its
+ *  tier (dbbGemm at both caps: tests/arch/test_gemm_plan.cc). On x86-64 every build compiles both tiers, so each probe
+ *  must report exactly what the CPU has — a tier test can only skip
+ *  because the CPU lacks the tier, never because the build dropped
+ *  it.
  */
 
 #include <gtest/gtest.h>
@@ -26,38 +23,10 @@
 namespace s2ta {
 namespace {
 
-/** Random valid DBB block: random mask, values in the stored slots
- *  (non-zero, as dbbEncode would produce), zeros beyond them. */
-DbbBlock
-randomBlock(Rng &rng, double zero_mask_prob)
-{
-    DbbBlock b;
-    if (rng.uniformReal() < zero_mask_prob)
-        return b; // all-zero block, the RLE/expansion edge case
-    b.mask = static_cast<Mask8>(rng.uniformInt(1, 255));
-    const int stored = maskPopcount(b.mask);
-    for (int s = 0; s < stored; ++s) {
-        int8_t v = 0;
-        while (v == 0)
-            v = static_cast<int8_t>(rng.uniformInt(-128, 127));
-        b.values[static_cast<size_t>(s)] = v;
-    }
-    return b;
-}
-
-std::vector<DbbBlock>
-randomRow(Rng &rng, int nblocks, double zero_mask_prob)
-{
-    std::vector<DbbBlock> row(static_cast<size_t>(nblocks));
-    for (auto &b : row)
-        b = randomBlock(rng, zero_mask_prob);
-    return row;
-}
-
 #ifdef __x86_64__
 TEST(GemmKernels, ProbesReportExactlyTheCpuFeatures)
 {
-    // The probes are the ladder's only gate on x86-64: they must
+    // The probes are the tiers' only gate on x86-64: they must
     // agree with the CPU's own feature bits, so a build compiled
     // without a tier's ISA flags fails here instead of letting the
     // tier tests below compare scalar with scalar.
@@ -65,88 +34,15 @@ TEST(GemmKernels, ProbesReportExactlyTheCpuFeatures)
               __builtin_cpu_supports("ssse3") != 0);
     EXPECT_EQ(dbbAvx2KernelSupportedImpl(),
               __builtin_cpu_supports("avx2") != 0);
-    EXPECT_EQ(dbbAvx512KernelSupportedImpl(),
-              __builtin_cpu_supports("avx512bw") &&
-                  __builtin_cpu_supports("avx512vbmi"));
-    EXPECT_EQ(dbbVnniKernelSupportedImpl(),
-              __builtin_cpu_supports("avx512vnni") != 0);
-    EXPECT_EQ(dbbVpopcntKernelSupportedImpl(),
-              __builtin_cpu_supports("avx512vpopcntdq") &&
-                  __builtin_cpu_supports("avx512bw"));
+    const bool bw = __builtin_cpu_supports("avx512bw");
+    const bool vnni = bw && __builtin_cpu_supports("avx512vnni");
+    const bool vpopcnt =
+        bw && __builtin_cpu_supports("avx512vpopcntdq");
+    EXPECT_EQ(dbbVnniKernelSupportedImpl(), vnni);
+    EXPECT_EQ(dbbVpopcntKernelSupportedImpl(), vpopcnt);
+    EXPECT_EQ(dbbAvx512KernelSupportedImpl(), vnni || vpopcnt);
 }
 #endif
-
-TEST(GemmKernels, SimdTiersMatchScalarRowDot)
-{
-    Rng rng(0xA2C2);
-    // Row lengths around every batch width (SSSE3 pairs, AVX2
-    // quads, AVX-512 octets) including the empty row and every
-    // tail length.
-    for (const int nblocks :
-         {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33, 64}) {
-        for (const double zp : {0.0, 0.3, 0.9}) {
-            for (int trial = 0; trial < 8; ++trial) {
-                const auto a = randomRow(rng, nblocks, zp);
-                const auto w = randomRow(rng, nblocks, zp);
-                const int32_t want =
-                    dbbDotRow(a.data(), w.data(), nblocks);
-                if (dbbSimdKernelSupportedImpl()) {
-                    EXPECT_EQ(dbbDotRowSimdV2(a.data(), w.data(),
-                                              nblocks),
-                              want)
-                        << "ssse3, nblocks " << nblocks;
-                }
-                if (dbbAvx2KernelSupportedImpl()) {
-                    EXPECT_EQ(dbbDotRowAvx2(a.data(), w.data(),
-                                            nblocks),
-                              want)
-                        << "avx2, nblocks " << nblocks;
-                }
-                if (dbbAvx512KernelSupportedImpl()) {
-                    EXPECT_EQ(dbbDotRowAvx512(a.data(), w.data(),
-                                              nblocks),
-                              want)
-                        << "avx512, nblocks " << nblocks;
-                }
-            }
-        }
-    }
-}
-
-TEST(GemmKernels, ExtremeValuesDoNotDiverge)
-{
-    // INT8 extremes exercise the sign-extension paths: (-128)^2
-    // sums must agree across every tier.
-    for (const int nblocks : {1, 3, 4, 5, 8, 9, 16}) {
-        std::vector<DbbBlock> a(static_cast<size_t>(nblocks));
-        std::vector<DbbBlock> w(static_cast<size_t>(nblocks));
-        for (int i = 0; i < nblocks; ++i) {
-            a[static_cast<size_t>(i)].mask = 0xff;
-            w[static_cast<size_t>(i)].mask = 0xff;
-            for (int s = 0; s < 8; ++s) {
-                a[static_cast<size_t>(i)]
-                    .values[static_cast<size_t>(s)] =
-                    (s % 2 == 0) ? int8_t{-128} : int8_t{127};
-                w[static_cast<size_t>(i)]
-                    .values[static_cast<size_t>(s)] =
-                    (s % 3 == 0) ? int8_t{-128} : int8_t{-1};
-            }
-        }
-        const int32_t want = dbbDotRow(a.data(), w.data(), nblocks);
-        if (dbbSimdKernelSupportedImpl()) {
-            EXPECT_EQ(dbbDotRowSimdV2(a.data(), w.data(), nblocks),
-                      want);
-        }
-        if (dbbAvx2KernelSupportedImpl()) {
-            EXPECT_EQ(dbbDotRowAvx2(a.data(), w.data(), nblocks),
-                      want);
-        }
-        if (dbbAvx512KernelSupportedImpl()) {
-            EXPECT_EQ(dbbDotRowAvx512(a.data(), w.data(), nblocks),
-                      want);
-        }
-    }
-}
 
 /** Scalar reference for the VNNI dense dot (the SSE2 denseDot in
  *  gemm_plan.cc is file-static, so the test carries its own). */
@@ -269,43 +165,24 @@ TEST(GemmKernels, DispatcherPrefersWidestTier)
     dbbForceKernelCap(DbbKernelKind::Scalar);
     EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Scalar);
     dbbForceKernelCap(DbbKernelKind::Avx512);
-    if (dbbAvx512KernelSupportedImpl())
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx512);
-    else if (dbbAvx2KernelSupportedImpl())
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx2);
-    else if (dbbSimdKernelSupportedImpl())
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::SimdV2);
-    else
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Scalar);
+    EXPECT_EQ(dbbActiveKernel(), dbbAvx512KernelSupportedImpl()
+                                     ? DbbKernelKind::Avx512
+                                     : DbbKernelKind::Scalar);
 }
 
 TEST(GemmKernels, ForcedCapClampsEveryTier)
 {
-    // The --simd flag's mechanism: a cap below the widest supported
-    // tier must win, a cap above it must fall back to the widest,
-    // and any cap below Avx512 must switch the VNNI dense dot and
-    // the SIMD profile derivation off (a forced "avx2" run may not
-    // execute a single AVX-512 instruction).
-    const DbbKernelKind widest = [] {
-        dbbForceKernelCap(DbbKernelKind::Avx512);
-        return dbbActiveKernel();
-    }();
-    for (const DbbKernelKind cap :
-         {DbbKernelKind::Scalar, DbbKernelKind::SimdV2,
-          DbbKernelKind::Avx2, DbbKernelKind::Avx512}) {
-        dbbForceKernelCap(cap);
-        EXPECT_EQ(dbbKernelCap(), cap);
-        const DbbKernelKind want = cap < widest ? cap : widest;
-        EXPECT_EQ(dbbActiveKernel(), want)
-            << "cap " << dbbKernelKindName(cap);
-        if (cap < DbbKernelKind::Avx512) {
-            EXPECT_FALSE(dbbVnniDenseEnabled())
-                << dbbKernelKindName(cap);
-            EXPECT_FALSE(dbbProfileSimdEnabled())
-                << dbbKernelKindName(cap);
-        }
-    }
+    // The --simd flag's mechanism: the scalar cap must win and
+    // switch the VNNI dense dot and the SIMD profile derivation off
+    // (a forced "scalar" run may not execute a single AVX-512
+    // instruction); the avx512 cap falls back to the widest tier.
+    dbbForceKernelCap(DbbKernelKind::Scalar);
+    EXPECT_EQ(dbbKernelCap(), DbbKernelKind::Scalar);
+    EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Scalar);
+    EXPECT_FALSE(dbbVnniDenseEnabled());
+    EXPECT_FALSE(dbbProfileSimdEnabled());
     dbbForceKernelCap(DbbKernelKind::Avx512); // restore auto
+    EXPECT_EQ(dbbKernelCap(), DbbKernelKind::Avx512);
     EXPECT_EQ(dbbVnniDenseEnabled(), dbbVnniKernelSupportedImpl());
     EXPECT_EQ(dbbProfileSimdEnabled(),
               dbbVpopcntKernelSupportedImpl());
@@ -316,8 +193,6 @@ TEST(GemmKernels, KernelKindNamesAreStable)
     // Bench JSON contract: these strings appear as "simd_kernel"
     // values and CI asserts on them verbatim.
     EXPECT_STREQ(dbbKernelKindName(DbbKernelKind::Scalar), "scalar");
-    EXPECT_STREQ(dbbKernelKindName(DbbKernelKind::SimdV2), "ssse3");
-    EXPECT_STREQ(dbbKernelKindName(DbbKernelKind::Avx2), "avx2");
     EXPECT_STREQ(dbbKernelKindName(DbbKernelKind::Avx512), "avx512");
 }
 

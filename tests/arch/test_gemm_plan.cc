@@ -1,5 +1,5 @@
-/** @file Unit tests for the GemmPlan encoding/profile cache and the
- *  dbbGemm kernels. */
+/** @file Unit tests for the GemmPlan mask/profile cache and the
+ *  dbbGemm kernel. */
 
 #include <gtest/gtest.h>
 
@@ -43,7 +43,7 @@ TEST(GemmPlan, MaskProfileMatchesDenseScan)
 TEST(GemmPlan, TailBlocksEncodeLosslessly)
 {
     // K not a multiple of bz: the tail block zero-pads, and every
-    // mask bit / value must still match the dense operand.
+    // mask bit must still match the dense operand.
     Rng rng(0xA2);
     const GemmProblem p =
         makeUnstructuredGemm(5, 21, 7, 0.4, 0.4, rng);
@@ -57,51 +57,53 @@ TEST(GemmPlan, TailBlocksEncodeLosslessly)
             EXPECT_EQ(plan.wgtNonZero(kk, j), p.wgtAt(kk, j) != 0);
 }
 
-#ifdef __SSE2__
-TEST(GemmPlan, DenseMirrorIsTheTransposedWeights)
+TEST(GemmPlan, DenseMirrorExactlyWhenRequested)
 {
+    // Every density gets the transposed weight mirror when outputs
+    // are requested, and none gets it otherwise.
     Rng rng(0xA3);
-    // 4/8 x 4/8 clears the density bar for the SIMD kernel, so the
-    // mirror is materialized.
-    const GemmProblem p = makeDbbGemm(6, 40, 9, 4, 4, rng);
-    const GemmPlan plan = GemmPlan::build(p);
-    const int8_t *wt = plan.wgtDenseT();
-    ASSERT_NE(wt, nullptr);
-    for (int j = 0; j < p.n; ++j)
-        for (int kk = 0; kk < p.k; ++kk)
-            EXPECT_EQ(wt[static_cast<size_t>(j) * p.k + kk],
-                      p.wgtAt(kk, j));
-}
-#endif
-
-TEST(GemmPlan, SparsePlansSkipTheDenseMirror)
-{
-    Rng rng(0xA9);
-    const GemmProblem p = makeDbbGemm(6, 40, 9, 1, 1, rng);
-    const GemmPlan plan = GemmPlan::build(p);
-    EXPECT_EQ(plan.wgtDenseT(), nullptr);
-    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
-    dbbGemm(plan, out.data());
-    EXPECT_EQ(out, gemmReference(p));
+    for (const int nnz : {1, 4, 8}) {
+        const GemmProblem p = makeDbbGemm(6, 40, 9, nnz, nnz, rng);
+        EXPECT_EQ(GemmPlan::build(p, 8, false).wgtDenseT(), nullptr);
+        const GemmPlan plan = GemmPlan::build(p, 8, true);
+        const int8_t *wt = plan.wgtDenseT();
+        ASSERT_NE(wt, nullptr) << nnz;
+        for (int j = 0; j < p.n; ++j)
+            for (int kk = 0; kk < p.k; ++kk)
+                EXPECT_EQ(wt[static_cast<size_t>(j) * p.k + kk],
+                          p.wgtAt(kk, j));
+    }
 }
 
 TEST(GemmPlan, DbbGemmMatchesReferenceAcrossDensities)
 {
+    // One contraction at every density, from near-empty operands to
+    // dense ones, at both dispatch caps (the SSE2 dot, and the VNNI
+    // dot where the CPU has it) and at K around the dots' 16- and
+    // 64-byte batch widths.
     Rng rng(0xA4);
-    // Sweep density so both kernel selections (mask-intersection
-    // gather and SIMD contraction) are exercised.
-    for (int wgt_nnz : {1, 4, 8}) {
-        for (int act_nnz : {1, 4, 8}) {
-            const GemmProblem p =
-                makeDbbGemm(33, 64, 17, wgt_nnz, act_nnz, rng);
-            const GemmPlan plan = GemmPlan::build(p);
-            std::vector<int32_t> out(
-                static_cast<size_t>(p.m) * p.n);
-            dbbGemm(plan, out.data());
-            EXPECT_EQ(out, gemmReference(p))
-                << "W" << wgt_nnz << "/8 A" << act_nnz << "/8";
+    for (const int k : {8, 64, 72, 1152}) {
+        for (int wgt_nnz : {1, 4, 8}) {
+            for (int act_nnz : {1, 4, 8}) {
+                const GemmProblem p =
+                    makeDbbGemm(33, k, 17, wgt_nnz, act_nnz, rng);
+                const GemmPlan plan = GemmPlan::build(p);
+                const auto want = gemmReference(p);
+                for (const DbbKernelKind cap :
+                     {DbbKernelKind::Scalar, DbbKernelKind::Avx512}) {
+                    dbbForceKernelCap(cap);
+                    std::vector<int32_t> out(
+                        static_cast<size_t>(p.m) * p.n);
+                    dbbGemm(plan, out.data());
+                    EXPECT_EQ(out, want)
+                        << "K " << k << " W" << wgt_nnz << "/8 A"
+                        << act_nnz << "/8 cap "
+                        << dbbKernelKindName(cap);
+                }
+            }
         }
     }
+    dbbForceKernelCap(DbbKernelKind::Avx512);
 }
 
 TEST(GemmPlan, OnePlanServesMultipleModels)
@@ -132,6 +134,15 @@ TEST(GemmPlanDeath, DensityViolationsAreFatal)
     plan.checkWeights(DbbSpec{6, 8});
     plan.checkWeights(DbbSpec{6, 8});
     plan.checkActivations(DbbSpec{6, 8});
+}
+
+TEST(GemmPlanDeath, DbbGemmNeedsTheMirror)
+{
+    Rng rng(0xA8);
+    const GemmProblem p = makeDbbGemm(8, 16, 8, 4, 4, rng);
+    const GemmPlan plan = GemmPlan::build(p, 8, false);
+    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
+    EXPECT_DEATH(dbbGemm(plan, out.data()), "dense mirror");
 }
 
 TEST(GemmPlanDeath, ShallowPlanRefusesEncodedAccess)

@@ -46,6 +46,30 @@ TEST(PlanCache, HitMissAccounting)
     EXPECT_GT(cache.stats().resident_bytes, 0);
 }
 
+TEST(PlanCache, ResidentBytesAreOperandsMasksAndMirror)
+{
+    // A resident plan holds its operands, one mask byte per block of
+    // each operand and, when outputs were requested, the transposed
+    // weight mirror: no compressed value array. K = 67 leaves a
+    // ragged tail block on every bz but 1.
+    for (const int bz : {8, 5, 1}) {
+        for (const bool mirror : {false, true}) {
+            Rng rng(0xB1);
+            const GemmProblem p =
+                makeUnstructuredGemm(24, 67, 16, 0.5, 0.5, rng);
+            PlanCache cache;
+            cache.acquire(p, bz, mirror);
+            const int64_t nb = (p.k + bz - 1) / bz;
+            const int64_t want =
+                static_cast<int64_t>(p.a.size() + p.w.size()) +
+                (static_cast<int64_t>(p.m) + p.n) * nb +
+                (mirror ? static_cast<int64_t>(p.k) * p.n : 0);
+            EXPECT_EQ(cache.stats().resident_bytes, want)
+                << "bz " << bz << " mirror " << mirror;
+        }
+    }
+}
+
 TEST(PlanCache, FingerprintGuardsMutatedOperands)
 {
     PlanCache cache;

@@ -63,7 +63,7 @@ writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
 }
 
 /** Full structural equality of two cache entries: operands, block
- *  arrays, mirror, profile, and the functional output. */
+ *  masks, mirror, profile, and the functional output. */
 void
 expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
 {
@@ -75,18 +75,17 @@ expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
 
     ASSERT_TRUE(a.plan.encoded() && b.plan.encoded());
     ASSERT_EQ(a.plan.bz(), b.plan.bz());
-    const auto expect_blocks_equal = [](const DbbMatrix &x,
-                                        const DbbMatrix &y) {
+    const auto expect_masks_equal = [](const DbbMatrix &x,
+                                       const DbbMatrix &y) {
         ASSERT_EQ(x.vectors(), y.vectors());
         ASSERT_EQ(x.blocksPerVector(), y.blocksPerVector());
-        EXPECT_EQ(std::memcmp(x.vectorBlocks(0), y.vectorBlocks(0),
+        EXPECT_EQ(std::memcmp(x.vectorMasks(0), y.vectorMasks(0),
                               static_cast<size_t>(x.vectors()) *
-                                  x.blocksPerVector() *
-                                  sizeof(DbbBlock)),
+                                  x.blocksPerVector()),
                   0);
     };
-    expect_blocks_equal(a.plan.act(), b.plan.act());
-    expect_blocks_equal(a.plan.wgt(), b.plan.wgt());
+    expect_masks_equal(a.plan.act(), b.plan.act());
+    expect_masks_equal(a.plan.wgt(), b.plan.wgt());
 
     ASSERT_EQ(a.plan.wgtDenseT() != nullptr,
               b.plan.wgtDenseT() != nullptr);
@@ -96,6 +95,12 @@ expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
                               static_cast<size_t>(a.problem.n) *
                                   a.problem.k),
                   0);
+        std::vector<int32_t> out_a(
+            static_cast<size_t>(a.problem.m) * a.problem.n);
+        std::vector<int32_t> out_b(out_a.size());
+        dbbGemm(a.plan, out_a.data());
+        dbbGemm(b.plan, out_b.data());
+        EXPECT_EQ(out_a, out_b);
     }
 
     const OperandProfile &pa = a.plan.profile();
@@ -107,13 +112,6 @@ expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
     EXPECT_EQ(pa.act_nnz, pb.act_nnz);
     EXPECT_EQ(pa.wgt_nnz, pb.wgt_nnz);
     EXPECT_EQ(pa.matched_products, pb.matched_products);
-
-    std::vector<int32_t> out_a(
-        static_cast<size_t>(a.problem.m) * a.problem.n);
-    std::vector<int32_t> out_b(out_a.size());
-    dbbGemm(a.plan, out_a.data());
-    dbbGemm(b.plan, out_b.data());
-    EXPECT_EQ(out_a, out_b);
 }
 
 TEST(PlanStore, EntryRoundtripIsExact)
@@ -133,20 +131,20 @@ TEST(PlanStore, EntryRoundtripIsExact)
 
 TEST(PlanStore, SpillRoundtripIsExact)
 {
-    // Both operating points: sparse (no mirror materialized) and
-    // dense (mirror materialized, then dropped by the codec and
-    // re-derived on rehydration).
+    // Both operating points, sparse and dense; the mirror is
+    // dropped by the codec and re-derived on rehydration.
     for (const int nnz : {2, 8}) {
         const GemmProblem p = smallGemm(0x52, 40, 72, 24, nnz);
         const CachedPlan entry(p, 8, true);
         const auto bytes = spillEncode(entry);
         // Compact relative to the resident footprint (operands +
-        // block arrays + any mirror): the codec stores only the
-        // block arrays, mask byte + stored values each.
+        // one mask byte per block + mirror): the codec stores only
+        // the DBB blocks, mask byte + stored values each.
         const int64_t nb = entry.plan.act().blocksPerVector();
         const int64_t resident =
             static_cast<int64_t>(p.a.size() + p.w.size()) +
-            (static_cast<int64_t>(p.m) + p.n) * nb * 9;
+            (static_cast<int64_t>(p.m) + p.n) * nb +
+            static_cast<int64_t>(p.k) * p.n;
         EXPECT_LT(static_cast<int64_t>(bytes.size()), resident);
         const auto back = spillDecode(bytes.data(), bytes.size());
         ASSERT_NE(back, nullptr);

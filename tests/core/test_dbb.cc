@@ -85,33 +85,6 @@ TEST(DbbBlock, SatisfiesChecksBound)
     EXPECT_TRUE(dbbSatisfies(five, DbbSpec{5, 8}));
 }
 
-TEST(DbbMatrix, WeightRoundTrip)
-{
-    Rng rng(5);
-    GemmProblem p = makeDbbGemm(4, 32, 6, 4, 8, rng);
-    const DbbMatrix m = DbbMatrix::fromWeights(p, DbbSpec{4, 8});
-    EXPECT_EQ(m.vectors(), p.n);
-    EXPECT_EQ(m.blocksPerVector(), p.k / 8);
-
-    const auto dense = m.toDense();
-    for (int j = 0; j < p.n; ++j)
-        for (int kk = 0; kk < p.k; ++kk)
-            EXPECT_EQ(dense[static_cast<size_t>(j) * p.k + kk],
-                      p.wgtAt(kk, j));
-}
-
-TEST(DbbMatrix, ActivationRoundTrip)
-{
-    Rng rng(6);
-    GemmProblem p = makeDbbGemm(5, 24, 3, 8, 3, rng);
-    const DbbMatrix m = DbbMatrix::fromActivations(p, DbbSpec{3, 8});
-    const auto dense = m.toDense();
-    for (int i = 0; i < p.m; ++i)
-        for (int kk = 0; kk < p.k; ++kk)
-            EXPECT_EQ(dense[static_cast<size_t>(i) * p.k + kk],
-                      p.actAt(i, kk));
-}
-
 TEST(DbbMatrix, CompressionRatioMatchesFormula)
 {
     Rng rng(7);
@@ -120,8 +93,6 @@ TEST(DbbMatrix, CompressionRatioMatchesFormula)
     // 4/8 DBB: 5 bytes stored per 8 dense bytes (Sec. 4: "37.5%
     // reduction in weight operand bandwidth").
     EXPECT_EQ(m.compressedBytes(), m.denseBytes() * 5 / 8);
-    // Fully occupied blocks -> occupancy 1.
-    EXPECT_DOUBLE_EQ(m.occupancy(), 1.0);
 }
 
 /** Random int8 operand data: about half zeros, the rest spanning
@@ -172,11 +143,12 @@ sameBlock(const DbbBlock &x, const DbbBlock &y)
 TEST(DbbMatrix, EncodersMatchPerBlockReferenceAcrossTileEdges)
 {
     // K = 1027 leaves a ragged tail block for every bz > 1 and, in
-    // blocks, crosses the encoder's 64-block tile edge (twice at bz
+    // blocks, crosses the encoders' 64-block tile edge (twice at bz
     // 8); N = 101 crosses its 32-column edge three times and ends
-    // in a 5-column tile. Every block of both operands must equal
-    // the independent per-element dbbEncode of its dense block,
-    // and expanding the blocks must give back the operands.
+    // in a 5-column tile. Every mask of both operands, and every
+    // stored-form block, must equal the independent per-element
+    // dbbEncode of its dense block, and expanding the blocks must
+    // give back the operands.
     for (int bz = 1; bz <= 8; ++bz) {
         Rng rng(static_cast<uint64_t>(0xD0 + bz));
         GemmProblem p(37, 1027, 101);
@@ -186,34 +158,59 @@ TEST(DbbMatrix, EncodersMatchPerBlockReferenceAcrossTileEdges)
         const int nb = (p.k + bz - 1) / bz;
 
         const DbbMatrix wm = DbbMatrix::fromWeights(p, spec);
+        const std::vector<DbbBlock> wb = dbbEncodeWeights(p, bz);
         ASSERT_EQ(wm.vectors(), p.n);
         ASSERT_EQ(wm.blocksPerVector(), nb);
         for (int j = 0; j < p.n; ++j) {
             for (int b = 0; b < nb; ++b) {
+                const DbbBlock ref = referenceWeightBlock(p, spec, j, b);
+                ASSERT_EQ(wm.mask(j, b), ref.mask)
+                    << "bz " << bz << " col " << j << " block " << b;
                 ASSERT_TRUE(sameBlock(
-                    wm.block(j, b),
-                    referenceWeightBlock(p, spec, j, b)))
+                    wb[static_cast<size_t>(j) * nb + b], ref))
                     << "bz " << bz << " col " << j << " block " << b;
             }
         }
 
         const DbbMatrix am = DbbMatrix::fromActivations(p, spec);
+        const std::vector<DbbBlock> ab = dbbEncodeActivations(p, bz);
         ASSERT_EQ(am.vectors(), p.m);
         ASSERT_EQ(am.blocksPerVector(), nb);
         for (int i = 0; i < p.m; ++i) {
             for (int b = 0; b < nb; ++b) {
+                const DbbBlock ref =
+                    referenceActivationBlock(p, spec, i, b);
+                ASSERT_EQ(am.mask(i, b), ref.mask)
+                    << "bz " << bz << " row " << i << " block " << b;
                 ASSERT_TRUE(sameBlock(
-                    am.block(i, b),
-                    referenceActivationBlock(p, spec, i, b)))
+                    ab[static_cast<size_t>(i) * nb + b], ref))
                     << "bz " << bz << " row " << i << " block " << b;
             }
         }
 
         GemmProblem back(p.m, p.k, p.n);
-        wm.weightsInto(back);
-        am.activationsInto(back);
+        dbbDecodeWeights(wb.data(), bz, back);
+        dbbDecodeActivations(ab.data(), bz, back);
         EXPECT_EQ(back.w, p.w) << "bz " << bz;
         EXPECT_EQ(back.a, p.a) << "bz " << bz;
+    }
+}
+
+TEST(DbbMatrix, TransposedWeightsAcrossTileEdges)
+{
+    // The dense mirror comes from the same tile walk (8-block bands
+    // by 32 columns), so ragged K and N edges must land exactly.
+    for (const int k : {1, 7, 8, 513, 1027}) {
+        Rng rng(static_cast<uint64_t>(0x7A + k));
+        GemmProblem p(1, k, 101);
+        fillRandom(p.w, rng);
+        const std::vector<int8_t> wt = transposedWeights(p);
+        ASSERT_EQ(wt.size(), p.w.size());
+        for (int j = 0; j < p.n; ++j)
+            for (int kk = 0; kk < p.k; ++kk)
+                ASSERT_EQ(wt[static_cast<size_t>(j) * p.k + kk],
+                          p.wgtAt(kk, j))
+                    << "k " << k << " col " << j << " row " << kk;
     }
 }
 
@@ -261,25 +258,14 @@ TEST(DbbMatrixDeath, NonZeroInPaddingTailRejected)
     // Expanding blocks back into K = 1027 (a 3-element tail block
     // at bz 8) must refuse a mask bit in the padding positions.
     GemmProblem p = boundedProblem();
-    const DbbSpec spec{8, 8};
-    const int nb = (p.k + 7) / 8;
-    const DbbMatrix wm = DbbMatrix::fromWeights(p, spec);
-    const DbbMatrix am = DbbMatrix::fromActivations(p, spec);
-    std::vector<DbbBlock> wb(wm.vectorBlocks(0),
-                             wm.vectorBlocks(0) +
-                                 static_cast<size_t>(p.n) * nb);
-    std::vector<DbbBlock> ab(am.vectorBlocks(0),
-                             am.vectorBlocks(0) +
-                                 static_cast<size_t>(p.m) * nb);
+    std::vector<DbbBlock> wb = dbbEncodeWeights(p, 8);
+    std::vector<DbbBlock> ab = dbbEncodeActivations(p, 8);
     wb.back().mask = maskSet(wb.back().mask, 3);
     ab.back().mask = maskSet(ab.back().mask, 7);
-    const DbbMatrix bad_w =
-        DbbMatrix::fromParts(spec, p.n, nb, std::move(wb));
-    const DbbMatrix bad_a =
-        DbbMatrix::fromParts(spec, p.m, nb, std::move(ab));
     GemmProblem out(p.m, p.k, p.n);
-    EXPECT_DEATH(bad_w.weightsInto(out), "padding tail");
-    EXPECT_DEATH(bad_a.activationsInto(out), "padding tail");
+    EXPECT_DEATH(dbbDecodeWeights(wb.data(), 8, out), "padding tail");
+    EXPECT_DEATH(dbbDecodeActivations(ab.data(), 8, out),
+                 "padding tail");
 }
 
 } // anonymous namespace

@@ -194,15 +194,14 @@ TEST(EngineEquivalence, TileStripeShardingIsBitwiseIdentical)
     }
 }
 
-TEST(EngineEquivalence, SimdV2KernelMatchesScalarKernel)
+TEST(EngineEquivalence, WidestTierMatchesScalarTier)
 {
-    // The widest-SIMD-tier-vs-scalar bitwise check (AVX-512 on
-    // capable hardware, then AVX2, then SSSE3); on a CPU without
-    // any tier (or a non-x86 build) it pins the scalar kernel twice
-    // and is trivially equal.
+    // The widest-SIMD-tier-vs-scalar bitwise check (VNNI dot and
+    // VPOPCNTDQ profile on capable hardware); on a CPU without the
+    // tier (or a non-x86 build) it pins the scalar tier twice and is
+    // trivially equal. The sparse 2/8 operating point is where the
+    // dense-lane contraction multiplies the most zeros.
     Rng rng(0xE6);
-    // Sparse operating point so dbbGemm picks the intersection
-    // kernel (the dense-mirror path bypasses the dispatcher).
     const GemmProblem p = makeDbbGemm(300, 512, 40, 2, 2, rng);
     const auto model = makeArrayModel(ArrayConfig::s2taAw(2));
     RunOptions opt;
@@ -215,14 +214,11 @@ TEST(EngineEquivalence, SimdV2KernelMatchesScalarKernel)
     const GemmRun auto_kernel = model->run(p, opt);
 
     EXPECT_EQ(scalar_kernel.output, auto_kernel.output);
+    EXPECT_TRUE(scalar_kernel.events == auto_kernel.events);
     EXPECT_EQ(auto_kernel.output, gemmReference(p));
-    if (dbbAvx512KernelSupportedImpl()) {
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx512);
-    } else if (dbbAvx2KernelSupportedImpl()) {
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx2);
-    } else if (dbbSimdKernelSupportedImpl()) {
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::SimdV2);
-    }
+    EXPECT_EQ(dbbActiveKernel(), dbbAvx512KernelSupportedImpl()
+                                     ? DbbKernelKind::Avx512
+                                     : DbbKernelKind::Scalar);
 }
 
 TEST(EngineEquivalence, ParallelRunNetworkIsBitwiseIdentical)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Prints what the SIMD kernel ladder resolved to on this machine:
- * each tier's compile-time availability and runtime cpuid probe,
+ * Prints what the SIMD kernel tiers resolved to on this machine:
+ * the CPU features each tier uses and their runtime cpuid probes,
  * the AVX-512 sub-feature probes (VNNI dense dot, VPOPCNTDQ profile
  * derivation), and the tier the dispatcher actually selected. CI
  * runs this before the kernel tests so a log of a failing runner
@@ -23,11 +23,16 @@ using namespace s2ta;
 int
 main()
 {
+    // The scalar tier's dense dot is SSE2 on x86-64 (part of the
+    // baseline ISA) and a plain loop elsewhere.
+#ifdef __SSE2__
+    std::printf("tier_scalar_features sse2\n");
+#else
+    std::printf("tier_scalar_features none\n");
+#endif
     std::printf("tier_scalar true\n");
-    std::printf("tier_ssse3 %s\n",
-                dbbSimdKernelSupportedImpl() ? "true" : "false");
-    std::printf("tier_avx2 %s\n",
-                dbbAvx2KernelSupportedImpl() ? "true" : "false");
+    std::printf("tier_avx512_features "
+                "avx512bw+avx512vnni|avx512bw+avx512vpopcntdq\n");
     std::printf("tier_avx512 %s\n",
                 dbbAvx512KernelSupportedImpl() ? "true" : "false");
     std::printf("subfeature_avx512_vnni %s\n",
