@@ -111,12 +111,15 @@ main(int argc, char **argv)
 
     const ModelSpec spec = modelByName(args.model);
     Rng rng(0x51EE9);
+    const double build0 = benchNow();
     const ModelWorkload mw = buildModelWorkload(spec, rng);
+    const double build_seconds = benchNow() - build0;
     const std::vector<ArrayConfig> cfgs = sweepConfigs(args.smoke);
 
-    std::printf("model=%s layers=%zu configs=%zu reps=%d\n\n",
+    std::printf("model=%s layers=%zu configs=%zu reps=%d "
+                "workload_build=%.3fs\n\n",
                 spec.name.c_str(), mw.layers.size(), cfgs.size(),
-                args.reps);
+                args.reps, build_seconds);
 
     // ---- baseline: the PR-1 sweep loop --------------------------
     // Fresh Accelerator per design point, no plan cache: every
@@ -358,6 +361,7 @@ main(int argc, char **argv)
         .field("layers", static_cast<int64_t>(mw.layers.size()))
         .field("configs", static_cast<int64_t>(cfgs.size()))
         .field("reps", args.reps)
+        .field("workload_build_seconds", build_seconds)
         .field("baseline_seconds", base_seconds)
         .field("cached_seconds", cached_seconds)
         .field("speedup", speedup, 3)

@@ -1,10 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot kernels:
- * golden GEMM, operand profiling, DBB encode/decode, DAP pruning,
- * the SMT queue automaton, and whole-GEMM simulation per
- * architecture. These guard the simulator's own performance (the
- * full-model benches depend on it), not the paper's results.
+ * golden GEMM, operand profiling, DBB encode/decode, workload
+ * synthesis, DAP pruning, the SMT queue automaton, and whole-GEMM
+ * simulation per architecture. These guard the simulator's own
+ * performance (the full-model benches depend on it), not the paper's
+ * results.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "core/dap.hh"
 #include "core/dbb.hh"
 #include "core/weight_pruner.hh"
+#include "workload/model_workloads.hh"
 #include "workload/sparse_gen.hh"
 
 namespace s2ta {
@@ -266,6 +268,44 @@ BM_DbbEncodeActivationsConv(benchmark::State &state)
         state.iterations() * static_cast<int64_t>(p.a.size()));
 }
 BENCHMARK(BM_DbbEncodeActivationsConv)->Unit(benchmark::kMillisecond);
+
+/**
+ * Workload synthesis, which is most of a sweep's set-up: one engine
+ * word (a full-range uniformInt maps each word to one value), VGG-16
+ * fc6's weights at its W-DBB operating point (3/8) in generation
+ * order (7 x 7 x 4096 x 512, 12.8M blocks, six draws each), and a
+ * whole ResNet-50 workload.
+ */
+void
+BM_RngDraw(benchmark::State &state)
+{
+    Rng rng(11);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.uniformInt(INT64_MIN, INT64_MAX));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngDraw);
+
+void
+BM_MakeDbbTensorFc(benchmark::State &state)
+{
+    const std::vector<int> shape = {7, 7, 4096, 512};
+    Rng rng(0xFC6);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(makeDbbTensor(shape, 3, rng));
+    state.SetBytesProcessed(state.iterations() * 7 * 7 * 4096 * 512);
+}
+BENCHMARK(BM_MakeDbbTensorFc)->Unit(benchmark::kMillisecond);
+
+void
+BM_BuildModelWorkloadResNet50(benchmark::State &state)
+{
+    const ModelSpec spec = resNet50();
+    Rng rng(0x5E5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(buildModelWorkload(spec, rng));
+}
+BENCHMARK(BM_BuildModelWorkloadResNet50)->Unit(benchmark::kMillisecond);
 
 void
 BM_DapPrune(benchmark::State &state)

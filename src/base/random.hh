@@ -22,8 +22,11 @@ namespace s2ta {
 /**
  * Seeded pseudo-random source with convenience draws.
  *
- * Thin wrapper over std::mt19937_64; cheap to copy so a component can
- * fork an independent stream from a parent seed.
+ * The stream is MT19937-64's: word for word what std::mt19937_64
+ * emits for the same seed (pinned by tests/base/test_random.cc). The
+ * draws map words to values through the std distributions, so values
+ * agree on every machine with the same standard library. fork()
+ * derives an independent child stream from a parent.
  */
 class Rng
 {
@@ -65,8 +68,10 @@ class Rng
     int8_t
     nonZeroInt8()
     {
-        int64_t v = uniformInt(-128, 126);
-        return static_cast<int8_t>(v >= 0 ? v + 1 : v);
+        // Skip 0 by adding the comparison, not by branching on a sign
+        // that is random.
+        const int64_t v = uniformInt(-128, 126);
+        return static_cast<int8_t>(v + (v >= 0));
     }
 
     /** Fisher-Yates shuffle of a vector. */
@@ -105,11 +110,77 @@ class Rng
         return Rng(engine());
     }
 
-    /** Access the underlying engine (for std::shuffle et al.). */
-    std::mt19937_64 &raw() { return engine; }
-
   private:
-    std::mt19937_64 engine;
+    /**
+     * MT19937-64 (Matsumoto and Nishimura, 2000). std::mt19937_64
+     * tests the low bit of each twisted word, a branch that goes
+     * either way at random; here the matrix term is a mask, and a
+     * whole block of words is twisted and tempered at once, so a
+     * draw is one load.
+     */
+    class Mt19937_64
+    {
+      public:
+        using result_type = uint64_t;
+        static constexpr result_type min() { return 0; }
+        static constexpr result_type max() { return ~result_type{0}; }
+
+        explicit Mt19937_64(uint64_t seed)
+        {
+            state[0] = seed;
+            for (int i = 1; i < kN; ++i) {
+                const uint64_t prev = state[i - 1];
+                state[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) +
+                           static_cast<uint64_t>(i);
+            }
+        }
+
+        result_type
+        operator()()
+        {
+            if (next == kN)
+                refill();
+            return block[next++];
+        }
+
+      private:
+        static constexpr int kN = 312;
+        static constexpr int kM = 156;
+
+        /** The next block: twist the state, temper it into block. */
+        void
+        refill()
+        {
+            constexpr uint64_t kUpper = ~uint64_t{0} << 31;
+            const auto twist = [](uint64_t cur, uint64_t nxt,
+                                  uint64_t far) {
+                const uint64_t y = (cur & kUpper) | (nxt & ~kUpper);
+                return far ^ (y >> 1) ^
+                       (0xB5026F5AA96619E9ull & (0 - (y & 1)));
+            };
+            for (int k = 0; k < kN - kM; ++k)
+                state[k] = twist(state[k], state[k + 1], state[k + kM]);
+            for (int k = kN - kM; k < kN - 1; ++k) {
+                state[k] =
+                    twist(state[k], state[k + 1], state[k + kM - kN]);
+            }
+            state[kN - 1] = twist(state[kN - 1], state[0], state[kM - 1]);
+            for (int k = 0; k < kN; ++k) {
+                uint64_t z = state[k];
+                z ^= (z >> 29) & 0x5555555555555555ull;
+                z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+                z ^= (z << 37) & 0xFFF7EEE000000000ull;
+                block[k] = z ^ (z >> 43);
+            }
+            next = 0;
+        }
+
+        uint64_t state[kN];
+        uint64_t block[kN] = {};
+        int next = kN;
+    };
+
+    Mt19937_64 engine;
 };
 
 } // namespace s2ta

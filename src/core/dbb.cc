@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <type_traits>
 
 namespace s2ta {
 
@@ -234,49 +233,6 @@ transpose8x8(uint64_t r[8])
 }
 
 /**
- * Copy a rows x cols window of a row-major matrix (row stride @p ld)
- * into the tile, where column c's rows sit contiguously at
- * tile + c * seg (kToTile), or back out of it. In 8 x 8 byte
- * squares through registers; the ragged edges element by element.
- */
-template <bool kToTile>
-void
-tileCopy(std::conditional_t<kToTile, const int8_t, int8_t> *mat,
-         size_t ld, int rows, int cols, int seg,
-         std::conditional_t<kToTile, int8_t, const int8_t> *tile)
-{
-    const auto copy = [](auto *dst, size_t dst_ld, const auto *src,
-                         size_t src_ld) {
-        uint64_t sq[8];
-        for (int i = 0; i < 8; ++i)
-            sq[i] = loadBytes(src + i * src_ld, 8);
-        transpose8x8(sq);
-        for (int i = 0; i < 8; ++i)
-            storeBytes(dst + i * dst_ld, sq[i], 8);
-    };
-    const int rows8 = rows & ~7, cols8 = cols & ~7;
-    const auto tseg = static_cast<size_t>(seg);
-    for (int r0 = 0; r0 < rows8; r0 += 8) {
-        for (int c0 = 0; c0 < cols8; c0 += 8) {
-            auto *m = mat + r0 * ld + c0;
-            auto *t = tile + c0 * tseg + r0;
-            if constexpr (kToTile)
-                copy(t, tseg, m, ld);
-            else
-                copy(m, ld, t, tseg);
-        }
-    }
-    for (int r = 0; r < rows; ++r) {
-        for (int c = r < rows8 ? cols8 : 0; c < cols; ++c) {
-            if constexpr (kToTile)
-                tile[c * tseg + r] = mat[r * ld + c];
-            else
-                mat[r * ld + c] = tile[c * tseg + r];
-        }
-    }
-}
-
-/**
  * Visit the weight tiles of a K x N operand with @p blocks blocks
  * per column, k-outer: a band of K rows is walked across all of N
  * before the next band starts, so W streams in row order and each
@@ -314,8 +270,7 @@ forWeightBlocks(const GemmProblem &p, int bz, Fn &&fn)
     forWeightTiles(p.k, p.n, bz, (p.k + bz - 1) / bz,
                    [&](int b0, int nb, int rows, int j0, int cols) {
         const int seg = nb * bz;
-        tileCopy<true>(w + b0 * bz * ld + j0, ld, rows, cols, seg,
-                       tile);
+        transposeBytes(w + b0 * bz * ld + j0, ld, rows, cols, tile, seg);
         for (int c = 0; c < cols; ++c) {
             int8_t *col = tile + c * seg;
             std::fill(col + rows, col + seg, int8_t{0});
@@ -451,8 +406,7 @@ dbbDecodeWeights(const DbbBlock *blocks, int bz, GemmProblem &p)
             for (int b = 0; b < nb; ++b)
                 decodeBlock(in[b], bz, col + b * bz);
         }
-        tileCopy<false>(w + b0 * bz * ld + j0, ld, rows, cols, seg,
-                        tile);
+        transposeBytes(tile, seg, cols, rows, w + b0 * bz * ld + j0, ld);
     });
 }
 
@@ -480,11 +434,42 @@ transposedWeights(const GemmProblem &p)
     const size_t ld = static_cast<size_t>(p.n);
     forWeightTiles(p.k, p.n, 8, (p.k + 7) / 8,
                    [&](int b0, int, int rows, int j0, int cols) {
-        tileCopy<true>(p.w.data() + b0 * 8 * ld + j0, ld, rows, cols,
-                       p.k, wt.data() + static_cast<size_t>(j0) * p.k +
-                                b0 * 8);
+        transposeBytes(p.w.data() + b0 * 8 * ld + j0, ld, rows, cols,
+                       wt.data() + static_cast<size_t>(j0) * p.k + b0 * 8,
+                       p.k);
     });
     return wt;
+}
+
+void
+transposeBytes(const int8_t *src, size_t src_ld, int rows, int cols,
+               int8_t *dst, size_t dst_ld)
+{
+    const auto square = [&](int r0, int c0) {
+        uint64_t sq[8];
+        for (int i = 0; i < 8; ++i)
+            sq[i] = loadBytes(src + (r0 + i) * src_ld + c0, 8);
+        transpose8x8(sq);
+        for (int i = 0; i < 8; ++i)
+            storeBytes(dst + (c0 + i) * dst_ld + r0, sq[i], 8);
+    };
+    // Walk the squares along the rows of the side with the larger
+    // row stride (W rather than an L1 tile), so that W streams in
+    // row order whether it is read or written.
+    const int rows8 = rows & ~7, cols8 = cols & ~7;
+    if (src_ld >= dst_ld) {
+        for (int r0 = 0; r0 < rows8; r0 += 8)
+            for (int c0 = 0; c0 < cols8; c0 += 8)
+                square(r0, c0);
+    } else {
+        for (int c0 = 0; c0 < cols8; c0 += 8)
+            for (int r0 = 0; r0 < rows8; r0 += 8)
+                square(r0, c0);
+    }
+    for (int r = 0; r < rows; ++r) {
+        for (int c = r < rows8 ? cols8 : 0; c < cols; ++c)
+            dst[c * dst_ld + r] = src[r * src_ld + c];
+    }
 }
 
 } // namespace s2ta

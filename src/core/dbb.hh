@@ -242,6 +242,17 @@ void dbbDecodeActivations(const DbbBlock *blocks, int bz,
  */
 std::vector<int8_t> transposedWeights(const GemmProblem &p);
 
+/**
+ * Transpose the rows x cols byte window at @p src (row stride
+ * @p src_ld) into @p dst (row stride @p dst_ld):
+ * dst[c * dst_ld + r] = src[r * src_ld + c]. In 8 x 8 squares
+ * through registers, the ragged edges element by element. The
+ * weight codec and the weight generators move W through an L1 tile
+ * with it.
+ */
+void transposeBytes(const int8_t *src, size_t src_ld, int rows,
+                    int cols, int8_t *dst, size_t dst_ld);
+
 } // namespace s2ta
 
 #endif // S2TA_CORE_DBB_HH

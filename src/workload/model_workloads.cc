@@ -207,19 +207,8 @@ buildModelWorkload(const ModelSpec &spec,
                 w_shape, kDenseWgtSparsity, rng);
         } else {
             // Weight DBB blocks run along the input-channel
-            // dimension (dim 2 of the tensor); generate via a
-            // channel-innermost layout then transpose.
-            Int8Tensor tmp = makeDbbTensor(
-                {ml.shape.kernel_h, ml.shape.kernel_w,
-                 ml.shape.out_c, ml.shape.groupInC()},
-                ls.wgt_nnz, rng);
-            wl.weights = Int8Tensor(w_shape);
-            for (int ky = 0; ky < ml.shape.kernel_h; ++ky)
-                for (int kx = 0; kx < ml.shape.kernel_w; ++kx)
-                    for (int c = 0; c < ml.shape.groupInC(); ++c)
-                        for (int oc = 0; oc < ml.shape.out_c; ++oc)
-                            wl.weights(ky, kx, c, oc) =
-                                tmp(ky, kx, oc, c);
+            // dimension (dim 2 of the tensor).
+            wl.weights = makeDbbWeights(w_shape, ls.wgt_nnz, rng);
         }
         mw.layers.push_back(std::move(wl));
     }

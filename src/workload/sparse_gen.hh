@@ -53,6 +53,16 @@ Int8Tensor makeUnstructuredTensor(const std::vector<int> &shape,
 Int8Tensor makeDbbTensor(const std::vector<int> &shape, int nnz,
                          Rng &rng, int bz = 8);
 
+/**
+ * Weight tensor (..., c, oc) with exactly @p nnz non-zeros per
+ * BZ-block along c, its second-innermost dimension: the input
+ * channels of a (kh, kw, c, oc) convolution weight. Tail blocks as
+ * in makeDbbTensor. Byte for byte makeDbbTensor over (..., oc, c)
+ * transposed to (..., c, oc): the draws run in (..., oc, c) order.
+ */
+Int8Tensor makeDbbWeights(const std::vector<int> &shape, int nnz,
+                          Rng &rng, int bz = 8);
+
 } // namespace s2ta
 
 #endif // S2TA_WORKLOAD_SPARSE_GEN_HH

@@ -91,6 +91,29 @@ TEST(SparseGen, ZeroAndFullSparsityEdges)
     EXPECT_DOUBLE_EQ(empty.wgtSparsity(), 1.0);
 }
 
+// makeDbbWeights draws in (ky, kx, oc, c) order and writes through a
+// transposing chunk; it must equal makeDbbTensor over (ky, kx, oc, c)
+// transposed element by element, across chunk edges (oc 1..130) and
+// tail blocks (c 13).
+TEST(SparseGen, DbbWeightsAreTheTransposedDbbTensor)
+{
+    for (int oc : {1, 7, 64, 65, 130}) {
+        for (int bz : {4, 8}) {
+            Rng a(19), b(19);
+            const Int8Tensor t = makeDbbTensor({2, 3, oc, 13}, 3, a, bz);
+            const Int8Tensor w = makeDbbWeights({2, 3, 13, oc}, 3, b, bz);
+            for (int ky = 0; ky < 2; ++ky)
+                for (int kx = 0; kx < 3; ++kx)
+                    for (int c = 0; c < 13; ++c)
+                        for (int o = 0; o < oc; ++o)
+                            ASSERT_EQ(w(ky, kx, c, o), t(ky, kx, o, c))
+                                << "oc " << oc << " bz " << bz;
+            EXPECT_EQ(a.uniformInt(0, 1 << 30), b.uniformInt(0, 1 << 30))
+                << "streams drifted apart";
+        }
+    }
+}
+
 TEST(SparseGen, DeterministicForFixedSeed)
 {
     Rng a(7), b(7);
