@@ -9,24 +9,13 @@
  * JSON record for the bench trajectory and verifies that every
  * configuration produces bitwise-identical outputs and events.
  *
- * Also times the async device-backend path: the same workload
- * submitted through the bounded command queue (prepare of layer
- * k+1 overlapped with execution of layer k on the device thread)
- * versus the same backend pinned synchronous. On full runs the
- * overlap row must clear a 1.1x speedup gate over the synchronous
- * path — measured wall clock with >= 2 usable cores, the measured
- * two-stage pipeline bound when the process may run on one core
- * only (where a device thread cannot physically run alongside the
- * submitter).
- * --test-backend picks the backend (default in-process).
- *
- * And a SIMD tier row: the same serial fast-engine run with the
+ * Also a SIMD tier row: the same serial fast-engine run with the
  * kernels capped at scalar (SSE2 dense dot, scalar profile) versus
  * uncapped (VNNI and VPOPCNTDQ sub-kernels). On full runs where the
- * host has
- * AVX-512 the uncapped run must beat the cap (speedup_simd > 1);
- * hosts without it record mode avx512-unsupported-host. --simd is
- * rejected here — the tier rows pin the cap themselves.
+ * host has AVX-512 the uncapped run must beat the cap
+ * (speedup_simd > 1); hosts without it record mode
+ * avx512-unsupported-host. --simd is rejected here — the tier rows
+ * pin the cap themselves.
  *
  * Usage:
  *   bench_engine_throughput [--smoke] [--model NAME]
@@ -34,7 +23,6 @@
  *                           [--reps N] [--threads N]
  *                           [--cache-mb N] [--spill-mb N]
  *                           [--plan-store DIR]
- *                           [--test-backend NAME]
  *
  * --smoke runs LeNet-5 (seconds, for CI); the default is a
  * ResNet-50 full-model run at a uniform 4/8 DBB operating point.
@@ -44,8 +32,8 @@
 
 #include <sched.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,7 +49,8 @@ namespace {
  * Cores this process may run on: its CPU affinity mask where the
  * platform reports one, so a run pinned with `taskset -c 0` counts
  * as single-core even on a bigger machine, else the hardware thread
- * count.
+ * count. Recorded in the artifact: the parallel row only measures
+ * the parallel runner when this is at least 2.
  */
 unsigned
 usableCores()
@@ -95,40 +84,6 @@ timeEngine(const AcceleratorConfig &acfg, const ModelWorkload &mw,
         if (rep == 0 || dt < best) {
             best = dt;
             r.run = std::move(nr);
-        }
-    }
-    r.seconds = best;
-    return r;
-}
-
-struct BackendResult
-{
-    double seconds = 0.0;
-    NetworkRun run;
-    BackendStats stats;
-    int64_t transfer_cycles = 0;
-};
-
-/** Time a fresh backend instance per rep (a backend's stats are
- *  lifetime totals; one instance per rep keeps the reported stats
- *  those of exactly the timed run). */
-BackendResult
-timeBackend(const std::string &name, const AcceleratorConfig &acfg,
-            const BackendConfig &bcfg, const ModelWorkload &mw,
-            const NetworkRunOptions &opt, int reps)
-{
-    BackendResult r;
-    double best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto be = makeBackend(name, acfg, bcfg);
-        const double t0 = benchNow();
-        BackendNetworkRun br = be->runNetworkTimed(mw.layers, opt);
-        const double dt = benchNow() - t0;
-        if (rep == 0 || dt < best) {
-            best = dt;
-            r.run = std::move(br.run);
-            r.stats = be->stats();
-            r.transfer_cycles = br.transfer_cycles;
         }
     }
     r.seconds = best;
@@ -277,99 +232,16 @@ main(int argc, char **argv)
     const char *simd_mode =
         avx512_supported ? "measured" : "avx512-unsupported-host";
 
-    // The async device-backend rows: the same serial device config
-    // driven through the bounded command queue, synchronous (every
-    // submit executes inline — no overlap possible) versus async
-    // (the host's im2col/encode of layer k+1 runs while the device
-    // thread executes layer k). The gap is the encode/compute
-    // overlap win, isolated from engine and thread-count effects.
-    const std::string backend_name = args.test_backend.empty()
-                                         ? "in-process"
-                                         : args.test_backend;
-    BackendConfig sync_bcfg;
-    sync_bcfg.synchronous = true;
-    BackendConfig async_bcfg;
-    async_bcfg.queue_depth = 2;
-
-    std::printf("running %s backend (synchronous queue)...\n",
-                backend_name.c_str());
-    const BackendResult be_sync =
-        timeBackend(backend_name, serial_cfg, sync_bcfg, mw,
-                    fast_opt, args.reps);
-    std::printf("  %.3f s\n", be_sync.seconds);
-
-    std::printf("running %s backend (async, encode/compute "
-                "overlap)...\n", backend_name.c_str());
-    const BackendResult be_async =
-        timeBackend(backend_name, serial_cfg, async_bcfg, mw,
-                    fast_opt, args.reps);
-    std::printf("  %.3f s\n", be_async.seconds);
-
-    const bool backend_equal =
-        bitwiseEqualRuns(be_sync.run, be_async.run) &&
-        (backend_name == "scalar-ref"
-             ? bitwiseEqualRuns(scalar.run, be_async.run)
-             : bitwiseEqualRuns(fast.run, be_async.run));
-
-    // Per-phase split through the same prepare/execute API the
-    // queue pipelines: the host-side cost (im2col + DBB encode) and
-    // the device-side cost (GEMM execution) measured separately
-    // give the two-stage pipeline bound — the wall time the async
-    // queue converges to when the device thread has a core of its
-    // own: the longer phase, plus one queue-slot fill of the
-    // shorter.
-    std::printf("splitting prepare/execute phases...\n");
-    double prep_seconds = 0.0, exec_seconds = 0.0;
-    {
-        const Accelerator split_acc(serial_cfg);
-        std::vector<PreparedLayer> preps;
-        preps.reserve(mw.layers.size());
-        const double t0 = benchNow();
-        for (const LayerWorkload &wl : mw.layers)
-            preps.push_back(split_acc.prepareLayer(wl, fast_opt));
-        prep_seconds = benchNow() - t0;
-        const double t1 = benchNow();
-        for (const PreparedLayer &p : preps)
-            (void)split_acc.executePrepared(p, fast_opt);
-        exec_seconds = benchNow() - t1;
-    }
-    std::printf("  prepare %.3f s | execute %.3f s\n", prep_seconds,
-                exec_seconds);
-    const double pipeline_seconds =
-        std::max(prep_seconds, exec_seconds) +
-        std::min(prep_seconds, exec_seconds) /
-            static_cast<double>(mw.layers.size());
-
     const bool equal = bitwiseEqualRuns(scalar.run, fast.run) &&
                        bitwiseEqualRuns(scalar.run, prod.run) &&
                        bitwiseEqualRuns(scalar.run, cached.run) &&
                        bitwiseEqualRuns(scalar.run, tier_scalar.run) &&
                        bitwiseEqualRuns(scalar.run,
-                                        tier_avx512.run) &&
-                       backend_equal;
+                                        tier_avx512.run);
     const double speedup = scalar.seconds / fast.seconds;
     const double speedup_parallel = scalar.seconds / prod.seconds;
     const double speedup_cached = scalar.seconds / cached.seconds;
-    // The overlap gate needs two runnable threads to mean anything:
-    // on a single-core host the device thread timeshares with the
-    // submitter and measured async wall time degenerates to the
-    // synchronous path, whatever the queue does. There the gate
-    // falls back to the measured pipeline bound — the overlap the
-    // queue delivers as soon as a second core exists. Both numbers
-    // land in the artifact, with the mode that was enforced.
-    const double speedup_overlap_measured =
-        be_sync.seconds / be_async.seconds;
-    const double speedup_overlap_pipeline =
-        be_sync.seconds / pipeline_seconds;
-    const unsigned overlap_cores = usableCores();
-    const bool overlap_measurable = overlap_cores >= 2;
-    const double speedup_overlap = overlap_measurable
-                                       ? speedup_overlap_measured
-                                       : speedup_overlap_pipeline;
-    const char *overlap_mode = overlap_measurable
-                                   ? "measured"
-                                   : "pipeline-bound-single-core";
-    const double overlap_gate = 1.1;
+    const unsigned cores = usableCores();
     const double layers_per_sec =
         static_cast<double>(mw.layers.size()) / prod.seconds;
     const double macs_per_sec =
@@ -377,23 +249,14 @@ main(int argc, char **argv)
 
     std::printf(
         "\nengine speedup: %.2fx (serial) | %.2fx with the parallel "
-        "runner | %.2fx encode-amortized\nasync %s backend: %.2fx "
-        "over the synchronous queue (%s; gate %.1fx on full runs)\n"
+        "runner on %u usable cores | %.2fx encode-amortized\n"
         "fast path: %.2f layers/s, %.3g simulated MACs/s | outputs "
         "bitwise %s\n",
-        speedup, speedup_parallel, speedup_cached,
-        backend_name.c_str(), speedup_overlap, overlap_mode,
-        overlap_gate, layers_per_sec, macs_per_sec,
+        speedup, speedup_parallel, cores, speedup_cached,
+        layers_per_sec, macs_per_sec,
         equal ? "identical" : "DIFFERENT");
     if (!equal)
         s2ta_fatal("engine outputs diverged; fast path is broken");
-    // The overlap gate is a wall-clock property: smoke models are
-    // too small for stable timing, so CI asserts the schema there
-    // and the full ResNet-50 run enforces the ratio.
-    if (!args.smoke && speedup_overlap < overlap_gate) {
-        s2ta_fatal("async backend overlap speedup %.2fx is below "
-                   "the %.1fx gate", speedup_overlap, overlap_gate);
-    }
     std::printf("simd tier: avx512 %.2fx over scalar-capped (%s)\n",
                 speedup_simd, simd_mode);
     // Where the AVX-512 tier runs at all it must win: smoke models
@@ -412,6 +275,7 @@ main(int argc, char **argv)
         .field("arch", acfg.array.name())
         .field("smoke", args.smoke)
         .field("simd_kernel", benchSimdKernel())
+        .field("cores", static_cast<int64_t>(cores))
         .field("layers", static_cast<int64_t>(spec.layers.size()))
         .field("dense_macs", spec.totalMacs())
         .field("wgt_nnz", 4)
@@ -427,28 +291,6 @@ main(int argc, char **argv)
         .field("simd_avx512_seconds", tier_avx512.seconds)
         .field("speedup_simd", speedup_simd, 3)
         .field("simd_mode", simd_mode)
-        .field("test_backend", backend_name)
-        .field("backend_queue_depth", async_bcfg.queue_depth)
-        .field("backend_sync_seconds", be_sync.seconds)
-        .field("backend_async_seconds", be_async.seconds)
-        .field("backend_prepare_seconds", prep_seconds)
-        .field("backend_execute_seconds", exec_seconds)
-        .field("speedup_overlap", speedup_overlap, 3)
-        .field("speedup_overlap_measured", speedup_overlap_measured,
-               3)
-        .field("speedup_overlap_pipeline", speedup_overlap_pipeline,
-               3)
-        .field("overlap_mode", overlap_mode)
-        .field("overlap_cores",
-               static_cast<int64_t>(overlap_cores))
-        .field("overlap_gate", overlap_gate, 3)
-        .field("backend_submitted", be_async.stats.submitted)
-        .field("backend_completed", be_async.stats.completed)
-        .field("backend_h2d_bytes", be_async.stats.h2d_bytes)
-        .field("backend_d2h_bytes", be_async.stats.d2h_bytes)
-        .field("backend_transfer_cycles",
-               be_async.stats.transfer_cycles)
-        .field("bitwise_equal_backend", backend_equal)
         .field("fast_layers_per_sec", layers_per_sec, 3)
         .field("fast_sim_macs_per_sec", macs_per_sec, 0)
         .field("plan_store", !args.plan_store.empty())

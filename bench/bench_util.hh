@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "arch/accelerator.hh"
-#include "arch/backend.hh"
 #include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
@@ -290,8 +289,6 @@ benchFlagList()
            "--arch s2ta-w|s2ta-aw, --reps N, --cache-mb N, "
            "--plan-store DIR, --spill-mb N, --store-cap-mb N, "
            "--replicas N, --placement hash|least-loaded, "
-           "--test-backend NAME (a BackendRegistry name, e.g. "
-           "in-process|scalar-ref|remote-stub), "
            "--trace-out PATH, --metrics-out PATH, "
            "--simd auto|scalar|avx512";
 }
@@ -359,10 +356,6 @@ struct BenchArgs
     /** Fleet placement policy ("hash" | "least-loaded"), validated
      *  against serve::placementByName's accepted set. */
     std::string placement = "least-loaded";
-    /** Device backend for benches that run through the async
-     *  command-queue API (empty = the bench's default, normally
-     *  "in-process"). Validated against BackendRegistry::names(). */
-    std::string test_backend;
     /** Chrome trace-event JSON output path (empty = tracing stays
      *  disabled). Given, the global Tracer records for the whole
      *  run and the trace is written at process exit — any bench
@@ -390,7 +383,6 @@ struct BenchArgs
     bool store_cap_mb_given = false;
     bool replicas_given = false;
     bool placement_given = false;
-    bool test_backend_given = false;
     bool simd_given = false;
 
     /**
@@ -569,20 +561,6 @@ parseBenchArgs(int argc, char **argv)
             if (a.replicas < 1)
                 s2ta_fatal("--replicas must be >= 1");
             a.replicas_given = true;
-        } else if (arg == "--test-backend") {
-            a.test_backend = value();
-            bool known = false;
-            for (const std::string &n : BackendRegistry::names())
-                known = known || n == a.test_backend;
-            if (!known) {
-                std::string names;
-                for (const std::string &n : BackendRegistry::names())
-                    names += (names.empty() ? "" : "|") + n;
-                s2ta_fatal("unknown backend '%s' (registered "
-                           "backends: %s)",
-                           a.test_backend.c_str(), names.c_str());
-            }
-            a.test_backend_given = true;
         } else if (arg == "--placement") {
             a.placement = value();
             if (a.placement != "hash" &&

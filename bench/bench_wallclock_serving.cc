@@ -32,10 +32,9 @@
  *          [--spill-mb N] [--plan-store DIR] [--reps N]
  *          [--trace-out PATH] [--metrics-out PATH]
  *        (--model / --no-plan-cache / --engine / --replicas /
- *         --placement / --test-backend are rejected: mixed-model
- *         trace by definition, the shared cache is the scenario,
- *         results are engine-independent, one accelerator, and the
- *         replay drives the accelerator directly)
+ *         --placement are rejected: mixed-model trace by
+ *         definition, the shared cache is the scenario, results are
+ *         engine-independent, and one accelerator places nothing)
  *
  * Emits BENCH_wallclock_serving.json (schema checked in CI); with
  * --trace-out the Chrome trace of the whole run opens in
@@ -113,10 +112,6 @@ main(int argc, char **argv)
     args.rejectFlag(args.placement_given, "--placement",
                     "single-accelerator serving has nothing to "
                     "place");
-    args.rejectFlag(args.test_backend_given, "--test-backend",
-                    "the wall-clock replay drives the accelerator "
-                    "directly; backend timing lives in "
-                    "bench_backend_serving");
     const std::string json_path =
         args.json.empty() ? "BENCH_wallclock_serving.json"
                           : args.json;

@@ -175,11 +175,9 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
                 im2colLowerAll(wl.shape, wl.input, wl.weights,
                                channelAlign(), wl.batch));
         if (opt.engine != EngineKind::Scalar) {
-            // Encode every group's plan on the host — the driver's
-            // "stage operands" work an async backend overlaps with
-            // device execution of earlier commands. Grouped layers
-            // fan the encode out exactly as the synchronous path
-            // fanned out the per-group runs.
+            // Encode every group's plan on the host; grouped
+            // layers fan the encode out across the simulation
+            // threads, as executePrepared fans out the runs.
             prep.plans.resize(static_cast<size_t>(groups));
             runIndexed(groups, [&](int64_t g) {
                 prep.plans[static_cast<size_t>(g)] =
@@ -244,8 +242,7 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
         else
             act_dma = act_bytes * col_tiles;
     }
-    prep.h2d_bytes = wgt_dma + act_dma;
-    prep.d2h_bytes = out_bytes;
+    prep.dma_bytes = wgt_dma + act_dma + out_bytes;
     return prep;
 }
 
@@ -333,9 +330,7 @@ Accelerator::executePrepared(const PreparedLayer &prep,
     // The DMA traffic was priced at prepare time (it depends only
     // on operand geometry and the SRAM budgets); fold it into the
     // event record here so a LayerRun stays self-contained.
-    lr.h2d_bytes = prep.h2d_bytes;
-    lr.d2h_bytes = prep.d2h_bytes;
-    lr.events.dma_bytes = prep.h2d_bytes + prep.d2h_bytes;
+    lr.events.dma_bytes = prep.dma_bytes;
 
     // ---- Latency: compute vs DMA (double buffered overlap) -------
     lr.compute_cycles = lr.events.cycles;

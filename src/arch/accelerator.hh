@@ -154,24 +154,16 @@ struct LayerRun
      *  (outH, outW, out_c), with a leading batch dimension when
      *  the workload's batch is > 1. */
     Int32Tensor output;
-    /** Host→device operand DMA bytes (weights + activations, with
-     *  the streaming/refetch policy applied). Together with
-     *  d2h_bytes this is the buffer-residency ledger an async
-     *  device backend reconciles against:
-     *  h2d_bytes + d2h_bytes == events.dma_bytes, always. */
-    int64_t h2d_bytes = 0;
-    /** Device→host result DMA bytes (the dense output tensor). */
-    int64_t d2h_bytes = 0;
 };
 
 /**
- * Host-side ("driver") stage of one layer, split out of runLayer so
- * an asynchronous device backend (arch/backend.hh) can overlap it
- * with array execution: shape checks, the per-layer tightened array
- * config, im2col lowering, DBB encoding (or plan-cache acquisition)
- * and the DMA-traffic pricing — everything that happens before the
- * device is kicked. Movable; holds shared handles so cached
- * encodings stay alive while a queued command waits to execute.
+ * Host-side stage of one layer, split out of runLayer so a traced
+ * pass can time it apart from array execution: shape checks, the
+ * per-layer tightened array config, im2col lowering, DBB encoding
+ * (or plan-cache acquisition) and the DMA-traffic pricing —
+ * everything that happens before the array runs. Movable; holds
+ * shared handles so cached encodings stay alive until
+ * executePrepared() has run.
  */
 struct PreparedLayer
 {
@@ -183,7 +175,7 @@ struct PreparedLayer
     std::shared_ptr<const ArrayModel> model;
     /** Plan-cache handles, one per group (cached path). */
     std::vector<std::shared_ptr<const CachedPlan>> cached;
-    /** Lowered problems owned by this command (uncached paths);
+    /** Lowered problems owned by this layer (uncached paths);
      *  heap-held so the plans below stay valid across moves. */
     std::shared_ptr<std::vector<GemmProblem>> problems;
     /** Locally encoded plans over `problems` (uncached fast path;
@@ -193,10 +185,10 @@ struct PreparedLayer
     uint64_t input_hash = 0;
     /** True when `cached` (not `problems`) carries the plans. */
     bool use_cache = false;
-    /** Operand upload / result download bytes; see
-     *  LayerRun::h2d_bytes. */
-    int64_t h2d_bytes = 0;
-    int64_t d2h_bytes = 0;
+    /** DMA bytes of the layer: operands in (weights +
+     *  activations, with the streaming/refetch policy applied) plus
+     *  the dense output tensor out. Becomes events.dma_bytes. */
+    int64_t dma_bytes = 0;
 };
 
 /** Whole-network simulation outcome. */
@@ -249,8 +241,8 @@ class Accelerator
      * Host-side stage of runLayer: validate, build the per-layer
      * array model, lower and encode (or acquire from the plan
      * cache), and price the DMA traffic. No array cycles are
-     * simulated. The returned command must be executed with the
-     * same options it was prepared with.
+     * simulated. The result must be executed with the same options
+     * it was prepared with.
      */
     PreparedLayer prepareLayer(const LayerWorkload &wl,
                                const NetworkRunOptions &opt) const;

@@ -18,7 +18,7 @@
  * S2TA_OBS_DISABLE just like the trace hooks.
  *
  * Naming convention: lowercase dotted `<layer>.<what>[_<unit>]` —
- * e.g. `plan_cache.hits`, `backend.h2d_bytes`, `serve.shed`,
+ * e.g. `plan_cache.hits`, `fleet.failovers`, `serve.shed`,
  * `replay.latency_us`. The layer prefix groups related metrics in
  * snapshots; units are spelled out in the suffix when the value is
  * not a plain count.

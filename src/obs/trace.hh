@@ -1,10 +1,10 @@
 /**
  * @file
- * Structured wall-clock tracing for the serving and backend layers.
+ * Structured wall-clock tracing for the serving layer.
  *
  * A Tracer records three kinds of events against one monotonic
  * (steady_clock) epoch: *spans* (a named duration — request
- * simulation, backend prepare/execute/wait), *instants* (a point
+ * simulation, a replayed request's service), *instants* (a point
  * event — admit, failover, crash), and *counter samples* (a named
  * value over time — queue depth, ready-queue length). Events land
  * in fixed-capacity per-thread ring buffers: the hot path performs

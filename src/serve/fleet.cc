@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "arch/backend.hh"
 #include "arch/plan_cache.hh"
 #include "base/fault_injection.hh"
 #include "base/thread_pool.hh"
@@ -306,15 +305,6 @@ FleetScheduler::drain()
     // and bitwise identical to a single-accelerator run of the same
     // workload on the same config.
     std::vector<NetworkRun> pair_runs(W * nR);
-    // Per-pair modeled link cycles when the replica is driven
-    // through a device backend: `raw` is the full transfer (for
-    // telemetry), `visible` the share the backend's queue depth
-    // could not hide behind service — which joins the pair's
-    // service cycles below, so placement estimates, dispatch and
-    // completions all price the link. Both are zero on the direct
-    // path, preserving pre-backend timing bit for bit.
-    std::vector<int64_t> pair_transfer_raw(W * nR, 0);
-    std::vector<int64_t> pair_transfer_visible(W * nR, 0);
     const auto sim_one = [&](int64_t p) {
         const size_t w = static_cast<size_t>(p) / nR;
         const size_t r = static_cast<size_t>(p) % nR;
@@ -322,24 +312,8 @@ FleetScheduler::drain()
         ro.fault = nullptr;
         ro.fault_id = 0;
         ro.plan_cache = fleet[r].cache;
-        if (fleet[r].backend != nullptr) {
-            BackendNetworkRun br =
-                fleet[r].backend->runNetworkTimed(
-                    workloads[w]->layers, ro);
-            const int64_t cycles = br.run.total.cycles;
-            pair_runs[static_cast<size_t>(p)] = std::move(br.run);
-            pair_transfer_raw[static_cast<size_t>(p)] =
-                br.transfer_cycles;
-            pair_transfer_visible[static_cast<size_t>(p)] =
-                fleet[r].backend->queueConfig().queue_depth > 1
-                    ? std::max<int64_t>(
-                          0, br.transfer_cycles - cycles)
-                    : br.transfer_cycles;
-        } else {
-            pair_runs[static_cast<size_t>(p)] =
-                fleet[r].accel->runNetwork(workloads[w]->layers,
-                                           ro);
-        }
+        pair_runs[static_cast<size_t>(p)] =
+            fleet[r].accel->runNetwork(workloads[w]->layers, ro);
     };
     ThreadPool *tp = pool();
     if (tp && W * nR > 1) {
@@ -349,8 +323,7 @@ FleetScheduler::drain()
             sim_one(static_cast<int64_t>(p));
     }
     const auto pair_cycles = [&](size_t w, size_t r) {
-        return pair_runs[w * nR + r].total.cycles +
-               pair_transfer_visible[w * nR + r];
+        return pair_runs[w * nR + r].total.cycles;
     };
 
     // Phase 2 — the serial fleet event loop over virtual time.
@@ -973,10 +946,6 @@ FleetScheduler::drain()
             if (rq.outcome == Outcome::Ok) {
                 c.service_cycles = pair_cycles(
                     rq.widx, static_cast<size_t>(in.replica));
-                c.transfer_cycles = pair_transfer_raw
-                    [rq.widx * nR +
-                     static_cast<size_t>(in.replica)];
-                totals.transfer_cycles += c.transfer_cycles;
                 c.run = pair_runs[rq.widx * nR +
                                   static_cast<size_t>(in.replica)];
             }

@@ -74,7 +74,6 @@
 
 namespace s2ta {
 
-class Backend;
 class PlanCache;
 class ThreadPool;
 
@@ -87,16 +86,6 @@ struct FleetReplica
 {
     const Accelerator *accel = nullptr;
     PlanCache *cache = nullptr;
-    /**
-     * Optional async device backend this replica is driven through
-     * (arch/backend.hh); borrowed, nullptr = direct Accelerator
-     * calls. Results stay bitwise identical either way; the
-     * backend adds modeled link-transfer time to the replica's
-     * service cycles (the share its queue's double buffering
-     * cannot hide), which placement estimates and completions then
-     * see. Its device config should match `accel`'s.
-     */
-    Backend *backend = nullptr;
 };
 
 /** One scripted (or fault-derived) replica lifecycle event. */
@@ -201,9 +190,6 @@ struct FleetStats
     int64_t layer_faults = 0;
     int64_t stall_events = 0;
     int64_t stall_cycles = 0;
-    /** Modeled backend link-transfer cycles of served requests
-     *  (timing-only; 0 when no replica has a device backend). */
-    int64_t transfer_cycles = 0;
 
     // Replica lifecycle.
     int64_t crashes = 0;

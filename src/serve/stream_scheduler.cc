@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "arch/backend.hh"
 #include "base/fault_injection.hh"
 #include "base/thread_pool.hh"
 #include "obs/metrics.hh"
@@ -135,9 +134,6 @@ StreamScheduler::drain()
         int64_t fault_count = 0;
         int64_t stall_events = 0;
         int64_t stall_cycles = 0;
-        /** Modeled link cycles of the served attempt (backend
-         *  path only; faulted attempts abort before staging). */
-        int64_t transfer_cycles = 0;
         bool failed = false;
     };
     std::vector<SimResult> sims(admitted.size());
@@ -154,28 +150,12 @@ StreamScheduler::drain()
                 ro.fault_id = FaultInjector::combineId(
                     p.id, static_cast<uint64_t>(a));
             }
-            // The backend path drives the request through the async
-            // command queue (prepare of layer k+1 overlapping
-            // execute of layer k) and reports the attempt's modeled
-            // link cycles; the direct path is the bare accelerator.
-            // Both produce bitwise-identical NetworkRuns.
-            NetworkRun nr;
-            int64_t tc = 0;
-            if (opts.backend != nullptr) {
-                BackendNetworkRun br =
-                    opts.backend->runNetworkTimed(p.model->layers,
-                                                  ro);
-                nr = std::move(br.run);
-                tc = br.transfer_cycles;
-            } else {
-                nr = acc.runNetwork(p.model->layers, ro);
-            }
+            NetworkRun nr = acc.runNetwork(p.model->layers, ro);
             sr.attempts = a + 1;
             sr.fault_count += nr.fault_count;
             sr.stall_events += nr.stall_events;
             sr.stall_cycles += nr.stall_cycles;
             if (!nr.faulted()) {
-                sr.transfer_cycles = tc;
                 sr.run = std::move(nr);
                 sr.failed = false;
                 sr.fault_layer = -1;
@@ -233,19 +213,6 @@ StreamScheduler::drain()
                      static_cast<double>(int64_t{1}
                                          << std::min(a, 20));
         }
-        // Link transfer through a device backend: a queue deep
-        // enough to double-buffer hides transfer behind service
-        // (mirroring the accelerator's compute/DMA overlap model),
-        // so only the excess is visible lane time; at depth 1 the
-        // full transfer serializes with service.
-        if (opts.backend != nullptr && sr.transfer_cycles > 0) {
-            const int64_t visible =
-                opts.backend->queueConfig().queue_depth > 1
-                    ? std::max<int64_t>(
-                          0, sr.transfer_cycles - cycles)
-                    : sr.transfer_cycles;
-            extra += opts.clock.cyclesToSeconds(visible);
-        }
         timed[i].arrival_s = p.arrival_s;
         timed[i].deadline_s = p.deadline_s;
         timed[i].service_cycles = cycles;
@@ -289,7 +256,6 @@ StreamScheduler::drain()
         c.attempts = sr.attempts;
         c.fault_count = sr.fault_count;
         c.stall_cycles = sr.stall_cycles;
-        c.transfer_cycles = sr.transfer_cycles;
         c.retry_delay_s = timed[i].extra_delay_s;
         if (lanes[i].shed != ShedReason::None)
             S2TA_TRACE_INSTANT("serve", "shed", p.id);
@@ -319,7 +285,6 @@ StreamScheduler::drain()
         totals.layer_faults += sr.fault_count;
         totals.stall_events += sr.stall_events;
         totals.stall_cycles += sr.stall_cycles;
-        totals.transfer_cycles += sr.transfer_cycles;
         if (sr.failed)
             totals.failed += 1;
         switch (c.shed_reason) {

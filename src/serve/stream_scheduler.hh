@@ -51,7 +51,6 @@
 
 namespace s2ta {
 
-class Backend;
 class ThreadPool;
 
 namespace serve {
@@ -100,13 +99,9 @@ struct Completion
     int64_t fault_count = 0;
     /** Injected stall cycles (virtual timing only, never results). */
     int64_t stall_cycles = 0;
-    /** Virtual seconds of failed attempts + backoff + stalls +
-     *  visible link transfer, accrued on the request's lane. */
+    /** Virtual seconds of failed attempts + backoff + stalls,
+     *  accrued on the request's lane. */
     double retry_delay_s = 0.0;
-    /** Modeled backend link-transfer cycles of the served attempt
-     *  (0 without a device backend). The share not hidden by the
-     *  queue's double buffering is folded into retry_delay_s. */
-    int64_t transfer_cycles = 0;
 
     bool ok() const { return outcome == Outcome::Ok; }
     bool shed() const { return outcome == Outcome::Shed; }
@@ -167,9 +162,6 @@ struct ServeStats
     /** Injected stalls (timing-only). */
     int64_t stall_events = 0;
     int64_t stall_cycles = 0;
-    /** Modeled backend link-transfer cycles across simulated
-     *  requests (timing-only, like stalls). */
-    int64_t transfer_cycles = 0;
     /** High-water arrived-but-undispatched virtual queue depth. */
     int64_t max_queue_depth = 0;
 
@@ -192,18 +184,6 @@ class StreamScheduler
          * models via run.plan_cache. Not owned.
          */
         NetworkRunOptions run;
-        /**
-         * Optional async device backend (arch/backend.hh) requests
-         * are driven through instead of direct Accelerator calls;
-         * borrowed, must outlive the scheduler. Results stay
-         * bitwise identical to the direct path — the backend
-         * contributes *timing*: its bounded queue depth decides how
-         * much modeled transfer the double buffering hides, and the
-         * visible remainder lands in each request's lane delay.
-         * The backend's device config should match `acc`'s for the
-         * cycle estimates to stay meaningful.
-         */
-        Backend *backend = nullptr;
         /**
          * Request-level fan-out lanes for the *simulation*: 0 = one
          * lane per hardware thread (the process-wide pool), 1 =

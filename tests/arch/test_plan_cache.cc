@@ -454,8 +454,6 @@ expectLayerRunsEqual(const LayerRun &a, const LayerRun &b,
     EXPECT_EQ(a.compute_cycles, b.compute_cycles) << at;
     EXPECT_EQ(a.batch, b.batch) << at;
     EXPECT_TRUE(a.output == b.output) << at;
-    EXPECT_EQ(a.h2d_bytes, b.h2d_bytes) << at;
-    EXPECT_EQ(a.d2h_bytes, b.d2h_bytes) << at;
 }
 
 TEST(PlanCache, SaAndS2taShareUnpaddedLayerPlans)

@@ -168,7 +168,7 @@ TEST(Tracer, ChromeExportIsWellFormed)
     t.setEnabled(true);
     t.completeEvent("serve", "simulate", t.nowNs(), 5000, 1);
     t.instant("serve", "admit", 2);
-    t.counter("backend", "backend.queue_depth", 4);
+    t.counter("replay", "replay.ready", 4);
 
     const std::string json = t.chromeTraceJson();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
