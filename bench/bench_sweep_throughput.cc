@@ -81,6 +81,21 @@ sweepConfigs(bool smoke)
     return cfgs;
 }
 
+/** Every rep's seconds, space-separated, to print beside the one
+ *  the artifact records. */
+std::string
+repSeconds(const std::vector<double> &secs)
+{
+    std::string out;
+    for (const double s : secs) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, out.empty() ? "%.3f" : " %.3f",
+                      s);
+        out += buf;
+    }
+    return out;
+}
+
 } // anonymous namespace
 
 int
@@ -161,6 +176,7 @@ main(int argc, char **argv)
     ctx_opts.plan_store_dir.clear();
     double cached_seconds = 0.0;
     double cold_first_point_seconds = 0.0;
+    std::vector<double> cold_first_points;
     std::vector<NetworkRun> cached_runs(cfgs.size());
     PlanCache::Stats cache_stats;
     for (int rep = 0; rep < args.reps; ++rep) {
@@ -180,6 +196,7 @@ main(int argc, char **argv)
                             cfgs[c].name().c_str(), benchNow() - c0);
         }
         const double dt = benchNow() - t0;
+        cold_first_points.push_back(first_point);
         if (rep == 0 || dt < cached_seconds) {
             cached_seconds = dt;
             cold_first_point_seconds = first_point;
@@ -187,8 +204,9 @@ main(int argc, char **argv)
             cache_stats = ctx.planCache().stats();
         }
     }
-    std::printf("plan-cached sweep (shared encode):  %.3f s\n",
-                cached_seconds);
+    std::printf("plan-cached sweep (shared encode):  %.3f s | first "
+                "design point per rep: %s s\n",
+                cached_seconds, repSeconds(cold_first_points).c_str());
 
     // ---- persistent plan store: cold populate / warm hydrate ----
     // Fresh context (cold RAM cache) per rep, all sharing the store
@@ -198,6 +216,7 @@ main(int argc, char **argv)
     const bool plan_store_on = !args.plan_store.empty();
     double store_seconds = 0.0;
     double store_first_point_seconds = 0.0;
+    std::vector<double> store_first_points;
     bool warm_start = false;
     bool store_equal = true;
     PlanCache::Stats store_stats;
@@ -219,6 +238,7 @@ main(int argc, char **argv)
                     first_point = benchNow() - c0;
             }
             const double dt = benchNow() - t0;
+            store_first_points.push_back(first_point);
             const PlanCache::Stats st = ctx.planCache().stats();
             // Warm start is a property of the *invocation*, judged
             // from rep 0 — the first contact with the store. On a
@@ -251,10 +271,12 @@ main(int argc, char **argv)
         }
         std::printf(
             "plan-store sweep (%s start):        %.3f s | first "
-            "design point %.3f s vs %.3f s cold encode | store: "
-            "%lld hydrated / %lld saved / %lld rejected\n",
+            "design point %.3f s vs %.3f s cold encode, per rep: "
+            "%s s | store: %lld hydrated / %lld saved / %lld "
+            "rejected\n",
             warm_start ? "warm" : "cold", store_seconds,
             store_first_point_seconds, cold_first_point_seconds,
+            repSeconds(store_first_points).c_str(),
             static_cast<long long>(store_stats.store_hits),
             static_cast<long long>(store_stats.store_saves),
             static_cast<long long>(store_stats.store_rejects));

@@ -29,7 +29,6 @@
 #include "core/dap.hh"
 #include "core/weight_pruner.hh"
 #include "energy/energy_model.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "workload/model_workloads.hh"
 #include "workload/sparse_gen.hh"
@@ -289,7 +288,7 @@ benchFlagList()
            "--arch s2ta-w|s2ta-aw, --reps N, --cache-mb N, "
            "--plan-store DIR, --spill-mb N, --store-cap-mb N, "
            "--replicas N, --placement hash|least-loaded, "
-           "--trace-out PATH, --metrics-out PATH, "
+           "--trace-out PATH, "
            "--simd auto|scalar|avx512";
 }
 
@@ -361,9 +360,6 @@ struct BenchArgs
      *  run and the trace is written at process exit — any bench
      *  emits a trace with no code changes (docs/OBSERVABILITY.md). */
     std::string trace_out;
-    /** MetricsRegistry JSON snapshot path, written at process exit
-     *  (empty = none). */
-    std::string metrics_out;
     /** Forced SIMD dispatch tier ("auto" = widest the host has).
      *  Parsing already applied it via dbbForceKernelCap, so every
      *  bench inherits the pin with no code of its own; benches
@@ -406,8 +402,8 @@ struct BenchArgs
 
 namespace detail {
 
-/** atexit state for --trace-out / --metrics-out (atexit handlers
- *  cannot capture, so the paths live in statics). */
+/** atexit state for --trace-out (atexit handlers cannot capture,
+ *  so the path lives in a static). */
 inline std::string &
 obsTracePath()
 {
@@ -415,49 +411,36 @@ obsTracePath()
     return path;
 }
 
-inline std::string &
-obsMetricsPath()
-{
-    static std::string path;
-    return path;
-}
-
 inline void
-writeObsOutputs()
+writeTraceAtExit()
 {
-    if (!obsTracePath().empty()) {
-        obs::Tracer::global().writeChromeTrace(obsTracePath());
-        std::printf("wrote %s\n", obsTracePath().c_str());
-    }
-    if (!obsMetricsPath().empty()) {
-        obs::MetricsRegistry::global().writeJson(obsMetricsPath());
-        std::printf("wrote %s\n", obsMetricsPath().c_str());
-    }
+    if (obsTracePath().empty())
+        return;
+    obs::Tracer::global().writeChromeTrace(obsTracePath());
+    std::printf("wrote %s\n", obsTracePath().c_str());
 }
 
 } // namespace detail
 
 /**
- * Arm --trace-out / --metrics-out: enable the global Tracer when a
- * trace was requested and register one atexit writer that dumps the
- * Chrome trace and/or the metrics snapshot when the bench exits
- * (including s2ta_fatal exits — a partial trace of a failed run is
- * exactly what you want to look at). parseBenchArgs calls this, so
- * every bench built on it supports the flag pair automatically.
+ * Arm --trace-out: enable the global Tracer when a trace was
+ * requested and register one atexit writer that dumps the Chrome
+ * trace when the bench exits (including s2ta_fatal exits — a
+ * partial trace of a failed run is exactly what you want to look
+ * at). parseBenchArgs calls this, so every bench built on it
+ * supports the flag automatically.
  */
 inline void
-installObsOutputs(const BenchArgs &a)
+installTraceOutput(const BenchArgs &a)
 {
     detail::obsTracePath() = a.trace_out;
-    detail::obsMetricsPath() = a.metrics_out;
-    if (!a.trace_out.empty())
-        obs::Tracer::global().setEnabled(true);
-    if (a.trace_out.empty() && a.metrics_out.empty())
+    if (a.trace_out.empty())
         return;
+    obs::Tracer::global().setEnabled(true);
     static bool registered = false;
     if (!registered) {
         registered = true;
-        std::atexit(detail::writeObsOutputs);
+        std::atexit(detail::writeTraceAtExit);
     }
 }
 
@@ -602,16 +585,12 @@ parseBenchArgs(int argc, char **argv)
             a.trace_out = value();
             if (a.trace_out.empty())
                 s2ta_fatal("--trace-out needs a path");
-        } else if (arg == "--metrics-out") {
-            a.metrics_out = value();
-            if (a.metrics_out.empty())
-                s2ta_fatal("--metrics-out needs a path");
         } else {
             s2ta_fatal("unknown argument '%s' (accepted flags: %s)",
                        arg.c_str(), benchFlagList());
         }
     }
-    installObsOutputs(a);
+    installTraceOutput(a);
     return a;
 }
 

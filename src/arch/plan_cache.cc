@@ -4,7 +4,6 @@
 
 #include "arch/plan_store.hh"
 #include "base/fault_injection.hh"
-#include "obs/metrics.hh"
 
 namespace s2ta {
 
@@ -75,7 +74,6 @@ PlanCache::lookupLocked(uint64_t key)
     const auto it = slots.find(key);
     if (it != slots.end()) {
         ++counters.hits;
-        S2TA_METRIC_INC("plan_cache.hits");
         lru.splice(lru.begin(), lru, it->second.lru_it);
         l.entry = it->second.entry;
         return l;
@@ -88,7 +86,6 @@ PlanCache::lookupLocked(uint64_t key)
         // the entry's next eviction is an LRU touch, not a
         // re-encode.
         ++counters.spill_hits;
-        S2TA_METRIC_INC("plan_cache.spill_rehydrates");
         spill_lru.splice(spill_lru.begin(), spill_lru,
                          sit->second.lru_it);
         l.spilled = sit->second.bytes;
@@ -111,7 +108,6 @@ PlanCache::parkLocked(
     }
     counters.spill_bytes += static_cast<int64_t>(bytes->size());
     ++counters.spill_entries;
-    S2TA_METRIC_INC("plan_cache.spills");
     spill_lru.push_front(key);
     spill_slots.emplace(
         key, SpillSlot{std::move(bytes), spill_lru.begin()});
@@ -175,7 +171,6 @@ PlanCache::insertLocked(uint64_t key,
         }
         slots.erase(vit);
         ++counters.evictions;
-        S2TA_METRIC_INC("plan_cache.evictions");
     }
 }
 
@@ -236,7 +231,6 @@ PlanCache::rehydrate(
             // spill_hit the lookup optimistically counted.
             ++counters.spill_decode_faults;
             --counters.spill_hits;
-            S2TA_METRIC_INC("plan_cache.spill_decode_faults");
             dropSpillLocked(key);
             return nullptr;
         }
@@ -265,7 +259,6 @@ PlanCache::loadFromStore(uint64_t key)
         std::lock_guard<std::mutex> lk(mu);
         if (r.entry) {
             ++counters.store_hits;
-            S2TA_METRIC_INC("plan_cache.store_hits");
         } else if (r.rejected) {
             // Corrupt / truncated / stale-version file: treated as
             // a miss; the rebuild below overwrites it.
@@ -292,7 +285,6 @@ PlanCache::saveToStore(uint64_t key, const CachedPlan &entry)
     if (s->save(key, entry)) {
         std::lock_guard<std::mutex> lk(mu);
         ++counters.store_saves;
-        S2TA_METRIC_INC("plan_cache.store_saves");
     }
 }
 
@@ -338,7 +330,6 @@ PlanCache::acquireKeyed(uint64_t key, int bz, bool dense_mirror,
         std::lock_guard<std::mutex> lk(mu);
         ++counters.misses;
     }
-    S2TA_METRIC_INC("plan_cache.misses");
     // Lower and encode outside the lock: plan construction is the
     // expensive part and must not serialize concurrent sweep lanes.
     auto entry =
@@ -396,7 +387,6 @@ PlanCache::acquireLayer(
         std::lock_guard<std::mutex> lk(mu);
         counters.misses += absent;
     }
-    S2TA_METRIC_ADD("plan_cache.misses", absent);
 
     // Whole-layer miss: lower every group in one batched pass (the
     // activation tensor is walked once for all groups). Partial

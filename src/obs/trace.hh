@@ -24,11 +24,10 @@
  *    relaxed atomic and does nothing else while it stays off (the
  *    default for every bench unless --trace-out is given).
  *  - **Compile time**: building with S2TA_OBS_DISABLE (CMake
- *    -DS2TA_OBS=OFF) expands every S2TA_TRACE_* / S2TA_METRIC_*
- *    hook to nothing, so instrumented translation units carry zero
- *    observability code. The Tracer class itself stays available
- *    (an explicitly driven exporter still compiles); only the
- *    macro hooks vanish.
+ *    -DS2TA_OBS=OFF) expands every S2TA_TRACE_* hook to nothing,
+ *    so instrumented translation units carry zero observability
+ *    code. The Tracer class itself stays available (an explicitly
+ *    driven exporter still compiles); only the macro hooks vanish.
  *
  * Tracing is observation only: hooks never touch simulation inputs,
  * so any NetworkRun is bitwise identical with tracing on, off, or

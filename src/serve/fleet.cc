@@ -6,7 +6,6 @@
 #include "arch/plan_cache.hh"
 #include "base/fault_injection.hh"
 #include "base/thread_pool.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace s2ta {
@@ -72,8 +71,7 @@ deriveReplicaSchedule(const FaultInjector &fi, int replicas,
 FleetScheduler::FleetScheduler(std::vector<FleetReplica> replicas,
                                Options opts_)
     : fleet(std::move(replicas)), opts(std::move(opts_)),
-      router(static_cast<int>(fleet.size()), opts.placement,
-             opts.ring_seed),
+      router(static_cast<int>(fleet.size()), opts.placement),
       tele(static_cast<int>(fleet.size()))
 {
     s2ta_assert(!fleet.empty(), "fleet is empty");
@@ -464,7 +462,6 @@ FleetScheduler::drain()
         in.st = Instance::St::Running;
         in.lane = l;
         in.start_s = t;
-        tele.replica(in.replica).dispatched += 1;
         if (inject) {
             const uint64_t inst_id = FaultInjector::combineId(
                 admitted[in.req].id,
@@ -511,7 +508,6 @@ FleetScheduler::drain()
         in.finish_s =
             t + (in.compute_failed ? 0.0 : service_s) + extra;
         rep.lane_free[static_cast<size_t>(l)] = in.finish_s;
-        tele.replica(in.replica).busy_s += in.finish_s - t;
         pq.push(Ev{in.finish_s, kEvCompletion, evseq++, ii, 0});
     };
 
@@ -592,7 +588,6 @@ FleetScheduler::drain()
             in.st = Instance::St::Lost;
             rep.outstanding -= 1;
             totals.lost_instances += 1;
-            tele.replica(static_cast<int>(r)).lost_instances += 1;
             ReqState &rq = rstate[in.req];
             // A discarded hedge loser's live count was already
             // settled at resolution; only unresolved requests
@@ -605,9 +600,7 @@ FleetScheduler::drain()
             if (rq.failovers < opts.max_failovers) {
                 rq.failovers += 1;
                 totals.failovers += 1;
-                tele.recordFailover();
                 S2TA_TRACE_INSTANT("fleet", "failover", in.req);
-                S2TA_METRIC_INC("fleet.failovers");
                 routeInstance(in.req, t, static_cast<int>(r),
                               false);
             } else {
@@ -633,8 +626,6 @@ FleetScheduler::drain()
             rep.slowdown = 1.0;
             rep.crash_epoch += 1;
             totals.crashes += 1;
-            tele.replica(ev.replica).crashes += 1;
-            S2TA_METRIC_INC("fleet.crashes");
             // Failure detection from missed completions: the
             // heartbeat bounds detection at crash + detect_delay_s,
             // but the first *expected* completion that never
@@ -665,8 +656,6 @@ FleetScheduler::drain()
             std::fill(rep.lane_free.begin(), rep.lane_free.end(),
                       t);
             totals.restarts += 1;
-            tele.replica(ev.replica).restarts += 1;
-            S2TA_METRIC_INC("fleet.restarts");
             // Stranded instances waited exactly for this.
             std::vector<int> still;
             for (const int ii : stranded) {
@@ -696,7 +685,6 @@ FleetScheduler::drain()
             if (rep.up) {
                 rep.slowdown = std::max(1.0, ev.slowdown);
                 totals.brownouts += 1;
-                tele.replica(ev.replica).brownouts += 1;
             }
             break;
           case ReplicaEvent::Kind::BrownoutEnd:
@@ -706,8 +694,6 @@ FleetScheduler::drain()
             if (!rep.draining) {
                 rep.draining = true;
                 totals.drains += 1;
-                tele.replica(ev.replica).drains += 1;
-                S2TA_METRIC_INC("fleet.drains");
             }
             break;
           case ReplicaEvent::Kind::DrainEnd:
@@ -738,12 +724,10 @@ FleetScheduler::drain()
                 reps[static_cast<size_t>(in.replica)].outstanding -=
                     1;
                 rq.live -= 1;
-                tele.recordHedgeCancelled();
                 break;
               case Instance::St::Running:
               case Instance::St::LostRunning:
                 rq.live -= 1;
-                tele.recordHedgeWasted();
                 break;
               case Instance::St::Stranded:
                 stranded.erase(std::find(stranded.begin(),
@@ -780,7 +764,6 @@ FleetScheduler::drain()
         }
         rq.live -= 1;
         resolve(in.req, Outcome::Ok, ShedReason::None, ii, t);
-        tele.replica(in.replica).served += 1;
         if (rq.hedged)
             settleHedge(in.req, ii, t);
     };
@@ -836,7 +819,6 @@ FleetScheduler::drain()
         rq.hedged = true;
         tele.recordHedgeLaunched();
         S2TA_TRACE_INSTANT("fleet", "hedge", i);
-        S2TA_METRIC_INC("fleet.hedges");
         newInstance(i, target, t, true);
     };
 
@@ -997,9 +979,8 @@ FleetScheduler::drain()
             std::move(c));
     }
 
-    // Per-replica cache snapshot for the fleet telemetry (the
-    // warm-start story: a restarted replica's store_hits are the
-    // plans it rehydrated instead of re-encoding).
+    // Per-replica cache snapshot for the fleet telemetry's
+    // cache-hit variance.
     for (int r = 0; r < R; ++r) {
         if (!fleet[static_cast<size_t>(r)].cache)
             continue;
@@ -1007,7 +988,6 @@ FleetScheduler::drain()
             fleet[static_cast<size_t>(r)].cache->stats();
         tele.replica(r).cache_hits = cs.hits + cs.spill_hits;
         tele.replica(r).cache_misses = cs.misses;
-        tele.replica(r).store_hits = cs.store_hits;
     }
 
     queues.clear();

@@ -245,8 +245,6 @@ class FleetScheduler
         OverloadConfig overload;
         /** Placement policy for the router. */
         PlacementKind placement = PlacementKind::LeastLoaded;
-        /** Consistent-hash ring seed. */
-        uint64_t ring_seed = 0xF1EE7;
         /** Heartbeat bound on failure detection: a crash is
          *  detected at the earlier of the first missed completion
          *  and crash + detect_delay_s (0 = the heartbeat detects

@@ -4,7 +4,6 @@
 
 #include "base/fault_injection.hh"
 #include "base/thread_pool.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace s2ta {
@@ -104,7 +103,6 @@ StreamScheduler::drain()
     S2TA_TRACE_COUNTER("serve", "serve.admitted", admitted.size());
     for ([[maybe_unused]] const Pending &p : admitted)
         S2TA_TRACE_INSTANT("serve", "admit", p.id);
-    S2TA_METRIC_ADD("serve.requests", admitted.size());
 
     // Simulation: whole requests fan out across the lanes; the
     // accelerator's internal layer/group parallelFor runs inline
@@ -314,10 +312,6 @@ StreamScheduler::drain()
     }
     totals.max_queue_depth = std::max(totals.max_queue_depth,
                                       sched_stats.max_queue_depth);
-    S2TA_METRIC_ADD("serve.dispatched", sched_stats.dispatched);
-    S2TA_METRIC_ADD("serve.shed", sched_stats.shedTotal());
-    S2TA_METRIC_SET("serve.max_queue_depth",
-                    totals.max_queue_depth);
     queues.clear();
     return by_stream;
 }

@@ -90,7 +90,7 @@ struct HistogramBin
 };
 
 /**
- * Shed/retry/fault/degraded counters for overload serving,
+ * Shed/retry/fault counters for overload serving,
  * accumulated from completion outcomes as they stream out of a
  * drain. Like LatencyTelemetry: deterministic inputs, not
  * thread-safe, record from the draining thread. The counters mirror
@@ -107,9 +107,6 @@ class RobustnessTelemetry
                        int attempts, int64_t fault_count,
                        int64_t stall_cycles);
 
-    /** Count store/spill fault fallbacks to a colder tier. */
-    void recordDegraded(int64_t n) { degraded_ += n; }
-
     int64_t total() const { return total_; }
     int64_t completed() const { return completed_; }
     int64_t shedQueueFull() const { return shed_queue_full_; }
@@ -125,7 +122,6 @@ class RobustnessTelemetry
     int64_t retries() const { return retries_; }
     int64_t layerFaults() const { return layer_faults_; }
     int64_t stallCycles() const { return stall_cycles_; }
-    int64_t degraded() const { return degraded_; }
 
     /** Shed requests over all requests (0 when none recorded). */
     double
@@ -148,7 +144,6 @@ class RobustnessTelemetry
     int64_t retries_ = 0;
     int64_t layer_faults_ = 0;
     int64_t stall_cycles_ = 0;
-    int64_t degraded_ = 0;
 };
 
 /** Per-replica serving counters for fleet telemetry. */
@@ -157,26 +152,10 @@ struct ReplicaUsage
     /** Request instances routed here (original placements,
      *  failover re-dispatches, and hedges all count). */
     int64_t routed = 0;
-    /** Instances a lane actually picked up. */
-    int64_t dispatched = 0;
-    /** Ok completions this replica won. */
-    int64_t served = 0;
-    /** Lane occupancy in virtual seconds (service + retry/backoff
-     *  + stall + brownout inflation). */
-    double busy_s = 0.0;
-    /** Lifecycle events applied to this replica. */
-    int64_t crashes = 0;
-    int64_t restarts = 0;
-    int64_t brownouts = 0;
-    int64_t drains = 0;
-    /** Instances lost to a crash while queued or running here. */
-    int64_t lost_instances = 0;
-    /** Snapshot of the replica's PlanCache counters (hits/misses
-     *  across both in-RAM tiers, plus shared-store hits — the
-     *  warm-start path a restarted replica hydrates through). */
+    /** Snapshot of the replica's PlanCache hits/misses across both
+     *  in-RAM tiers. */
     int64_t cache_hits = 0;
     int64_t cache_misses = 0;
-    int64_t store_hits = 0;
 
     double
     hitRate() const
@@ -189,8 +168,8 @@ struct ReplicaUsage
 };
 
 /**
- * Fleet-level telemetry: per-replica utilization, routing skew,
- * failover/hedge counts, and cache-hit variance across replicas.
+ * Fleet-level telemetry: routing skew, hedge outcomes, and
+ * cache-hit variance across replicas.
  * Deterministic inputs (the fleet event loop runs serially on the
  * draining thread); not thread-safe.
  */
@@ -209,27 +188,17 @@ class FleetTelemetry
     {
         return usage_.at(static_cast<size_t>(r));
     }
-    const std::vector<ReplicaUsage> &all() const { return usage_; }
 
-    void recordFailover() { failovers_ += 1; }
     void recordHedgeLaunched() { hedges_launched_ += 1; }
     void recordHedgeWin() { hedge_wins_ += 1; }
     void recordHedgeLoss() { hedge_losses_ += 1; }
     /** A hedged request where neither instance delivered. */
     void recordHedgeFailed() { hedge_failed_ += 1; }
-    void recordHedgeCancelled() { hedge_cancelled_ += 1; }
-    void recordHedgeWasted() { hedge_wasted_ += 1; }
 
-    int64_t failovers() const { return failovers_; }
     int64_t hedgesLaunched() const { return hedges_launched_; }
     int64_t hedgeWins() const { return hedge_wins_; }
     int64_t hedgeLosses() const { return hedge_losses_; }
     int64_t hedgeFailed() const { return hedge_failed_; }
-    /** Losing instances removed from a queue before dispatch. */
-    int64_t hedgeCancelled() const { return hedge_cancelled_; }
-    /** Losing instances that were already running (non-preemptive:
-     *  they finish and their result is discarded). */
-    int64_t hedgeWasted() const { return hedge_wasted_; }
 
     /** Every launched hedge resolved exactly one way. */
     bool
@@ -237,17 +206,6 @@ class FleetTelemetry
     {
         return hedges_launched_ ==
                hedge_wins_ + hedge_losses_ + hedge_failed_;
-    }
-
-    /** Mean lane utilization of one replica over @p horizon_s of
-     *  virtual time on @p lanes lanes (0 with no horizon). */
-    double
-    utilization(int r, double horizon_s, int lanes) const
-    {
-        if (horizon_s <= 0.0 || lanes <= 0)
-            return 0.0;
-        return replica(r).busy_s /
-               (horizon_s * static_cast<double>(lanes));
     }
 
     /** Max-over-mean routed instances across replicas (1.0 =
@@ -259,13 +217,10 @@ class FleetTelemetry
 
   private:
     std::vector<ReplicaUsage> usage_;
-    int64_t failovers_ = 0;
     int64_t hedges_launched_ = 0;
     int64_t hedge_wins_ = 0;
     int64_t hedge_losses_ = 0;
     int64_t hedge_failed_ = 0;
-    int64_t hedge_cancelled_ = 0;
-    int64_t hedge_wasted_ = 0;
 };
 
 class LatencyTelemetry

@@ -71,17 +71,8 @@ scheduleOnLanes(const VirtualClockConfig &cfg,
         out[idx].finish_s = at;
         out[idx].shed = why;
         ++done;
-        switch (why) {
-          case ShedReason::QueueFull: ++st.shed_queue_full; break;
-          case ShedReason::StreamQueueFull:
-            ++st.shed_stream_full;
-            break;
-          case ShedReason::DeadlineInfeasible:
-            ++st.shed_infeasible;
-            break;
-          case ShedReason::None:
-            s2ta_panic("shed with ShedReason::None");
-        }
+        s2ta_assert(why != ShedReason::None,
+                    "shed with ShedReason::None");
     };
 
     const auto admit_until = [&](double horizon) {
@@ -174,7 +165,6 @@ scheduleOnLanes(const VirtualClockConfig &cfg,
             reqs[i].extra_delay_s;
         lane_free[lane] = out[i].finish_s;
         ++done;
-        ++st.dispatched;
     }
     if (stats != nullptr)
         *stats = st;

@@ -58,21 +58,11 @@ struct LaneAssignment
     ShedReason shed = ShedReason::None;
 };
 
-/** Event-loop outcome counters for one schedule. */
+/** What the event loop reports beyond the assignments. */
 struct ScheduleStats
 {
-    int64_t dispatched = 0;
-    int64_t shed_queue_full = 0;
-    int64_t shed_stream_full = 0;
-    int64_t shed_infeasible = 0;
     /** High-water arrived-but-undispatched queue depth. */
     int64_t max_queue_depth = 0;
-
-    int64_t
-    shedTotal() const
-    {
-        return shed_queue_full + shed_stream_full + shed_infeasible;
-    }
 };
 
 /**

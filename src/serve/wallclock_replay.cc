@@ -9,7 +9,6 @@
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace s2ta {
@@ -141,9 +140,6 @@ replayWallclock(const Accelerator &acc,
                                        opts.run);
             }
             c.finish_s = secondsSince(epoch);
-            S2TA_METRIC_INC("replay.requests");
-            S2TA_METRIC_RECORD("replay.latency_us",
-                               (c.finish_s - c.arrival_s) * 1e6);
             // A lane freeing up may unblock a sibling parked on the
             // empty-queue exit condition.
             cv.notify_all();

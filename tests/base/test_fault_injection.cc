@@ -1,12 +1,14 @@
 /** @file Tests for the deterministic fault-injection harness:
- *  decisions are pure functions of (seed, site, identity), rates 0
- *  and 1 are exact, intermediate rates hit their expected fraction,
- *  stall magnitudes stay in range, and the per-site counters
- *  reconcile exactly with the decisions taken. */
+ *  decisions are pure functions of (seed, site, identity), each
+ *  site's decision stream is pinned, rates 0 and 1 are exact,
+ *  intermediate rates hit their expected fraction, stall magnitudes
+ *  stay in range, and the per-site counters reconcile exactly with
+ *  the decisions taken. */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <thread>
 #include <vector>
@@ -33,6 +35,46 @@ TEST(FaultInjection, DecisionsArePureInSeedSiteIdentity)
         EXPECT_EQ(a.shouldFail(FaultSite::LayerCompute, id),
                   b.shouldFail(FaultSite::LayerCompute, id));
     }
+
+    // Pinned streams: the decision hash folds int(site) in, so
+    // renumbering or deleting an enumerator would move every fault
+    // behind the overload and fleet artifacts. Each site's decisions
+    // for identities 0..255 at rate 0.5, folded in identity order,
+    // must match the values recorded when the streams were pinned.
+    const struct
+    {
+        FaultSite site;
+        uint64_t fold;
+    } pinned[] = {
+        {FaultSite::StoreRead, 0xa5faef1c978726f5ull},
+        {FaultSite::StoreWrite, 0xd1883de7fb781a59ull},
+        {FaultSite::StoreRename, 0xd3b4956ade9785c8ull},
+        {FaultSite::StoreBitFlip, 0xc5863f010ab19c0full},
+        {FaultSite::SpillEncode, 0x8136736793496749ull},
+        {FaultSite::SpillDecode, 0x7953c39ccba59df7ull},
+        {FaultSite::LayerCompute, 0x8e3dda9818fcc71aull},
+        {FaultSite::LayerStall, 0x13c6b3755d648c0full},
+        {FaultSite::ReplicaCrash, 0xe754fb18982716adull},
+        {FaultSite::ReplicaStall, 0x235e5983e034a6d2ull},
+        {FaultSite::ReplicaRestart, 0x585ae6ed7f713210ull},
+    };
+    static_assert(std::size(pinned) == kFaultSiteCount);
+    for (const auto &p : pinned) {
+        FaultInjector fi(0x5EED);
+        fi.setRate(p.site, 0.5);
+        uint64_t fold = 0;
+        for (uint64_t id = 0; id < 256; ++id)
+            fold = FaultInjector::combineId(
+                fold, fi.shouldFail(p.site, id) ? 1 : 0);
+        EXPECT_EQ(fold, p.fold) << faultSiteName(p.site);
+    }
+    FaultInjector stall(0x5EED);
+    stall.setRate(FaultSite::LayerStall, 0.5);
+    uint64_t stall_fold = 0;
+    for (uint64_t id = 0; id < 256; ++id)
+        stall_fold = FaultInjector::combineId(
+            stall_fold, static_cast<uint64_t>(stall.stallCycles(id)));
+    EXPECT_EQ(stall_fold, 0x099fb93fde2c3371ull);
 }
 
 TEST(FaultInjection, SeedAndSiteChangeTheFaultSet)
