@@ -22,7 +22,6 @@
  *                           [--arch s2ta-w|s2ta-aw] [--json PATH]
  *                           [--reps N] [--threads N]
  *                           [--cache-mb N] [--spill-mb N]
- *                           [--plan-store DIR]
  *
  * --smoke runs LeNet-5 (seconds, for CI); the default is a
  * ResNet-50 full-model run at a uniform 4/8 DBB operating point.
@@ -162,9 +161,8 @@ main(int argc, char **argv)
     // The sweep operating point: same engine with a warm PlanCache,
     // i.e. the marginal cost of one more design point after the
     // workload has been encoded once. --cache-mb bounds it
-    // (unbounded by default: one model's encodings fit comfortably),
-    // --spill-mb keeps evictions rehydratable, and --plan-store
-    // persists the encodings so a second invocation warm-starts.
+    // (unbounded by default: one model's encodings fit comfortably)
+    // and --spill-mb keeps evictions rehydratable.
     BenchCache tiers(args, /*default_cache_mb=*/0);
     NetworkRunOptions cached_opt = fast_opt;
     cached_opt.plan_cache = tiers.cachePtr();
@@ -293,9 +291,6 @@ main(int argc, char **argv)
         .field("simd_mode", simd_mode)
         .field("fast_layers_per_sec", layers_per_sec, 3)
         .field("fast_sim_macs_per_sec", macs_per_sec, 0)
-        .field("plan_store", !args.plan_store.empty())
-        .field("store_hits", tiers.cache.stats().store_hits)
-        .field("store_saves", tiers.cache.stats().store_saves)
         .field("spill_hits", tiers.cache.stats().spill_hits)
         .field("bitwise_equal", equal);
     jw.write(json_path);

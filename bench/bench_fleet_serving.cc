@@ -2,8 +2,7 @@
  * @file
  * Fault-tolerant fleet serving: the mixed multi-model open-loop
  * trace routed across N accelerator replicas — each with its own
- * PlanCache, optionally all over one shared persistent PlanStore —
- * first clean (the scaling + equivalence story), then under a
+ * PlanCache — first clean (the scaling + equivalence story), then under a
  * seeded replica-kill schedule (crashes, brownouts, restarts,
  * a scripted drain window, layer faults and stalls) with bounded
  * failover and hedged requests (the robustness story).
@@ -31,7 +30,7 @@
  * Usage: bench_fleet_serving [--smoke] [--json PATH] [--threads N]
  *          [--arch s2ta-w|s2ta-aw] [--replicas N]
  *          [--placement hash|least-loaded] [--cache-mb N]
- *          [--spill-mb N] [--plan-store DIR] [--store-cap-mb N]
+ *          [--spill-mb N]
  *        (--model / --no-plan-cache / --engine / --reps are
  *         rejected: the trace is mixed-model by definition, the
  *         per-replica caches are part of the scenario, results are
@@ -191,9 +190,9 @@ main(int argc, char **argv)
                     "the fleet trace mixes several models by "
                     "definition");
     args.rejectFlag(args.plan_cache_given, "--no-plan-cache",
-                    "per-replica plan caches over the shared store "
-                    "are part of the scenario (--cache-mb 0 "
-                    "disables them if that is the experiment)");
+                    "per-replica plan caches are part of the "
+                    "scenario (--cache-mb 0 disables them if that "
+                    "is the experiment)");
     args.rejectFlag(args.engine_given, "--engine",
                     "fleet behavior is engine-independent; the "
                     "simulation always runs the plan-cached fast "
@@ -238,9 +237,7 @@ main(int argc, char **argv)
     run_opt.plan_cache = tiers.cachePtr();
 
     // Servable workloads + per-workload service estimates from one
-    // unmeasured fault-free pass (which also seeds the shared plan
-    // store, when configured, as a deployment's first replica
-    // would).
+    // unmeasured fault-free pass.
     serve::ModelRegistry registry;
     std::vector<const ModelWorkload *> deployed;
     std::map<const ModelWorkload *, double> est_service_s;
@@ -310,10 +307,9 @@ main(int argc, char **argv)
         };
 
     // Replay a trace on a fleet of @p replicas clones of the
-    // accelerator. Fresh per-replica caches every replay (all over
-    // the shared store, when configured) so cache state cannot
-    // leak between points; outcomes and virtual timings are
-    // cache-independent by construction.
+    // accelerator. Fresh per-replica caches every replay so cache
+    // state cannot leak between points; outcomes and virtual
+    // timings are cache-independent by construction.
     const auto replay = [&](const std::vector<TraceRequest> &trace,
                             int replicas, const Accelerator &on,
                             int threads, FaultInjector *fi,
@@ -330,8 +326,6 @@ main(int argc, char **argv)
             if (!cache_disabled) {
                 caches.push_back(std::make_unique<PlanCache>(
                     0, cache_budget_bytes, spill_bytes));
-                if (tiers.store)
-                    caches.back()->attachStore(tiers.store.get());
                 cp = caches.back().get();
             }
             fleet.push_back(serve::FleetReplica{&on, cp});
@@ -385,7 +379,6 @@ main(int argc, char **argv)
         .field("scale_requests", scale_requests)
         .field("kill_requests", kill_requests)
         .field("cache_budget_mb", cache_budget_mb)
-        .field("plan_store", !args.plan_store.empty())
         .field("cache_disabled", cache_disabled);
 
     // ---- Scaling: clean 10x-overloaded trace, fleet 1 -> R ------

@@ -21,7 +21,7 @@
  *
  * Usage: bench_latency_serving [--smoke] [--json PATH]
  *          [--threads N] [--arch s2ta-w|s2ta-aw] [--cache-mb N]
- *          [--spill-mb N] [--plan-store DIR]
+ *          [--spill-mb N]
  *        (--model / --no-plan-cache / --engine / --reps are
  *         rejected: the trace is mixed-model by definition, the
  *         shared budgeted cache is part of the scenario, results
@@ -378,8 +378,7 @@ main(int argc, char **argv)
     }
 
     const PlanCache::Stats cs = tiers.cache.stats();
-    const int64_t lookups =
-        cs.hits + cs.spill_hits + cs.store_hits + cs.misses;
+    const int64_t lookups = cs.hits + cs.spill_hits + cs.misses;
     const double hit_rate =
         lookups == 0 ? 0.0
                      : static_cast<double>(cs.hits) /
@@ -400,8 +399,6 @@ main(int argc, char **argv)
         .field("spill_budget_mb", args.spill_mb)
         .field("spill_hits", cs.spill_hits)
         .field("spill_evictions", cs.spill_evictions)
-        .field("plan_store", !args.plan_store.empty())
-        .field("store_hits", cs.store_hits)
         .field("edf_miss_le_rr", edf_le_rr)
         .field("bitwise_equal_policies", bitwise_equal_policies)
         .field("deterministic_timing", deterministic_timing);

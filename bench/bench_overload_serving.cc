@@ -4,14 +4,13 @@
  * trace as bench_latency_serving, replayed at offered loads up to
  * 3x deployment capacity with seeded faults injected at every site
  * the serving path owns — transient layer faults and stalls in the
- * accelerator, read/write/rename/bit-flip faults in the plan store,
- * encode/decode faults in the spill tier — under queue caps,
- * infeasible-deadline shedding, and a bounded retry budget.
+ * accelerator, encode/decode faults in the spill tier — under
+ * queue caps, infeasible-deadline shedding, and a bounded retry
+ * budget.
  *
  * Every utilization point runs a fault-free baseline first, then
  * the faulted + overloaded replay with a fresh seeded injector and
- * a fresh PlanCache (the persistent store, when configured, is
- * shared — stores are stateful by design). Four gates:
+ * a fresh PlanCache. Four gates:
  *
  *  - bounded queues: the virtual ready queue's high-water mark
  *    never exceeds the global cap;
@@ -20,8 +19,8 @@
  *    overload delay or drop results, never change them);
  *  - exact accounting: scheduler counters reconcile with the
  *    injector's per-site totals (layer faults, stalls, spill
- *    drops/decode faults, store read/save/reject deltas) and with
- *    the RobustnessTelemetry fed from the completion stream;
+ *    drops/decode faults) and with the RobustnessTelemetry fed
+ *    from the completion stream;
  *  - determinism: the gated (2x capacity) point rerun fully serial
  *    reproduces every outcome, shed decision, and virtual timing
  *    bit for bit.
@@ -31,7 +30,7 @@
  *
  * Usage: bench_overload_serving [--smoke] [--json PATH]
  *          [--threads N] [--arch s2ta-w|s2ta-aw] [--cache-mb N]
- *          [--spill-mb N] [--plan-store DIR] [--store-cap-mb N]
+ *          [--spill-mb N]
  *        (--model / --no-plan-cache / --engine / --reps are
  *         rejected: the trace is mixed-model by definition, the
  *         cache tiers are fault-injection surfaces and part of the
@@ -166,10 +165,6 @@ armInjector(FaultInjector &fi)
     fi.setRate(FaultSite::LayerCompute, 0.01);
     fi.setRate(FaultSite::LayerStall, 0.02);
     fi.setStallCycles(1000, 50000);
-    fi.setRate(FaultSite::StoreRead, 0.15);
-    fi.setRate(FaultSite::StoreWrite, 0.15);
-    fi.setRate(FaultSite::StoreRename, 0.1);
-    fi.setRate(FaultSite::StoreBitFlip, 0.15);
     fi.setRate(FaultSite::SpillEncode, 0.25);
     fi.setRate(FaultSite::SpillDecode, 0.25);
 }
@@ -234,8 +229,7 @@ main(int argc, char **argv)
     run_opt.plan_cache = tiers.cachePtr();
 
     // Servable workloads + per-workload service estimates from one
-    // unmeasured fault-free pass (which also seeds the plan store,
-    // when configured, as a deployment's first requests would).
+    // unmeasured fault-free pass.
     serve::ModelRegistry registry;
     std::vector<const ModelWorkload *> deployed;
     std::map<const ModelWorkload *, double> est_service_s;
@@ -291,8 +285,8 @@ main(int argc, char **argv)
     // Replay the trace under EDF admission. A null injector means
     // the fault-free baseline: no overload controls, everything
     // admitted, every request completes Ok. Each replay builds its
-    // own PlanCache (the shared persistent store attaches to it) so
-    // fault-driven cache degradation cannot leak across points.
+    // own PlanCache so fault-driven cache degradation cannot leak
+    // across points.
     const auto replay = [&](const std::vector<TraceRequest> &trace,
                             const Accelerator &on, int threads,
                             FaultInjector *fi) {
@@ -301,12 +295,8 @@ main(int argc, char **argv)
         if (!cache_disabled) {
             cache = std::make_unique<PlanCache>(
                 0, cache_budget_bytes, spill_bytes);
-            if (tiers.store)
-                cache->attachStore(tiers.store.get());
             cache->setFaultInjector(fi);
         }
-        if (tiers.store)
-            tiers.store->setFaultInjector(fi);
         serve::StreamScheduler::Options o;
         o.run = run_opt;
         o.run.plan_cache = cache.get();
@@ -338,8 +328,6 @@ main(int argc, char **argv)
         res.stats = sched.stats();
         if (cache)
             res.cache_stats = cache->stats();
-        if (tiers.store)
-            tiers.store->setFaultInjector(nullptr);
         return res;
     };
 
@@ -408,8 +396,6 @@ main(int argc, char **argv)
                        requests);
         }
 
-        const PlanStore::Stats store_before =
-            tiers.store ? tiers.store->stats() : PlanStore::Stats{};
         FaultInjector fi(kFaultSeed);
         armInjector(fi);
         const ReplayResult faulted =
@@ -431,8 +417,7 @@ main(int argc, char **argv)
         }
 
         // Gate: scheduler counters reconcile exactly with the
-        // injection plan, attempt accounting, the spill tier, and
-        // (per-point deltas — the store is shared) the plan store.
+        // injection plan, attempt accounting, and the spill tier.
         bool ok =
             st.layer_faults == fi.injected(FaultSite::LayerCompute) &&
             st.stall_events == fi.injected(FaultSite::LayerStall) &&
@@ -444,19 +429,6 @@ main(int argc, char **argv)
                      fi.injected(FaultSite::SpillEncode) &&
                  faulted.cache_stats.spill_decode_faults ==
                      fi.injected(FaultSite::SpillDecode);
-        }
-        if (tiers.store && !cache_disabled) {
-            const PlanStore::Stats after = tiers.store->stats();
-            ok = ok &&
-                 after.read_faults - store_before.read_faults ==
-                     fi.injected(FaultSite::StoreRead) &&
-                 after.save_failures - store_before.save_failures ==
-                     fi.injected(FaultSite::StoreWrite) +
-                         fi.injected(FaultSite::StoreRename) &&
-                 after.rejects - store_before.rejects ==
-                     fi.injected(FaultSite::StoreBitFlip) &&
-                 after.quarantined - store_before.quarantined ==
-                     after.rejects - store_before.rejects;
         }
         if (!ok) {
             counters_reconcile = false;
@@ -513,10 +485,7 @@ main(int argc, char **argv)
             // Gate: the gated point rerun fully serial — fresh
             // same-seed injector, one simulation lane, serial
             // accelerator — reproduces every outcome, shed
-            // decision, and virtual timing bit for bit. (Store
-            // counters are excluded: the shared store's state
-            // advanced, which changes wall-clock tier traffic but
-            // never outcomes or virtual time.)
+            // decision, and virtual timing bit for bit.
             AcceleratorConfig serial_cfg = acfg;
             serial_cfg.sim_threads = 1;
             const Accelerator serial_acc(serial_cfg);
@@ -540,29 +509,6 @@ main(int argc, char **argv)
                     100.0 * shed_rates[i]);
     std::printf("\n");
 
-    // Store lifecycle: a capped store is compacted before the
-    // artifact is written, so the JSON records the swept/evicted
-    // state CI asserts on. (BenchCache compacts on teardown too;
-    // doing it here makes the result visible.)
-    if (tiers.store && tiers.store->sizeCapBytes() > 0) {
-        const PlanStore::CompactResult cr = tiers.store->compact();
-        std::printf("store compact: swept %lld torn, removed %lld "
-                    "quarantined, evicted %lld files (%lld bytes); "
-                    "%lld files / %lld bytes remain\n",
-                    static_cast<long long>(cr.torn_swept),
-                    static_cast<long long>(cr.quarantine_removed),
-                    static_cast<long long>(cr.evicted_files),
-                    static_cast<long long>(cr.evicted_bytes),
-                    static_cast<long long>(cr.files),
-                    static_cast<long long>(cr.bytes));
-        jw.field("store_cap_mb", args.store_cap_mb)
-            .field("store_compact_torn_swept", cr.torn_swept)
-            .field("store_compact_quarantine_removed",
-                   cr.quarantine_removed)
-            .field("store_compact_evicted_files", cr.evicted_files)
-            .field("store_compact_bytes_remaining", cr.bytes);
-    }
-
     std::printf("gates: queue bounded %s | ok-runs bitwise equal "
                 "to baseline %s | counters reconcile %s | "
                 "telemetry consistent %s | serial determinism "
@@ -573,8 +519,7 @@ main(int argc, char **argv)
                 telemetry_consistent ? "ok" : "FAIL",
                 deterministic_serial ? "ok" : "FAIL");
 
-    jw.field("plan_store", !args.plan_store.empty())
-        .field("cache_disabled", cache_disabled)
+    jw.field("cache_disabled", cache_disabled)
         .field("queue_bounded", queue_bounded)
         .field("bitwise_ok_vs_baseline", bitwise_ok_vs_baseline)
         .field("counters_reconcile", counters_reconcile)

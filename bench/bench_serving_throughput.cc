@@ -24,7 +24,7 @@
  *
  * Usage: bench_serving_throughput [--smoke] [--json PATH]
  *          [--threads N] [--arch NAME] [--reps N] [--cache-mb N]
- *          [--spill-mb N] [--plan-store DIR]
+ *          [--spill-mb N]
  *        (--model / --no-plan-cache / --engine are rejected: the
  *         trace is mixed-model by definition and the shared cache
  *         is the measured engine)
@@ -39,10 +39,7 @@
  * (mask + values, zero runs RLE-coded; masks, mirror and operands
  * dropped and re-derived) and rehydrate on hit, which
  * costs a fraction of the full im2col-lower + re-encode miss, so
- * the gate holds at budgets below the eviction cliff. --plan-store
- * additionally persists encodings across process restarts, so a
- * redeployed scheduler warm-starts instead of re-encoding its
- * whole model mix.
+ * the gate holds at budgets below the eviction cliff.
  *
  * Emits BENCH_serving_throughput.json (schema checked in CI).
  */
@@ -197,10 +194,6 @@ main(int argc, char **argv)
     // Fresh cache every rep; all requests in one stream, one
     // scheduler lane. This is the naive driver a serving deployment
     // starts from.
-    // Deliberately store-free: the cold baseline must measure real
-    // first-sight encodes. With the store attached, a second
-    // invocation (or rep 2+) would hydrate this phase from disk and
-    // the warm/cold gate would compare against a not-cold baseline.
     PlanCache cold_cache(0, cache_budget_bytes,
                          spill_budget_bytes);
     double cold_seconds = 0.0;
@@ -237,9 +230,6 @@ main(int argc, char **argv)
     // The trace spread round-robin over the streams, request-level
     // fan-out on, shared cache pre-warmed by an unmeasured pass —
     // the steady state under sustained traffic.
-    // The deployment cache: --plan-store attaches here (and only
-    // here), persisting encodings across scheduler restarts within
-    // this process and across whole processes.
     BenchCache warm_tiers(args, cache_budget_mb);
     serve::StreamScheduler::Options wopts;
     wopts.run = run_opt;
@@ -281,7 +271,6 @@ main(int argc, char **argv)
             warm_stats.hits -= before.hits;
             warm_stats.misses -= before.misses;
             warm_stats.spill_hits -= before.spill_hits;
-            warm_stats.store_hits -= before.store_hits;
             warm_stats.evictions -= before.evictions;
             warm_stats.spill_evictions -= before.spill_evictions;
         }
@@ -350,12 +339,11 @@ main(int argc, char **argv)
     const double warm_rate =
         static_cast<double>(trace_gemms) / warm_seconds;
     const double factor = warm_rate / cold_rate;
-    // Lookups resolve in one of four tiers; the resident hit rate
-    // is RAM hits over all of them, so rehydrations and store
-    // hydrations never masquerade as free hits in the artifact.
+    // Lookups resolve in one of three tiers; the resident hit rate
+    // is RAM hits over all of them, so rehydrations never
+    // masquerade as free hits in the artifact.
     const int64_t warm_lookups =
-        warm_stats.hits + warm_stats.spill_hits +
-        warm_stats.store_hits + warm_stats.misses;
+        warm_stats.hits + warm_stats.spill_hits + warm_stats.misses;
     const double hit_rate =
         warm_lookups == 0
             ? 0.0
@@ -416,8 +404,6 @@ main(int argc, char **argv)
         .field("spill_entries", warm_stats.spill_entries)
         .field("spill_bytes", warm_stats.spill_bytes)
         .field("spill_evictions", warm_stats.spill_evictions)
-        .field("plan_store", !args.plan_store.empty())
-        .field("store_hits", warm_stats.store_hits)
         .field("bitwise_equal_reference", reference_equal)
         .field("in_order_streams", in_order);
     jw.write(json_path);

@@ -16,21 +16,9 @@
  *  - row-stripe sharded functional runs are bitwise identical to
  *    serial at every checked thread count.
  *
- * With --plan-store DIR a third phase runs the same sweep through a
- * persistent cross-process plan store: the first invocation encodes
- * and serializes every plan (cold start, populating DIR); any later
- * invocation pointed at the same DIR hydrates the mmap'd encodings
- * instead of re-encoding (warm start). The warm-start gate compares
- * the time-to-first-design-point — the phase warm start actually
- * accelerates; the per-point simulation cost after it is identical
- * by construction — against the store-free cold encode, and every
- * store-phase run must stay bitwise identical to the store-free
- * sweep (a corrupt or version-stale store file is rejected and
- * silently rebuilt, so the check holds under corruption too).
- *
  * Usage: bench_sweep_throughput [--smoke] [--model NAME]
  *          [--json PATH] [--reps N] [--engine scalar|fast]
- *          [--plan-store DIR] [--spill-mb N] [--cache-mb N]
+ *          [--spill-mb N] [--cache-mb N]
  *        (--threads / --no-plan-cache are rejected: the experiment
  *         pins them)
  *
@@ -79,21 +67,6 @@ sweepConfigs(bool smoke)
         }
     }
     return cfgs;
-}
-
-/** Every rep's seconds, space-separated, to print beside the one
- *  the artifact records. */
-std::string
-repSeconds(const std::vector<double> &secs)
-{
-    std::string out;
-    for (const double s : secs) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, out.empty() ? "%.3f" : " %.3f",
-                      s);
-        out += buf;
-    }
-    return out;
 }
 
 } // anonymous namespace
@@ -168,119 +141,34 @@ main(int argc, char **argv)
                 base_seconds);
 
     // ---- measured: shared plan cache + hoisted models -----------
-    // Store-free even when --plan-store is given: this phase is the
-    // cold-encode reference the warm-start gate compares against.
     SweepContext::Options ctx_opts = args.ctx;
     ctx_opts.threads = 1; // acceptance point is single-thread
     ctx_opts.plan_cache = true;
-    ctx_opts.plan_store_dir.clear();
     double cached_seconds = 0.0;
-    double cold_first_point_seconds = 0.0;
-    std::vector<double> cold_first_points;
     std::vector<NetworkRun> cached_runs(cfgs.size());
     PlanCache::Stats cache_stats;
     for (int rep = 0; rep < args.reps; ++rep) {
         SweepContext ctx(ctx_opts); // cold cache every rep
         const NetworkRunOptions opt = ctx.networkRunOptions();
         std::vector<NetworkRun> runs(cfgs.size());
-        double first_point = 0.0;
         const double t0 = benchNow();
         for (size_t c = 0; c < cfgs.size(); ++c) {
             const double c0 = benchNow();
             runs[c] =
                 ctx.accelerator(cfgs[c]).runNetwork(mw.layers, opt);
-            if (c == 0)
-                first_point = benchNow() - c0;
             if (rep == 0)
                 std::printf("  cached %-28s %.3f s\n",
                             cfgs[c].name().c_str(), benchNow() - c0);
         }
         const double dt = benchNow() - t0;
-        cold_first_points.push_back(first_point);
         if (rep == 0 || dt < cached_seconds) {
             cached_seconds = dt;
-            cold_first_point_seconds = first_point;
             cached_runs = std::move(runs);
             cache_stats = ctx.planCache().stats();
         }
     }
-    std::printf("plan-cached sweep (shared encode):  %.3f s | first "
-                "design point per rep: %s s\n",
-                cached_seconds, repSeconds(cold_first_points).c_str());
-
-    // ---- persistent plan store: cold populate / warm hydrate ----
-    // Fresh context (cold RAM cache) per rep, all sharing the store
-    // directory — and, across invocations, sharing it with past
-    // processes. Warm start is detected from the tier counters: the
-    // store served every plan and nothing was encoded.
-    const bool plan_store_on = !args.plan_store.empty();
-    double store_seconds = 0.0;
-    double store_first_point_seconds = 0.0;
-    std::vector<double> store_first_points;
-    bool warm_start = false;
-    bool store_equal = true;
-    PlanCache::Stats store_stats;
-    if (plan_store_on) {
-        SweepContext::Options sopts = args.ctx;
-        sopts.threads = 1;
-        sopts.plan_cache = true;
-        for (int rep = 0; rep < args.reps; ++rep) {
-            SweepContext ctx(sopts);
-            const NetworkRunOptions opt = ctx.networkRunOptions();
-            std::vector<NetworkRun> runs(cfgs.size());
-            double first_point = 0.0;
-            const double t0 = benchNow();
-            for (size_t c = 0; c < cfgs.size(); ++c) {
-                const double c0 = benchNow();
-                runs[c] = ctx.accelerator(cfgs[c])
-                              .runNetwork(mw.layers, opt);
-                if (c == 0)
-                    first_point = benchNow() - c0;
-            }
-            const double dt = benchNow() - t0;
-            store_first_points.push_back(first_point);
-            const PlanCache::Stats st = ctx.planCache().stats();
-            // Warm start is a property of the *invocation*, judged
-            // from rep 0 — the first contact with the store. On a
-            // cold invocation, rep 2+ would hydrate from the store
-            // rep 0 just populated in this very process; those
-            // same-process reps must neither flip the label nor be
-            // timed as the (cross-process) warm start, so a cold
-            // invocation reports rep 0 — the true populate cost —
-            // and a warm one reports best-of (every rep is a
-            // genuine store hydration).
-            if (rep == 0)
-                warm_start = st.store_hits > 0 && st.misses == 0;
-            const bool record =
-                warm_start ? (rep == 0 || dt < store_seconds)
-                           : rep == 0;
-            if (record) {
-                store_seconds = dt;
-                store_first_point_seconds = first_point;
-                store_stats = st;
-                for (size_t c = 0; c < cfgs.size(); ++c) {
-                    if (!bitwiseEqualRuns(runs[c], base_runs[c])) {
-                        store_equal = false;
-                        std::printf("STORE MISMATCH on %s\n",
-                                    cfgs[c].name().c_str());
-                    }
-                }
-            }
-            if (!warm_start)
-                break; // further reps would only be discarded
-        }
-        std::printf(
-            "plan-store sweep (%s start):        %.3f s | first "
-            "design point %.3f s vs %.3f s cold encode, per rep: "
-            "%s s | store: %lld hydrated / %lld saved / %lld "
-            "rejected\n",
-            warm_start ? "warm" : "cold", store_seconds,
-            store_first_point_seconds, cold_first_point_seconds,
-            repSeconds(store_first_points).c_str(),
-            static_cast<long long>(store_stats.store_hits),
-            static_cast<long long>(store_stats.store_saves),
-            static_cast<long long>(store_stats.store_rejects));
-    }
+    std::printf("plan-cached sweep (shared encode):  %.3f s\n",
+                cached_seconds);
 
     bool events_equal = true;
     for (size_t c = 0; c < cfgs.size(); ++c) {
@@ -351,18 +239,8 @@ main(int argc, char **argv)
     }
 
     const bool all_equal = events_equal && scalar_equal &&
-                           functional_equal && sharded_equal &&
-                           store_equal;
+                           functional_equal && sharded_equal;
     const double speedup = base_seconds / cached_seconds;
-    // Warm-start gate: hydration must beat cold encode by 2x at
-    // the point it accelerates — time to the first design point
-    // (encode-or-hydrate + one simulation; the remaining points
-    // cost the same with or without the store by construction).
-    constexpr double kWarmStartGate = 2.0;
-    const double warm_start_speedup =
-        warm_start && store_first_point_seconds > 0.0
-            ? cold_first_point_seconds / store_first_point_seconds
-            : 0.0;
     const double pts = static_cast<double>(cfgs.size());
     std::printf(
         "\nsweep speedup: %.2fx | %.2f -> %.2f design points/s | "
@@ -398,20 +276,7 @@ main(int argc, char **argv)
         .field("dap_memo_hits", cache_stats.dap_hits)
         .field("dap_memo_misses", cache_stats.dap_misses)
         .field("simd_kernel", benchSimdKernel())
-        .field("plan_store", plan_store_on)
-        .field("warm_start", warm_start)
-        .field("store_seconds", store_seconds)
-        .field("cold_first_point_seconds", cold_first_point_seconds)
-        .field("warm_first_point_seconds",
-               store_first_point_seconds)
-        .field("warm_start_speedup", warm_start_speedup, 3)
-        .field("warm_start_gate", kWarmStartGate, 1)
-        .field("store_hits", store_stats.store_hits)
-        .field("store_misses", store_stats.store_misses)
-        .field("store_rejects", store_stats.store_rejects)
-        .field("store_saves", store_stats.store_saves)
-        .field("spill_hits", store_stats.spill_hits)
-        .field("bitwise_equal_store", store_equal)
+        .field("spill_hits", cache_stats.spill_hits)
         .field("bitwise_equal_events", events_equal)
         .field("bitwise_equal_scalar",
                scalar_equal && functional_equal)
@@ -421,11 +286,5 @@ main(int argc, char **argv)
 
     if (!all_equal)
         s2ta_fatal("sweep engine outputs diverged");
-    if (warm_start && !args.smoke &&
-        warm_start_speedup < kWarmStartGate) {
-        s2ta_fatal("warm-start first design point %.2fx cold encode "
-                   "is below the %.1fx gate", warm_start_speedup,
-                   kWarmStartGate);
-    }
     return 0;
 }

@@ -23,7 +23,6 @@
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
 #include "arch/plan_cache.hh"
-#include "arch/plan_store.hh"
 #include "base/table.hh"
 #include "base/thread_pool.hh"
 #include "core/dap.hh"
@@ -102,12 +101,6 @@ class SweepContext
         /** Spill-tier byte budget for evicted plans in compact
          *  form (0 = tier disabled). */
         int64_t spill_bytes = 0;
-        /** Persistent plan-store directory shared across contexts,
-         *  reps, and processes (empty = no store). */
-        std::string plan_store_dir;
-        /** Published-entry byte cap PlanStore::compact() enforces
-         *  on that directory (0 = uncapped). */
-        int64_t store_cap_bytes = 0;
         /** Operand density validation (benches trust their
          *  generators; tests turn it on). */
         bool validate = true;
@@ -117,13 +110,7 @@ class SweepContext
         : opts(std::move(o)),
           cache(opts.cache_entries, opts.cache_bytes,
                 opts.spill_bytes)
-    {
-        if (!opts.plan_store_dir.empty()) {
-            store = std::make_unique<PlanStore>(
-                opts.plan_store_dir, opts.store_cap_bytes);
-            cache.attachStore(store.get());
-        }
-    }
+    {}
 
     // Defined after the class: Options' member initializers are
     // not usable as a default argument inside it.
@@ -131,8 +118,6 @@ class SweepContext
 
     const Options &options() const { return opts; }
     PlanCache &planCache() { return cache; }
-    /** Attached persistent store; null when none was configured. */
-    PlanStore *planStore() { return store.get(); }
 
     /** GEMM-level RunOptions matching this context's knobs. */
     RunOptions
@@ -259,7 +244,6 @@ class SweepContext
     };
 
     Options opts;
-    std::unique_ptr<PlanStore> store;
     PlanCache cache;
     std::unique_ptr<ThreadPool> own_pool;
     std::vector<std::pair<ArrayConfig, std::unique_ptr<ArrayModel>>>
@@ -286,8 +270,8 @@ benchFlagList()
            "--no-plan-cache, --smoke, "
            "--model lenet5|alexnet|vgg16|mobilenetv1|resnet50, "
            "--arch s2ta-w|s2ta-aw, --reps N, --cache-mb N, "
-           "--plan-store DIR, --spill-mb N, --store-cap-mb N, "
-           "--replicas N, --placement hash|least-loaded, "
+           "--spill-mb N, --replicas N, "
+           "--placement hash|least-loaded, "
            "--trace-out PATH, "
            "--simd auto|scalar|avx512";
 }
@@ -337,18 +321,10 @@ struct BenchArgs
      *  Serving benches bound their shared cache with it; sweep
      *  benches feed it into ctx.cache_bytes. */
     int cache_mb = 0;
-    /** Persistent plan-store directory (empty = no store). A
-     *  second invocation pointed at the same directory warm-starts
-     *  by hydrating mmap'd encodings instead of re-encoding. */
-    std::string plan_store;
     /** Spill-tier budget in MB for evicted plans in compact form
      *  (0 = tier off): bounded caches degrade to rehydration
      *  instead of LRU-thrashing to full re-encodes. */
     int spill_mb = 0;
-    /** Plan-store published-entry cap in MB, enforced by
-     *  compact() when the bench tears its tiers down (0 =
-     *  uncapped). */
-    int store_cap_mb = 0;
     /** Fleet size for the fleet-serving bench (each replica is one
      *  virtual accelerator with its own PlanCache). */
     int replicas = 4;
@@ -374,9 +350,6 @@ struct BenchArgs
     bool plan_cache_given = false;
     bool reps_given = false;
     bool cache_mb_given = false;
-    bool plan_store_given = false;
-    bool spill_mb_given = false;
-    bool store_cap_mb_given = false;
     bool replicas_given = false;
     bool placement_given = false;
     bool simd_given = false;
@@ -512,12 +485,6 @@ parseBenchArgs(int argc, char **argv)
             a.ctx.cache_bytes =
                 static_cast<int64_t>(a.cache_mb) << 20;
             a.cache_mb_given = true;
-        } else if (arg == "--plan-store") {
-            a.plan_store = value();
-            if (a.plan_store.empty())
-                s2ta_fatal("--plan-store needs a directory");
-            a.ctx.plan_store_dir = a.plan_store;
-            a.plan_store_given = true;
         } else if (arg == "--spill-mb") {
             a.spill_mb = std::atoi(value().c_str());
             if (a.spill_mb < 0) {
@@ -527,18 +494,6 @@ parseBenchArgs(int argc, char **argv)
             }
             a.ctx.spill_bytes =
                 static_cast<int64_t>(a.spill_mb) << 20;
-            a.spill_mb_given = true;
-        } else if (arg == "--store-cap-mb") {
-            a.store_cap_mb = std::atoi(value().c_str());
-            if (a.store_cap_mb < 0) {
-                s2ta_fatal("--store-cap-mb must be >= 0 (accepted "
-                           "values: 0 = uncapped, N >= 1 = compact "
-                           "the store to N MiB of published "
-                           "entries)");
-            }
-            a.ctx.store_cap_bytes =
-                static_cast<int64_t>(a.store_cap_mb) << 20;
-            a.store_cap_mb_given = true;
         } else if (arg == "--replicas") {
             a.replicas = std::atoi(value().c_str());
             if (a.replicas < 1)
@@ -595,42 +550,23 @@ parseBenchArgs(int argc, char **argv)
 }
 
 /**
- * The budgeted PlanCache + optional persistent PlanStore a
- * serving-style bench builds straight from its flags — the
- * non-SweepContext twin of that class's wiring, so the four gated
- * benches cannot drift apart in how they stand the tiers up.
- * @p default_cache_mb applies when --cache-mb was not given
- * (0 = unbounded).
+ * The budgeted PlanCache a serving-style bench builds straight from
+ * its flags — the non-SweepContext twin of that class's wiring, so
+ * the four gated benches cannot drift apart in how they stand the
+ * cache up. @p default_cache_mb applies when --cache-mb was not
+ * given (0 = unbounded).
  */
 struct BenchCache
 {
     BenchCache(const BenchArgs &args, int default_cache_mb)
         : disabled(args.cache_mb_given && args.cache_mb == 0),
-          store(args.plan_store.empty()
-                    ? nullptr
-                    : std::make_unique<PlanStore>(
-                          args.plan_store,
-                          static_cast<int64_t>(args.store_cap_mb)
-                              << 20)),
           cache(0,
                 static_cast<int64_t>(args.cache_mb_given
                                          ? args.cache_mb
                                          : default_cache_mb)
                     << 20,
                 static_cast<int64_t>(args.spill_mb) << 20)
-    {
-        if (store && !disabled)
-            cache.attachStore(store.get());
-    }
-
-    /** Run tier-down lifecycle: a capped store is compacted (torn
-     *  temps swept, quarantine emptied, oldest published entries
-     *  evicted down to the cap) when the bench tears down. */
-    ~BenchCache()
-    {
-        if (store && store->sizeCapBytes() > 0)
-            store->compact();
-    }
+    {}
 
     /** The cache to wire into RunOptions::plan_cache — null when
      *  --cache-mb 0 asked for no plan cache at all. */
@@ -641,7 +577,6 @@ struct BenchCache
     }
 
     bool disabled;
-    std::unique_ptr<PlanStore> store;
     PlanCache cache;
 };
 

@@ -29,7 +29,7 @@
  *
  * Usage: bench_wallclock_serving [--smoke] [--json PATH]
  *          [--threads N] [--arch s2ta-w|s2ta-aw] [--cache-mb N]
- *          [--spill-mb N] [--plan-store DIR] [--reps N]
+ *          [--spill-mb N] [--reps N]
  *          [--trace-out PATH]
  *        (--model / --no-plan-cache / --engine / --replicas /
  *         --placement are rejected: mixed-model trace by

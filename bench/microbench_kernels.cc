@@ -15,7 +15,7 @@
 #include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
-#include "arch/plan_store.hh"
+#include "arch/plan_cache.hh"
 #include "core/dap.hh"
 #include "core/dbb.hh"
 #include "core/weight_pruner.hh"

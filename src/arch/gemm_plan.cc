@@ -193,26 +193,6 @@ GemmPlan::build(const GemmProblem &p, int bz, bool dense_mirror)
 }
 
 GemmPlan
-GemmPlan::restore(const GemmProblem &p, Parts parts)
-{
-    s2ta_assert(parts.bz >= 1 && parts.bz <= 8, "block size %d",
-                parts.bz);
-    s2ta_assert(parts.act.vectors() == p.m &&
-                    parts.wgt.vectors() == p.n,
-                "restored encodings (%d act, %d wgt vectors) do not "
-                "match %dx%dx%d", parts.act.vectors(),
-                parts.wgt.vectors(), p.m, p.k, p.n);
-    GemmPlan plan(p);
-    plan.blk_bz = parts.bz;
-    plan.act_masks = std::move(parts.act);
-    plan.wgt_masks = std::move(parts.wgt);
-    plan.wgt_t = std::move(parts.wgt_t);
-    plan.prof = std::move(parts.prof);
-    plan.is_encoded = true;
-    return plan;
-}
-
-GemmPlan
 GemmPlan::shallow(const GemmProblem &p)
 {
     return GemmPlan(p);

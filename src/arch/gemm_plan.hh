@@ -119,27 +119,6 @@ class GemmPlan
      */
     static GemmPlan shallow(const GemmProblem &p);
 
-    /** Deserialized pieces of an encoded plan (store hydration). */
-    struct Parts
-    {
-        int bz = 8;
-        DbbMatrix act;
-        DbbMatrix wgt;
-        /** Dense transposed mirror; empty = none materialized. */
-        std::vector<int8_t> wgt_t;
-        OperandProfile prof;
-    };
-
-    /**
-     * Reassemble a plan from fully serialized parts (the persistent
-     * plan store's hydration path): masks, mirror and profile are
-     * adopted verbatim, nothing is recomputed. The caller
-     * (PlanStore) is responsible for @p parts having come from a
-     * build() of operands identical to @p p; the store's checksum
-     * + fingerprint validation establishes exactly that.
-     */
-    static GemmPlan restore(const GemmProblem &p, Parts parts);
-
     const GemmProblem &problem() const { return *prob; }
     int bz() const { return blk_bz; }
     bool encoded() const { return is_encoded; }

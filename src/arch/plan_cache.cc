@@ -2,10 +2,159 @@
 
 #include <cstring>
 
-#include "arch/plan_store.hh"
 #include "base/fault_injection.hh"
 
 namespace s2ta {
+
+namespace {
+
+// ---- spill codec helpers --------------------------------------------
+
+constexpr uint8_t kSpillMagic = 0x53; // 'S'
+constexpr uint8_t kSpillVersion = 1;
+
+void
+putVarint(std::vector<uint8_t> &out, uint64_t v)
+{
+    while (v >= 0x80) {
+        out.push_back(static_cast<uint8_t>(v) | 0x80u);
+        v >>= 7;
+    }
+    out.push_back(static_cast<uint8_t>(v));
+}
+
+uint64_t
+getVarint(const uint8_t *&p, const uint8_t *end)
+{
+    uint64_t v = 0;
+    int shift = 0;
+    for (;;) {
+        s2ta_assert(p < end && shift < 64,
+                    "malformed spill varint");
+        const uint8_t byte = *p++;
+        v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+        if ((byte & 0x80u) == 0)
+            return v;
+        shift += 7;
+    }
+}
+
+/**
+ * Mask + stored values per block; runs of all-zero blocks collapse
+ * to one zero mask byte plus a varint run extension. Zero blocks
+ * dominate at high sparsity, so cyclic serving traces spill small.
+ */
+void
+encodeBlocks(const std::vector<DbbBlock> &blocks,
+             std::vector<uint8_t> &out)
+{
+    const auto total = static_cast<int64_t>(blocks.size());
+    for (int64_t i = 0; i < total;) {
+        const Mask8 mask = blocks[i].mask;
+        out.push_back(mask);
+        if (mask != 0) {
+            const auto *values = reinterpret_cast<const uint8_t *>(
+                blocks[i].values.data());
+            out.insert(out.end(), values, values + maskPopcount(mask));
+            ++i;
+        } else {
+            int64_t run = 1;
+            while (i + run < total && blocks[i + run].mask == 0)
+                ++run;
+            putVarint(out, static_cast<uint64_t>(run - 1));
+            i += run;
+        }
+    }
+}
+
+void
+decodeBlocks(const uint8_t *&p, const uint8_t *end,
+             std::vector<DbbBlock> &blks)
+{
+    size_t i = 0;
+    while (i < blks.size()) {
+        s2ta_assert(p < end, "truncated spill block stream");
+        const Mask8 mask = *p++;
+        if (mask == 0) {
+            const uint64_t run = 1 + getVarint(p, end);
+            s2ta_assert(i + run <= blks.size(),
+                        "spill zero-run overruns the block array");
+            i += run; // blocks are value-initialized to zero
+        } else {
+            DbbBlock &b = blks[i++];
+            b.mask = mask;
+            const int c = maskPopcount(mask);
+            s2ta_assert(p + c <= end,
+                        "truncated spill block values");
+            std::memcpy(b.values.data(), p, static_cast<size_t>(c));
+            p += c;
+        }
+    }
+}
+
+} // anonymous namespace
+
+std::vector<uint8_t>
+spillEncode(const CachedPlan &entry)
+{
+    const GemmProblem &p = entry.problem;
+    const GemmPlan &plan = entry.plan;
+    s2ta_assert(plan.encoded(), "cannot spill a shallow plan");
+    std::vector<uint8_t> out;
+    // Mask byte + up to bz values per block is the worst case;
+    // reserve for it so dense workloads don't reallocate.
+    const int64_t blocks =
+        (static_cast<int64_t>(p.m) + p.n) *
+        plan.act().blocksPerVector();
+    out.reserve(static_cast<size_t>(32 + blocks * (plan.bz() + 1)));
+    out.push_back(kSpillMagic);
+    out.push_back(kSpillVersion);
+    putVarint(out, static_cast<uint64_t>(p.m));
+    putVarint(out, static_cast<uint64_t>(p.k));
+    putVarint(out, static_cast<uint64_t>(p.n));
+    out.push_back(static_cast<uint8_t>(plan.bz()));
+    out.push_back(plan.wgtDenseT() != nullptr ? 1 : 0);
+    encodeBlocks(dbbEncodeActivations(p, plan.bz()), out);
+    encodeBlocks(dbbEncodeWeights(p, plan.bz()), out);
+    return out;
+}
+
+std::shared_ptr<const CachedPlan>
+spillDecode(const uint8_t *data, size_t len)
+{
+    const uint8_t *p = data;
+    const uint8_t *end = data + len;
+    s2ta_assert(len > 2 && p[0] == kSpillMagic &&
+                    p[1] == kSpillVersion,
+                "malformed spill image header");
+    p += 2;
+    const auto m = static_cast<int>(getVarint(p, end));
+    const auto k = static_cast<int>(getVarint(p, end));
+    const auto n = static_cast<int>(getVarint(p, end));
+    s2ta_assert(p + 2 <= end, "truncated spill image");
+    const int bz = *p++;
+    const bool mirror = *p++ != 0;
+    s2ta_assert(m >= 1 && k >= 1 && n >= 1 && bz >= 1 && bz <= 8,
+                "implausible spill dims %dx%dx%d bz %d", m, k, n,
+                bz);
+    const int nb = (k + bz - 1) / bz;
+
+    std::vector<DbbBlock> act_blks(static_cast<size_t>(m) * nb);
+    decodeBlocks(p, end, act_blks);
+    std::vector<DbbBlock> wgt_blks(static_cast<size_t>(n) * nb);
+    decodeBlocks(p, end, wgt_blks);
+    s2ta_assert(p == end, "trailing bytes in spill image");
+
+    // Encoding is lossless (every non-zero keeps its position and
+    // value; padding positions stay unset), so expanding the blocks
+    // reconstructs the dense operands exactly, and a build over them
+    // reproduces the spilled plan.
+    GemmProblem prob(m, k, n);
+    dbbDecodeActivations(act_blks.data(), bz, prob);
+    dbbDecodeWeights(wgt_blks.data(), bz, prob);
+    return std::make_shared<const CachedPlan>(std::move(prob), bz,
+                                              mirror);
+}
 
 uint64_t
 PlanCache::hashBytes(const void *data, size_t len, uint64_t seed)
@@ -51,13 +200,6 @@ PlanCache::entryBytes(const CachedPlan &e)
     if (e.plan.wgtDenseT() != nullptr)
         bytes += static_cast<int64_t>(e.problem.n) * e.problem.k;
     return bytes;
-}
-
-void
-PlanCache::attachStore(PlanStore *s)
-{
-    std::lock_guard<std::mutex> lk(mu);
-    store = s;
 }
 
 void
@@ -190,8 +332,7 @@ PlanCache::insertAndSpill(uint64_t key,
                 fault->shouldFail(FaultSite::SpillEncode, ps.key)) {
                 // Injected encode failure: the victim is dropped
                 // outright instead of parked. Degradation, not an
-                // error — its next use hydrates from the store or
-                // re-encodes cold.
+                // error — its next use re-encodes cold.
                 ++counters.spill_drops;
                 continue;
             }
@@ -226,7 +367,7 @@ PlanCache::rehydrate(
             fault->shouldFail(FaultSite::SpillDecode, key)) {
             // Injected decode failure: drop the (now suspect)
             // parked image and report a miss; the caller degrades
-            // to the store / cold path. The lookup was not served
+            // to the cold path. The lookup was not served
             // by the spill tier after all, so take back the
             // spill_hit the lookup optimistically counted.
             ++counters.spill_decode_faults;
@@ -241,51 +382,6 @@ PlanCache::rehydrate(
     auto entry = spillDecode(bytes->data(), bytes->size());
     insertAndSpill(key, entry);
     return entry;
-}
-
-std::shared_ptr<const CachedPlan>
-PlanCache::loadFromStore(uint64_t key)
-{
-    PlanStore *s;
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        s = store;
-    }
-    if (s == nullptr)
-        return nullptr;
-    // File I/O and hydration run outside the cache lock.
-    PlanStore::LoadResult r = s->load(key);
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        if (r.entry) {
-            ++counters.store_hits;
-        } else if (r.rejected) {
-            // Corrupt / truncated / stale-version file: treated as
-            // a miss; the rebuild below overwrites it.
-            ++counters.store_rejects;
-        } else {
-            ++counters.store_misses;
-        }
-    }
-    if (r.entry)
-        insertAndSpill(key, r.entry);
-    return r.entry;
-}
-
-void
-PlanCache::saveToStore(uint64_t key, const CachedPlan &entry)
-{
-    PlanStore *s;
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        s = store;
-    }
-    if (s == nullptr)
-        return;
-    if (s->save(key, entry)) {
-        std::lock_guard<std::mutex> lk(mu);
-        ++counters.store_saves;
-    }
 }
 
 std::shared_ptr<const CachedPlan>
@@ -324,8 +420,6 @@ PlanCache::acquireKeyed(uint64_t key, int bz, bool dense_mirror,
         if (auto entry = rehydrate(key, std::move(l.spilled)))
             return entry;
     }
-    if (auto entry = loadFromStore(key))
-        return entry;
     {
         std::lock_guard<std::mutex> lk(mu);
         ++counters.misses;
@@ -335,7 +429,6 @@ PlanCache::acquireKeyed(uint64_t key, int bz, bool dense_mirror,
     auto entry =
         std::make_shared<const CachedPlan>(lower(), bz, dense_mirror);
     insertAndSpill(key, entry);
-    saveToStore(key, *entry);
     return entry;
 }
 
@@ -357,10 +450,8 @@ PlanCache::acquireLayer(
             combine(base, static_cast<uint64_t>(g));
 
     std::vector<Lookup> looks(static_cast<size_t>(groups));
-    bool has_store;
     {
         std::lock_guard<std::mutex> lk(mu);
-        has_store = store != nullptr;
         for (int g = 0; g < groups; ++g)
             looks[static_cast<size_t>(g)] =
                 lookupLocked(keys[static_cast<size_t>(g)]);
@@ -369,17 +460,13 @@ PlanCache::acquireLayer(
     for (int g = 0; g < groups; ++g) {
         auto &l = looks[static_cast<size_t>(g)];
         auto &slot = out[static_cast<size_t>(g)];
-        if (l.entry) {
+        if (l.entry)
             slot = std::move(l.entry);
-        } else {
-            if (l.spilled)
-                slot = rehydrate(keys[static_cast<size_t>(g)],
-                                 std::move(l.spilled));
-            if (!slot && has_store)
-                slot = loadFromStore(keys[static_cast<size_t>(g)]);
-            if (!slot)
-                ++absent;
-        }
+        else if (l.spilled)
+            slot = rehydrate(keys[static_cast<size_t>(g)],
+                             std::move(l.spilled));
+        if (!slot)
+            ++absent;
     }
     if (absent == 0)
         return out;
@@ -390,9 +477,8 @@ PlanCache::acquireLayer(
 
     // Whole-layer miss: lower every group in one batched pass (the
     // activation tensor is walked once for all groups). Partial
-    // miss (a few groups evicted mid-sweep or individually
-    // corrupted on disk): re-lower only the absent ones instead of
-    // redoing the whole layer.
+    // miss (a few groups evicted mid-sweep): re-lower only the
+    // absent ones instead of redoing the whole layer.
     std::vector<GemmProblem> problems;
     if (absent == groups) {
         problems = lower_all();
@@ -410,7 +496,6 @@ PlanCache::acquireLayer(
                 : std::move(problems[static_cast<size_t>(g)]),
             bz, dense_mirror);
         insertAndSpill(keys[static_cast<size_t>(g)], slot);
-        saveToStore(keys[static_cast<size_t>(g)], *slot);
     }
     return out;
 }

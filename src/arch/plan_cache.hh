@@ -40,35 +40,25 @@
  * change *which* entry is evicted but never the results computed
  * from whatever is resident. DAP memo entries live outside the LRU.
  *
- * Two further tiers sit under the resident LRU, both optional and
- * both returning plans bit-identical to a fresh build:
- *
- *  - **Spill tier** (spill_max_bytes > 0): entries evicted from the
- *    resident LRU are kept in the compact spill form (dims + DBB
- *    blocks, varint/RLE-coded; see arch/plan_store.hh) under their
- *    own byte budget with their own LRU. A lookup that misses the
- *    resident tier but hits the spill tier rehydrates — decode +
- *    operand reconstruction + plan build — which
- *    costs a fraction of the full im2col-lower + encode miss, so a
- *    bounded cache under a cyclic trace degrades smoothly instead
- *    of falling off the LRU-thrash cliff. Rehydrated entries
- *    re-enter the resident tier (possibly spilling another entry),
- *    and their compact image stays *parked* in the spill tier, so
- *    the cyclic steady state — rehydrate, use, re-evict — pays one
- *    decode per cycle and zero re-encodes. Both spill encoding (an
- *    entry's first eviction) and rehydration run outside the lock;
- *    only the list/map surgery is serialized.
- *  - **Persistent store** (attachStore): a miss in both in-RAM
- *    tiers consults the cross-process PlanStore before lowering,
- *    and a full miss saves its freshly built plan back. Warm
- *    process starts hydrate plans from the mmap'd images instead of
- *    re-encoding; corrupt or version-mismatched files are rejected,
- *    rebuilt, and silently replaced. The store is not owned and
- *    must outlive the cache.
+ * Spill tier (spill_max_bytes > 0): entries evicted from the
+ * resident LRU are kept in the compact spill form (spillEncode
+ * below: dims + DBB blocks, varint/RLE-coded) under their own byte
+ * budget with their own LRU. A lookup that misses the resident tier
+ * but hits the spill tier rehydrates — decode + operand
+ * reconstruction + plan build — which costs a fraction of the full
+ * im2col-lower + encode miss, so a bounded cache under a cyclic
+ * trace degrades smoothly instead of falling off the LRU-thrash
+ * cliff. Rehydrated entries re-enter the resident tier (possibly
+ * spilling another entry), and their compact image stays *parked*
+ * in the spill tier, so the cyclic steady state — rehydrate, use,
+ * re-evict — pays one decode per cycle and zero re-encodes. Both
+ * spill encoding (an entry's first eviction) and rehydration run
+ * outside the lock; only the list/map surgery is serialized. A
+ * rehydrated plan is bit-identical to a fresh build.
  *
  * stats() reports each tier separately (resident hits vs spill
- * rehydrations vs store hydrations vs full misses) so bench
- * artifacts can attribute wins to the right tier.
+ * rehydrations vs full misses) so bench artifacts can attribute
+ * wins to the right tier.
  */
 
 #ifndef S2TA_ARCH_PLAN_CACHE_HH
@@ -88,7 +78,6 @@
 namespace s2ta {
 
 class FaultInjector;
-class PlanStore;
 
 /** One cached workload: the owned operands plus their encoded plan. */
 struct CachedPlan
@@ -96,20 +85,6 @@ struct CachedPlan
     CachedPlan(GemmProblem p, int bz, bool dense_mirror)
         : problem(std::move(p)),
           plan(GemmPlan::build(problem, bz, dense_mirror))
-    {}
-
-    /**
-     * Hydration constructor: adopt @p p and build the plan with
-     * @p build_plan, which receives the *owned* problem (plans
-     * borrow the problem they were built from, so it must be this
-     * entry's member, not the caller's temporary). Used by the
-     * store and spill decoders: the store's plans come from
-     * GemmPlan::restore, the spill tier's from a build over the
-     * decoded operands.
-     */
-    template <typename BuildFn>
-    CachedPlan(GemmProblem p, BuildFn &&build_plan)
-        : problem(std::move(p)), plan(build_plan(problem))
     {}
 
     const GemmProblem problem;
@@ -149,19 +124,11 @@ class PlanCache
         int64_t spill_evictions = 0;
         /** Evicted entries dropped outright because their spill
          *  encode faulted (injected) — degradation: the next use is
-         *  a store hydration or cold encode instead of a decode. */
+         *  a cold encode instead of a decode. */
         int64_t spill_drops = 0;
         /** Parked images dropped because their decode faulted
-         *  (injected) — the lookup degrades to store/cold. */
+         *  (injected) — the lookup degrades to a cold encode. */
         int64_t spill_decode_faults = 0;
-        /** Plans hydrated from the persistent store. */
-        int64_t store_hits = 0;
-        /** Store consulted, no file present. */
-        int64_t store_misses = 0;
-        /** Store files rejected (corrupt/truncated/version/key). */
-        int64_t store_rejects = 0;
-        /** Plans serialized to the persistent store. */
-        int64_t store_saves = 0;
         /** DAP-memo lookups, counted separately so plan hit rates
          *  in bench artifacts stay meaningful. */
         int64_t dap_hits = 0;
@@ -239,18 +206,11 @@ class PlanCache
                       const std::function<DapStats()> &compute);
 
     /**
-     * Attach (or detach with nullptr) a persistent cross-process
-     * store, consulted after both in-RAM tiers and written back on
-     * full misses. Not owned; must outlive this cache.
-     */
-    void attachStore(PlanStore *s);
-
-    /**
      * Attach a fault injector for the spill tier (SpillEncode /
      * SpillDecode sites, identity = entry key); null detaches.
      * Injected spill faults are never errors — the entry degrades
-     * to the next tier down (store, then cold encode), counted in
-     * spill_drops / spill_decode_faults.
+     * to a cold encode, counted in spill_drops /
+     * spill_decode_faults.
      */
     void setFaultInjector(const FaultInjector *fi);
 
@@ -322,15 +282,11 @@ class PlanCache
     void
     parkLocked(uint64_t key,
                std::shared_ptr<const std::vector<uint8_t>> bytes);
-    /** Consult the attached store; inserts + counts on success. */
-    std::shared_ptr<const CachedPlan> loadFromStore(uint64_t key);
-    /** Persist a freshly built entry (best-effort, counted). */
-    void saveToStore(uint64_t key, const CachedPlan &entry);
     /**
      * Decode a parked image and promote it back into the resident
      * tier; null when an injected decode fault fires, in which case
      * the image is dropped (it is now suspect) and the caller falls
-     * through to the store / cold path.
+     * through to the cold path.
      */
     std::shared_ptr<const CachedPlan>
     rehydrate(uint64_t key,
@@ -357,7 +313,6 @@ class PlanCache
     const size_t max_entries;
     const int64_t max_bytes;
     const int64_t spill_max_bytes;
-    PlanStore *store = nullptr;
     const FaultInjector *fault = nullptr;
     mutable std::mutex mu;
     std::unordered_map<uint64_t, Slot> slots;
@@ -367,6 +322,26 @@ class PlanCache
     std::unordered_map<uint64_t, DapStats> dap_memo;
     Stats counters;
 };
+
+/**
+ * Spill-form image of @p entry: dims + varint/RLE-coded DBB blocks
+ * only (mask byte + stored values per non-empty block, zero runs
+ * length-coded), the values gathered from the entry's dense
+ * operands. About half the entry's resident footprint at 4/8
+ * density, less still next to an entry that holds a mirror.
+ */
+std::vector<uint8_t> spillEncode(const CachedPlan &entry);
+
+/**
+ * Rebuild a full entry from a spill-form image: operands are
+ * expanded from the lossless blocks, and a build() over them with
+ * the spilled entry's mirror request gives masks, profile and
+ * mirror — bit-identical to the entry that was spilled. Fatal on a
+ * malformed image (spill bytes never leave the process; corruption
+ * here is a program bug, not an input).
+ */
+std::shared_ptr<const CachedPlan> spillDecode(const uint8_t *data,
+                                              size_t len);
 
 } // namespace s2ta
 

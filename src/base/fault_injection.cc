@@ -27,10 +27,6 @@ const char *
 faultSiteName(FaultSite site)
 {
     switch (site) {
-      case FaultSite::StoreRead: return "store-read";
-      case FaultSite::StoreWrite: return "store-write";
-      case FaultSite::StoreRename: return "store-rename";
-      case FaultSite::StoreBitFlip: return "store-bit-flip";
       case FaultSite::SpillEncode: return "spill-encode";
       case FaultSite::SpillDecode: return "spill-decode";
       case FaultSite::LayerCompute: return "layer-compute";
@@ -48,7 +44,7 @@ FaultInjector::setRate(FaultSite site, double rate)
     s2ta_assert(rate >= 0.0 && rate <= 1.0,
                 "fault rate for %s must be in [0, 1], got %f",
                 faultSiteName(site), rate);
-    rates_[int(site)] = rate;
+    rates_[slot(site)] = rate;
 }
 
 void
@@ -71,7 +67,7 @@ FaultInjector::mix(FaultSite site, uint64_t identity) const
 bool
 FaultInjector::shouldFail(FaultSite site, uint64_t identity) const
 {
-    const int s = int(site);
+    const int s = slot(site);
     evaluated_[s].fetch_add(1, std::memory_order_relaxed);
     const double rate = rates_[s];
     if (rate <= 0.0)
@@ -99,21 +95,21 @@ FaultInjector::SiteStats
 FaultInjector::stats(FaultSite site) const
 {
     SiteStats s;
-    s.evaluated = evaluated_[int(site)].load(std::memory_order_relaxed);
-    s.injected = injected_[int(site)].load(std::memory_order_relaxed);
+    s.evaluated = evaluated_[slot(site)].load(std::memory_order_relaxed);
+    s.injected = injected_[slot(site)].load(std::memory_order_relaxed);
     return s;
 }
 
 int64_t
 FaultInjector::injected(FaultSite site) const
 {
-    return injected_[int(site)].load(std::memory_order_relaxed);
+    return injected_[slot(site)].load(std::memory_order_relaxed);
 }
 
 int64_t
 FaultInjector::evaluated(FaultSite site) const
 {
-    return evaluated_[int(site)].load(std::memory_order_relaxed);
+    return evaluated_[slot(site)].load(std::memory_order_relaxed);
 }
 
 uint64_t

@@ -8,11 +8,11 @@
  * harness therefore makes every injection decision a *pure
  * function* of (seed, site, identity):
  *
- *  - a **site** names the code path being perturbed (a plan-store
- *    read, a spill-tier decode, one layer of one request's
- *    execution);
+ *  - a **site** names the code path being perturbed (a spill-tier
+ *    decode, one layer of one request's execution, one replica's
+ *    lifecycle);
  *  - the **identity** is a stable 64-bit id of the operation the
- *    caller supplies (a store key, a (request id, attempt, layer)
+ *    caller supplies (a plan key, a (request id, attempt, layer)
  *    combination) — never a call counter, whose value would depend
  *    on thread interleaving;
  *  - the decision hashes (seed, site, identity) and compares
@@ -22,8 +22,8 @@
  * thread count and on every rerun; a retried operation with a new
  * attempt number re-rolls independently (transient faults); and a
  * repeated operation with the *same* identity fails the same way
- * every time (persistent faults, e.g. a store file whose reads
- * always fail). Callers choose which behavior they model by what
+ * every time (persistent faults, e.g. a spilled plan whose decode
+ * always fails). Callers choose which behavior they model by what
  * they fold into the identity.
  *
  * Per-site evaluated/injected counters (relaxed atomics — totals
@@ -46,44 +46,40 @@
 
 namespace s2ta {
 
-/** Named injection sites threaded through the stack. */
+/** Named injection sites threaded through the stack. Values are
+ *  explicit because the decision hash folds int(site) in (0-3 were
+ *  the deleted store sites; renumbering moves every fault stream). */
 enum class FaultSite : int
 {
-    /** PlanStore::load: the open/map fails (plain miss). */
-    StoreRead = 0,
-    /** PlanStore::save: the image write tears mid-file (an
-     *  unpublished temp is left behind; no entry becomes visible). */
-    StoreWrite,
-    /** PlanStore::save: the publishing rename fails. */
-    StoreRename,
-    /** PlanStore::load: one payload bit flips in the mapped image
-     *  (tripping the checksum -> rejection + quarantine). */
-    StoreBitFlip,
     /** PlanCache spill tier: an evicted entry's compact encode
      *  fails (the entry is dropped instead of parked). */
-    SpillEncode,
+    SpillEncode = 4,
     /** PlanCache spill tier: a parked image's decode fails (the
-     *  image is dropped; the lookup degrades to store/cold). */
-    SpillDecode,
+     *  image is dropped; the lookup degrades to a cold encode). */
+    SpillDecode = 5,
     /** Accelerator: a transient per-layer compute fault kills the
      *  whole attempt (results are discarded, never corrupted). */
-    LayerCompute,
+    LayerCompute = 6,
     /** Accelerator: a modeled per-layer stall adds virtual-time
      *  cycles without touching any simulation result. */
-    LayerStall,
+    LayerStall = 7,
     /** Fleet: a whole replica crashes — every queued and running
      *  request instance on it is lost and must fail over. */
-    ReplicaCrash,
+    ReplicaCrash = 8,
     /** Fleet: a replica browns out — it keeps serving, but every
      *  request dispatched while stalled runs slower (timing only,
      *  results untouched). */
-    ReplicaStall,
-    /** Fleet: a crashed replica restarts (cold lanes, warm plans
-     *  via its PlanCache over the shared PlanStore). */
-    ReplicaRestart,
+    ReplicaStall = 9,
+    /** Fleet: a crashed replica restarts (cold lanes, its
+     *  PlanCache intact). */
+    ReplicaRestart = 10,
 };
 
-constexpr int kFaultSiteCount = 11;
+constexpr int kFaultSiteCount = 7;
+static_assert(int(FaultSite::ReplicaRestart) -
+                      int(FaultSite::SpillEncode) + 1 ==
+                  kFaultSiteCount,
+              "fault-site values must stay contiguous");
 
 /** Human-readable site name for logs and artifacts. */
 const char *faultSiteName(FaultSite site);
@@ -137,6 +133,13 @@ class FaultInjector
     static uint64_t combineId(uint64_t a, uint64_t b);
 
   private:
+    /** Counter slot of @p site (the values start at SpillEncode). */
+    static int
+    slot(FaultSite site)
+    {
+        return int(site) - int(FaultSite::SpillEncode);
+    }
+
     /** The decision hash behind shouldFail (pure function). */
     uint64_t mix(FaultSite site, uint64_t identity) const;
 

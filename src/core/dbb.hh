@@ -139,23 +139,6 @@ class DbbMatrix
     static DbbMatrix fromActivations(const GemmProblem &p,
                                      const DbbSpec &spec);
 
-    /**
-     * Adopt already-computed masks (the plan store's hydration
-     * path). @p masks must hold exactly vectors * blocks_per_vector
-     * masks in vector-major order (the layout vectorMasks exposes).
-     */
-    static DbbMatrix
-    fromParts(DbbSpec s, int vectors, int blocks_per_vector,
-              std::vector<Mask8> masks)
-    {
-        s2ta_assert(masks.size() == static_cast<size_t>(vectors) *
-                                        blocks_per_vector,
-                    "%zu masks for %d x %d", masks.size(), vectors,
-                    blocks_per_vector);
-        return DbbMatrix(s, vectors, blocks_per_vector,
-                         std::move(masks));
-    }
-
     const DbbSpec &spec() const { return dbb_spec; }
     int vectors() const { return n_vectors; }
     int blocksPerVector() const { return n_blocks; }

@@ -294,14 +294,13 @@ FleetScheduler::drain()
 
     // Phase 1 — simulate every (workload, replica) pair across the
     // thread pool, each against its replica's own accelerator and
-    // PlanCache (typically all attached to one shared PlanStore, so
-    // the first replica to encode a plan warms every other). Clean
-    // runs: per-attempt fault sites are rolled in phase 2 without
-    // re-simulating (a surviving attempt's result IS the clean
-    // result; a faulted attempt aborts before simulating), so the
-    // pair results are fault-, policy-, and routing-independent —
-    // and bitwise identical to a single-accelerator run of the same
-    // workload on the same config.
+    // PlanCache. Clean runs: per-attempt fault sites are rolled in
+    // phase 2 without re-simulating (a surviving attempt's result
+    // IS the clean result; a faulted attempt aborts before
+    // simulating), so the pair results are fault-, policy-, and
+    // routing-independent — and bitwise identical to a
+    // single-accelerator run of the same workload on the same
+    // config.
     std::vector<NetworkRun> pair_runs(W * nR);
     const auto sim_one = [&](int64_t p) {
         const size_t w = static_cast<size_t>(p) / nR;

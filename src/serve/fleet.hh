@@ -2,8 +2,8 @@
  * @file
  * Fault-tolerant fleet serving: one scheduler routing streams
  * across N Accelerator replicas — optionally heterogeneous array
- * configs — each with its own PlanCache over one shared PlanStore,
- * all in the deterministic virtual clock.
+ * configs — each with its own PlanCache, all in the deterministic
+ * virtual clock.
  *
  * The single-accelerator StreamScheduler hardened one failure
  * domain: a request (faults retry, overload sheds, the scheduler
@@ -31,10 +31,10 @@
  *  - **Draining**: a draining replica finishes its queued and
  *    running work but receives no new placements; drain end
  *    returns it to rotation.
- *  - **Warm restart**: a restarted replica comes back with cold
- *    lanes but warm plans — its PlanCache sits over the shared
- *    PlanStore, so nothing is re-encoded (the PR 5 warm-start
- *    path, now a fleet recovery property).
+ *  - **Restart**: a restarted replica comes back with cold lanes
+ *    and its PlanCache intact. Pair simulations all run before the
+ *    event loop, so restart timing never depends on what the
+ *    cache holds.
  *  - **Hedged requests** (opt-in, hedge_delay_s > 0): a request
  *    still unresolved hedge_delay_s after arrival launches one
  *    duplicate instance on a different replica; the first
@@ -80,8 +80,7 @@ class ThreadPool;
 namespace serve {
 
 /** One replica of the fleet: an accelerator plus its own plan
- *  cache (typically attached to the fleet's shared PlanStore).
- *  Both borrowed; the cache may be null. */
+ *  cache. Both borrowed; the cache may be null. */
 struct FleetReplica
 {
     const Accelerator *accel = nullptr;
@@ -96,7 +95,7 @@ struct ReplicaEvent
         /** The replica dies: running and queued instances are
          *  lost; nothing is served until a Restart. */
         Crash,
-        /** A crashed replica returns: cold lanes, warm plans. */
+        /** A crashed replica returns: cold lanes, cache intact. */
         Restart,
         /** Brownout: requests dispatched while it lasts run
          *  slowdown x slower (timing only, results untouched). */

@@ -1,14 +1,16 @@
 /** @file Tests for the cross-run PlanCache: hit/miss accounting,
  *  deterministic LRU eviction, mutation safety via content
- *  fingerprints, the DAP memo, and — the load-bearing property —
+ *  fingerprints, the spill tier and its codec's exact roundtrip, the
+ *  DAP memo, and — the load-bearing property —
  *  bitwise-identical results with caching on vs off across array
  *  configs, engines, and thread counts. */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "arch/accelerator.hh"
 #include "arch/plan_cache.hh"
-#include "arch/plan_store.hh"
 #include "base/fault_injection.hh"
 #include "workload/sparse_gen.hh"
 
@@ -16,10 +18,63 @@ namespace s2ta {
 namespace {
 
 GemmProblem
-smallGemm(uint64_t seed, int m = 24, int k = 64, int n = 16)
+smallGemm(uint64_t seed, int m = 24, int k = 64, int n = 16,
+          int nnz = 4)
 {
     Rng rng(seed);
-    return makeDbbGemm(m, k, n, 4, 4, rng);
+    return makeDbbGemm(m, k, n, nnz, nnz, rng);
+}
+
+/** Full structural equality of two cache entries: operands, block
+ *  masks, mirror, profile, and the functional output. */
+void
+expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
+{
+    ASSERT_EQ(a.problem.m, b.problem.m);
+    ASSERT_EQ(a.problem.k, b.problem.k);
+    ASSERT_EQ(a.problem.n, b.problem.n);
+    EXPECT_EQ(a.problem.a, b.problem.a);
+    EXPECT_EQ(a.problem.w, b.problem.w);
+
+    ASSERT_TRUE(a.plan.encoded() && b.plan.encoded());
+    ASSERT_EQ(a.plan.bz(), b.plan.bz());
+    const auto expect_masks_equal = [](const DbbMatrix &x,
+                                       const DbbMatrix &y) {
+        ASSERT_EQ(x.vectors(), y.vectors());
+        ASSERT_EQ(x.blocksPerVector(), y.blocksPerVector());
+        EXPECT_EQ(std::memcmp(x.vectorMasks(0), y.vectorMasks(0),
+                              static_cast<size_t>(x.vectors()) *
+                                  x.blocksPerVector()),
+                  0);
+    };
+    expect_masks_equal(a.plan.act(), b.plan.act());
+    expect_masks_equal(a.plan.wgt(), b.plan.wgt());
+
+    ASSERT_EQ(a.plan.wgtDenseT() != nullptr,
+              b.plan.wgtDenseT() != nullptr);
+    if (a.plan.wgtDenseT() != nullptr) {
+        EXPECT_EQ(std::memcmp(a.plan.wgtDenseT(),
+                              b.plan.wgtDenseT(),
+                              static_cast<size_t>(a.problem.n) *
+                                  a.problem.k),
+                  0);
+        std::vector<int32_t> out_a(
+            static_cast<size_t>(a.problem.m) * a.problem.n);
+        std::vector<int32_t> out_b(out_a.size());
+        dbbGemm(a.plan, out_a.data());
+        dbbGemm(b.plan, out_b.data());
+        EXPECT_EQ(out_a, out_b);
+    }
+
+    const OperandProfile &pa = a.plan.profile();
+    const OperandProfile &pb = b.plan.profile();
+    EXPECT_EQ(pa.row_nz, pb.row_nz);
+    EXPECT_EQ(pa.col_nz, pb.col_nz);
+    EXPECT_EQ(pa.act_nz_at_k, pb.act_nz_at_k);
+    EXPECT_EQ(pa.wgt_nz_at_k, pb.wgt_nz_at_k);
+    EXPECT_EQ(pa.act_nnz, pb.act_nnz);
+    EXPECT_EQ(pa.wgt_nnz, pb.wgt_nnz);
+    EXPECT_EQ(pa.matched_products, pb.matched_products);
 }
 
 TEST(PlanCache, HitMissAccounting)
@@ -173,6 +228,55 @@ TEST(PlanCache, SpillTierRehydratesEvictedEntriesBitwise)
     EXPECT_LE(st.spill_bytes, 1 << 30);
 }
 
+TEST(PlanCache, SpillRoundtripIsExact)
+{
+    // Both operating points, sparse and dense; the mirror is
+    // dropped by the codec and re-derived on rehydration.
+    for (const int nnz : {2, 8}) {
+        const GemmProblem p = smallGemm(0x52, 40, 72, 24, nnz);
+        const CachedPlan entry(p, 8, true);
+        const auto bytes = spillEncode(entry);
+        // Compact relative to the resident footprint (operands +
+        // one mask byte per block + mirror): the codec stores only
+        // the DBB blocks, mask byte + stored values each.
+        const int64_t nb = entry.plan.act().blocksPerVector();
+        const int64_t resident =
+            static_cast<int64_t>(p.a.size() + p.w.size()) +
+            (static_cast<int64_t>(p.m) + p.n) * nb +
+            static_cast<int64_t>(p.k) * p.n;
+        EXPECT_LT(static_cast<int64_t>(bytes.size()), resident);
+        const auto back = spillDecode(bytes.data(), bytes.size());
+        ASSERT_NE(back, nullptr);
+        expectEntriesEqual(entry, *back);
+    }
+}
+
+TEST(PlanCache, SpillRoundtripAcrossTileEdgesIsExact)
+{
+    // K = 1027 gives a ragged tail block and, at bz 8, three
+    // 64-block tiles down K; N = 101 gives four 32-column tiles, the
+    // last 5 wide. The spill decoder rebuilds the weights through
+    // the encoder's tile in reverse, so every edge must come back
+    // exact, with and without the dense mirror.
+    for (const int bz : {8, 5}) {
+        for (const bool mirror : {false, true}) {
+            Rng rng(0x53 + static_cast<uint64_t>(bz));
+            GemmProblem p(29, 1027, 101);
+            for (int8_t &v : p.a)
+                v = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
+            for (int8_t &v : p.w)
+                v = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
+            const CachedPlan entry(p, bz, mirror);
+            const auto bytes = spillEncode(entry);
+            const auto back = spillDecode(bytes.data(), bytes.size());
+            ASSERT_NE(back, nullptr);
+            EXPECT_EQ(back->problem.a, p.a) << "bz " << bz;
+            EXPECT_EQ(back->problem.w, p.w) << "bz " << bz;
+            expectEntriesEqual(entry, *back);
+        }
+    }
+}
+
 TEST(PlanCache, SpillBudgetDropsOldestAndStaysBounded)
 {
     // A spill budget big enough for roughly one compact entry:
@@ -262,7 +366,7 @@ TEST(PlanCache, InjectedSpillDecodeFaultFallsBackToColderTier)
     cache.acquire(b, 8, false); // miss; a spills cleanly
 
     // Decode of the parked image faults: the image is dropped and
-    // the lookup degrades to a cold rebuild (no store attached).
+    // the lookup degrades to a cold rebuild.
     FaultInjector fi(0x22);
     fi.setRate(FaultSite::SpillDecode, 1.0);
     cache.setFaultInjector(&fi);

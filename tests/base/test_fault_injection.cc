@@ -37,19 +37,17 @@ TEST(FaultInjection, DecisionsArePureInSeedSiteIdentity)
     }
 
     // Pinned streams: the decision hash folds int(site) in, so
-    // renumbering or deleting an enumerator would move every fault
-    // behind the overload and fleet artifacts. Each site's decisions
-    // for identities 0..255 at rate 0.5, folded in identity order,
-    // must match the values recorded when the streams were pinned.
+    // renumbering an enumerator would move every fault behind the
+    // overload and fleet artifacts (the values are explicit, so
+    // deleting a site moves none of the others). Each site's
+    // decisions for identities 0..255 at rate 0.5, folded in
+    // identity order, must match the values recorded when the
+    // streams were pinned.
     const struct
     {
         FaultSite site;
         uint64_t fold;
     } pinned[] = {
-        {FaultSite::StoreRead, 0xa5faef1c978726f5ull},
-        {FaultSite::StoreWrite, 0xd1883de7fb781a59ull},
-        {FaultSite::StoreRename, 0xd3b4956ade9785c8ull},
-        {FaultSite::StoreBitFlip, 0xc5863f010ab19c0full},
         {FaultSite::SpillEncode, 0x8136736793496749ull},
         {FaultSite::SpillDecode, 0x7953c39ccba59df7ull},
         {FaultSite::LayerCompute, 0x8e3dda9818fcc71aull},
@@ -81,16 +79,16 @@ TEST(FaultInjection, SeedAndSiteChangeTheFaultSet)
 {
     FaultInjector a(1);
     FaultInjector b(2);
-    a.setRate(FaultSite::StoreRead, 0.5);
+    a.setRate(FaultSite::SpillEncode, 0.5);
     a.setRate(FaultSite::SpillDecode, 0.5);
-    b.setRate(FaultSite::StoreRead, 0.5);
+    b.setRate(FaultSite::SpillEncode, 0.5);
     int seed_diff = 0, site_diff = 0;
     for (uint64_t id = 0; id < 512; ++id) {
-        seed_diff += a.shouldFail(FaultSite::StoreRead, id) !=
-                             b.shouldFail(FaultSite::StoreRead, id)
+        seed_diff += a.shouldFail(FaultSite::SpillEncode, id) !=
+                             b.shouldFail(FaultSite::SpillEncode, id)
                          ? 1
                          : 0;
-        site_diff += a.shouldFail(FaultSite::StoreRead, id) !=
+        site_diff += a.shouldFail(FaultSite::SpillEncode, id) !=
                              a.shouldFail(FaultSite::SpillDecode, id)
                          ? 1
                          : 0;
@@ -104,15 +102,15 @@ TEST(FaultInjection, SeedAndSiteChangeTheFaultSet)
 TEST(FaultInjection, RateZeroNeverFiresRateOneAlwaysFires)
 {
     FaultInjector fi(7);
-    fi.setRate(FaultSite::StoreWrite, 1.0);
+    fi.setRate(FaultSite::LayerCompute, 1.0);
     for (uint64_t id = 0; id < 256; ++id) {
-        EXPECT_FALSE(fi.shouldFail(FaultSite::StoreRead, id));
-        EXPECT_TRUE(fi.shouldFail(FaultSite::StoreWrite, id));
+        EXPECT_FALSE(fi.shouldFail(FaultSite::SpillEncode, id));
+        EXPECT_TRUE(fi.shouldFail(FaultSite::LayerCompute, id));
     }
-    EXPECT_EQ(fi.injected(FaultSite::StoreRead), 0);
-    EXPECT_EQ(fi.evaluated(FaultSite::StoreRead), 256);
-    EXPECT_EQ(fi.injected(FaultSite::StoreWrite), 256);
-    EXPECT_EQ(fi.evaluated(FaultSite::StoreWrite), 256);
+    EXPECT_EQ(fi.injected(FaultSite::SpillEncode), 0);
+    EXPECT_EQ(fi.evaluated(FaultSite::SpillEncode), 256);
+    EXPECT_EQ(fi.injected(FaultSite::LayerCompute), 256);
+    EXPECT_EQ(fi.evaluated(FaultSite::LayerCompute), 256);
 }
 
 TEST(FaultInjection, RateMatchesInjectedFraction)
@@ -201,13 +199,6 @@ TEST(FaultInjection, CombineIdIsOrderDependent)
 
 TEST(FaultInjection, SiteNamesAreStable)
 {
-    EXPECT_STREQ(faultSiteName(FaultSite::StoreRead), "store-read");
-    EXPECT_STREQ(faultSiteName(FaultSite::StoreWrite),
-                 "store-write");
-    EXPECT_STREQ(faultSiteName(FaultSite::StoreRename),
-                 "store-rename");
-    EXPECT_STREQ(faultSiteName(FaultSite::StoreBitFlip),
-                 "store-bit-flip");
     EXPECT_STREQ(faultSiteName(FaultSite::SpillEncode),
                  "spill-encode");
     EXPECT_STREQ(faultSiteName(FaultSite::SpillDecode),

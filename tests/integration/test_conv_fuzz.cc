@@ -5,9 +5,10 @@
  *  scalar reference engine bit for bit (outputs and event counters)
  *  on every way a plan can reach it: built uncached, a resident
  *  PlanCache hit, a spill-tier rehydration (resident budget below
- *  one plan), and a PlanStore hydration from a temp directory. At
- *  batch 1 the scalar engine must also match the direct convolution
- *  reference.
+ *  one plan), and a partial miss (an entry cap below the layer's
+ *  group count, so the second run re-lowers only the evicted
+ *  groups). At batch 1 the scalar engine must also match the direct
+ *  convolution reference.
  *
  *  Reproducing a failure: every trial derives its own seed and the
  *  failure message carries it. Re-run just that trial with
@@ -21,12 +22,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 
-#include "arch/plan_store.hh"
+#include "arch/plan_cache.hh"
 #include "fuzz_layer.hh"
 #include "tensor/conv.hh"
 
@@ -57,19 +58,6 @@ expectSameRun(const LayerRun &got, const LayerRun &ref,
     EXPECT_TRUE(got.output == ref.output) << path << " output";
     EXPECT_TRUE(got.events == ref.events) << path << " events";
     EXPECT_EQ(got.dense_macs, ref.dense_macs) << path;
-}
-
-/** Store directory shared by every trial (keys are content-derived,
- *  so trials never collide), emptied once per process. */
-const std::string &
-storeDir()
-{
-    static const std::string dir = [] {
-        std::string d = testing::TempDir() + "s2ta_conv_fuzz_store";
-        std::filesystem::remove_all(d);
-        return d;
-    }();
-    return dir;
 }
 
 /** Run one seed's layer on the scalar engine and on the fast engine
@@ -116,19 +104,17 @@ fuzzOneSeed(uint64_t seed)
     expectSameRun(acc.runLayer(wl, spilled), sr, "spill rehydration");
     EXPECT_EQ(spill.stats().spill_hits, wl.shape.groups);
 
-    // Store hydration: one process populates, a fresh one hydrates.
-    PlanStore store(storeDir());
-    PlanCache writer;
-    writer.attachStore(&store);
-    NetworkRunOptions stored = fast;
-    stored.plan_cache = &writer;
-    expectSameRun(acc.runLayer(wl, stored), sr, "store populate");
-    PlanCache reader;
-    reader.attachStore(&store);
-    stored.plan_cache = &reader;
-    expectSameRun(acc.runLayer(wl, stored), sr, "store hydration");
-    EXPECT_EQ(reader.stats().store_hits, wl.shape.groups);
-    EXPECT_EQ(reader.stats().misses, 0);
+    // Partial miss: an entry cap of half the groups keeps only the
+    // newest groups resident, so the second run hits those and
+    // re-lowers each evicted group on its own.
+    const int groups = wl.shape.groups;
+    const int keep = std::max(1, groups / 2);
+    PlanCache partial(/*max_entries=*/static_cast<size_t>(keep));
+    NetworkRunOptions capped = fast;
+    capped.plan_cache = &partial;
+    expectSameRun(acc.runLayer(wl, capped), sr, "partial populate");
+    expectSameRun(acc.runLayer(wl, capped), sr, "partial miss");
+    EXPECT_EQ(partial.stats().misses, 2 * groups - keep);
 
     if (wl.batch == 1) {
         const Int32Tensor ref =
