@@ -10,9 +10,9 @@
  * configuration produces bitwise-identical outputs and events.
  *
  * Also a SIMD tier row: the same serial fast-engine run with the
- * kernels capped at scalar (SSE2 dense dot, scalar profile) versus
- * uncapped (VNNI and VPOPCNTDQ sub-kernels). On full runs where the
- * host has AVX-512 the uncapped run must beat the cap
+ * kernels capped at scalar (SSE2 dense dot) versus uncapped (VNNI
+ * dense dot). On full runs where the host has AVX-512 the uncapped
+ * run must beat the cap
  * (speedup_simd > 1); hosts without it record mode
  * avx512-unsupported-host. --simd is rejected here — the tier rows
  * pin the cap themselves.

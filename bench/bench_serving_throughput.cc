@@ -30,8 +30,8 @@
  *         is the measured engine)
  *
  * The shared PlanCache runs under a resident-byte budget
- * (--cache-mb, default 1440). The full trace's plans need ~0.81 GB
- * resident, so the default no longer evicts; budgets below that
+ * (--cache-mb, default 1440). The full trace's plans need ~0.42 GB
+ * resident, so the default does not evict; budgets below that
  * exercise real LRU eviction. Much smaller budgets LRU-thrash the
  * cyclic trace — hit rates collapse and, without a spill tier, the
  * gate legitimately fails. --spill-mb turns that cliff into graceful

@@ -279,8 +279,8 @@ benchFlagList()
 /**
  * SIMD dispatch tiers usable on this host, for --simd error
  * messages: every x86-64 build compiles both tiers, so this is the
- * CPU's feature set ("avx512" needs AVX-512 BW plus VNNI or
- * VPOPCNTDQ silicon); a non-x86 build offers only "auto|scalar".
+ * CPU's feature set ("avx512" needs AVX-512 BW plus VNNI silicon);
+ * a non-x86 build offers only "auto|scalar".
  */
 inline std::string
 benchSupportedSimdTiers()

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "arch/accelerator.hh"
 #include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
@@ -157,40 +158,6 @@ BENCHMARK(BM_DenseDotTier)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kNanosecond);
-
-/**
- * OperandProfile::fromDbb per derivation tier: the forced-scalar
- * per-bit mask loops vs the VPOPCNTDQ vectorized popcount +
- * histogram (range(0)). Same work as BM_OperandProfileFromDbb,
- * dispatch pinned either side.
- */
-void
-BM_ProfileDerivationTier(benchmark::State &state)
-{
-    const bool simd = state.range(0) != 0;
-    if (simd && !dbbVpopcntKernelSupportedImpl()) {
-        state.SkipWithError("no AVX512-VPOPCNTDQ on this "
-                            "host/build");
-        return;
-    }
-    const GemmProblem &p = sharedProblem();
-    const GemmPlan plan = GemmPlan::build(p);
-    dbbForceKernelCap(simd ? DbbKernelKind::Avx512
-                           : DbbKernelKind::Scalar);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            OperandProfile::fromDbb(p, plan.act(), plan.wgt()));
-    dbbForceKernelCap(DbbKernelKind::Avx512);
-    state.SetLabel(simd ? "avx512-vpopcntdq" : "scalar-bitloops");
-    state.SetBytesProcessed(
-        state.iterations() *
-        (static_cast<int64_t>(p.m) * p.k +
-         static_cast<int64_t>(p.k) * p.n) / 8); // mask bytes read
-}
-BENCHMARK(BM_ProfileDerivationTier)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_DbbEncodeDecode(benchmark::State &state)
@@ -403,6 +370,66 @@ BENCHMARK(BM_SimulateFunctional)
     ->Arg(static_cast<int>(EngineKind::Scalar))
     ->Arg(static_cast<int>(EngineKind::DbbFast))
     ->Unit(benchmark::kMillisecond);
+
+/** MobileNetV1 conv4_dw (128 groups of one channel, m = 3136): a
+ *  depthwise layer is one grouped GEMM on the fast engine. */
+const LayerWorkload &
+depthwiseLayer()
+{
+    static const LayerWorkload wl = [] {
+        Rng rng(0xD4);
+        const ModelWorkload mw = buildModelWorkload(mobileNetV1(), rng);
+        for (const LayerWorkload &l : mw.layers)
+            if (l.name == "conv4_dw")
+                return l;
+        s2ta_panic("MobileNetV1 has no conv4_dw");
+    }();
+    return wl;
+}
+
+/** conv4_dw through Accelerator::runLayer on S2TA-AW A4/8, serial
+ *  and uncached, with outputs: lowering, plan build, events and the
+ *  grouped kernel, as perfbench `infer` runs every layer. */
+void
+BM_DepthwiseLayerFunctional(benchmark::State &state)
+{
+    const LayerWorkload &wl = depthwiseLayer();
+    AcceleratorConfig cfg;
+    cfg.array = ArrayConfig::s2taAw(4);
+    cfg.sim_threads = 1;
+    const Accelerator acc(cfg);
+    NetworkRunOptions opt;
+    opt.compute_output = true;
+    opt.validate_operands = false;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(acc.runLayer(wl, opt));
+    state.SetItemsProcessed(state.iterations() *
+                            wl.shape.denseMacs());
+}
+BENCHMARK(BM_DepthwiseLayerFunctional)->Unit(benchmark::kMillisecond);
+
+/** conv4_dw events-only on SA-SMT T2Q2 through a fresh PlanCache
+ *  per iteration, serial: the sweep's first sight of the layer,
+ *  including the queue-timing sample shared by all 128 groups. */
+void
+BM_DepthwiseLayerEventsSmt(benchmark::State &state)
+{
+    const LayerWorkload &wl = depthwiseLayer();
+    AcceleratorConfig cfg;
+    cfg.array = ArrayConfig::saSmt(2);
+    cfg.sim_threads = 1;
+    const Accelerator acc(cfg);
+    for (auto _ : state) {
+        PlanCache cache;
+        NetworkRunOptions opt;
+        opt.validate_operands = false;
+        opt.plan_cache = &cache;
+        benchmark::DoNotOptimize(acc.runLayer(wl, opt));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            wl.shape.denseMacs());
+}
+BENCHMARK(BM_DepthwiseLayerEventsSmt)->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 } // namespace s2ta

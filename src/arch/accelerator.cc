@@ -14,15 +14,15 @@ namespace s2ta {
 namespace {
 
 /**
- * Content key of one layer's lowered GEMMs: the conv geometry, the
+ * Content key of one layer's lowered GEMM: the conv geometry, the
  * lowering alignment, and fingerprints of both operand tensors.
- * Two layers with identical key lower to bit-identical problems.
- * When the alignment divides groupInC no channel segment is
- * padded, so every alignment lowers identically and the key drops
- * it: the SA-family designs (alignment 1) and the S2TA designs
- * (alignment bz) then share one plan per block size. A layer whose
- * segments are padded (a 3-channel stem, a depthwise tap) keeps
- * one plan per alignment.
+ * Two layers with identical key lower to problems the array models
+ * see identically. When the alignment divides groupInC no channel
+ * segment is padded, so every alignment lowers to the same layout
+ * and the key drops it: the SA-family designs (alignment 1) and the
+ * S2TA designs (alignment bz) then share one plan per block size. A
+ * layer whose segments are modeled padded (a 3-channel stem, a
+ * depthwise tap) keeps one plan per alignment.
  */
 uint64_t
 layerPlanKey(const LayerWorkload &wl, int channel_align,
@@ -139,55 +139,37 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
     prep.acfg = acfg;
     prep.model = makeArrayModel(acfg);
 
-    // Each group lowers to an independent GEMM whose plan (encoding
-    // + profile) is built once and reused across the whole tile
-    // grid. With a plan cache the layer's activations lower
-    // (batched, once for all groups) and encode only on first
-    // sight; every later design point in the sweep reuses the
-    // cached plans.
-    const int groups = wl.shape.groups;
-    prep.use_cache = opt.plan_cache != nullptr &&
-                     opt.engine != EngineKind::Scalar;
-    // The input fingerprint keys both the lowered plans and the
-    // DAP memo in executePrepared; compute it once per layer visit.
+    // The fast engine lowers the whole layer, every group at once,
+    // to one grouped GEMM whose plan (encoding + per-group profiles)
+    // is built once and reused across the whole tile grid. With a
+    // plan cache the layer lowers and encodes only on first sight;
+    // every later design point in the sweep reuses the cached plan.
+    // The scalar reference engine lowers each group to its own
+    // padded GEMM and encodes nothing.
+    const bool fast = opt.engine != EngineKind::Scalar;
+    prep.use_cache = opt.plan_cache != nullptr && fast;
+    // The input fingerprint keys both the lowered plan and the DAP
+    // memo in executePrepared; compute it once per layer visit.
     prep.input_hash =
         prep.use_cache
             ? PlanCache::hashBytes(
                   wl.input.data(),
                   static_cast<size_t>(wl.input.size()))
             : 0;
+    const auto lower = [&] {
+        return im2colLowerGrouped(wl.shape, wl.input, wl.weights,
+                                  channelAlign(), wl.batch);
+    };
     if (prep.use_cache) {
-        prep.cached = opt.plan_cache->acquireLayer(
+        prep.cached = {opt.plan_cache->acquireKeyed(
             layerPlanKey(wl, channelAlign(), prep.input_hash),
-            groups, acfg.bz, compute_output,
-            [&] {
-                return im2colLowerAll(wl.shape, wl.input,
-                                      wl.weights, channelAlign(),
-                                      wl.batch);
-            },
-            [&](int g) {
-                return im2colLower(wl.shape, wl.input, wl.weights,
-                                   g, channelAlign(), wl.batch);
-            });
+            acfg.bz, compute_output, lower)};
+    } else if (fast) {
+        prep.cached = {std::make_shared<const CachedPlan>(
+            lower(), acfg.bz, compute_output)};
     } else {
-        prep.problems =
-            std::make_shared<std::vector<GemmProblem>>(
-                im2colLowerAll(wl.shape, wl.input, wl.weights,
-                               channelAlign(), wl.batch));
-        if (opt.engine != EngineKind::Scalar) {
-            // Encode every group's plan on the host; grouped
-            // layers fan the encode out across the simulation
-            // threads, as executePrepared fans out the runs.
-            prep.plans.resize(static_cast<size_t>(groups));
-            runIndexed(groups, [&](int64_t g) {
-                prep.plans[static_cast<size_t>(g)] =
-                    std::make_shared<const GemmPlan>(
-                        GemmPlan::build(
-                            (*prep.problems)[static_cast<size_t>(
-                                g)],
-                            acfg.bz, compute_output));
-            });
-        }
+        prep.problems = im2colLowerAll(wl.shape, wl.input, wl.weights,
+                                       channelAlign(), wl.batch);
     }
 
     // ---- DMA traffic ---------------------------------------------
@@ -263,42 +245,37 @@ Accelerator::executePrepared(const PreparedLayer &prep,
     lr.act_nnz_used = wl.act_nnz;
 
     // The GEMM-level options inherit the caller's engine/cache
-    // knobs; the shard pool lets a single big GEMM's functional
-    // kernels fan out in row stripes even when the group fan-out is
-    // 1 (the event models always run serially).
+    // knobs; the shard pool lets the layer's functional kernel fan
+    // out in row stripes (the event models always run serially).
     RunOptions gemm_opt = opt;
     gemm_opt.shard_pool = shardPool();
 
-    if (compute_output) {
-        std::vector<int> out_shape = {wl.shape.outH(),
-                                      wl.shape.outW(),
-                                      wl.shape.out_c};
-        if (wl.batch > 1)
-            out_shape.insert(out_shape.begin(), wl.batch);
-        lr.output = Int32Tensor(out_shape, 0);
-    }
+    std::vector<int> out_shape = {wl.shape.outH(), wl.shape.outW(),
+                                  wl.shape.out_c};
+    if (wl.batch > 1)
+        out_shape.insert(out_shape.begin(), wl.batch);
 
-    // Grouped layers fan out across the simulation threads; events
-    // are folded in group order for bitwise determinism.
-    const int groups = wl.shape.groups;
-    std::vector<GemmRun> runs(static_cast<size_t>(groups));
-    runIndexed(groups, [&](int64_t g) {
-        const size_t gi = static_cast<size_t>(g);
-        if (prep.use_cache)
-            runs[gi] =
-                prep.model->run(prep.cached[gi]->plan, gemm_opt);
-        else if (!prep.plans.empty())
-            runs[gi] = prep.model->run(*prep.plans[gi], gemm_opt);
-        else
-            runs[gi] =
-                prep.model->run((*prep.problems)[gi], gemm_opt);
-    });
-    for (int g = 0; g < groups; ++g) {
-        lr.events.add(runs[static_cast<size_t>(g)].events);
-        if (compute_output) {
-            scatterGemmResult(wl.shape, g,
-                              runs[static_cast<size_t>(g)].output,
-                              lr.output, wl.batch);
+    if (!prep.cached.empty()) {
+        // One grouped GEMM: events summed over the groups in group
+        // order, and the kernel's m x out_c result is the output
+        // tensor itself.
+        GemmRun run = prep.model->run(prep.cached.front()->plan,
+                                      gemm_opt);
+        lr.events = run.events;
+        if (compute_output)
+            lr.output = Int32Tensor(out_shape, std::move(run.output));
+    } else {
+        // Scalar reference: one GEMM per group, folded in group
+        // order.
+        if (compute_output)
+            lr.output = Int32Tensor(out_shape, 0);
+        for (int g = 0; g < wl.shape.groups; ++g) {
+            const GemmRun run = prep.model->run(
+                prep.problems[static_cast<size_t>(g)], gemm_opt);
+            lr.events.add(run.events);
+            if (compute_output)
+                scatterGemmResult(wl.shape, g, run.output, lr.output,
+                                  wl.batch);
         }
     }
 

@@ -4,6 +4,12 @@
  * SRAMs, DMA, the DAP array, and the Cortex-M33 MCU cluster (paper
  * Sec. 6.3, Fig. 7a). Runs whole CNN layers and networks, producing
  * per-layer event records for the energy model.
+ *
+ * On the fast engine every conv layer is one GEMM with a group axis
+ * (one group unless the layer is grouped or depthwise): one
+ * lowering, one plan, one plan-cache entry and one kernel call that
+ * writes the layer's output. The scalar reference engine runs one
+ * GEMM per group and scatters each result into the output.
  */
 
 #ifndef S2TA_ARCH_ACCELERATOR_HH
@@ -41,9 +47,10 @@ struct AcceleratorConfig
     /**
      * Simulation threads for runNetwork/runLayer: 0 = one lane per
      * hardware thread (the process-wide pool), 1 = serial, N > 1 =
-     * a dedicated pool of exactly N lanes. Results are bitwise
-     * identical in all cases (per-layer and per-group results are
-     * reduced in order).
+     * a dedicated pool of exactly N lanes. Layers fan out across
+     * the lanes and each layer's functional kernel shards its row
+     * stripes over them. Results are bitwise identical in all cases
+     * (per-layer results are reduced in order).
      */
     int sim_threads = 0;
 };
@@ -173,17 +180,15 @@ struct PreparedLayer
     ArrayConfig acfg;
     /** Stateless array model built for acfg. */
     std::shared_ptr<const ArrayModel> model;
-    /** Plan-cache handles, one per group (cached path). */
+    /** Fast engine: one entry, the layer's grouped GEMM and its
+     *  plan, from the plan cache or built for this visit. Empty on
+     *  the scalar engine. */
     std::vector<std::shared_ptr<const CachedPlan>> cached;
-    /** Lowered problems owned by this layer (uncached paths);
-     *  heap-held so the plans below stay valid across moves. */
-    std::shared_ptr<std::vector<GemmProblem>> problems;
-    /** Locally encoded plans over `problems` (uncached fast path;
-     *  empty on the scalar path, which encodes nothing). */
-    std::vector<std::shared_ptr<const GemmPlan>> plans;
+    /** Scalar engine: one lowered GEMM per group. */
+    std::vector<GemmProblem> problems;
     /** Content fingerprint of the input tensor (cached path). */
     uint64_t input_hash = 0;
-    /** True when `cached` (not `problems`) carries the plans. */
+    /** True when `cached` came from RunOptions::plan_cache. */
     bool use_cache = false;
     /** DMA bytes of the layer: operands in (weights +
      *  activations, with the streaming/refetch policy applied) plus
@@ -230,9 +235,11 @@ class Accelerator
 
     /**
      * Simulate one convolution (or FC, expressed as 1x1 conv) layer.
-     * Grouped layers fan their per-group GEMMs out across the
-     * simulation threads; the per-group events are reduced in group
-     * order, so results match the serial run bit for bit.
+     * On the fast engine a layer is one GEMM with a group axis (one
+     * group unless the layer is grouped or depthwise): one lowering,
+     * one plan, one cache entry and one kernel call, its events
+     * summed over the groups in group order. The scalar engine runs
+     * one GEMM per group.
      */
     LayerRun runLayer(const LayerWorkload &wl,
                       const NetworkRunOptions &opt) const;
@@ -249,8 +256,8 @@ class Accelerator
 
     /**
      * Device-side stage of runLayer: run the array model over the
-     * prepared per-group plans and fold events, outputs and the
-     * DMA/MCU latency model. For any (wl, opt),
+     * prepared plan (or the scalar engine's per-group GEMMs) and
+     * fold events, outputs and the DMA/MCU latency model. For any (wl, opt),
      * executePrepared(prepareLayer(wl, opt), opt) is bitwise
      * identical to runLayer(wl, opt) — it is its implementation.
      */
@@ -289,7 +296,8 @@ class Accelerator
     /** DBB architectures need 8-aligned im2col channel segments. */
     int channelAlign() const;
 
-    /** Run fn(i) over [0, n) on the configured lane count. */
+    /** Run fn(i) over [0, n) on the configured lane count (the
+     *  layers of runNetwork). */
     void runIndexed(int64_t n,
                     const std::function<void(int64_t)> &fn) const;
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <span>
 
-#include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
 #include "arch/plan_cache.hh"
@@ -56,69 +56,96 @@ OperandProfile::build(const GemmProblem &p)
     return prof;
 }
 
+namespace {
+
+/**
+ * Per-position and per-vector non-zero counts of @p count
+ * consecutive vectors of @p nb masks each (block size @p bz):
+ * hist[b*bz + bit] (for positions below @p k) gains the vectors
+ * with @p bit set in block b, and nz[v] is vector v's popcount.
+ * Block-column outer: eight blocks of every vector are counted at a
+ * time in byte-wide SWAR counters, one 64-bit word per bit
+ * position, flushed before a byte can wrap.
+ */
+void
+countMaskBits(const Mask8 *masks, int count, int nb, int bz, int k,
+              int32_t *hist, int32_t *nz)
+{
+    constexpr uint64_t kOnes = 0x0101010101010101ull;
+    std::fill(nz, nz + count, 0);
+    for (int b0 = 0; b0 < nb; b0 += 8) {
+        const int len = std::min(8, nb - b0);
+        uint64_t acc[8] = {};
+        int pending = 0;
+        const auto flush = [&] {
+            for (int b = 0; b < len; ++b) {
+                // A tail block's positions past K are never set.
+                const int pos0 = (b0 + b) * bz;
+                for (int bit = 0; bit < std::min(bz, k - pos0); ++bit) {
+                    hist[pos0 + bit] += static_cast<int32_t>(
+                        (acc[bit] >> (8 * b)) & 0xFF);
+                }
+            }
+            std::fill(acc, acc + 8, 0);
+            pending = 0;
+        };
+        for (int v = 0; v < count; ++v) {
+            const Mask8 *src = masks + static_cast<size_t>(v) * nb + b0;
+            uint64_t w = 0;
+            if (len == 8) {
+                std::memcpy(&w, src, 8);
+            } else {
+                for (int b = 0; b < len; ++b)
+                    w |= uint64_t{src[b]} << (8 * b);
+            }
+            // Per-byte bit counts: one counter word per bit, and
+            // their sum (at most 8 per byte) for the popcount.
+            uint64_t sum = 0;
+            for (int bit = 0; bit < 8; ++bit) {
+                const uint64_t flags = (w >> bit) & kOnes;
+                acc[bit] += flags;
+                sum += flags;
+            }
+            nz[v] += static_cast<int32_t>((sum * kOnes) >> 56);
+            if (++pending == 255)
+                flush();
+        }
+        flush();
+    }
+}
+
+} // anonymous namespace
+
 OperandProfile
 OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
-                        const DbbMatrix &wgt)
+                        const DbbMatrix &wgt, int group)
 {
+    s2ta_assert(group >= 0 && group < p.groups, "group %d of %d",
+                group, p.groups);
     OperandProfile prof;
     prof.m = p.m;
-    prof.k = p.k;
+    prof.k = p.modeledK();
     prof.n = p.n;
     prof.row_nz.assign(static_cast<size_t>(p.m), 0);
     prof.col_nz.assign(static_cast<size_t>(p.n), 0);
-    prof.act_nz_at_k.assign(static_cast<size_t>(p.k), 0);
-    prof.wgt_nz_at_k.assign(static_cast<size_t>(p.k), 0);
+    prof.act_nz_at_k.assign(static_cast<size_t>(prof.k), 0);
+    prof.wgt_nz_at_k.assign(static_cast<size_t>(prof.k), 0);
 
-    // Per-vector counts from block popcounts, per-position counts
-    // from mask bit loops: O(blocks + nnz), no dense scan. Tail
-    // padding positions (>= k) are never set in any mask. With the
-    // AVX-512 tier active and the standard 8-wide blocks, whole
-    // vectors go through the VPOPCNTDQ/vpmovm2b sub-kernel instead
-    // (bit-identical; see dbbProfileVectorAvx512).
-    const int act_bz = act.spec().bz;
-    const bool simd_profile = dbbProfileSimdEnabled();
-    for (int i = 0; i < p.m; ++i) {
-        const Mask8 *row = act.vectorMasks(i);
-        int32_t nz = 0;
-        if (simd_profile && act_bz == 8) {
-            nz = static_cast<int32_t>(dbbProfileVectorAvx512(
-                row, act.blocksPerVector(),
-                prof.act_nz_at_k.data(), p.k));
-        } else {
-            for (int b = 0; b < act.blocksPerVector(); ++b) {
-                nz += maskPopcount(row[b]);
-                for (Mask8 m = row[b]; m;
-                     m = maskClearLowest(m)) {
-                    ++prof.act_nz_at_k[static_cast<size_t>(
-                        b * act_bz + maskLowestSetBit(m))];
-                }
-            }
-        }
-        prof.row_nz[static_cast<size_t>(i)] = nz;
+    // Per-vector counts and per-position counts straight from the
+    // masks: O(blocks), no dense scan. Tail and segment padding
+    // positions are never set in any mask. The group's vectors are
+    // consecutive (group-major) in both matrices.
+    countMaskBits(act.vectorMasks(group * p.m), p.m,
+                  act.blocksPerVector(), act.spec().bz, prof.k,
+                  prof.act_nz_at_k.data(), prof.row_nz.data());
+    countMaskBits(wgt.vectorMasks(group * p.n), p.n,
+                  wgt.blocksPerVector(), wgt.spec().bz, prof.k,
+                  prof.wgt_nz_at_k.data(), prof.col_nz.data());
+    for (const int32_t nz : prof.row_nz)
         prof.act_nnz += nz;
-    }
-    const int wgt_bz = wgt.spec().bz;
-    for (int j = 0; j < p.n; ++j) {
-        const Mask8 *col = wgt.vectorMasks(j);
-        int32_t nz = 0;
-        if (simd_profile && wgt_bz == 8) {
-            nz = static_cast<int32_t>(dbbProfileVectorAvx512(
-                col, wgt.blocksPerVector(),
-                prof.wgt_nz_at_k.data(), p.k));
-        } else {
-            for (int b = 0; b < wgt.blocksPerVector(); ++b) {
-                nz += maskPopcount(col[b]);
-                for (Mask8 m = col[b]; m;
-                     m = maskClearLowest(m)) {
-                    ++prof.wgt_nz_at_k[static_cast<size_t>(
-                        b * wgt_bz + maskLowestSetBit(m))];
-                }
-            }
-        }
-        prof.col_nz[static_cast<size_t>(j)] = nz;
+    for (const int32_t nz : prof.col_nz)
         prof.wgt_nnz += nz;
-    }
-    for (int kk = 0; kk < p.k; ++kk) {
+    for (int kk = 0; kk < prof.k; ++kk) {
         prof.matched_products +=
             static_cast<int64_t>(
                 prof.act_nz_at_k[static_cast<size_t>(kk)]) *
@@ -292,48 +319,59 @@ ArrayModel::usesScalarEngine(const GemmPlan &plan,
     return opt.engine == EngineKind::Scalar || !plan.encoded();
 }
 
-OperandProfile
-ArrayModel::profileFor(const GemmPlan &plan, const RunOptions &opt)
+std::vector<int32_t>
+ArrayModel::scalarOutput(const GemmProblem &p) const
 {
-    return usesScalarEngine(plan, opt)
-               ? OperandProfile::build(plan.problem())
-               : plan.profile();
-}
-
-void
-ArrayModel::referenceOutput(const GemmPlan &plan,
-                            const RunOptions &opt, GemmRun &out)
-{
-    const GemmProblem &p = plan.problem();
-    if (usesScalarEngine(plan, opt)) {
-        out.output = gemmReference(p);
-        return;
-    }
-    out.output.assign(static_cast<size_t>(p.m) * p.n, 0);
-    dbbGemm(plan, out.output.data(), opt.shard_pool);
+    return gemmReference(p);
 }
 
 GemmRun
 ArrayModel::run(const GemmPlan &plan, const RunOptions &opt) const
 {
+    const GemmProblem &p = plan.problem();
+    const int k = p.modeledK();
     // Block geometry is a hard requirement of the DBB architectures
     // (the scalar engine would silently truncate a ragged K tail),
     // so it is enforced even when density validation is skipped.
     if ((cfg.kind == ArchKind::S2taW ||
          cfg.kind == ArchKind::S2taAw) &&
-        plan.problem().k % cfg.bz != 0) {
+        k % cfg.bz != 0) {
         s2ta_fatal("%s requires K %% %d == 0 (K=%d)",
-                   cfg.name().c_str(), cfg.bz, plan.problem().k);
+                   cfg.name().c_str(), cfg.bz, k);
     }
     if (opt.validate_operands) {
         if (plan.encoded())
             checkPlan(plan);
         else
-            checkOperands(plan.problem());
+            checkOperands(p);
+    }
+    // The scalar engine rescans its operands for the reference
+    // profile and output, which only a plain GEMM lays out as one
+    // K-wide row per vector; the fast engine reads the plan's
+    // profile of each group.
+    const bool scalar = usesScalarEngine(plan, opt);
+    OperandProfile scan;
+    if (scalar) {
+        s2ta_assert(p.groups == 1 && !p.padded(),
+                    "the scalar engine runs plain GEMMs (%d groups, K "
+                    "%d modeled as %d)", p.groups, p.k, p.modeledK());
+        scan = OperandProfile::build(p);
     }
     GemmRun out;
-    out.events.logical_macs = plan.problem().denseMacs();
-    simulate(plan, opt, out);
+    out.events.logical_macs =
+        static_cast<int64_t>(p.groups) * p.m * k * p.n;
+    simulate(plan, opt,
+             scalar ? std::span<const OperandProfile>(&scan, 1)
+                    : plan.profiles(),
+             out.events);
+    if (!opt.compute_output)
+        return out;
+    if (scalar) {
+        out.output = scalarOutput(p);
+    } else {
+        out.output.resize(static_cast<size_t>(p.m) * p.groups * p.n);
+        dbbGemm(plan, out.output.data(), opt.shard_pool);
+    }
     return out;
 }
 

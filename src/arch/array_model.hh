@@ -3,10 +3,12 @@
  * Abstract cycle-level array model and its factory.
  *
  * Contract shared by all architectures (DESIGN.md Sec. 3):
- *  - run() returns exact cycle and event counts for the given GEMM;
+ *  - run() returns exact cycle and event counts for the given GEMM
+ *    (for a grouped GEMM, the sum over its groups in group order);
  *  - when RunOptions::compute_output is set, the model also computes
- *    the INT32 result *through its own datapath steering logic*
- *    (e.g. DBB mask/rank muxing), which must match gemmReference()
+ *    the INT32 result: the scalar engine *through the datapath's own
+ *    steering logic* (e.g. DBB mask/rank muxing), the fast engine
+ *    with the dense-lane dbbGemm; both must match gemmReference()
  *    bit for bit;
  *  - operands must already satisfy the config's density bounds
  *    (prune with core/weight_pruner.hh or core/dap.hh first);
@@ -17,6 +19,7 @@
 #define S2TA_ARCH_ARRAY_MODEL_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "arch/array_config.hh"
@@ -79,8 +82,10 @@ struct RunOptions
 /** Result of simulating one GEMM on an array. */
 struct GemmRun
 {
+    /** Events of every group, summed in group order. */
     EventCounts events;
-    /** Row-major m x n INT32 result; empty if not requested. */
+    /** Row-major m x (groups*n) INT32 result; empty if not
+     *  requested. */
     std::vector<int32_t> output;
 
     /** Dense-equivalent MACs per cycle, in [0, totalMacs]. */
@@ -122,13 +127,15 @@ struct OperandProfile
     static OperandProfile build(const GemmProblem &p);
 
     /**
-     * Fast construction from cached DBB encodings: per-position
-     * counts come from mask bit loops (O(nnz)) and per-vector counts
-     * from block popcounts. Bit-identical to build().
+     * Fast construction from cached DBB encodings: per-position and
+     * per-vector counts come from the block masks (O(blocks)), no
+     * dense scan. Bit-identical to build(). For a grouped
+     * or padded problem this is group @p group's profile over its
+     * masks, in the modeled K layout (k = p.modeledK()).
      */
     static OperandProfile fromDbb(const GemmProblem &p,
                                   const DbbMatrix &act,
-                                  const DbbMatrix &wgt);
+                                  const DbbMatrix &wgt, int group = 0);
 };
 
 /** Base class for all cycle-level array models. */
@@ -148,9 +155,14 @@ class ArrayModel
 
     /**
      * Simulate one GEMM from a pre-built plan. The plan's encodings
-     * and profile are reused as-is, so a caller comparing several
+     * and profiles are reused as-is, so a caller comparing several
      * architectures on the same operands pays the encoding cost
      * once. The plan must be encoded unless opt.engine is Scalar.
+     * A grouped plan runs group by group on the array, its events
+     * summed in group order, with its K as modeled
+     * (GemmProblem::modeledK()). The scalar engine (opt.engine ==
+     * Scalar, or a shallow plan) runs plain GEMMs only: a grouped or
+     * padded plan there is fatal.
      */
     GemmRun run(const GemmPlan &plan,
                 const RunOptions &opt = RunOptions{}) const;
@@ -168,31 +180,30 @@ class ArrayModel
   protected:
     explicit ArrayModel(ArrayConfig cfg_);
 
-    /** Architecture-specific simulation. */
+    /**
+     * Architecture-specific event accounting: add the events of each
+     * group of @p plan into @p ev, in group order. @p profs holds
+     * one operand profile per group: the plan's on the fast engine,
+     * the reference dense scan on the scalar engine (which runs only
+     * one-group, unpadded plans).
+     */
     virtual void simulate(const GemmPlan &plan, const RunOptions &opt,
-                          GemmRun &out) const = 0;
+                          std::span<const OperandProfile> profs,
+                          EventCounts &ev) const = 0;
+
+    /**
+     * Scalar-engine functional output of the plain GEMM @p p through
+     * this datapath's own steering logic; the default is
+     * gemmReference (datapaths that sum in reference order). The
+     * fast engine always runs dbbGemm: every datapath computes the
+     * exact INT32 products of the non-zero pairs.
+     */
+    virtual std::vector<int32_t> scalarOutput(const GemmProblem &p) const;
 
     /** True when this run executes the legacy scalar engine (by
      *  request, or because the plan carries no encodings). */
     static bool usesScalarEngine(const GemmPlan &plan,
                                  const RunOptions &opt);
-
-    /**
-     * Operand profile for this run: the scalar engine rebuilds it
-     * with the reference dense scan, the fast engine takes the
-     * plan's mask-derived copy. Both are bit-identical.
-     */
-    static OperandProfile profileFor(const GemmPlan &plan,
-                                     const RunOptions &opt);
-
-    /**
-     * Functional output for architectures whose datapath sums in
-     * reference order: gemmReference on the scalar engine, dbbGemm
-     * (row-stripe sharded over opt.shard_pool when set) on the
-     * fast engine.
-     */
-    static void referenceOutput(const GemmPlan &plan,
-                                const RunOptions &opt, GemmRun &out);
 
     /** Tiles needed along the output-row dimension. */
     int rowTiles(int m) const;

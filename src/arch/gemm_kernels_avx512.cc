@@ -1,36 +1,28 @@
 /**
  * @file
- * AVX-512 tier of the DBB kernels: two feature-gated sub-kernels,
- * plus the cpuid probes of every tier.
+ * AVX-512 tier of the DBB kernels, plus the cpuid probes of every
+ * tier.
  *
- *  - Dense dot (avx512bw + avx512vnni): vpdpbusd contracts 64 INT8
- *    pairs per instruction. It multiplies u8 x s8, so the signed
- *    dot is recovered exactly as dp(a ^ 0x80, w) - 128 * dp(1, w);
- *    all arithmetic wraps mod 2^32, bit-identical to the scalar
- *    INT32 accumulation.
- *  - Profile derivation (avx512bw + avx512vpopcntdq): per-vector
- *    nnz from vpopcntq over packed mask words, per-position
- *    histogram updates from vpmovm2b-widened mask bytes.
- *
- * Both are property-tested against scalar loops in
+ * The dense dot (avx512bw + avx512vnni): vpdpbusd contracts 64 INT8
+ * pairs per instruction. It multiplies u8 x s8, so the signed dot is
+ * recovered exactly as dp(a ^ 0x80, w) - 128 * dp(1, w); all
+ * arithmetic wraps mod 2^32, bit-identical to the scalar INT32
+ * accumulation. It is property-tested against a scalar loop in
  * tests/arch/test_gemm_kernels.cc.
  *
  * This translation unit is the only one compiled with AVX-512
- * codegen (every x86-64 build; see CMakeLists.txt). Each
- * sub-kernel probes its own cpuid bits, so a CPU with e.g.
- * avx512bw but no VNNI still gets the profile path while the dense
- * dot falls back to SSE2. The SIMD branch must not call inline
- * functions from shared headers: a comdat copy compiled here could
- * be kept by the linker for the whole program and break the runtime
- * fallback on older CPUs.
+ * codegen (every x86-64 build; see CMakeLists.txt); the dot runs
+ * only where its cpuid probe passes, and the SSE2 dot serves every
+ * other CPU. The SIMD branch must not call inline functions from
+ * shared headers: a comdat copy compiled here could be kept by the
+ * linker for the whole program and break the runtime fallback on
+ * older CPUs.
  */
 
 #include "arch/gemm_kernels.hh"
 
-#include <cstring>
-
 #if defined(__AVX512F__) && defined(__AVX512BW__) &&                  \
-    defined(__AVX512VNNI__) && defined(__AVX512VPOPCNTDQ__)
+    defined(__AVX512VNNI__)
 #include <immintrin.h>
 #define S2TA_HAVE_SIMD_AVX512 1
 #endif
@@ -40,23 +32,6 @@ namespace s2ta {
 #ifdef S2TA_HAVE_SIMD_AVX512
 
 namespace {
-
-/**
- * Add one 16-position slice of a group's mask bits into hist[0..15]:
- * @p lane holds the slice as 0/-1 bytes, widened here to 0/-1 INT32
- * lanes and subtracted (x - (-1) == x + 1). The maskz form with an
- * all-ones mask is the same instruction as the plain variant, but
- * its expansion avoids the _mm*_undefined_* helpers
- * -Werror=uninitialized rejects.
- */
-inline void
-countSlice(int32_t *hist, __m128i lane)
-{
-    const __m512i wide = _mm512_maskz_cvtepi8_epi32(
-        static_cast<__mmask16>(0xFFFF), lane);
-    _mm512_storeu_si512(
-        hist, _mm512_sub_epi32(_mm512_loadu_si512(hist), wide));
-}
 
 /**
  * Horizontal INT32x16 sum with wraparound. GCC's
@@ -121,77 +96,6 @@ dbbVnniKernelSupportedImpl()
            __builtin_cpu_supports("avx512vnni");
 }
 
-int64_t
-dbbProfileVectorAvx512(const uint8_t *masks, int nblocks,
-                       int32_t *hist, int hist_len)
-{
-    // Only 8-block groups whose full 64-position window fits in the
-    // histogram take the SIMD path; K's tail blocks (positions that
-    // would index past hist_len) stay on the per-bit loop below.
-    int simd_groups = nblocks / 8;
-    if (simd_groups > hist_len / 64)
-        simd_groups = hist_len / 64;
-
-    __m512i nnz_acc = _mm512_setzero_si512();
-    alignas(64) uint64_t words[8];
-    int wi = 0;
-    for (int g = 0; g < simd_groups; ++g) {
-        uint64_t km;
-        std::memcpy(&km, masks + g * 8, 8);
-        words[wi++] = km;
-        if (wi == 8) {
-            nnz_acc = _mm512_add_epi64(
-                nnz_acc,
-                _mm512_popcnt_epi64(_mm512_load_si512(words)));
-            wi = 0;
-        }
-        // Widen the 64 mask bits to 0/-1 bytes and count them into
-        // the histogram 16 positions at a time. The extract's lane
-        // index must be an immediate at every optimization level, so
-        // the four slices are spelled out rather than looped.
-        const __m512i bytes =
-            _mm512_movm_epi8(static_cast<__mmask64>(km));
-        const __mmask8 all = 0xF;
-        int32_t *h = hist + g * 64;
-        countSlice(h, _mm512_maskz_extracti32x4_epi32(all, bytes, 0));
-        countSlice(h + 16,
-                   _mm512_maskz_extracti32x4_epi32(all, bytes, 1));
-        countSlice(h + 32,
-                   _mm512_maskz_extracti32x4_epi32(all, bytes, 2));
-        countSlice(h + 48,
-                   _mm512_maskz_extracti32x4_epi32(all, bytes, 3));
-    }
-    if (wi > 0) {
-        for (int z = wi; z < 8; ++z)
-            words[z] = 0;
-        nnz_acc = _mm512_add_epi64(
-            nnz_acc, _mm512_popcnt_epi64(_mm512_load_si512(words)));
-    }
-    alignas(64) int64_t nnz_lane[8];
-    _mm512_store_si512(nnz_lane, nnz_acc);
-    int64_t nnz = 0;
-    for (int i = 0; i < 8; ++i)
-        nnz += nnz_lane[i]; // popcounts: no overflow possible
-
-
-    for (int b = simd_groups * 8; b < nblocks; ++b) {
-        unsigned m = masks[b];
-        nnz += __builtin_popcount(m);
-        while (m != 0) {
-            ++hist[b * 8 + __builtin_ctz(m)];
-            m &= m - 1;
-        }
-    }
-    return nnz;
-}
-
-bool
-dbbVpopcntKernelSupportedImpl()
-{
-    return __builtin_cpu_supports("avx512bw") &&
-           __builtin_cpu_supports("avx512vpopcntdq");
-}
-
 bool
 dbbSimdKernelSupportedImpl()
 {
@@ -207,8 +111,7 @@ dbbAvx2KernelSupportedImpl()
 bool
 dbbAvx512KernelSupportedImpl()
 {
-    return dbbVnniKernelSupportedImpl() ||
-           dbbVpopcntKernelSupportedImpl();
+    return dbbVnniKernelSupportedImpl();
 }
 
 #else // !S2TA_HAVE_SIMD_AVX512
@@ -225,25 +128,7 @@ dbbDenseDotVnni(const int8_t *a, const int8_t *w, int k)
     return sum;
 }
 
-int64_t
-dbbProfileVectorAvx512(const uint8_t *masks, int nblocks,
-                       int32_t *hist, int hist_len)
-{
-    (void)hist_len;
-    int64_t nnz = 0;
-    for (int b = 0; b < nblocks; ++b) {
-        unsigned m = masks[b];
-        nnz += __builtin_popcount(m);
-        while (m != 0) {
-            ++hist[b * 8 + __builtin_ctz(m)];
-            m &= m - 1;
-        }
-    }
-    return nnz;
-}
-
 bool dbbVnniKernelSupportedImpl() { return false; }
-bool dbbVpopcntKernelSupportedImpl() { return false; }
 bool dbbSimdKernelSupportedImpl() { return false; }
 bool dbbAvx2KernelSupportedImpl() { return false; }
 bool dbbAvx512KernelSupportedImpl() { return false; }

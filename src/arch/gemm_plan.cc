@@ -61,7 +61,9 @@ denseDot(const int8_t *a, const int8_t *w, int k)
  * The contraction over the dense activation rows and the transposed
  * weight mirror for output rows [row_begin, row_end): an activation
  * stripe stays cache-resident while each weight column streams
- * through once per stripe. @p ddot is the dispatched dense dot.
+ * through once per stripe. Group g contracts its K-column block of
+ * each row against its own weight columns. @p ddot is the
+ * dispatched dense dot.
  */
 void
 denseGemmRows(const GemmProblem &p, const int8_t *wgt_t,
@@ -69,14 +71,17 @@ denseGemmRows(const GemmProblem &p, const int8_t *wgt_t,
               int32_t *out)
 {
     constexpr int kRowTile = 64;
+    const size_t lda = static_cast<size_t>(p.groups) * p.k;
+    const size_t ldc = static_cast<size_t>(p.groups) * p.n;
     for (int i0 = row_begin; i0 < row_end; i0 += kRowTile) {
         const int ilim = std::min(row_end, i0 + kRowTile);
-        for (int j = 0; j < p.n; ++j) {
-            const int8_t *wcol =
-                wgt_t + static_cast<size_t>(j) * p.k;
-            for (int i = i0; i < ilim; ++i) {
-                out[static_cast<size_t>(i) * p.n + j] = ddot(
-                    &p.a[static_cast<size_t>(i) * p.k], wcol, p.k);
+        for (int g = 0; g < p.groups; ++g) {
+            const int8_t *a = p.a.data() + static_cast<size_t>(g) * p.k;
+            for (int j = g * p.n; j < (g + 1) * p.n; ++j) {
+                const int8_t *wcol =
+                    wgt_t + static_cast<size_t>(j) * p.k;
+                for (int i = i0; i < ilim; ++i)
+                    out[i * ldc + j] = ddot(a + i * lda, wcol, p.k);
             }
         }
     }
@@ -152,8 +157,7 @@ dbbVnniDenseEnabled()
 bool
 dbbProfileSimdEnabled()
 {
-    static const bool supported = dbbVpopcntKernelSupportedImpl();
-    return supported && dbbKernelCap() >= DbbKernelKind::Avx512;
+    return false;
 }
 
 void
@@ -184,8 +188,11 @@ GemmPlan::build(const GemmProblem &p, int bz, bool dense_mirror)
     plan.blk_bz = bz;
     plan.act_masks = DbbMatrix::fromActivations(p, all);
     plan.wgt_masks = DbbMatrix::fromWeights(p, all);
-    plan.prof = OperandProfile::fromDbb(p, plan.act_masks,
-                                        plan.wgt_masks);
+    plan.profs.reserve(static_cast<size_t>(p.groups));
+    for (int g = 0; g < p.groups; ++g) {
+        plan.profs.push_back(OperandProfile::fromDbb(
+            p, plan.act_masks, plan.wgt_masks, g));
+    }
     if (dense_mirror)
         plan.wgt_t = transposedWeights(p);
     plan.is_encoded = true;
@@ -195,6 +202,9 @@ GemmPlan::build(const GemmProblem &p, int bz, bool dense_mirror)
 GemmPlan
 GemmPlan::shallow(const GemmProblem &p)
 {
+    s2ta_assert(p.groups == 1 && !p.padded(),
+                "the scalar engine runs plain GEMMs (%d groups, K %d "
+                "modeled as %d)", p.groups, p.k, p.modeledK());
     return GemmPlan(p);
 }
 

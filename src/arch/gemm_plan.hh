@@ -4,12 +4,20 @@
  *
  * The DBB-native engine exploits the simulator's own sparse format:
  * both operands' block masks (DbbMatrix) are computed exactly once,
- * the OperandProfile is derived from them (O(nnz) bit loops instead
+ * the OperandProfile is derived from them (O(blocks) mask counts instead
  * of an O(M*K + K*N) dense scan), and density validation is a
  * popcount test per block. The values stay in the dense operands;
  * a plan that computes outputs also caches the transposed weights. Every architecture model consumes the
  * same plan, so nothing is re-encoded inside simulate() and
  * Accelerator::runLayer reuses one plan across the whole tile grid.
+ *
+ * A grouped problem (a grouped or depthwise conv layer, see
+ * GemmProblem) is one plan: its masks hold every group in the
+ * modeled K layout, it keeps one profile per group, and dbbGemm
+ * contracts every group in one call, writing the layer's output.
+ * Segment padding exists only in the masks' layout, the modeled
+ * dims and the event arithmetic; the plan stores and contracts real
+ * values only.
  *
  * A plan borrows the GemmProblem it was built from; the problem must
  * outlive the plan. Plans are immutable after construction apart
@@ -25,6 +33,7 @@
 #define S2TA_ARCH_GEMM_PLAN_HH
 
 #include <atomic>
+#include <span>
 
 #include "arch/array_model.hh"
 #include "core/dbb.hh"
@@ -37,16 +46,16 @@ class ThreadPool;
 /**
  * SIMD tier of the DBB kernels. The functional GEMM always contracts
  * dense lanes (the SSE2 madd dot on every x86-64 CPU, a plain loop
- * elsewhere); the AVX-512 tier adds the VNNI vpdpbusd dot and the
- * VPOPCNTDQ profile derivation where the CPU has them. Every tier is
- * bit-identical to the scalar loops (INT32 wraparound addition is
- * order-independent).
+ * elsewhere); the AVX-512 tier swaps in the VNNI vpdpbusd dot where
+ * the CPU has it. Both tiers are bit-identical (INT32 wraparound
+ * addition is order-independent). Operand profiles have one
+ * portable path on every tier (OperandProfile::fromDbb).
  */
 enum class DbbKernelKind
 {
-    /** SSE2 dense dot (plain loop off x86) and scalar mask loops. */
+    /** SSE2 dense dot (plain loop off x86). */
     Scalar,
-    /** VNNI dense dot and VPOPCNTDQ profile, each where supported. */
+    /** VNNI dense dot. */
     Avx512,
 };
 
@@ -55,16 +64,15 @@ enum class DbbKernelKind
 const char *dbbKernelKindName(DbbKernelKind kind);
 
 /** The tier dispatch will actually use: avx512 when this CPU has
- *  either AVX-512 sub-kernel, clamped to the forced cap
- *  (dbbForceKernelCap). */
+ *  AVX512-VNNI, clamped to the forced cap (dbbForceKernelCap). */
 DbbKernelKind dbbActiveKernel();
 
 /**
  * Clamp runtime dispatch to at most @p cap (Avx512, the default,
- * means no clamp). Capping at Scalar disables the VNNI dense dot and
- * the VPOPCNTDQ profile derivation, so a forced "scalar" run
- * executes no AVX-512 instruction anywhere. Used by the --simd bench
- * flag and by the tier-equivalence tests; thread-safe.
+ * means no clamp). Capping at Scalar disables the VNNI dense dot, so
+ * a forced "scalar" run executes no AVX-512 instruction anywhere.
+ * Used by the --simd bench flag and by the tier-equivalence tests;
+ * thread-safe.
  */
 void dbbForceKernelCap(DbbKernelKind cap);
 
@@ -75,8 +83,8 @@ DbbKernelKind dbbKernelCap();
  *  cap not below Avx512). */
 bool dbbVnniDenseEnabled();
 
-/** True when OperandProfile::fromDbb may use the AVX-512 VPOPCNTDQ
- *  derivation (CPU support, cap not below Avx512). */
+/** Always false: OperandProfile::fromDbb has one portable path on
+ *  every tier. Kept because perfbench reports it as a host fact. */
 bool dbbProfileSimdEnabled();
 
 /**
@@ -87,7 +95,10 @@ bool dbbProfileSimdEnabled();
  * INT32 accumulation is order-independent, so the result is
  * bit-identical to gemmReference. Row-tiled so one weight column is
  * reused across a stripe of activation rows. Writes the row-major
- * m x n result. The plan must have been built with its dense mirror.
+ * m x (groups*n) result, group g in columns [g*n, (g+1)*n): for a
+ * lowered conv layer, the output tensor itself. Only stored values
+ * are contracted (segment padding contributes exact zeros). The plan
+ * must have been built with its dense mirror.
  *
  * When @p shard_pool is non-null the output rows are split into
  * stripes dispatched across the pool's lanes; stripes write disjoint
@@ -104,18 +115,21 @@ class GemmPlan
   public:
     /**
      * Compute both operands' block masks (one pass each, all
-     * non-zeros kept) and derive the mask-based profile. @p bz is
-     * the block size; K need not be a multiple (tail blocks are
-     * zero-padded). @p dense_mirror additionally caches the
-     * transposed dense weights dbbGemm contracts against; skip it
-     * for events-only runs that never compute an output.
+     * non-zeros kept, in the modeled K layout) and derive each
+     * group's mask-based profile. @p bz is the block size; K need
+     * not be a multiple (tail blocks are zero-padded), but a padded
+     * problem's segments must span whole blocks. @p dense_mirror
+     * additionally caches the transposed dense weights dbbGemm
+     * contracts against; skip it for events-only runs that never
+     * compute an output.
      */
     static GemmPlan build(const GemmProblem &p, int bz = 8,
                           bool dense_mirror = true);
 
     /**
      * Wrap @p p without encoding anything: the legacy scalar engine
-     * runs straight off the dense operands.
+     * runs straight off the dense operands of a plain (one-group,
+     * unpadded) GEMM.
      */
     static GemmPlan shallow(const GemmProblem &p);
 
@@ -123,7 +137,8 @@ class GemmPlan
     int bz() const { return blk_bz; }
     bool encoded() const { return is_encoded; }
 
-    /** Activation block masks (M vectors of ceil(K/bz) blocks). */
+    /** Activation block masks (groups*M vectors of
+     *  ceil(modeledK/bz) blocks, group-major). */
     const DbbMatrix &
     act() const
     {
@@ -131,7 +146,8 @@ class GemmPlan
         return act_masks;
     }
 
-    /** Weight block masks (N vectors of ceil(K/bz) blocks). */
+    /** Weight block masks (groups*N vectors of ceil(modeledK/bz)
+     *  blocks, group-major). */
     const DbbMatrix &
     wgt() const
     {
@@ -139,18 +155,28 @@ class GemmPlan
         return wgt_masks;
     }
 
-    /** Mask-derived operand profile (only on encoded plans). */
+    /** Mask-derived operand profile of group @p g (only on encoded
+     *  plans). */
     const OperandProfile &
-    profile() const
+    profile(int g = 0) const
     {
         s2ta_assert(is_encoded, "plan is shallow (scalar engine)");
-        return prof;
+        return profs[static_cast<size_t>(g)];
+    }
+
+    /** Every group's profile, in group order. */
+    std::span<const OperandProfile>
+    profiles() const
+    {
+        s2ta_assert(is_encoded, "plan is shallow (scalar engine)");
+        return profs;
     }
 
     /**
-     * Dense transposed weight mirror: row j holds the K elements of
-     * weight column j contiguously, feeding dbbGemm's contraction.
-     * Null when the plan was built without it.
+     * Dense transposed weight mirror: row j holds the K stored
+     * elements of weight column j (of groups*N) contiguously,
+     * feeding dbbGemm's contraction. Null when the plan was built
+     * without it.
      */
     const int8_t *
     wgtDenseT() const
@@ -190,7 +216,7 @@ class GemmPlan
         : prob(o.prob), blk_bz(o.blk_bz), is_encoded(o.is_encoded),
           act_masks(std::move(o.act_masks)),
           wgt_masks(std::move(o.wgt_masks)),
-          wgt_t(std::move(o.wgt_t)), prof(std::move(o.prof)),
+          wgt_t(std::move(o.wgt_t)), profs(std::move(o.profs)),
           wgt_ok_spec(o.wgt_ok_spec.load()),
           act_ok_spec(o.act_ok_spec.load())
     {}
@@ -204,7 +230,7 @@ class GemmPlan
         act_masks = std::move(o.act_masks);
         wgt_masks = std::move(o.wgt_masks);
         wgt_t = std::move(o.wgt_t);
-        prof = std::move(o.prof);
+        profs = std::move(o.profs);
         wgt_ok_spec.store(o.wgt_ok_spec.load());
         act_ok_spec.store(o.act_ok_spec.load());
         return *this;
@@ -230,7 +256,7 @@ class GemmPlan
     DbbMatrix act_masks;
     DbbMatrix wgt_masks;
     std::vector<int8_t> wgt_t;
-    OperandProfile prof;
+    std::vector<OperandProfile> profs;
 
     // Last spec each operand was verified against (0 = none).
     // Atomic so a cached plan shared across sweep lanes can be

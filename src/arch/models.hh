@@ -29,7 +29,8 @@ class SaModel : public ArrayModel
 
   protected:
     void simulate(const GemmPlan &plan, const RunOptions &opt,
-                  GemmRun &out) const override;
+                  std::span<const OperandProfile> profs,
+                  EventCounts &ev) const override;
 };
 
 /**
@@ -49,7 +50,8 @@ class SaSmtModel : public ArrayModel
 
   protected:
     void simulate(const GemmPlan &plan, const RunOptions &opt,
-                  GemmRun &out) const override;
+                  std::span<const OperandProfile> profs,
+                  EventCounts &ev) const override;
 
   public:
     /**
@@ -75,7 +77,10 @@ class S2taWModel : public ArrayModel
 
   protected:
     void simulate(const GemmPlan &plan, const RunOptions &opt,
-                  GemmRun &out) const override;
+                  std::span<const OperandProfile> profs,
+                  EventCounts &ev) const override;
+    std::vector<int32_t>
+    scalarOutput(const GemmProblem &p) const override;
 };
 
 /**
@@ -93,7 +98,10 @@ class S2taAwModel : public ArrayModel
 
   protected:
     void simulate(const GemmPlan &plan, const RunOptions &opt,
-                  GemmRun &out) const override;
+                  std::span<const OperandProfile> profs,
+                  EventCounts &ev) const override;
+    std::vector<int32_t>
+    scalarOutput(const GemmProblem &p) const override;
 };
 
 /**

@@ -11,7 +11,7 @@ namespace {
 // ---- spill codec helpers --------------------------------------------
 
 constexpr uint8_t kSpillMagic = 0x53; // 'S'
-constexpr uint8_t kSpillVersion = 1;
+constexpr uint8_t kSpillVersion = 2;
 
 void
 putVarint(std::vector<uint8_t> &out, uint64_t v)
@@ -103,15 +103,15 @@ spillEncode(const CachedPlan &entry)
     std::vector<uint8_t> out;
     // Mask byte + up to bz values per block is the worst case;
     // reserve for it so dense workloads don't reallocate.
-    const int64_t blocks =
-        (static_cast<int64_t>(p.m) + p.n) *
-        plan.act().blocksPerVector();
-    out.reserve(static_cast<size_t>(32 + blocks * (plan.bz() + 1)));
+    const int64_t stored =
+        static_cast<int64_t>(p.a.size() + p.w.size());
+    out.reserve(static_cast<size_t>(
+        48 + (stored / plan.bz() + p.m + p.groups * p.n) *
+                 (plan.bz() + 1)));
     out.push_back(kSpillMagic);
     out.push_back(kSpillVersion);
-    putVarint(out, static_cast<uint64_t>(p.m));
-    putVarint(out, static_cast<uint64_t>(p.k));
-    putVarint(out, static_cast<uint64_t>(p.n));
+    for (const int dim : {p.m, p.k, p.n, p.groups, p.seg, p.seg_align})
+        putVarint(out, static_cast<uint64_t>(dim));
     out.push_back(static_cast<uint8_t>(plan.bz()));
     out.push_back(plan.wgtDenseT() != nullptr ? 1 : 0);
     encodeBlocks(dbbEncodeActivations(p, plan.bz()), out);
@@ -131,17 +131,25 @@ spillDecode(const uint8_t *data, size_t len)
     const auto m = static_cast<int>(getVarint(p, end));
     const auto k = static_cast<int>(getVarint(p, end));
     const auto n = static_cast<int>(getVarint(p, end));
+    const auto groups = static_cast<int>(getVarint(p, end));
+    const auto seg = static_cast<int>(getVarint(p, end));
+    const auto seg_align = static_cast<int>(getVarint(p, end));
     s2ta_assert(p + 2 <= end, "truncated spill image");
     const int bz = *p++;
     const bool mirror = *p++ != 0;
-    s2ta_assert(m >= 1 && k >= 1 && n >= 1 && bz >= 1 && bz <= 8,
-                "implausible spill dims %dx%dx%d bz %d", m, k, n,
-                bz);
-    const int nb = (k + bz - 1) / bz;
+    s2ta_assert(m >= 1 && k >= 1 && n >= 1 && groups >= 1 &&
+                    seg >= 0 && seg <= k && seg_align >= 1 &&
+                    bz >= 1 && bz <= 8,
+                "implausible spill dims %dx%dx%d, %d groups, seg "
+                "%d/%d, bz %d", m, k, n, groups, seg, seg_align, bz);
 
-    std::vector<DbbBlock> act_blks(static_cast<size_t>(m) * nb);
+    // The stored operands: m rows of groups*k activations and
+    // groups*n weight columns of k.
+    std::vector<DbbBlock> act_blks(
+        static_cast<size_t>(m) * ((groups * k + bz - 1) / bz));
     decodeBlocks(p, end, act_blks);
-    std::vector<DbbBlock> wgt_blks(static_cast<size_t>(n) * nb);
+    std::vector<DbbBlock> wgt_blks(static_cast<size_t>(groups) * n *
+                                   ((k + bz - 1) / bz));
     decodeBlocks(p, end, wgt_blks);
     s2ta_assert(p == end, "trailing bytes in spill image");
 
@@ -149,7 +157,9 @@ spillDecode(const uint8_t *data, size_t len)
     // value; padding positions stay unset), so expanding the blocks
     // reconstructs the dense operands exactly, and a build over them
     // reproduces the spilled plan.
-    GemmProblem prob(m, k, n);
+    GemmProblem prob(m, k, n, groups);
+    prob.seg = seg;
+    prob.seg_align = seg_align;
     dbbDecodeActivations(act_blks.data(), bz, prob);
     dbbDecodeWeights(wgt_blks.data(), bz, prob);
     return std::make_shared<const CachedPlan>(std::move(prob), bz,
@@ -181,9 +191,8 @@ uint64_t
 PlanCache::fingerprint(const GemmProblem &p)
 {
     uint64_t key = 0x5157454550ull; // arbitrary domain tag
-    key = combine(key, static_cast<uint64_t>(p.m));
-    key = combine(key, static_cast<uint64_t>(p.k));
-    key = combine(key, static_cast<uint64_t>(p.n));
+    for (const int dim : {p.m, p.k, p.n, p.groups, p.seg, p.seg_align})
+        key = combine(key, static_cast<uint64_t>(dim));
     key = combine(key, hashBytes(p.a.data(), p.a.size()));
     key = combine(key, hashBytes(p.w.data(), p.w.size()));
     return key;
@@ -192,13 +201,14 @@ PlanCache::fingerprint(const GemmProblem &p)
 int64_t
 PlanCache::entryBytes(const CachedPlan &e)
 {
-    // Operands, one mask byte per block, and the mirror if built.
-    int64_t bytes = static_cast<int64_t>(e.problem.a.size()) +
-                    static_cast<int64_t>(e.problem.w.size());
+    // Operands, one mask byte per block, and the mirror (the
+    // weights transposed) if built.
+    const int64_t wgt = static_cast<int64_t>(e.problem.w.size());
+    int64_t bytes = static_cast<int64_t>(e.problem.a.size()) + wgt;
     for (const DbbMatrix *m : {&e.plan.act(), &e.plan.wgt()})
         bytes += static_cast<int64_t>(m->vectors()) * m->blocksPerVector();
     if (e.plan.wgtDenseT() != nullptr)
-        bytes += static_cast<int64_t>(e.problem.n) * e.problem.k;
+        bytes += wgt;
     return bytes;
 }
 
@@ -396,10 +406,12 @@ PlanCache::acquire(const GemmProblem &p, int bz, bool dense_mirror)
     // a full memcmp would cost as much as the hash itself.)
     s2ta_assert(entry->problem.m == p.m &&
                 entry->problem.k == p.k &&
-                entry->problem.n == p.n,
-                "plan cache fingerprint collision (%dx%dx%d vs "
-                "%dx%dx%d)", p.m, p.k, p.n, entry->problem.m,
-                entry->problem.k, entry->problem.n);
+                entry->problem.n == p.n &&
+                entry->problem.groups == p.groups,
+                "plan cache fingerprint collision (%dx%dx%dx%d vs "
+                "%dx%dx%dx%d)", p.m, p.k, p.n, p.groups,
+                entry->problem.m, entry->problem.k, entry->problem.n,
+                entry->problem.groups);
     return entry;
 }
 
@@ -430,74 +442,6 @@ PlanCache::acquireKeyed(uint64_t key, int bz, bool dense_mirror,
         std::make_shared<const CachedPlan>(lower(), bz, dense_mirror);
     insertAndSpill(key, entry);
     return entry;
-}
-
-std::vector<std::shared_ptr<const CachedPlan>>
-PlanCache::acquireLayer(
-    uint64_t key, int groups, int bz, bool dense_mirror,
-    const std::function<std::vector<GemmProblem>()> &lower_all,
-    const std::function<GemmProblem(int)> &lower_one)
-{
-    s2ta_assert(groups >= 1, "groups %d", groups);
-    const uint64_t base = combine(
-        key, static_cast<uint64_t>(bz) |
-                 (dense_mirror ? 0x100u : 0u));
-    std::vector<std::shared_ptr<const CachedPlan>> out(
-        static_cast<size_t>(groups));
-    std::vector<uint64_t> keys(static_cast<size_t>(groups));
-    for (int g = 0; g < groups; ++g)
-        keys[static_cast<size_t>(g)] =
-            combine(base, static_cast<uint64_t>(g));
-
-    std::vector<Lookup> looks(static_cast<size_t>(groups));
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        for (int g = 0; g < groups; ++g)
-            looks[static_cast<size_t>(g)] =
-                lookupLocked(keys[static_cast<size_t>(g)]);
-    }
-    int absent = 0;
-    for (int g = 0; g < groups; ++g) {
-        auto &l = looks[static_cast<size_t>(g)];
-        auto &slot = out[static_cast<size_t>(g)];
-        if (l.entry)
-            slot = std::move(l.entry);
-        else if (l.spilled)
-            slot = rehydrate(keys[static_cast<size_t>(g)],
-                             std::move(l.spilled));
-        if (!slot)
-            ++absent;
-    }
-    if (absent == 0)
-        return out;
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        counters.misses += absent;
-    }
-
-    // Whole-layer miss: lower every group in one batched pass (the
-    // activation tensor is walked once for all groups). Partial
-    // miss (a few groups evicted mid-sweep): re-lower only the
-    // absent ones instead of redoing the whole layer.
-    std::vector<GemmProblem> problems;
-    if (absent == groups) {
-        problems = lower_all();
-        s2ta_assert(problems.size() == static_cast<size_t>(groups),
-                    "lower_all returned %zu of %d groups",
-                    problems.size(), groups);
-    }
-    for (int g = 0; g < groups; ++g) {
-        auto &slot = out[static_cast<size_t>(g)];
-        if (slot)
-            continue;
-        slot = std::make_shared<const CachedPlan>(
-            problems.empty()
-                ? lower_one(g)
-                : std::move(problems[static_cast<size_t>(g)]),
-            bz, dense_mirror);
-        insertAndSpill(keys[static_cast<size_t>(g)], slot);
-    }
-    return out;
 }
 
 DapStats

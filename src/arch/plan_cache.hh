@@ -11,10 +11,14 @@
  * serve::StreamScheduler lets repeated (model, batch) requests —
  * and models sharing identical layers — skip lowering and encoding
  * entirely (RunOptions::plan_cache wires it in).
+ * One entry is one GEMM; a conv layer, grouped or not, is one
+ * entry (one grouped GemmProblem and its plan; see
+ * Accelerator::prepareLayer).
  * The cache keys entries by operand *content* (a 64-bit FNV-1a
- * fingerprint of both operand byte arrays plus the GEMM dims, the
- * DBB block size, and whether the dense weight mirror was
- * materialized): mutated operands re-fingerprint on every call and
+ * fingerprint of both operand byte arrays plus the GEMM dims, group
+ * and segment layout, the DBB block size, and whether the dense
+ * weight mirror was materialized): mutated operands re-fingerprint
+ * on every call and
  * therefore can never hit a stale entry, so results are bitwise
  * identical with caching on or off. Hits are decided by the
  * fingerprint; acquire() cross-checks the dims on a hit, leaving
@@ -171,26 +175,13 @@ class PlanCache
      * without materializing it (e.g. a conv layer before im2col
      * lowering): @p key must already distinguish operand content
      * (hash the source tensors with hashBytes). @p lower runs only
-     * on a miss and produces the problem to encode.
+     * on a miss and produces the problem to encode: for a conv
+     * layer, the whole layer's grouped GEMM, so a layer costs one
+     * lookup and, on a miss, one lowering.
      */
     std::shared_ptr<const CachedPlan>
     acquireKeyed(uint64_t key, int bz, bool dense_mirror,
                  const std::function<GemmProblem()> &lower);
-
-    /**
-     * Batched layer variant: one entry per convolution group, all
-     * lowered in a single pass on a whole-layer miss. @p lower_all
-     * must return exactly @p groups problems (group-major). Group g
-     * is keyed as combine(key, g); a layer whose groups are all
-     * resident costs only @p groups lookups. On a *partial* miss
-     * (some groups evicted mid-sweep), only the absent groups are
-     * re-lowered via @p lower_one.
-     */
-    std::vector<std::shared_ptr<const CachedPlan>>
-    acquireLayer(uint64_t key, int groups, int bz, bool dense_mirror,
-                 const std::function<std::vector<GemmProblem>()>
-                     &lower_all,
-                 const std::function<GemmProblem(int)> &lower_one);
 
     /**
      * Memoized DAP comparator statistics. The DAP array prunes a
@@ -324,8 +315,9 @@ class PlanCache
 };
 
 /**
- * Spill-form image of @p entry: dims + varint/RLE-coded DBB blocks
- * only (mask byte + stored values per non-empty block, zero runs
+ * Spill-form image of @p entry: dims, group and segment layout +
+ * varint/RLE-coded DBB blocks of the stored operands only (mask
+ * byte + stored values per non-empty block, zero runs
  * length-coded), the values gathered from the entry's dense
  * operands. About half the entry's resident footprint at 4/8
  * density, less still next to an entry that holds a mirror.

@@ -12,16 +12,13 @@ S2taAwModel::S2taAwModel(ArrayConfig cfg_) : ArrayModel(cfg_)
 }
 
 void
-S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
-                      GemmRun &out) const
+S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &,
+                      std::span<const OperandProfile> profs,
+                      EventCounts &total) const
 {
     const GemmProblem &p = plan.problem();
-    const bool scalar = usesScalarEngine(plan, opt);
-    const OperandProfile prof = profileFor(plan, opt);
-    EventCounts &ev = out.events;
-
     const int bz = cfg.bz;
-    const int nblocks = p.k / bz;
+    const int nblocks = p.modeledK() / bz;
     const int nnz_a = cfg.act_nnz;
     const int wstored = cfg.weight_dbb.nnz;
     const int wblock_bytes = cfg.weight_dbb.storedBytesPerBlock();
@@ -39,7 +36,6 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     const int64_t tile_cycles =
         static_cast<int64_t>(nblocks) * nnz_a * passes + cfg.tpe.m +
         cfg.tpe.n + bz;
-    ev.cycles = grid.tiles() * tile_cycles;
 
     // Each DP1M4 evaluates one MAC slot per cycle. A slot executes
     // when the serialized activation is non-zero and the 4:1 mux
@@ -47,18 +43,13 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     // position; otherwise the MAC is clock gated.
     const int64_t slots = static_cast<int64_t>(p.m) * p.n * nblocks *
                           nnz_a * passes;
-    ev.macs_executed = prof.matched_products;
-    ev.macs_gated = slots - prof.matched_products;
-    ev.mux_selects = slots; // one 4:1 steer per slot
-
-    // One accumulator per DP1M4; it updates only on executed MACs.
-    ev.accum_updates = prof.matched_products;
-    ev.accum_gated = slots - prof.matched_products;
 
     // Operand registers at TPE granularity. Activation blocks are
     // serialized (values plus the positional mask) and hop across
     // TPE columns; weight blocks are latched once per block and
-    // reused for all NNZ_a serialized cycles.
+    // reused for all NNZ_a serialized cycles. The same for every
+    // group.
+    int64_t operand_reg_bytes = 0;
     for (int trow = 0; trow < grid.row_tiles; ++trow) {
         const int rows =
             std::min(grid.eff_rows, p.m - trow * grid.eff_rows);
@@ -67,7 +58,7 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
             const int cols =
                 std::min(grid.eff_cols, p.n - tcol * grid.eff_cols);
             const int tpe_cols = (cols + cfg.tpe.c - 1) / cfg.tpe.c;
-            ev.operand_reg_bytes +=
+            operand_reg_bytes +=
                 static_cast<int64_t>(nblocks) * ablock_bytes * rows *
                     tpe_cols +
                 static_cast<int64_t>(nblocks) * wblock_bytes * cols *
@@ -75,37 +66,46 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
         }
     }
 
-    // SRAM: both operands move compressed (the dominant energy win
-    // of S2TA-AW over S2TA-W, Fig. 10).
-    ev.act_sram_read_bytes = static_cast<int64_t>(grid.col_tiles) *
-                             p.m * nblocks * ablock_bytes;
-    ev.wgt_sram_bytes = static_cast<int64_t>(grid.row_tiles) * p.n *
-                        nblocks * wblock_bytes;
-    ev.act_sram_write_bytes = static_cast<int64_t>(p.m) * p.n;
-    ev.actfn_elements = static_cast<int64_t>(p.m) * p.n;
+    for (const OperandProfile &prof : profs) {
+        EventCounts ev;
+        ev.cycles = grid.tiles() * tile_cycles;
+        ev.macs_executed = prof.matched_products;
+        ev.macs_gated = slots - prof.matched_products;
+        ev.mux_selects = slots; // one 4:1 steer per slot
 
-    if (!opt.compute_output)
-        return;
+        // One accumulator per DP1M4; it updates only on executed
+        // MACs.
+        ev.accum_updates = prof.matched_products;
+        ev.accum_gated = slots - prof.matched_products;
 
-    out.output.assign(static_cast<size_t>(p.m) * p.n, 0);
-    if (!scalar) {
-        // DBB-native fast path: serializing the stored activations
-        // and muxing against the weight mask computes exactly the
-        // products at intersecting mask positions; every other
-        // product has a zero operand, so the dense-lane contraction
-        // gives the same result.
-        dbbGemm(plan, out.output.data(), opt.shard_pool);
-        return;
+        ev.operand_reg_bytes = operand_reg_bytes;
+
+        // SRAM: both operands move compressed (the dominant energy
+        // win of S2TA-AW over S2TA-W, Fig. 10).
+        ev.act_sram_read_bytes = static_cast<int64_t>(grid.col_tiles) *
+                                 p.m * nblocks * ablock_bytes;
+        ev.wgt_sram_bytes = static_cast<int64_t>(grid.row_tiles) *
+                            p.n * nblocks * wblock_bytes;
+        ev.act_sram_write_bytes = static_cast<int64_t>(p.m) * p.n;
+        ev.actfn_elements = static_cast<int64_t>(p.m) * p.n;
+        total.add(ev);
     }
+}
 
+std::vector<int32_t>
+S2taAwModel::scalarOutput(const GemmProblem &p) const
+{
     // Scalar reference: per-element functional model through the
     // time-unrolled DP1M4 path: each serialized activation element
     // carries its expanded position; the 4:1 mux selects the weight
     // slot whose mask bit matches (Fig. 6e). Encode permissively —
     // density enforcement belongs to checkOperands, which
     // RunOptions may have skipped.
+    const int bz = cfg.bz;
+    const int nblocks = p.k / bz;
     const std::vector<DbbBlock> ablocks = referenceBlocks(p, bz, false);
     const std::vector<DbbBlock> wblocks = referenceBlocks(p, bz, true);
+    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n, 0);
     for (int i = 0; i < p.m; ++i) {
         for (int j = 0; j < p.n; ++j) {
             int32_t acc = 0;
@@ -125,9 +125,10 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
                                  maskRank(wb.mask, pos))];
                 }
             }
-            out.output[static_cast<size_t>(i) * p.n + j] = acc;
+            out[static_cast<size_t>(i) * p.n + j] = acc;
         }
     }
+    return out;
 }
 
 } // namespace s2ta

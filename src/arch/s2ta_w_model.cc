@@ -13,16 +13,14 @@ S2taWModel::S2taWModel(ArrayConfig cfg_) : ArrayModel(cfg_)
 }
 
 void
-S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
-                     GemmRun &out) const
+S2taWModel::simulate(const GemmPlan &plan, const RunOptions &,
+                     std::span<const OperandProfile> profs,
+                     EventCounts &total) const
 {
     const GemmProblem &p = plan.problem();
-    const bool scalar = usesScalarEngine(plan, opt);
-    const OperandProfile prof = profileFor(plan, opt);
-    EventCounts &ev = out.events;
-
+    const int k = p.modeledK();
     const int bz = cfg.bz;
-    const int nblocks = p.k / bz;
+    const int nblocks = k / bz;
     const int wstored = cfg.weight_dbb.nnz;
     const int wblock_bytes = cfg.weight_dbb.storedBytesPerBlock();
     // DP4M8 holds 4 weight lanes; denser weight specs need extra
@@ -37,7 +35,6 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     const int64_t tile_cycles =
         static_cast<int64_t>(nblocks) * passes + cfg.tpe.m +
         cfg.tpe.n + bz;
-    ev.cycles = grid.tiles() * tile_cycles;
 
     // MAC slots: 'lanes' multipliers evaluated per block pass per
     // output. A slot executes when its stored weight is non-zero and
@@ -45,28 +42,14 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     // weight lanes, ZVCG'd zero activations) is clock gated.
     const int64_t slots = static_cast<int64_t>(p.m) * p.n * nblocks *
                           lanes * passes;
-    ev.macs_executed = prof.matched_products;
-    ev.macs_gated = slots - prof.matched_products;
-    ev.mux_selects = slots; // one 8:1 steer per slot
-
-    // Accumulator: the DP4 adder-tree result is accumulated once per
-    // block pass, gated when all four products are zero. The active
-    // fraction is estimated statistically (DESIGN.md Sec. 3).
     const int64_t accum_slots =
         static_cast<int64_t>(p.m) * p.n * nblocks * passes;
-    const double q = slots > 0
-        ? static_cast<double>(prof.matched_products) /
-              static_cast<double>(slots)
-        : 0.0;
-    const double p_active = 1.0 - std::pow(1.0 - q, lanes);
-    ev.accum_updates = static_cast<int64_t>(
-        std::llround(static_cast<double>(accum_slots) * p_active));
-    ev.accum_gated = accum_slots - ev.accum_updates;
 
     // Operand registers at TPE granularity: activation blocks hop
     // across the TPE columns, weight blocks down the TPE rows; each
     // value is reused by A x C datapaths once latched (the new
-    // data-reuse dimension of Sec. 6.1).
+    // data-reuse dimension of Sec. 6.1). The same for every group.
+    int64_t operand_reg_bytes = 0;
     for (int trow = 0; trow < grid.row_tiles; ++trow) {
         const int rows =
             std::min(grid.eff_rows, p.m - trow * grid.eff_rows);
@@ -77,7 +60,7 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
             const int tpe_cols = (cols + cfg.tpe.c - 1) / cfg.tpe.c;
             // Dense activation blocks (bz bytes per row per hop)
             // plus compressed weight blocks (stored values + mask).
-            ev.operand_reg_bytes +=
+            operand_reg_bytes +=
                 static_cast<int64_t>(nblocks) * bz * rows *
                     tpe_cols +
                 static_cast<int64_t>(nblocks) * wblock_bytes * cols *
@@ -85,33 +68,51 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
         }
     }
 
-    // SRAM: weights move compressed; activations are dense.
-    ev.act_sram_read_bytes =
-        static_cast<int64_t>(grid.col_tiles) * p.m * p.k;
-    ev.wgt_sram_bytes = static_cast<int64_t>(grid.row_tiles) * p.n *
-                        nblocks * wblock_bytes;
-    ev.act_sram_write_bytes = static_cast<int64_t>(p.m) * p.n;
-    ev.actfn_elements = static_cast<int64_t>(p.m) * p.n;
+    for (const OperandProfile &prof : profs) {
+        EventCounts ev;
+        ev.cycles = grid.tiles() * tile_cycles;
+        ev.macs_executed = prof.matched_products;
+        ev.macs_gated = slots - prof.matched_products;
+        ev.mux_selects = slots; // one 8:1 steer per slot
 
-    if (!opt.compute_output)
-        return;
+        // Accumulator: the DP4 adder-tree result is accumulated once
+        // per block pass, gated when all four products are zero. The
+        // active fraction is estimated statistically (DESIGN.md
+        // Sec. 3).
+        const double q = slots > 0
+            ? static_cast<double>(prof.matched_products) /
+                  static_cast<double>(slots)
+            : 0.0;
+        const double p_active = 1.0 - std::pow(1.0 - q, lanes);
+        ev.accum_updates = static_cast<int64_t>(std::llround(
+            static_cast<double>(accum_slots) * p_active));
+        ev.accum_gated = accum_slots - ev.accum_updates;
 
-    out.output.assign(static_cast<size_t>(p.m) * p.n, 0);
-    if (!scalar) {
-        // DBB-native fast path: the mux steering selects exactly the
-        // activations at the weight mask's positions, and every
-        // product outside them has a zero weight, so the dense-lane
-        // contraction gives the same result.
-        dbbGemm(plan, out.output.data(), opt.shard_pool);
-        return;
+        ev.operand_reg_bytes = operand_reg_bytes;
+
+        // SRAM: weights move compressed; activations are dense.
+        ev.act_sram_read_bytes =
+            static_cast<int64_t>(grid.col_tiles) * p.m * k;
+        ev.wgt_sram_bytes = static_cast<int64_t>(grid.row_tiles) *
+                            p.n * nblocks * wblock_bytes;
+        ev.act_sram_write_bytes = static_cast<int64_t>(p.m) * p.n;
+        ev.actfn_elements = static_cast<int64_t>(p.m) * p.n;
+        total.add(ev);
     }
+}
 
+std::vector<int32_t>
+S2taWModel::scalarOutput(const GemmProblem &p) const
+{
     // Scalar reference: per-element functional model through the
     // DP4M8 steering path: for each stored weight, the 8:1 mux
     // selects the activation at the weight's expanded position
     // (Fig. 6c). Encode permissively — density enforcement belongs
     // to checkOperands, which RunOptions may have skipped.
+    const int bz = cfg.bz;
+    const int nblocks = p.k / bz;
     const std::vector<DbbBlock> wblocks = referenceBlocks(p, bz, true);
+    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n, 0);
     for (int i = 0; i < p.m; ++i) {
         for (int j = 0; j < p.n; ++j) {
             int32_t acc = 0;
@@ -126,9 +127,10 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
                            blk.values[static_cast<size_t>(s)];
                 }
             }
-            out.output[static_cast<size_t>(i) * p.n + j] = acc;
+            out[static_cast<size_t>(i) * p.n + j] = acc;
         }
     }
+    return out;
 }
 
 } // namespace s2ta

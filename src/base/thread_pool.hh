@@ -1,7 +1,7 @@
 /**
  * @file
  * Fixed-size thread pool behind every parallel tier of the
- * simulator: the layer/group fan-out of Accelerator::runNetwork,
+ * simulator: the layer fan-out of Accelerator::runNetwork,
  * the intra-GEMM row-stripe sharding of dbbGemm
  * (RunOptions::shard_pool), and the request-level fan-out of
  * serve::StreamScheduler.
@@ -22,7 +22,7 @@
  *
  * Nested parallelFor calls from inside a worker (or from the
  * caller's own lane) run inline (no new threads, no deadlock), so
- * e.g. per-group parallelism inside a layer composes with per-layer
+ * e.g. a layer's row-stripe sharding composes with per-layer
  * parallelism across a network.
  */
 

@@ -76,26 +76,34 @@ constexpr int kTileCols = 32;
 static_assert(std::endian::native == std::endian::little,
               "the DBB block codec assumes a little-endian host");
 
-/** The first @p len <= 8 bytes at @p p as a word, zero-extended. */
+/** The first @p len <= 8 bytes at @p p as a word, zero-extended.
+ *  Short lengths (K tails, narrow channel segments) are gathered
+ *  byte by byte: a variable-length memcpy would be a library call
+ *  per block. */
 inline uint64_t
 loadBytes(const int8_t *p, int len)
 {
     uint64_t v = 0;
-    if (len == 8)
+    if (len == 8) {
         std::memcpy(&v, p, 8);
-    else
-        std::memcpy(&v, p, static_cast<size_t>(len));
+        return v;
+    }
+    for (int i = 0; i < len; ++i)
+        v |= uint64_t{static_cast<uint8_t>(p[i])} << (8 * i);
     return v;
 }
 
-/** Store the low @p len <= 8 bytes of @p v at @p p. */
+/** Store the low @p len <= 8 bytes of @p v at @p p (short lengths
+ *  byte by byte, as in loadBytes). */
 inline void
 storeBytes(int8_t *p, uint64_t v, int len)
 {
-    if (len == 8)
+    if (len == 8) {
         std::memcpy(p, &v, 8);
-    else
-        std::memcpy(p, &v, static_cast<size_t>(len));
+        return;
+    }
+    for (int i = 0; i < len; ++i)
+        p[i] = static_cast<int8_t>(v >> (8 * i));
 }
 
 // The SWAR helpers below keep one flag per byte (0x01 or 0x00).
@@ -266,8 +274,9 @@ forWeightBlocks(const GemmProblem &p, int bz, Fn &&fn)
 {
     alignas(64) int8_t tile[kTileCols * kTileBlocks * 8];
     const int8_t *w = p.w.data();
-    const size_t ld = static_cast<size_t>(p.n);
-    forWeightTiles(p.k, p.n, bz, (p.k + bz - 1) / bz,
+    const int cols = p.groups * p.n;
+    const size_t ld = static_cast<size_t>(cols);
+    forWeightTiles(p.k, cols, bz, (p.k + bz - 1) / bz,
                    [&](int b0, int nb, int rows, int j0, int cols) {
         const int seg = nb * bz;
         transposeBytes(w + b0 * bz * ld + j0, ld, rows, cols, tile, seg);
@@ -280,17 +289,19 @@ forWeightBlocks(const GemmProblem &p, int bz, Fn &&fn)
     });
 }
 
-/** The same for activation rows, which are contiguous already:
- *  fn(row, block, elements, length), length < bz on K's tail. */
+/** The same for the stored activation rows (groups*K values
+ *  each), which are contiguous already: fn(row, block, elements,
+ *  length), length < bz on the row's tail. */
 template <typename Fn>
 void
 forActivationBlocks(const GemmProblem &p, int bz, Fn &&fn)
 {
-    const int nb = (p.k + bz - 1) / bz;
+    const int len = p.groups * p.k;
+    const int nb = (len + bz - 1) / bz;
     for (int i = 0; i < p.m; ++i) {
-        const int8_t *row = &p.a[static_cast<size_t>(i) * p.k];
+        const int8_t *row = &p.a[static_cast<size_t>(i) * len];
         for (int b = 0; b < nb; ++b)
-            fn(i, b, row + b * bz, std::min(bz, p.k - b * bz));
+            fn(i, b, row + b * bz, std::min(bz, len - b * bz));
     }
 }
 
@@ -299,6 +310,82 @@ inline Mask8
 blockMask(const int8_t *src, int len)
 {
     return flagsToMask(nonZeroBytes(loadBytes(src, len)));
+}
+
+/**
+ * How one vector's K stored values map onto @p p's modeled layout at
+ * block size bz: unpadded values block straight through (the last
+ * block may be short); a padded layout starts every segment on a
+ * block boundary, so its segments must span whole blocks, and a
+ * segment's blocks past its stored values are empty.
+ */
+struct ModeledLayout
+{
+    ModeledLayout(const GemmProblem &p, int bz_)
+        : k(p.k), seg(p.seg), bz(bz_), padded(p.padded()),
+          seg_blocks(p.modeledSeg() / bz_),
+          blocks((p.modeledK() + bz_ - 1) / bz_)
+    {
+        s2ta_assert(!padded || p.modeledSeg() % bz == 0,
+                    "segments of %d modeled positions at block size "
+                    "%d", p.modeledSeg(), bz);
+    }
+
+    /** The masks of the vector whose stored values start at
+     *  @p src, into @p out (`blocks` masks). */
+    void
+    masks(const int8_t *src, Mask8 *out) const
+    {
+        if (!padded) {
+            for (int b = 0, kk = 0; kk < k; ++b, kk += bz)
+                out[b] = blockMask(src + kk, std::min(bz, k - kk));
+            return;
+        }
+        if (seg == 1 && seg_blocks == 1) {
+            // One value per one-block segment (a depthwise tap):
+            // each mask is its value's non-zero flag, eight
+            // segments per word.
+            int t = 0;
+            for (; t + 8 <= k; t += 8) {
+                const uint64_t flags = nonZeroBytes(loadBytes(src + t, 8));
+                std::memcpy(out + t, &flags, 8);
+            }
+            for (; t < k; ++t)
+                out[t] = src[t] != 0;
+            return;
+        }
+        for (int s0 = 0; s0 < k; s0 += seg, out += seg_blocks) {
+            for (int b = 0; b < seg_blocks; ++b) {
+                const int len = std::min(bz, seg - b * bz);
+                out[b] = len > 0 ? blockMask(src + s0 + b * bz, len)
+                                 : 0;
+            }
+        }
+    }
+
+    int k, seg, bz;
+    bool padded;
+    /** Blocks per padded segment. */
+    int seg_blocks;
+    /** Blocks per vector. */
+    int blocks;
+};
+
+/** Fatal unless every one of the @p nb masks at @p masks (vector
+ *  @p v) holds at most spec.nnz non-zeros (a dense spec admits
+ *  every mask). */
+void
+checkDensity(const Mask8 *masks, int nb, const DbbSpec &spec,
+             const char *kind, const char *vec_name, int v)
+{
+    if (spec.isDense())
+        return;
+    for (int b = 0; b < nb; ++b) {
+        s2ta_assert(maskPopcount(masks[b]) <= spec.nnz,
+                    "%s block (%s %d, block %d) violates %s density "
+                    "bound; prune first",
+                    kind, vec_name, v, b, spec.toString().c_str());
+    }
 }
 
 /** The mask of the last block of a vector must leave K's padding
@@ -318,17 +405,27 @@ DbbMatrix::fromWeights(const GemmProblem &p, const DbbSpec &spec)
     s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
                 spec.nnz, spec.bz);
     const int bz = spec.bz;
-    const int nb = (p.k + bz - 1) / bz;
-    std::vector<Mask8> masks(static_cast<size_t>(p.n) * nb);
-    forWeightBlocks(p, bz, [&](int j, int b, const int8_t *blk) {
-        const Mask8 m = blockMask(blk, bz);
-        s2ta_assert(maskPopcount(m) <= spec.nnz,
-                    "weight block (col %d, block %d) violates %s "
-                    "density bound; prune first",
-                    j, b, spec.toString().c_str());
-        masks[static_cast<size_t>(j) * nb + b] = m;
-    });
-    return DbbMatrix(spec, p.n, nb, std::move(masks));
+    const ModeledLayout layout(p, bz);
+    const int nb = layout.blocks;
+    const int cols = p.groups * p.n;
+    std::vector<Mask8> masks(static_cast<size_t>(cols) * nb);
+    if (!layout.padded) {
+        forWeightBlocks(p, bz, [&](int j, int b, const int8_t *blk) {
+            masks[static_cast<size_t>(j) * nb + b] = blockMask(blk, bz);
+        });
+    } else {
+        // Padded layers (narrow stems, depthwise taps) have small
+        // weights: mask each column from its contiguous transpose.
+        const std::vector<int8_t> wt = transposedWeights(p);
+        for (int j = 0; j < cols; ++j) {
+            layout.masks(&wt[static_cast<size_t>(j) * p.k],
+                         &masks[static_cast<size_t>(j) * nb]);
+        }
+    }
+    for (int j = 0; j < cols; ++j)
+        checkDensity(&masks[static_cast<size_t>(j) * nb], nb, spec,
+                     "weight", "col", j);
+    return DbbMatrix(spec, cols, nb, std::move(masks));
 }
 
 DbbMatrix
@@ -336,19 +433,22 @@ DbbMatrix::fromActivations(const GemmProblem &p, const DbbSpec &spec)
 {
     s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
                 spec.nnz, spec.bz);
-    const int bz = spec.bz;
-    const int nb = (p.k + bz - 1) / bz;
-    std::vector<Mask8> masks(static_cast<size_t>(p.m) * nb);
-    forActivationBlocks(p, bz, [&](int i, int b, const int8_t *blk,
-                                   int len) {
-        const Mask8 m = blockMask(blk, len);
-        s2ta_assert(maskPopcount(m) <= spec.nnz,
-                    "activation block (row %d, block %d) violates %s "
-                    "density bound; prune first",
-                    i, b, spec.toString().c_str());
-        masks[static_cast<size_t>(i) * nb + b] = m;
-    });
-    return DbbMatrix(spec, p.m, nb, std::move(masks));
+    const ModeledLayout layout(p, spec.bz);
+    const int nb = layout.blocks;
+    const size_t lda = static_cast<size_t>(p.groups) * p.k;
+    std::vector<Mask8> masks(static_cast<size_t>(p.groups) * p.m * nb);
+    // Row-outer, so each stored row streams once; its group slices
+    // land in the groups' group-major vectors.
+    for (int i = 0; i < p.m; ++i) {
+        const int8_t *row = &p.a[i * lda];
+        for (int g = 0; g < p.groups; ++g) {
+            const int v = g * p.m + i;
+            Mask8 *out = &masks[static_cast<size_t>(v) * nb];
+            layout.masks(row + static_cast<size_t>(g) * p.k, out);
+            checkDensity(out, nb, spec, "activation", "row", v);
+        }
+    }
+    return DbbMatrix(spec, p.groups * p.m, nb, std::move(masks));
 }
 
 int64_t
@@ -363,7 +463,8 @@ std::vector<DbbBlock>
 dbbEncodeWeights(const GemmProblem &p, int bz)
 {
     const int nb = (p.k + bz - 1) / bz;
-    std::vector<DbbBlock> blks(static_cast<size_t>(p.n) * nb);
+    std::vector<DbbBlock> blks(static_cast<size_t>(p.groups) * p.n *
+                               nb);
     forWeightBlocks(p, bz, [&](int j, int b, const int8_t *blk) {
         encodeBlock(blk, bz, blks[static_cast<size_t>(j) * nb + b]);
     });
@@ -373,7 +474,7 @@ dbbEncodeWeights(const GemmProblem &p, int bz)
 std::vector<DbbBlock>
 dbbEncodeActivations(const GemmProblem &p, int bz)
 {
-    const int nb = (p.k + bz - 1) / bz;
+    const int nb = (p.groups * p.k + bz - 1) / bz;
     std::vector<DbbBlock> blks(static_cast<size_t>(p.m) * nb);
     forActivationBlocks(p, bz, [&](int i, int b, const int8_t *blk,
                                    int len) {
@@ -392,8 +493,9 @@ dbbDecodeWeights(const DbbBlock *blocks, int bz, GemmProblem &p)
     const int tail = p.k - (n_blocks - 1) * bz;
     alignas(64) int8_t tile[kTileCols * kTileBlocks * 8];
     int8_t *w = p.w.data();
-    const size_t ld = static_cast<size_t>(p.n);
-    forWeightTiles(p.k, p.n, bz, n_blocks, [&](int b0, int nb, int rows,
+    const int cols = p.groups * p.n;
+    const size_t ld = static_cast<size_t>(cols);
+    forWeightTiles(p.k, cols, bz, n_blocks, [&](int b0, int nb, int rows,
                                                int j0, int cols) {
         const int seg = nb * bz;
         const bool last = b0 + nb == n_blocks;
@@ -413,14 +515,15 @@ dbbDecodeWeights(const DbbBlock *blocks, int bz, GemmProblem &p)
 void
 dbbDecodeActivations(const DbbBlock *blocks, int bz, GemmProblem &p)
 {
-    const int nb = (p.k + bz - 1) / bz;
-    const int tail = p.k - (nb - 1) * bz;
+    const int len = p.groups * p.k;
+    const int nb = (len + bz - 1) / bz;
+    const int tail = len - (nb - 1) * bz;
     for (int i = 0; i < p.m; ++i) {
         const DbbBlock *in = blocks + static_cast<size_t>(i) * nb;
         checkTail(in[nb - 1].mask, tail, "activation", i);
-        int8_t *row = &p.a[static_cast<size_t>(i) * p.k];
+        int8_t *row = &p.a[static_cast<size_t>(i) * len];
         for (int b = 0; b < nb; ++b)
-            decodeBlock(in[b], std::min(bz, p.k - b * bz),
+            decodeBlock(in[b], std::min(bz, len - b * bz),
                         row + b * bz);
     }
 }
@@ -428,11 +531,13 @@ dbbDecodeActivations(const DbbBlock *blocks, int bz, GemmProblem &p)
 std::vector<int8_t>
 transposedWeights(const GemmProblem &p)
 {
-    // The weight tiles' transpose, written straight into the n x k
-    // result (its rows are the tile's column segments, k apart).
-    std::vector<int8_t> wt(static_cast<size_t>(p.n) * p.k);
-    const size_t ld = static_cast<size_t>(p.n);
-    forWeightTiles(p.k, p.n, 8, (p.k + 7) / 8,
+    // The weight tiles' transpose, written straight into the
+    // (groups*n) x k result (its rows are the tile's column
+    // segments, k apart).
+    const int cols = p.groups * p.n;
+    std::vector<int8_t> wt(static_cast<size_t>(cols) * p.k);
+    const size_t ld = static_cast<size_t>(cols);
+    forWeightTiles(p.k, cols, 8, (p.k + 7) / 8,
                    [&](int b0, int, int rows, int j0, int cols) {
         transposeBytes(p.w.data() + b0 * 8 * ld + j0, ld, rows, cols,
                        wt.data() + static_cast<size_t>(j0) * p.k + b0 * 8,

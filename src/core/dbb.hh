@@ -119,6 +119,13 @@ bool dbbSatisfies(std::span<const int8_t> dense, const DbbSpec &spec);
  * rows/columns and 'blocks_per_vector' is ceil(K / bz); when bz does
  * not divide K the tail block is zero-padded (padding positions stay
  * unset in its mask).
+ *
+ * Masks follow the problem's modeled K layout (GemmProblem::
+ * modeledK()): a padded problem's segments each start a block, and
+ * blocks over the unstored padding are empty. A grouped problem's
+ * vectors are group-major: activation vector g*M + i is group g's
+ * row i and weight vector g*N + j its column j, so each group's
+ * masks are laid out as a plain GEMM's.
  */
 class DbbMatrix
 {
@@ -197,14 +204,16 @@ class DbbMatrix
 };
 
 /**
- * The compressed blocks of @p p's weight operand at block size
- * @p bz, every non-zero kept, in DbbMatrix::fromWeights order
- * (column-major, ceil(K / bz) blocks per column): the stored form
- * the spill codec writes.
+ * The compressed blocks of @p p's stored weight matrix
+ * (K x groups*N) at block size @p bz, every non-zero kept,
+ * column-major with ceil(K / bz) blocks per column: the stored form
+ * the spill codec writes. Segment padding is not stored, so it is
+ * not encoded either.
  */
 std::vector<DbbBlock> dbbEncodeWeights(const GemmProblem &p, int bz);
 
-/** The same for the activation operand (row-major blocks). */
+/** The same for the stored activation matrix (M x groups*K,
+ *  row-major blocks). */
 std::vector<DbbBlock> dbbEncodeActivations(const GemmProblem &p,
                                            int bz);
 
@@ -219,9 +228,9 @@ void dbbDecodeActivations(const DbbBlock *blocks, int bz,
                           GemmProblem &p);
 
 /**
- * The transposed weights W^T (n x k, row j holding weight column j's
- * K elements contiguously): the dense lanes the functional kernel
- * contracts against.
+ * The transposed weights W^T (groups*n x k, row j holding weight
+ * column j's K stored elements contiguously): the dense lanes the
+ * functional kernel contracts against.
  */
 std::vector<int8_t> transposedWeights(const GemmProblem &p);
 

@@ -85,77 +85,6 @@ convReference(const Conv2dShape &shape, const Int8Tensor &input,
     return out;
 }
 
-GemmProblem
-im2colLower(const Conv2dShape &shape, const Int8Tensor &input,
-            const Int8Tensor &weights, int group, int channel_align,
-            int batch)
-{
-    s2ta_assert(shape.valid(), "invalid conv shape");
-    s2ta_assert(group >= 0 && group < shape.groups,
-                "group %d of %d", group, shape.groups);
-    s2ta_assert(channel_align > 0, "channel_align=%d", channel_align);
-    checkBatchedInput(shape, input, batch);
-
-    const int oh = shape.outH(), ow = shape.outW();
-    const int gc = shape.groupInC();
-    const int seg = alignUp(gc, channel_align);
-    const int k = shape.kernel_h * shape.kernel_w * seg;
-    const int c_base = group * gc;
-    const int oc_base = group * shape.groupOutC();
-    const int64_t sample_elems = static_cast<int64_t>(shape.in_h) *
-                                 shape.in_w * shape.in_c;
-
-    GemmProblem p(batch * oh * ow, k, shape.groupOutC());
-
-    // Activation matrix: one row per output pixel, samples stacked
-    // back to back along M.
-    for (int s = 0; s < batch; ++s) {
-        const int8_t *in =
-            input.data() + static_cast<size_t>(s) * sample_elems;
-        for (int oy = 0; oy < oh; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-                const int row = (s * oh + oy) * ow + ox;
-                for (int ky = 0; ky < shape.kernel_h; ++ky) {
-                    const int iy =
-                        oy * shape.stride + ky - shape.pad;
-                    for (int kx = 0; kx < shape.kernel_w; ++kx) {
-                        const int ix =
-                            ox * shape.stride + kx - shape.pad;
-                        const int kbase =
-                            (ky * shape.kernel_w + kx) * seg;
-                        if (iy < 0 || iy >= shape.in_h || ix < 0 ||
-                            ix >= shape.in_w) {
-                            continue; // zero padding in place
-                        }
-                        const int8_t *src =
-                            in + (static_cast<size_t>(iy) *
-                                      shape.in_w +
-                                  ix) *
-                                     shape.in_c +
-                            c_base;
-                        for (int c = 0; c < gc; ++c)
-                            p.actAt(row, kbase + c) = src[c];
-                    }
-                }
-            }
-        }
-    }
-
-    // Weight matrix: one column per output channel of this group.
-    for (int ky = 0; ky < shape.kernel_h; ++ky) {
-        for (int kx = 0; kx < shape.kernel_w; ++kx) {
-            const int kbase = (ky * shape.kernel_w + kx) * seg;
-            for (int c = 0; c < gc; ++c) {
-                for (int j = 0; j < shape.groupOutC(); ++j) {
-                    p.wgtAt(kbase + c, j) =
-                        weights(ky, kx, c, oc_base + j);
-                }
-            }
-        }
-    }
-    return p;
-}
-
 std::vector<GemmProblem>
 im2colLowerAll(const Conv2dShape &shape, const Int8Tensor &input,
                const Int8Tensor &weights, int channel_align,
@@ -241,6 +170,82 @@ im2colLowerAll(const Conv2dShape &shape, const Int8Tensor &input,
         }
     }
     return out;
+}
+
+GemmProblem
+im2colLowerGrouped(const Conv2dShape &shape, const Int8Tensor &input,
+                   const Int8Tensor &weights, int channel_align,
+                   int batch)
+{
+    s2ta_assert(shape.valid(), "invalid conv shape");
+    s2ta_assert(channel_align > 0, "channel_align=%d", channel_align);
+    checkBatchedInput(shape, input, batch);
+    s2ta_assert(weights.shape() ==
+                std::vector<int>({shape.kernel_h, shape.kernel_w,
+                                  shape.groupInC(), shape.out_c}),
+                "weight shape mismatch");
+
+    const int oh = shape.outH(), ow = shape.outW();
+    const int gc = shape.groupInC();
+    const int groups = shape.groups;
+    const int k = shape.kernel_h * shape.kernel_w * gc;
+    const size_t lda = static_cast<size_t>(groups) * k;
+    const int64_t sample_elems = static_cast<int64_t>(shape.in_h) *
+                                 shape.in_w * shape.in_c;
+
+    GemmProblem p(batch * oh * ow, k, shape.groupOutC(), groups);
+    p.seg = gc;
+    p.seg_align = channel_align;
+
+    // Each in-image tap's channel row (contiguous in NHWC) is split
+    // across the groups' column blocks of the lowered row;
+    // out-of-image taps keep the zeros already in place.
+    for (int s = 0; s < batch; ++s) {
+        const int8_t *in =
+            input.data() + static_cast<size_t>(s) * sample_elems;
+        for (int oy = 0; oy < oh; ++oy) {
+            for (int ox = 0; ox < ow; ++ox) {
+                int8_t *row =
+                    p.a.data() +
+                    static_cast<size_t>((s * oh + oy) * ow + ox) * lda;
+                for (int ky = 0; ky < shape.kernel_h; ++ky) {
+                    const int iy =
+                        oy * shape.stride + ky - shape.pad;
+                    if (iy < 0 || iy >= shape.in_h)
+                        continue;
+                    for (int kx = 0; kx < shape.kernel_w; ++kx) {
+                        const int ix =
+                            ox * shape.stride + kx - shape.pad;
+                        if (ix < 0 || ix >= shape.in_w)
+                            continue;
+                        const int8_t *src =
+                            in + (static_cast<size_t>(iy) *
+                                      shape.in_w +
+                                  ix) *
+                                     shape.in_c;
+                        int8_t *dst =
+                            row + (ky * shape.kernel_w + kx) * gc;
+                        if (gc == 1) {
+                            // Depthwise: one channel per group.
+                            for (int g = 0; g < groups; ++g)
+                                dst[static_cast<size_t>(g) * k] =
+                                    src[g];
+                            continue;
+                        }
+                        for (int g = 0; g < groups; ++g)
+                            std::memcpy(dst + static_cast<size_t>(g) * k,
+                                        src + g * gc,
+                                        static_cast<size_t>(gc));
+                    }
+                }
+            }
+        }
+    }
+
+    // (kh, kw, groupInC, out_c) row-major is already the k x out_c
+    // weight matrix, group g's columns at [g*n, (g+1)*n).
+    std::memcpy(p.w.data(), weights.data(), p.w.size());
+    return p;
 }
 
 void

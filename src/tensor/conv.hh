@@ -1,7 +1,7 @@
 /**
  * @file
  * 2-D convolution shapes, the direct reference kernel, and the
- * im2col lowering used to map convolutions onto the GEMM-based
+ * im2col lowerings used to map convolutions onto the GEMM-based
  * accelerator models.
  *
  * Layout conventions:
@@ -10,6 +10,14 @@
  *  - weights: (KH, KW, C/groups, OC).
  * The channel dimension is innermost so that 1x1xBZ DBB blocks
  * (paper Fig. 5) are contiguous.
+ *
+ * Two lowerings share one K layout, (ky, kx, c) with the channel
+ * fastest and each tap's channel segment padded to the DBB
+ * alignment. The fast engine lowers a layer once, as one grouped
+ * GEMM that stores only real values (im2colLowerGrouped); the scalar
+ * reference engine lowers each group to its own GEMM with the
+ * padding stored (im2colLowerAll), and scatters each group's result
+ * into the output (scatterGemmResult).
  *
  * Batch handling: a batch of N samples folds into the GEMM M axis.
  * The lowered activation matrix stacks each sample's im2col rows
@@ -94,47 +102,52 @@ Int32Tensor convReference(const Conv2dShape &shape,
                           const Int8Tensor &weights);
 
 /**
- * Lower one group of a convolution to a GEMM via im2col.
+ * Lower every group of a convolution to its own GEMM via im2col, in
+ * one pass (the scalar reference engine's lowering).
  *
- * The reduction dimension is laid out as (ky, kx, c) with the channel
- * index fastest, and each (ky, kx) channel segment is padded up to a
- * multiple of @p channel_align so DBB blocks never straddle kernel
- * positions. Out-of-image taps contribute zeros (zero padding).
+ * The reduction dimension is laid out as (ky, kx, c) with the
+ * channel index fastest, and each (ky, kx) channel segment is padded
+ * with stored zeros up to a multiple of @p channel_align so DBB
+ * blocks never straddle kernel positions. Out-of-image taps
+ * contribute zeros (zero padding). The input tensor's channel rows
+ * and the weight taps are each walked once for all groups.
  *
  * @param shape convolution geometry.
  * @param input (in_h, in_w, in_c) INT8 activations, or
  *        (batch, in_h, in_w, in_c) when @p batch > 1.
  * @param weights (kernel_h, kernel_w, groupInC, out_c) INT8 weights.
- * @param group group index in [0, groups).
  * @param channel_align pad each channel segment to this multiple.
  * @param batch samples stacked along the GEMM M axis
  *        (sample-major rows).
- * @return GEMM with m = batch*outH*outW, n = groupOutC,
+ * @return one GemmProblem per group, indexed by group, each with
+ *         m = batch*outH*outW, n = groupOutC,
  *         k = kernel_h*kernel_w*align(groupInC).
- */
-GemmProblem im2colLower(const Conv2dShape &shape,
-                        const Int8Tensor &input,
-                        const Int8Tensor &weights,
-                        int group = 0,
-                        int channel_align = 8,
-                        int batch = 1);
-
-/**
- * Batched im2col: lower every group of a convolution in one pass.
- *
- * Identical output to calling im2colLower for each group in turn
- * (element for element), but the input tensor's channel rows and
- * the weight taps are each walked once for all groups instead of
- * once per group — the win grows with the group count and makes a
- * depthwise layer's activations lower in a single sweep.
- *
- * @return one GemmProblem per group, indexed by group.
  */
 std::vector<GemmProblem> im2colLowerAll(const Conv2dShape &shape,
                                         const Int8Tensor &input,
                                         const Int8Tensor &weights,
                                         int channel_align = 8,
                                         int batch = 1);
+
+/**
+ * Lower a whole convolution to one grouped GEMM (GemmProblem's group
+ * axis), in one allocation: groups = shape.groups,
+ * m = batch*outH*outW, k = kernel_h*kernel_w*groupInC and
+ * n = groupOutC. Row r of the activations holds, group after group,
+ * that group's taps in (ky, kx) order with its channels fastest;
+ * out-of-image taps are zeros. The weights are the weight tensor
+ * itself, read as a k x out_c matrix. Only real values are stored:
+ * each tap's channel segment is marked as modeled padded to a
+ * multiple of @p channel_align (seg = groupInC, seg_align =
+ * @p channel_align), so the array models see group g as exactly
+ * im2colLowerAll's problem g. The GEMM result, m x out_c row-major,
+ * is the output tensor.
+ */
+GemmProblem im2colLowerGrouped(const Conv2dShape &shape,
+                               const Int8Tensor &input,
+                               const Int8Tensor &weights,
+                               int channel_align = 8,
+                               int batch = 1);
 
 /**
  * Scatter a GEMM result for one group back into the output tensor.

@@ -24,41 +24,82 @@ namespace s2ta {
  *
  * 'a' holds activations (M x K row-major, one output pixel per row)
  * and 'w' holds weights (K x N row-major, one output channel per
- * column). K is padded by the producer to a multiple of the DBB block
- * size so block boundaries never straddle im2col segments.
+ * column).
+ *
+ * A grouped problem (a grouped or depthwise convolution) is
+ * `groups` such GEMMs along a block diagonal that share the M axis:
+ * 'a' is M x (groups*K) and 'w' is K x (groups*N), and group g
+ * contracts a's columns [g*K, (g+1)*K) against w's columns
+ * [g*N, (g+1)*N) into the result's columns [g*N, (g+1)*N). K and N
+ * are per group. actAt/wgtAt index the whole matrices.
+ *
+ * The array models may see K padded: K is a run of segments of
+ * `seg` stored values (a conv tap's channels of one group), and each
+ * segment is modeled as padded with zeros to a multiple of
+ * `seg_align`, so that DBB blocks never straddle kernel taps. The
+ * padding is never stored; modeledK() is the reduction length the
+ * models see. seg == 0 means one unpadded segment (a plain GEMM).
  */
 struct GemmProblem
 {
     int m = 0;
     int k = 0;
     int n = 0;
+    /** Independent GEMMs sharing the M axis (see above). */
+    int groups = 1;
+    /** Stored values per K segment; 0: K is one segment. */
+    int seg = 0;
+    /** Each segment is modeled padded to a multiple of this. */
+    int seg_align = 1;
     std::vector<int8_t> a;
     std::vector<int8_t> w;
 
     GemmProblem() = default;
 
-    GemmProblem(int m_, int k_, int n_)
-        : m(m_), k(k_), n(n_),
-          a(static_cast<size_t>(m_) * k_, 0),
-          w(static_cast<size_t>(k_) * n_, 0)
+    GemmProblem(int m_, int k_, int n_, int groups_ = 1)
+        : m(m_), k(k_), n(n_), groups(groups_),
+          a(static_cast<size_t>(m_) * k_ * groups_, 0),
+          w(static_cast<size_t>(k_) * n_ * groups_, 0)
     {
-        s2ta_assert(m_ > 0 && k_ > 0 && n_ > 0,
-                    "bad GEMM dims %dx%dx%d", m_, k_, n_);
+        s2ta_assert(m_ > 0 && k_ > 0 && n_ > 0 && groups_ > 0,
+                    "bad GEMM dims %dx%dx%d, %d groups", m_, k_, n_,
+                    groups_);
     }
 
-    /** Activation element (row i, reduction position kk). */
+    /** Positions the array models give one segment. */
+    int
+    modeledSeg() const
+    {
+        return seg == 0 ? k : (seg + seg_align - 1) / seg_align *
+                                  seg_align;
+    }
+
+    /** Reduction length the array models see per group: K with
+     *  every segment padded to seg_align. */
+    int
+    modeledK() const
+    {
+        return seg == 0 ? k : k / seg * modeledSeg();
+    }
+
+    /** True when the models see padding that is not stored. */
+    bool padded() const { return modeledK() != k; }
+
+    /** Activation element (row i, column kk of the M x groups*K
+     *  matrix). */
     int8_t &actAt(int i, int kk) { return a[idxA(i, kk)]; }
     int8_t actAt(int i, int kk) const { return a[idxA(i, kk)]; }
 
-    /** Weight element (reduction position kk, column j). */
+    /** Weight element (row kk, column j of the K x groups*N
+     *  matrix). */
     int8_t &wgtAt(int kk, int j) { return w[idxW(kk, j)]; }
     int8_t wgtAt(int kk, int j) const { return w[idxW(kk, j)]; }
 
-    /** Dense multiply-accumulate count m*k*n. */
+    /** Stored multiply-accumulate count groups*m*k*n. */
     int64_t
     denseMacs() const
     {
-        return static_cast<int64_t>(m) * k * n;
+        return static_cast<int64_t>(groups) * m * k * n;
     }
 
     /** Fraction of zero elements in the activation operand. */
@@ -71,17 +112,17 @@ struct GemmProblem
     size_t
     idxA(int i, int kk) const
     {
-        s2ta_assert(i >= 0 && i < m && kk >= 0 && kk < k,
+        s2ta_assert(i >= 0 && i < m && kk >= 0 && kk < groups * k,
                     "A index (%d, %d)", i, kk);
-        return static_cast<size_t>(i) * k + kk;
+        return static_cast<size_t>(i) * groups * k + kk;
     }
 
     size_t
     idxW(int kk, int j) const
     {
-        s2ta_assert(kk >= 0 && kk < k && j >= 0 && j < n,
+        s2ta_assert(kk >= 0 && kk < k && j >= 0 && j < groups * n,
                     "W index (%d, %d)", kk, j);
-        return static_cast<size_t>(kk) * n + j;
+        return static_cast<size_t>(kk) * groups * n + j;
     }
 
     static double
@@ -99,7 +140,7 @@ struct GemmProblem
 
 /**
  * Golden dense INT8 GEMM with INT32 accumulation.
- * @return row-major M x N INT32 result.
+ * @return row-major M x (groups*N) INT32 result.
  */
 std::vector<int32_t> gemmReference(const GemmProblem &p);
 

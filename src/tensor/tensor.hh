@@ -43,6 +43,21 @@ class Tensor
         computeStrides();
     }
 
+    /** Construct with a shape, taking @p data (row-major, exactly
+     *  the shape's element count) as the storage. */
+    Tensor(std::vector<int> shape_, std::vector<T> data)
+        : shp(std::move(shape_)), buf(std::move(data))
+    {
+        int64_t n = 1;
+        for (int d : shp) {
+            s2ta_assert(d > 0, "non-positive dim %d", d);
+            n *= d;
+        }
+        s2ta_assert(n == size(), "%ld elements for a %ld-element shape",
+                    size(), n);
+        computeStrides();
+    }
+
     /** Number of dimensions. */
     int rank() const { return static_cast<int>(shp.size()); }
 

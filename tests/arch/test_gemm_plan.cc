@@ -1,10 +1,18 @@
 /** @file Unit tests for the GemmPlan mask/profile cache and the
- *  dbbGemm kernel. */
+ *  dbbGemm kernel, including the grouped plan of a whole conv layer
+ *  against the per-group plans of the scalar engine's lowering. */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <tuple>
+
+#include "../integration/fuzz_layer.hh"
 #include "arch/gemm_plan.hh"
+#include "base/thread_pool.hh"
 #include "core/weight_pruner.hh"
+#include "tensor/conv.hh"
 #include "workload/sparse_gen.hh"
 
 namespace s2ta {
@@ -122,6 +130,100 @@ TEST(GemmPlan, OnePlanServesMultipleModels)
     }
 }
 
+/**
+ * The fast engine's one plan per conv layer against the scalar
+ * engine's lowering, one padded GEMM per group: at alignment 1
+ * blocks straddle taps; at the block size every tap's channel
+ * segment is modeled padded (stored unpadded). Either way each
+ * group's masks and profile must equal its per-group plan's byte for
+ * byte, and the grouped kernel, serial or row-sharded, must write
+ * the per-group reference results where scatterGemmResult places
+ * them.
+ */
+void
+expectGroupedPlanMatchesPerGroup(const LayerWorkload &wl, int bz,
+                                 ThreadPool &pool)
+{
+    const Conv2dShape &s = wl.shape;
+    std::vector<int> out_shape = {s.outH(), s.outW(), s.out_c};
+    if (wl.batch > 1)
+        out_shape.insert(out_shape.begin(), wl.batch);
+    for (const int align : {1, bz}) {
+        SCOPED_TRACE("groups " + std::to_string(s.groups) + " gc " +
+                     std::to_string(s.groupInC()) + " align " +
+                     std::to_string(align) + " bz " +
+                     std::to_string(bz));
+        const GemmProblem grouped = im2colLowerGrouped(
+            s, wl.input, wl.weights, align, wl.batch);
+        const GemmPlan plan = GemmPlan::build(grouped, bz, true);
+        const std::vector<GemmProblem> per = im2colLowerAll(
+            s, wl.input, wl.weights, align, wl.batch);
+        ASSERT_EQ(grouped.groups, s.groups);
+        ASSERT_EQ(per.size(), static_cast<size_t>(s.groups));
+        Int32Tensor want(out_shape, 0);
+        for (int g = 0; g < s.groups; ++g) {
+            const GemmProblem &p = per[static_cast<size_t>(g)];
+            const GemmPlan ref = GemmPlan::build(p, bz, false);
+            ASSERT_EQ(grouped.m, p.m);
+            ASSERT_EQ(grouped.modeledK(), p.k);
+            ASSERT_EQ(grouped.n, p.n);
+            const int nb = ref.act().blocksPerVector();
+            ASSERT_EQ(plan.act().blocksPerVector(), nb);
+            ASSERT_EQ(plan.wgt().blocksPerVector(), nb);
+            EXPECT_EQ(std::memcmp(plan.act().vectorMasks(g * p.m),
+                                  ref.act().vectorMasks(0),
+                                  static_cast<size_t>(p.m) * nb),
+                      0)
+                << "group " << g << " activation masks";
+            EXPECT_EQ(std::memcmp(plan.wgt().vectorMasks(g * p.n),
+                                  ref.wgt().vectorMasks(0),
+                                  static_cast<size_t>(p.n) * nb),
+                      0)
+                << "group " << g << " weight masks";
+            expectProfilesEqual(plan.profile(g), ref.profile());
+            scatterGemmResult(s, g, gemmReference(p), want, wl.batch);
+        }
+        std::vector<int32_t> got(static_cast<size_t>(want.size()));
+        dbbGemm(plan, got.data());
+        EXPECT_TRUE(Int32Tensor(out_shape, got) == want);
+        dbbGemm(plan, got.data(), &pool);
+        EXPECT_TRUE(Int32Tensor(out_shape, got) == want)
+            << "row-sharded";
+    }
+}
+
+TEST(GemmPlan, GroupedPlanMatchesPerGroupPlans)
+{
+    ThreadPool pool(2);
+    // The conv fuzzer's shapes: 1, 4 or 8 channels per group.
+    for (uint64_t trial = 0; trial < 48; ++trial) {
+        SCOPED_TRACE("fuzz trial " + std::to_string(trial));
+        Rng rng(0x6A00 + trial);
+        const int bz = rng.bernoulli(0.5) ? 4 : 8;
+        expectGroupedPlanMatchesPerGroup(fuzzLayer(rng, bz), bz, pool);
+    }
+    // Segments the fuzzer never draws: a 3-channel stem and groups
+    // of 12 and 20 channels, whose padded segments span a partly
+    // filled second or third block.
+    Rng rng(0x6B00);
+    for (const int gc : {3, 12, 20}) {
+        for (const int groups : {1, 2}) {
+            LayerWorkload wl;
+            wl.shape = {gc * groups, 6, 5, 3 * groups, 3, 2, 1, 1,
+                        groups};
+            wl.input = Int8Tensor({6, 5, gc * groups});
+            for (int64_t i = 0; i < wl.input.size(); ++i)
+                wl.input.flat(i) =
+                    rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
+            wl.weights = Int8Tensor({3, 2, gc, 3 * groups});
+            for (int64_t i = 0; i < wl.weights.size(); ++i)
+                wl.weights.flat(i) =
+                    rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
+            expectGroupedPlanMatchesPerGroup(wl, 8, pool);
+        }
+    }
+}
+
 TEST(GemmPlanDeath, DensityViolationsAreFatal)
 {
     Rng rng(0xA6);
@@ -152,6 +254,45 @@ TEST(GemmPlanDeath, ShallowPlanRefusesEncodedAccess)
     const GemmPlan plan = GemmPlan::shallow(p);
     EXPECT_FALSE(plan.encoded());
     EXPECT_DEATH(plan.profile(), "shallow");
+}
+
+TEST(GemmPlanDeath, ScalarEngineRefusesGroupedAndPaddedPlans)
+{
+    // The scalar engine rescans a plan's stored operands as one
+    // K-wide row per vector: an encoded conv plan with a group axis
+    // or modeled segment padding must be fatal there, not silently
+    // mis-strided.
+    Rng rng(0xA9);
+    RunOptions scalar;
+    scalar.engine = EngineKind::Scalar;
+    scalar.validate_operands = false;
+    // Depthwise at alignment 1 (grouped) and 8 (grouped and
+    // padded), and a 3-channel stem at 8 (padded).
+    for (const auto &[in_c, groups, align] :
+         {std::tuple{4, 4, 1}, std::tuple{4, 4, 8},
+          std::tuple{3, 1, 8}}) {
+        const Conv2dShape s = {in_c, 5, 5, 4, 3, 3, 1, 1, groups};
+        Int8Tensor input({5, 5, in_c});
+        for (int64_t i = 0; i < input.size(); ++i)
+            input.flat(i) = rng.nonZeroInt8();
+        Int8Tensor weights({3, 3, in_c / groups, 4});
+        for (int64_t i = 0; i < weights.size(); ++i)
+            weights.flat(i) = rng.nonZeroInt8();
+        // The plan refers to its problem, which must outlive it.
+        const GemmProblem p =
+            im2colLowerGrouped(s, input, weights, align);
+        ASSERT_TRUE(p.groups > 1 || p.padded());
+        const GemmPlan plan = GemmPlan::build(p, 8, true);
+        for (const ArrayConfig &cfg :
+             {ArrayConfig::saZvcg(), ArrayConfig::s2taAw(4)}) {
+            if (cfg.kind == ArchKind::S2taAw && align == 1)
+                continue; // K 9 is not a whole number of blocks
+            const auto model = makeArrayModel(cfg);
+            EXPECT_DEATH(model->run(plan, scalar), "plain GEMMs")
+                << cfg.name() << " groups " << groups << " align "
+                << align;
+        }
+    }
 }
 
 TEST(GemmPlan, ValidationSkippableViaRunOptions)

@@ -12,6 +12,7 @@
 #include "arch/accelerator.hh"
 #include "arch/plan_cache.hh"
 #include "base/fault_injection.hh"
+#include "tensor/conv.hh"
 #include "workload/sparse_gen.hh"
 
 namespace s2ta {
@@ -25,14 +26,18 @@ smallGemm(uint64_t seed, int m = 24, int k = 64, int n = 16,
     return makeDbbGemm(m, k, n, nnz, nnz, rng);
 }
 
-/** Full structural equality of two cache entries: operands, block
- *  masks, mirror, profile, and the functional output. */
+/** Full structural equality of two cache entries: operands, group
+ *  and segment layout, block masks, mirror, every group's profile,
+ *  and the functional output. */
 void
 expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
 {
     ASSERT_EQ(a.problem.m, b.problem.m);
     ASSERT_EQ(a.problem.k, b.problem.k);
     ASSERT_EQ(a.problem.n, b.problem.n);
+    ASSERT_EQ(a.problem.groups, b.problem.groups);
+    ASSERT_EQ(a.problem.seg, b.problem.seg);
+    ASSERT_EQ(a.problem.seg_align, b.problem.seg_align);
     EXPECT_EQ(a.problem.a, b.problem.a);
     EXPECT_EQ(a.problem.w, b.problem.w);
 
@@ -52,29 +57,33 @@ expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
 
     ASSERT_EQ(a.plan.wgtDenseT() != nullptr,
               b.plan.wgtDenseT() != nullptr);
+    const size_t cols =
+        static_cast<size_t>(a.problem.groups) * a.problem.n;
     if (a.plan.wgtDenseT() != nullptr) {
         EXPECT_EQ(std::memcmp(a.plan.wgtDenseT(),
                               b.plan.wgtDenseT(),
-                              static_cast<size_t>(a.problem.n) *
-                                  a.problem.k),
+                              cols * a.problem.k),
                   0);
         std::vector<int32_t> out_a(
-            static_cast<size_t>(a.problem.m) * a.problem.n);
+            static_cast<size_t>(a.problem.m) * cols);
         std::vector<int32_t> out_b(out_a.size());
         dbbGemm(a.plan, out_a.data());
         dbbGemm(b.plan, out_b.data());
         EXPECT_EQ(out_a, out_b);
     }
 
-    const OperandProfile &pa = a.plan.profile();
-    const OperandProfile &pb = b.plan.profile();
-    EXPECT_EQ(pa.row_nz, pb.row_nz);
-    EXPECT_EQ(pa.col_nz, pb.col_nz);
-    EXPECT_EQ(pa.act_nz_at_k, pb.act_nz_at_k);
-    EXPECT_EQ(pa.wgt_nz_at_k, pb.wgt_nz_at_k);
-    EXPECT_EQ(pa.act_nnz, pb.act_nnz);
-    EXPECT_EQ(pa.wgt_nnz, pb.wgt_nnz);
-    EXPECT_EQ(pa.matched_products, pb.matched_products);
+    for (int g = 0; g < a.problem.groups; ++g) {
+        const OperandProfile &pa = a.plan.profile(g);
+        const OperandProfile &pb = b.plan.profile(g);
+        EXPECT_EQ(pa.row_nz, pb.row_nz) << "group " << g;
+        EXPECT_EQ(pa.col_nz, pb.col_nz) << "group " << g;
+        EXPECT_EQ(pa.act_nz_at_k, pb.act_nz_at_k) << "group " << g;
+        EXPECT_EQ(pa.wgt_nz_at_k, pb.wgt_nz_at_k) << "group " << g;
+        EXPECT_EQ(pa.act_nnz, pb.act_nnz) << "group " << g;
+        EXPECT_EQ(pa.wgt_nnz, pb.wgt_nnz) << "group " << g;
+        EXPECT_EQ(pa.matched_products, pb.matched_products)
+            << "group " << g;
+    }
 }
 
 TEST(PlanCache, HitMissAccounting)
@@ -245,6 +254,24 @@ TEST(PlanCache, SpillRoundtripIsExact)
             (static_cast<int64_t>(p.m) + p.n) * nb +
             static_cast<int64_t>(p.k) * p.n;
         EXPECT_LT(static_cast<int64_t>(bytes.size()), resident);
+        const auto back = spillDecode(bytes.data(), bytes.size());
+        ASSERT_NE(back, nullptr);
+        expectEntriesEqual(entry, *back);
+    }
+
+    // A depthwise layer's grouped GEMM, its one-channel taps
+    // modeled padded to the block size: the image carries the group
+    // axis and the segment layout, and only the stored values.
+    Rng rng(0x54);
+    const Conv2dShape dw{16, 7, 6, 16, 3, 3, 1, 1, 16};
+    const Int8Tensor input = makeDbbTensor({7, 6, 16}, 4, rng);
+    const Int8Tensor weights = makeDbbTensor({3, 3, 1, 16}, 1, rng);
+    for (const bool mirror : {false, true}) {
+        const CachedPlan entry(
+            im2colLowerGrouped(dw, input, weights, 8), 8, mirror);
+        ASSERT_EQ(entry.problem.groups, 16);
+        ASSERT_TRUE(entry.problem.padded());
+        const auto bytes = spillEncode(entry);
         const auto back = spillDecode(bytes.data(), bytes.size());
         ASSERT_NE(back, nullptr);
         expectEntriesEqual(entry, *back);
@@ -566,14 +593,15 @@ TEST(PlanCache, SaAndS2taShareUnpaddedLayerPlans)
     // designs with bz. When bz divides groupInC no segment is
     // padded and both lower bit-identically, so one plan serves
     // both; a 3-channel stem and a depthwise layer pad their
-    // segments under S2TA and keep one plan per alignment.
+    // segments under S2TA and keep one plan per alignment. Every
+    // layer, the 16-group depthwise one included, is one entry.
     Rng rng(0xE3);
     const std::vector<LayerWorkload> layers = {
         sharingLayer("plain", 16, 16, 1, rng),
         sharingLayer("stem", 3, 16, 1, rng),
         sharingLayer("depthwise", 16, 16, 16, rng)};
-    const int64_t groups[] = {1, 1, 16};
-    const int64_t s2ta_builds[] = {0, 1, 16};
+    const int64_t lookups[] = {1, 1, 1};
+    const int64_t s2ta_builds[] = {0, 1, 1};
 
     for (const bool compute_output : {false, true}) {
         PlanCache cache;
@@ -596,10 +624,10 @@ TEST(PlanCache, SaAndS2taShareUnpaddedLayerPlans)
                 const LayerRun run = acc.runLayer(layers[l], cached);
                 const PlanCache::Stats after = cache.stats();
                 const int64_t built = after.misses - before.misses;
-                EXPECT_EQ(built, d == 0 ? groups[l] : s2ta_builds[l])
+                EXPECT_EQ(built, d == 0 ? lookups[l] : s2ta_builds[l])
                     << at;
                 EXPECT_EQ(after.hits - before.hits,
-                          groups[l] - built)
+                          lookups[l] - built)
                     << at;
                 expectLayerRunsEqual(run, acc.runLayer(layers[l], plain),
                                      at);
@@ -622,15 +650,17 @@ TEST(PlanCache, AcquireLayerBatchesAndHits)
 
     (void)acc.runNetwork(layers, opt);
     const PlanCache::Stats cold = cache.stats();
-    // One entry per (layer, group): 1 + 4 + 16, plus DAP memo
-    // misses per layer.
-    EXPECT_EQ(cold.entries, 21);
+    // One entry per layer, grouped or not (1, 4 and 16 groups),
+    // each lowered once; the DAP memo keeps its own counts.
+    EXPECT_EQ(cold.entries, 3);
+    EXPECT_EQ(cold.misses, 3);
+    EXPECT_EQ(cold.hits, 0);
 
     (void)acc.runNetwork(layers, opt);
     const PlanCache::Stats warm = cache.stats();
     EXPECT_EQ(warm.misses, cold.misses)
         << "second pass must not re-encode anything";
-    EXPECT_GT(warm.hits, cold.hits);
+    EXPECT_EQ(warm.hits, 3);
 }
 
 } // anonymous namespace

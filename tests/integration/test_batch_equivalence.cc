@@ -112,8 +112,9 @@ TEST(BatchEquivalence, Im2colStacksPerSampleRows)
             ASSERT_EQ(bp.m, batch * per_m);
             for (int s = 0; s < batch; ++s) {
                 const LayerWorkload one = sampleOf(wl, s);
-                const GemmProblem sp = im2colLower(
-                    shape, one.input, one.weights, g, 8);
+                const GemmProblem sp = im2colLowerAll(
+                    shape, one.input, one.weights,
+                    8)[static_cast<size_t>(g)];
                 ASSERT_EQ(sp.m, per_m);
                 ASSERT_EQ(sp.k, bp.k);
                 // Weight operand identical, activation rows of

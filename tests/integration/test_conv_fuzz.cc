@@ -1,14 +1,19 @@
 /** @file Seeded conv-shape fuzzer: a randomized sweep over kernel
  *  sizes (square and rectangular), odd strides, paddings, grouped
  *  and depthwise fan-outs, batches 1-3 and DBB block sizes 4 and 8,
- *  asserting on every shape that the fast DBB engine matches the
+ *  asserting on every shape, for one design of each family (SA-SMT
+ *  T2Q2, S2TA-W and S2TA-AW), that the fast DBB engine matches the
  *  scalar reference engine bit for bit (outputs and event counters)
- *  on every way a plan can reach it: built uncached, a resident
- *  PlanCache hit, a spill-tier rehydration (resident budget below
- *  one plan), and a partial miss (an entry cap below the layer's
- *  group count, so the second run re-lowers only the evicted
- *  groups). At batch 1 the scalar engine must also match the direct
- *  convolution reference.
+ *  on every way a layer's plan can reach it: built uncached, a
+ *  resident PlanCache hit, a spill-tier rehydration (resident budget
+ *  below one plan), and a rebuild after eviction (an entry cap of
+ *  one). The fast engine runs a layer as one grouped GEMM, so each
+ *  cached leg counts exactly one entry per layer. The three designs
+ *  cover what the fast engine models differently: alignment-1
+ *  blocks that straddle taps (SA-SMT), the SMT sampler's
+ *  coordinates shared by every group, and the per-group rounding of
+ *  S2TA-W's accumulator estimate. At batch 1 the scalar engine must
+ *  also match the direct convolution reference.
  *
  *  Reproducing a failure: every trial derives its own seed and the
  *  failure message carries it. Re-run just that trial with
@@ -26,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "arch/plan_cache.hh"
 #include "fuzz_layer.hh"
@@ -60,21 +66,32 @@ expectSameRun(const LayerRun &got, const LayerRun &ref,
     EXPECT_EQ(got.dense_macs, ref.dense_macs) << path;
 }
 
-/** Run one seed's layer on the scalar engine and on the fast engine
- *  through every plan path, and check them against each other (and
- *  the direct reference at batch 1). */
-void
-fuzzOneSeed(uint64_t seed)
+/** One design of each family at block size @p bz. */
+std::vector<ArrayConfig>
+fuzzDesigns(int bz)
 {
-    Rng rng(seed);
-    const int bz = rng.bernoulli(0.5) ? 4 : 8;
-    const LayerWorkload wl = fuzzLayer(rng, bz);
-    SCOPED_TRACE(describe(wl, bz, seed));
+    ArrayConfig smt = ArrayConfig::saSmt(2);
+    smt.bz = bz;
+    ArrayConfig w = ArrayConfig::s2taW();
+    w.bz = bz;
+    w.tpe.b = bz;
+    w.weight_dbb = DbbSpec{std::min(4, bz), bz};
+    ArrayConfig aw = ArrayConfig::s2taAw(4);
+    aw.bz = bz;
+    aw.weight_dbb = DbbSpec{std::min(4, bz), bz};
+    return {smt, w, aw};
+}
 
+/** Run @p wl on one design on the scalar engine and on the fast
+ *  engine through every plan path, and check them against each
+ *  other (and the direct reference at batch 1). */
+void
+fuzzOneDesign(const LayerWorkload &wl, const ArrayConfig &array)
+{
+    SCOPED_TRACE(array.name());
+    const int bz = array.bz;
     AcceleratorConfig cfg;
-    cfg.array = ArrayConfig::s2taAw(4);
-    cfg.array.bz = bz;
-    cfg.array.weight_dbb = DbbSpec{std::min(4, bz), bz};
+    cfg.array = array;
     cfg.sim_threads = 1;
     const Accelerator acc(cfg);
 
@@ -85,42 +102,55 @@ fuzzOneSeed(uint64_t seed)
     const LayerRun sr = acc.runLayer(wl, scalar);
     expectSameRun(acc.runLayer(wl, fast), sr, "uncached");
 
-    // Resident hit: the second run finds every group's plan.
+    // Resident hit: the second run finds the layer's one plan.
     PlanCache resident;
     NetworkRunOptions cached = fast;
     cached.plan_cache = &resident;
     expectSameRun(acc.runLayer(wl, cached), sr, "cold cache");
     expectSameRun(acc.runLayer(wl, cached), sr, "resident hit");
-    EXPECT_EQ(resident.stats().hits, wl.shape.groups);
+    EXPECT_EQ(resident.stats().misses, 1);
+    EXPECT_EQ(resident.stats().hits, 1);
 
     // Spill rehydration: a 1-byte resident budget keeps only the
-    // newest plan, and one unrelated plan pushes the layer's last
-    // group out too, so the second run rehydrates every group.
+    // newest plan, so one unrelated plan pushes the layer out, and
+    // the second run rehydrates it.
     PlanCache spill(0, /*max_bytes=*/1, /*spill_max_bytes=*/1 << 30);
     NetworkRunOptions spilled = fast;
     spilled.plan_cache = &spill;
     expectSameRun(acc.runLayer(wl, spilled), sr, "spill populate");
     spill.acquire(GemmProblem(1, 1, 1), bz, true);
     expectSameRun(acc.runLayer(wl, spilled), sr, "spill rehydration");
-    EXPECT_EQ(spill.stats().spill_hits, wl.shape.groups);
+    EXPECT_EQ(spill.stats().spill_hits, 1);
+    EXPECT_EQ(spill.stats().misses, 2);
 
-    // Partial miss: an entry cap of half the groups keeps only the
-    // newest groups resident, so the second run hits those and
-    // re-lowers each evicted group on its own.
-    const int groups = wl.shape.groups;
-    const int keep = std::max(1, groups / 2);
-    PlanCache partial(/*max_entries=*/static_cast<size_t>(keep));
-    NetworkRunOptions capped = fast;
-    capped.plan_cache = &partial;
-    expectSameRun(acc.runLayer(wl, capped), sr, "partial populate");
-    expectSameRun(acc.runLayer(wl, capped), sr, "partial miss");
-    EXPECT_EQ(partial.stats().misses, 2 * groups - keep);
+    // Eviction: with an entry cap of one, an unrelated plan evicts
+    // the layer, so the second run lowers and encodes it again.
+    PlanCache capped(/*max_entries=*/1);
+    NetworkRunOptions evicting = fast;
+    evicting.plan_cache = &capped;
+    expectSameRun(acc.runLayer(wl, evicting), sr, "evict populate");
+    capped.acquire(GemmProblem(1, 1, 1), bz, true);
+    expectSameRun(acc.runLayer(wl, evicting), sr, "rebuilt after eviction");
+    EXPECT_EQ(capped.stats().misses, 3);
+    EXPECT_EQ(capped.stats().evictions, 2);
 
     if (wl.batch == 1) {
         const Int32Tensor ref =
             convReference(wl.shape, wl.input, wl.weights);
         EXPECT_TRUE(sr.output == ref) << "scalar vs direct reference";
     }
+}
+
+/** Run one seed's layer on every fuzzed design. */
+void
+fuzzOneSeed(uint64_t seed)
+{
+    Rng rng(seed);
+    const int bz = rng.bernoulli(0.5) ? 4 : 8;
+    const LayerWorkload wl = fuzzLayer(rng, bz);
+    SCOPED_TRACE(describe(wl, bz, seed));
+    for (const ArrayConfig &array : fuzzDesigns(bz))
+        fuzzOneDesign(wl, array);
 }
 
 TEST(ConvFuzz, RandomShapeSweepEveryPlanPathVsScalar)

@@ -147,9 +147,12 @@ TEST(EngineEquivalence, GroupedAndDepthwiseLayers)
         const LayerWorkload wl = groupedLayer(groups, rng);
         const Int32Tensor ref =
             convReference(wl.shape, wl.input, wl.weights);
+        // SA-SMT T2Q2 samples its queue timing from one set of
+        // coordinates shared by every group of the fast engine's
+        // grouped plan; the scalar engine redraws them per group.
         for (const ArrayConfig &array :
-             {ArrayConfig::saZvcg(), ArrayConfig::s2taW(),
-              ArrayConfig::s2taAw(4)}) {
+             {ArrayConfig::saZvcg(), ArrayConfig::saSmt(2),
+              ArrayConfig::s2taW(), ArrayConfig::s2taAw(4)}) {
             AcceleratorConfig cfg;
             cfg.array = array;
             const Accelerator acc(cfg);
@@ -163,9 +166,8 @@ TEST(EngineEquivalence, GroupedAndDepthwiseLayers)
                 << array.name() << " groups=" << groups;
             EXPECT_TRUE(sr.output == ref)
                 << array.name() << " groups=" << groups;
-            EXPECT_EQ(fr.events.cycles, sr.events.cycles);
-            EXPECT_EQ(fr.events.macs_executed,
-                      sr.events.macs_executed);
+            EXPECT_TRUE(fr.events == sr.events)
+                << array.name() << " groups=" << groups;
         }
     }
 }
@@ -203,13 +205,14 @@ TEST(EngineEquivalence, TileStripeShardingIsBitwiseIdentical)
 
 TEST(EngineEquivalence, WidestTierMatchesScalarTier)
 {
-    // The widest-SIMD-tier-vs-scalar bitwise check (VNNI dot and
-    // VPOPCNTDQ profile on capable hardware); on a CPU without the
-    // tier (or a non-x86 build) it pins the scalar tier twice and is
-    // trivially equal. The sparse 2/8 operating point is where the
-    // dense-lane contraction multiplies the most zeros.
+    // The widest-SIMD-tier-vs-scalar bitwise check (the VNNI dot on
+    // capable hardware); on a CPU without the tier (or a non-x86
+    // build) it pins the scalar tier twice and is trivially equal.
+    // The sparse 2/8 operating point is where the dense-lane
+    // contraction multiplies the most zeros; K 1152 (144 blocks) is
+    // a 3x3 kernel over 128 channels.
     Rng rng(0xE6);
-    const GemmProblem p = makeDbbGemm(300, 512, 40, 2, 2, rng);
+    const GemmProblem p = makeDbbGemm(300, 1152, 40, 2, 2, rng);
     const auto model = makeArrayModel(ArrayConfig::s2taAw(2));
     RunOptions opt;
     opt.compute_output = true;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "base/random.hh"
 #include "tensor/conv.hh"
@@ -18,17 +19,82 @@ randomFill(Int8Tensor &t, Rng &rng)
         t.flat(i) = rng.bernoulli(0.5) ? rng.nonZeroInt8() : 0;
 }
 
+/** The scalar engine's path: one padded GEMM per group, each
+ *  result scattered into the output. */
 Int32Tensor
 viaIm2col(const Conv2dShape &shape, const Int8Tensor &input,
           const Int8Tensor &weights, int align)
 {
     Int32Tensor out({shape.outH(), shape.outW(), shape.out_c}, 0);
+    const std::vector<GemmProblem> problems =
+        im2colLowerAll(shape, input, weights, align);
     for (int g = 0; g < shape.groups; ++g) {
-        const GemmProblem p =
-            im2colLower(shape, input, weights, g, align);
-        scatterGemmResult(shape, g, gemmReference(p), out);
+        scatterGemmResult(shape, g,
+                          gemmReference(problems[static_cast<size_t>(g)]),
+                          out);
     }
     return out;
+}
+
+/** The fast engine's path: one grouped GEMM whose result is the
+ *  output tensor. */
+Int32Tensor
+viaGroupedIm2col(const Conv2dShape &shape, const Int8Tensor &input,
+                 const Int8Tensor &weights, int align, int batch = 1)
+{
+    std::vector<int> out_shape = {shape.outH(), shape.outW(),
+                                  shape.out_c};
+    if (batch > 1)
+        out_shape.insert(out_shape.begin(), batch);
+    return Int32Tensor(out_shape,
+                       gemmReference(im2colLowerGrouped(
+                           shape, input, weights, align, batch)));
+}
+
+/**
+ * The grouped lowering stores exactly im2colLowerAll's values minus
+ * the padding: group g's column block of @p grouped, tap by tap,
+ * holds the first groupInC entries of each of @p padded[g]'s
+ * channel segments, and every padding entry of @p padded is zero.
+ */
+void
+expectGroupedIsUnpadded(const Conv2dShape &shape,
+                        const GemmProblem &grouped,
+                        const std::vector<GemmProblem> &padded)
+{
+    const int gc = shape.groupInC();
+    const int taps = shape.kernel_h * shape.kernel_w;
+    ASSERT_EQ(grouped.groups, shape.groups);
+    ASSERT_EQ(grouped.k, taps * gc);
+    ASSERT_EQ(grouped.seg, gc);
+    for (int g = 0; g < shape.groups; ++g) {
+        const GemmProblem &p = padded[static_cast<size_t>(g)];
+        ASSERT_EQ(grouped.m, p.m);
+        ASSERT_EQ(grouped.n, p.n);
+        ASSERT_EQ(grouped.modeledK(), p.k);
+        const int seg = p.k / taps;
+        for (int t = 0; t < taps; ++t) {
+            for (int c = 0; c < seg; ++c) {
+                const int kk = t * seg + c;
+                for (int i = 0; i < p.m; ++i) {
+                    const int8_t want =
+                        c < gc ? grouped.actAt(i, g * grouped.k +
+                                                      t * gc + c)
+                               : 0;
+                    ASSERT_EQ(p.actAt(i, kk), want)
+                        << "group " << g << " row " << i << " k " << kk;
+                }
+                for (int j = 0; j < p.n; ++j) {
+                    const int8_t want =
+                        c < gc ? grouped.wgtAt(t * gc + c,
+                                               g * grouped.n + j)
+                               : 0;
+                    ASSERT_EQ(p.wgtAt(kk, j), want)
+                        << "group " << g << " col " << j << " k " << kk;
+                }
+            }
+        }
+    }
 }
 
 TEST(ConvShape, OutputGeometry)
@@ -80,9 +146,9 @@ TEST_P(ConvEquivalence, Im2colMatchesDirect)
     randomFill(weights, rng);
 
     const Int32Tensor direct = convReference(shape, input, weights);
-    const Int32Tensor lowered =
-        viaIm2col(shape, input, weights, align);
-    EXPECT_TRUE(direct == lowered);
+    EXPECT_TRUE(direct == viaIm2col(shape, input, weights, align));
+    EXPECT_TRUE(direct ==
+                viaGroupedIm2col(shape, input, weights, align));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -125,18 +191,19 @@ TEST(Im2col, BatchedLoweringMatchesDirectPerSample)
         {batch, shape.outH(), shape.outW(), shape.out_c}, 0);
     const auto problems =
         im2colLowerAll(shape, input, weights, 8, batch);
+    // The grouped lowering stores the same values without padding
+    // and computes the same output in one GEMM.
+    expectGroupedIsUnpadded(
+        shape, im2colLowerGrouped(shape, input, weights, 8, batch),
+        problems);
     for (int g = 0; g < shape.groups; ++g) {
-        // The single-group lowering must agree with the batched
-        // all-groups pass.
-        const GemmProblem single =
-            im2colLower(shape, input, weights, g, 8, batch);
-        EXPECT_EQ(single.a, problems[static_cast<size_t>(g)].a);
-        EXPECT_EQ(single.w, problems[static_cast<size_t>(g)].w);
         scatterGemmResult(
             shape, g,
             gemmReference(problems[static_cast<size_t>(g)]), out,
             batch);
     }
+    EXPECT_TRUE(out ==
+                viaGroupedIm2col(shape, input, weights, 8, batch));
 
     const int64_t in_stride = static_cast<int64_t>(shape.in_h) *
                               shape.in_w * shape.in_c;
@@ -160,7 +227,10 @@ TEST(Im2col, PadsChannelSegmentsToAlignment)
     Conv2dShape shape{3, 4, 4, 2, 3, 3, 1, 1, 1};
     Int8Tensor input({4, 4, 3}, 1);
     Int8Tensor weights({3, 3, 3, 2}, 1);
-    const GemmProblem p = im2colLower(shape, input, weights, 0, 8);
+    const std::vector<GemmProblem> padded =
+        im2colLowerAll(shape, input, weights, 8);
+    ASSERT_EQ(padded.size(), 1u);
+    const GemmProblem &p = padded[0];
     // Each of the 9 kernel taps gets an 8-aligned channel segment.
     EXPECT_EQ(p.k, 9 * 8);
     EXPECT_EQ(p.m, 16);
@@ -172,6 +242,14 @@ TEST(Im2col, PadsChannelSegmentsToAlignment)
             EXPECT_EQ(p.actAt(5, tap * 8 + c), 0);
         }
     }
+    // The grouped lowering models the same padded K but stores only
+    // the 27 real values per row.
+    const GemmProblem g = im2colLowerGrouped(shape, input, weights, 8);
+    EXPECT_EQ(g.k, 9 * 3);
+    EXPECT_EQ(g.modeledK(), 9 * 8);
+    EXPECT_TRUE(g.padded());
+    EXPECT_EQ(g.a.size(), 16u * 27);
+    expectGroupedIsUnpadded(shape, g, padded);
 }
 
 } // anonymous namespace

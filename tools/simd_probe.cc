@@ -2,8 +2,8 @@
  * @file
  * Prints what the SIMD kernel tiers resolved to on this machine:
  * the CPU features each tier uses and their runtime cpuid probes,
- * the AVX-512 sub-feature probes (VNNI dense dot, VPOPCNTDQ profile
- * derivation), and the tier the dispatcher actually selected. CI
+ * the AVX-512 sub-feature probe (VNNI dense dot), and the tier the
+ * dispatcher actually selected. CI
  * runs this before the kernel tests so a log of a failing runner
  * shows exactly which paths were live; it is also the quickest way
  * to see why --simd avx512 is rejected on a given host.
@@ -31,18 +31,13 @@ main()
     std::printf("tier_scalar_features none\n");
 #endif
     std::printf("tier_scalar true\n");
-    std::printf("tier_avx512_features "
-                "avx512bw+avx512vnni|avx512bw+avx512vpopcntdq\n");
+    std::printf("tier_avx512_features avx512bw+avx512vnni\n");
     std::printf("tier_avx512 %s\n",
                 dbbAvx512KernelSupportedImpl() ? "true" : "false");
     std::printf("subfeature_avx512_vnni %s\n",
                 dbbVnniKernelSupportedImpl() ? "true" : "false");
-    std::printf("subfeature_avx512_vpopcntdq %s\n",
-                dbbVpopcntKernelSupportedImpl() ? "true" : "false");
     std::printf("vnni_dense_dot_enabled %s\n",
                 dbbVnniDenseEnabled() ? "true" : "false");
-    std::printf("profile_simd_enabled %s\n",
-                dbbProfileSimdEnabled() ? "true" : "false");
     std::printf("active_kernel %s\n",
                 dbbKernelKindName(dbbActiveKernel()));
     return 0;
