@@ -206,11 +206,11 @@ BENCHMARK(BM_DbbEncodeWeightsFc)->Unit(benchmark::kMillisecond);
 void
 BM_SpillDecodeFc(benchmark::State &state)
 {
-    // The spill tier's rehydration of the same layer: block stream
-    // decode, dense operand reconstruction and profile derivation.
+    // The spill tier's rehydration of the same layer's events-only
+    // entry: mask stream decode and profile derivation.
     const GemmProblem &p = fc6Problem();
     const std::vector<uint8_t> image =
-        spillEncode(CachedPlan(p, 8, false));
+        spillEncode(CachedPlan(p, p.w.data(), 8));
     for (auto _ : state)
         benchmark::DoNotOptimize(
             spillDecode(image.data(), image.size()));
@@ -218,6 +218,22 @@ BM_SpillDecodeFc(benchmark::State &state)
         state.iterations() * static_cast<int64_t>(p.w.size()));
 }
 BENCHMARK(BM_SpillDecodeFc)->Unit(benchmark::kMillisecond);
+
+void
+BM_SpillDecodeComputeFc(benchmark::State &state)
+{
+    // The same layer's compute entry: block stream decode, dense
+    // operand reconstruction, mask and profile derivation, and the
+    // dense mirror.
+    const GemmProblem &p = fc6Problem();
+    const std::vector<uint8_t> image = spillEncode(CachedPlan(p, 8));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            spillDecode(image.data(), image.size()));
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<int64_t>(p.w.size()));
+}
+BENCHMARK(BM_SpillDecodeComputeFc)->Unit(benchmark::kMillisecond);
 
 void
 BM_DbbEncodeActivationsConv(benchmark::State &state)
@@ -430,6 +446,36 @@ BM_DepthwiseLayerEventsSmt(benchmark::State &state)
                             wl.shape.denseMacs());
 }
 BENCHMARK(BM_DepthwiseLayerEventsSmt)->Unit(benchmark::kMillisecond);
+
+/** VGG-16 fc6 (25088 x 4096 weights, 102 MB) as the sweep's first
+ *  sight meets it: events-only through a fresh PlanCache per
+ *  iteration on SA-ZVCG, serial. Keying (both tensors hashed),
+ *  lowering and planning without the mirror, nothing simulated. */
+void
+BM_EventsOnlyPlanFc(benchmark::State &state)
+{
+    static const LayerWorkload wl = [] {
+        Rng rng(0xFC6);
+        const ModelWorkload mw = buildModelWorkload(vgg16(), rng);
+        for (const LayerWorkload &l : mw.layers)
+            if (l.name == "fc6")
+                return l;
+        s2ta_panic("VGG-16 has no fc6");
+    }();
+    AcceleratorConfig cfg;
+    cfg.array = ArrayConfig::saZvcg();
+    cfg.sim_threads = 1;
+    const Accelerator acc(cfg);
+    for (auto _ : state) {
+        PlanCache cache;
+        NetworkRunOptions opt;
+        opt.validate_operands = false;
+        opt.plan_cache = &cache;
+        benchmark::DoNotOptimize(acc.prepareLayer(wl, opt));
+    }
+    state.SetBytesProcessed(state.iterations() * wl.weights.size());
+}
+BENCHMARK(BM_EventsOnlyPlanFc)->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 } // namespace s2ta

@@ -46,6 +46,34 @@ layerPlanKey(const LayerWorkload &wl, int channel_align,
     return key;
 }
 
+/**
+ * The plan entry of one layer visit at alignment @p channel_align
+ * and block size @p bz. A compute entry owns the layer's grouped
+ * GEMM. An events-only entry masks the lowered activations and the
+ * weight tensor, which already is the GEMM's K x out_c weight
+ * matrix, where they lie: it keeps the dims, masks and profiles,
+ * and the lowered rows are freed on return.
+ */
+std::shared_ptr<const CachedPlan>
+buildLayerEntry(const LayerWorkload &wl, int channel_align, int bz,
+                bool compute_output)
+{
+    if (compute_output) {
+        return std::make_shared<const CachedPlan>(
+            im2colLowerGrouped(wl.shape, wl.input, wl.weights,
+                               channel_align, wl.batch),
+            bz);
+    }
+    s2ta_assert(wl.weights.shape() ==
+                std::vector<int>({wl.shape.kernel_h, wl.shape.kernel_w,
+                                  wl.shape.groupInC(), wl.shape.out_c}),
+                "layer '%s' weight shape mismatch", wl.name.c_str());
+    const GemmProblem acts = im2colLowerActivations(
+        wl.shape, wl.input, channel_align, wl.batch);
+    return std::make_shared<const CachedPlan>(acts, wl.weights.data(),
+                                              bz);
+}
+
 } // anonymous namespace
 
 void
@@ -141,7 +169,8 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
 
     // The fast engine lowers the whole layer, every group at once,
     // to one grouped GEMM whose plan (encoding + per-group profiles)
-    // is built once and reused across the whole tile grid. With a
+    // is built once and reused across the whole tile grid; an
+    // events-only plan keeps no operand (buildLayerEntry). With a
     // plan cache the layer lowers and encodes only on first sight;
     // every later design point in the sweep reuses the cached plan.
     // The scalar reference engine lowers each group to its own
@@ -156,17 +185,16 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
                   wl.input.data(),
                   static_cast<size_t>(wl.input.size()))
             : 0;
-    const auto lower = [&] {
-        return im2colLowerGrouped(wl.shape, wl.input, wl.weights,
-                                  channelAlign(), wl.batch);
+    const auto build = [&] {
+        return buildLayerEntry(wl, channelAlign(), acfg.bz,
+                               compute_output);
     };
     if (prep.use_cache) {
         prep.cached = {opt.plan_cache->acquireKeyed(
             layerPlanKey(wl, channelAlign(), prep.input_hash),
-            acfg.bz, compute_output, lower)};
+            acfg.bz, compute_output, build)};
     } else if (fast) {
-        prep.cached = {std::make_shared<const CachedPlan>(
-            lower(), acfg.bz, compute_output)};
+        prep.cached = {build()};
     } else {
         prep.problems = im2colLowerAll(wl.shape, wl.input, wl.weights,
                                        channelAlign(), wl.batch);

@@ -83,7 +83,9 @@ ArrayConfig::check() const
       case ArchKind::SaZvcg:
         break;
       case ArchKind::SaSmt:
-        if (smt.threads < 1 || smt.queue_depth < 1)
+        // The FIFO must take one arrival from every thread, or a
+        // slot where all threads deliver could never be admitted.
+        if (smt.threads < 1 || smt.queue_depth < smt.threads)
             s2ta_fatal("invalid SMT config T%dQ%d", smt.threads,
                        smt.queue_depth);
         break;

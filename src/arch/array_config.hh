@@ -59,7 +59,8 @@ struct TpeGeometry
     bool operator==(const TpeGeometry &) const = default;
 };
 
-/** SMT-SA specific parameters (threads and FIFO depth). */
+/** SMT-SA specific parameters (threads and FIFO depth; the FIFO
+ *  holds at least one arrival per thread). */
 struct SmtConfig
 {
     int threads = 2;

@@ -355,6 +355,9 @@ ArrayModel::run(const GemmPlan &plan, const RunOptions &opt) const
         s2ta_assert(p.groups == 1 && !p.padded(),
                     "the scalar engine runs plain GEMMs (%d groups, K "
                     "%d modeled as %d)", p.groups, p.k, p.modeledK());
+        s2ta_assert(p.hasOperands(),
+                    "the scalar engine needs a plan whose problem holds "
+                    "its operands (an events-only entry holds none)");
         scan = OperandProfile::build(p);
     }
     GemmRun out;

@@ -161,8 +161,9 @@ class ArrayModel
      * A grouped plan runs group by group on the array, its events
      * summed in group order, with its K as modeled
      * (GemmProblem::modeledK()). The scalar engine (opt.engine ==
-     * Scalar, or a shallow plan) runs plain GEMMs only: a grouped or
-     * padded plan there is fatal.
+     * Scalar, or a shallow plan) runs plain GEMMs off their operands
+     * only: a grouped or padded plan, or one whose problem holds no
+     * operands (an events-only cache entry), is fatal there.
      */
     GemmRun run(const GemmPlan &plan,
                 const RunOptions &opt = RunOptions{}) const;

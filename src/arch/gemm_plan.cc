@@ -165,7 +165,9 @@ dbbGemm(const GemmPlan &plan, int32_t *out, ThreadPool *shard_pool)
 {
     const GemmProblem &p = plan.problem();
     const int8_t *wgt_t = plan.wgtDenseT();
-    s2ta_assert(wgt_t != nullptr,
+    // Only a compute plan holds the mirror, and its problem holds
+    // the operands; an events-only plan holds neither.
+    s2ta_assert(wgt_t != nullptr && p.hasOperands(),
                 "dbbGemm needs a plan built with its dense mirror");
     // Both dots wrap mod 2^32, so outputs are bit-identical either
     // way.
@@ -184,17 +186,37 @@ GemmPlan::build(const GemmProblem &p, int bz, bool dense_mirror)
     // not a density contract; bounds are checked against the masks
     // by checkWeights / checkActivations.
     const DbbSpec all{bz, bz};
+    GemmPlan plan = fromMasks(p, DbbMatrix::fromActivations(p, all),
+                              DbbMatrix::fromWeights(p, all));
+    if (dense_mirror)
+        plan.wgt_t = transposedWeights(p);
+    return plan;
+}
+
+GemmPlan
+GemmPlan::fromMasks(const GemmProblem &p, DbbMatrix act, DbbMatrix wgt)
+{
+    const int bz = act.spec().bz;
+    const int nb = (p.modeledK() + bz - 1) / bz;
+    s2ta_assert(wgt.spec().bz == bz &&
+                    act.vectors() == p.groups * p.m &&
+                    wgt.vectors() == p.groups * p.n &&
+                    act.blocksPerVector() == nb &&
+                    wgt.blocksPerVector() == nb,
+                "masks (%d + %d vectors of %d/%d blocks) do not fit a "
+                "%dx%dx%d GEMM of %d groups at bz %d", act.vectors(),
+                wgt.vectors(), act.blocksPerVector(),
+                wgt.blocksPerVector(), p.m, p.modeledK(), p.n,
+                p.groups, bz);
     GemmPlan plan(p);
     plan.blk_bz = bz;
-    plan.act_masks = DbbMatrix::fromActivations(p, all);
-    plan.wgt_masks = DbbMatrix::fromWeights(p, all);
+    plan.act_masks = std::move(act);
+    plan.wgt_masks = std::move(wgt);
     plan.profs.reserve(static_cast<size_t>(p.groups));
     for (int g = 0; g < p.groups; ++g) {
         plan.profs.push_back(OperandProfile::fromDbb(
             p, plan.act_masks, plan.wgt_masks, g));
     }
-    if (dense_mirror)
-        plan.wgt_t = transposedWeights(p);
     plan.is_encoded = true;
     return plan;
 }

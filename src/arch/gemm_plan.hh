@@ -7,7 +7,8 @@
  * the OperandProfile is derived from them (O(blocks) mask counts instead
  * of an O(M*K + K*N) dense scan), and density validation is a
  * popcount test per block. The values stay in the dense operands;
- * a plan that computes outputs also caches the transposed weights. Every architecture model consumes the
+ * a plan that computes outputs also caches the transposed weights.
+ * Every architecture model consumes the
  * same plan, so nothing is re-encoded inside simulate() and
  * Accelerator::runLayer reuses one plan across the whole tile grid.
  *
@@ -20,9 +21,15 @@
  * values only.
  *
  * A plan borrows the GemmProblem it was built from; the problem must
- * outlive the plan. Plans are immutable after construction apart
- * from a small validation memo, which is atomic so one plan can be
- * shared across concurrent consumers: sweep lanes (PlanCache hands
+ * outlive the plan. A compute plan (built with its dense mirror)
+ * reads the problem's activations in dbbGemm, so its problem holds
+ * both operands. An events-only plan (built without the mirror, or
+ * fromMasks) holds the block masks and one profile per group, and
+ * reads only its problem's dims: a PlanCache entry keeps those
+ * alone (GemmProblem::withoutOperands()), so the lowered operands
+ * are freed once masked. Plans are immutable after construction
+ * apart from a small validation memo, which is atomic so one plan
+ * can be shared across concurrent consumers: sweep lanes (PlanCache hands
  * the same encoding to every design point under comparison) and
  * serving streams (every request re-sending a workload simulates
  * from the same cached encoding). Batched workloads need nothing
@@ -121,10 +128,20 @@ class GemmPlan
      * problem's segments must span whole blocks. @p dense_mirror
      * additionally caches the transposed dense weights dbbGemm
      * contracts against; skip it for events-only runs that never
-     * compute an output.
+     * compute an output, whose plan then reads only p's dims.
      */
     static GemmPlan build(const GemmProblem &p, int bz = 8,
                           bool dense_mirror = true);
+
+    /**
+     * The events-only plan of @p p from both operands' block masks
+     * (in p's modeled layout, block size act.spec().bz): derives each
+     * group's profile. Reads only p's dims, so p may hold no
+     * operands; build(p, bz, false) is fromMasks over the masks of
+     * p's operands.
+     */
+    static GemmPlan fromMasks(const GemmProblem &p, DbbMatrix act,
+                              DbbMatrix wgt);
 
     /**
      * Wrap @p p without encoding anything: the legacy scalar engine

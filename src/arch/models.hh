@@ -58,7 +58,9 @@ class SaSmtModel : public ArrayModel
      * Queue automaton for one PE: given the per-arrival-slot count
      * of non-zero pairs (0..T), return the cycles needed to consume
      * the stream and drain, honouring a depth-Q FIFO with one pop
-     * per cycle and stall-on-full semantics. Exposed for unit tests.
+     * per cycle and stall-on-full semantics. A slot delivers at most
+     * queue_depth pairs (ArrayConfig::check keeps T <= Q); more is
+     * fatal. Exposed for unit tests.
      */
     static int64_t queueCycles(const std::vector<int> &arrivals,
                                int queue_depth);

@@ -11,7 +11,7 @@ namespace {
 // ---- spill codec helpers --------------------------------------------
 
 constexpr uint8_t kSpillMagic = 0x53; // 'S'
-constexpr uint8_t kSpillVersion = 2;
+constexpr uint8_t kSpillVersion = 3;
 
 void
 putVarint(std::vector<uint8_t> &out, uint64_t v)
@@ -67,6 +67,54 @@ encodeBlocks(const std::vector<DbbBlock> &blocks,
     }
 }
 
+/** encodeBlocks for an events-only entry's masks: the mask bytes
+ *  alone, zero runs collapsed the same way. */
+void
+encodeMasks(const DbbMatrix &masks, std::vector<uint8_t> &out)
+{
+    const Mask8 *m = masks.vectorMasks(0);
+    const int64_t total =
+        static_cast<int64_t>(masks.vectors()) * masks.blocksPerVector();
+    for (int64_t i = 0; i < total;) {
+        out.push_back(m[i]);
+        if (m[i] != 0) {
+            ++i;
+            continue;
+        }
+        int64_t run = 1;
+        while (i + run < total && m[i + run] == 0)
+            ++run;
+        putVarint(out, static_cast<uint64_t>(run - 1));
+        i += run;
+    }
+}
+
+/** Inverse of encodeMasks: @p vectors x @p blocks masks at block
+ *  size @p bz (the permissive bz/bz spec GemmPlan::build encodes
+ *  with). */
+DbbMatrix
+decodeMasks(const uint8_t *&p, const uint8_t *end, int vectors,
+            int blocks, int bz)
+{
+    std::vector<Mask8> masks(static_cast<size_t>(vectors) * blocks);
+    size_t i = 0;
+    while (i < masks.size()) {
+        s2ta_assert(p < end, "truncated spill mask stream");
+        const Mask8 mask = *p++;
+        s2ta_assert((mask >> bz) == 0, "spill mask %#x past bz %d",
+                    mask, bz);
+        if (mask != 0) {
+            masks[i++] = mask;
+            continue;
+        }
+        const uint64_t run = 1 + getVarint(p, end);
+        s2ta_assert(run <= masks.size() - i,
+                    "spill zero-run overruns the mask array");
+        i += run; // masks are value-initialized to zero
+    }
+    return DbbMatrix(DbbSpec{bz, bz}, vectors, blocks, std::move(masks));
+}
+
 void
 decodeBlocks(const uint8_t *&p, const uint8_t *end,
              std::vector<DbbBlock> &blks)
@@ -94,28 +142,46 @@ decodeBlocks(const uint8_t *&p, const uint8_t *end,
 
 } // anonymous namespace
 
+CachedPlan::CachedPlan(const GemmProblem &p, const int8_t *w, int bz)
+    // The permissive bz/bz spec, as GemmPlan::build encodes.
+    : CachedPlan(p, DbbMatrix::fromActivations(p, DbbSpec{bz, bz}),
+                 DbbMatrix::fromWeights(p, w, DbbSpec{bz, bz}))
+{}
+
+CachedPlan::CachedPlan(const GemmProblem &p, DbbMatrix act,
+                       DbbMatrix wgt)
+    : problem(p.withoutOperands()),
+      plan(GemmPlan::fromMasks(problem, std::move(act), std::move(wgt)))
+{}
+
 std::vector<uint8_t>
 spillEncode(const CachedPlan &entry)
 {
     const GemmProblem &p = entry.problem;
     const GemmPlan &plan = entry.plan;
     s2ta_assert(plan.encoded(), "cannot spill a shallow plan");
+    const bool compute = plan.wgtDenseT() != nullptr;
     std::vector<uint8_t> out;
     // Mask byte + up to bz values per block is the worst case;
     // reserve for it so dense workloads don't reallocate.
-    const int64_t stored =
-        static_cast<int64_t>(p.a.size() + p.w.size());
+    const int64_t blocks =
+        static_cast<int64_t>(plan.act().vectors() + plan.wgt().vectors()) *
+        plan.act().blocksPerVector();
     out.reserve(static_cast<size_t>(
-        48 + (stored / plan.bz() + p.m + p.groups * p.n) *
-                 (plan.bz() + 1)));
+        48 + blocks * (compute ? plan.bz() + 1 : 1)));
     out.push_back(kSpillMagic);
     out.push_back(kSpillVersion);
     for (const int dim : {p.m, p.k, p.n, p.groups, p.seg, p.seg_align})
         putVarint(out, static_cast<uint64_t>(dim));
     out.push_back(static_cast<uint8_t>(plan.bz()));
-    out.push_back(plan.wgtDenseT() != nullptr ? 1 : 0);
-    encodeBlocks(dbbEncodeActivations(p, plan.bz()), out);
-    encodeBlocks(dbbEncodeWeights(p, plan.bz()), out);
+    out.push_back(compute ? 1 : 0);
+    if (compute) {
+        encodeBlocks(dbbEncodeActivations(p, plan.bz()), out);
+        encodeBlocks(dbbEncodeWeights(p, plan.bz()), out);
+    } else {
+        encodeMasks(plan.act(), out);
+        encodeMasks(plan.wgt(), out);
+    }
     return out;
 }
 
@@ -143,8 +209,28 @@ spillDecode(const uint8_t *data, size_t len)
                 "implausible spill dims %dx%dx%d, %d groups, seg "
                 "%d/%d, bz %d", m, k, n, groups, seg, seg_align, bz);
 
-    // The stored operands: m rows of groups*k activations and
-    // groups*n weight columns of k.
+    if (!mirror) {
+        // An events-only entry: both operands' masks in the modeled
+        // layout, which give the profiles again.
+        GemmProblem dims;
+        dims.m = m;
+        dims.k = k;
+        dims.n = n;
+        dims.groups = groups;
+        dims.seg = seg;
+        dims.seg_align = seg_align;
+        s2ta_assert(seg == 0 || k % seg == 0,
+                    "spill segments of %d do not tile K %d", seg, k);
+        const int nb = (dims.modeledK() + bz - 1) / bz;
+        DbbMatrix act = decodeMasks(p, end, groups * m, nb, bz);
+        DbbMatrix wgt = decodeMasks(p, end, groups * n, nb, bz);
+        s2ta_assert(p == end, "trailing bytes in spill image");
+        return std::make_shared<const CachedPlan>(dims, std::move(act),
+                                                  std::move(wgt));
+    }
+
+    // A compute entry's stored operands: m rows of groups*k
+    // activations and groups*n weight columns of k.
     std::vector<DbbBlock> act_blks(
         static_cast<size_t>(m) * ((groups * k + bz - 1) / bz));
     decodeBlocks(p, end, act_blks);
@@ -162,8 +248,7 @@ spillDecode(const uint8_t *data, size_t len)
     prob.seg_align = seg_align;
     dbbDecodeActivations(act_blks.data(), bz, prob);
     dbbDecodeWeights(wgt_blks.data(), bz, prob);
-    return std::make_shared<const CachedPlan>(std::move(prob), bz,
-                                              mirror);
+    return std::make_shared<const CachedPlan>(std::move(prob), bz);
 }
 
 uint64_t
@@ -201,8 +286,9 @@ PlanCache::fingerprint(const GemmProblem &p)
 int64_t
 PlanCache::entryBytes(const CachedPlan &e)
 {
-    // Operands, one mask byte per block, and the mirror (the
-    // weights transposed) if built.
+    // The operands a compute entry holds (an events-only entry holds
+    // none), one mask byte per block, and the mirror (the weights
+    // transposed) if built.
     const int64_t wgt = static_cast<int64_t>(e.problem.w.size());
     int64_t bytes = static_cast<int64_t>(e.problem.a.size()) + wgt;
     for (const DbbMatrix *m : {&e.plan.act(), &e.plan.wgt()})
@@ -228,6 +314,14 @@ PlanCache::lookupLocked(uint64_t key)
         ++counters.hits;
         lru.splice(lru.begin(), lru, it->second.lru_it);
         l.entry = it->second.entry;
+        return l;
+    }
+    const auto pit = spilling.find(key);
+    if (pit != spilling.end()) {
+        // Evicted by a lane still encoding its spill image: the
+        // entry is in memory yet, so it serves the lookup.
+        ++counters.hits;
+        l.entry = pit->second;
         return l;
     }
     const auto sit = spill_slots.find(key);
@@ -319,6 +413,7 @@ PlanCache::insertLocked(uint64_t key,
             } else {
                 pending->push_back(
                     PendingSpill{victim, vit->second.entry});
+                spilling[victim] = vit->second.entry;
             }
         }
         slots.erase(vit);
@@ -344,6 +439,7 @@ PlanCache::insertAndSpill(uint64_t key,
                 // outright instead of parked. Degradation, not an
                 // error — its next use re-encodes cold.
                 ++counters.spill_drops;
+                spilling.erase(ps.key);
                 continue;
             }
         }
@@ -351,6 +447,7 @@ PlanCache::insertAndSpill(uint64_t key,
             spillEncode(*ps.entry));
         std::lock_guard<std::mutex> lk(mu);
         parkLocked(ps.key, std::move(bytes));
+        spilling.erase(ps.key);
     }
 }
 
@@ -397,8 +494,13 @@ PlanCache::rehydrate(
 std::shared_ptr<const CachedPlan>
 PlanCache::acquire(const GemmProblem &p, int bz, bool dense_mirror)
 {
-    auto entry = acquireKeyed(fingerprint(p), bz, dense_mirror,
-                              [&p] { return p; });
+    auto entry = acquireKeyed(
+        fingerprint(p), bz, dense_mirror,
+        [&]() -> std::shared_ptr<const CachedPlan> {
+            if (dense_mirror)
+                return std::make_shared<const CachedPlan>(p, bz);
+            return std::make_shared<const CachedPlan>(p, p.w.data(), bz);
+        });
     // Cross-check the geometry against the resident operands: a
     // 64-bit fingerprint collision between distinct workloads
     // would otherwise return a wrong plan silently. (Same-dims
@@ -416,8 +518,9 @@ PlanCache::acquire(const GemmProblem &p, int bz, bool dense_mirror)
 }
 
 std::shared_ptr<const CachedPlan>
-PlanCache::acquireKeyed(uint64_t key, int bz, bool dense_mirror,
-                        const std::function<GemmProblem()> &lower)
+PlanCache::acquireKeyed(
+    uint64_t key, int bz, bool dense_mirror,
+    const std::function<std::shared_ptr<const CachedPlan>()> &build)
 {
     key = combine(key, static_cast<uint64_t>(bz) |
                            (dense_mirror ? 0x100u : 0u));
@@ -438,8 +541,12 @@ PlanCache::acquireKeyed(uint64_t key, int bz, bool dense_mirror,
     }
     // Lower and encode outside the lock: plan construction is the
     // expensive part and must not serialize concurrent sweep lanes.
-    auto entry =
-        std::make_shared<const CachedPlan>(lower(), bz, dense_mirror);
+    auto entry = build();
+    s2ta_assert(entry->plan.bz() == bz &&
+                    (entry->plan.wgtDenseT() != nullptr) == dense_mirror,
+                "entry built at bz %d, mirror %d for a key of bz %d, "
+                "mirror %d", entry->plan.bz(),
+                entry->plan.wgtDenseT() != nullptr, bz, dense_mirror);
     insertAndSpill(key, entry);
     return entry;
 }
@@ -478,6 +585,7 @@ PlanCache::clear()
     lru.clear();
     spill_slots.clear();
     spill_lru.clear();
+    spilling.clear();
     dap_memo.clear();
     counters.entries = 0;
     counters.resident_bytes = 0;

@@ -28,7 +28,10 @@
  * built from), so cached plans stay valid after the caller's problem
  * dies — acquire() returns shared_ptrs, so an entry evicted while a
  * lane still simulates from it stays alive until the last user
- * drops it.
+ * drops it. A compute entry (dense mirror) owns the operands; an
+ * events-only entry owns the dims alone, beside its plan's masks
+ * and profiles, since nothing on the events-only path reads an
+ * operand.
  *
  * Thread-safety: lookups, inserts, stats(), and clear() are
  * mutex-guarded; plan construction runs outside the lock, and when
@@ -46,19 +49,22 @@
  *
  * Spill tier (spill_max_bytes > 0): entries evicted from the
  * resident LRU are kept in the compact spill form (spillEncode
- * below: dims + DBB blocks, varint/RLE-coded) under their own byte
- * budget with their own LRU. A lookup that misses the resident tier
- * but hits the spill tier rehydrates — decode + operand
- * reconstruction + plan build — which costs a fraction of the full
- * im2col-lower + encode miss, so a bounded cache under a cyclic
+ * below: dims + DBB blocks of a compute entry, or the masks of an
+ * events-only entry, varint/RLE-coded) under their own byte budget
+ * with their own LRU. A lookup that misses the resident tier but
+ * hits the spill tier rehydrates — decode + operand reconstruction
+ * (compute entries) + plan build — which costs a fraction of the
+ * full im2col-lower + encode miss, so a bounded cache under a cyclic
  * trace degrades smoothly instead of falling off the LRU-thrash
  * cliff. Rehydrated entries re-enter the resident tier (possibly
  * spilling another entry), and their compact image stays *parked*
  * in the spill tier, so the cyclic steady state — rehydrate, use,
  * re-evict — pays one decode per cycle and zero re-encodes. Both
  * spill encoding (an entry's first eviction) and rehydration run
- * outside the lock; only the list/map surgery is serialized. A
- * rehydrated plan is bit-identical to a fresh build.
+ * outside the lock; only the list/map surgery is serialized, and a
+ * lookup racing a first eviction's encode is served from the entry
+ * it is encoding. A rehydrated plan is bit-identical to a fresh
+ * build.
  *
  * stats() reports each tier separately (resident hits vs spill
  * rehydrations vs full misses) so bench artifacts can attribute
@@ -83,14 +89,31 @@ namespace s2ta {
 
 class FaultInjector;
 
-/** One cached workload: the owned operands plus their encoded plan. */
+/** One cached workload: its GemmProblem plus its encoded plan. */
 struct CachedPlan
 {
-    CachedPlan(GemmProblem p, int bz, bool dense_mirror)
+    /** The compute entry of @p p at block size @p bz: it owns p,
+     *  and its plan, dense mirror included, borrows it. */
+    CachedPlan(GemmProblem p, int bz)
         : problem(std::move(p)),
-          plan(GemmPlan::build(problem, bz, dense_mirror))
+          plan(GemmPlan::build(problem, bz, true))
     {}
 
+    /**
+     * The events-only entry at block size @p bz of the GEMM with
+     * @p p's dims and activations and the K x groups*N weight matrix
+     * at @p w (p.w is not read; pass p.w.data() for p's own): p's
+     * dims, and its plan's masks and profiles. No operand is kept
+     * or copied.
+     */
+    CachedPlan(const GemmProblem &p, const int8_t *w, int bz);
+
+    /** The events-only entry of @p p's dims with the given block
+     *  masks (the spill tier's rehydration). */
+    CachedPlan(const GemmProblem &p, DbbMatrix act, DbbMatrix wgt);
+
+    /** The GEMM: operands and dims in a compute entry, dims alone
+     *  in an events-only one. */
     const GemmProblem problem;
     const GemmPlan plan;
 };
@@ -101,7 +124,8 @@ class PlanCache
     /** Cache effectiveness counters, one set per tier. */
     struct Stats
     {
-        /** Plan-entry lookups that found a resident encoding. */
+        /** Plan-entry lookups that found a resident encoding (or
+         *  an evicted one whose spill encode is still running). */
         int64_t hits = 0;
         /** Plan-entry lookups that had to lower + encode (missed
          *  every tier). */
@@ -111,8 +135,8 @@ class PlanCache
         int64_t evictions = 0;
         /** Plan entries currently resident. */
         int64_t entries = 0;
-        /** Operand, mask and mirror bytes held by resident
-         *  entries. */
+        /** Bytes held by resident entries: operands (compute
+         *  entries only), one mask byte per block, and mirrors. */
         int64_t resident_bytes = 0;
         /** Lookups served by rehydrating a spilled entry — counted
          *  apart from resident hits so artifacts distinguish RAM
@@ -143,8 +167,8 @@ class PlanCache
      * @param max_entries LRU entry capacity; 0 means unbounded
      *        (sweep drivers usually hold every workload of one
      *        model).
-     * @param max_bytes LRU resident-byte budget (operands + masks
-     *        + mirrors); 0 means unbounded. Entries are
+     * @param max_bytes LRU resident-byte budget (entryBytes of the
+     *        resident entries); 0 means unbounded. Entries are
      *        evicted least-recently-used until both caps hold.
      * @param spill_max_bytes Spill-tier byte budget for evicted
      *        entries in compact form; 0 disables the tier (evicted
@@ -163,8 +187,8 @@ class PlanCache
     /**
      * Plan for @p p's operands, encoded at block size @p bz. The
      * operands are fingerprinted on every call, so a stale entry can
-     * never be returned for mutated data; on a miss the problem is
-     * copied into the new entry.
+     * never be returned for mutated data; on a miss a compute entry
+     * copies the problem, an events-only entry masks it in place.
      */
     std::shared_ptr<const CachedPlan> acquire(const GemmProblem &p,
                                               int bz,
@@ -174,14 +198,15 @@ class PlanCache
      * Keyed variant for callers that can identify the workload
      * without materializing it (e.g. a conv layer before im2col
      * lowering): @p key must already distinguish operand content
-     * (hash the source tensors with hashBytes). @p lower runs only
-     * on a miss and produces the problem to encode: for a conv
-     * layer, the whole layer's grouped GEMM, so a layer costs one
-     * lookup and, on a miss, one lowering.
+     * (hash the source tensors with hashBytes). @p build runs only
+     * on a miss and builds the entry at block size @p bz, with a
+     * mirror exactly when @p dense_mirror (the key folds both in):
+     * for a conv layer, the whole layer's grouped GEMM, so a layer
+     * costs one lookup and, on a miss, one lowering.
      */
-    std::shared_ptr<const CachedPlan>
-    acquireKeyed(uint64_t key, int bz, bool dense_mirror,
-                 const std::function<GemmProblem()> &lower);
+    std::shared_ptr<const CachedPlan> acquireKeyed(
+        uint64_t key, int bz, bool dense_mirror,
+        const std::function<std::shared_ptr<const CachedPlan>()> &build);
 
     /**
      * Memoized DAP comparator statistics. The DAP array prunes a
@@ -234,8 +259,9 @@ class PlanCache
     static uint64_t fingerprint(const GemmProblem &p);
 
   private:
-    /** Bytes an entry pins in memory: operands, one mask byte per
-     *  block, and the dense mirror when built. */
+    /** Bytes an entry pins in memory: the operands it holds (a
+     *  compute entry's), one mask byte per block, and the dense
+     *  mirror when built. */
     static int64_t entryBytes(const CachedPlan &e);
 
     /**
@@ -310,27 +336,33 @@ class PlanCache
     std::list<uint64_t> lru;
     std::unordered_map<uint64_t, SpillSlot> spill_slots;
     std::list<uint64_t> spill_lru;
+    /** Entries evicted with no parked image, while their image is
+     *  encoded outside the lock: a racing lookup is served from
+     *  the entry instead of missing both tiers. */
+    std::unordered_map<uint64_t, std::shared_ptr<const CachedPlan>>
+        spilling;
     std::unordered_map<uint64_t, DapStats> dap_memo;
     Stats counters;
 };
 
 /**
- * Spill-form image of @p entry: dims, group and segment layout +
- * varint/RLE-coded DBB blocks of the stored operands only (mask
- * byte + stored values per non-empty block, zero runs
- * length-coded), the values gathered from the entry's dense
- * operands. About half the entry's resident footprint at 4/8
- * density, less still next to an entry that holds a mirror.
+ * Spill-form image of @p entry: dims, group and segment layout, then
+ * for a compute entry the varint/RLE-coded DBB blocks of the stored
+ * operands only (mask byte + stored values per non-empty block,
+ * zero runs length-coded), the values gathered from the entry's
+ * dense operands, and for an events-only entry its masks (zero runs
+ * length-coded). A compute image is about half the entry's resident
+ * footprint at 4/8 density, less still next to its mirror.
  */
 std::vector<uint8_t> spillEncode(const CachedPlan &entry);
 
 /**
- * Rebuild a full entry from a spill-form image: operands are
- * expanded from the lossless blocks, and a build() over them with
- * the spilled entry's mirror request gives masks, profile and
- * mirror — bit-identical to the entry that was spilled. Fatal on a
- * malformed image (spill bytes never leave the process; corruption
- * here is a program bug, not an input).
+ * Rebuild a full entry from a spill-form image: a compute entry's
+ * operands are expanded from the lossless blocks and built again,
+ * mirror included; an events-only entry's masks give its profiles
+ * again. Either is bit-identical to the entry that was spilled.
+ * Fatal on a malformed image (spill bytes never leave the process;
+ * corruption here is a program bug, not an input).
  */
 std::shared_ptr<const CachedPlan> spillDecode(const uint8_t *data,
                                               size_t len);

@@ -30,7 +30,10 @@ SaSmtModel::queueCycles(const std::vector<int> &arrivals,
     int64_t cycles = 0;
     int queue = 0;
     for (int arr : arrivals) {
-        s2ta_assert(arr >= 0, "negative arrival count");
+        // More arrivals than the FIFO holds could never be admitted.
+        s2ta_assert(arr >= 0 && arr <= queue_depth,
+                    "%d arrivals into a FIFO of depth %d", arr,
+                    queue_depth);
         // Each cycle the MAC pops one entry; the streams advance
         // (delivering 'arr' non-zero pairs) only once the FIFO has
         // room for all of them, otherwise the wavefront stalls.

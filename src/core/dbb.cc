@@ -313,6 +313,24 @@ blockMask(const int8_t *src, int len)
 }
 
 /**
+ * One mask row of a row-major operand: ORs into out[j] the
+ * positional mask of column j's elements in the @p len <= 8 rows at
+ * @p src (row stride @p ld), row e giving bit e. Row by row, each a
+ * loop over the columns the compiler vectorizes, so W streams
+ * through at memory speed.
+ */
+void
+maskRows(const int8_t *src, size_t ld, int len, int cols, Mask8 *out)
+{
+    for (int e = 0; e < len; ++e) {
+        const int8_t *row = src + e * ld;
+        const Mask8 bit = static_cast<Mask8>(1u << e);
+        for (int j = 0; j < cols; ++j)
+            out[j] |= row[j] != 0 ? bit : 0;
+    }
+}
+
+/**
  * How one vector's K stored values map onto @p p's modeled layout at
  * block size bz: unpadded values block straight through (the last
  * block may be short); a padded layout starts every segment on a
@@ -331,17 +349,32 @@ struct ModeledLayout
                     "%d", p.modeledSeg(), bz);
     }
 
+    /**
+     * Calls @p f(r, first, len) for each of a vector's `blocks`
+     * blocks r in order: the block's stored values are the @p len
+     * starting at stored position @p first, none when len <= 0 (a
+     * padded segment's blocks past its stored values).
+     */
+    template <typename F>
+    void
+    forEachBlock(F &&f) const
+    {
+        if (!padded) {
+            for (int b = 0, kk = 0; kk < k; ++b, kk += bz)
+                f(b, kk, std::min(bz, k - kk));
+            return;
+        }
+        for (int s0 = 0, r = 0; s0 < k; s0 += seg)
+            for (int b = 0; b < seg_blocks; ++b, ++r)
+                f(r, s0 + b * bz, std::min(bz, seg - b * bz));
+    }
+
     /** The masks of the vector whose stored values start at
      *  @p src, into @p out (`blocks` masks). */
     void
     masks(const int8_t *src, Mask8 *out) const
     {
-        if (!padded) {
-            for (int b = 0, kk = 0; kk < k; ++b, kk += bz)
-                out[b] = blockMask(src + kk, std::min(bz, k - kk));
-            return;
-        }
-        if (seg == 1 && seg_blocks == 1) {
+        if (padded && seg == 1 && seg_blocks == 1) {
             // One value per one-block segment (a depthwise tap):
             // each mask is its value's non-zero flag, eight
             // segments per word.
@@ -354,13 +387,9 @@ struct ModeledLayout
                 out[t] = src[t] != 0;
             return;
         }
-        for (int s0 = 0; s0 < k; s0 += seg, out += seg_blocks) {
-            for (int b = 0; b < seg_blocks; ++b) {
-                const int len = std::min(bz, seg - b * bz);
-                out[b] = len > 0 ? blockMask(src + s0 + b * bz, len)
-                                 : 0;
-            }
-        }
+        forEachBlock([&](int r, int first, int len) {
+            out[r] = len > 0 ? blockMask(src + first, len) : 0;
+        });
     }
 
     int k, seg, bz;
@@ -399,8 +428,25 @@ checkTail(Mask8 last, int tail, const char *kind, int v)
 
 } // anonymous namespace
 
+DbbMatrix::DbbMatrix(DbbSpec s, int vectors, int blocks,
+                     std::vector<Mask8> m)
+    : dbb_spec(s), n_vectors(vectors), n_blocks(blocks),
+      masks(std::move(m))
+{
+    s2ta_assert(masks.size() == static_cast<size_t>(vectors) * blocks,
+                "%zu masks for %d vectors of %d blocks", masks.size(),
+                vectors, blocks);
+}
+
 DbbMatrix
 DbbMatrix::fromWeights(const GemmProblem &p, const DbbSpec &spec)
+{
+    return fromWeights(p, p.w.data(), spec);
+}
+
+DbbMatrix
+DbbMatrix::fromWeights(const GemmProblem &p, const int8_t *w,
+                       const DbbSpec &spec)
 {
     s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
                 spec.nnz, spec.bz);
@@ -408,20 +454,21 @@ DbbMatrix::fromWeights(const GemmProblem &p, const DbbSpec &spec)
     const ModeledLayout layout(p, bz);
     const int nb = layout.blocks;
     const int cols = p.groups * p.n;
-    std::vector<Mask8> masks(static_cast<size_t>(cols) * nb);
-    if (!layout.padded) {
-        forWeightBlocks(p, bz, [&](int j, int b, const int8_t *blk) {
-            masks[static_cast<size_t>(j) * nb + b] = blockMask(blk, bz);
-        });
-    } else {
-        // Padded layers (narrow stems, depthwise taps) have small
-        // weights: mask each column from its contiguous transpose.
-        const std::vector<int8_t> wt = transposedWeights(p);
-        for (int j = 0; j < cols; ++j) {
-            layout.masks(&wt[static_cast<size_t>(j) * p.k],
-                         &masks[static_cast<size_t>(j) * nb]);
+    const size_t ld = static_cast<size_t>(cols);
+    // Mask row r holds block r's mask of every column: the flags
+    // of the block's (at most bz) stored W rows; a block with no
+    // stored values stays empty.
+    std::vector<Mask8> rows(static_cast<size_t>(nb) * ld);
+    layout.forEachBlock([&](int r, int first, int len) {
+        if (len > 0) {
+            maskRows(w + static_cast<size_t>(first) * ld, ld, len, cols,
+                     &rows[static_cast<size_t>(r) * ld]);
         }
-    }
+    });
+    std::vector<Mask8> masks(static_cast<size_t>(cols) * nb);
+    transposeBytes(reinterpret_cast<const int8_t *>(rows.data()), ld,
+                   nb, cols, reinterpret_cast<int8_t *>(masks.data()),
+                   static_cast<size_t>(nb));
     for (int j = 0; j < cols; ++j)
         checkDensity(&masks[static_cast<size_t>(j) * nb], nb, spec,
                      "weight", "col", j);

@@ -9,10 +9,10 @@
  * padded with zero values in compressed form.
  *
  * As in the hardware, operands are compressed only where they are
- * stored and moved: in memory the simulator keeps the dense operand
- * plus one mask per block (DbbMatrix), and compressed blocks
- * (DbbBlock) exist in serialized form and in the scalar reference
- * models.
+ * stored and moved: in memory the simulator keeps one mask per block
+ * (DbbMatrix), next to the dense operand only where outputs are
+ * computed, and compressed blocks (DbbBlock) exist in serialized
+ * form and in the scalar reference models.
  */
 
 #ifndef S2TA_CORE_DBB_HH
@@ -67,7 +67,8 @@ struct DbbSpec
  * the positional bitmask M, nnz value bytes plus one mask byte. This
  * is the stored form: dbbEncode/dbbDecode, the spill codec's wire
  * format and the scalar reference models use it. Resident plans keep
- * only the masks (DbbMatrix) next to the dense operands.
+ * only the masks (DbbMatrix), next to the dense operands in a plan
+ * that computes outputs.
  */
 struct DbbBlock
 {
@@ -112,7 +113,8 @@ bool dbbSatisfies(std::span<const int8_t> dense, const DbbSpec &spec);
  * The block masks of a GEMM operand blocked along K: one Mask8 per
  * block, bit i set when the block's expanded position i is non-zero.
  * The values stay in the dense operand, which the kernels contract
- * as dense lanes the masks steer.
+ * as dense lanes the masks steer; the event models read the masks
+ * alone.
  *
  * For weights (K x N) vectors run down each column; for activations
  * (M x K) vectors run along each row. 'vectors' is the number of
@@ -132,11 +134,28 @@ class DbbMatrix
   public:
     DbbMatrix() = default;
 
+    /** Wrap @p m: @p vectors runs of @p blocks masks each, in the
+     *  layout described above (the spill tier's rehydration). */
+    DbbMatrix(DbbSpec s, int vectors, int blocks, std::vector<Mask8> m);
+
     /**
      * Masks of the weight operand of @p p (K x N, blocked along K).
      * Every block of every column must satisfy @p spec.
      */
     static DbbMatrix fromWeights(const GemmProblem &p,
+                                 const DbbSpec &spec);
+
+    /**
+     * The same for the K x groups*N weight matrix at @p w, laid out
+     * as @p p's weights (p.w is not read, and may be empty). The one
+     * builder for every layout: W is read row by row, each row's
+     * non-zero flags are ORed, in one vectorized pass over the
+     * columns, into the mask row of that row's modeled block (the
+     * block walk the activation masks use), and one
+     * transposeBytes puts the mask rows in column-major order. W
+     * streams once, in row order, and is never copied.
+     */
+    static DbbMatrix fromWeights(const GemmProblem &p, const int8_t *w,
                                  const DbbSpec &spec);
 
     /**
@@ -191,12 +210,6 @@ class DbbMatrix
     }
 
   private:
-    DbbMatrix(DbbSpec s, int vectors, int blocks,
-              std::vector<Mask8> m)
-        : dbb_spec(s), n_vectors(vectors), n_blocks(blocks),
-          masks(std::move(m))
-    {}
-
     DbbSpec dbb_spec;
     int n_vectors = 0;
     int n_blocks = 0;
@@ -240,7 +253,7 @@ std::vector<int8_t> transposedWeights(const GemmProblem &p);
  * dst[c * dst_ld + r] = src[r * src_ld + c]. In 8 x 8 squares
  * through registers, the ragged edges element by element. The
  * weight codec and the weight generators move W through an L1 tile
- * with it.
+ * with it, and the weight mask builder its mask rows into columns.
  */
 void transposeBytes(const int8_t *src, size_t src_ld, int rows,
                     int cols, int8_t *dst, size_t dst_ld);

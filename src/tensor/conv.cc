@@ -177,13 +177,26 @@ im2colLowerGrouped(const Conv2dShape &shape, const Int8Tensor &input,
                    const Int8Tensor &weights, int channel_align,
                    int batch)
 {
-    s2ta_assert(shape.valid(), "invalid conv shape");
-    s2ta_assert(channel_align > 0, "channel_align=%d", channel_align);
-    checkBatchedInput(shape, input, batch);
     s2ta_assert(weights.shape() ==
                 std::vector<int>({shape.kernel_h, shape.kernel_w,
                                   shape.groupInC(), shape.out_c}),
                 "weight shape mismatch");
+    GemmProblem p =
+        im2colLowerActivations(shape, input, channel_align, batch);
+    // (kh, kw, groupInC, out_c) row-major is already the k x out_c
+    // weight matrix, group g's columns at [g*n, (g+1)*n).
+    p.w.assign(weights.data(), weights.data() + weights.size());
+    return p;
+}
+
+GemmProblem
+im2colLowerActivations(const Conv2dShape &shape,
+                       const Int8Tensor &input, int channel_align,
+                       int batch)
+{
+    s2ta_assert(shape.valid(), "invalid conv shape");
+    s2ta_assert(channel_align > 0, "channel_align=%d", channel_align);
+    checkBatchedInput(shape, input, batch);
 
     const int oh = shape.outH(), ow = shape.outW();
     const int gc = shape.groupInC();
@@ -193,9 +206,14 @@ im2colLowerGrouped(const Conv2dShape &shape, const Int8Tensor &input,
     const int64_t sample_elems = static_cast<int64_t>(shape.in_h) *
                                  shape.in_w * shape.in_c;
 
-    GemmProblem p(batch * oh * ow, k, shape.groupOutC(), groups);
+    GemmProblem p;
+    p.m = batch * oh * ow;
+    p.k = k;
+    p.n = shape.groupOutC();
+    p.groups = groups;
     p.seg = gc;
     p.seg_align = channel_align;
+    p.a.assign(static_cast<size_t>(p.m) * lda, 0);
 
     // Each in-image tap's channel row (contiguous in NHWC) is split
     // across the groups' column blocks of the lowered row;
@@ -241,10 +259,6 @@ im2colLowerGrouped(const Conv2dShape &shape, const Int8Tensor &input,
             }
         }
     }
-
-    // (kh, kw, groupInC, out_c) row-major is already the k x out_c
-    // weight matrix, group g's columns at [g*n, (g+1)*n).
-    std::memcpy(p.w.data(), weights.data(), p.w.size());
     return p;
 }
 

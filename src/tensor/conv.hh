@@ -14,10 +14,11 @@
  * Two lowerings share one K layout, (ky, kx, c) with the channel
  * fastest and each tap's channel segment padded to the DBB
  * alignment. The fast engine lowers a layer once, as one grouped
- * GEMM that stores only real values (im2colLowerGrouped); the scalar
- * reference engine lowers each group to its own GEMM with the
- * padding stored (im2colLowerAll), and scatters each group's result
- * into the output (scatterGemmResult).
+ * GEMM that stores only real values (im2colLowerGrouped; its
+ * activations alone, im2colLowerActivations, when no output is
+ * computed); the scalar reference engine lowers each group to its
+ * own GEMM with the padding stored (im2colLowerAll), and scatters
+ * each group's result into the output (scatterGemmResult).
  *
  * Batch handling: a batch of N samples folds into the GEMM M axis.
  * The lowered activation matrix stacks each sample's im2col rows
@@ -148,6 +149,17 @@ GemmProblem im2colLowerGrouped(const Conv2dShape &shape,
                                const Int8Tensor &weights,
                                int channel_align = 8,
                                int batch = 1);
+
+/**
+ * im2colLowerGrouped without the weight copy: the same problem with
+ * w left empty. The layer's weight tensor already is the problem's
+ * k x out_c weight matrix, so an events-only plan masks it where it
+ * lies (DbbMatrix::fromWeights with a weight pointer).
+ */
+GemmProblem im2colLowerActivations(const Conv2dShape &shape,
+                                   const Int8Tensor &input,
+                                   int channel_align = 8,
+                                   int batch = 1);
 
 /**
  * Scatter a GEMM result for one group back into the output tensor.

@@ -39,6 +39,9 @@ namespace s2ta {
  * `seg_align`, so that DBB blocks never straddle kernel taps. The
  * padding is never stored; modeledK() is the reduction length the
  * models see. seg == 0 means one unpadded segment (a plain GEMM).
+ *
+ * A problem may carry its dims alone (withoutOperands()): an
+ * events-only plan reads nothing else.
  */
 struct GemmProblem
 {
@@ -84,6 +87,29 @@ struct GemmProblem
 
     /** True when the models see padding that is not stored. */
     bool padded() const { return modeledK() != k; }
+
+    /** True when a and w hold every operand element. */
+    bool
+    hasOperands() const
+    {
+        return a.size() == static_cast<size_t>(m) * groups * k &&
+               w.size() == static_cast<size_t>(k) * groups * n;
+    }
+
+    /** The same GEMM with no operands (a and w empty): the dims an
+     *  events-only plan reads. */
+    GemmProblem
+    withoutOperands() const
+    {
+        GemmProblem d;
+        d.m = m;
+        d.k = k;
+        d.n = n;
+        d.groups = groups;
+        d.seg = seg;
+        d.seg_align = seg_align;
+        return d;
+    }
 
     /** Activation element (row i, column kk of the M x groups*K
      *  matrix). */

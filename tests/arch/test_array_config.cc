@@ -78,6 +78,9 @@ TEST(ArrayConfigDeath, InvalidConfigsFatal)
     ArrayConfig bad3 = ArrayConfig::sa();
     bad3.tpe.m = 0;
     EXPECT_DEATH(bad3.check(), "invalid TPE geometry");
+
+    // T2Q1: a slot where both threads deliver never fits the FIFO.
+    EXPECT_DEATH(ArrayConfig::saSmt(1).check(), "invalid SMT config T2Q1");
 }
 
 } // anonymous namespace

@@ -10,6 +10,7 @@
 
 #include "../integration/fuzz_layer.hh"
 #include "arch/gemm_plan.hh"
+#include "arch/plan_cache.hh"
 #include "base/thread_pool.hh"
 #include "core/weight_pruner.hh"
 #include "tensor/conv.hh"
@@ -192,6 +193,95 @@ expectGroupedPlanMatchesPerGroup(const LayerWorkload &wl, int bz,
     }
 }
 
+/**
+ * The events-only plan of a conv layer, as Accelerator::prepareLayer
+ * builds it (the masks of the lowered activations and of the weight
+ * tensor in place, no operand kept), against the compute plan of
+ * the same lowering, at alignment 1 (an SA-family design) and at
+ * @p bz (S2TA): both operands' masks and every group's profile must
+ * be equal byte for byte.
+ */
+void
+expectMasksOnlyPlanMatchesComputePlan(const LayerWorkload &wl, int bz)
+{
+    ArrayConfig sa = ArrayConfig::saZvcg();
+    sa.bz = bz;
+    ArrayConfig s2ta = ArrayConfig::s2taW();
+    s2ta.bz = bz;
+    s2ta.tpe.b = bz;
+    s2ta.weight_dbb = DbbSpec{std::min(4, bz), bz};
+    for (const ArrayConfig &array : {sa, s2ta}) {
+        const int align = array.kind == ArchKind::S2taW ? bz : 1;
+        SCOPED_TRACE("groups " + std::to_string(wl.shape.groups) +
+                     " gc " + std::to_string(wl.shape.groupInC()) +
+                     " align " + std::to_string(align) + " bz " +
+                     std::to_string(bz));
+        AcceleratorConfig cfg;
+        cfg.array = array;
+        cfg.sim_threads = 1;
+        const PreparedLayer prep =
+            Accelerator(cfg).prepareLayer(wl, NetworkRunOptions{});
+        ASSERT_EQ(prep.cached.size(), 1u);
+        const GemmPlan &masks_only = prep.cached.front()->plan;
+        EXPECT_FALSE(masks_only.problem().hasOperands());
+        EXPECT_EQ(masks_only.wgtDenseT(), nullptr);
+
+        const GemmProblem lowered = im2colLowerGrouped(
+            wl.shape, wl.input, wl.weights, align, wl.batch);
+        const GemmPlan full = GemmPlan::build(lowered, bz, true);
+        for (const auto &[got, want] :
+             {std::pair{&masks_only.act(), &full.act()},
+              std::pair{&masks_only.wgt(), &full.wgt()}}) {
+            ASSERT_EQ(got->vectors(), want->vectors());
+            ASSERT_EQ(got->blocksPerVector(), want->blocksPerVector());
+            EXPECT_EQ(std::memcmp(got->vectorMasks(0),
+                                  want->vectorMasks(0),
+                                  static_cast<size_t>(got->vectors()) *
+                                      got->blocksPerVector()),
+                      0);
+        }
+        ASSERT_EQ(masks_only.profiles().size(), full.profiles().size());
+        for (int g = 0; g < wl.shape.groups; ++g) {
+            SCOPED_TRACE("group " + std::to_string(g));
+            expectProfilesEqual(masks_only.profile(g), full.profile(g));
+        }
+    }
+}
+
+/** A conv layer of @p groups groups of @p gc channels whose segments
+ *  the fuzzer never draws, about 60% dense in both operands. */
+LayerWorkload
+oddSegmentLayer(int gc, int groups, Rng &rng)
+{
+    LayerWorkload wl;
+    wl.shape = {gc * groups, 6, 5, 3 * groups, 3, 2, 1, 1, groups};
+    wl.input = Int8Tensor({6, 5, gc * groups});
+    for (int64_t i = 0; i < wl.input.size(); ++i)
+        wl.input.flat(i) = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
+    wl.weights = Int8Tensor({3, 2, gc, 3 * groups});
+    for (int64_t i = 0; i < wl.weights.size(); ++i)
+        wl.weights.flat(i) = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
+    return wl;
+}
+
+TEST(GemmPlan, MasksOnlyPlanMatchesComputePlan)
+{
+    // The conv fuzzer's shapes, then 3-, 12- and 20-channel groups,
+    // whose padded segments span a partly filled first, second or
+    // third block.
+    for (uint64_t trial = 0; trial < 48; ++trial) {
+        SCOPED_TRACE("fuzz trial " + std::to_string(trial));
+        Rng rng(0x6C00 + trial);
+        const int bz = rng.bernoulli(0.5) ? 4 : 8;
+        expectMasksOnlyPlanMatchesComputePlan(fuzzLayer(rng, bz), bz);
+    }
+    Rng rng(0x6D00);
+    for (const int gc : {3, 12, 20})
+        for (const int groups : {1, 2})
+            expectMasksOnlyPlanMatchesComputePlan(
+                oddSegmentLayer(gc, groups, rng), 8);
+}
+
 TEST(GemmPlan, GroupedPlanMatchesPerGroupPlans)
 {
     ThreadPool pool(2);
@@ -206,22 +296,10 @@ TEST(GemmPlan, GroupedPlanMatchesPerGroupPlans)
     // of 12 and 20 channels, whose padded segments span a partly
     // filled second or third block.
     Rng rng(0x6B00);
-    for (const int gc : {3, 12, 20}) {
-        for (const int groups : {1, 2}) {
-            LayerWorkload wl;
-            wl.shape = {gc * groups, 6, 5, 3 * groups, 3, 2, 1, 1,
-                        groups};
-            wl.input = Int8Tensor({6, 5, gc * groups});
-            for (int64_t i = 0; i < wl.input.size(); ++i)
-                wl.input.flat(i) =
-                    rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
-            wl.weights = Int8Tensor({3, 2, gc, 3 * groups});
-            for (int64_t i = 0; i < wl.weights.size(); ++i)
-                wl.weights.flat(i) =
-                    rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
-            expectGroupedPlanMatchesPerGroup(wl, 8, pool);
-        }
-    }
+    for (const int gc : {3, 12, 20})
+        for (const int groups : {1, 2})
+            expectGroupedPlanMatchesPerGroup(
+                oddSegmentLayer(gc, groups, rng), 8, pool);
 }
 
 TEST(GemmPlanDeath, DensityViolationsAreFatal)
@@ -245,6 +323,30 @@ TEST(GemmPlanDeath, DbbGemmNeedsTheMirror)
     const GemmPlan plan = GemmPlan::build(p, 8, false);
     std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
     EXPECT_DEATH(dbbGemm(plan, out.data()), "dense mirror");
+}
+
+TEST(GemmPlanDeath, PlanWithoutOperandsRefusesKernelAndScalarEngine)
+{
+    // An events-only cache entry keeps masks and profiles, and no
+    // operand: the kernel and the scalar engine, which read the
+    // operands, must refuse it rather than read empty vectors.
+    Rng rng(0xAA);
+    const GemmProblem p = makeDbbGemm(8, 16, 8, 4, 4, rng);
+    const CachedPlan entry(p, p.w.data(), 8);
+    ASSERT_FALSE(entry.plan.problem().hasOperands());
+    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
+    EXPECT_DEATH(dbbGemm(entry.plan, out.data()), "dense mirror");
+    RunOptions scalar;
+    scalar.engine = EngineKind::Scalar;
+    scalar.compute_output = false;
+    scalar.validate_operands = false;
+    for (const ArrayConfig &cfg :
+         {ArrayConfig::saZvcg(), ArrayConfig::saSmt(2),
+          ArrayConfig::s2taW(), ArrayConfig::s2taAw(4)}) {
+        EXPECT_DEATH(makeArrayModel(cfg)->run(entry.plan, scalar),
+                     "holds its operands")
+            << cfg.name();
+    }
 }
 
 TEST(GemmPlanDeath, ShallowPlanRefusesEncodedAccess)

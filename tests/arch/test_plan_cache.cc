@@ -26,9 +26,19 @@ smallGemm(uint64_t seed, int m = 24, int k = 64, int n = 16,
     return makeDbbGemm(m, k, n, nnz, nnz, rng);
 }
 
-/** Full structural equality of two cache entries: operands, group
- *  and segment layout, block masks, mirror, every group's profile,
- *  and the functional output. */
+/** The compute entry of @p p (with its mirror) or its events-only
+ *  entry (masks and profiles), as PlanCache::acquire builds them. */
+std::unique_ptr<const CachedPlan>
+makeEntry(const GemmProblem &p, int bz, bool mirror)
+{
+    if (mirror)
+        return std::make_unique<const CachedPlan>(p, bz);
+    return std::make_unique<const CachedPlan>(p, p.w.data(), bz);
+}
+
+/** Full structural equality of two cache entries: operands (none in
+ *  an events-only entry), group and segment layout, block masks,
+ *  mirror, every group's profile, and the functional output. */
 void
 expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
 {
@@ -110,26 +120,29 @@ TEST(PlanCache, HitMissAccounting)
     EXPECT_GT(cache.stats().resident_bytes, 0);
 }
 
-TEST(PlanCache, ResidentBytesAreOperandsMasksAndMirror)
+TEST(PlanCache, ResidentBytesCountWhatAnEntryHolds)
 {
-    // A resident plan holds its operands, one mask byte per block of
-    // each operand and, when outputs were requested, the transposed
-    // weight mirror: no compressed value array. K = 67 leaves a
-    // ragged tail block on every bz but 1.
+    // Every resident entry holds one mask byte per block of each
+    // operand, and no compressed value array. A compute entry (when
+    // outputs were requested) also holds its operands and the
+    // transposed weight mirror; an events-only entry holds neither.
+    // K = 67 leaves a ragged tail block on every bz but 1.
     for (const int bz : {8, 5, 1}) {
         for (const bool mirror : {false, true}) {
             Rng rng(0xB1);
             const GemmProblem p =
                 makeUnstructuredGemm(24, 67, 16, 0.5, 0.5, rng);
             PlanCache cache;
-            cache.acquire(p, bz, mirror);
+            const auto e = cache.acquire(p, bz, mirror);
             const int64_t nb = (p.k + bz - 1) / bz;
+            const int64_t masks = (static_cast<int64_t>(p.m) + p.n) * nb;
             const int64_t want =
-                static_cast<int64_t>(p.a.size() + p.w.size()) +
-                (static_cast<int64_t>(p.m) + p.n) * nb +
-                (mirror ? static_cast<int64_t>(p.k) * p.n : 0);
+                mirror ? static_cast<int64_t>(p.a.size() + p.w.size()) +
+                             masks + static_cast<int64_t>(p.k) * p.n
+                       : masks;
             EXPECT_EQ(cache.stats().resident_bytes, want)
                 << "bz " << bz << " mirror " << mirror;
+            EXPECT_EQ(e->problem.hasOperands(), mirror);
         }
     }
 }
@@ -138,11 +151,11 @@ TEST(PlanCache, FingerprintGuardsMutatedOperands)
 {
     PlanCache cache;
     GemmProblem p = smallGemm(0xA1);
-    cache.acquire(p, 8, false);
+    cache.acquire(p, 8, true);
 
     // Mutating the operands must never return the stale plan.
     p.a[3] = static_cast<int8_t>(p.a[3] + 1);
-    const auto e = cache.acquire(p, 8, false);
+    const auto e = cache.acquire(p, 8, true);
     EXPECT_EQ(cache.stats().misses, 2);
     EXPECT_EQ(e->problem.a[3], p.a[3]);
 }
@@ -243,7 +256,7 @@ TEST(PlanCache, SpillRoundtripIsExact)
     // dropped by the codec and re-derived on rehydration.
     for (const int nnz : {2, 8}) {
         const GemmProblem p = smallGemm(0x52, 40, 72, 24, nnz);
-        const CachedPlan entry(p, 8, true);
+        const CachedPlan entry(p, 8);
         const auto bytes = spillEncode(entry);
         // Compact relative to the resident footprint (operands +
         // one mask byte per block + mirror): the codec stores only
@@ -261,21 +274,36 @@ TEST(PlanCache, SpillRoundtripIsExact)
 
     // A depthwise layer's grouped GEMM, its one-channel taps
     // modeled padded to the block size: the image carries the group
-    // axis and the segment layout, and only the stored values.
+    // axis and the segment layout, and only the stored values of a
+    // compute entry or the masks of an events-only one.
     Rng rng(0x54);
     const Conv2dShape dw{16, 7, 6, 16, 3, 3, 1, 1, 16};
     const Int8Tensor input = makeDbbTensor({7, 6, 16}, 4, rng);
     const Int8Tensor weights = makeDbbTensor({3, 3, 1, 16}, 1, rng);
+    const GemmProblem lowered = im2colLowerGrouped(dw, input, weights, 8);
     for (const bool mirror : {false, true}) {
-        const CachedPlan entry(
-            im2colLowerGrouped(dw, input, weights, 8), 8, mirror);
-        ASSERT_EQ(entry.problem.groups, 16);
-        ASSERT_TRUE(entry.problem.padded());
-        const auto bytes = spillEncode(entry);
+        const auto entry = makeEntry(lowered, 8, mirror);
+        ASSERT_EQ(entry->problem.groups, 16);
+        ASSERT_TRUE(entry->problem.padded());
+        ASSERT_EQ(entry->problem.hasOperands(), mirror);
+        const auto bytes = spillEncode(*entry);
         const auto back = spillDecode(bytes.data(), bytes.size());
         ASSERT_NE(back, nullptr);
-        expectEntriesEqual(entry, *back);
+        expectEntriesEqual(*entry, *back);
     }
+
+    // The masks-only entry as the events-only path builds it, from
+    // the lowered activations and the weight tensor in place: equal
+    // to the entry of the full lowering, and it round-trips.
+    const GemmProblem acts = im2colLowerActivations(dw, input, 8);
+    ASSERT_TRUE(acts.w.empty());
+    const CachedPlan masks_only(acts, weights.data(), 8);
+    expectEntriesEqual(masks_only, *makeEntry(lowered, 8, false));
+    const auto bytes = spillEncode(masks_only);
+    const auto back = spillDecode(bytes.data(), bytes.size());
+    ASSERT_NE(back, nullptr);
+    EXPECT_FALSE(back->problem.hasOperands());
+    expectEntriesEqual(masks_only, *back);
 }
 
 TEST(PlanCache, SpillRoundtripAcrossTileEdgesIsExact)
@@ -293,13 +321,18 @@ TEST(PlanCache, SpillRoundtripAcrossTileEdgesIsExact)
                 v = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
             for (int8_t &v : p.w)
                 v = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
-            const CachedPlan entry(p, bz, mirror);
-            const auto bytes = spillEncode(entry);
+            const auto entry = makeEntry(p, bz, mirror);
+            const auto bytes = spillEncode(*entry);
             const auto back = spillDecode(bytes.data(), bytes.size());
             ASSERT_NE(back, nullptr);
-            EXPECT_EQ(back->problem.a, p.a) << "bz " << bz;
-            EXPECT_EQ(back->problem.w, p.w) << "bz " << bz;
-            expectEntriesEqual(entry, *back);
+            if (mirror) {
+                EXPECT_EQ(back->problem.a, p.a) << "bz " << bz;
+                EXPECT_EQ(back->problem.w, p.w) << "bz " << bz;
+            } else {
+                EXPECT_FALSE(back->problem.hasOperands()) << "bz " << bz;
+            }
+            expectEntriesEqual(*entry, *back);
+            expectEntriesEqual(*back, *makeEntry(p, bz, mirror));
         }
     }
 }
@@ -311,7 +344,7 @@ TEST(PlanCache, SpillBudgetDropsOldestAndStaysBounded)
     // within budget, and a dropped entry simply re-encodes.
     const GemmProblem probe = smallGemm(0xF8);
     const int64_t one_entry = static_cast<int64_t>(
-        spillEncode(CachedPlan(probe, 8, false)).size());
+        spillEncode(*makeEntry(probe, 8, false)).size());
     PlanCache cache(/*max_entries=*/1, 0,
                     /*spill_max_bytes=*/one_entry + 8);
     std::vector<GemmProblem> ps;
@@ -327,7 +360,7 @@ TEST(PlanCache, SpillBudgetDropsOldestAndStaysBounded)
     // Whatever tier served it, results must still be correct: the
     // cache never returns a wrong plan, only a slower one.
     const auto e = cache.acquire(ps[0], 8, false);
-    EXPECT_EQ(e->problem.a, ps[0].a);
+    expectEntriesEqual(*e, *makeEntry(ps[0], 8, false));
 }
 
 TEST(PlanCache, SpillDisabledKeepsLegacyEvictionBehavior)
@@ -380,7 +413,7 @@ TEST(PlanCache, InjectedSpillEncodeFaultDegradesToColdRebuild)
     EXPECT_EQ(st.spill_entries, 0);
     EXPECT_GT(st.spill_drops, 0);
     EXPECT_EQ(st.spill_drops, fi.injected(FaultSite::SpillEncode));
-    EXPECT_EQ(e->problem.a, a.a);
+    expectEntriesEqual(*e, *makeEntry(a, 8, false));
 }
 
 TEST(PlanCache, InjectedSpillDecodeFaultFallsBackToColderTier)
@@ -404,7 +437,7 @@ TEST(PlanCache, InjectedSpillDecodeFaultFallsBackToColderTier)
     EXPECT_GT(st.spill_decode_faults, 0);
     EXPECT_EQ(st.spill_decode_faults,
               fi.injected(FaultSite::SpillDecode));
-    EXPECT_EQ(e->problem.a, a.a);
+    expectEntriesEqual(*e, *makeEntry(a, 8, false));
     // The faulted image was dropped, not re-read: a second lookup
     // with faults cleared still re-encodes.
     fi.setRate(FaultSite::SpillDecode, 0.0);

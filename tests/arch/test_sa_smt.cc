@@ -53,6 +53,13 @@ TEST(SmtQueue, DeeperQueueNeverSlower)
     }
 }
 
+TEST(SmtQueueDeath, MoreArrivalsThanTheFifoHoldsAreFatal)
+{
+    // Two threads delivering into a one-entry FIFO could never be
+    // admitted: the automaton refuses instead of looping forever.
+    EXPECT_DEATH(SaSmtModel::queueCycles({2}, 1), "FIFO of depth 1");
+}
+
 TEST(SmtModel, OutputMatchesReference)
 {
     Rng rng(2);

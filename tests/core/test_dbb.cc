@@ -140,59 +140,117 @@ sameBlock(const DbbBlock &x, const DbbBlock &y)
     return x.mask == y.mask && x.values == y.values;
 }
 
+/** The dense elements of modeled block @p b of weight column (or,
+ *  with @p weights false, activation row) @p v in @p p's modeled
+ *  layout: each segment of p.seg stored values starts a block, and
+ *  its padding up to modeledSeg() reads zero. */
+std::array<int8_t, 8>
+modeledBlock(const GemmProblem &p, int bz, bool weights, int v, int b)
+{
+    std::array<int8_t, 8> blk{};
+    for (int e = 0; e < bz; ++e) {
+        const int pos = b * bz + e;
+        const int s = pos / p.modeledSeg(), t = pos % p.modeledSeg();
+        if (t >= p.seg)
+            continue;
+        const int kk = s * p.seg + t;
+        blk[static_cast<size_t>(e)] =
+            weights ? p.wgtAt(kk, v) : p.actAt(v, kk);
+    }
+    return blk;
+}
+
 TEST(DbbMatrix, EncodersMatchPerBlockReferenceAcrossTileEdges)
 {
     // K = 1027 leaves a ragged tail block for every bz > 1 and, in
-    // blocks, crosses the encoders' 64-block tile edge (twice at bz
-    // 8); N = 101 crosses its 32-column edge three times and ends
-    // in a 5-column tile. Every mask of both operands, and every
-    // stored-form block, must equal the independent per-element
-    // dbbEncode of its dense block, and expanding the blocks must
-    // give back the operands.
+    // blocks, crosses the stored-form codec's 64-block tile edge
+    // (twice at bz 8). The column counts sit on both sides of the
+    // mask builder's 8-column words and the codec's 32-column tiles:
+    // 101 ends in a 5-column tile. Every mask of both operands, and
+    // every stored-form block, must equal the independent
+    // per-element dbbEncode of its dense block, and expanding the
+    // blocks must give back the operands.
     for (int bz = 1; bz <= 8; ++bz) {
-        Rng rng(static_cast<uint64_t>(0xD0 + bz));
-        GemmProblem p(37, 1027, 101);
-        fillRandom(p.a, rng);
-        fillRandom(p.w, rng);
-        const DbbSpec spec{bz, bz};
-        const int nb = (p.k + bz - 1) / bz;
+        for (const int n : {1, 15, 17, 63, 65, 101}) {
+            SCOPED_TRACE("n " + std::to_string(n));
+            Rng rng(static_cast<uint64_t>(0xD0 + bz + 16 * n));
+            GemmProblem p(37, 1027, n);
+            fillRandom(p.a, rng);
+            fillRandom(p.w, rng);
+            const DbbSpec spec{bz, bz};
+            const int nb = (p.k + bz - 1) / bz;
 
-        const DbbMatrix wm = DbbMatrix::fromWeights(p, spec);
-        const std::vector<DbbBlock> wb = dbbEncodeWeights(p, bz);
-        ASSERT_EQ(wm.vectors(), p.n);
-        ASSERT_EQ(wm.blocksPerVector(), nb);
-        for (int j = 0; j < p.n; ++j) {
-            for (int b = 0; b < nb; ++b) {
-                const DbbBlock ref = referenceWeightBlock(p, spec, j, b);
-                ASSERT_EQ(wm.mask(j, b), ref.mask)
-                    << "bz " << bz << " col " << j << " block " << b;
-                ASSERT_TRUE(sameBlock(
-                    wb[static_cast<size_t>(j) * nb + b], ref))
-                    << "bz " << bz << " col " << j << " block " << b;
+            const DbbMatrix wm = DbbMatrix::fromWeights(p, spec);
+            const std::vector<DbbBlock> wb = dbbEncodeWeights(p, bz);
+            ASSERT_EQ(wm.vectors(), p.n);
+            ASSERT_EQ(wm.blocksPerVector(), nb);
+            for (int j = 0; j < p.n; ++j) {
+                for (int b = 0; b < nb; ++b) {
+                    const DbbBlock ref = referenceWeightBlock(p, spec, j, b);
+                    ASSERT_EQ(wm.mask(j, b), ref.mask)
+                        << "bz " << bz << " col " << j << " block " << b;
+                    ASSERT_TRUE(sameBlock(
+                        wb[static_cast<size_t>(j) * nb + b], ref))
+                        << "bz " << bz << " col " << j << " block " << b;
+                }
+            }
+
+            const DbbMatrix am = DbbMatrix::fromActivations(p, spec);
+            const std::vector<DbbBlock> ab = dbbEncodeActivations(p, bz);
+            ASSERT_EQ(am.vectors(), p.m);
+            ASSERT_EQ(am.blocksPerVector(), nb);
+            for (int i = 0; i < p.m; ++i) {
+                for (int b = 0; b < nb; ++b) {
+                    const DbbBlock ref =
+                        referenceActivationBlock(p, spec, i, b);
+                    ASSERT_EQ(am.mask(i, b), ref.mask)
+                        << "bz " << bz << " row " << i << " block " << b;
+                    ASSERT_TRUE(sameBlock(
+                        ab[static_cast<size_t>(i) * nb + b], ref))
+                        << "bz " << bz << " row " << i << " block " << b;
+                }
+            }
+
+            GemmProblem back(p.m, p.k, p.n);
+            dbbDecodeWeights(wb.data(), bz, back);
+            dbbDecodeActivations(ab.data(), bz, back);
+            EXPECT_EQ(back.w, p.w) << "bz " << bz;
+            EXPECT_EQ(back.a, p.a) << "bz " << bz;
+        }
+    }
+
+    // One- and three-value segments (a depthwise tap, a 3-channel
+    // stem) modeled padded to bz 8: each segment is one block whose
+    // positions past the stored values stay unset, at column counts
+    // on both sides of the mask builder's 8-column words.
+    const DbbSpec spec{8, 8};
+    for (const int seg : {1, 3}) {
+        for (const int n : {1, 15, 17, 63, 65, 101}) {
+            Rng rng(static_cast<uint64_t>(0x5E0 + seg + 16 * n));
+            GemmProblem p(21, 342 * seg, n);
+            p.seg = seg;
+            p.seg_align = 8;
+            fillRandom(p.a, rng);
+            fillRandom(p.w, rng);
+            const DbbMatrix wm = DbbMatrix::fromWeights(p, spec);
+            const DbbMatrix am = DbbMatrix::fromActivations(p, spec);
+            ASSERT_EQ(wm.blocksPerVector(), 342);
+            ASSERT_EQ(am.blocksPerVector(), 342);
+            for (int b = 0; b < 342; ++b) {
+                for (int j = 0; j < p.n; ++j) {
+                    const auto blk = modeledBlock(p, 8, true, j, b);
+                    ASSERT_EQ(wm.mask(j, b), dbbEncode(blk, spec).mask)
+                        << "seg " << seg << " n " << n << " col " << j
+                        << " block " << b;
+                }
+                for (int i = 0; i < p.m; ++i) {
+                    const auto blk = modeledBlock(p, 8, false, i, b);
+                    ASSERT_EQ(am.mask(i, b), dbbEncode(blk, spec).mask)
+                        << "seg " << seg << " n " << n << " row " << i
+                        << " block " << b;
+                }
             }
         }
-
-        const DbbMatrix am = DbbMatrix::fromActivations(p, spec);
-        const std::vector<DbbBlock> ab = dbbEncodeActivations(p, bz);
-        ASSERT_EQ(am.vectors(), p.m);
-        ASSERT_EQ(am.blocksPerVector(), nb);
-        for (int i = 0; i < p.m; ++i) {
-            for (int b = 0; b < nb; ++b) {
-                const DbbBlock ref =
-                    referenceActivationBlock(p, spec, i, b);
-                ASSERT_EQ(am.mask(i, b), ref.mask)
-                    << "bz " << bz << " row " << i << " block " << b;
-                ASSERT_TRUE(sameBlock(
-                    ab[static_cast<size_t>(i) * nb + b], ref))
-                    << "bz " << bz << " row " << i << " block " << b;
-            }
-        }
-
-        GemmProblem back(p.m, p.k, p.n);
-        dbbDecodeWeights(wb.data(), bz, back);
-        dbbDecodeActivations(ab.data(), bz, back);
-        EXPECT_EQ(back.w, p.w) << "bz " << bz;
-        EXPECT_EQ(back.a, p.a) << "bz " << bz;
     }
 }
 
