@@ -21,7 +21,7 @@
  *   bench_engine_throughput [--smoke] [--model NAME]
  *                           [--arch s2ta-w|s2ta-aw] [--json PATH]
  *                           [--reps N] [--threads N]
- *                           [--cache-mb N] [--spill-mb N]
+ *                           [--cache-mb N]
  *
  * --smoke runs LeNet-5 (seconds, for CI); the default is a
  * ResNet-50 full-model run at a uniform 4/8 DBB operating point.
@@ -161,11 +161,11 @@ main(int argc, char **argv)
     // The sweep operating point: same engine with a warm PlanCache,
     // i.e. the marginal cost of one more design point after the
     // workload has been encoded once. --cache-mb bounds it
-    // (unbounded by default: one model's encodings fit comfortably)
-    // and --spill-mb keeps evictions rehydratable.
-    BenchCache tiers(args, /*default_cache_mb=*/0);
+    // (unbounded by default: one model's encodings fit
+    // comfortably).
+    BenchCache shared(args, /*default_cache_mb=*/0);
     NetworkRunOptions cached_opt = fast_opt;
-    cached_opt.plan_cache = tiers.cachePtr();
+    cached_opt.plan_cache = shared.cachePtr();
 
     std::printf("model=%s arch=%s layers=%zu dense_macs=%lld\n\n",
                 spec.name.c_str(), acfg.array.name().c_str(),
@@ -291,7 +291,6 @@ main(int argc, char **argv)
         .field("simd_mode", simd_mode)
         .field("fast_layers_per_sec", layers_per_sec, 3)
         .field("fast_sim_macs_per_sec", macs_per_sec, 0)
-        .field("spill_hits", tiers.cache.stats().spill_hits)
         .field("bitwise_equal", equal);
     jw.write(json_path);
     return 0;

@@ -30,7 +30,6 @@
  * Usage: bench_fleet_serving [--smoke] [--json PATH] [--threads N]
  *          [--arch s2ta-w|s2ta-aw] [--replicas N]
  *          [--placement hash|least-loaded] [--cache-mb N]
- *          [--spill-mb N]
  *        (--model / --no-plan-cache / --engine / --reps are
  *         rejected: the trace is mixed-model by definition, the
  *         per-replica caches are part of the scenario, results are
@@ -222,19 +221,17 @@ main(int argc, char **argv)
         args.cache_mb_given && args.cache_mb == 0;
     const int64_t cache_budget_bytes =
         static_cast<int64_t>(cache_budget_mb) << 20;
-    const int64_t spill_bytes = static_cast<int64_t>(args.spill_mb)
-                                << 20;
 
     AcceleratorConfig acfg;
     acfg.array = args.arch == "s2ta-w" ? ArrayConfig::s2taW()
                                        : ArrayConfig::s2taAw(4);
     acfg.sim_threads = args.ctx.threads;
     const Accelerator acc(acfg);
-    BenchCache tiers(args, cache_budget_mb);
+    BenchCache shared(args, cache_budget_mb);
 
     NetworkRunOptions run_opt;
     run_opt.validate_operands = false;
-    run_opt.plan_cache = tiers.cachePtr();
+    run_opt.plan_cache = shared.cachePtr();
 
     // Servable workloads + per-workload service estimates from one
     // unmeasured fault-free pass.
@@ -325,7 +322,7 @@ main(int argc, char **argv)
             PlanCache *cp = nullptr;
             if (!cache_disabled) {
                 caches.push_back(std::make_unique<PlanCache>(
-                    0, cache_budget_bytes, spill_bytes));
+                    0, cache_budget_bytes));
                 cp = caches.back().get();
             }
             fleet.push_back(serve::FleetReplica{&on, cp});

@@ -21,7 +21,6 @@
  *
  * Usage: bench_latency_serving [--smoke] [--json PATH]
  *          [--threads N] [--arch s2ta-w|s2ta-aw] [--cache-mb N]
- *          [--spill-mb N]
  *        (--model / --no-plan-cache / --engine / --reps are
  *         rejected: the trace is mixed-model by definition, the
  *         shared budgeted cache is part of the scenario, results
@@ -143,11 +142,11 @@ main(int argc, char **argv)
                                        : ArrayConfig::s2taAw(4);
     acfg.sim_threads = args.ctx.threads;
     const Accelerator acc(acfg);
-    BenchCache tiers(args, cache_budget_mb);
+    BenchCache shared(args, cache_budget_mb);
 
     NetworkRunOptions run_opt;
     run_opt.validate_operands = false;
-    run_opt.plan_cache = tiers.cachePtr();
+    run_opt.plan_cache = shared.cachePtr();
 
     // Servable workloads (generation cost is not serving cost) and
     // per-workload service estimates from one unmeasured pass —
@@ -377,8 +376,8 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    const PlanCache::Stats cs = tiers.cache.stats();
-    const int64_t lookups = cs.hits + cs.spill_hits + cs.misses;
+    const PlanCache::Stats cs = shared.cache.stats();
+    const int64_t lookups = cs.hits + cs.misses;
     const double hit_rate =
         lookups == 0 ? 0.0
                      : static_cast<double>(cs.hits) /
@@ -396,9 +395,6 @@ main(int argc, char **argv)
         .field("cache_misses", cs.misses)
         .field("cache_evictions", cs.evictions)
         .field("cache_hit_rate", hit_rate, 4)
-        .field("spill_budget_mb", args.spill_mb)
-        .field("spill_hits", cs.spill_hits)
-        .field("spill_evictions", cs.spill_evictions)
         .field("edf_miss_le_rr", edf_le_rr)
         .field("bitwise_equal_policies", bitwise_equal_policies)
         .field("deterministic_timing", deterministic_timing);

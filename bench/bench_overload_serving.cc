@@ -4,9 +4,8 @@
  * trace as bench_latency_serving, replayed at offered loads up to
  * 3x deployment capacity with seeded faults injected at every site
  * the serving path owns — transient layer faults and stalls in the
- * accelerator, encode/decode faults in the spill tier — under
- * queue caps, infeasible-deadline shedding, and a bounded retry
- * budget.
+ * accelerator — under queue caps, infeasible-deadline shedding, and
+ * a bounded retry budget.
  *
  * Every utilization point runs a fault-free baseline first, then
  * the faulted + overloaded replay with a fresh seeded injector and
@@ -18,9 +17,8 @@
  *    is bitwise identical to the fault-free baseline's (faults and
  *    overload delay or drop results, never change them);
  *  - exact accounting: scheduler counters reconcile with the
- *    injector's per-site totals (layer faults, stalls, spill
- *    drops/decode faults) and with the RobustnessTelemetry fed
- *    from the completion stream;
+ *    injector's per-site totals (layer faults, stalls) and with the
+ *    RobustnessTelemetry fed from the completion stream;
  *  - determinism: the gated (2x capacity) point rerun fully serial
  *    reproduces every outcome, shed decision, and virtual timing
  *    bit for bit.
@@ -30,12 +28,10 @@
  *
  * Usage: bench_overload_serving [--smoke] [--json PATH]
  *          [--threads N] [--arch s2ta-w|s2ta-aw] [--cache-mb N]
- *          [--spill-mb N]
  *        (--model / --no-plan-cache / --engine / --reps are
  *         rejected: the trace is mixed-model by definition, the
- *         cache tiers are fault-injection surfaces and part of the
- *         scenario, results are engine-independent, and virtual
- *         time needs no best-of-N)
+ *         plan cache is part of the scenario, results are
+ *         engine-independent, and virtual time needs no best-of-N)
  *
  * Emits BENCH_overload_serving.json (schema checked in CI).
  */
@@ -117,7 +113,6 @@ struct ReplayResult
     std::map<uint64_t, NetworkRun> ok_runs;
     serve::ServeStats stats;
     serve::RobustnessTelemetry telemetry;
-    PlanCache::Stats cache_stats;
 };
 
 /** Scheduler counters vs the telemetry fed from its completion
@@ -165,8 +160,6 @@ armInjector(FaultInjector &fi)
     fi.setRate(FaultSite::LayerCompute, 0.01);
     fi.setRate(FaultSite::LayerStall, 0.02);
     fi.setStallCycles(1000, 50000);
-    fi.setRate(FaultSite::SpillEncode, 0.25);
-    fi.setRate(FaultSite::SpillDecode, 0.25);
 }
 
 } // anonymous namespace
@@ -179,9 +172,9 @@ main(int argc, char **argv)
                     "the overload trace mixes several models by "
                     "definition");
     args.rejectFlag(args.plan_cache_given, "--no-plan-cache",
-                    "the cache tiers are fault-injection surfaces "
-                    "and part of the scenario (--cache-mb 0 "
-                    "disables the cache if that is the experiment)");
+                    "the plan cache is part of the scenario "
+                    "(--cache-mb 0 disables the cache if that is "
+                    "the experiment)");
     args.rejectFlag(args.engine_given, "--engine",
                     "fault and overload behavior is "
                     "engine-independent; the simulation always "
@@ -214,19 +207,17 @@ main(int argc, char **argv)
         args.cache_mb_given && args.cache_mb == 0;
     const int64_t cache_budget_bytes =
         static_cast<int64_t>(cache_budget_mb) << 20;
-    const int64_t spill_bytes = static_cast<int64_t>(args.spill_mb)
-                                << 20;
 
     AcceleratorConfig acfg;
     acfg.array = args.arch == "s2ta-w" ? ArrayConfig::s2taW()
                                        : ArrayConfig::s2taAw(4);
     acfg.sim_threads = args.ctx.threads;
     const Accelerator acc(acfg);
-    BenchCache tiers(args, cache_budget_mb);
+    BenchCache shared(args, cache_budget_mb);
 
     NetworkRunOptions run_opt;
     run_opt.validate_operands = false;
-    run_opt.plan_cache = tiers.cachePtr();
+    run_opt.plan_cache = shared.cachePtr();
 
     // Servable workloads + per-workload service estimates from one
     // unmeasured fault-free pass.
@@ -293,9 +284,7 @@ main(int argc, char **argv)
         ReplayResult res;
         std::unique_ptr<PlanCache> cache;
         if (!cache_disabled) {
-            cache = std::make_unique<PlanCache>(
-                0, cache_budget_bytes, spill_bytes);
-            cache->setFaultInjector(fi);
+            cache = std::make_unique<PlanCache>(0, cache_budget_bytes);
         }
         serve::StreamScheduler::Options o;
         o.run = run_opt;
@@ -326,8 +315,6 @@ main(int argc, char **argv)
             }
         }
         res.stats = sched.stats();
-        if (cache)
-            res.cache_stats = cache->stats();
         return res;
     };
 
@@ -417,19 +404,12 @@ main(int argc, char **argv)
         }
 
         // Gate: scheduler counters reconcile exactly with the
-        // injection plan, attempt accounting, and the spill tier.
-        bool ok =
+        // injection plan and attempt accounting.
+        const bool ok =
             st.layer_faults == fi.injected(FaultSite::LayerCompute) &&
             st.stall_events == fi.injected(FaultSite::LayerStall) &&
             st.faulted_attempts == st.retries + st.failed &&
             st.requests == requests;
-        if (!cache_disabled) {
-            ok = ok &&
-                 faulted.cache_stats.spill_drops ==
-                     fi.injected(FaultSite::SpillEncode) &&
-                 faulted.cache_stats.spill_decode_faults ==
-                     fi.injected(FaultSite::SpillDecode);
-        }
         if (!ok) {
             counters_reconcile = false;
             std::printf("  COUNTER MISMATCH at utilization %.1f\n",
@@ -476,11 +456,7 @@ main(int argc, char **argv)
                        st.faulted_attempts)
                 .field("gated_layer_faults", st.layer_faults)
                 .field("gated_stall_events", st.stall_events)
-                .field("gated_max_queue_depth", st.max_queue_depth)
-                .field("gated_spill_drops",
-                       faulted.cache_stats.spill_drops)
-                .field("gated_spill_decode_faults",
-                       faulted.cache_stats.spill_decode_faults);
+                .field("gated_max_queue_depth", st.max_queue_depth);
 
             // Gate: the gated point rerun fully serial — fresh
             // same-seed injector, one simulation lane, serial

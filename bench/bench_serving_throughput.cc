@@ -24,22 +24,17 @@
  *
  * Usage: bench_serving_throughput [--smoke] [--json PATH]
  *          [--threads N] [--arch NAME] [--reps N] [--cache-mb N]
- *          [--spill-mb N]
  *        (--model / --no-plan-cache / --engine are rejected: the
  *         trace is mixed-model by definition and the shared cache
  *         is the measured engine)
  *
  * The shared PlanCache runs under a resident-byte budget
- * (--cache-mb, default 1440). The full trace's plans need ~0.42 GB
+ * (--cache-mb, default 1440). The full trace's plans need ~86 MB
  * resident, so the default does not evict; budgets below that
  * exercise real LRU eviction. Much smaller budgets LRU-thrash the
- * cyclic trace — hit rates collapse and, without a spill tier, the
- * gate legitimately fails. --spill-mb turns that cliff into graceful
- * degradation: evicted plans are kept in compact serialized form
- * (mask + values, zero runs RLE-coded; masks, mirror and operands
- * dropped and re-derived) and rehydrate on hit, which
- * costs a fraction of the full im2col-lower + re-encode miss, so
- * the gate holds at budgets below the eviction cliff.
+ * cyclic trace: an evicted plan is dropped and its next use lowers
+ * and encodes it again, so hit rates collapse and the gate
+ * legitimately fails.
  *
  * Emits BENCH_serving_throughput.json (schema checked in CI).
  */
@@ -136,8 +131,6 @@ main(int argc, char **argv)
         args.cache_mb_given ? args.cache_mb : 1440;
     const int64_t cache_budget_bytes =
         static_cast<int64_t>(cache_budget_mb) << 20;
-    const int64_t spill_budget_bytes =
-        static_cast<int64_t>(args.spill_mb) << 20;
 
     banner("Serving throughput",
            "Multi-stream, multi-model, batch>1 streaming through "
@@ -194,8 +187,7 @@ main(int argc, char **argv)
     // Fresh cache every rep; all requests in one stream, one
     // scheduler lane. This is the naive driver a serving deployment
     // starts from.
-    PlanCache cold_cache(0, cache_budget_bytes,
-                         spill_budget_bytes);
+    PlanCache cold_cache(0, cache_budget_bytes);
     double cold_seconds = 0.0;
     std::vector<std::vector<serve::Completion>> cold_runs;
     std::vector<uint64_t> cold_ids;
@@ -230,10 +222,10 @@ main(int argc, char **argv)
     // The trace spread round-robin over the streams, request-level
     // fan-out on, shared cache pre-warmed by an unmeasured pass —
     // the steady state under sustained traffic.
-    BenchCache warm_tiers(args, cache_budget_mb);
+    BenchCache warm_cache(args, cache_budget_mb);
     serve::StreamScheduler::Options wopts;
     wopts.run = run_opt;
-    wopts.run.plan_cache = warm_tiers.cachePtr();
+    wopts.run.plan_cache = warm_cache.cachePtr();
     wopts.threads = args.ctx.threads;
     const auto submit_trace = [&](serve::StreamScheduler &s) {
         std::vector<uint64_t> ids;
@@ -259,7 +251,7 @@ main(int argc, char **argv)
         // Counters accumulate for the cache's lifetime; the
         // steady-state hit rate is this rep's delta, not the total
         // (which would fold in the warmup's misses).
-        const PlanCache::Stats before = warm_tiers.cache.stats();
+        const PlanCache::Stats before = warm_cache.cache.stats();
         const double t0 = benchNow();
         auto runs = warm.drain();
         const double dt = benchNow() - t0;
@@ -267,12 +259,10 @@ main(int argc, char **argv)
             warm_seconds = dt;
             warm_runs = std::move(runs);
             warm_ids = std::move(ids);
-            warm_stats = warm_tiers.cache.stats();
+            warm_stats = warm_cache.cache.stats();
             warm_stats.hits -= before.hits;
             warm_stats.misses -= before.misses;
-            warm_stats.spill_hits -= before.spill_hits;
             warm_stats.evictions -= before.evictions;
-            warm_stats.spill_evictions -= before.spill_evictions;
         }
     }
     std::printf("warm multi-stream:   %.3f s (%.1f GEMMs/s)\n",
@@ -339,11 +329,7 @@ main(int argc, char **argv)
     const double warm_rate =
         static_cast<double>(trace_gemms) / warm_seconds;
     const double factor = warm_rate / cold_rate;
-    // Lookups resolve in one of three tiers; the resident hit rate
-    // is RAM hits over all of them, so rehydrations never
-    // masquerade as free hits in the artifact.
-    const int64_t warm_lookups =
-        warm_stats.hits + warm_stats.spill_hits + warm_stats.misses;
+    const int64_t warm_lookups = warm_stats.hits + warm_stats.misses;
     const double hit_rate =
         warm_lookups == 0
             ? 0.0
@@ -351,25 +337,17 @@ main(int argc, char **argv)
                   static_cast<double>(warm_lookups);
     std::printf(
         "\nwarm/cold throughput: %.2fx (gate %.1fx) | warm cache "
-        "hit rate %.1f%% (%lld hits / %lld rehydrations / %lld "
-        "misses, %lld entries, %.1f MB resident of %d MB budget, "
-        "%lld evictions; spill: %lld entries, %.1f MB of %d MB, "
-        "%lld dropped)\n"
+        "hit rate %.1f%% (%lld hits / %lld misses, %lld entries, "
+        "%.1f MB resident of %d MB budget, %lld evictions)\n"
         "equivalence: reference %s, in-order streams %s\n",
         factor, kThroughputGate, 100.0 * hit_rate,
         static_cast<long long>(warm_stats.hits),
-        static_cast<long long>(warm_stats.spill_hits),
         static_cast<long long>(warm_stats.misses),
         static_cast<long long>(warm_stats.entries),
         static_cast<double>(warm_stats.resident_bytes) /
             static_cast<double>(1 << 20),
         cache_budget_mb,
         static_cast<long long>(warm_stats.evictions),
-        static_cast<long long>(warm_stats.spill_entries),
-        static_cast<double>(warm_stats.spill_bytes) /
-            static_cast<double>(1 << 20),
-        args.spill_mb,
-        static_cast<long long>(warm_stats.spill_evictions),
         reference_equal ? "ok" : "FAIL", in_order ? "ok" : "FAIL");
 
     JsonWriter jw;
@@ -399,11 +377,6 @@ main(int argc, char **argv)
         .field("cache_resident_bytes", warm_stats.resident_bytes)
         .field("cache_budget_mb", cache_budget_mb)
         .field("cache_evictions", warm_stats.evictions)
-        .field("spill_budget_mb", args.spill_mb)
-        .field("spill_hits", warm_stats.spill_hits)
-        .field("spill_entries", warm_stats.spill_entries)
-        .field("spill_bytes", warm_stats.spill_bytes)
-        .field("spill_evictions", warm_stats.spill_evictions)
         .field("bitwise_equal_reference", reference_equal)
         .field("in_order_streams", in_order);
     jw.write(json_path);

@@ -18,7 +18,7 @@
  *
  * Usage: bench_sweep_throughput [--smoke] [--model NAME]
  *          [--json PATH] [--reps N] [--engine scalar|fast]
- *          [--spill-mb N] [--cache-mb N]
+ *          [--cache-mb N]
  *        (--threads / --no-plan-cache are rejected: the experiment
  *         pins them)
  *
@@ -276,7 +276,6 @@ main(int argc, char **argv)
         .field("dap_memo_hits", cache_stats.dap_hits)
         .field("dap_memo_misses", cache_stats.dap_misses)
         .field("simd_kernel", benchSimdKernel())
-        .field("spill_hits", cache_stats.spill_hits)
         .field("bitwise_equal_events", events_equal)
         .field("bitwise_equal_scalar",
                scalar_equal && functional_equal)

@@ -98,9 +98,6 @@ class SweepContext
         size_t cache_entries = 0;
         /** Plan-cache resident-byte budget (0 = unbounded). */
         int64_t cache_bytes = 0;
-        /** Spill-tier byte budget for evicted plans in compact
-         *  form (0 = tier disabled). */
-        int64_t spill_bytes = 0;
         /** Operand density validation (benches trust their
          *  generators; tests turn it on). */
         bool validate = true;
@@ -108,8 +105,7 @@ class SweepContext
 
     explicit SweepContext(Options o)
         : opts(std::move(o)),
-          cache(opts.cache_entries, opts.cache_bytes,
-                opts.spill_bytes)
+          cache(opts.cache_entries, opts.cache_bytes)
     {}
 
     // Defined after the class: Options' member initializers are
@@ -270,7 +266,7 @@ benchFlagList()
            "--no-plan-cache, --smoke, "
            "--model lenet5|alexnet|vgg16|mobilenetv1|resnet50, "
            "--arch s2ta-w|s2ta-aw, --reps N, --cache-mb N, "
-           "--spill-mb N, --replicas N, "
+           "--replicas N, "
            "--placement hash|least-loaded, "
            "--trace-out PATH, "
            "--simd auto|scalar|avx512";
@@ -321,10 +317,6 @@ struct BenchArgs
      *  Serving benches bound their shared cache with it; sweep
      *  benches feed it into ctx.cache_bytes. */
     int cache_mb = 0;
-    /** Spill-tier budget in MB for evicted plans in compact form
-     *  (0 = tier off): bounded caches degrade to rehydration
-     *  instead of LRU-thrashing to full re-encodes. */
-    int spill_mb = 0;
     /** Fleet size for the fleet-serving bench (each replica is one
      *  virtual accelerator with its own PlanCache). */
     int replicas = 4;
@@ -485,15 +477,6 @@ parseBenchArgs(int argc, char **argv)
             a.ctx.cache_bytes =
                 static_cast<int64_t>(a.cache_mb) << 20;
             a.cache_mb_given = true;
-        } else if (arg == "--spill-mb") {
-            a.spill_mb = std::atoi(value().c_str());
-            if (a.spill_mb < 0) {
-                s2ta_fatal("--spill-mb must be >= 0 (accepted "
-                           "values: 0 = spill tier off, N >= 1 = "
-                           "N MiB compact-form budget)");
-            }
-            a.ctx.spill_bytes =
-                static_cast<int64_t>(a.spill_mb) << 20;
         } else if (arg == "--replicas") {
             a.replicas = std::atoi(value().c_str());
             if (a.replicas < 1)
@@ -564,8 +547,7 @@ struct BenchCache
                 static_cast<int64_t>(args.cache_mb_given
                                          ? args.cache_mb
                                          : default_cache_mb)
-                    << 20,
-                static_cast<int64_t>(args.spill_mb) << 20)
+                    << 20)
     {}
 
     /** The cache to wire into RunOptions::plan_cache — null when

@@ -29,7 +29,7 @@
  *
  * Usage: bench_wallclock_serving [--smoke] [--json PATH]
  *          [--threads N] [--arch s2ta-w|s2ta-aw] [--cache-mb N]
- *          [--spill-mb N] [--reps N]
+ *          [--reps N]
  *          [--trace-out PATH]
  *        (--model / --no-plan-cache / --engine / --replicas /
  *         --placement are rejected: mixed-model trace by
@@ -148,11 +148,11 @@ main(int argc, char **argv)
     AcceleratorConfig serial_cfg = acfg;
     serial_cfg.sim_threads = 1;
     const Accelerator acc_serial(serial_cfg);
-    BenchCache tiers(args, cache_budget_mb);
+    BenchCache shared(args, cache_budget_mb);
 
     NetworkRunOptions run_opt;
     run_opt.validate_operands = false;
-    run_opt.plan_cache = tiers.cachePtr();
+    run_opt.plan_cache = shared.cachePtr();
 
     // Warmup: service estimates (virtual seconds + cycles) and the
     // measured serial wall service time per workload, off the warm

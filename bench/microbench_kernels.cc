@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot kernels:
- * golden GEMM, operand profiling, DBB encode/decode, workload
+ * golden GEMM, operand profiling, DBB mask encoding, workload
  * synthesis, DAP pruning, the SMT queue automaton, and whole-GEMM
  * simulation per architecture. These guard the simulator's own
  * performance (the full-model benches depend on it), not the paper's
@@ -159,27 +159,11 @@ BENCHMARK(BM_DenseDotTier)
     ->Arg(1)
     ->Unit(benchmark::kNanosecond);
 
-void
-BM_DbbEncodeDecode(benchmark::State &state)
-{
-    Rng rng(7);
-    GemmProblem p = makeDbbGemm(64, 512, 64, 4, 8, rng);
-    GemmProblem back(p.m, p.k, p.n);
-    for (auto _ : state) {
-        const std::vector<DbbBlock> blocks = dbbEncodeWeights(p, 8);
-        dbbDecodeWeights(blocks.data(), 8, back);
-        benchmark::DoNotOptimize(back.w.data());
-    }
-    state.SetBytesProcessed(state.iterations() * 512 * 64);
-}
-BENCHMARK(BM_DbbEncodeDecode)->Unit(benchmark::kMicrosecond);
-
 /**
  * VGG-16 fc6 at batch 1 and W 4/8: a 25088 x 4096 weight operand
- * (102 MB) whose 4096 column block streams lie 28 KB apart. The
- * 512 x 64 row above never leaves cache or TLB; here an encoder or
- * spill decoder that scatters across the column streams is
- * TLB-bound, and that shows as a kernel number.
+ * (102 MB) whose 4096 column block streams lie 28 KB apart: an
+ * encoder that scatters across the column streams is TLB-bound,
+ * and that shows as a kernel number.
  */
 const GemmProblem &
 fc6Problem()
@@ -202,38 +186,6 @@ BM_DbbEncodeWeightsFc(benchmark::State &state)
         state.iterations() * static_cast<int64_t>(p.w.size()));
 }
 BENCHMARK(BM_DbbEncodeWeightsFc)->Unit(benchmark::kMillisecond);
-
-void
-BM_SpillDecodeFc(benchmark::State &state)
-{
-    // The spill tier's rehydration of the same layer's events-only
-    // entry: mask stream decode and profile derivation.
-    const GemmProblem &p = fc6Problem();
-    const std::vector<uint8_t> image =
-        spillEncode(CachedPlan(p, p.w.data(), 8));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            spillDecode(image.data(), image.size()));
-    state.SetBytesProcessed(
-        state.iterations() * static_cast<int64_t>(p.w.size()));
-}
-BENCHMARK(BM_SpillDecodeFc)->Unit(benchmark::kMillisecond);
-
-void
-BM_SpillDecodeComputeFc(benchmark::State &state)
-{
-    // The same layer's compute entry: block stream decode, dense
-    // operand reconstruction, mask and profile derivation, and the
-    // dense mirror.
-    const GemmProblem &p = fc6Problem();
-    const std::vector<uint8_t> image = spillEncode(CachedPlan(p, 8));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            spillDecode(image.data(), image.size()));
-    state.SetBytesProcessed(
-        state.iterations() * static_cast<int64_t>(p.w.size()));
-}
-BENCHMARK(BM_SpillDecodeComputeFc)->Unit(benchmark::kMillisecond);
 
 void
 BM_DbbEncodeActivationsConv(benchmark::State &state)

@@ -45,30 +45,9 @@
  * hold), and therefore deterministic for any single-threaded access
  * sequence; concurrent lanes may reorder recency updates, which can
  * change *which* entry is evicted but never the results computed
- * from whatever is resident. DAP memo entries live outside the LRU.
- *
- * Spill tier (spill_max_bytes > 0): entries evicted from the
- * resident LRU are kept in the compact spill form (spillEncode
- * below: dims + DBB blocks of a compute entry, or the masks of an
- * events-only entry, varint/RLE-coded) under their own byte budget
- * with their own LRU. A lookup that misses the resident tier but
- * hits the spill tier rehydrates — decode + operand reconstruction
- * (compute entries) + plan build — which costs a fraction of the
- * full im2col-lower + encode miss, so a bounded cache under a cyclic
- * trace degrades smoothly instead of falling off the LRU-thrash
- * cliff. Rehydrated entries re-enter the resident tier (possibly
- * spilling another entry), and their compact image stays *parked*
- * in the spill tier, so the cyclic steady state — rehydrate, use,
- * re-evict — pays one decode per cycle and zero re-encodes. Both
- * spill encoding (an entry's first eviction) and rehydration run
- * outside the lock; only the list/map surgery is serialized, and a
- * lookup racing a first eviction's encode is served from the entry
- * it is encoding. A rehydrated plan is bit-identical to a fresh
- * build.
- *
- * stats() reports each tier separately (resident hits vs spill
- * rehydrations vs full misses) so bench artifacts can attribute
- * wins to the right tier.
+ * from whatever is resident. An eviction drops the entry under the
+ * lock; a later lookup of its key misses and rebuilds a
+ * bitwise-identical plan. DAP memo entries live outside the LRU.
  */
 
 #ifndef S2TA_ARCH_PLAN_CACHE_HH
@@ -80,14 +59,11 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "arch/gemm_plan.hh"
 #include "core/dap.hh"
 
 namespace s2ta {
-
-class FaultInjector;
 
 /** One cached workload: its GemmProblem plus its encoded plan. */
 struct CachedPlan
@@ -108,10 +84,6 @@ struct CachedPlan
      */
     CachedPlan(const GemmProblem &p, const int8_t *w, int bz);
 
-    /** The events-only entry of @p p's dims with the given block
-     *  masks (the spill tier's rehydration). */
-    CachedPlan(const GemmProblem &p, DbbMatrix act, DbbMatrix wgt);
-
     /** The GEMM: operands and dims in a compute entry, dims alone
      *  in an events-only one. */
     const GemmProblem problem;
@@ -121,42 +93,24 @@ struct CachedPlan
 class PlanCache
 {
   public:
-    /** Cache effectiveness counters, one set per tier. */
+    /** Cache effectiveness counters. */
     struct Stats
     {
-        /** Plan-entry lookups that found a resident encoding (or
-         *  an evicted one whose spill encode is still running). */
+        /** Plan-entry lookups that found a resident encoding. */
         int64_t hits = 0;
-        /** Plan-entry lookups that had to lower + encode (missed
-         *  every tier). */
+        /** Plan-entry lookups that had to lower + encode. */
         int64_t misses = 0;
-        /** Entries evicted out of the resident tier (into the
-         *  spill tier when one is configured, dropped otherwise). */
+        /** Entries evicted (dropped) to hold the budgets. */
         int64_t evictions = 0;
         /** Plan entries currently resident. */
         int64_t entries = 0;
         /** Bytes held by resident entries: operands (compute
          *  entries only), one mask byte per block, and mirrors. */
         int64_t resident_bytes = 0;
-        /** Lookups served by rehydrating a spilled entry — counted
-         *  apart from resident hits so artifacts distinguish RAM
-         *  hits from (costlier) rehydrations. */
+        /** Stays 0; kept for perfbench until a benchmark change. */
         int64_t spill_hits = 0;
-        /** Entries currently held in spill form, including images
-         *  parked for resident entries that were once rehydrated
-         *  (kept so re-evicting them is free). */
-        int64_t spill_entries = 0;
-        /** Compact serialized bytes held by the spill tier. */
+        /** Stays 0; kept for perfbench until a benchmark change. */
         int64_t spill_bytes = 0;
-        /** Spilled entries dropped to hold the spill byte budget. */
-        int64_t spill_evictions = 0;
-        /** Evicted entries dropped outright because their spill
-         *  encode faulted (injected) — degradation: the next use is
-         *  a cold encode instead of a decode. */
-        int64_t spill_drops = 0;
-        /** Parked images dropped because their decode faulted
-         *  (injected) — the lookup degrades to a cold encode. */
-        int64_t spill_decode_faults = 0;
         /** DAP-memo lookups, counted separately so plan hit rates
          *  in bench artifacts stay meaningful. */
         int64_t dap_hits = 0;
@@ -170,15 +124,14 @@ class PlanCache
      * @param max_bytes LRU resident-byte budget (entryBytes of the
      *        resident entries); 0 means unbounded. Entries are
      *        evicted least-recently-used until both caps hold.
-     * @param spill_max_bytes Spill-tier byte budget for evicted
-     *        entries in compact form; 0 disables the tier (evicted
-     *        entries are dropped, the pre-spill behavior).
      */
-    explicit PlanCache(size_t max_entries = 0,
-                       int64_t max_bytes = 0,
-                       int64_t spill_max_bytes = 0)
-        : max_entries(max_entries), max_bytes(max_bytes),
-          spill_max_bytes(spill_max_bytes)
+    explicit PlanCache(size_t max_entries = 0, int64_t max_bytes = 0)
+        : max_entries(max_entries), max_bytes(max_bytes)
+    {}
+
+    /** Ignores arg 3; kept for perfbench until a benchmark change. */
+    PlanCache(size_t max_entries, int64_t max_bytes, int64_t)
+        : PlanCache(max_entries, max_bytes)
     {}
 
     PlanCache(const PlanCache &) = delete;
@@ -221,19 +174,9 @@ class PlanCache
     DapStats dapStats(uint64_t key,
                       const std::function<DapStats()> &compute);
 
-    /**
-     * Attach a fault injector for the spill tier (SpillEncode /
-     * SpillDecode sites, identity = entry key); null detaches.
-     * Injected spill faults are never errors — the entry degrades
-     * to a cold encode, counted in spill_drops /
-     * spill_decode_faults.
-     */
-    void setFaultInjector(const FaultInjector *fi);
-
     Stats stats() const;
 
-    /** Drop every entry, resident and spilled (counters keep
-     *  accumulating). */
+    /** Drop every entry (counters keep accumulating). */
     void clear();
 
     /** FNV-1a 64-bit content hash (8-byte strides + byte tail). */
@@ -264,52 +207,9 @@ class PlanCache
      *  mirror when built. */
     static int64_t entryBytes(const CachedPlan &e);
 
-    /**
-     * Tiered lookup outcome: a resident entry, a reference to the
-     * spilled image (rehydration happens outside the lock; the
-     * image stays parked in the spill tier so a later re-eviction
-     * of the rehydrated entry is an LRU touch, not a re-encode),
-     * or neither.
-     */
-    struct Lookup
-    {
-        std::shared_ptr<const CachedPlan> entry;
-        std::shared_ptr<const std::vector<uint8_t>> spilled;
-    };
-
-    /** An entry evicted with no parked image yet: its spill encode
-     *  happens after the lock is released. */
-    struct PendingSpill
-    {
-        uint64_t key;
-        std::shared_ptr<const CachedPlan> entry;
-    };
-
-    Lookup lookupLocked(uint64_t key);
+    /** Insert @p entry under @p key and evict per the budgets. */
     void insertLocked(uint64_t key,
-                      std::shared_ptr<const CachedPlan> entry,
-                      std::vector<PendingSpill> *pending);
-    /** Lock, insert (evicting per the budgets), then spill-encode
-     *  any evicted entries *outside* the lock and park the images —
-     *  the one insert entry point every acquire path uses. */
-    void insertAndSpill(uint64_t key,
-                        std::shared_ptr<const CachedPlan> entry);
-    /** Park a compact image for @p key (touch if already parked)
-     *  and hold the spill byte budget. */
-    void
-    parkLocked(uint64_t key,
-               std::shared_ptr<const std::vector<uint8_t>> bytes);
-    /**
-     * Decode a parked image and promote it back into the resident
-     * tier; null when an injected decode fault fires, in which case
-     * the image is dropped (it is now suspect) and the caller falls
-     * through to the cold path.
-     */
-    std::shared_ptr<const CachedPlan>
-    rehydrate(uint64_t key,
-              std::shared_ptr<const std::vector<uint8_t>> bytes);
-    /** Remove @p key's parked image from the spill tier. */
-    void dropSpillLocked(uint64_t key);
+                      std::shared_ptr<const CachedPlan> entry);
 
     struct Slot
     {
@@ -318,54 +218,14 @@ class PlanCache
         std::list<uint64_t>::iterator lru_it;
     };
 
-    struct SpillSlot
-    {
-        /** Shared so a rehydrating lane can decode outside the
-         *  lock while the image stays parked in the tier. */
-        std::shared_ptr<const std::vector<uint8_t>> bytes;
-        /** Position in spill_lru (most recent at front). */
-        std::list<uint64_t>::iterator lru_it;
-    };
-
     const size_t max_entries;
     const int64_t max_bytes;
-    const int64_t spill_max_bytes;
-    const FaultInjector *fault = nullptr;
     mutable std::mutex mu;
     std::unordered_map<uint64_t, Slot> slots;
     std::list<uint64_t> lru;
-    std::unordered_map<uint64_t, SpillSlot> spill_slots;
-    std::list<uint64_t> spill_lru;
-    /** Entries evicted with no parked image, while their image is
-     *  encoded outside the lock: a racing lookup is served from
-     *  the entry instead of missing both tiers. */
-    std::unordered_map<uint64_t, std::shared_ptr<const CachedPlan>>
-        spilling;
     std::unordered_map<uint64_t, DapStats> dap_memo;
     Stats counters;
 };
-
-/**
- * Spill-form image of @p entry: dims, group and segment layout, then
- * for a compute entry the varint/RLE-coded DBB blocks of the stored
- * operands only (mask byte + stored values per non-empty block,
- * zero runs length-coded), the values gathered from the entry's
- * dense operands, and for an events-only entry its masks (zero runs
- * length-coded). A compute image is about half the entry's resident
- * footprint at 4/8 density, less still next to its mirror.
- */
-std::vector<uint8_t> spillEncode(const CachedPlan &entry);
-
-/**
- * Rebuild a full entry from a spill-form image: a compute entry's
- * operands are expanded from the lossless blocks and built again,
- * mirror included; an events-only entry's masks give its profiles
- * again. Either is bit-identical to the entry that was spilled.
- * Fatal on a malformed image (spill bytes never leave the process;
- * corruption here is a program bug, not an input).
- */
-std::shared_ptr<const CachedPlan> spillDecode(const uint8_t *data,
-                                              size_t len);
 
 } // namespace s2ta
 

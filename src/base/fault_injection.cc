@@ -27,8 +27,6 @@ const char *
 faultSiteName(FaultSite site)
 {
     switch (site) {
-      case FaultSite::SpillEncode: return "spill-encode";
-      case FaultSite::SpillDecode: return "spill-decode";
       case FaultSite::LayerCompute: return "layer-compute";
       case FaultSite::LayerStall: return "layer-stall";
       case FaultSite::ReplicaCrash: return "replica-crash";

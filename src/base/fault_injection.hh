@@ -8,9 +8,8 @@
  * harness therefore makes every injection decision a *pure
  * function* of (seed, site, identity):
  *
- *  - a **site** names the code path being perturbed (a spill-tier
- *    decode, one layer of one request's execution, one replica's
- *    lifecycle);
+ *  - a **site** names the code path being perturbed (one layer of
+ *    one request's execution, one replica's lifecycle);
  *  - the **identity** is a stable 64-bit id of the operation the
  *    caller supplies (a plan key, a (request id, attempt, layer)
  *    combination) — never a call counter, whose value would depend
@@ -22,9 +21,9 @@
  * thread count and on every rerun; a retried operation with a new
  * attempt number re-rolls independently (transient faults); and a
  * repeated operation with the *same* identity fails the same way
- * every time (persistent faults, e.g. a spilled plan whose decode
- * always fails). Callers choose which behavior they model by what
- * they fold into the identity.
+ * every time (persistent faults, e.g. a replica slot that always
+ * crashes). Callers choose which behavior they model by what they
+ * fold into the identity.
  *
  * Per-site evaluated/injected counters (relaxed atomics — totals
  * are exact, only the increment order is interleaving-dependent)
@@ -47,16 +46,11 @@
 namespace s2ta {
 
 /** Named injection sites threaded through the stack. Values are
- *  explicit because the decision hash folds int(site) in (0-3 were
- *  the deleted store sites; renumbering moves every fault stream). */
+ *  explicit because the decision hash folds int(site) in (0-5 were
+ *  deleted plan-cache sites; renumbering moves every fault
+ *  stream). */
 enum class FaultSite : int
 {
-    /** PlanCache spill tier: an evicted entry's compact encode
-     *  fails (the entry is dropped instead of parked). */
-    SpillEncode = 4,
-    /** PlanCache spill tier: a parked image's decode fails (the
-     *  image is dropped; the lookup degrades to a cold encode). */
-    SpillDecode = 5,
     /** Accelerator: a transient per-layer compute fault kills the
      *  whole attempt (results are discarded, never corrupted). */
     LayerCompute = 6,
@@ -75,9 +69,9 @@ enum class FaultSite : int
     ReplicaRestart = 10,
 };
 
-constexpr int kFaultSiteCount = 7;
+constexpr int kFaultSiteCount = 5;
 static_assert(int(FaultSite::ReplicaRestart) -
-                      int(FaultSite::SpillEncode) + 1 ==
+                      int(FaultSite::LayerCompute) + 1 ==
                   kFaultSiteCount,
               "fault-site values must stay contiguous");
 
@@ -133,11 +127,11 @@ class FaultInjector
     static uint64_t combineId(uint64_t a, uint64_t b);
 
   private:
-    /** Counter slot of @p site (the values start at SpillEncode). */
+    /** Counter slot of @p site (the values start at LayerCompute). */
     static int
     slot(FaultSite site)
     {
-        return int(site) - int(FaultSite::SpillEncode);
+        return int(site) - int(FaultSite::LayerCompute);
     }
 
     /** The decision hash behind shouldFail (pure function). */

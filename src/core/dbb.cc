@@ -64,17 +64,17 @@ dbbSatisfies(std::span<const int8_t> dense, const DbbSpec &spec)
 namespace {
 
 /**
- * Weight tile: kTileBlocks blocks down K by kTileCols columns. At
- * bz 8 the transposed tile is 16 KB, so it stays in L1 next to the
- * W rows it is read from.
+ * The dense mirror transposes W in bands of kBandRows rows by
+ * kBandCols columns: W streams in row order, and each band's
+ * transposed tile (16 KB) stays in L1 while it is written.
  */
-constexpr int kTileBlocks = 64;
-constexpr int kTileCols = 32;
+constexpr int kBandRows = 512;
+constexpr int kBandCols = 32;
 
-// The block codec and the tile transpose read 8 bytes as one word
+// The mask builders and the transpose read 8 bytes as one word
 // whose byte i is element i.
 static_assert(std::endian::native == std::endian::little,
-              "the DBB block codec assumes a little-endian host");
+              "the DBB mask builders assume a little-endian host");
 
 /** The first @p len <= 8 bytes at @p p as a word, zero-extended.
  *  Short lengths (K tails, narrow channel segments) are gathered
@@ -93,19 +93,6 @@ loadBytes(const int8_t *p, int len)
     return v;
 }
 
-/** Store the low @p len <= 8 bytes of @p v at @p p (short lengths
- *  byte by byte, as in loadBytes). */
-inline void
-storeBytes(int8_t *p, uint64_t v, int len)
-{
-    if (len == 8) {
-        std::memcpy(p, &v, 8);
-        return;
-    }
-    for (int i = 0; i < len; ++i)
-        p[i] = static_cast<int8_t>(v >> (8 * i));
-}
-
 // The SWAR helpers below keep one flag per byte (0x01 or 0x00).
 constexpr uint64_t kOnes = 0x0101010101010101ull;
 constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
@@ -122,99 +109,6 @@ inline Mask8
 flagsToMask(uint64_t flags)
 {
     return static_cast<Mask8>((flags * 0x0102040810204080ull) >> 56);
-}
-
-/**
- * The byte moves that pack the flagged bytes of a word to its low
- * end: every flagged byte drops by the number of unflagged bytes
- * below it, in three stages of 1, 2 and 4 bytes (the byte-wise
- * parallel-suffix compress of Hacker's Delight, 7-4). Each selector
- * marks with 0xFF the bytes its stage moves.
- */
-struct ByteMoves
-{
-    uint64_t by1, by2, by4;
-};
-
-constexpr ByteMoves
-compressMoves(Mask8 mask)
-{
-    const uint64_t bits = (mask * kOnes) & 0x8040201008040201ull;
-    const uint64_t flags = ((bits + kLow7) >> 7) & kOnes;
-    // Unflagged bytes strictly below each flagged byte.
-    uint64_t drop = (((flags ^ kOnes) * kOnes) << 8) & (flags * 0xFF);
-    ByteMoves mv{};
-    mv.by1 = (drop & kOnes) * 0xFF;
-    drop = (drop & ~mv.by1) | ((drop & mv.by1) >> 8);
-    mv.by2 = ((drop >> 1) & kOnes) * 0xFF;
-    drop = (drop & ~mv.by2) | ((drop & mv.by2) >> 16);
-    mv.by4 = ((drop >> 2) & kOnes) * 0xFF;
-    return mv;
-}
-
-/** The moves of every mask (6 KB, L1-resident while encoding). */
-struct ByteMovesTable
-{
-    ByteMoves of[256];
-};
-
-alignas(64) constexpr ByteMovesTable kByteMoves = [] {
-    ByteMovesTable t{};
-    for (int m = 0; m < 256; ++m)
-        t.of[m] = compressMoves(static_cast<Mask8>(m));
-    return t;
-}();
-
-inline uint64_t
-compressBytes(uint64_t x, const ByteMoves &mv)
-{
-    x = (x & ~mv.by1) | ((x & mv.by1) >> 8);
-    x = (x & ~mv.by2) | ((x & mv.by2) >> 16);
-    return (x & ~mv.by4) | ((x & mv.by4) >> 32);
-}
-
-/** compressBytes' inverse: the same moves undone in reverse. */
-inline uint64_t
-expandBytes(uint64_t v, const ByteMoves &mv)
-{
-    uint64_t at = mv.by4 >> 32;
-    v = (v & ~at) | ((v & at) << 32);
-    at = mv.by2 >> 16;
-    v = (v & ~at) | ((v & at) << 16);
-    at = mv.by1 >> 8;
-    return (v & ~at) | ((v & at) << 8);
-}
-
-/**
- * Encode @p len <= 8 contiguous dense elements into @p blk and
- * return their non-zero count: the non-zeros packed in position
- * order, zeros after them, and the positional mask. Branch-free.
- */
-inline int
-encodeBlock(const int8_t *src, int len, DbbBlock &blk)
-{
-    const uint64_t x = loadBytes(src, len);
-    const Mask8 mask = flagsToMask(nonZeroBytes(x));
-    storeBytes(blk.values.data(), compressBytes(x, kByteMoves.of[mask]),
-               8);
-    blk.mask = mask;
-    return maskPopcount(mask);
-}
-
-/** Expand @p blk into @p len dense elements (encodeBlock's
- *  inverse); positions the mask does not flag read zero. */
-inline void
-decodeBlock(const DbbBlock &blk, int len, int8_t *dst)
-{
-    // Only the first popcount values are stored values.
-    const int stored = maskPopcount(blk.mask);
-    const uint64_t live = stored == 8
-                              ? ~uint64_t{0}
-                              : (uint64_t{1} << (8 * stored)) - 1;
-    storeBytes(dst,
-               expandBytes(loadBytes(blk.values.data(), 8) & live,
-                           kByteMoves.of[blk.mask]),
-               len);
 }
 
 /** Swap the @p mask-selected @p shift-bit fields of @p a and @p b
@@ -238,71 +132,6 @@ transpose8x8(uint64_t r[8])
         swapFields(r[i], r[i + 2], 16, 0x0000FFFF0000FFFFull);
     for (int i = 0; i < 4; ++i)
         swapFields(r[i], r[i + 4], 32, 0x00000000FFFFFFFFull);
-}
-
-/**
- * Visit the weight tiles of a K x N operand with @p blocks blocks
- * per column, k-outer: a band of K rows is walked across all of N
- * before the next band starts, so W streams in row order and each
- * column's blocks are produced in runs of kTileBlocks. @p fn gets
- * (first block b0, blocks nb, rows, first column j0, columns cols):
- * the tile's segment is nb * bz rows, of which the first rows lie
- * inside K and the rest are the tail block's zero padding.
- */
-template <typename Fn>
-void
-forWeightTiles(int k, int n, int bz, int blocks, Fn &&fn)
-{
-    for (int b0 = 0; b0 < blocks; b0 += kTileBlocks) {
-        const int nb = std::min(kTileBlocks, blocks - b0);
-        const int rows = std::min(nb * bz, k - b0 * bz);
-        for (int j0 = 0; j0 < n; j0 += kTileCols)
-            fn(b0, nb, rows, j0, std::min(kTileCols, n - j0));
-    }
-}
-
-/**
- * Visit every block of @p p's weight operand as @p bz contiguous
- * dense elements, zero past K: fn(column, block, elements). Each
- * tile is read row by row and transposed in L1, so W streams in row
- * order instead of scattering across N column streams, and each
- * column's blocks come in runs of kTileBlocks.
- */
-template <typename Fn>
-void
-forWeightBlocks(const GemmProblem &p, int bz, Fn &&fn)
-{
-    alignas(64) int8_t tile[kTileCols * kTileBlocks * 8];
-    const int8_t *w = p.w.data();
-    const int cols = p.groups * p.n;
-    const size_t ld = static_cast<size_t>(cols);
-    forWeightTiles(p.k, cols, bz, (p.k + bz - 1) / bz,
-                   [&](int b0, int nb, int rows, int j0, int cols) {
-        const int seg = nb * bz;
-        transposeBytes(w + b0 * bz * ld + j0, ld, rows, cols, tile, seg);
-        for (int c = 0; c < cols; ++c) {
-            int8_t *col = tile + c * seg;
-            std::fill(col + rows, col + seg, int8_t{0});
-            for (int b = 0; b < nb; ++b)
-                fn(j0 + c, b0 + b, col + b * bz);
-        }
-    });
-}
-
-/** The same for the stored activation rows (groups*K values
- *  each), which are contiguous already: fn(row, block, elements,
- *  length), length < bz on the row's tail. */
-template <typename Fn>
-void
-forActivationBlocks(const GemmProblem &p, int bz, Fn &&fn)
-{
-    const int len = p.groups * p.k;
-    const int nb = (len + bz - 1) / bz;
-    for (int i = 0; i < p.m; ++i) {
-        const int8_t *row = &p.a[static_cast<size_t>(i) * len];
-        for (int b = 0; b < nb; ++b)
-            fn(i, b, row + b * bz, std::min(bz, len - b * bz));
-    }
 }
 
 /** Positional mask of @p len <= 8 contiguous elements. */
@@ -417,15 +246,6 @@ checkDensity(const Mask8 *masks, int nb, const DbbSpec &spec,
     }
 }
 
-/** The mask of the last block of a vector must leave K's padding
- *  tail (positions @p tail and up) unset. */
-inline void
-checkTail(Mask8 last, int tail, const char *kind, int v)
-{
-    s2ta_assert((last >> tail) == 0,
-                "%s non-zero in the padding tail (vector %d)", kind, v);
-}
-
 } // anonymous namespace
 
 DbbMatrix::DbbMatrix(DbbSpec s, int vectors, int blocks,
@@ -506,90 +326,23 @@ DbbMatrix::compressedBytes() const
            (dbb_spec.nnz + 1);
 }
 
-std::vector<DbbBlock>
-dbbEncodeWeights(const GemmProblem &p, int bz)
-{
-    const int nb = (p.k + bz - 1) / bz;
-    std::vector<DbbBlock> blks(static_cast<size_t>(p.groups) * p.n *
-                               nb);
-    forWeightBlocks(p, bz, [&](int j, int b, const int8_t *blk) {
-        encodeBlock(blk, bz, blks[static_cast<size_t>(j) * nb + b]);
-    });
-    return blks;
-}
-
-std::vector<DbbBlock>
-dbbEncodeActivations(const GemmProblem &p, int bz)
-{
-    const int nb = (p.groups * p.k + bz - 1) / bz;
-    std::vector<DbbBlock> blks(static_cast<size_t>(p.m) * nb);
-    forActivationBlocks(p, bz, [&](int i, int b, const int8_t *blk,
-                                   int len) {
-        encodeBlock(blk, len, blks[static_cast<size_t>(i) * nb + b]);
-    });
-    return blks;
-}
-
-void
-dbbDecodeWeights(const DbbBlock *blocks, int bz, GemmProblem &p)
-{
-    // forWeightBlocks in reverse, through the same tile: each
-    // column's blocks expand into its tile segment, and the tile is
-    // transposed back into W's rows.
-    const int n_blocks = (p.k + bz - 1) / bz;
-    const int tail = p.k - (n_blocks - 1) * bz;
-    alignas(64) int8_t tile[kTileCols * kTileBlocks * 8];
-    int8_t *w = p.w.data();
-    const int cols = p.groups * p.n;
-    const size_t ld = static_cast<size_t>(cols);
-    forWeightTiles(p.k, cols, bz, n_blocks, [&](int b0, int nb, int rows,
-                                               int j0, int cols) {
-        const int seg = nb * bz;
-        const bool last = b0 + nb == n_blocks;
-        for (int c = 0; c < cols; ++c) {
-            const DbbBlock *in =
-                blocks + static_cast<size_t>(j0 + c) * n_blocks + b0;
-            if (last)
-                checkTail(in[nb - 1].mask, tail, "weight", j0 + c);
-            int8_t *col = tile + c * seg;
-            for (int b = 0; b < nb; ++b)
-                decodeBlock(in[b], bz, col + b * bz);
-        }
-        transposeBytes(tile, seg, cols, rows, w + b0 * bz * ld + j0, ld);
-    });
-}
-
-void
-dbbDecodeActivations(const DbbBlock *blocks, int bz, GemmProblem &p)
-{
-    const int len = p.groups * p.k;
-    const int nb = (len + bz - 1) / bz;
-    const int tail = len - (nb - 1) * bz;
-    for (int i = 0; i < p.m; ++i) {
-        const DbbBlock *in = blocks + static_cast<size_t>(i) * nb;
-        checkTail(in[nb - 1].mask, tail, "activation", i);
-        int8_t *row = &p.a[static_cast<size_t>(i) * len];
-        for (int b = 0; b < nb; ++b)
-            decodeBlock(in[b], std::min(bz, len - b * bz),
-                        row + b * bz);
-    }
-}
-
 std::vector<int8_t>
 transposedWeights(const GemmProblem &p)
 {
-    // The weight tiles' transpose, written straight into the
-    // (groups*n) x k result (its rows are the tile's column
-    // segments, k apart).
+    // Each band's transpose is written straight into the
+    // (groups*n) x k result, whose rows are k apart.
     const int cols = p.groups * p.n;
     std::vector<int8_t> wt(static_cast<size_t>(cols) * p.k);
     const size_t ld = static_cast<size_t>(cols);
-    forWeightTiles(p.k, cols, 8, (p.k + 7) / 8,
-                   [&](int b0, int, int rows, int j0, int cols) {
-        transposeBytes(p.w.data() + b0 * 8 * ld + j0, ld, rows, cols,
-                       wt.data() + static_cast<size_t>(j0) * p.k + b0 * 8,
-                       p.k);
-    });
+    for (int r0 = 0; r0 < p.k; r0 += kBandRows) {
+        for (int j0 = 0; j0 < cols; j0 += kBandCols) {
+            transposeBytes(p.w.data() + r0 * ld + j0, ld,
+                           std::min(kBandRows, p.k - r0),
+                           std::min(kBandCols, cols - j0),
+                           wt.data() + static_cast<size_t>(j0) * p.k + r0,
+                           p.k);
+        }
+    }
     return wt;
 }
 
@@ -603,7 +356,7 @@ transposeBytes(const int8_t *src, size_t src_ld, int rows, int cols,
             sq[i] = loadBytes(src + (r0 + i) * src_ld + c0, 8);
         transpose8x8(sq);
         for (int i = 0; i < 8; ++i)
-            storeBytes(dst + (c0 + i) * dst_ld + r0, sq[i], 8);
+            std::memcpy(dst + (c0 + i) * dst_ld + r0, &sq[i], 8);
     };
     // Walk the squares along the rows of the side with the larger
     // row stride (W rather than an L1 tile), so that W streams in

@@ -8,11 +8,9 @@
  * NNZ/BZ (e.g. "4/8"). Blocks holding fewer than NNZ non-zeros are
  * padded with zero values in compressed form.
  *
- * As in the hardware, operands are compressed only where they are
- * stored and moved: in memory the simulator keeps one mask per block
- * (DbbMatrix), next to the dense operand only where outputs are
- * computed, and compressed blocks (DbbBlock) exist in serialized
- * form and in the scalar reference models.
+ * In memory the simulator keeps one mask per block (DbbMatrix), next
+ * to the dense operand only where outputs are computed; compressed
+ * blocks (DbbBlock) exist only in the scalar reference models.
  */
 
 #ifndef S2TA_CORE_DBB_HH
@@ -65,10 +63,9 @@ struct DbbSpec
 /**
  * One compressed DBB block (paper Fig. 5): up to 8 stored values and
  * the positional bitmask M, nnz value bytes plus one mask byte. This
- * is the stored form: dbbEncode/dbbDecode, the spill codec's wire
- * format and the scalar reference models use it. Resident plans keep
- * only the masks (DbbMatrix), next to the dense operands in a plan
- * that computes outputs.
+ * is the stored form: dbbEncode/dbbDecode and the scalar reference
+ * models use it. Plans keep only the masks (DbbMatrix), next to the
+ * dense operands in a plan that computes outputs.
  */
 struct DbbBlock
 {
@@ -135,7 +132,7 @@ class DbbMatrix
     DbbMatrix() = default;
 
     /** Wrap @p m: @p vectors runs of @p blocks masks each, in the
-     *  layout described above (the spill tier's rehydration). */
+     *  layout described above. */
     DbbMatrix(DbbSpec s, int vectors, int blocks, std::vector<Mask8> m);
 
     /**
@@ -217,30 +214,6 @@ class DbbMatrix
 };
 
 /**
- * The compressed blocks of @p p's stored weight matrix
- * (K x groups*N) at block size @p bz, every non-zero kept,
- * column-major with ceil(K / bz) blocks per column: the stored form
- * the spill codec writes. Segment padding is not stored, so it is
- * not encoded either.
- */
-std::vector<DbbBlock> dbbEncodeWeights(const GemmProblem &p, int bz);
-
-/** The same for the stored activation matrix (M x groups*K,
- *  row-major blocks). */
-std::vector<DbbBlock> dbbEncodeActivations(const GemmProblem &p,
-                                           int bz);
-
-/**
- * Inverse of dbbEncodeWeights: expand @p blocks into p.w. No mask
- * bit may flag a position in the zero-padded tail past p.k.
- */
-void dbbDecodeWeights(const DbbBlock *blocks, int bz, GemmProblem &p);
-
-/** Inverse of dbbEncodeActivations, into p.a. */
-void dbbDecodeActivations(const DbbBlock *blocks, int bz,
-                          GemmProblem &p);
-
-/**
  * The transposed weights W^T (groups*n x k, row j holding weight
  * column j's K stored elements contiguously): the dense lanes the
  * functional kernel contracts against.
@@ -251,9 +224,9 @@ std::vector<int8_t> transposedWeights(const GemmProblem &p);
  * Transpose the rows x cols byte window at @p src (row stride
  * @p src_ld) into @p dst (row stride @p dst_ld):
  * dst[c * dst_ld + r] = src[r * src_ld + c]. In 8 x 8 squares
- * through registers, the ragged edges element by element. The
- * weight codec and the weight generators move W through an L1 tile
- * with it, and the weight mask builder its mask rows into columns.
+ * through registers, the ragged edges element by element. The dense
+ * mirror and the weight generators move W with it, and the weight
+ * mask builder its mask rows into columns.
  */
 void transposeBytes(const int8_t *src, size_t src_ld, int rows,
                     int cols, int8_t *dst, size_t dst_ld);

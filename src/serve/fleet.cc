@@ -985,7 +985,7 @@ FleetScheduler::drain()
             continue;
         const PlanCache::Stats cs =
             fleet[static_cast<size_t>(r)].cache->stats();
-        tele.replica(r).cache_hits = cs.hits + cs.spill_hits;
+        tele.replica(r).cache_hits = cs.hits;
         tele.replica(r).cache_misses = cs.misses;
     }
 

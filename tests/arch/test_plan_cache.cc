@@ -1,9 +1,9 @@
 /** @file Tests for the cross-run PlanCache: hit/miss accounting,
- *  deterministic LRU eviction, mutation safety via content
- *  fingerprints, the spill tier and its codec's exact roundtrip, the
- *  DAP memo, and — the load-bearing property —
- *  bitwise-identical results with caching on vs off across array
- *  configs, engines, and thread counts. */
+ *  deterministic LRU eviction and bitwise rebuilds of evicted
+ *  entries, mutation safety via content fingerprints, the DAP memo,
+ *  and — the load-bearing property — bitwise-identical results with
+ *  caching on vs off, bounded or not, across array configs,
+ *  engines, and thread counts. */
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "arch/accelerator.hh"
 #include "arch/plan_cache.hh"
-#include "base/fault_injection.hh"
 #include "tensor/conv.hh"
 #include "workload/sparse_gen.hh"
 
@@ -24,16 +23,6 @@ smallGemm(uint64_t seed, int m = 24, int k = 64, int n = 16,
 {
     Rng rng(seed);
     return makeDbbGemm(m, k, n, nnz, nnz, rng);
-}
-
-/** The compute entry of @p p (with its mirror) or its events-only
- *  entry (masks and profiles), as PlanCache::acquire builds them. */
-std::unique_ptr<const CachedPlan>
-makeEntry(const GemmProblem &p, int bz, bool mirror)
-{
-    if (mirror)
-        return std::make_unique<const CachedPlan>(p, bz);
-    return std::make_unique<const CachedPlan>(p, p.w.data(), bz);
 }
 
 /** Full structural equality of two cache entries: operands (none in
@@ -166,18 +155,22 @@ TEST(PlanCache, EvictionIsLruAndDeterministic)
     const GemmProblem b = smallGemm(0xB1);
     const GemmProblem c = smallGemm(0xB2);
 
-    const auto run = [&](PlanCache &cache) {
-        cache.acquire(a, 8, false);
-        cache.acquire(b, 8, false);
-        cache.acquire(a, 8, false); // promote a over b
-        cache.acquire(c, 8, false); // evicts b (LRU)
-        cache.acquire(a, 8, false); // still resident
-        cache.acquire(b, 8, false); // must be a miss again
+    const auto run = [&](PlanCache &cache, bool mirror) {
+        cache.acquire(a, 8, mirror);
+        const auto first_b = cache.acquire(b, 8, mirror);
+        cache.acquire(a, 8, mirror); // promote a over b
+        cache.acquire(c, 8, mirror); // evicts b (LRU)
+        cache.acquire(a, 8, mirror); // still resident
+        // A miss again: the dropped entry is rebuilt bit for bit,
+        // while the old one lives on for its holder.
+        const auto again_b = cache.acquire(b, 8, mirror);
+        EXPECT_NE(first_b.get(), again_b.get());
+        expectEntriesEqual(*first_b, *again_b);
         return cache.stats();
     };
 
     PlanCache c1(/*max_entries=*/2);
-    const PlanCache::Stats s1 = run(c1);
+    const PlanCache::Stats s1 = run(c1, false);
     EXPECT_EQ(s1.misses, 4) << "a, b, c, then b again";
     EXPECT_EQ(s1.hits, 2);
     EXPECT_EQ(s1.evictions, 2);
@@ -186,11 +179,18 @@ TEST(PlanCache, EvictionIsLruAndDeterministic)
     // The same access sequence on a fresh cache produces exactly
     // the same accounting: eviction order is deterministic.
     PlanCache c2(2);
-    const PlanCache::Stats s2 = run(c2);
+    const PlanCache::Stats s2 = run(c2, false);
     EXPECT_EQ(s1.misses, s2.misses);
     EXPECT_EQ(s1.hits, s2.hits);
     EXPECT_EQ(s1.evictions, s2.evictions);
     EXPECT_EQ(s1.resident_bytes, s2.resident_bytes);
+
+    // Compute entries (operands and mirror) go the same way.
+    PlanCache c3(2);
+    const PlanCache::Stats s3 = run(c3, true);
+    EXPECT_EQ(s3.misses, s1.misses);
+    EXPECT_EQ(s3.hits, s1.hits);
+    EXPECT_EQ(s3.evictions, s1.evictions);
 }
 
 TEST(PlanCache, ByteBudgetEvictsButKeepsNewestEntry)
@@ -205,245 +205,14 @@ TEST(PlanCache, ByteBudgetEvictsButKeepsNewestEntry)
     cache.acquire(b, 8, false);
     EXPECT_EQ(cache.stats().entries, 1);
     EXPECT_EQ(cache.stats().evictions, 1);
+    // The dropped entry's bytes left the count with it.
+    PlanCache only_b;
+    only_b.acquire(b, 8, false);
+    EXPECT_EQ(cache.stats().resident_bytes,
+              only_b.stats().resident_bytes);
     // b is the resident entry now.
     cache.acquire(b, 8, false);
     EXPECT_EQ(cache.stats().hits, 1);
-}
-
-TEST(PlanCache, SpillTierRehydratesEvictedEntriesBitwise)
-{
-    // Entry-capped resident tier with a spill tier underneath: a
-    // cyclic access pattern that LRU-thrashes the resident tier is
-    // served by rehydration instead of re-encoding, and every
-    // rehydrated plan is indistinguishable from a fresh build.
-    PlanCache cache(/*max_entries=*/2, /*max_bytes=*/0,
-                    /*spill_max_bytes=*/1 << 30);
-    std::vector<GemmProblem> ps;
-    for (uint64_t s = 0; s < 4; ++s)
-        ps.push_back(smallGemm(0xF0 + s));
-
-    for (int round = 0; round < 2; ++round) {
-        for (const GemmProblem &p : ps) {
-            const auto e = cache.acquire(p, 8, true);
-            const GemmPlan fresh = GemmPlan::build(p, 8, true);
-            std::vector<int32_t> got(
-                static_cast<size_t>(p.m) * p.n);
-            std::vector<int32_t> want(got.size());
-            dbbGemm(e->plan, got.data());
-            dbbGemm(fresh, want.data());
-            EXPECT_EQ(got, want) << "round " << round;
-            EXPECT_EQ(e->problem.a, p.a) << "round " << round;
-            EXPECT_EQ(e->problem.w, p.w) << "round " << round;
-            EXPECT_EQ(e->plan.wgtDenseT() != nullptr,
-                      fresh.wgtDenseT() != nullptr);
-        }
-    }
-    const PlanCache::Stats st = cache.stats();
-    // Each workload encodes exactly once; the whole second round is
-    // rehydration (the 2-entry resident tier can never hold the
-    // 4-workload cycle).
-    EXPECT_EQ(st.misses, 4);
-    EXPECT_EQ(st.spill_hits, 4);
-    EXPECT_EQ(st.hits, 0);
-    EXPECT_GT(st.spill_entries, 0);
-    EXPECT_GT(st.spill_bytes, 0);
-    EXPECT_LE(st.spill_bytes, 1 << 30);
-}
-
-TEST(PlanCache, SpillRoundtripIsExact)
-{
-    // Both operating points, sparse and dense; the mirror is
-    // dropped by the codec and re-derived on rehydration.
-    for (const int nnz : {2, 8}) {
-        const GemmProblem p = smallGemm(0x52, 40, 72, 24, nnz);
-        const CachedPlan entry(p, 8);
-        const auto bytes = spillEncode(entry);
-        // Compact relative to the resident footprint (operands +
-        // one mask byte per block + mirror): the codec stores only
-        // the DBB blocks, mask byte + stored values each.
-        const int64_t nb = entry.plan.act().blocksPerVector();
-        const int64_t resident =
-            static_cast<int64_t>(p.a.size() + p.w.size()) +
-            (static_cast<int64_t>(p.m) + p.n) * nb +
-            static_cast<int64_t>(p.k) * p.n;
-        EXPECT_LT(static_cast<int64_t>(bytes.size()), resident);
-        const auto back = spillDecode(bytes.data(), bytes.size());
-        ASSERT_NE(back, nullptr);
-        expectEntriesEqual(entry, *back);
-    }
-
-    // A depthwise layer's grouped GEMM, its one-channel taps
-    // modeled padded to the block size: the image carries the group
-    // axis and the segment layout, and only the stored values of a
-    // compute entry or the masks of an events-only one.
-    Rng rng(0x54);
-    const Conv2dShape dw{16, 7, 6, 16, 3, 3, 1, 1, 16};
-    const Int8Tensor input = makeDbbTensor({7, 6, 16}, 4, rng);
-    const Int8Tensor weights = makeDbbTensor({3, 3, 1, 16}, 1, rng);
-    const GemmProblem lowered = im2colLowerGrouped(dw, input, weights, 8);
-    for (const bool mirror : {false, true}) {
-        const auto entry = makeEntry(lowered, 8, mirror);
-        ASSERT_EQ(entry->problem.groups, 16);
-        ASSERT_TRUE(entry->problem.padded());
-        ASSERT_EQ(entry->problem.hasOperands(), mirror);
-        const auto bytes = spillEncode(*entry);
-        const auto back = spillDecode(bytes.data(), bytes.size());
-        ASSERT_NE(back, nullptr);
-        expectEntriesEqual(*entry, *back);
-    }
-
-    // The masks-only entry as the events-only path builds it, from
-    // the lowered activations and the weight tensor in place: equal
-    // to the entry of the full lowering, and it round-trips.
-    const GemmProblem acts = im2colLowerActivations(dw, input, 8);
-    ASSERT_TRUE(acts.w.empty());
-    const CachedPlan masks_only(acts, weights.data(), 8);
-    expectEntriesEqual(masks_only, *makeEntry(lowered, 8, false));
-    const auto bytes = spillEncode(masks_only);
-    const auto back = spillDecode(bytes.data(), bytes.size());
-    ASSERT_NE(back, nullptr);
-    EXPECT_FALSE(back->problem.hasOperands());
-    expectEntriesEqual(masks_only, *back);
-}
-
-TEST(PlanCache, SpillRoundtripAcrossTileEdgesIsExact)
-{
-    // K = 1027 gives a ragged tail block and, at bz 8, three
-    // 64-block tiles down K; N = 101 gives four 32-column tiles, the
-    // last 5 wide. The spill decoder rebuilds the weights through
-    // the encoder's tile in reverse, so every edge must come back
-    // exact, with and without the dense mirror.
-    for (const int bz : {8, 5}) {
-        for (const bool mirror : {false, true}) {
-            Rng rng(0x53 + static_cast<uint64_t>(bz));
-            GemmProblem p(29, 1027, 101);
-            for (int8_t &v : p.a)
-                v = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
-            for (int8_t &v : p.w)
-                v = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
-            const auto entry = makeEntry(p, bz, mirror);
-            const auto bytes = spillEncode(*entry);
-            const auto back = spillDecode(bytes.data(), bytes.size());
-            ASSERT_NE(back, nullptr);
-            if (mirror) {
-                EXPECT_EQ(back->problem.a, p.a) << "bz " << bz;
-                EXPECT_EQ(back->problem.w, p.w) << "bz " << bz;
-            } else {
-                EXPECT_FALSE(back->problem.hasOperands()) << "bz " << bz;
-            }
-            expectEntriesEqual(*entry, *back);
-            expectEntriesEqual(*back, *makeEntry(p, bz, mirror));
-        }
-    }
-}
-
-TEST(PlanCache, SpillBudgetDropsOldestAndStaysBounded)
-{
-    // A spill budget big enough for roughly one compact entry:
-    // older spilled entries are dropped, the accounting stays
-    // within budget, and a dropped entry simply re-encodes.
-    const GemmProblem probe = smallGemm(0xF8);
-    const int64_t one_entry = static_cast<int64_t>(
-        spillEncode(*makeEntry(probe, 8, false)).size());
-    PlanCache cache(/*max_entries=*/1, 0,
-                    /*spill_max_bytes=*/one_entry + 8);
-    std::vector<GemmProblem> ps;
-    for (uint64_t s = 0; s < 3; ++s)
-        ps.push_back(smallGemm(0xF8 + s));
-    for (int round = 0; round < 2; ++round)
-        for (const GemmProblem &p : ps)
-            cache.acquire(p, 8, false);
-    const PlanCache::Stats st = cache.stats();
-    EXPECT_GT(st.spill_evictions, 0);
-    EXPECT_LE(st.spill_bytes, one_entry + 8);
-    EXPECT_GT(st.misses, 3) << "dropped entries must re-encode";
-    // Whatever tier served it, results must still be correct: the
-    // cache never returns a wrong plan, only a slower one.
-    const auto e = cache.acquire(ps[0], 8, false);
-    expectEntriesEqual(*e, *makeEntry(ps[0], 8, false));
-}
-
-TEST(PlanCache, SpillDisabledKeepsLegacyEvictionBehavior)
-{
-    PlanCache cache(/*max_entries=*/1);
-    cache.acquire(smallGemm(0xFA), 8, false);
-    cache.acquire(smallGemm(0xFB), 8, false);
-    const PlanCache::Stats st = cache.stats();
-    EXPECT_EQ(st.evictions, 1);
-    EXPECT_EQ(st.spill_entries, 0);
-    EXPECT_EQ(st.spill_bytes, 0);
-    EXPECT_EQ(st.spill_hits, 0);
-}
-
-TEST(PlanCache, StatsSeparateResidentHitsFromRehydrations)
-{
-    const GemmProblem a = smallGemm(0xFC);
-    const GemmProblem b = smallGemm(0xFD);
-    PlanCache cache(/*max_entries=*/1, 0,
-                    /*spill_max_bytes=*/1 << 30);
-    cache.acquire(a, 8, false); // miss
-    cache.acquire(a, 8, false); // resident hit
-    cache.acquire(b, 8, false); // miss; a spills
-    cache.acquire(a, 8, false); // spill hit (rehydration)
-    cache.acquire(a, 8, false); // resident hit again
-    const PlanCache::Stats st = cache.stats();
-    EXPECT_EQ(st.misses, 2);
-    EXPECT_EQ(st.hits, 2);
-    EXPECT_EQ(st.spill_hits, 1);
-}
-
-TEST(PlanCache, InjectedSpillEncodeFaultDegradesToColdRebuild)
-{
-    const GemmProblem a = smallGemm(0xD0);
-    const GemmProblem b = smallGemm(0xD1);
-    FaultInjector fi(0x21);
-    fi.setRate(FaultSite::SpillEncode, 1.0);
-    PlanCache cache(/*max_entries=*/1, 0,
-                    /*spill_max_bytes=*/1 << 30);
-    cache.setFaultInjector(&fi);
-
-    cache.acquire(a, 8, false); // miss
-    cache.acquire(b, 8, false); // miss; a's spill encode faults
-    const auto e = cache.acquire(a, 8, false);
-    // The dropped entry degrades to a cold re-encode — counted,
-    // never wrong.
-    const PlanCache::Stats st = cache.stats();
-    EXPECT_EQ(st.misses, 3);
-    EXPECT_EQ(st.spill_hits, 0);
-    EXPECT_EQ(st.spill_entries, 0);
-    EXPECT_GT(st.spill_drops, 0);
-    EXPECT_EQ(st.spill_drops, fi.injected(FaultSite::SpillEncode));
-    expectEntriesEqual(*e, *makeEntry(a, 8, false));
-}
-
-TEST(PlanCache, InjectedSpillDecodeFaultFallsBackToColderTier)
-{
-    const GemmProblem a = smallGemm(0xD2);
-    const GemmProblem b = smallGemm(0xD3);
-    PlanCache cache(/*max_entries=*/1, 0,
-                    /*spill_max_bytes=*/1 << 30);
-    cache.acquire(a, 8, false); // miss
-    cache.acquire(b, 8, false); // miss; a spills cleanly
-
-    // Decode of the parked image faults: the image is dropped and
-    // the lookup degrades to a cold rebuild.
-    FaultInjector fi(0x22);
-    fi.setRate(FaultSite::SpillDecode, 1.0);
-    cache.setFaultInjector(&fi);
-    const auto e = cache.acquire(a, 8, false);
-    const PlanCache::Stats st = cache.stats();
-    EXPECT_EQ(st.misses, 3);
-    EXPECT_EQ(st.spill_hits, 0);
-    EXPECT_GT(st.spill_decode_faults, 0);
-    EXPECT_EQ(st.spill_decode_faults,
-              fi.injected(FaultSite::SpillDecode));
-    expectEntriesEqual(*e, *makeEntry(a, 8, false));
-    // The faulted image was dropped, not re-read: a second lookup
-    // with faults cleared still re-encodes.
-    fi.setRate(FaultSite::SpillDecode, 0.0);
-    cache.acquire(b, 8, false); // a spills again... (b evicts a)
-    EXPECT_EQ(cache.stats().spill_decode_faults,
-              st.spill_decode_faults);
 }
 
 TEST(PlanCache, DapMemoComputesOnce)
@@ -550,8 +319,8 @@ TEST(PlanCache, NetworkSweepIdenticalAcrossCacheAndThreads)
             Accelerator(acfg).runNetwork(layers, opt));
     }
 
-    for (int threads : {1, 0, 3}) {
-        PlanCache cache;
+    const auto run_sweep = [&](PlanCache &cache, int threads,
+                               const std::string &label) {
         for (size_t c = 0; c < sweep.size(); ++c) {
             AcceleratorConfig acfg;
             acfg.array = sweep[c];
@@ -561,23 +330,45 @@ TEST(PlanCache, NetworkSweepIdenticalAcrossCacheAndThreads)
             opt.plan_cache = &cache;
             const NetworkRun nr =
                 Accelerator(acfg).runNetwork(layers, opt);
+            const std::string at = sweep[c].name() + " " + label +
+                                   " threads=" + std::to_string(threads);
             ASSERT_EQ(nr.layers.size(), ref[c].layers.size());
-            EXPECT_TRUE(nr.total == ref[c].total)
-                << sweep[c].name() << " threads=" << threads;
+            EXPECT_TRUE(nr.total == ref[c].total) << at;
             for (size_t i = 0; i < nr.layers.size(); ++i) {
                 EXPECT_TRUE(nr.layers[i].output ==
                             ref[c].layers[i].output)
-                    << sweep[c].name() << " threads=" << threads
-                    << " layer " << i;
+                    << at << " layer " << i;
                 EXPECT_TRUE(nr.layers[i].events ==
                             ref[c].layers[i].events)
-                    << sweep[c].name() << " threads=" << threads
-                    << " layer " << i;
+                    << at << " layer " << i;
             }
         }
+    };
+
+    int64_t footprint = 0;
+    for (int threads : {1, 0, 3}) {
+        PlanCache cache;
+        run_sweep(cache, threads, "unbounded");
         // The second and third configs share the DBB-side plans;
         // the sweep must hit for every reused layer.
         EXPECT_GT(cache.stats().hits, 0) << "threads=" << threads;
+        footprint = cache.stats().resident_bytes;
+    }
+
+    // A byte budget below the sweep's plan footprint: concurrent
+    // lanes evict plans other lanes may still simulate from, and
+    // evicted plans are rebuilt on their next use, so results stay
+    // bitwise identical while the cache holds its budget.
+    const int64_t budget = footprint / 3;
+    for (int threads : {0, 3}) {
+        PlanCache bounded(0, budget);
+        run_sweep(bounded, threads, "bounded");
+        const PlanCache::Stats st = bounded.stats();
+        EXPECT_GT(st.evictions, 0) << "threads=" << threads;
+        EXPECT_TRUE(st.resident_bytes <= budget || st.entries == 1)
+            << "threads=" << threads << ": " << st.resident_bytes
+            << " bytes in " << st.entries << " entries, budget "
+            << budget;
     }
 }
 

@@ -48,8 +48,6 @@ TEST(FaultInjection, DecisionsArePureInSeedSiteIdentity)
         FaultSite site;
         uint64_t fold;
     } pinned[] = {
-        {FaultSite::SpillEncode, 0x8136736793496749ull},
-        {FaultSite::SpillDecode, 0x7953c39ccba59df7ull},
         {FaultSite::LayerCompute, 0x8e3dda9818fcc71aull},
         {FaultSite::LayerStall, 0x13c6b3755d648c0full},
         {FaultSite::ReplicaCrash, 0xe754fb18982716adull},
@@ -79,17 +77,17 @@ TEST(FaultInjection, SeedAndSiteChangeTheFaultSet)
 {
     FaultInjector a(1);
     FaultInjector b(2);
-    a.setRate(FaultSite::SpillEncode, 0.5);
-    a.setRate(FaultSite::SpillDecode, 0.5);
-    b.setRate(FaultSite::SpillEncode, 0.5);
+    a.setRate(FaultSite::LayerCompute, 0.5);
+    a.setRate(FaultSite::LayerStall, 0.5);
+    b.setRate(FaultSite::LayerCompute, 0.5);
     int seed_diff = 0, site_diff = 0;
     for (uint64_t id = 0; id < 512; ++id) {
-        seed_diff += a.shouldFail(FaultSite::SpillEncode, id) !=
-                             b.shouldFail(FaultSite::SpillEncode, id)
+        seed_diff += a.shouldFail(FaultSite::LayerCompute, id) !=
+                             b.shouldFail(FaultSite::LayerCompute, id)
                          ? 1
                          : 0;
-        site_diff += a.shouldFail(FaultSite::SpillEncode, id) !=
-                             a.shouldFail(FaultSite::SpillDecode, id)
+        site_diff += a.shouldFail(FaultSite::LayerCompute, id) !=
+                             a.shouldFail(FaultSite::LayerStall, id)
                          ? 1
                          : 0;
     }
@@ -104,11 +102,11 @@ TEST(FaultInjection, RateZeroNeverFiresRateOneAlwaysFires)
     FaultInjector fi(7);
     fi.setRate(FaultSite::LayerCompute, 1.0);
     for (uint64_t id = 0; id < 256; ++id) {
-        EXPECT_FALSE(fi.shouldFail(FaultSite::SpillEncode, id));
+        EXPECT_FALSE(fi.shouldFail(FaultSite::LayerStall, id));
         EXPECT_TRUE(fi.shouldFail(FaultSite::LayerCompute, id));
     }
-    EXPECT_EQ(fi.injected(FaultSite::SpillEncode), 0);
-    EXPECT_EQ(fi.evaluated(FaultSite::SpillEncode), 256);
+    EXPECT_EQ(fi.injected(FaultSite::LayerStall), 0);
+    EXPECT_EQ(fi.evaluated(FaultSite::LayerStall), 256);
     EXPECT_EQ(fi.injected(FaultSite::LayerCompute), 256);
     EXPECT_EQ(fi.evaluated(FaultSite::LayerCompute), 256);
 }
@@ -130,7 +128,7 @@ TEST(FaultInjection, RateMatchesInjectedFraction)
 TEST(FaultInjection, CountersAreExactUnderThreads)
 {
     FaultInjector fi(0x99);
-    fi.setRate(FaultSite::SpillEncode, 0.5);
+    fi.setRate(FaultSite::LayerStall, 0.5);
     constexpr int kThreads = 8;
     constexpr uint64_t kPer = 4000;
     // Every thread asks about the same identity range; decisions
@@ -139,23 +137,23 @@ TEST(FaultInjection, CountersAreExactUnderThreads)
     int64_t serial_fired = 0;
     {
         FaultInjector ref(0x99);
-        ref.setRate(FaultSite::SpillEncode, 0.5);
+        ref.setRate(FaultSite::LayerStall, 0.5);
         for (uint64_t id = 0; id < kPer; ++id)
             serial_fired +=
-                ref.shouldFail(FaultSite::SpillEncode, id) ? 1 : 0;
+                ref.shouldFail(FaultSite::LayerStall, id) ? 1 : 0;
     }
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&fi] {
             for (uint64_t id = 0; id < kPer; ++id)
-                fi.shouldFail(FaultSite::SpillEncode, id);
+                fi.shouldFail(FaultSite::LayerStall, id);
         });
     }
     for (auto &th : threads)
         th.join();
-    EXPECT_EQ(fi.evaluated(FaultSite::SpillEncode),
+    EXPECT_EQ(fi.evaluated(FaultSite::LayerStall),
               kThreads * static_cast<int64_t>(kPer));
-    EXPECT_EQ(fi.injected(FaultSite::SpillEncode),
+    EXPECT_EQ(fi.injected(FaultSite::LayerStall),
               kThreads * serial_fired);
 }
 
@@ -199,10 +197,6 @@ TEST(FaultInjection, CombineIdIsOrderDependent)
 
 TEST(FaultInjection, SiteNamesAreStable)
 {
-    EXPECT_STREQ(faultSiteName(FaultSite::SpillEncode),
-                 "spill-encode");
-    EXPECT_STREQ(faultSiteName(FaultSite::SpillDecode),
-                 "spill-decode");
     EXPECT_STREQ(faultSiteName(FaultSite::LayerCompute),
                  "layer-compute");
     EXPECT_STREQ(faultSiteName(FaultSite::LayerStall),

@@ -5,12 +5,11 @@
  *  T2Q2, S2TA-W and S2TA-AW), that the fast DBB engine matches the
  *  scalar reference engine bit for bit (outputs and event counters)
  *  on every way a layer's plan can reach it: built uncached, a
- *  resident PlanCache hit, a spill-tier rehydration (resident budget
- *  below one plan), and a rebuild after eviction (an entry cap of
- *  one). The fast engine runs a layer as one grouped GEMM, so each
- *  cached leg counts exactly one entry per layer. The three designs
- *  cover what the fast engine models differently: alignment-1
- *  blocks that straddle taps (SA-SMT), the SMT sampler's
+ *  resident PlanCache hit, and a rebuild after eviction (an entry
+ *  cap of one). The fast engine runs a layer as one grouped GEMM,
+ *  so each cached leg counts exactly one entry per layer. The three
+ *  designs cover what the fast engine models differently:
+ *  alignment-1 blocks that straddle taps (SA-SMT), the SMT sampler's
  *  coordinates shared by every group, and the per-group rounding of
  *  S2TA-W's accumulator estimate. At batch 1 the scalar engine must
  *  also match the direct convolution reference.
@@ -110,18 +109,6 @@ fuzzOneDesign(const LayerWorkload &wl, const ArrayConfig &array)
     expectSameRun(acc.runLayer(wl, cached), sr, "resident hit");
     EXPECT_EQ(resident.stats().misses, 1);
     EXPECT_EQ(resident.stats().hits, 1);
-
-    // Spill rehydration: a 1-byte resident budget keeps only the
-    // newest plan, so one unrelated plan pushes the layer out, and
-    // the second run rehydrates it.
-    PlanCache spill(0, /*max_bytes=*/1, /*spill_max_bytes=*/1 << 30);
-    NetworkRunOptions spilled = fast;
-    spilled.plan_cache = &spill;
-    expectSameRun(acc.runLayer(wl, spilled), sr, "spill populate");
-    spill.acquire(GemmProblem(1, 1, 1), bz, true);
-    expectSameRun(acc.runLayer(wl, spilled), sr, "spill rehydration");
-    EXPECT_EQ(spill.stats().spill_hits, 1);
-    EXPECT_EQ(spill.stats().misses, 2);
 
     // Eviction: with an entry cap of one, an unrelated plan evicts
     // the layer, so the second run lowers and encodes it again.
