@@ -399,12 +399,10 @@ BM_DepthwiseLayerEventsSmt(benchmark::State &state)
 }
 BENCHMARK(BM_DepthwiseLayerEventsSmt)->Unit(benchmark::kMillisecond);
 
-/** VGG-16 fc6 (25088 x 4096 weights, 102 MB) as the sweep's first
- *  sight meets it: events-only through a fresh PlanCache per
- *  iteration on SA-ZVCG, serial. Keying (both tensors hashed),
- *  lowering and planning without the mirror, nothing simulated. */
-void
-BM_EventsOnlyPlanFc(benchmark::State &state)
+/** VGG-16 fc6 (25088 x 4096 weights, 102 MB), built once (its
+ *  static set-up builds all of VGG-16, a few seconds). */
+const LayerWorkload &
+vgg16Fc6()
 {
     static const LayerWorkload wl = [] {
         Rng rng(0xFC6);
@@ -414,20 +412,59 @@ BM_EventsOnlyPlanFc(benchmark::State &state)
                 return l;
         s2ta_panic("VGG-16 has no fc6");
     }();
+    return wl;
+}
+
+/** Serial SA-ZVCG, events-only options through @p cache. */
+NetworkRunOptions
+eventsOnlyThrough(PlanCache &cache)
+{
+    NetworkRunOptions opt;
+    opt.validate_operands = false;
+    opt.plan_cache = &cache;
+    return opt;
+}
+
+/** fc6 as the sweep's first sight meets it: events-only through a
+ *  fresh PlanCache per iteration on SA-ZVCG, serial. Keying (the
+ *  tensors' digests, hashed once for the process), lowering and
+ *  planning without the mirror, nothing simulated. */
+void
+BM_EventsOnlyPlanFc(benchmark::State &state)
+{
+    const LayerWorkload &wl = vgg16Fc6();
     AcceleratorConfig cfg;
     cfg.array = ArrayConfig::saZvcg();
     cfg.sim_threads = 1;
     const Accelerator acc(cfg);
     for (auto _ : state) {
         PlanCache cache;
-        NetworkRunOptions opt;
-        opt.validate_operands = false;
-        opt.plan_cache = &cache;
-        benchmark::DoNotOptimize(acc.prepareLayer(wl, opt));
+        benchmark::DoNotOptimize(
+            acc.prepareLayer(wl, eventsOnlyThrough(cache)));
     }
     state.SetBytesProcessed(state.iterations() * wl.weights.size());
 }
 BENCHMARK(BM_EventsOnlyPlanFc)->Unit(benchmark::kMillisecond);
+
+/** fc6 as every later design point of a sweep meets it: a plan-cache
+ *  hit, keyed by the digests its tensors already carry. */
+void
+BM_LayerVisitHitFc(benchmark::State &state)
+{
+    const LayerWorkload &wl = vgg16Fc6();
+    AcceleratorConfig cfg;
+    cfg.array = ArrayConfig::saZvcg();
+    cfg.sim_threads = 1;
+    const Accelerator acc(cfg);
+    PlanCache cache;
+    const NetworkRunOptions opt = eventsOnlyThrough(cache);
+    (void)acc.prepareLayer(wl, opt);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(acc.prepareLayer(wl, opt));
+    if (cache.stats().misses != 1)
+        state.SkipWithError("fc6 missed a warm plan cache");
+}
+BENCHMARK(BM_LayerVisitHitFc)->Unit(benchmark::kMicrosecond);
 
 } // anonymous namespace
 } // namespace s2ta

@@ -15,7 +15,8 @@ namespace {
 
 /**
  * Content key of one layer's lowered GEMM: the conv geometry, the
- * lowering alignment, and fingerprints of both operand tensors.
+ * lowering alignment, and the digests of both operand tensors (each
+ * hashed on the first visit after it was written, then read back).
  * Two layers with identical key lower to problems the array models
  * see identically. When the alignment divides groupInC no channel
  * segment is padded, so every alignment lowers to the same layout
@@ -25,8 +26,7 @@ namespace {
  * depthwise tap) keeps one plan per alignment.
  */
 uint64_t
-layerPlanKey(const LayerWorkload &wl, int channel_align,
-             uint64_t input_hash)
+layerPlanKey(const LayerWorkload &wl, int channel_align)
 {
     uint64_t key = 0x4C41594552ull; // domain tag
     const Conv2dShape &s = wl.shape;
@@ -38,21 +38,19 @@ layerPlanKey(const LayerWorkload &wl, int channel_align,
         key = PlanCache::combine(key,
                                  static_cast<uint64_t>(field));
     }
-    key = PlanCache::combine(key, input_hash);
-    key = PlanCache::combine(
-        key, PlanCache::hashBytes(
-                 wl.weights.data(),
-                 static_cast<size_t>(wl.weights.size())));
+    key = PlanCache::combine(key, wl.input.digest());
+    key = PlanCache::combine(key, wl.weights.digest());
     return key;
 }
 
 /**
  * The plan entry of one layer visit at alignment @p channel_align
  * and block size @p bz. A compute entry owns the layer's grouped
- * GEMM. An events-only entry masks the lowered activations and the
- * weight tensor, which already is the GEMM's K x out_c weight
- * matrix, where they lie: it keeps the dims, masks and profiles,
- * and the lowered rows are freed on return.
+ * GEMM. An events-only entry lowers the activations a band of rows
+ * at a time and masks each band, and masks the weight tensor, which
+ * already is the GEMM's K x out_c weight matrix, where it lies: it
+ * keeps the dims, masks and profiles, and the lowered matrix never
+ * exists whole.
  */
 std::shared_ptr<const CachedPlan>
 buildLayerEntry(const LayerWorkload &wl, int channel_align, int bz,
@@ -68,10 +66,15 @@ buildLayerEntry(const LayerWorkload &wl, int channel_align, int bz,
                 std::vector<int>({wl.shape.kernel_h, wl.shape.kernel_w,
                                   wl.shape.groupInC(), wl.shape.out_c}),
                 "layer '%s' weight shape mismatch", wl.name.c_str());
-    const GemmProblem acts = im2colLowerActivations(
-        wl.shape, wl.input, channel_align, wl.batch);
-    return std::make_shared<const CachedPlan>(acts, wl.weights.data(),
-                                              bz);
+    const GemmProblem dims =
+        im2colActivationDims(wl.shape, channel_align, wl.batch);
+    DbbMatrix act = DbbMatrix::fromActivations(
+        dims, DbbSpec{bz, bz}, [&](int row0, int rows, int8_t *band) {
+            im2colLowerActivationRows(wl.shape, wl.input, wl.batch, row0,
+                                      rows, band);
+        });
+    return std::make_shared<const CachedPlan>(dims, std::move(act),
+                                              wl.weights.data(), bz);
 }
 
 } // anonymous namespace
@@ -177,21 +180,13 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
     // padded GEMM and encodes nothing.
     const bool fast = opt.engine != EngineKind::Scalar;
     prep.use_cache = opt.plan_cache != nullptr && fast;
-    // The input fingerprint keys both the lowered plan and the DAP
-    // memo in executePrepared; compute it once per layer visit.
-    prep.input_hash =
-        prep.use_cache
-            ? PlanCache::hashBytes(
-                  wl.input.data(),
-                  static_cast<size_t>(wl.input.size()))
-            : 0;
     const auto build = [&] {
         return buildLayerEntry(wl, channelAlign(), acfg.bz,
                                compute_output);
     };
     if (prep.use_cache) {
         prep.cached = {opt.plan_cache->acquireKeyed(
-            layerPlanKey(wl, channelAlign(), prep.input_hash),
+            layerPlanKey(wl, channelAlign()),
             acfg.bz, compute_output, build)};
     } else if (fast) {
         prep.cached = {build()};
@@ -322,7 +317,7 @@ Accelerator::executePrepared(const PreparedLayer &prep,
                 ? opt.plan_cache->dapStats(
                       PlanCache::combine(
                           PlanCache::combine(0x444150ull,
-                                             prep.input_hash),
+                                             wl.input.digest()),
                           static_cast<uint64_t>(wl.act_nnz)),
                       prune)
                 : prune();

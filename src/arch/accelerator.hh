@@ -186,8 +186,6 @@ struct PreparedLayer
     std::vector<std::shared_ptr<const CachedPlan>> cached;
     /** Scalar engine: one lowered GEMM per group. */
     std::vector<GemmProblem> problems;
-    /** Content fingerprint of the input tensor (cached path). */
-    uint64_t input_hash = 0;
     /** True when `cached` came from RunOptions::plan_cache. */
     bool use_cache = false;
     /** DMA bytes of the layer: operands in (weights +

@@ -1,37 +1,15 @@
 #include "arch/plan_cache.hh"
 
-#include <cstring>
-
 namespace s2ta {
 
-CachedPlan::CachedPlan(const GemmProblem &p, const int8_t *w, int bz)
+CachedPlan::CachedPlan(const GemmProblem &p, DbbMatrix act,
+                       const int8_t *w, int bz)
     : problem(p.withoutOperands()),
       // The permissive bz/bz spec, as GemmPlan::build encodes.
       plan(GemmPlan::fromMasks(
-          problem, DbbMatrix::fromActivations(p, DbbSpec{bz, bz}),
+          problem, std::move(act),
           DbbMatrix::fromWeights(p, w, DbbSpec{bz, bz})))
 {}
-
-uint64_t
-PlanCache::hashBytes(const void *data, size_t len, uint64_t seed)
-{
-    // FNV-1a, consumed in 8-byte strides: each stride is folded as
-    // one 64-bit unit (xor + multiply), which keeps the single
-    // sequential pass close to memory speed while remaining
-    // deterministic across platforms of the same endianness.
-    constexpr uint64_t kPrime = 0x100000001b3ull;
-    const auto *p = static_cast<const uint8_t *>(data);
-    uint64_t h = seed;
-    size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        uint64_t chunk;
-        std::memcpy(&chunk, p + i, 8);
-        h = (h ^ chunk) * kPrime;
-    }
-    for (; i < len; ++i)
-        h = (h ^ p[i]) * kPrime;
-    return h;
-}
 
 uint64_t
 PlanCache::fingerprint(const GemmProblem &p)
@@ -100,7 +78,9 @@ PlanCache::acquire(const GemmProblem &p, int bz, bool dense_mirror)
         [&]() -> std::shared_ptr<const CachedPlan> {
             if (dense_mirror)
                 return std::make_shared<const CachedPlan>(p, bz);
-            return std::make_shared<const CachedPlan>(p, p.w.data(), bz);
+            return std::make_shared<const CachedPlan>(
+                p, DbbMatrix::fromActivations(p, DbbSpec{bz, bz}),
+                p.w.data(), bz);
         });
     // Cross-check the geometry against the resident operands: a
     // 64-bit fingerprint collision between distinct workloads

@@ -14,15 +14,19 @@
  * One entry is one GEMM; a conv layer, grouped or not, is one
  * entry (one grouped GemmProblem and its plan; see
  * Accelerator::prepareLayer).
- * The cache keys entries by operand *content* (a 64-bit FNV-1a
- * fingerprint of both operand byte arrays plus the GEMM dims, group
- * and segment layout, the DBB block size, and whether the dense
- * weight mirror was materialized): mutated operands re-fingerprint
- * on every call and
- * therefore can never hit a stale entry, so results are bitwise
- * identical with caching on or off. Hits are decided by the
- * fingerprint; acquire() cross-checks the dims on a hit, leaving
- * only the ~2^-64 same-dims content collision undetected.
+ * The cache keys entries by operand *content* (64-bit FNV-1a
+ * hashes of both operands plus the GEMM dims, group and segment
+ * layout, the DBB block size, and whether the dense weight mirror
+ * was materialized), so a mutated operand can never hit a stale
+ * entry and results are bitwise identical with caching on or off.
+ * acquire() fingerprints a GemmProblem's operand vectors on every
+ * call. A conv layer's key (acquireKeyed) reads the digests its
+ * input and weight tensors carry (Tensor::digest()): each tensor
+ * hashes its bytes once, on the first read after a write, so a hit
+ * re-reads no operand, and a write through any non-const accessor
+ * forgets the digest, so the next visit misses. Hits are decided by
+ * the key; acquire() cross-checks the dims on a hit, leaving only
+ * the ~2^-64 same-dims content collision undetected.
  *
  * Entries own their GemmProblem (plans borrow the problem they were
  * built from), so cached plans stay valid after the caller's problem
@@ -61,6 +65,7 @@
 #include <unordered_map>
 
 #include "arch/gemm_plan.hh"
+#include "base/hash.hh"
 #include "core/dap.hh"
 
 namespace s2ta {
@@ -77,12 +82,13 @@ struct CachedPlan
 
     /**
      * The events-only entry at block size @p bz of the GEMM with
-     * @p p's dims and activations and the K x groups*N weight matrix
-     * at @p w (p.w is not read; pass p.w.data() for p's own): p's
-     * dims, and its plan's masks and profiles. No operand is kept
-     * or copied.
+     * @p p's dims, activation masks @p act (built at bz/bz) and the
+     * K x groups*N weight matrix at @p w (p's operands are not read;
+     * pass p.w.data() for p's own): p's dims, and its plan's masks
+     * and profiles. No operand is kept or copied.
      */
-    CachedPlan(const GemmProblem &p, const int8_t *w, int bz);
+    CachedPlan(const GemmProblem &p, DbbMatrix act, const int8_t *w,
+               int bz);
 
     /** The GEMM: operands and dims in a compute entry, dims alone
      *  in an events-only one. */
@@ -151,11 +157,12 @@ class PlanCache
      * Keyed variant for callers that can identify the workload
      * without materializing it (e.g. a conv layer before im2col
      * lowering): @p key must already distinguish operand content
-     * (hash the source tensors with hashBytes). @p build runs only
-     * on a miss and builds the entry at block size @p bz, with a
-     * mirror exactly when @p dense_mirror (the key folds both in):
-     * for a conv layer, the whole layer's grouped GEMM, so a layer
-     * costs one lookup and, on a miss, one lowering.
+     * (combine the source tensors' digest()s, which hash each
+     * tensor once per content). @p build runs only on a miss and
+     * builds the entry at block size @p bz, with a mirror exactly
+     * when @p dense_mirror (the key folds both in): for a conv
+     * layer, the whole layer's grouped GEMM, so a layer costs one
+     * lookup and, on a miss, one lowering.
      */
     std::shared_ptr<const CachedPlan> acquireKeyed(
         uint64_t key, int bz, bool dense_mirror,
@@ -167,9 +174,10 @@ class PlanCache
      * SRAM; its comparator counts are a pure function of (tensor
      * content, NNZ bound) — independent of the array geometry — so
      * a sweep over array configs computes them once per layer.
-     * @p key must identify tensor content and bound (hashBytes +
-     * combine); @p compute runs only on a miss. DAP entries live
-     * outside the LRU (they are a few counters, not plans).
+     * @p key must identify tensor content and bound (the tensor's
+     * digest() + combine); @p compute runs only on a miss. DAP
+     * entries live outside the LRU (they are a few counters, not
+     * plans).
      */
     DapStats dapStats(uint64_t key,
                       const std::function<DapStats()> &compute);
@@ -179,23 +187,19 @@ class PlanCache
     /** Drop every entry (counters keep accumulating). */
     void clear();
 
-    /** FNV-1a 64-bit content hash (8-byte strides + byte tail). */
-    static uint64_t hashBytes(const void *data, size_t len,
-                              uint64_t seed = 0xcbf29ce484222325ull);
+    /** s2ta::hashBytes (base/hash.hh). */
+    static uint64_t
+    hashBytes(const void *data, size_t len,
+              uint64_t seed = kFnvOffsetBasis)
+    {
+        return s2ta::hashBytes(data, len, seed);
+    }
 
-    /** Order-dependent mix of a value into a running key. */
+    /** s2ta::hashCombine (base/hash.hh). */
     static uint64_t
     combine(uint64_t key, uint64_t value)
     {
-        // splitmix64 finalizer over the xor keeps single-bit key
-        // differences from colliding after further combines.
-        uint64_t x = key ^ (value + 0x9e3779b97f4a7c15ull);
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ull;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebull;
-        x ^= x >> 31;
-        return x;
+        return hashCombine(key, value);
     }
 
     /** Content + geometry fingerprint of a GEMM problem. */

@@ -71,6 +71,16 @@ namespace {
 constexpr int kBandRows = 512;
 constexpr int kBandCols = 32;
 
+/**
+ * The bytes of one band of a mask builder's temporary rows. The
+ * weight builder keeps its mask rows a band at a time (a multiple of
+ * 8 rows, 8 at least) before it transposes them into the result; the
+ * banded activation builder lowers its rows a band at a time (one
+ * row at least). A band stays in L2 between being written and being
+ * read, and the builder's temporary is one band, not a matrix.
+ */
+constexpr size_t kMaskBandBytes = size_t{256} << 10;
+
 // The mask builders and the transpose read 8 bytes as one word
 // whose byte i is element i.
 static_assert(std::endian::native == std::endian::little,
@@ -277,18 +287,34 @@ DbbMatrix::fromWeights(const GemmProblem &p, const int8_t *w,
     const size_t ld = static_cast<size_t>(cols);
     // Mask row r holds block r's mask of every column: the flags
     // of the block's (at most bz) stored W rows; a block with no
-    // stored values stays empty.
-    std::vector<Mask8> rows(static_cast<size_t>(nb) * ld);
+    // stored values stays empty. The rows are built a band at a
+    // time, and each full band is transposed into its columns'
+    // masks [r0, r0 + band rows).
+    const int band = std::min(
+        nb, std::max(8, static_cast<int>(kMaskBandBytes /
+                                         std::max<size_t>(ld, 1)) &
+                            ~7));
+    std::vector<Mask8> rows(static_cast<size_t>(band) * ld);
+    std::vector<Mask8> masks(static_cast<size_t>(cols) * nb);
+    int r0 = 0;
+    const auto flush = [&](int r_end) {
+        transposeBytes(reinterpret_cast<const int8_t *>(rows.data()), ld,
+                       r_end - r0, cols,
+                       reinterpret_cast<int8_t *>(masks.data()) + r0,
+                       static_cast<size_t>(nb));
+        std::fill_n(rows.begin(), static_cast<size_t>(r_end - r0) * ld,
+                    Mask8{0});
+        r0 = r_end;
+    };
     layout.forEachBlock([&](int r, int first, int len) {
+        if (r - r0 == band)
+            flush(r);
         if (len > 0) {
             maskRows(w + static_cast<size_t>(first) * ld, ld, len, cols,
-                     &rows[static_cast<size_t>(r) * ld]);
+                     &rows[static_cast<size_t>(r - r0) * ld]);
         }
     });
-    std::vector<Mask8> masks(static_cast<size_t>(cols) * nb);
-    transposeBytes(reinterpret_cast<const int8_t *>(rows.data()), ld,
-                   nb, cols, reinterpret_cast<int8_t *>(masks.data()),
-                   static_cast<size_t>(nb));
+    flush(nb);
     for (int j = 0; j < cols; ++j)
         checkDensity(&masks[static_cast<size_t>(j) * nb], nb, spec,
                      "weight", "col", j);
@@ -315,6 +341,41 @@ DbbMatrix::fromActivations(const GemmProblem &p, const DbbSpec &spec)
             checkDensity(out, nb, spec, "activation", "row", v);
         }
     }
+    return DbbMatrix(spec, p.groups * p.m, nb, std::move(masks));
+}
+
+DbbMatrix
+DbbMatrix::fromActivations(
+    const GemmProblem &p, const DbbSpec &spec,
+    const std::function<void(int, int, int8_t *)> &lower)
+{
+    s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
+                spec.nnz, spec.bz);
+    const int nb = ModeledLayout(p, spec.bz).blocks;
+    const size_t lda = static_cast<size_t>(p.groups) * p.k;
+    const int band_rows = std::max(
+        1, static_cast<int>(
+               std::min<size_t>(kMaskBandBytes / std::max<size_t>(lda, 1),
+                                static_cast<size_t>(p.m))));
+    // Each band is masked as a GEMM of its own rows at the permissive
+    // bz/bz spec, and its groups' masks are copied into place.
+    GemmProblem band = p.withoutOperands();
+    std::vector<Mask8> masks(static_cast<size_t>(p.groups) * p.m * nb);
+    for (int i0 = 0; i0 < p.m; i0 += band_rows) {
+        band.m = std::min(band_rows, p.m - i0);
+        band.a.assign(static_cast<size_t>(band.m) * lda, 0);
+        lower(i0, band.m, band.a.data());
+        const DbbMatrix part =
+            fromActivations(band, DbbSpec{spec.bz, spec.bz});
+        for (int g = 0; g < p.groups; ++g) {
+            std::memcpy(&masks[(static_cast<size_t>(g) * p.m + i0) * nb],
+                        part.vectorMasks(g * band.m),
+                        static_cast<size_t>(band.m) * nb);
+        }
+    }
+    for (int v = 0; v < p.groups * p.m; ++v)
+        checkDensity(&masks[static_cast<size_t>(v) * nb], nb, spec,
+                     "activation", "row", v);
     return DbbMatrix(spec, p.groups * p.m, nb, std::move(masks));
 }
 

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -161,6 +162,16 @@ class DbbMatrix
      */
     static DbbMatrix fromActivations(const GemmProblem &p,
                                      const DbbSpec &spec);
+
+    /**
+     * The same masks for @p p's dims (p.a is not read), from rows
+     * that @p lower(row0, rows, band) writes into a zeroed band of
+     * about 256 KB, one band after another: the whole M x groups*K
+     * activation matrix never exists at once.
+     */
+    static DbbMatrix fromActivations(
+        const GemmProblem &p, const DbbSpec &spec,
+        const std::function<void(int, int, int8_t *)> &lower);
 
     const DbbSpec &spec() const { return dbb_spec; }
     int vectors() const { return n_vectors; }

@@ -1,6 +1,6 @@
 #include "serve/model_registry.hh"
 
-#include "arch/plan_cache.hh"
+#include "base/hash.hh"
 #include "nn/model_zoo.hh"
 
 namespace s2ta {
@@ -15,8 +15,7 @@ ModelRegistry::modelSeed(const std::string &model) const
 {
     // Depends only on (registry seed, model name): request arrival
     // order can never change workload content.
-    return PlanCache::combine(
-        seed, PlanCache::hashBytes(model.data(), model.size()));
+    return hashCombine(seed, hashBytes(model.data(), model.size()));
 }
 
 const ModelWorkload &
@@ -40,8 +39,7 @@ ModelRegistry::workload(const std::string &model, int batch)
                 ? withBatch(base, batch)
                 : withDistinctBatch(
                       base, batch,
-                      PlanCache::combine(modelSeed(model),
-                                         0x5A3B7Eull));
+                      hashCombine(modelSeed(model), 0x5A3B7Eull));
         it = cache.emplace(key, std::make_unique<ModelWorkload>(
                                     std::move(batched)))
                  .first;

@@ -181,8 +181,9 @@ im2colLowerGrouped(const Conv2dShape &shape, const Int8Tensor &input,
                 std::vector<int>({shape.kernel_h, shape.kernel_w,
                                   shape.groupInC(), shape.out_c}),
                 "weight shape mismatch");
-    GemmProblem p =
-        im2colLowerActivations(shape, input, channel_align, batch);
+    GemmProblem p = im2colActivationDims(shape, channel_align, batch);
+    p.a.assign(static_cast<size_t>(p.m) * p.groups * p.k, 0);
+    im2colLowerActivationRows(shape, input, batch, 0, p.m, p.a.data());
     // (kh, kw, groupInC, out_c) row-major is already the k x out_c
     // weight matrix, group g's columns at [g*n, (g+1)*n).
     p.w.assign(weights.data(), weights.data() + weights.size());
@@ -190,15 +191,33 @@ im2colLowerGrouped(const Conv2dShape &shape, const Int8Tensor &input,
 }
 
 GemmProblem
-im2colLowerActivations(const Conv2dShape &shape,
-                       const Int8Tensor &input, int channel_align,
-                       int batch)
+im2colActivationDims(const Conv2dShape &shape, int channel_align,
+                     int batch)
 {
     s2ta_assert(shape.valid(), "invalid conv shape");
     s2ta_assert(channel_align > 0, "channel_align=%d", channel_align);
-    checkBatchedInput(shape, input, batch);
+    s2ta_assert(batch >= 1, "batch=%d", batch);
+    GemmProblem p;
+    p.m = batch * shape.outH() * shape.outW();
+    p.k = shape.kernel_h * shape.kernel_w * shape.groupInC();
+    p.n = shape.groupOutC();
+    p.groups = shape.groups;
+    p.seg = shape.groupInC();
+    p.seg_align = channel_align;
+    return p;
+}
 
+void
+im2colLowerActivationRows(const Conv2dShape &shape,
+                          const Int8Tensor &input, int batch, int row0,
+                          int rows, int8_t *out)
+{
+    s2ta_assert(shape.valid(), "invalid conv shape");
+    checkBatchedInput(shape, input, batch);
     const int oh = shape.outH(), ow = shape.outW();
+    s2ta_assert(row0 >= 0 && rows >= 0 && row0 + rows <= batch * oh * ow,
+                "rows [%d, %d) of %d", row0, row0 + rows,
+                batch * oh * ow);
     const int gc = shape.groupInC();
     const int groups = shape.groups;
     const int k = shape.kernel_h * shape.kernel_w * gc;
@@ -206,60 +225,38 @@ im2colLowerActivations(const Conv2dShape &shape,
     const int64_t sample_elems = static_cast<int64_t>(shape.in_h) *
                                  shape.in_w * shape.in_c;
 
-    GemmProblem p;
-    p.m = batch * oh * ow;
-    p.k = k;
-    p.n = shape.groupOutC();
-    p.groups = groups;
-    p.seg = gc;
-    p.seg_align = channel_align;
-    p.a.assign(static_cast<size_t>(p.m) * lda, 0);
-
     // Each in-image tap's channel row (contiguous in NHWC) is split
     // across the groups' column blocks of the lowered row;
     // out-of-image taps keep the zeros already in place.
-    for (int s = 0; s < batch; ++s) {
+    for (int r = row0; r < row0 + rows; ++r) {
+        const int s = r / (oh * ow), oy = r / ow % oh, ox = r % ow;
         const int8_t *in =
             input.data() + static_cast<size_t>(s) * sample_elems;
-        for (int oy = 0; oy < oh; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-                int8_t *row =
-                    p.a.data() +
-                    static_cast<size_t>((s * oh + oy) * ow + ox) * lda;
-                for (int ky = 0; ky < shape.kernel_h; ++ky) {
-                    const int iy =
-                        oy * shape.stride + ky - shape.pad;
-                    if (iy < 0 || iy >= shape.in_h)
-                        continue;
-                    for (int kx = 0; kx < shape.kernel_w; ++kx) {
-                        const int ix =
-                            ox * shape.stride + kx - shape.pad;
-                        if (ix < 0 || ix >= shape.in_w)
-                            continue;
-                        const int8_t *src =
-                            in + (static_cast<size_t>(iy) *
-                                      shape.in_w +
-                                  ix) *
-                                     shape.in_c;
-                        int8_t *dst =
-                            row + (ky * shape.kernel_w + kx) * gc;
-                        if (gc == 1) {
-                            // Depthwise: one channel per group.
-                            for (int g = 0; g < groups; ++g)
-                                dst[static_cast<size_t>(g) * k] =
-                                    src[g];
-                            continue;
-                        }
-                        for (int g = 0; g < groups; ++g)
-                            std::memcpy(dst + static_cast<size_t>(g) * k,
-                                        src + g * gc,
-                                        static_cast<size_t>(gc));
-                    }
+        int8_t *row = out + static_cast<size_t>(r - row0) * lda;
+        for (int ky = 0; ky < shape.kernel_h; ++ky) {
+            const int iy = oy * shape.stride + ky - shape.pad;
+            if (iy < 0 || iy >= shape.in_h)
+                continue;
+            for (int kx = 0; kx < shape.kernel_w; ++kx) {
+                const int ix = ox * shape.stride + kx - shape.pad;
+                if (ix < 0 || ix >= shape.in_w)
+                    continue;
+                const int8_t *src =
+                    in + (static_cast<size_t>(iy) * shape.in_w + ix) *
+                             shape.in_c;
+                int8_t *dst = row + (ky * shape.kernel_w + kx) * gc;
+                if (gc == 1) {
+                    // Depthwise: one channel per group.
+                    for (int g = 0; g < groups; ++g)
+                        dst[static_cast<size_t>(g) * k] = src[g];
+                    continue;
                 }
+                for (int g = 0; g < groups; ++g)
+                    std::memcpy(dst + static_cast<size_t>(g) * k,
+                                src + g * gc, static_cast<size_t>(gc));
             }
         }
     }
-    return p;
 }
 
 void

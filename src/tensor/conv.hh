@@ -15,8 +15,9 @@
  * fastest and each tap's channel segment padded to the DBB
  * alignment. The fast engine lowers a layer once, as one grouped
  * GEMM that stores only real values (im2colLowerGrouped; its
- * activations alone, im2colLowerActivations, when no output is
- * computed); the scalar reference engine lowers each group to its
+ * activations alone, a band of rows at a time,
+ * im2colLowerActivationRows, when no output is computed); the
+ * scalar reference engine lowers each group to its
  * own GEMM with the padding stored (im2colLowerAll), and scatters
  * each group's result into the output (scatterGemmResult).
  *
@@ -150,16 +151,23 @@ GemmProblem im2colLowerGrouped(const Conv2dShape &shape,
                                int channel_align = 8,
                                int batch = 1);
 
+/** im2colLowerGrouped's problem without its operands: the dims,
+ *  group and segment layout alone (a and w empty). */
+GemmProblem im2colActivationDims(const Conv2dShape &shape,
+                                 int channel_align = 8, int batch = 1);
+
 /**
- * im2colLowerGrouped without the weight copy: the same problem with
- * w left empty. The layer's weight tensor already is the problem's
- * k x out_c weight matrix, so an events-only plan masks it where it
- * lies (DbbMatrix::fromWeights with a weight pointer).
+ * Rows [@p row0, @p row0 + @p rows) of im2colLowerGrouped's
+ * activation matrix, written to @p out (rows x groups*k, row-major),
+ * which must hold zeros: only in-image taps are written. An
+ * events-only plan lowers a band of rows at a time and masks it, so
+ * the whole lowered matrix never exists; its weights are the layer's
+ * weight tensor, masked where it lies (DbbMatrix::fromWeights with a
+ * weight pointer).
  */
-GemmProblem im2colLowerActivations(const Conv2dShape &shape,
-                                   const Int8Tensor &input,
-                                   int channel_align = 8,
-                                   int batch = 1);
+void im2colLowerActivationRows(const Conv2dShape &shape,
+                               const Int8Tensor &input, int batch,
+                               int row0, int rows, int8_t *out);
 
 /**
  * Scatter a GEMM result for one group back into the output tensor.

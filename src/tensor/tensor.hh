@@ -5,15 +5,20 @@
  * Row-major layout; the last dimension is contiguous. Activation
  * tensors use NHWC so that the channel dimension (the DBB blocking
  * dimension, paper Fig. 5) is contiguous in memory.
+ *
+ * A tensor carries the digest of its content (digest()), so a plan
+ * cache keys a layer visit without re-reading operands it has seen.
  */
 
 #ifndef S2TA_TENSOR_TENSOR_HH
 #define S2TA_TENSOR_TENSOR_HH
 
+#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 
 namespace s2ta {
@@ -23,12 +28,53 @@ namespace s2ta {
  *
  * Deliberately simple: owning storage, no views, no broadcasting.
  * The simulators operate on raw spans of this storage in hot loops.
+ *
+ * The content digest (hashBytes over the element bytes) is computed
+ * on its first read and kept until the content can change: every
+ * non-const accessor (data(), flat(), operator(), fill()) forgets
+ * it, and an assignment replaces it with the source's. A copy keeps
+ * the digest; a move takes it and leaves the source without one.
  */
 template <typename T>
 class Tensor
 {
   public:
     Tensor() = default;
+
+    Tensor(const Tensor &o)
+        : shp(o.shp), str(o.str), buf(o.buf),
+          dig(o.dig.load(std::memory_order_relaxed))
+    {}
+
+    Tensor(Tensor &&o) noexcept
+        : shp(std::move(o.shp)), str(std::move(o.str)),
+          buf(std::move(o.buf)),
+          dig(o.dig.exchange(0, std::memory_order_relaxed))
+    {}
+
+    Tensor &
+    operator=(const Tensor &o)
+    {
+        shp = o.shp;
+        str = o.str;
+        buf = o.buf;
+        dig.store(o.dig.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+        return *this;
+    }
+
+    Tensor &
+    operator=(Tensor &&o) noexcept
+    {
+        if (this == &o)
+            return *this;
+        shp = std::move(o.shp);
+        str = std::move(o.str);
+        buf = std::move(o.buf);
+        dig.store(o.dig.exchange(0, std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+        return *this;
+    }
 
     /** Construct with a shape, filled with @p init. */
     explicit Tensor(std::vector<int> shape_, T init = T{})
@@ -76,8 +122,18 @@ class Tensor
     /** Total element count. */
     int64_t size() const { return static_cast<int64_t>(buf.size()); }
 
-    /** Raw storage access. */
-    T *data() { return buf.data(); }
+    /**
+     * Raw storage access. The call forgets the digest, so write
+     * through the returned pointer only before the next digest()
+     * read: a write after it would leave that digest stale.
+     */
+    T *
+    data()
+    {
+        forgetDigest();
+        return buf.data();
+    }
+
     const T *data() const { return buf.data(); }
 
     /** Linear (flat) element access. */
@@ -85,6 +141,7 @@ class Tensor
     flat(int64_t i)
     {
         s2ta_assert(i >= 0 && i < size(), "flat index %ld", i);
+        forgetDigest();
         return buf[static_cast<size_t>(i)];
     }
 
@@ -100,6 +157,7 @@ class Tensor
     T &
     operator()(Idx... idx)
     {
+        forgetDigest();
         return buf[static_cast<size_t>(offset(idx...))];
     }
 
@@ -114,10 +172,30 @@ class Tensor
     void
     fill(T v)
     {
+        forgetDigest();
         std::fill(buf.begin(), buf.end(), v);
     }
 
-    /** Reshape in place; the element count must be preserved. */
+    /**
+     * hashBytes over the size() * sizeof(T) element bytes (the shape
+     * is not hashed). The first read after construction or a write
+     * computes it; later reads return it. Threads racing on a first
+     * read compute and store the same value. (0 marks "not
+     * computed", so content whose hash is 0 is rehashed per read.)
+     */
+    uint64_t
+    digest() const
+    {
+        uint64_t d = dig.load(std::memory_order_relaxed);
+        if (d == 0) {
+            d = hashBytes(buf.data(), buf.size() * sizeof(T));
+            dig.store(d, std::memory_order_relaxed);
+        }
+        return d;
+    }
+
+    /** Reshape in place; the element count (and the content, so the
+     *  digest) is preserved. */
     void
     reshape(std::vector<int> new_shape)
     {
@@ -137,6 +215,8 @@ class Tensor
     }
 
   private:
+    void forgetDigest() { dig.store(0, std::memory_order_relaxed); }
+
     /** Recompute row-major strides from the shape. */
     void
     computeStrides()
@@ -171,6 +251,8 @@ class Tensor
     std::vector<int> shp;
     std::vector<int64_t> str;
     std::vector<T> buf;
+    /** Content digest; 0 until computed. */
+    mutable std::atomic<uint64_t> dig{0};
 };
 
 using Int8Tensor = Tensor<int8_t>;

@@ -4,29 +4,12 @@
 #include <cmath>
 #include <cstring>
 
+#include "base/hash.hh"
 #include "workload/sparse_gen.hh"
 
 namespace s2ta {
 
 namespace {
-
-/**
- * Order-dependent mix of a value into a running seed (splitmix64
- * finalizer, the same construction PlanCache::combine uses). Local
- * so the workload layer does not depend upward on arch for a
- * two-word hash.
- */
-uint64_t
-mixSeed(uint64_t seed, uint64_t value)
-{
-    uint64_t x = seed ^ (value + 0x9e3779b97f4a7c15ull);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-}
 
 // Dense (8/8) entries still carry mild unstructured sparsity: real
 // "dense" CNN tensors are never zero-free, and ZVCG baselines
@@ -271,7 +254,7 @@ withDistinctBatch(const ModelWorkload &base, int batch,
     sample_rng.reserve(static_cast<size_t>(batch - 1));
     for (int s = 1; s < batch; ++s) {
         sample_rng.emplace_back(
-            mixSeed(seed, static_cast<uint64_t>(s)));
+            hashCombine(seed, static_cast<uint64_t>(s)));
     }
 
     ModelWorkload mw;

@@ -280,6 +280,33 @@ TEST(GemmPlan, MasksOnlyPlanMatchesComputePlan)
         for (const int groups : {1, 2})
             expectMasksOnlyPlanMatchesComputePlan(
                 oddSegmentLayer(gc, groups, rng), 8);
+
+    // An events-only plan lowers its activations in bands of about
+    // 256 KB of rows. These layers span two or three bands, the last
+    // one partial: a dense 3x3, a strided depthwise layer at batch 2,
+    // a 3-channel stem, and rows wider than a band (one row each).
+    const std::pair<Conv2dShape, int> banded[] = {
+        {{64, 24, 24, 16, 3, 3, 1, 1, 1}, 1},
+        {{64, 32, 32, 64, 3, 3, 2, 1, 64}, 2},
+        {{3, 112, 112, 8, 7, 7, 2, 3, 1}, 1},
+        {{270000, 1, 1, 2, 1, 1, 1, 0, 1}, 3}};
+    for (const auto &[shape, batch] : banded) {
+        LayerWorkload wl;
+        wl.shape = shape;
+        wl.batch = batch;
+        std::vector<int> in = {shape.in_h, shape.in_w, shape.in_c};
+        if (batch > 1)
+            in.insert(in.begin(), batch);
+        wl.input = Int8Tensor(in);
+        wl.weights = Int8Tensor({shape.kernel_h, shape.kernel_w,
+                                 shape.groupInC(), shape.out_c});
+        for (Int8Tensor *t : {&wl.input, &wl.weights}) {
+            int8_t *v = t->data();
+            for (int64_t i = 0; i < t->size(); ++i)
+                v[i] = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
+        }
+        expectMasksOnlyPlanMatchesComputePlan(wl, 8);
+    }
 }
 
 TEST(GemmPlan, GroupedPlanMatchesPerGroupPlans)
@@ -332,7 +359,8 @@ TEST(GemmPlanDeath, PlanWithoutOperandsRefusesKernelAndScalarEngine)
     // operands, must refuse it rather than read empty vectors.
     Rng rng(0xAA);
     const GemmProblem p = makeDbbGemm(8, 16, 8, 4, 4, rng);
-    const CachedPlan entry(p, p.w.data(), 8);
+    const CachedPlan entry(p, DbbMatrix::fromActivations(p, DbbSpec{8, 8}),
+                           p.w.data(), 8);
     ASSERT_FALSE(entry.plan.problem().hasOperands());
     std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
     EXPECT_DEATH(dbbGemm(entry.plan, out.data()), "dense mirror");

@@ -1,6 +1,7 @@
 /** @file Tests for the cross-run PlanCache: hit/miss accounting,
  *  deterministic LRU eviction and bitwise rebuilds of evicted
- *  entries, mutation safety via content fingerprints, the DAP memo,
+ *  entries, mutation safety via content fingerprints and tensor
+ *  digests, the DAP memo,
  *  and — the load-bearing property — bitwise-identical results with
  *  caching on vs off, bounded or not, across array configs,
  *  engines, and thread counts. */
@@ -8,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <utility>
 
 #include "arch/accelerator.hh"
 #include "arch/plan_cache.hh"
@@ -455,6 +458,94 @@ TEST(PlanCache, SaAndS2taShareUnpaddedLayerPlans)
                     << at;
                 expectLayerRunsEqual(run, acc.runLayer(layers[l], plain),
                                      at);
+            }
+        }
+    }
+}
+
+/** Write @p v at flat index @p i of the rank-3 or rank-4 @p t through
+ *  the multi-index operator(). */
+void
+writeAtIndex(Int8Tensor &t, int64_t i, int8_t v)
+{
+    int64_t idx[4] = {};
+    for (int d = t.rank() - 1; d >= 0; --d) {
+        idx[d] = i % t.dim(d);
+        i /= t.dim(d);
+    }
+    if (t.rank() == 3)
+        t(idx[0], idx[1], idx[2]) = v;
+    else
+        t(idx[0], idx[1], idx[2], idx[3]) = v;
+}
+
+TEST(PlanCache, LayerWritesAfterACachedVisitMiss)
+{
+    // Plan keys and the DAP memo key read the operand tensors'
+    // digests, which every write forgets. After a cached visit, a
+    // write through any non-const accessor or an assignment must
+    // make the next visit a plan miss (a DAP-memo miss too when the
+    // input changed), with results equal to an uncached run's. Each
+    // write zeroes a non-zero, so masks, events and outputs change.
+    using Write = std::function<void(Int8Tensor &, int64_t)>;
+    const std::pair<const char *, Write> writes[] = {
+        {"data", [](Int8Tensor &t, int64_t i) { t.data()[i] = 0; }},
+        {"flat", [](Int8Tensor &t, int64_t i) { t.flat(i) = 0; }},
+        {"operator()",
+         [](Int8Tensor &t, int64_t i) { writeAtIndex(t, i, 0); }},
+        {"fill", [](Int8Tensor &t, int64_t) { t.fill(0); }},
+        {"copy-assign",
+         [](Int8Tensor &t, int64_t i) {
+             Int8Tensor other = t;
+             other.flat(i) = 0;
+             (void)other.digest();
+             t = other;
+         }},
+        {"move-assign",
+         [](Int8Tensor &t, int64_t i) {
+             Int8Tensor other = t;
+             other.flat(i) = 0;
+             t = std::move(other);
+         }},
+    };
+    AcceleratorConfig acfg;
+    acfg.array = ArrayConfig::s2taAw(4);
+    acfg.sim_threads = 1;
+    const Accelerator acc(acfg);
+    for (const bool compute_output : {false, true}) {
+        for (const bool on_input : {true, false}) {
+            for (const auto &[name, write] : writes) {
+                const std::string at =
+                    std::string(name) + (on_input ? " input" : " weights") +
+                    " output " + std::to_string(compute_output);
+                Rng rng(0xE4);
+                LayerWorkload wl = sharingLayer("plain", 16, 16, 1, rng);
+                ASSERT_LT(wl.act_nnz, acfg.array.bz);
+                NetworkRunOptions plain;
+                plain.compute_output = compute_output;
+                NetworkRunOptions cached = plain;
+                PlanCache cache;
+                cached.plan_cache = &cache;
+                (void)acc.runLayer(wl, cached);
+                (void)acc.runLayer(wl, cached);
+                const PlanCache::Stats warm = cache.stats();
+                ASSERT_EQ(warm.misses, 1) << at;
+                ASSERT_EQ(warm.hits, 1) << at;
+
+                Int8Tensor &t = on_input ? wl.input : wl.weights;
+                const Int8Tensor &ct = t;
+                int64_t nz = 0;
+                while (ct.flat(nz) == 0)
+                    ++nz;
+                write(t, nz);
+                const LayerRun run = acc.runLayer(wl, cached);
+                const PlanCache::Stats after = cache.stats();
+                EXPECT_EQ(after.misses - warm.misses, 1) << at;
+                EXPECT_EQ(after.hits, warm.hits) << at;
+                EXPECT_EQ(after.dap_misses - warm.dap_misses,
+                          on_input ? 1 : 0)
+                    << at;
+                expectLayerRunsEqual(run, acc.runLayer(wl, plain), at);
             }
         }
     }

@@ -229,6 +229,44 @@ TEST(DbbMatrix, MaskBuildersMatchPerBlockReference)
     }
 }
 
+TEST(DbbMatrix, WeightMasksAcrossMaskRowBands)
+{
+    // The weight mask builder transposes its mask rows a band of
+    // about 256 KB at a time: at 2001 columns a band is 128 block
+    // rows, so these layouts span two to nine bands, the last one
+    // ragged, unpadded and with 3-value segments padded to bz 8.
+    struct Case
+    {
+        int k, bz, seg;
+    };
+    for (const Case c : {Case{1027, 1, 0}, Case{1027, 3, 0},
+                         Case{1027, 8, 0}, Case{1026, 8, 3}}) {
+        SCOPED_TRACE("bz " + std::to_string(c.bz) + " seg " +
+                     std::to_string(c.seg));
+        Rng rng(static_cast<uint64_t>(0xBA0 + c.bz + 16 * c.seg));
+        GemmProblem p(1, c.k, 2001);
+        if (c.seg > 0) {
+            p.seg = c.seg;
+            p.seg_align = 8;
+        }
+        fillRandom(p.w, rng);
+        const DbbSpec spec{c.bz, c.bz};
+        const DbbMatrix wm = DbbMatrix::fromWeights(p, spec);
+        ASSERT_EQ(wm.vectors(), p.n);
+        for (int j = 0; j < p.n; ++j) {
+            for (int b = 0; b < wm.blocksPerVector(); ++b) {
+                const Mask8 want =
+                    c.seg > 0
+                        ? dbbEncode(modeledBlock(p, 8, true, j, b), spec)
+                              .mask
+                        : referenceWeightBlock(p, spec, j, b).mask;
+                ASSERT_EQ(wm.mask(j, b), want)
+                    << "col " << j << " block " << b;
+            }
+        }
+    }
+}
+
 TEST(DbbMatrix, TransposedWeightsAcrossTileEdges)
 {
     // The dense mirror is transposed in bands of 512 rows by 32
