@@ -47,11 +47,14 @@ sweepConfigs(bool smoke)
 {
     std::vector<ArrayConfig> cfgs;
     cfgs.push_back(ArrayConfig::saZvcg());
-    if (!smoke) {
+    if (!smoke)
         cfgs.push_back(ArrayConfig::sa());
-        cfgs.push_back(ArrayConfig::saSmt(2));
+    // The smoke keeps SA-SMT T2Q2, so its scalar check compares the
+    // fast engine's timing table against the slot-by-slot automaton
+    // (LeNet-5's K of 25, 150 and 84 end in a per-slot tail).
+    cfgs.push_back(ArrayConfig::saSmt(2));
+    if (!smoke)
         cfgs.push_back(ArrayConfig::saSmt(4));
-    }
     const auto scaled = [](ArrayConfig cfg, int mx, int nx) {
         cfg.tpe.m *= mx;
         cfg.tpe.n *= nx;

@@ -283,6 +283,39 @@ BM_SmtQueueAutomaton(benchmark::State &state)
 }
 BENCHMARK(BM_SmtQueueAutomaton)->Unit(benchmark::kMicrosecond);
 
+/** The fast engine's table path on BM_SmtQueueAutomaton's stream: a
+ *  one-pair slot sets thread 0's bit, a two-pair slot both. */
+void
+BM_SmtMatchTable(benchmark::State &state)
+{
+    constexpr int kSlots = 4096;
+    Rng rng(10);
+    std::vector<int> arrivals(kSlots);
+    for (auto &a : arrivals)
+        a = static_cast<int>(rng.uniformInt(0, 2));
+    std::vector<uint64_t> bitmap(
+        SaSmtModel::matchBitmapWords(2 * kSlots), 0);
+    const auto set = [&](int bit) {
+        bitmap[static_cast<size_t>(bit / 64)] |= uint64_t{1}
+                                                 << (bit % 64);
+    };
+    for (int s = 0; s < kSlots; ++s) {
+        if (arrivals[static_cast<size_t>(s)] >= 1)
+            set(s);
+        if (arrivals[static_cast<size_t>(s)] == 2)
+            set(kSlots + s);
+    }
+    const SaSmtModel model(ArrayConfig::saSmt(2));
+    if (model.matchCycles(bitmap.data(), kSlots) !=
+        SaSmtModel::queueCycles(arrivals, 2))
+        state.SkipWithError("table path disagrees with the automaton");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            model.matchCycles(bitmap.data(), kSlots));
+    state.SetItemsProcessed(state.iterations() * kSlots);
+}
+BENCHMARK(BM_SmtMatchTable)->Unit(benchmark::kMicrosecond);
+
 void
 BM_SimulateArch(benchmark::State &state)
 {
@@ -415,7 +448,7 @@ vgg16Fc6()
     return wl;
 }
 
-/** Serial SA-ZVCG, events-only options through @p cache. */
+/** Events-only options through @p cache. */
 NetworkRunOptions
 eventsOnlyThrough(PlanCache &cache)
 {
@@ -465,6 +498,27 @@ BM_LayerVisitHitFc(benchmark::State &state)
         state.SkipWithError("fc6 missed a warm plan cache");
 }
 BENCHMARK(BM_LayerVisitHitFc)->Unit(benchmark::kMicrosecond);
+
+/** fc6 events-only on SA-SMT T2Q2 against a warm plan, serial: a
+ *  plan-cache hit, then the queue timing of 1152 sampled PEs over
+ *  K = 25088, the sweep's largest SA-SMT layer. */
+void
+BM_SmtTimingFc(benchmark::State &state)
+{
+    const LayerWorkload &wl = vgg16Fc6();
+    AcceleratorConfig cfg;
+    cfg.array = ArrayConfig::saSmt(2);
+    cfg.sim_threads = 1;
+    const Accelerator acc(cfg);
+    PlanCache cache;
+    const NetworkRunOptions opt = eventsOnlyThrough(cache);
+    (void)acc.runLayer(wl, opt);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(acc.runLayer(wl, opt));
+    if (cache.stats().misses != 1)
+        state.SkipWithError("fc6 missed a warm plan cache");
+}
+BENCHMARK(BM_SmtTimingFc)->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 } // namespace s2ta

@@ -83,9 +83,13 @@ ArrayConfig::check() const
       case ArchKind::SaZvcg:
         break;
       case ArchKind::SaSmt:
-        // The FIFO must take one arrival from every thread, or a
-        // slot where all threads deliver could never be admitted.
-        if (smt.threads < 1 || smt.queue_depth < smt.threads)
+        // Two threads (the paper's T2Q2 and T2Q4, Fig. 3 and 10):
+        // the fast engine's timing table reads both streams' match
+        // nibbles as one byte. The FIFO must take one arrival from
+        // each thread, or a slot where both deliver could never be
+        // admitted, and a table entry holds levels up to 31.
+        if (smt.threads != 2 || smt.queue_depth < smt.threads ||
+            smt.queue_depth > 31)
             s2ta_fatal("invalid SMT config T%dQ%d", smt.threads,
                        smt.queue_depth);
         break;

@@ -59,8 +59,9 @@ struct TpeGeometry
     bool operator==(const TpeGeometry &) const = default;
 };
 
-/** SMT-SA specific parameters (threads and FIFO depth; the FIFO
- *  holds at least one arrival per thread). */
+/** SMT-SA specific parameters: threads and FIFO depth.
+ *  ArrayConfig::check keeps T = 2 and 2 <= Q <= 31 (the FIFO holds
+ *  one arrival per thread; the timing table's entries are bytes). */
 struct SmtConfig
 {
     int threads = 2;

@@ -42,6 +42,17 @@ class SaModel : public ArrayModel
  * Event totals are exact; tile timing is obtained by simulating the
  * per-PE queue automaton on a deterministic sample of PEs/tiles and
  * taking the per-tile maximum (DESIGN.md Sec. 3).
+ *
+ * Every cycle pops one queued pair except the first cycle of a slot
+ * entered with an empty FIFO, so a PE takes its matched pairs plus
+ * its idle slots. The scalar engine steps queueCycles() slot by
+ * slot; the fast engine ANDs the PE's mask bytes into a match
+ * bitmap (thread 0 owns bits [0, spt), thread 1 bits [spt, 2*spt),
+ * spt = ceil(K / 2)) and matchCycles() walks it four slots per
+ * lookup of a (Q+1) x 256 table built here: thread 0's nibble |
+ * thread 1's nibble << 4 indexes the FIFO level and idle slots
+ * after those four slots. ArrayConfig::check keeps T = 2 and
+ * Q <= 31, so an entry is one byte.
  */
 class SaSmtModel : public ArrayModel
 {
@@ -59,11 +70,46 @@ class SaSmtModel : public ArrayModel
      * of non-zero pairs (0..T), return the cycles needed to consume
      * the stream and drain, honouring a depth-Q FIFO with one pop
      * per cycle and stall-on-full semantics. A slot delivers at most
-     * queue_depth pairs (ArrayConfig::check keeps T <= Q); more is
-     * fatal. Exposed for unit tests.
+     * queue_depth pairs (ArrayConfig::check keeps T = 2 <= Q); more
+     * is fatal. The scalar engine's path and the oracle of
+     * matchCycles(); exposed for unit tests.
      */
     static int64_t queueCycles(const std::vector<int> &arrivals,
                                int queue_depth);
+
+    /** Words of a match bitmap of @p bits bits: one 64-bit word per
+     *  64 bits plus one zero word that matchCycles() may read. */
+    static size_t
+    matchBitmapWords(int bits)
+    {
+        return static_cast<size_t>(bits + 63) / 64 + 1;
+    }
+
+    /**
+     * Pack one PE's match bitmap: bit b*bz + e is set when position
+     * e of block b is non-zero in both @p act and @p wgt (@p blocks
+     * masks each, @p bz in 1..8). Writes the first blocks*bz bits of
+     * @p bitmap; the bits past them must already be zero, as they
+     * stay in a bitmap reused for masks of one length.
+     */
+    static void packMatchBitmap(const Mask8 *act, const Mask8 *wgt,
+                                int blocks, int bz, uint64_t *bitmap);
+
+    /**
+     * Table path: the cycles of one PE whose match bitmap is
+     * @p bitmap, slot s of @p slots_per_thread delivering bit s
+     * (thread 0) plus bit slots_per_thread + s (thread 1). Equals
+     * queueCycles() on those arrivals. @p bitmap holds
+     * matchBitmapWords(2 * slots_per_thread) words, zero from bit
+     * 2 * slots_per_thread on. Exposed for unit tests.
+     */
+    int64_t matchCycles(const uint64_t *bitmap,
+                        int slots_per_thread) const;
+
+  private:
+    /** (Q+1) x 256 bytes indexed [match byte][FIFO level entering
+     *  its four slots]: the level after them | their idle slots << 5. */
+    std::vector<uint8_t> table;
 };
 
 /**

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
@@ -15,11 +16,46 @@ constexpr int kSamplePes = 192;
 /** Tiles simulated; their mean is reused for the rest. */
 constexpr int kSampleTiles = 6;
 
+// The bz 8 bitmap is the mask bytes in order, read as words.
+static_assert(std::endian::native == std::endian::little,
+              "match bitmaps assume little-endian words");
+
+/**
+ * One arrival slot of the FIFO automaton in closed form: a slot
+ * entered with an empty FIFO idles its first cycle; otherwise every
+ * cycle pops, and the slot ends once its @p arr pairs fit.
+ */
+inline int
+slotStep(int queue, int arr, int queue_depth, int64_t &idle)
+{
+    idle += queue == 0;
+    return std::min(queue_depth, std::max(queue - 1, 0) + arr);
+}
+
+inline int
+bitAt(const uint64_t *bitmap, int bit)
+{
+    return static_cast<int>((bitmap[bit / 64] >> (bit % 64)) & 1u);
+}
+
 } // anonymous namespace
 
 SaSmtModel::SaSmtModel(ArrayConfig cfg_) : ArrayModel(cfg_)
 {
     s2ta_assert(cfg.kind == ArchKind::SaSmt, "SaSmtModel kind");
+    const int qdepth = cfg.smt.queue_depth;
+    table.resize(256 * static_cast<size_t>(qdepth + 1));
+    for (int byte = 0; byte < 256; ++byte) {
+        for (int q0 = 0; q0 <= qdepth; ++q0) {
+            int q = q0;
+            int64_t idle = 0;
+            for (int s = 0; s < 4; ++s)
+                q = slotStep(q, ((byte >> s) & 1) + ((byte >> (4 + s)) & 1),
+                             qdepth, idle);
+            table[static_cast<size_t>(byte) * (qdepth + 1) + q0] =
+                static_cast<uint8_t>(q | idle << 5);
+        }
+    }
 }
 
 int64_t
@@ -50,6 +86,75 @@ SaSmtModel::queueCycles(const std::vector<int> &arrivals,
     // Drain what is still queued after the streams finish.
     cycles += queue;
     return cycles;
+}
+
+void
+SaSmtModel::packMatchBitmap(const Mask8 *act, const Mask8 *wgt,
+                            int blocks, int bz, uint64_t *bitmap)
+{
+    if (bz == 8) {
+        // The ANDed mask bytes already are the bitmap.
+        auto *bytes = reinterpret_cast<unsigned char *>(bitmap);
+        for (int b = 0; b < blocks; ++b)
+            bytes[b] = maskAnd(act[b], wgt[b]);
+        return;
+    }
+    uint64_t word = 0;
+    int used = 0;
+    for (int b = 0; b < blocks; ++b) {
+        const uint64_t m = maskAnd(act[b], wgt[b]);
+        word |= m << used;
+        used += bz;
+        if (used >= 64) {
+            *bitmap++ = word;
+            used -= 64;
+            word = used ? m >> (bz - used) : 0;
+        }
+    }
+    if (used)
+        *bitmap = word;
+}
+
+int64_t
+SaSmtModel::matchCycles(const uint64_t *bitmap,
+                        int slots_per_thread) const
+{
+    const int spt = slots_per_thread;
+    const int qdepth = cfg.smt.queue_depth;
+    const size_t stride = static_cast<size_t>(qdepth) + 1;
+    const uint8_t *tab = table.data();
+    // Thread 1's stream starts at bit spt: each 64-bit word of it is
+    // a funnel shift of two adjacent bitmap words.
+    const uint64_t *t1 = bitmap + spt / 64;
+    const int shift = spt % 64;
+    const int lookups = spt / 4;
+    int64_t matched = 0;
+    int64_t idle = 0;
+    int q = 0;
+    for (int c = 0; c * 16 < lookups; ++c) {
+        uint64_t a = bitmap[c];
+        uint64_t b = shift ? (t1[c] >> shift) | (t1[c + 1] << (64 - shift))
+                           : t1[c];
+        const int n = std::min(16, lookups - c * 16);
+        for (int l = 0; l < n; ++l) {
+            const unsigned idx =
+                static_cast<unsigned>((a & 15) | (b & 15) << 4);
+            const unsigned e = tab[idx * stride + q];
+            q = static_cast<int>(e & 31);
+            idle += e >> 5;
+            matched += maskPopcount(static_cast<Mask8>(idx));
+            a >>= 4;
+            b >>= 4;
+        }
+    }
+    // The last spt % 4 slots take the per-slot step.
+    for (int s = lookups * 4; s < spt; ++s) {
+        const int arr = bitAt(bitmap, s) + bitAt(bitmap, spt + s);
+        matched += arr;
+        q = slotStep(q, arr, qdepth, idle);
+    }
+    // Every cycle pops a matched pair, except a slot's idle first.
+    return matched + idle;
 }
 
 void
@@ -105,44 +210,42 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
         }
     }
 
-    std::vector<int> arrivals(static_cast<size_t>(slots_per_thread));
     // Thread th owns the contiguous K chunk [th*slots_per_thread,
-    // ...). The fast engine reads non-zero tests from the cached
-    // masks instead of the dense operands; the booleans (and so the
-    // cycle totals) are identical.
-    const auto fill_arrivals = [&](int g, int i, int j) {
-        if (scalar) {
-            for (int sl = 0; sl < slots_per_thread; ++sl) {
-                int arr = 0;
-                for (int th = 0; th < tcount; ++th) {
-                    const int kk = th * slots_per_thread + sl;
-                    if (kk >= k)
-                        continue;
-                    if (p.actAt(i, kk) != 0 && p.wgtAt(kk, j) != 0)
-                        ++arr;
-                }
-                arrivals[static_cast<size_t>(sl)] = arr;
-            }
-            return;
+    // ...). The scalar engine counts each slot's non-zero pairs from
+    // the dense operands and steps the automaton; the fast engine
+    // reads the same booleans from the cached masks (tail and
+    // segment padding positions are never set in any mask) and
+    // walks their match bitmap through the table.
+    std::vector<int> arrivals;
+    std::vector<uint64_t> bitmap;
+    if (scalar) {
+        arrivals.resize(static_cast<size_t>(slots_per_thread));
+    } else {
+        const int bits = plan.act().blocksPerVector() * plan.bz();
+        bitmap.assign(matchBitmapWords(
+                          std::max(bits, 2 * slots_per_thread)),
+                      0);
+    }
+    const auto pe_cycles = [&](int g, int i, int j) {
+        if (!scalar) {
+            packMatchBitmap(plan.act().vectorMasks(g * p.m + i),
+                            plan.wgt().vectorMasks(g * p.n + j),
+                            plan.act().blocksPerVector(), plan.bz(),
+                            bitmap.data());
+            return matchCycles(bitmap.data(), slots_per_thread);
         }
-        // DBB-native sampling: one mask AND yields all matched
-        // positions of a block pair at once, so building the
-        // arrival histogram is O(matched) instead of O(k) per
-        // sampled PE. Counts are identical to the per-element scan
-        // (tail and segment padding positions are never set in any
-        // mask).
-        std::fill(arrivals.begin(), arrivals.end(), 0);
-        const Mask8 *arow = plan.act().vectorMasks(g * p.m + i);
-        const Mask8 *wcol = plan.wgt().vectorMasks(g * p.n + j);
-        const int nb = plan.act().blocksPerVector();
-        const int bz = plan.bz();
-        for (int b = 0; b < nb; ++b) {
-            for (Mask8 m = maskAnd(arow[b], wcol[b]); m;
-                 m = maskClearLowest(m)) {
-                const int kk = b * bz + maskLowestSetBit(m);
-                ++arrivals[static_cast<size_t>(kk % slots_per_thread)];
+        for (int sl = 0; sl < slots_per_thread; ++sl) {
+            int arr = 0;
+            for (int th = 0; th < tcount; ++th) {
+                const int kk = th * slots_per_thread + sl;
+                if (kk >= k)
+                    continue;
+                if (p.actAt(i, kk) != 0 && p.wgtAt(kk, j) != 0)
+                    ++arr;
             }
+            arrivals[static_cast<size_t>(sl)] = arr;
         }
+        return queueCycles(arrivals, qdepth);
     };
 
     for (int g = 0; g < static_cast<int>(profs.size()); ++g) {
@@ -189,8 +292,7 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
             for (int t = 0; t < kSamplePes; ++t) {
                 const SamplePe &pe =
                     pes[static_cast<size_t>(s) * kSamplePes + t];
-                fill_arrivals(g, pe.i, pe.j);
-                worst = std::max(worst, queueCycles(arrivals, qdepth));
+                worst = std::max(worst, pe_cycles(g, pe.i, pe.j));
             }
             sampled_cycles += worst + fill;
         }

@@ -81,6 +81,16 @@ TEST(ArrayConfigDeath, InvalidConfigsFatal)
 
     // T2Q1: a slot where both threads deliver never fits the FIFO.
     EXPECT_DEATH(ArrayConfig::saSmt(1).check(), "invalid SMT config T2Q1");
+    // The timing table reads two threads' match nibbles, and its
+    // one-byte entries hold FIFO levels up to 31.
+    ArrayConfig t1 = ArrayConfig::saSmt(2);
+    t1.smt.threads = 1;
+    EXPECT_DEATH(t1.check(), "invalid SMT config T1Q2");
+    ArrayConfig t3 = ArrayConfig::saSmt(4);
+    t3.smt.threads = 3;
+    EXPECT_DEATH(t3.check(), "invalid SMT config T3Q4");
+    EXPECT_DEATH(ArrayConfig::saSmt(32).check(),
+                 "invalid SMT config T2Q32");
 }
 
 } // anonymous namespace

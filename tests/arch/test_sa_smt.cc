@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "arch/models.hh"
 #include "workload/sparse_gen.hh"
 
@@ -50,6 +52,90 @@ TEST(SmtQueue, DeeperQueueNeverSlower)
             work += a;
         EXPECT_GE(q16, std::max<int64_t>(work,
                       static_cast<int64_t>(arrivals.size())));
+    }
+}
+
+/** Arrivals of the stream a match bitmap describes: slot s gets bit
+ *  s (thread 0) plus bit spt + s (thread 1), bits below @p k. */
+std::vector<int>
+arrivalsOf(const std::vector<uint64_t> &bitmap, int spt, int k)
+{
+    const auto bit = [&](int kk) {
+        return kk < k ? static_cast<int>(
+                            (bitmap[static_cast<size_t>(kk / 64)] >>
+                             (kk % 64)) & 1u)
+                      : 0;
+    };
+    std::vector<int> arrivals(static_cast<size_t>(spt));
+    for (int s = 0; s < spt; ++s)
+        arrivals[static_cast<size_t>(s)] = bit(s) + bit(spt + s);
+    return arrivals;
+}
+
+TEST(SmtQueue, MatchTableEqualsReferenceAutomaton)
+{
+    // The fast engine's table path against the slot-by-slot
+    // automaton: direct random bitmaps, and bitmaps packed from
+    // random bz 4 and bz 8 masks. Odd K leaves thread 1 one slot
+    // short; most split points are not multiples of 8 (or of 4, so
+    // the per-slot tail runs).
+    Rng rng(7);
+    for (int q : {2, 4, 16}) {
+        const SaSmtModel model(ArrayConfig::saSmt(q));
+        for (int spt : {1, 3, 4, 5, 63, 64, 65, 2304}) {
+            for (int k : {2 * spt, 2 * spt - 1}) {
+                for (double density : {0.0, 0.25, 0.5, 1.0}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "Q" << q << " spt " << spt << " K "
+                                 << k << " density " << density);
+                    std::vector<uint64_t> direct(
+                        SaSmtModel::matchBitmapWords(2 * spt), 0);
+                    for (int kk = 0; kk < k; ++kk)
+                        if (rng.bernoulli(density))
+                            direct[static_cast<size_t>(kk / 64)] |=
+                                uint64_t{1} << (kk % 64);
+                    EXPECT_EQ(model.matchCycles(direct.data(), spt),
+                              SaSmtModel::queueCycles(
+                                  arrivalsOf(direct, spt, k), q));
+
+                    // Each operand non-zero with probability
+                    // sqrt(density): their AND matches at density.
+                    const double side = std::sqrt(density);
+                    for (int bz : {4, 8}) {
+                        const int blocks = (k + bz - 1) / bz;
+                        std::vector<Mask8> act(
+                            static_cast<size_t>(blocks), 0);
+                        std::vector<Mask8> wgt = act;
+                        std::vector<uint64_t> expect(
+                            SaSmtModel::matchBitmapWords(
+                                std::max(blocks * bz, 2 * spt)),
+                            0);
+                        for (int kk = 0; kk < k; ++kk) {
+                            const auto b = static_cast<size_t>(kk / bz);
+                            const int e = kk % bz;
+                            const bool a = rng.bernoulli(side);
+                            const bool w = rng.bernoulli(side);
+                            if (a)
+                                act[b] = maskSet(act[b], e);
+                            if (w)
+                                wgt[b] = maskSet(wgt[b], e);
+                            if (a && w)
+                                expect[static_cast<size_t>(kk / 64)] |=
+                                    uint64_t{1} << (kk % 64);
+                        }
+                        std::vector<uint64_t> packed(expect.size(), 0);
+                        SaSmtModel::packMatchBitmap(act.data(),
+                                                    wgt.data(), blocks,
+                                                    bz, packed.data());
+                        EXPECT_EQ(packed, expect) << "bz " << bz;
+                        EXPECT_EQ(model.matchCycles(packed.data(), spt),
+                                  SaSmtModel::queueCycles(
+                                      arrivalsOf(expect, spt, k), q))
+                            << "bz " << bz;
+                    }
+                }
+            }
+        }
     }
 }
 
