@@ -99,7 +99,7 @@ using Observed =
                bool>;
 
 Observed
-observe(const serve::FleetCompletion &c)
+observe(const serve::Completion &c)
 {
     return Observed{static_cast<int>(c.outcome),
                     static_cast<int>(c.shed_reason),
@@ -134,34 +134,6 @@ struct FleetResult
     int64_t hedge_failed = 0;
     bool hedges_reconcile = true;
 };
-
-bool
-sameFleetStats(const serve::FleetStats &a,
-               const serve::FleetStats &b)
-{
-    return a.requests == b.requests && a.completed == b.completed &&
-           a.failed == b.failed &&
-           a.failed_compute == b.failed_compute &&
-           a.failed_crash == b.failed_crash &&
-           a.shed_queue_full == b.shed_queue_full &&
-           a.shed_stream_full == b.shed_stream_full &&
-           a.shed_infeasible == b.shed_infeasible &&
-           a.layers == b.layers && a.gemms == b.gemms &&
-           a.dense_macs == b.dense_macs &&
-           a.instances == b.instances &&
-           a.failovers == b.failovers &&
-           a.lost_instances == b.lost_instances &&
-           a.retries == b.retries &&
-           a.faulted_attempts == b.faulted_attempts &&
-           a.failed_instances == b.failed_instances &&
-           a.layer_faults == b.layer_faults &&
-           a.stall_events == b.stall_events &&
-           a.stall_cycles == b.stall_cycles &&
-           a.crashes == b.crashes && a.restarts == b.restarts &&
-           a.brownouts == b.brownouts && a.drains == b.drains &&
-           a.max_queue_depth == b.max_queue_depth &&
-           a.makespan_s == b.makespan_s;
-}
 
 constexpr double kMsPerS = 1e3;
 
@@ -330,7 +302,7 @@ main(int argc, char **argv)
         serve::FleetScheduler::Options o;
         o.run = run_opt;
         o.run.plan_cache = nullptr;
-        o.run.fault = fi;
+        o.fault = fi;
         o.threads = threads;
         o.clock = clock;
         o.overload = overload;
@@ -340,7 +312,7 @@ main(int argc, char **argv)
         o.hedge_delay_s = hedge_delay_s;
         o.schedule = std::move(schedule);
         FleetResult res;
-        o.on_complete = [&](const serve::FleetCompletion &c) {
+        o.on_complete = [&](const serve::Completion &c) {
             res.observed.emplace(c.id, observe(c));
         };
         serve::FleetScheduler sched(std::move(fleet), std::move(o));
@@ -564,7 +536,7 @@ main(int argc, char **argv)
         killSchedule(serial_fi));
     const bool deterministic_serial =
         serial.observed == kill.observed &&
-        sameFleetStats(serial.stats, kill.stats);
+        serial.stats == kill.stats;
     if (!deterministic_serial)
         std::printf("  SERIAL RERUN MISMATCH under the kill "
                     "schedule\n");

@@ -3,9 +3,9 @@
  * Overload-hardened serving: the same mixed multi-model open-loop
  * trace as bench_latency_serving, replayed at offered loads up to
  * 3x deployment capacity with seeded faults injected at every site
- * the serving path owns — transient layer faults and stalls in the
- * accelerator — under queue caps, infeasible-deadline shedding, and
- * a bounded retry budget.
+ * the serving path owns — transient layer faults and stalls, rolled
+ * by the serving loop at dispatch — under queue caps,
+ * infeasible-deadline shedding, and a bounded retry budget.
  *
  * Every utilization point runs a fault-free baseline first, then
  * the faulted + overloaded replay with a fresh seeded injector and
@@ -16,9 +16,10 @@
  *  - degradation never corrupts: every Ok completion's NetworkRun
  *    is bitwise identical to the fault-free baseline's (faults and
  *    overload delay or drop results, never change them);
- *  - exact accounting: scheduler counters reconcile with the
- *    injector's per-site totals (layer faults, stalls) and with the
- *    RobustnessTelemetry fed from the completion stream;
+ *  - exact accounting: the scheduler's ledger reconciles with
+ *    itself (FleetStats::reconciles), with the injector's per-site
+ *    totals (layer faults, stalls), and with a tally of the
+ *    completion stream;
  *  - determinism: the gated (2x capacity) point rerun fully serial
  *    reproduces every outcome, shed decision, and virtual timing
  *    bit for bit.
@@ -47,7 +48,6 @@
 #include "bench_util.hh"
 #include "serve/model_registry.hh"
 #include "serve/stream_scheduler.hh"
-#include "serve/telemetry.hh"
 
 using namespace s2ta;
 using namespace s2ta::bench;
@@ -105,49 +105,51 @@ observe(const serve::Completion &c)
                     c.lane};
 }
 
+/** The ledger's request-level counts, re-derived from the
+ *  completion stream (one instance per request: one replica, no
+ *  hedges, no failovers). */
+struct StreamTally
+{
+    int64_t requests = 0;
+    int64_t completed = 0;
+    int64_t shed = 0;
+    int64_t failed = 0;
+    int64_t retries = 0;
+    int64_t layer_faults = 0;
+    int64_t stall_cycles = 0;
+
+    void
+    add(const serve::Completion &c)
+    {
+        requests += 1;
+        completed += c.ok() ? 1 : 0;
+        shed += c.shed() ? 1 : 0;
+        failed += c.failed() ? 1 : 0;
+        retries += c.attempts - 1;
+        layer_faults += c.fault_count;
+        stall_cycles += c.stall_cycles;
+    }
+
+    bool
+    matches(const serve::FleetStats &st) const
+    {
+        return requests == st.requests &&
+               completed == st.completed && shed == st.shedTotal() &&
+               failed == st.failed && retries == st.retries &&
+               layer_faults == st.layer_faults &&
+               stall_cycles == st.stall_cycles;
+    }
+};
+
 /** Outcome of one trace replay. */
 struct ReplayResult
 {
     std::map<uint64_t, Observed> observed;
     /** Per Ok request id: the run, for bitwise baseline checks. */
     std::map<uint64_t, NetworkRun> ok_runs;
-    serve::ServeStats stats;
-    serve::RobustnessTelemetry telemetry;
+    serve::FleetStats stats;
+    StreamTally tally;
 };
-
-/** Scheduler counters vs the telemetry fed from its completion
- *  stream (failed is excluded on purpose: a request that exhausted
- *  its retries *and* was shed reports Shed in its completion). */
-bool
-telemetryMatches(const serve::ServeStats &st,
-                 const serve::RobustnessTelemetry &rt)
-{
-    return rt.total() == st.requests &&
-           rt.completed() == st.completed &&
-           rt.shedQueueFull() == st.shed_queue_full &&
-           rt.shedStreamFull() == st.shed_stream_full &&
-           rt.shedInfeasible() == st.shed_infeasible &&
-           rt.retries() == st.retries &&
-           rt.layerFaults() == st.layer_faults &&
-           rt.stallCycles() == st.stall_cycles;
-}
-
-bool
-sameServeStats(const serve::ServeStats &a, const serve::ServeStats &b)
-{
-    return a.requests == b.requests && a.completed == b.completed &&
-           a.layers == b.layers && a.gemms == b.gemms &&
-           a.dense_macs == b.dense_macs &&
-           a.shed_queue_full == b.shed_queue_full &&
-           a.shed_stream_full == b.shed_stream_full &&
-           a.shed_infeasible == b.shed_infeasible &&
-           a.failed == b.failed && a.retries == b.retries &&
-           a.faulted_attempts == b.faulted_attempts &&
-           a.layer_faults == b.layer_faults &&
-           a.stall_events == b.stall_events &&
-           a.stall_cycles == b.stall_cycles &&
-           a.max_queue_depth == b.max_queue_depth;
-}
 
 constexpr double kMsPerS = 1e3;
 
@@ -289,7 +291,7 @@ main(int argc, char **argv)
         serve::StreamScheduler::Options o;
         o.run = run_opt;
         o.run.plan_cache = cache.get();
-        o.run.fault = fi;
+        o.fault = fi;
         o.threads = threads;
         o.clock = clock;
         o.policy = &serve::policyFor(
@@ -298,9 +300,7 @@ main(int argc, char **argv)
             o.overload = overload;
         o.on_complete = [&](const serve::Completion &c) {
             res.observed.emplace(c.id, observe(c));
-            res.telemetry.recordOutcome(c.outcome, c.shed_reason,
-                                        c.attempts, c.fault_count,
-                                        c.stall_cycles);
+            res.tally.add(c);
         };
         serve::StreamScheduler sched(on, o);
         for (const TraceRequest &r : trace) {
@@ -387,7 +387,7 @@ main(int argc, char **argv)
         armInjector(fi);
         const ReplayResult faulted =
             replay(trace, acc, args.ctx.threads, &fi);
-        const serve::ServeStats &st = faulted.stats;
+        const serve::FleetStats &st = faulted.stats;
 
         // Gate: the virtual ready queue stayed under the cap.
         if (st.max_queue_depth > overload.global_queue_cap)
@@ -403,13 +403,12 @@ main(int argc, char **argv)
             }
         }
 
-        // Gate: scheduler counters reconcile exactly with the
-        // injection plan and attempt accounting.
+        // Gate: the ledger reconciles exactly with itself and with
+        // the injection plan.
         const bool ok =
             st.layer_faults == fi.injected(FaultSite::LayerCompute) &&
             st.stall_events == fi.injected(FaultSite::LayerStall) &&
-            st.faulted_attempts == st.retries + st.failed &&
-            st.requests == requests;
+            st.reconciles() && st.requests == requests;
         if (!ok) {
             counters_reconcile = false;
             std::printf("  COUNTER MISMATCH at utilization %.1f\n",
@@ -418,10 +417,11 @@ main(int argc, char **argv)
 
         // Gate: the completion stream tells the same story as the
         // scheduler's own accounting.
-        if (!telemetryMatches(st, faulted.telemetry))
+        if (!faulted.tally.matches(st))
             telemetry_consistent = false;
 
-        const double shed_rate = faulted.telemetry.shedRate();
+        const double shed_rate = static_cast<double>(st.shedTotal()) /
+                                 static_cast<double>(st.requests);
         shed_rates.push_back(shed_rate);
         std::printf("%-6.1f %7.1f/s %-10lld %-5lld (%lld/%lld/"
                     "%lld)%*s %-7lld %-8lld %5.1f%%%s\n",
@@ -470,7 +470,7 @@ main(int argc, char **argv)
             const ReplayResult serial =
                 replay(trace, serial_acc, 1, &serial_fi);
             if (serial.observed != faulted.observed ||
-                !sameServeStats(serial.stats, faulted.stats)) {
+                !(serial.stats == faulted.stats)) {
                 deterministic_serial = false;
                 std::printf("  SERIAL RERUN MISMATCH at the gated "
                             "point\n");

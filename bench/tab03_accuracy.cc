@@ -1,7 +1,7 @@
 /**
  * @file
  * Reproduces paper Table 3 (accuracy of DBB pruning variants) on
- * the synthetic substitution testbeds (DESIGN.md Sec. 5): ImageNet
+ * the synthetic substitution testbeds (src/nn/synthetic.hh): ImageNet
  * and MNIST are unavailable offline, so small CNN/MLP testbeds on
  * deterministic synthetic tasks exercise exactly the same pruning
  * and fine-tuning machinery (Top-NNZ W-DBB projection, DAP with
@@ -84,7 +84,7 @@ main()
 {
     banner("Table 3",
            "DBB pruning accuracy on the synthetic substitution "
-           "testbeds (see DESIGN.md Sec. 5)");
+           "testbeds (see src/nn/synthetic.hh)");
 
     std::vector<Row> rows;
 

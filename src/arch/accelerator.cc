@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "arch/plan_cache.hh"
-#include "base/fault_injection.hh"
 #include "base/thread_pool.hh"
 #include "core/dap.hh"
 
@@ -373,50 +372,10 @@ Accelerator::runLayer(const LayerWorkload &wl,
     return executePrepared(prepareLayer(wl, opt), opt);
 }
 
-AttemptFaults
-evaluateAttemptFaults(const FaultInjector &fi, uint64_t attempt_id,
-                      size_t n_layers)
-{
-    AttemptFaults af;
-    for (size_t i = 0; i < n_layers; ++i) {
-        const uint64_t lid = FaultInjector::combineId(
-            attempt_id, static_cast<uint64_t>(i));
-        if (fi.shouldFail(FaultSite::LayerCompute, lid)) {
-            if (af.fault_layer < 0)
-                af.fault_layer = static_cast<int>(i);
-            ++af.fault_count;
-        }
-        const int64_t stall = fi.stallCycles(lid);
-        if (stall > 0) {
-            ++af.stall_events;
-            af.stall_cycles += stall;
-        }
-    }
-    return af;
-}
-
 NetworkRun
 Accelerator::runNetwork(const std::vector<LayerWorkload> &layers,
                         const NetworkRunOptions &opt) const
 {
-    // Evaluate every per-layer fault site up front (a serial loop,
-    // so the site evaluation order — and thus the injector's exact
-    // counters — is thread-count independent). A compute fault
-    // aborts the attempt before anything is simulated: the caller
-    // gets a cleanly failed attempt to retry, never a partially
-    // built or corrupted result.
-    NetworkRun pre;
-    if (opt.fault != nullptr) {
-        const AttemptFaults af = evaluateAttemptFaults(
-            *opt.fault, opt.fault_id, layers.size());
-        pre.fault_layer = af.fault_layer;
-        pre.fault_count = af.fault_count;
-        pre.stall_events = af.stall_events;
-        pre.stall_cycles = af.stall_cycles;
-        if (pre.faulted())
-            return pre;
-    }
-
     // Layers are independent simulations; fan them out and fold the
     // results in layer order so totals are bitwise identical to the
     // serial run.
@@ -426,7 +385,7 @@ Accelerator::runNetwork(const std::vector<LayerWorkload> &layers,
             runLayer(layers[static_cast<size_t>(i)], opt);
     };
     runIndexed(static_cast<int64_t>(layers.size()), run_one);
-    NetworkRun nr = std::move(pre);
+    NetworkRun nr;
     for (LayerRun &lr : runs)
         nr.add(std::move(lr));
     return nr;

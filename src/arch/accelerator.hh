@@ -26,7 +26,6 @@
 
 namespace s2ta {
 
-class FaultInjector;
 class ThreadPool;
 struct CachedPlan;
 
@@ -64,51 +63,7 @@ struct AcceleratorConfig
 struct NetworkRunOptions : RunOptions
 {
     NetworkRunOptions() { compute_output = false; }
-
-    /**
-     * Optional fault injector (LayerCompute / LayerStall sites).
-     * Per-layer identities are combineId(fault_id, layer_index), so
-     * callers that retry set a fresh fault_id per attempt (e.g.
-     * combineId(request_id, attempt)) to model *transient* faults.
-     * A compute fault aborts the whole attempt before simulation —
-     * results are discarded, never corrupted — and a stall adds
-     * virtual-time cycles without touching any event or output.
-     */
-    const FaultInjector *fault = nullptr;
-    uint64_t fault_id = 0;
 };
-
-/**
- * Injected-fault outcome of one simulation *attempt*: the
- * LayerCompute / LayerStall decisions for every layer of the
- * attempt identified by @p attempt_id, evaluated in layer order
- * (identities combineId(attempt_id, layer)). This is the single
- * source of truth both Accelerator::runNetwork (which evaluates it
- * before simulating anything) and the fleet scheduler's serial
- * event loop (which re-rolls attempts without re-simulating —
- * results are attempt-independent) share, so the injector's exact
- * per-site counters reconcile no matter which path evaluated.
- */
-struct AttemptFaults
-{
-    /** First layer whose compute fault aborts the attempt; -1 when
-     *  the attempt survives. */
-    int fault_layer = -1;
-    /** Compute faults across the attempt's layers. */
-    int64_t fault_count = 0;
-    /** Injected stalls: virtual-time cycles only. */
-    int64_t stall_events = 0;
-    int64_t stall_cycles = 0;
-
-    bool faulted() const { return fault_layer >= 0; }
-};
-
-/** Evaluate every per-layer fault site of one attempt (see
- *  AttemptFaults). Pure in (injector seed, attempt_id, n_layers)
- *  aside from the injector's counters. */
-AttemptFaults evaluateAttemptFaults(const FaultInjector &fi,
-                                    uint64_t attempt_id,
-                                    size_t n_layers);
 
 /**
  * One CNN layer plus the data it runs on. The tensors must already
@@ -200,18 +155,6 @@ struct NetworkRun
     std::vector<LayerRun> layers;
     EventCounts total;
     int64_t dense_macs = 0;
-
-    /** First layer whose injected compute fault aborted this
-     *  attempt; -1 when the attempt completed. A faulted run
-     *  carries no layer records (nothing was simulated). */
-    int fault_layer = -1;
-    /** Injected compute faults across this attempt's layers. */
-    int64_t fault_count = 0;
-    /** Injected stalls: timing-only, never reflected in events. */
-    int64_t stall_events = 0;
-    int64_t stall_cycles = 0;
-
-    bool faulted() const { return fault_layer >= 0; }
 
     /** Fold a layer record into the totals. */
     void add(LayerRun lr);

@@ -2,7 +2,8 @@
  * @file
  * Abstract cycle-level array model and its factory.
  *
- * Contract shared by all architectures (DESIGN.md Sec. 3):
+ * Contract shared by all architectures (docs/ARCHITECTURE.md, "Life
+ * of a GEMM", steps 5 and 7):
  *  - run() returns exact cycle and event counts for the given GEMM
  *    (for a grouped GEMM, the sum over its groups in group order);
  *  - when RunOptions::compute_output is set, the model also computes

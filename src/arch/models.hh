@@ -3,7 +3,7 @@
  * Concrete array models: the dense / ZVCG systolic array, the SMT-SA
  * re-implementation, and the two S2TA variants.
  *
- * See DESIGN.md Sec. 3 for the cycle and event accounting of each.
+ * Each class comment states its cycle and event accounting.
  */
 
 #ifndef S2TA_ARCH_MODELS_HH
@@ -41,7 +41,7 @@ class SaModel : public ArrayModel
  *
  * Event totals are exact; tile timing is obtained by simulating the
  * per-PE queue automaton on a deterministic sample of PEs/tiles and
- * taking the per-tile maximum (DESIGN.md Sec. 3).
+ * taking the per-tile maximum.
  *
  * Every cycle pops one queued pair except the first cycle of a slot
  * entered with an empty FIFO, so a PE takes its matched pairs plus

@@ -77,8 +77,8 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &,
 
         // Accumulator: the DP4 adder-tree result is accumulated once
         // per block pass, gated when all four products are zero. The
-        // active fraction is estimated statistically (DESIGN.md
-        // Sec. 3).
+        // active fraction is estimated statistically: each of the
+        // pass's `lanes` products is nonzero with probability q.
         const double q = slots > 0
             ? static_cast<double>(prof.matched_products) /
                   static_cast<double>(slots)

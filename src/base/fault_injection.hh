@@ -51,11 +51,12 @@ namespace s2ta {
  *  stream). */
 enum class FaultSite : int
 {
-    /** Accelerator: a transient per-layer compute fault kills the
-     *  whole attempt (results are discarded, never corrupted). */
+    /** Serving loop, at dispatch: a transient per-layer compute
+     *  fault fails the whole attempt (the result is withheld, never
+     *  corrupted). */
     LayerCompute = 6,
-    /** Accelerator: a modeled per-layer stall adds virtual-time
-     *  cycles without touching any simulation result. */
+    /** Serving loop, at dispatch: a modeled per-layer stall adds
+     *  virtual-time cycles without touching any simulation result. */
     LayerStall = 7,
     /** Fleet: a whole replica crashes — every queued and running
      *  request instance on it is lost and must fail over. */

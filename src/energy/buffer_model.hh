@@ -44,8 +44,7 @@ struct BufferBreakdown
 /**
  * Compute the buffer breakdown for an array configuration.
  *
- * Accounting (values only; DESIGN.md notes where the paper's Table 1
- * differs in mask/meta conventions):
+ * Accounting:
  *  - SA / SA-ZVCG: 2 operand bytes + one 4-byte accumulator per PE;
  *  - SA-SMT: adds T x Q FIFO entries of 4 bytes (INT8 pair + two
  *    position-meta bytes) per PE;

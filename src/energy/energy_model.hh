@@ -1,6 +1,6 @@
 /**
  * @file
- * Event-count to energy/area roll-up (DESIGN.md Sec. 4).
+ * Event-count to energy/area roll-up.
  *
  * EnergyModel maps an EventCounts record (from src/arch) to
  * per-component energy using TechParams, and computes the static

@@ -7,7 +7,7 @@
  * The paper extracts power from post-layout netlists with annotated
  * switching activity; this repo has no PDK, so the coefficients
  * below are *calibrated to the paper's published anchors* and
- * verified by unit tests (DESIGN.md Sec. 4):
+ * verified by tests/energy/test_energy_model.cc:
  *   - Fig. 1 dense-SA energy shares (21/49/20/10 +-3pp);
  *   - Table 2 S2TA-AW area split (the SRAM/MCU areas match the
  *     paper's mm^2 almost exactly);

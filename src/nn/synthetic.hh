@@ -5,7 +5,7 @@
  * ImageNet/MNIST are not available offline, so Table 3's *relative*
  * claim (DBB pruning with fine-tuning costs <~1% accuracy; naive
  * pruning costs much more) is exercised on procedurally generated
- * classification tasks (DESIGN.md Sec. 5 substitution table):
+ * classification tasks (bench/tab03_accuracy.cc runs them):
  *  - a vision task: oriented sinusoidal gratings + per-class blobs
  *    + Gaussian noise + spatial jitter, (H, W, C) images;
  *  - a feature task: noisy class centroids in R^dim, standing in

@@ -100,6 +100,14 @@ FleetScheduler::FleetScheduler(std::vector<FleetReplica> replicas,
         own_pool = std::make_unique<ThreadPool>(opts.threads - 1);
 }
 
+FleetScheduler::FleetScheduler(const Accelerator &acc,
+                               Options opts_)
+    : FleetScheduler({FleetReplica{&acc, opts_.run.plan_cache}},
+                     opts_)
+{
+    each_request = true;
+}
+
 FleetScheduler::~FleetScheduler() = default;
 
 ThreadPool *
@@ -108,13 +116,6 @@ FleetScheduler::pool() const
     if (opts.threads == 1)
         return nullptr;
     return own_pool ? own_pool.get() : &ThreadPool::global();
-}
-
-std::pair<std::string, int>
-FleetScheduler::workloadKey(const ModelWorkload &mw)
-{
-    return {mw.spec.name,
-            mw.layers.empty() ? 1 : mw.layers.front().batch};
 }
 
 uint64_t
@@ -138,7 +139,63 @@ FleetScheduler::pending() const
     return n;
 }
 
+int64_t
+FleetScheduler::gemmCount(const ModelWorkload &mw)
+{
+    int64_t gemms = 0;
+    for (const LayerWorkload &wl : mw.layers)
+        gemms += wl.shape.groups;
+    return gemms;
+}
+
 namespace {
+
+int
+batchOf(const ModelWorkload &mw)
+{
+    return mw.layers.empty() ? 1 : mw.layers.front().batch;
+}
+
+/** Injected-fault outcome of one attempt of one instance. */
+struct AttemptFaults
+{
+    /** First layer whose compute fault aborts the attempt; -1 when
+     *  the attempt survives. */
+    int fault_layer = -1;
+    /** Compute faults across the attempt's layers. */
+    int64_t fault_count = 0;
+    /** Injected stalls: virtual-time cycles only. */
+    int64_t stall_events = 0;
+    int64_t stall_cycles = 0;
+
+    bool faulted() const { return fault_layer >= 0; }
+};
+
+/** Roll the LayerCompute and LayerStall sites of every layer of the
+ *  attempt @p attempt_id, in layer order (identities
+ *  combineId(attempt_id, layer)). Pure in (injector seed,
+ *  attempt_id, n_layers) aside from the injector's counters. */
+AttemptFaults
+evaluateAttemptFaults(const FaultInjector &fi, uint64_t attempt_id,
+                      size_t n_layers)
+{
+    AttemptFaults af;
+    for (size_t i = 0; i < n_layers; ++i) {
+        const uint64_t lid = FaultInjector::combineId(
+            attempt_id, static_cast<uint64_t>(i));
+        if (fi.shouldFail(FaultSite::LayerCompute, lid)) {
+            if (af.fault_layer < 0)
+                af.fault_layer = static_cast<int>(i);
+            ++af.fault_count;
+        }
+        const int64_t stall = fi.stallCycles(lid);
+        if (stall > 0) {
+            ++af.stall_events;
+            af.stall_cycles += stall;
+        }
+    }
+    return af;
+}
 
 /** One dispatch attempt lineage of one request on one replica. */
 struct Instance
@@ -184,8 +241,6 @@ struct Instance
 /** Event-loop state of one admitted request. */
 struct ReqState
 {
-    size_t widx = 0;
-    uint64_t identity = 0;
     /** Instances in {Queued, Running, LostRunning, Stranded}. */
     int live = 0;
     int next_seq = 0;
@@ -250,83 +305,51 @@ constexpr int kEvDetection = 2;
 constexpr int kEvArrival = 3;
 constexpr int kEvHedge = 4;
 
-} // anonymous namespace
-
-std::vector<std::vector<FleetCompletion>>
-FleetScheduler::drain()
+/** What the serving loop serves. Request i's job on replica r is
+ *  slot[i] * replicas + r: one job per request on a StreamScheduler
+ *  and in scheduleOnLanes, one per distinct workload in a fleet. */
+struct LoopJobs
 {
-    const int R = replicas();
-    const size_t nR = static_cast<size_t>(R);
+    /** The policy's view, in admission order. est_cycles is
+     *  written at each request's first placement. */
+    std::vector<TimedRequest> timed;
+    /** Consistent-hash routing key per request. */
+    std::vector<uint64_t> identity;
+    std::vector<size_t> slot;
+    /** Per job: service cycles, and the estimate policies order by
+     *  and infeasibility is judged on. */
+    std::vector<int64_t> service;
+    std::vector<int64_t> estimate;
+    /** Per slot: layers, i.e. the fault sites one attempt rolls. */
+    std::vector<size_t> layers;
+};
 
-    // Admission: identical to StreamScheduler — round-robin across
-    // streams in ascending stream id, one request per stream per
-    // round; deterministic in the submission sequence alone.
-    std::vector<Pending> admitted;
-    admitted.reserve(static_cast<size_t>(pending()));
-    for (size_t round = 0; true; ++round) {
-        bool any = false;
-        for (const auto &[stream, q] : queues) {
-            if (round < q.size()) {
-                admitted.push_back(q[round]);
-                any = true;
-            }
-        }
-        if (!any)
-            break;
-    }
-
-    // Distinct workloads, first-seen in admission order. Requests
-    // carrying the same (model, batch) are the same simulation, so
-    // phase 1 simulates (workload x replica) pairs, not requests.
-    std::map<std::pair<std::string, int>, size_t> widx_of;
-    std::vector<const ModelWorkload *> workloads;
-    std::vector<size_t> req_widx(admitted.size());
-    for (size_t i = 0; i < admitted.size(); ++i) {
-        const auto key = workloadKey(*admitted[i].model);
-        auto it = widx_of.find(key);
-        if (it == widx_of.end()) {
-            it = widx_of.emplace(key, workloads.size()).first;
-            workloads.push_back(admitted[i].model);
-        }
-        req_widx[i] = it->second;
-    }
-    const size_t W = workloads.size();
-
-    // Phase 1 — simulate every (workload, replica) pair across the
-    // thread pool, each against its replica's own accelerator and
-    // PlanCache. Clean runs: per-attempt fault sites are rolled in
-    // phase 2 without re-simulating (a surviving attempt's result
-    // IS the clean result; a faulted attempt aborts before
-    // simulating), so the pair results are fault-, policy-, and
-    // routing-independent — and bitwise identical to a
-    // single-accelerator run of the same workload on the same
-    // config.
-    std::vector<NetworkRun> pair_runs(W * nR);
-    const auto sim_one = [&](int64_t p) {
-        const size_t w = static_cast<size_t>(p) / nR;
-        const size_t r = static_cast<size_t>(p) % nR;
-        NetworkRunOptions ro = opts.run;
-        ro.fault = nullptr;
-        ro.fault_id = 0;
-        ro.plan_cache = fleet[r].cache;
-        pair_runs[static_cast<size_t>(p)] =
-            fleet[r].accel->runNetwork(workloads[w]->layers, ro);
-    };
-    ThreadPool *tp = pool();
-    if (tp && W * nR > 1) {
-        tp->parallelFor(static_cast<int64_t>(W * nR), sim_one);
-    } else {
-        for (size_t p = 0; p < W * nR; ++p)
-            sim_one(static_cast<int64_t>(p));
-    }
-    const auto pair_cycles = [&](size_t w, size_t r) {
-        return pair_runs[w * nR + r].total.cycles;
-    };
-
-    // Phase 2 — the serial fleet event loop over virtual time.
-    tele = FleetTelemetry(R);
-    std::vector<ReqState> rstate(admitted.size());
+/** The loop's per-request and per-instance end state. */
+struct LoopOutcome
+{
+    std::vector<ReqState> req;
     std::vector<Instance> insts;
+};
+
+/**
+ * The one discrete-event serving loop over @p replicas replicas.
+ * Every request resolves Ok, Shed or Failed; the instance ledger,
+ * lifecycle counters and queue high-water mark land in @p totals,
+ * per-replica routing and hedge outcomes in @p tele. The per-request
+ * outcome counts are the caller's reduction.
+ */
+LoopOutcome
+runServingLoop(const FleetScheduler::Options &opts,
+               const ReplicaRouter &router, size_t replicas,
+               LoopJobs &jobs, FleetStats &totals,
+               FleetTelemetry &tele)
+{
+    const size_t nR = replicas;
+    std::vector<TimedRequest> &timed = jobs.timed;
+    LoopOutcome out;
+    std::vector<ReqState> &rstate = out.req;
+    std::vector<Instance> &insts = out.insts;
+    rstate.resize(timed.size());
     std::vector<Rep> reps(nR);
     for (Rep &rep : reps)
         rep.lane_free.assign(
@@ -337,32 +360,16 @@ FleetScheduler::drain()
     const AdmissionPolicy &policy =
         opts.policy ? *opts.policy
                     : policyFor(PolicyKind::RoundRobin);
-    const bool inject = opts.run.fault != nullptr;
     const int max_attempts =
         1 + std::max(0, opts.overload.max_retries);
-
-    // The policy's view of the admitted requests. est_cycles pins
-    // at the primary placement's service cycles (SJF ordering and
-    // the infeasibility judgment both want one stable estimate per
-    // request, even on a heterogeneous fleet).
-    std::vector<TimedRequest> timed(admitted.size());
-    for (size_t i = 0; i < admitted.size(); ++i) {
-        timed[i].arrival_s = admitted[i].arrival_s;
-        timed[i].deadline_s = admitted[i].deadline_s;
-        timed[i].stream = admitted[i].stream;
-        timed[i].id = admitted[i].id;
-        rstate[i].widx = req_widx[i];
-        rstate[i].identity = workloadIdentity(
-            workloads[req_widx[i]]->spec.name,
-            workloads[req_widx[i]]->layers.empty()
-                ? 1
-                : workloads[req_widx[i]]->layers.front().batch);
-    }
+    const auto job = [&](size_t i, int r) {
+        return jobs.slot[i] * nR + static_cast<size_t>(r);
+    };
 
     std::priority_queue<Ev, std::vector<Ev>, EvAfter> pq;
     uint64_t evseq = 0;
-    for (size_t i = 0; i < admitted.size(); ++i)
-        pq.push(Ev{admitted[i].arrival_s, kEvArrival, evseq++,
+    for (size_t i = 0; i < timed.size(); ++i)
+        pq.push(Ev{timed[i].arrival_s, kEvArrival, evseq++,
                    static_cast<int>(i), 0});
     for (size_t k = 0; k < opts.schedule.size(); ++k)
         pq.push(Ev{opts.schedule[k].at_s, kEvLifecycle, evseq++,
@@ -376,10 +383,10 @@ FleetScheduler::drain()
         return routable;
     };
     const auto outstandingVec = [&]() {
-        std::vector<int64_t> out(nR);
+        std::vector<int64_t> load(nR);
         for (size_t r = 0; r < nR; ++r)
-            out[r] = reps[r].outstanding;
-        return out;
+            load[r] = reps[r].outstanding;
+        return load;
     };
 
     const auto resolve = [&](size_t i, Outcome outcome,
@@ -391,6 +398,8 @@ FleetScheduler::drain()
         rq.reason = reason;
         rq.final_inst = final_inst;
         rq.resolve_s = t;
+        if (outcome == Outcome::Shed)
+            S2TA_TRACE_INSTANT("serve", "shed", timed[i].id);
     };
 
     /** Detach a queued instance from its replica's queue and the
@@ -401,18 +410,31 @@ FleetScheduler::drain()
             reps[static_cast<size_t>(in.replica)].queue;
         q.erase(std::find(q.begin(), q.end(), ii));
         global_queued -= 1;
-        stream_queued[admitted[in.req].stream] -= 1;
+        stream_queued[timed[in.req].stream] -= 1;
     };
 
-    /** Create an instance of request @p i on replica @p r (or
-     *  stranded when r < 0) at instant @p t. */
-    const auto newInstance = [&](size_t i, int r, double t,
-                                 bool is_hedge) {
+    /** Queue instance @p ii on replica @p r. */
+    const auto enqueue = [&](int ii, int r) {
+        Instance &in = insts[static_cast<size_t>(ii)];
+        in.replica = r;
+        in.st = Instance::St::Queued;
+        Rep &rep = reps[static_cast<size_t>(r)];
+        rep.queue.push_back(ii);
+        rep.outstanding += 1;
+        global_queued += 1;
+        stream_queued[timed[in.req].stream] += 1;
+        totals.max_queue_depth =
+            std::max(totals.max_queue_depth, global_queued);
+        tele.replica(r).routed += 1;
+    };
+
+    /** Create an instance of request @p i on replica @p r, or
+     *  stranded when r < 0. */
+    const auto newInstance = [&](size_t i, int r, bool is_hedge) {
         ReqState &rq = rstate[i];
         Instance in;
         in.req = i;
         in.seq = rq.next_seq++;
-        in.replica = r;
         in.is_hedge = is_hedge;
         const int ii = static_cast<int>(insts.size());
         rq.members.push_back(ii);
@@ -424,74 +446,57 @@ FleetScheduler::drain()
             stranded.push_back(ii);
             return ii;
         }
-        in.st = Instance::St::Queued;
         insts.push_back(in);
-        Rep &rep = reps[static_cast<size_t>(r)];
-        rep.queue.push_back(ii);
-        rep.outstanding += 1;
-        global_queued += 1;
-        stream_queued[admitted[i].stream] += 1;
-        totals.max_queue_depth =
-            std::max(totals.max_queue_depth, global_queued);
-        tele.replica(r).routed += 1;
-        (void)t;
+        enqueue(ii, r);
         return ii;
     };
 
     /** Route a fresh instance of request @p i (arrival, failover,
      *  or hedge), stranding it when nothing is routable. */
-    const auto routeInstance = [&](size_t i, double t, int exclude,
+    const auto routeInstance = [&](size_t i, int exclude,
                                    bool is_hedge) {
         const int target =
-            router.route(rstate[i].identity, routableSet(),
+            router.route(jobs.identity[i], routableSet(),
                          outstandingVec(), exclude);
         S2TA_TRACE_INSTANT("fleet", "place", target);
-        return newInstance(i, target, t, is_hedge);
+        return newInstance(i, target, is_hedge);
     };
 
     /** Dispatch instance @p ii on lane @p l of its replica: roll
-     *  the attempt fault series (PR 6 identities, per instance),
-     *  fold retries + backoff + stalls + brownout inflation into
-     *  the lane occupancy, and schedule the completion. */
+     *  the attempt fault series, fold retries + backoff + stalls +
+     *  brownout inflation into the lane occupancy, and schedule the
+     *  completion. A failed attempt costs the job's service time. */
     const auto dispatch = [&](int ii, int l, double t) {
         Instance &in = insts[static_cast<size_t>(ii)];
-        ReqState &rq = rstate[in.req];
         Rep &rep = reps[static_cast<size_t>(in.replica)];
         unqueue(ii);
         in.st = Instance::St::Running;
         in.lane = l;
         in.start_s = t;
-        if (inject) {
+        in.attempts = 1;
+        if (opts.fault) {
             const uint64_t inst_id = FaultInjector::combineId(
-                admitted[in.req].id,
-                static_cast<uint64_t>(in.seq));
-            const size_t n_layers =
-                workloads[rq.widx]->layers.size();
+                timed[in.req].id, static_cast<uint64_t>(in.seq));
             for (int a = 0; a < max_attempts; ++a) {
                 const AttemptFaults af = evaluateAttemptFaults(
-                    *opts.run.fault,
+                    *opts.fault,
                     FaultInjector::combineId(
                         inst_id, static_cast<uint64_t>(a)),
-                    n_layers);
+                    jobs.layers[jobs.slot[in.req]]);
                 in.attempts = a + 1;
                 in.fault_count += af.fault_count;
                 in.stall_events += af.stall_events;
                 in.stall_cycles += af.stall_cycles;
-                if (!af.faulted()) {
-                    in.compute_failed = false;
-                    in.fault_layer = -1;
-                    break;
-                }
-                in.faulted_attempts += 1;
-                in.compute_failed = true;
+                in.compute_failed = af.faulted();
                 in.fault_layer = af.fault_layer;
+                if (!af.faulted())
+                    break;
+                in.faulted_attempts += 1;
             }
-        } else {
-            in.attempts = 1;
         }
         const double service_s =
-            opts.clock.cyclesToSeconds(pair_cycles(
-                rq.widx, static_cast<size_t>(in.replica))) *
+            opts.clock.cyclesToSeconds(
+                jobs.service[job(in.req, in.replica)]) *
             rep.slowdown;
         const int failed_attempts =
             in.attempts - (in.compute_failed ? 0 : 1);
@@ -507,14 +512,14 @@ FleetScheduler::drain()
         in.finish_s =
             t + (in.compute_failed ? 0.0 : service_s) + extra;
         rep.lane_free[static_cast<size_t>(l)] = in.finish_s;
+        S2TA_TRACE_INSTANT("serve", "dispatch", l);
         pq.push(Ev{in.finish_s, kEvCompletion, evseq++, ii, 0});
     };
 
     /** Work-conserving dispatch sweep: on every replica that is up,
      *  fill free lanes from the queue per the admission policy. */
     const auto dispatchAll = [&](double t) {
-        for (size_t r = 0; r < nR; ++r) {
-            Rep &rep = reps[r];
+        for (Rep &rep : reps) {
             if (!rep.up)
                 continue;
             while (!rep.queue.empty()) {
@@ -527,10 +532,9 @@ FleetScheduler::drain()
                 }
                 if (lane < 0)
                     break;
-                // The policy sees admission indices, as in the
-                // single-accelerator event loop; each request has
-                // at most one live instance per replica, so the
-                // mapping back is unambiguous.
+                // The policy sees admission indices; each request
+                // has at most one live instance per replica, so
+                // the mapping back is unambiguous.
                 std::vector<size_t> ready;
                 std::map<size_t, int> inst_of;
                 ready.reserve(rep.queue.size());
@@ -558,8 +562,7 @@ FleetScheduler::drain()
                     // the next pick.
                     unqueue(ii);
                     in.st = Instance::St::Cancelled;
-                    reps[static_cast<size_t>(in.replica)]
-                        .outstanding -= 1;
+                    rep.outstanding -= 1;
                     rq.live -= 1;
                     resolve(in.req, Outcome::Shed,
                             ShedReason::DeadlineInfeasible, -1, t);
@@ -600,10 +603,9 @@ FleetScheduler::drain()
                 rq.failovers += 1;
                 totals.failovers += 1;
                 S2TA_TRACE_INSTANT("fleet", "failover", in.req);
-                routeInstance(in.req, t, static_cast<int>(r),
-                              false);
+                routeInstance(in.req, static_cast<int>(r), false);
             } else {
-                rstate[in.req].lost_to_crash = true;
+                rq.lost_to_crash = true;
                 resolve(in.req, Outcome::Failed, ShedReason::None,
                         -1, t);
                 if (rq.hedged)
@@ -658,24 +660,13 @@ FleetScheduler::drain()
             // Stranded instances waited exactly for this.
             std::vector<int> still;
             for (const int ii : stranded) {
-                Instance &in = insts[static_cast<size_t>(ii)];
                 const int target = router.route(
-                    rstate[in.req].identity, routableSet(),
-                    outstandingVec(), -1);
-                if (target < 0) {
+                    jobs.identity[insts[static_cast<size_t>(ii)].req],
+                    routableSet(), outstandingVec(), -1);
+                if (target < 0)
                     still.push_back(ii);
-                    continue;
-                }
-                in.replica = target;
-                in.st = Instance::St::Queued;
-                Rep &dst = reps[static_cast<size_t>(target)];
-                dst.queue.push_back(ii);
-                dst.outstanding += 1;
-                global_queued += 1;
-                stream_queued[admitted[in.req].stream] += 1;
-                totals.max_queue_depth = std::max(
-                    totals.max_queue_depth, global_queued);
-                tele.replica(target).routed += 1;
+                else
+                    enqueue(ii, target);
             }
             stranded = std::move(still);
             break;
@@ -704,7 +695,7 @@ FleetScheduler::drain()
     /** First completion wins: settle the hedge and discard the
      *  loser (cancelled if still queued, run to waste if on a lane
      *  — non-preemptive, stranded losers are simply dropped). */
-    const auto settleHedge = [&](size_t i, int winner, double t) {
+    const auto settleHedge = [&](size_t i, int winner) {
         ReqState &rq = rstate[i];
         if (insts[static_cast<size_t>(winner)].is_hedge) {
             rq.hedge_won = true;
@@ -738,7 +729,6 @@ FleetScheduler::drain()
                 break;
             }
         }
-        (void)t;
     };
 
     const auto handleCompletion = [&](int ii, double t) {
@@ -750,8 +740,8 @@ FleetScheduler::drain()
         ReqState &rq = rstate[in.req];
         if (rq.resolved)
             return; // A wasted hedge loser ran out the clock.
+        rq.live -= 1;
         if (in.compute_failed) {
-            rq.live -= 1;
             rq.final_inst = ii;
             if (rq.live == 0) {
                 resolve(in.req, Outcome::Failed, ShedReason::None,
@@ -761,14 +751,13 @@ FleetScheduler::drain()
             }
             return;
         }
-        rq.live -= 1;
         resolve(in.req, Outcome::Ok, ShedReason::None, ii, t);
         if (rq.hedged)
-            settleHedge(in.req, ii, t);
+            settleHedge(in.req, ii);
     };
 
     const auto handleArrival = [&](size_t i, double t) {
-        const int stream = admitted[i].stream;
+        const int stream = timed[i].stream;
         if (opts.overload.global_queue_cap > 0 &&
             global_queued >= opts.overload.global_queue_cap) {
             resolve(i, Outcome::Shed, ShedReason::QueueFull, -1,
@@ -782,18 +771,18 @@ FleetScheduler::drain()
                     -1, t);
             return;
         }
-        const int ii = routeInstance(i, t, -1, false);
-        timed[i].est_cycles = pair_cycles(
-            rstate[i].widx,
-            static_cast<size_t>(std::max(
-                0, insts[static_cast<size_t>(ii)].replica)));
-        timed[i].service_cycles = timed[i].est_cycles;
-        if (opts.hedge_delay_s > 0.0 && R > 1)
+        // The estimate pins at the primary placement, so SJF and
+        // the infeasibility judgment see one stable value per
+        // request even on a heterogeneous fleet.
+        const int ii = routeInstance(i, -1, false);
+        timed[i].est_cycles = jobs.estimate[job(
+            i, std::max(0, insts[static_cast<size_t>(ii)].replica))];
+        if (opts.hedge_delay_s > 0.0 && nR > 1)
             pq.push(Ev{t + opts.hedge_delay_s, kEvHedge, evseq++,
                        static_cast<int>(i), 0});
     };
 
-    const auto handleHedge = [&](size_t i, double t) {
+    const auto handleHedge = [&](size_t i) {
         ReqState &rq = rstate[i];
         if (rq.resolved || rq.hedged || rq.live != 1)
             return;
@@ -811,14 +800,14 @@ FleetScheduler::drain()
             return;
         const int exclude = insts[static_cast<size_t>(cur)].replica;
         const int target =
-            router.route(rq.identity, routableSet(),
+            router.route(jobs.identity[i], routableSet(),
                          outstandingVec(), exclude);
         if (target < 0)
             return; // Nowhere to hedge to; not counted as launched.
         rq.hedged = true;
         tele.recordHedgeLaunched();
         S2TA_TRACE_INSTANT("fleet", "hedge", i);
-        newInstance(i, target, t, true);
+        newInstance(i, target, true);
     };
 
     double t_last = 0.0;
@@ -845,17 +834,20 @@ FleetScheduler::drain()
             handleArrival(static_cast<size_t>(e.a), e.t);
             break;
           case kEvHedge:
-            handleHedge(static_cast<size_t>(e.a), e.t);
+            handleHedge(static_cast<size_t>(e.a));
             break;
           default:
             s2ta_panic("unknown event priority %d", e.prio);
         }
-        dispatchAll(e.t);
+        // One dispatch per instant, after every event at it: the
+        // policy picks among everything that has arrived by then.
+        if (pq.empty() || pq.top().t > e.t)
+            dispatchAll(e.t);
     }
 
     // Requests still stranded when the trace ends (no replica ever
     // came back) fail typed — never silently dropped.
-    for (size_t i = 0; i < admitted.size(); ++i) {
+    for (size_t i = 0; i < rstate.size(); ++i) {
         if (rstate[i].resolved)
             continue;
         rstate[i].lost_to_crash = true;
@@ -864,9 +856,8 @@ FleetScheduler::drain()
             tele.recordHedgeFailed();
     }
 
-    // Instance-level ledger (every dispatched instance, including
-    // wasted hedge losers and crash-killed runs, so the counters
-    // reconcile exactly with the injector's per-site totals).
+    // Instance-level ledger: every dispatched instance, wasted
+    // hedge losers and crash-killed runs included.
     for (const Instance &in : insts) {
         if (in.attempts == 0)
             continue;
@@ -878,25 +869,127 @@ FleetScheduler::drain()
         totals.stall_events += in.stall_events;
         totals.stall_cycles += in.stall_cycles;
     }
+    return out;
+}
 
-    // Reduction: walk admission order and group completions by
-    // stream, exactly like the single-accelerator scheduler.
-    std::vector<std::vector<FleetCompletion>> by_stream(
-        queues.size());
+} // anonymous namespace
+
+std::vector<std::vector<Completion>>
+FleetScheduler::drain()
+{
+    const size_t nR = fleet.size();
+
+    // Admission: round-robin across streams in ascending stream id
+    // (std::map order), one request per stream per round — the
+    // order a fair frontend admits mixed tenants in, deterministic
+    // in the submission sequence alone.
+    std::vector<Pending> admitted;
+    admitted.reserve(static_cast<size_t>(pending()));
+    for (size_t round = 0; true; ++round) {
+        bool any = false;
+        for (const auto &[stream, q] : queues) {
+            if (round < q.size()) {
+                admitted.push_back(q[round]);
+                any = true;
+            }
+        }
+        if (!any)
+            break;
+    }
+    S2TA_TRACE_COUNTER("serve", "serve.admitted", admitted.size());
+
+    // Simulation slots. A fleet simulates each distinct (model,
+    // batch) workload once per replica: requests carrying the same
+    // workload are the same simulation. A StreamScheduler simulates
+    // every request, so bench_serving_throughput measures
+    // per-request work.
+    const size_t n = admitted.size();
+    LoopJobs jobs;
+    jobs.timed.resize(n);
+    jobs.identity.resize(n);
+    jobs.slot.resize(n);
+    std::vector<const ModelWorkload *> slots;
+    std::map<std::pair<std::string, int>, size_t> slot_of;
+    for (size_t i = 0; i < n; ++i) {
+        const Pending &p = admitted[i];
+        const int batch = batchOf(*p.model);
+        size_t s = slots.size();
+        if (!each_request)
+            s = slot_of.try_emplace({p.model->spec.name, batch}, s)
+                    .first->second;
+        if (s == slots.size())
+            slots.push_back(p.model);
+        jobs.slot[i] = s;
+        jobs.identity[i] = workloadIdentity(p.model->spec.name, batch);
+        TimedRequest &tr = jobs.timed[i];
+        tr.arrival_s = p.arrival_s;
+        tr.deadline_s = p.deadline_s;
+        tr.stream = p.stream;
+        tr.id = p.id;
+        S2TA_TRACE_INSTANT("serve", "admit", p.id);
+    }
+
+    // Simulate every job across the thread pool, each against its
+    // replica's accelerator and cache. Runs are clean: faults are
+    // rolled at dispatch without re-simulating (a surviving
+    // attempt's result IS the clean result), so they are fault-,
+    // policy-, and routing-independent.
+    std::vector<NetworkRun> runs(slots.size() * nR);
+    const auto sim_one = [&](int64_t j) {
+        const size_t r = static_cast<size_t>(j) % nR;
+        NetworkRunOptions ro = opts.run;
+        ro.plan_cache = fleet[r].cache;
+        S2TA_TRACE_SPAN_ID("serve", "simulate", j);
+        runs[static_cast<size_t>(j)] = fleet[r].accel->runNetwork(
+            slots[static_cast<size_t>(j) / nR]->layers, ro);
+    };
+    ThreadPool *tp = pool();
+    if (tp && runs.size() > 1) {
+        tp->parallelFor(static_cast<int64_t>(runs.size()), sim_one);
+    } else {
+        for (size_t j = 0; j < runs.size(); ++j)
+            sim_one(static_cast<int64_t>(j));
+    }
+    for (const NetworkRun &nr : runs)
+        jobs.service.push_back(nr.total.cycles);
+    jobs.estimate = jobs.service;
+    for (const ModelWorkload *mw : slots)
+        jobs.layers.push_back(mw->layers.size());
+
+    tele = FleetTelemetry(replicas());
+    const LoopOutcome lo =
+        runServingLoop(opts, router, nR, jobs, totals, tele);
+
+    // Each Ok completion takes its job's run: copied while another
+    // completion still needs it, moved on its last use.
+    const auto okJob = [&](size_t i) {
+        const Instance &in =
+            lo.insts[static_cast<size_t>(lo.req[i].final_inst)];
+        return jobs.slot[i] * nR + static_cast<size_t>(in.replica);
+    };
+    std::vector<int> uses(runs.size(), 0);
+    for (size_t i = 0; i < n; ++i) {
+        if (lo.req[i].outcome == Outcome::Ok)
+            uses[okJob(i)] += 1;
+    }
+
+    // Reduction: walk admission order (which preserves per-stream
+    // submission order) and group completions by stream, so every
+    // stream observes its requests complete strictly in the order
+    // it issued them, whatever the policy's dispatch order.
+    std::vector<std::vector<Completion>> by_stream(queues.size());
     std::map<int, size_t> stream_slot;
     for (const auto &[stream, q] : queues)
         stream_slot.emplace(stream, stream_slot.size());
-    for (size_t i = 0; i < admitted.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
         const Pending &p = admitted[i];
-        const ReqState &rq = rstate[i];
-        FleetCompletion c;
+        const ReqState &rq = lo.req[i];
+        Completion c;
         c.id = p.id;
         c.stream = p.stream;
         c.model = p.model->spec.name;
-        c.batch = p.model->layers.empty()
-                      ? 1
-                      : p.model->layers.front().batch;
-        c.gemms = StreamScheduler::gemmCount(*p.model);
+        c.batch = batchOf(*p.model);
+        c.gemms = gemmCount(*p.model);
         c.arrival_s = p.arrival_s;
         c.deadline_s = p.deadline_s;
         c.outcome = rq.outcome;
@@ -909,43 +1002,41 @@ FleetScheduler::drain()
         c.lost_to_crash = rq.lost_to_crash;
         int att = 0;
         for (const int m : rq.members) {
-            const Instance &in = insts[static_cast<size_t>(m)];
+            const Instance &in = lo.insts[static_cast<size_t>(m)];
             att += in.attempts;
             c.fault_count += in.fault_count;
             c.stall_cycles += in.stall_cycles;
         }
         c.attempts = std::max(1, att);
+        c.start_s = c.finish_s = rq.resolve_s;
         if (rq.final_inst >= 0) {
             const Instance &in =
-                insts[static_cast<size_t>(rq.final_inst)];
+                lo.insts[static_cast<size_t>(rq.final_inst)];
             c.replica = in.replica;
             c.lane = in.lane;
             c.start_s = in.start_s;
             c.finish_s = in.finish_s;
             c.retry_delay_s = in.extra_delay_s;
             c.fault_layer = in.fault_layer;
-            if (rq.outcome == Outcome::Ok) {
-                c.service_cycles = pair_cycles(
-                    rq.widx, static_cast<size_t>(in.replica));
-                c.run = pair_runs[rq.widx * nR +
-                                  static_cast<size_t>(in.replica)];
-            }
-        } else {
-            c.replica = -1;
-            c.lane = -1;
-            c.start_s = rq.resolve_s;
-            c.finish_s = rq.resolve_s;
         }
+        S2TA_TRACE_INSTANT("serve", "complete", p.id);
 
         totals.requests += 1;
         switch (rq.outcome) {
-          case Outcome::Ok:
+          case Outcome::Ok: {
+            const size_t j = okJob(i);
+            c.service_cycles = jobs.service[j];
+            if (--uses[j] == 0)
+                c.run = std::move(runs[j]);
+            else
+                c.run = runs[j];
             totals.completed += 1;
             totals.layers +=
                 static_cast<int64_t>(p.model->layers.size());
             totals.gemms += c.gemms;
             totals.dense_macs += c.run.dense_macs;
             break;
+          }
           case Outcome::Failed:
             totals.failed += 1;
             if (rq.lost_to_crash)
@@ -980,7 +1071,7 @@ FleetScheduler::drain()
 
     // Per-replica cache snapshot for the fleet telemetry's
     // cache-hit variance.
-    for (int r = 0; r < R; ++r) {
+    for (int r = 0; r < replicas(); ++r) {
         if (!fleet[static_cast<size_t>(r)].cache)
             continue;
         const PlanCache::Stats cs =
@@ -991,6 +1082,50 @@ FleetScheduler::drain()
 
     queues.clear();
     return by_stream;
+}
+
+std::vector<LaneAssignment>
+scheduleOnLanes(const VirtualClockConfig &cfg,
+                const std::vector<TimedRequest> &reqs,
+                const AdmissionPolicy &policy,
+                const OverloadConfig &overload)
+{
+    s2ta_assert(cfg.lanes >= 1, "lanes=%d", cfg.lanes);
+    s2ta_assert(cfg.clock_ghz > 0.0, "clock_ghz=%g", cfg.clock_ghz);
+    FleetScheduler::Options opts;
+    opts.clock = cfg;
+    opts.policy = &policy;
+    opts.overload = overload;
+    const size_t n = reqs.size();
+    LoopJobs jobs;
+    jobs.timed = reqs;
+    jobs.identity.assign(n, 0);
+    jobs.layers.assign(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+        s2ta_assert(reqs[i].arrival_s >= 0.0, "arrival %g < 0",
+                    reqs[i].arrival_s);
+        jobs.slot.push_back(i);
+        jobs.service.push_back(reqs[i].service_cycles);
+        jobs.estimate.push_back(reqs[i].est_cycles);
+    }
+    FleetStats totals;
+    FleetTelemetry tele(1);
+    const LoopOutcome lo =
+        runServingLoop(opts, ReplicaRouter(1, opts.placement), 1,
+                       jobs, totals, tele);
+    std::vector<LaneAssignment> out(n);
+    for (size_t i = 0; i < n; ++i) {
+        const ReqState &rq = lo.req[i];
+        if (rq.final_inst < 0) {
+            out[i] = {rq.resolve_s, rq.resolve_s, -1, rq.reason};
+            continue;
+        }
+        const Instance &in =
+            lo.insts[static_cast<size_t>(rq.final_inst)];
+        out[i] = {in.start_s, in.finish_s, in.lane,
+                  ShedReason::None};
+    }
+    return out;
 }
 
 } // namespace serve

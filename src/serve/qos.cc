@@ -17,8 +17,8 @@ class RoundRobinPolicy final : public AdmissionPolicy
          const std::vector<size_t> &ready) const override
     {
         // Admission order is round-robin across streams by
-        // construction, so FIFO over admission indices *is* the
-        // round-robin dispatch the pre-QoS scheduler executed.
+        // construction, so FIFO over admission indices *is*
+        // round-robin dispatch.
         return ready.front();
     }
 };
@@ -64,30 +64,6 @@ class ShortestJobFirstPolicy final : public AdmissionPolicy
 
 } // anonymous namespace
 
-const char *
-shedReasonName(ShedReason reason)
-{
-    switch (reason) {
-      case ShedReason::None: return "none";
-      case ShedReason::QueueFull: return "queue-full";
-      case ShedReason::StreamQueueFull: return "stream-queue-full";
-      case ShedReason::DeadlineInfeasible:
-        return "deadline-infeasible";
-    }
-    s2ta_panic("unknown ShedReason %d", static_cast<int>(reason));
-}
-
-const char *
-outcomeName(Outcome outcome)
-{
-    switch (outcome) {
-      case Outcome::Ok: return "ok";
-      case Outcome::Shed: return "shed";
-      case Outcome::Failed: return "failed";
-    }
-    s2ta_panic("unknown Outcome %d", static_cast<int>(outcome));
-}
-
 const AdmissionPolicy &
 policyFor(PolicyKind kind)
 {
@@ -109,19 +85,6 @@ const char *
 policyName(PolicyKind kind)
 {
     return policyFor(kind).name();
-}
-
-PolicyKind
-policyByName(const std::string &name)
-{
-    if (name == "rr")
-        return PolicyKind::RoundRobin;
-    if (name == "edf")
-        return PolicyKind::EarliestDeadlineFirst;
-    if (name == "sjf")
-        return PolicyKind::ShortestJobFirst;
-    s2ta_fatal("unknown admission policy '%s' (accepted values: %s)",
-               name.c_str(), policyNameList());
 }
 
 } // namespace serve

@@ -2,23 +2,17 @@
  * @file
  * Pluggable admission policies for latency-aware serving.
  *
- * The virtual-clock event loop (serve/virtual_clock.hh) asks a
- * policy, every time a lane frees up, which of the requests that
- * have *arrived* by that virtual instant to dispatch next. Three
- * policies ship:
+ * The serving loop (serve/fleet.hh) asks a policy, every time a
+ * lane is free at a virtual instant, which of the requests queued
+ * by that instant to dispatch next. Three policies ship:
  *
  *  - RoundRobin: dispatch in admission order (round-robin across
- *    streams, submission order within a stream — exactly the order
- *    the pre-QoS StreamScheduler executed in, preserved bit for bit
- *    as the default);
+ *    streams, submission order within a stream — the default);
  *  - EarliestDeadlineFirst: dispatch the arrived request whose
  *    deadline expires soonest (no-deadline requests sort last);
  *  - ShortestJobFirst: dispatch the arrived request with the
- *    smallest *estimated* service cycles. Estimates come from the
- *    scheduler's per-workload memo: the first completed simulation
- *    of a (model, batch) workload — itself served out of the shared
- *    PlanCache — pins the estimate every later request with the
- *    same workload is ordered by.
+ *    smallest *estimated* service cycles: its simulated cycles on
+ *    the replica it was first placed on.
  *
  * Every policy is deterministic: ties break on admission index, so
  * a fixed trace produces one dispatch order at any thread count.
@@ -32,9 +26,9 @@
 #ifndef S2TA_SERVE_QOS_HH
 #define S2TA_SERVE_QOS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace s2ta {
@@ -55,18 +49,11 @@ struct TimedRequest
     double arrival_s = 0.0;
     /** Completion deadline, or kNoDeadline. */
     double deadline_s = kNoDeadline;
-    /** Exact simulated service cycles of the request's NetworkRun. */
+    /** Lane occupancy in cycles (scheduleOnLanes' input; a
+     *  scheduler serves its simulated runs' cycles). */
     int64_t service_cycles = 0;
-    /** Policy-visible service estimate (per-workload memo). */
+    /** Policy-visible service estimate. */
     int64_t est_cycles = 0;
-    /**
-     * Extra occupancy beyond the service cycles, in virtual
-     * seconds: failed retry attempts plus their backoff plus
-     * injected stalls. Accrues on the dispatching lane (the request
-     * is retried in place), so overload from faults is visible to
-     * every request queued behind it.
-     */
-    double extra_delay_s = 0.0;
     int stream = 0;
     /** Scheduler-assigned request id. */
     uint64_t id = 0;
@@ -80,13 +67,10 @@ enum class ShedReason
     QueueFull,
     /** Arrived while its stream's queue was at its cap. */
     StreamQueueFull,
-    /** Could not meet its deadline even if dispatched immediately
-     *  (judged on est_cycles at dispatch time). */
+    /** Picked for dispatch, but could not meet its deadline even
+     *  if dispatched then (judged on est_cycles). */
     DeadlineInfeasible,
 };
-
-/** Artifact name of a shed reason ("queue-full", ...). */
-const char *shedReasonName(ShedReason reason);
 
 /** Terminal state of one request's Completion. */
 enum class Outcome
@@ -101,37 +85,29 @@ enum class Outcome
     Failed,
 };
 
-/** Artifact name of an outcome ("ok" | "shed" | "failed"). */
-const char *outcomeName(Outcome outcome);
-
 /**
- * Overload-control knobs for the virtual-clock event loop and the
- * scheduler's retry machinery. Defaults (all zero / false) mean
- * "admit everything, never retry" — the pre-overload behavior.
+ * Overload-control knobs of the serving loop: queue caps and
+ * infeasible shedding, plus the retry budget of an instance whose
+ * attempt faults. Defaults (all zero / false) mean "admit
+ * everything, never retry".
  */
 struct OverloadConfig
 {
-    /** Arrived-but-undispatched requests admitted across all
+    /** Queued (arrived, undispatched) requests across all
      *  streams; later arrivals are shed. 0 = unbounded. */
     int64_t global_queue_cap = 0;
     /** Same cap, applied per stream. 0 = unbounded. */
     int64_t stream_queue_cap = 0;
-    /** Shed requests whose deadline is infeasible at dispatch time
-     *  instead of running them late. */
+    /** Shed a picked request whose deadline is infeasible at
+     *  dispatch time instead of running it late (a request with a
+     *  live hedge is exempt). */
     bool shed_infeasible = false;
-    /** Re-simulation attempts after a transient layer fault (the
-     *  request fails with a typed error once exhausted). */
+    /** Retry attempts after a transient layer fault (the request
+     *  fails with a typed error once exhausted). */
     int max_retries = 0;
     /** Base backoff before retry attempt a (doubles per attempt),
      *  in virtual seconds; accrues on the request's lane. */
     double retry_backoff_s = 0.0;
-
-    bool
-    anyShedding() const
-    {
-        return global_queue_cap > 0 || stream_queue_cap > 0 ||
-               shed_infeasible;
-    }
 };
 
 /**
@@ -165,19 +141,8 @@ enum class PolicyKind
 /** Stateless shared instance of a built-in policy. */
 const AdmissionPolicy &policyFor(PolicyKind kind);
 
-/** CLI name of a built-in policy ("rr" | "edf" | "sjf"). */
+/** Artifact name of a built-in policy ("rr" | "edf" | "sjf"). */
 const char *policyName(PolicyKind kind);
-
-/** Accepted CLI policy names, for flag error messages. */
-inline const char *
-policyNameList()
-{
-    return "rr|edf|sjf";
-}
-
-/** Built-in policy by CLI name; fatal on unknown names, listing the
- *  accepted values. */
-PolicyKind policyByName(const std::string &name);
 
 } // namespace serve
 } // namespace s2ta

@@ -8,48 +8,6 @@
 namespace s2ta {
 namespace serve {
 
-void
-RobustnessTelemetry::recordOutcome(Outcome outcome,
-                                   ShedReason reason, int attempts,
-                                   int64_t fault_count,
-                                   int64_t stall_cycles)
-{
-    s2ta_assert(attempts >= 1, "attempts %d < 1", attempts);
-    total_ += 1;
-    retries_ += attempts - 1;
-    layer_faults_ += fault_count;
-    stall_cycles_ += stall_cycles;
-    switch (outcome) {
-      case Outcome::Ok:
-        completed_ += 1;
-        break;
-      case Outcome::Failed:
-        failed_ += 1;
-        break;
-      case Outcome::Shed:
-        switch (reason) {
-          case ShedReason::QueueFull:
-            shed_queue_full_ += 1;
-            break;
-          case ShedReason::StreamQueueFull:
-            shed_stream_full_ += 1;
-            break;
-          case ShedReason::DeadlineInfeasible:
-            shed_infeasible_ += 1;
-            break;
-          case ShedReason::None:
-            s2ta_panic("Shed outcome with ShedReason::None");
-        }
-        break;
-    }
-}
-
-void
-RobustnessTelemetry::clear()
-{
-    *this = RobustnessTelemetry{};
-}
-
 double
 FleetTelemetry::routingSkew() const
 {
@@ -118,8 +76,8 @@ namespace {
  * Nearest rank over a non-empty ascending sample list: ceil(q*n),
  * 1-based. A single sample is every quantile of its stream. The
  * 0-sample case is the *caller's* decision — quantile() panics,
- * quantileIfAny() returns nullopt, quantiles() reports zeros —
- * rather than relying on rank clamping to paper over it here.
+ * quantiles() reports zeros — rather than relying on rank clamping
+ * to paper over it here.
  */
 double
 rankOf(const std::vector<double> &sorted, double q)
@@ -143,22 +101,11 @@ LatencyTelemetry::quantile(double q) const
                 q);
     s2ta_assert(total > 0,
                 "quantile(%g) on empty telemetry — a 0.0 here "
-                "would report a perfect latency; use "
-                "quantileIfAny() if emptiness is expected",
+                "would report a perfect latency",
                 q);
     std::vector<double> sorted = latencies_s;
     std::sort(sorted.begin(), sorted.end());
     return rankOf(sorted, q);
-}
-
-std::optional<double>
-LatencyTelemetry::quantileIfAny(double q) const
-{
-    s2ta_assert(q > 0.0 && q <= 1.0, "quantile %g out of (0, 1]",
-                q);
-    if (total == 0)
-        return std::nullopt;
-    return quantile(q);
 }
 
 LatencyQuantiles

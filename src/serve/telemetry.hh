@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "serve/qos.hh"
@@ -87,63 +86,6 @@ struct HistogramBin
     double lo_s = 0.0;
     double hi_s = 0.0;
     int64_t count = 0;
-};
-
-/**
- * Shed/retry/fault counters for overload serving,
- * accumulated from completion outcomes as they stream out of a
- * drain. Like LatencyTelemetry: deterministic inputs, not
- * thread-safe, record from the draining thread. The counters mirror
- * ServeStats so harnesses can cross-check the completion stream
- * against the scheduler's own accounting (and both against the
- * fault injector's per-site totals).
- */
-class RobustnessTelemetry
-{
-  public:
-    /** Fold one completion's outcome in (outcome, shed reason,
-     *  attempts consumed, injected layer faults, stall cycles). */
-    void recordOutcome(Outcome outcome, ShedReason reason,
-                       int attempts, int64_t fault_count,
-                       int64_t stall_cycles);
-
-    int64_t total() const { return total_; }
-    int64_t completed() const { return completed_; }
-    int64_t shedQueueFull() const { return shed_queue_full_; }
-    int64_t shedStreamFull() const { return shed_stream_full_; }
-    int64_t shedInfeasible() const { return shed_infeasible_; }
-    int64_t
-    shedTotal() const
-    {
-        return shed_queue_full_ + shed_stream_full_ +
-               shed_infeasible_;
-    }
-    int64_t failed() const { return failed_; }
-    int64_t retries() const { return retries_; }
-    int64_t layerFaults() const { return layer_faults_; }
-    int64_t stallCycles() const { return stall_cycles_; }
-
-    /** Shed requests over all requests (0 when none recorded). */
-    double
-    shedRate() const
-    {
-        return total_ > 0 ? static_cast<double>(shedTotal()) /
-                                static_cast<double>(total_)
-                          : 0.0;
-    }
-
-    void clear();
-
-  private:
-    int64_t total_ = 0;
-    int64_t completed_ = 0;
-    int64_t shed_queue_full_ = 0;
-    int64_t shed_stream_full_ = 0;
-    int64_t shed_infeasible_ = 0;
-    int64_t failed_ = 0;
-    int64_t retries_ = 0;
-    int64_t layer_faults_ = 0;
-    int64_t stall_cycles_ = 0;
 };
 
 /** Per-replica serving counters for fleet telemetry. */
@@ -256,15 +198,10 @@ class LatencyTelemetry
      * such that at least ceil(q * n) samples are <= x. A
      * single-sample stream reports that sample for every quantile.
      * Asking an *empty* telemetry for a quantile is a caller bug
-     * and panics — a silent 0.0 used to masquerade as a perfect
-     * latency; use quantileIfAny() when emptiness is a legitimate
-     * state. @p q must be in (0, 1].
+     * and panics — a silent 0.0 would masquerade as a perfect
+     * latency. @p q must be in (0, 1].
      */
     double quantile(double q) const;
-
-    /** quantile() for callers that may hold no samples: nullopt on
-     *  an empty telemetry instead of panicking. */
-    std::optional<double> quantileIfAny(double q) const;
 
     /** The standard p50/p95/p99 triple from one sort pass. Defined
      *  on every size — harnesses emit quantile columns

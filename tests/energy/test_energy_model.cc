@@ -1,5 +1,5 @@
 /** @file Calibration tests for the energy/area model against the
- *  paper's published anchors (DESIGN.md Sec. 4). */
+ *  paper's published anchors (listed in src/energy/tech.hh). */
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,7 @@ denseSaEvents(ArchKind kind)
 TEST(EnergyModel, Fig1DenseSaShares)
 {
     // Fig. 1 anchor: SRAM 21%, PE buffers 49%, MAC datapath 20%,
-    // activation function 10% (+-3 pp tolerance per DESIGN.md).
+    // activation function 10% (+-3 pp tolerance, per tech.hh).
     const EnergyModel em(TechParams::tsmc16(),
                          configFor(ArrayConfig::sa()));
     const EnergyBreakdown e = em.energy(denseSaEvents(ArchKind::Sa));

@@ -253,7 +253,6 @@ expectSameNetworkRun(const NetworkRun &got, const NetworkRun &want,
 {
     EXPECT_TRUE(got.total == want.total) << what << ": totals";
     EXPECT_EQ(got.dense_macs, want.dense_macs) << what;
-    EXPECT_EQ(got.fault_layer, want.fault_layer) << what;
     ASSERT_EQ(got.layers.size(), want.layers.size()) << what;
     for (size_t i = 0; i < want.layers.size(); ++i) {
         const LayerRun &a = got.layers[i];

@@ -1,5 +1,8 @@
 /** @file Fleet-scheduler contract: clean fleet serving is bitwise
- *  identical to the single-accelerator scheduler, crashes lose
+ *  identical to the single-accelerator scheduler, a StreamScheduler
+ *  is field for field a one-replica fleet (faults, caps, shedding
+ *  and retries included), same-instant arrivals all reach the
+ *  admission policy before the instant's dispatch, crashes lose
  *  instances but never requests (failover re-dispatches, exhausted
  *  budgets fail typed), draining stops placements without dropping
  *  work, hedges launch against a slow replica and reconcile, the
@@ -15,8 +18,8 @@
 #include <vector>
 
 #include "base/fault_injection.hh"
-#include "serve/fleet.hh"
 #include "serve/model_registry.hh"
+#include "serve/stream_scheduler.hh"
 
 namespace s2ta {
 namespace serve {
@@ -52,7 +55,7 @@ using Observed =
                int, bool, bool, bool>;
 
 Observed
-observe(const FleetCompletion &c)
+observe(const Completion &c)
 {
     return Observed{static_cast<int>(c.outcome),
                     static_cast<int>(c.shed_reason),
@@ -66,6 +69,33 @@ observe(const FleetCompletion &c)
                     c.hedged,
                     c.hedge_won,
                     c.lost_to_crash};
+}
+
+/** Every scalar field of a completion (the run is compared with
+ *  sameRun). */
+using Fields =
+    std::tuple<uint64_t, int, std::string, int, int64_t, double,
+               double, double, double, int, int64_t, int, int, int,
+               int, int64_t, int64_t, double, int, int, int, bool,
+               bool, bool>;
+
+Fields
+fields(const Completion &c)
+{
+    return Fields{c.id,          c.stream,
+                  c.model,       c.batch,
+                  c.gemms,       c.arrival_s,
+                  c.start_s,     c.finish_s,
+                  c.deadline_s,  c.lane,
+                  c.service_cycles,
+                  static_cast<int>(c.outcome),
+                  static_cast<int>(c.shed_reason),
+                  c.attempts,    c.fault_layer,
+                  c.fault_count, c.stall_cycles,
+                  c.retry_delay_s, c.replica,
+                  c.failovers,   c.instances,
+                  c.hedged,      c.hedge_won,
+                  c.lost_to_crash};
 }
 
 class FleetTest : public ::testing::Test
@@ -152,6 +182,97 @@ TEST_F(FleetTest, CleanFleetMatchesSingleAcceleratorBitwise)
     EXPECT_EQ(st.completed, 8);
     EXPECT_EQ(st.crashes, 0);
     EXPECT_EQ(st.failovers, 0);
+
+    // A StreamScheduler is a one-replica fleet, field for field and
+    // ledger for ledger — also with an armed injector, queue caps,
+    // infeasible shedding and retries under a backlog.
+    const ModelWorkload &mw2 = registry.workload("lenet5", 2);
+    const auto serve = [&](bool stream_scheduler) {
+        FaultInjector fi(0x0F417);
+        fi.setRate(FaultSite::LayerCompute, 0.1);
+        fi.setRate(FaultSite::LayerStall, 0.1);
+        fi.setStallCycles(1000, 50000);
+        FleetScheduler::Options o = baseOptions();
+        o.clock.lanes = 2;
+        o.policy = &policyFor(PolicyKind::EarliestDeadlineFirst);
+        o.fault = &fi;
+        o.overload.global_queue_cap = 4;
+        o.overload.stream_queue_cap = 2;
+        o.overload.shed_infeasible = true;
+        o.overload.max_retries = 3;
+        o.overload.retry_backoff_s = 0.5 * service_s;
+        std::unique_ptr<FleetScheduler> sched =
+            stream_scheduler
+                ? std::make_unique<StreamScheduler>(*acc, o)
+                : std::make_unique<FleetScheduler>(fleetOf(1), o);
+        for (int i = 0; i < 24; ++i) {
+            const double arrival = 0.3 * service_s * i;
+            sched->submit(i % 3, i % 2 ? mw2 : mw, arrival,
+                          arrival + (1 + i % 5) * service_s);
+        }
+        auto by_stream = sched->drain();
+        return std::make_pair(std::move(by_stream), sched->stats());
+    };
+    const auto [fleet_out, fleet_st] = serve(false);
+    const auto [stream_out, stream_st] = serve(true);
+    EXPECT_TRUE(stream_st == fleet_st);
+    EXPECT_TRUE(stream_st.reconciles());
+    EXPECT_GT(stream_st.shed_queue_full + stream_st.shed_stream_full,
+              0);
+    EXPECT_GT(stream_st.shed_infeasible, 0);
+    EXPECT_GT(stream_st.retries, 0);
+    EXPECT_GT(stream_st.completed, 0);
+    ASSERT_EQ(stream_out.size(), fleet_out.size());
+    for (size_t s = 0; s < fleet_out.size(); ++s) {
+        ASSERT_EQ(stream_out[s].size(), fleet_out[s].size());
+        for (size_t i = 0; i < fleet_out[s].size(); ++i) {
+            EXPECT_EQ(fields(stream_out[s][i]), fields(fleet_out[s][i]));
+            EXPECT_TRUE(
+                sameRun(stream_out[s][i].run, fleet_out[s][i].run));
+        }
+    }
+}
+
+TEST_F(FleetTest, ClosedBatchReachesThePolicyBeforeDispatch)
+{
+    // LeNet-5 at batch 4, 1, 4, 1 on four streams, all at t = 0, one
+    // lane, SJF: the instant's one dispatch sees all four requests,
+    // so both batch-1 requests run first — on a StreamScheduler and
+    // on a one-replica fleet alike.
+    const ModelWorkload &b1 = registry.workload("lenet5", 1);
+    const ModelWorkload &b4 = registry.workload("lenet5", 4);
+    const auto serve = [&](bool stream_scheduler) {
+        FleetScheduler::Options o = baseOptions();
+        o.policy = &policyFor(PolicyKind::ShortestJobFirst);
+        std::unique_ptr<FleetScheduler> sched =
+            stream_scheduler
+                ? std::make_unique<StreamScheduler>(*acc, o)
+                : std::make_unique<FleetScheduler>(fleetOf(1), o);
+        for (int s = 0; s < 4; ++s)
+            sched->submit(s, s % 2 ? b1 : b4);
+        std::vector<Completion> out;
+        for (auto &stream : sched->drain())
+            out.push_back(std::move(stream.at(0)));
+        return out;
+    };
+    for (const bool stream_scheduler : {false, true}) {
+        const std::vector<Completion> c = serve(stream_scheduler);
+        ASSERT_EQ(c.size(), 4u);
+        EXPECT_DOUBLE_EQ(c[1].start_s, 0.0) << stream_scheduler;
+        EXPECT_DOUBLE_EQ(c[3].start_s, c[1].finish_s)
+            << stream_scheduler;
+        EXPECT_DOUBLE_EQ(c[0].start_s, c[3].finish_s)
+            << stream_scheduler;
+        EXPECT_DOUBLE_EQ(c[2].start_s, c[0].finish_s)
+            << stream_scheduler;
+    }
+    const std::vector<Completion> fleet = serve(false);
+    const std::vector<Completion> stream = serve(true);
+    for (size_t i = 0; i < 4; ++i) {
+        EXPECT_DOUBLE_EQ(stream[i].start_s, fleet[i].start_s);
+        EXPECT_DOUBLE_EQ(stream[i].finish_s, fleet[i].finish_s);
+        EXPECT_EQ(stream[i].lane, fleet[i].lane);
+    }
 }
 
 TEST_F(FleetTest, CrashFailsOverWithoutLosingRequests)

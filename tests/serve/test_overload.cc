@@ -18,7 +18,6 @@
 #include "base/fault_injection.hh"
 #include "serve/model_registry.hh"
 #include "serve/stream_scheduler.hh"
-#include "serve/telemetry.hh"
 
 namespace s2ta {
 namespace serve {
@@ -127,11 +126,11 @@ TEST_F(OverloadTest, ShedCompletionsCarryNoResult)
     opts.run = serveRunOptions();
     opts.threads = 1;
     opts.overload.global_queue_cap = 1;
-    RobustnessTelemetry telemetry;
+    int64_t streamed = 0, streamed_ok = 0, streamed_shed = 0;
     opts.on_complete = [&](const Completion &c) {
-        telemetry.recordOutcome(c.outcome, c.shed_reason,
-                                c.attempts, c.fault_count,
-                                c.stall_cycles);
+        streamed += 1;
+        streamed_ok += c.ok() ? 1 : 0;
+        streamed_shed += c.shed() ? 1 : 0;
     };
     StreamScheduler sched(*acc, opts);
     for (int i = 0; i < 3; ++i)
@@ -150,10 +149,12 @@ TEST_F(OverloadTest, ShedCompletionsCarryNoResult)
     }
     // The completion stream reconciles with the scheduler's own
     // accounting.
-    EXPECT_EQ(telemetry.total(), sched.stats().requests);
-    EXPECT_EQ(telemetry.completed(), sched.stats().completed);
-    EXPECT_EQ(telemetry.shedTotal(), sched.stats().shedTotal());
-    EXPECT_EQ(telemetry.shedRate(), 2.0 / 3.0);
+    const FleetStats &st = sched.stats();
+    EXPECT_TRUE(st.reconciles());
+    EXPECT_EQ(streamed, st.requests);
+    EXPECT_EQ(streamed_ok, st.completed);
+    EXPECT_EQ(streamed_shed, st.shedTotal());
+    EXPECT_EQ(st.shedTotal(), 2);
 }
 
 TEST_F(OverloadTest, StreamQueueCapShedsOnlyTheFloodingStream)
@@ -243,7 +244,7 @@ TEST_F(OverloadTest, TransientFaultsRetryToIdenticalResults)
         StreamScheduler::Options opts;
         opts.run = serveRunOptions();
         opts.run.compute_output = true;
-        opts.run.fault = &fi;
+        opts.fault = &fi;
         opts.threads = threads;
         opts.overload.max_retries = 8;
         StreamScheduler sched(*acc, opts);
@@ -302,7 +303,7 @@ TEST_F(OverloadTest, FaultCountersReconcileExactly)
     fi.setRate(FaultSite::LayerCompute, 0.1);
     StreamScheduler::Options opts;
     opts.run = serveRunOptions();
-    opts.run.fault = &fi;
+    opts.fault = &fi;
     opts.threads = 1;
     opts.overload.max_retries = 8;
     StreamScheduler sched(*acc, opts);
@@ -310,8 +311,9 @@ TEST_F(OverloadTest, FaultCountersReconcileExactly)
         sched.submit(i % 2, mw);
     sched.drain();
 
-    const ServeStats &st = sched.stats();
+    const FleetStats &st = sched.stats();
     EXPECT_EQ(st.layer_faults, fi.injected(FaultSite::LayerCompute));
+    EXPECT_TRUE(st.reconciles());
     EXPECT_EQ(st.faulted_attempts, st.retries + st.failed)
         << "every faulted attempt either retried or terminally "
            "failed its request";
@@ -325,7 +327,7 @@ TEST_F(OverloadTest, ExhaustedRetriesFailOnlyTheOwningRequest)
     fi.setRate(FaultSite::LayerCompute, 1.0);
     StreamScheduler::Options opts;
     opts.run = serveRunOptions();
-    opts.run.fault = &fi;
+    opts.fault = &fi;
     opts.threads = 1;
     opts.overload.max_retries = 1;
     StreamScheduler sched(*acc, opts);
@@ -384,7 +386,7 @@ TEST_F(OverloadTest, StallsMoveTimeButNeverResults)
     StreamScheduler::Options opts;
     opts.run = serveRunOptions();
     opts.run.compute_output = true;
-    opts.run.fault = &fi;
+    opts.fault = &fi;
     opts.threads = 1;
     StreamScheduler sched(*acc, opts);
     for (int i = 0; i < 6; ++i)
@@ -424,7 +426,7 @@ TEST_F(OverloadTest, RetryDelayIsTheExactExponentialSeries)
     fi.setStallCycles(1000, 50000);
     StreamScheduler::Options opts;
     opts.run = serveRunOptions();
-    opts.run.fault = &fi;
+    opts.fault = &fi;
     opts.threads = 1;
     opts.overload.max_retries = 8;
     opts.overload.retry_backoff_s = backoff;
@@ -461,16 +463,15 @@ TEST_F(OverloadTest, BackoffAccruesOnlyOnTheOwningLane)
     // Two always-faulting requests on two lanes: each exhausts its
     // retry budget on its *own* lane, so both start at t = 0 —
     // backoff never serializes unrelated lanes. A third request
-    // then waits exactly one full retry series, no more: the
-    // series with attempt cost 0 (nothing ever simulated
-    // successfully, so the workload estimate is 0) is
-    // backoff * (1 + 2 + 4) = 3.5 virtual seconds.
+    // then waits exactly one full retry series, no more: each of
+    // the three failed attempts costs the request's service time,
+    // plus backoff * (1 + 2 + 4) = 3.5 virtual seconds.
     const ModelWorkload &mw = registry.workload("lenet5", 1);
     FaultInjector fi(0x42);
     fi.setRate(FaultSite::LayerCompute, 1.0);
     StreamScheduler::Options opts;
     opts.run = serveRunOptions();
-    opts.run.fault = &fi;
+    opts.fault = &fi;
     opts.threads = 1;
     opts.clock.lanes = 2;
     opts.overload.max_retries = 2;
@@ -481,15 +482,19 @@ TEST_F(OverloadTest, BackoffAccruesOnlyOnTheOwningLane)
     sched.submit(2, mw, /*arrival_s=*/0.0);
     const auto by_stream = sched.drain();
     ASSERT_EQ(by_stream.size(), 3u);
-    const double series = 0.5 * (1.0 + 2.0 + 4.0);
+    const double service_s = opts.clock.cyclesToSeconds(
+        acc->runNetwork(mw.layers, opts.run).total.cycles);
+    double series = 0.0;
+    for (int a = 0; a < 3; ++a)
+        series += service_s + 0.5 * static_cast<double>(1 << a);
     for (const auto &stream : by_stream) {
         ASSERT_EQ(stream.size(), 1u);
         const Completion &c = stream[0];
         EXPECT_TRUE(c.failed());
         EXPECT_EQ(c.attempts, 3);
         EXPECT_DOUBLE_EQ(c.retry_delay_s, series);
-        // Zero service cycles: the lane was occupied purely by the
-        // accrued series, so finish - start is exactly it.
+        // A failed request delivers no service: the lane was
+        // occupied purely by the accrued series.
         EXPECT_DOUBLE_EQ(c.finish_s - c.start_s, series);
     }
     const Completion &first = by_stream[0][0];
@@ -500,7 +505,7 @@ TEST_F(OverloadTest, BackoffAccruesOnlyOnTheOwningLane)
     EXPECT_DOUBLE_EQ(first.start_s, 0.0);
     EXPECT_DOUBLE_EQ(second.start_s, 0.0)
         << "lane 1 must not inherit lane 0's backoff";
-    EXPECT_EQ(third.lane, 0) << "earliest-free tie breaks low";
+    EXPECT_EQ(third.lane, 0) << "free lanes tie-break low";
     EXPECT_DOUBLE_EQ(third.start_s, series);
 }
 

@@ -184,7 +184,7 @@ TEST_F(StreamSchedulerTest, CallbackFiresInAdmissionOrderAndStats)
     EXPECT_EQ(completed[1], s1r0);
     EXPECT_EQ(completed[2], s0r1);
 
-    const ServeStats &st = sched.stats();
+    const FleetStats &st = sched.stats();
     EXPECT_EQ(st.requests, 3);
     EXPECT_EQ(st.gemms, 3 * gemms);
     EXPECT_EQ(st.layers,
@@ -369,26 +369,6 @@ TEST_F(StreamSchedulerTest, DeadlineMissAccountingIsExact)
     EXPECT_EQ(telemetry.deadlineRequests(), 2);
     EXPECT_EQ(telemetry.deadlineMisses(), 1);
     EXPECT_EQ(telemetry.byStream().at(1).deadline_misses, 1);
-}
-
-TEST_F(StreamSchedulerTest, EstimatedCyclesPinnedPerWorkload)
-{
-    const ModelWorkload &mw = registry.workload("lenet5", 1);
-    StreamScheduler::Options opts;
-    opts.run = serveRunOptions();
-    opts.threads = 1;
-    StreamScheduler sched(*acc, opts);
-    EXPECT_EQ(sched.estimatedCycles(mw), 0); // nothing drained yet
-    sched.submit(0, mw);
-    const auto runs = sched.drain();
-    const int64_t exact = runs[0][0].run.total.cycles;
-    EXPECT_EQ(sched.estimatedCycles(mw), exact);
-    // Pinned: a second drain of the same workload keeps the
-    // first-seen estimate (which equals the exact cycles — the
-    // simulation is deterministic).
-    sched.submit(0, mw);
-    sched.drain();
-    EXPECT_EQ(sched.estimatedCycles(mw), exact);
 }
 
 } // anonymous namespace

@@ -1,15 +1,16 @@
 /** @file Virtual-clock contract: Poisson traces are seeded and
- *  ascending, the discrete-event loop is work-conserving and
- *  non-preemptive with deterministic tie-breaks, and the built-in
- *  policies dispatch exactly per their ordering contracts
- *  (admission order / earliest deadline / shortest estimated job,
- *  all tie-broken on admission index). */
+ *  ascending, the serving loop run over caller timings
+ *  (scheduleOnLanes) is work-conserving and non-preemptive with
+ *  deterministic tie-breaks, and the built-in policies dispatch
+ *  exactly per their ordering contracts (admission order / earliest
+ *  deadline / shortest estimated job, all tie-broken on admission
+ *  index) among every request arrived by the dispatch instant. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "serve/virtual_clock.hh"
+#include "serve/fleet.hh"
 
 namespace s2ta {
 namespace serve {
@@ -75,7 +76,7 @@ TEST(VirtualClock, SingleLaneFifoBackToBack)
     const std::vector<TimedRequest> reqs = {req(0, 2), req(0, 3),
                                             req(0, 1)};
     const auto la = scheduleOnLanes(
-        oneLane(), reqs, policyFor(PolicyKind::RoundRobin));
+        oneLane(), reqs, policyFor(PolicyKind::RoundRobin), {});
     EXPECT_DOUBLE_EQ(la[0].start_s, 0.0);
     EXPECT_DOUBLE_EQ(la[0].finish_s, 2.0);
     EXPECT_DOUBLE_EQ(la[1].start_s, 2.0);
@@ -92,7 +93,7 @@ TEST(VirtualClock, WorkConservingIdleUntilNextArrival)
     // arrival, never longer.
     const std::vector<TimedRequest> reqs = {req(0, 1), req(5, 1)};
     const auto la = scheduleOnLanes(
-        oneLane(), reqs, policyFor(PolicyKind::RoundRobin));
+        oneLane(), reqs, policyFor(PolicyKind::RoundRobin), {});
     EXPECT_DOUBLE_EQ(la[0].finish_s, 1.0);
     EXPECT_DOUBLE_EQ(la[1].start_s, 5.0);
     EXPECT_DOUBLE_EQ(la[1].finish_s, 6.0);
@@ -104,7 +105,7 @@ TEST(VirtualClock, TwoLanesRunConcurrently)
                                             req(0, 1)};
     const auto la = scheduleOnLanes(
         VirtualClockConfig{2, 1.0}, reqs,
-        policyFor(PolicyKind::RoundRobin));
+        policyFor(PolicyKind::RoundRobin), {});
     // Request 0 occupies lane 0; requests 1 and 2 share lane 1.
     EXPECT_DOUBLE_EQ(la[0].start_s, 0.0);
     EXPECT_EQ(la[0].lane, 0);
@@ -119,7 +120,7 @@ TEST(VirtualClock, ClockScalesServiceTime)
     const std::vector<TimedRequest> reqs = {req(0, 2)};
     const auto la = scheduleOnLanes(
         VirtualClockConfig{1, 2.0}, reqs,
-        policyFor(PolicyKind::RoundRobin));
+        policyFor(PolicyKind::RoundRobin), {});
     // 2e9 cycles at 2 GHz = 1 virtual second.
     EXPECT_DOUBLE_EQ(la[0].finish_s, 1.0);
 }
@@ -137,7 +138,7 @@ TEST(VirtualClock, EdfPicksEarliestDeadlineAmongArrived)
     };
     const auto la = scheduleOnLanes(
         oneLane(), reqs,
-        policyFor(PolicyKind::EarliestDeadlineFirst));
+        policyFor(PolicyKind::EarliestDeadlineFirst), {});
     const auto order = dispatchOrder(la);
     EXPECT_EQ(order, (std::vector<size_t>{0, 2, 1, 3}));
 }
@@ -150,7 +151,7 @@ TEST(VirtualClock, EdfCannotPreempt)
                                             req(1, 1, 2.0)};
     const auto la = scheduleOnLanes(
         oneLane(), reqs,
-        policyFor(PolicyKind::EarliestDeadlineFirst));
+        policyFor(PolicyKind::EarliestDeadlineFirst), {});
     EXPECT_DOUBLE_EQ(la[1].start_s, 10.0);
     EXPECT_GT(la[1].finish_s, reqs[1].deadline_s); // missed
 }
@@ -166,9 +167,19 @@ TEST(VirtualClock, SjfPicksShortestEstimate)
         req(3, 1, kNoDeadline, 2'000'000'000),
     };
     const auto la = scheduleOnLanes(
-        oneLane(), reqs, policyFor(PolicyKind::ShortestJobFirst));
+        oneLane(), reqs, policyFor(PolicyKind::ShortestJobFirst), {});
     const auto order = dispatchOrder(la);
     EXPECT_EQ(order, (std::vector<size_t>{0, 2, 3, 1}));
+
+    // A closed batch: every event at t = 0 is handled before the
+    // one dispatch at t = 0, so SJF picks among all four requests,
+    // not just the first admitted.
+    const std::vector<TimedRequest> batch = {req(0, 4), req(0, 1),
+                                             req(0, 4), req(0, 1)};
+    EXPECT_EQ(dispatchOrder(scheduleOnLanes(
+                  oneLane(), batch,
+                  policyFor(PolicyKind::ShortestJobFirst), {})),
+              (std::vector<size_t>{1, 3, 0, 2}));
 }
 
 TEST(VirtualClock, TiesBreakOnAdmissionIndex)
@@ -182,11 +193,35 @@ TEST(VirtualClock, TiesBreakOnAdmissionIndex)
          {PolicyKind::RoundRobin, PolicyKind::EarliestDeadlineFirst,
           PolicyKind::ShortestJobFirst}) {
         const auto la =
-            scheduleOnLanes(oneLane(), reqs, policyFor(kind));
+            scheduleOnLanes(oneLane(), reqs, policyFor(kind), {});
         const auto order = dispatchOrder(la);
         EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}))
             << policyName(kind);
     }
+}
+
+TEST(VirtualClock, InfeasibleIsJudgedWhenPicked)
+{
+    // Request 1 cannot meet its deadline once request 0 holds the
+    // lane, but it is shed only when SJF picks it (t = 8); until
+    // then it holds a slot of the cap-2 queue, so request 4 is
+    // shed as queue-full at its arrival.
+    OverloadConfig overload;
+    overload.global_queue_cap = 2;
+    overload.shed_infeasible = true;
+    const std::vector<TimedRequest> reqs = {
+        req(0, 5), req(1, 3, 2.0), req(2, 1), req(5.5, 2),
+        req(5.5, 2)};
+    const auto la = scheduleOnLanes(
+        oneLane(), reqs, policyFor(PolicyKind::ShortestJobFirst),
+        overload);
+    EXPECT_DOUBLE_EQ(la[2].start_s, 5.0);
+    EXPECT_DOUBLE_EQ(la[3].start_s, 6.0);
+    EXPECT_EQ(la[4].shed, ShedReason::QueueFull);
+    EXPECT_DOUBLE_EQ(la[4].start_s, 5.5);
+    EXPECT_EQ(la[1].shed, ShedReason::DeadlineInfeasible);
+    EXPECT_DOUBLE_EQ(la[1].start_s, 8.0);
+    EXPECT_EQ(la[1].lane, -1);
 }
 
 TEST(VirtualClock, PolicyNeverChangesTotalBusyTime)
@@ -206,7 +241,7 @@ TEST(VirtualClock, PolicyNeverChangesTotalBusyTime)
          {PolicyKind::RoundRobin, PolicyKind::EarliestDeadlineFirst,
           PolicyKind::ShortestJobFirst}) {
         const auto la =
-            scheduleOnLanes(oneLane(), reqs, policyFor(kind));
+            scheduleOnLanes(oneLane(), reqs, policyFor(kind), {});
         double finish = 0.0;
         for (const LaneAssignment &a : la)
             finish = std::max(finish, a.finish_s);
@@ -218,18 +253,13 @@ TEST(VirtualClock, PolicyNeverChangesTotalBusyTime)
     }
 }
 
-TEST(PolicyNames, RoundTripAndRejection)
+TEST(PolicyNames, ArtifactNamesAreStable)
 {
-    EXPECT_EQ(policyByName("rr"), PolicyKind::RoundRobin);
-    EXPECT_EQ(policyByName("edf"),
-              PolicyKind::EarliestDeadlineFirst);
-    EXPECT_EQ(policyByName("sjf"), PolicyKind::ShortestJobFirst);
-    for (const PolicyKind kind :
-         {PolicyKind::RoundRobin, PolicyKind::EarliestDeadlineFirst,
-          PolicyKind::ShortestJobFirst}) {
-        EXPECT_EQ(policyByName(policyName(kind)), kind);
-    }
-    EXPECT_DEATH(policyByName("fifo"), "accepted values");
+    // Artifact keys (rr_p50_ms, ...) are built from these names.
+    EXPECT_STREQ(policyName(PolicyKind::RoundRobin), "rr");
+    EXPECT_STREQ(policyName(PolicyKind::EarliestDeadlineFirst),
+                 "edf");
+    EXPECT_STREQ(policyName(PolicyKind::ShortestJobFirst), "sjf");
 }
 
 } // anonymous namespace

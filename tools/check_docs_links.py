@@ -5,8 +5,12 @@ Scans README.md and docs/*.md for inline markdown links and checks
 that every relative target resolves to a file in the repo and that
 every #anchor (in-page or cross-page) matches a heading in the
 target file, using GitHub's heading-slug rules. External links
-(http/https/mailto) are ignored. Exits non-zero listing every
-broken link, so CI fails when a doc rots.
+(http/https/mailto) are ignored. Also checks that every markdown
+file name mentioned under src/, bench/, tests/, examples/ and
+tools/ names a file: a path from the repo root or from the
+mentioning file's directory, or the bare name of a markdown file in
+the repo. Exits non-zero listing every broken link or mention, so
+CI fails when a doc rots.
 
 Usage: python3 tools/check_docs_links.py [repo_root]
 """
@@ -18,6 +22,8 @@ import sys
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+MD_NAME_RE = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
+CODE_DIRS = ("src", "bench", "tests", "examples", "tools")
 
 
 def heading_slugs(path):
@@ -121,18 +127,54 @@ def check(root):
     return errors
 
 
+def walk_files(top):
+    """Files under @p top, skipping hidden and build directories."""
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = sorted(
+            d for d in dirnames if not d.startswith((".", "build"))
+        )
+        for name in sorted(filenames):
+            yield dirpath, name
+
+
+def check_code_mentions(root):
+    """Every markdown file name the code mentions must name a file."""
+    known = {n for _, n in walk_files(root) if n.endswith(".md")}
+    errors = []
+    for top in CODE_DIRS:
+        for dirpath, name in walk_files(os.path.join(root, top)):
+            path = os.path.join(dirpath, name)
+            try:
+                with open(path, encoding="utf-8") as f:
+                    lines = f.readlines()
+            except (OSError, UnicodeDecodeError):
+                continue  # binary fixtures
+            for lineno, line in enumerate(lines, 1):
+                for ref in MD_NAME_RE.findall(line):
+                    if ("/" not in ref and ref in known) or any(
+                        os.path.isfile(os.path.join(base, ref))
+                        for base in (root, dirpath)
+                    ):
+                        continue
+                    errors.append(
+                        "%s:%d: '%s' names no file"
+                        % (os.path.relpath(path, root), lineno, ref)
+                    )
+    return errors
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else "."
     files = doc_files(root)
     if not files:
         print("no documentation files found under", root)
         return 1
-    errors = check(root)
+    errors = check(root) + check_code_mentions(root)
     for e in errors:
         print("ERROR:", e)
     print(
-        "%d file(s) checked, %d broken link(s)"
-        % (len(files), len(errors))
+        "%d doc file(s) and the code's markdown mentions checked, "
+        "%d broken link(s)" % (len(files), len(errors))
     )
     return 1 if errors else 0
 
