@@ -23,7 +23,9 @@
  *    of the same request (real thread contention reorders timing,
  *    never computation);
  *  - the tracer's overhead on a fully traced virtual drain is
- *    within 5% of the untraced drain (best-of-N wall time);
+ *    within 5% of the untraced drain (traced and untraced drains
+ *    interleaved, at least 50 ms per side per rep; each side's best
+ *    mean wall time per drain over N reps);
  *  - measured latencies are sane (start >= arrival, finish >=
  *    start — enforced inside the replay driver).
  *
@@ -116,7 +118,7 @@ main(int argc, char **argv)
         args.json.empty() ? "BENCH_wallclock_serving.json"
                           : args.json;
     // Wall-clock noise exists here (unlike the virtual benches), so
-    // the overhead gate is best-of-N by default.
+    // the overhead gate keeps the best of N reps by default.
     const int reps = args.reps_given ? args.reps : 5;
 
     banner("Wall-clock replay serving",
@@ -268,22 +270,38 @@ main(int argc, char **argv)
     };
 
     // Tracer overhead: the gated virtual drain, fully traced vs
-    // untraced, best-of-reps wall time. Run before the wall-clock
-    // replays so the ring buffers exercised here are cleared from
-    // the exported trace's hot window (snapshot keeps them; the
-    // trace stays valid either way).
+    // untraced. One drain takes a few milliseconds at most, too
+    // short to time alone, so each rep runs traced and untraced
+    // drains in alternation, the side that goes first switching
+    // every pair, until each side has run for at least
+    // kOverheadRepS, and keeps each side's mean time per drain; the
+    // gate compares each side's best mean over the reps.
+    // Alternating drain by drain exposes both sides to the same
+    // drift of the host. Run before the wall-clock replays so the
+    // ring buffers exercised here are cleared from the exported
+    // trace's hot window (snapshot keeps them; the trace stays
+    // valid either way).
+    constexpr double kOverheadRepS = 0.05;
     obs::Tracer &tracer = obs::Tracer::global();
     const bool trace_requested = !args.trace_out.empty();
+    const auto timedDrain = [&](bool traced) {
+        tracer.setEnabled(traced);
+        const double t0 = benchNow();
+        replayVirtual(serve::PolicyKind::RoundRobin);
+        return benchNow() - t0;
+    };
     double untraced_best = 0.0, traced_best = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-        tracer.setEnabled(false);
-        double t0 = benchNow();
-        replayVirtual(serve::PolicyKind::RoundRobin);
-        const double untraced = benchNow() - t0;
-        tracer.setEnabled(true);
-        t0 = benchNow();
-        replayVirtual(serve::PolicyKind::RoundRobin);
-        const double traced = benchNow() - t0;
+        double side_s[2] = {0.0, 0.0}; // [untraced, traced]
+        int64_t drains = 0;
+        while (side_s[0] < kOverheadRepS || side_s[1] < kOverheadRepS) {
+            const bool traced_first = drains % 2 == 1;
+            side_s[traced_first] += timedDrain(traced_first);
+            side_s[!traced_first] += timedDrain(!traced_first);
+            ++drains;
+        }
+        const double untraced = side_s[0] / static_cast<double>(drains);
+        const double traced = side_s[1] / static_cast<double>(drains);
         if (rep == 0 || untraced < untraced_best)
             untraced_best = untraced;
         if (rep == 0 || traced < traced_best)
@@ -294,7 +312,8 @@ main(int argc, char **argv)
         traced_best / untraced_best - 1.0;
     const bool overhead_ok = overhead_frac <= 0.05;
     std::printf("tracer overhead on the virtual drain: %.3f ms "
-                "traced vs %.3f ms untraced (best of %d) -> "
+                "traced vs %.3f ms untraced (best per-drain mean of "
+                "%d reps) -> "
                 "%+.2f%% (%s)\n\n",
                 traced_best * kMsPerS, untraced_best * kMsPerS,
                 reps, 100.0 * overhead_frac,

@@ -459,16 +459,18 @@ eventsOnlyThrough(PlanCache &cache)
 }
 
 /** fc6 as the sweep's first sight meets it: events-only through a
- *  fresh PlanCache per iteration on SA-ZVCG, serial. Keying (the
- *  tensors' digests, hashed once for the process), lowering and
- *  planning without the mirror, nothing simulated. */
+ *  fresh PlanCache per iteration on SA-ZVCG, on an accelerator of
+ *  state.range(0) lanes (1: serial; more: the activation bands,
+ *  weight-mask bands and profile chunks split across them). Keying
+ *  (the tensors' digests, hashed once for the process), lowering
+ *  and planning without the mirror, nothing simulated. */
 void
 BM_EventsOnlyPlanFc(benchmark::State &state)
 {
     const LayerWorkload &wl = vgg16Fc6();
     AcceleratorConfig cfg;
     cfg.array = ArrayConfig::saZvcg();
-    cfg.sim_threads = 1;
+    cfg.sim_threads = static_cast<int>(state.range(0));
     const Accelerator acc(cfg);
     for (auto _ : state) {
         PlanCache cache;
@@ -477,7 +479,10 @@ BM_EventsOnlyPlanFc(benchmark::State &state)
     }
     state.SetBytesProcessed(state.iterations() * wl.weights.size());
 }
-BENCHMARK(BM_EventsOnlyPlanFc)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EventsOnlyPlanFc)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 /** fc6 as every later design point of a sweep meets it: a plan-cache
  *  hit, keyed by the digests its tensors already carry. */

@@ -49,11 +49,13 @@ layerPlanKey(const LayerWorkload &wl, int channel_align)
  * at a time and masks each band, and masks the weight tensor, which
  * already is the GEMM's K x out_c weight matrix, where it lies: it
  * keeps the dims, masks and profiles, and the lowered matrix never
- * exists whole.
+ * exists whole. Its bands, weight-mask bands and profiles spread
+ * over @p pool's lanes (null: serial), so a first sight that runs
+ * alone does not leave the other lanes idle.
  */
 std::shared_ptr<const CachedPlan>
 buildLayerEntry(const LayerWorkload &wl, int channel_align, int bz,
-                bool compute_output)
+                bool compute_output, ThreadPool *pool)
 {
     if (compute_output) {
         return std::make_shared<const CachedPlan>(
@@ -68,12 +70,14 @@ buildLayerEntry(const LayerWorkload &wl, int channel_align, int bz,
     const GemmProblem dims =
         im2colActivationDims(wl.shape, channel_align, wl.batch);
     DbbMatrix act = DbbMatrix::fromActivations(
-        dims, DbbSpec{bz, bz}, [&](int row0, int rows, int8_t *band) {
+        dims, DbbSpec{bz, bz},
+        [&](int row0, int rows, int8_t *band) {
             im2colLowerActivationRows(wl.shape, wl.input, wl.batch, row0,
                                       rows, band);
-        });
+        },
+        pool);
     return std::make_shared<const CachedPlan>(dims, std::move(act),
-                                              wl.weights.data(), bz);
+                                              wl.weights.data(), bz, pool);
 }
 
 } // anonymous namespace
@@ -105,20 +109,6 @@ Accelerator::Accelerator(AcceleratorConfig cfg_) : cfg(cfg_)
 }
 
 Accelerator::~Accelerator() = default;
-
-void
-Accelerator::runIndexed(int64_t n,
-                        const std::function<void(int64_t)> &fn) const
-{
-    if (cfg.sim_threads == 1) {
-        for (int64_t i = 0; i < n; ++i)
-            fn(i);
-    } else if (own_pool) {
-        own_pool->parallelFor(n, fn);
-    } else {
-        ThreadPool::global().parallelFor(n, fn);
-    }
-}
 
 ThreadPool *
 Accelerator::shardPool() const
@@ -181,7 +171,7 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
     prep.use_cache = opt.plan_cache != nullptr && fast;
     const auto build = [&] {
         return buildLayerEntry(wl, channelAlign(), acfg.bz,
-                               compute_output);
+                               compute_output, shardPool());
     };
     if (prep.use_cache) {
         prep.cached = {opt.plan_cache->acquireKeyed(
@@ -384,7 +374,8 @@ Accelerator::runNetwork(const std::vector<LayerWorkload> &layers,
         runs[static_cast<size_t>(i)] =
             runLayer(layers[static_cast<size_t>(i)], opt);
     };
-    runIndexed(static_cast<int64_t>(layers.size()), run_one);
+    parallelForOn(shardPool(), static_cast<int64_t>(layers.size()),
+                  run_one);
     NetworkRun nr;
     for (LayerRun &lr : runs)
         nr.add(std::move(lr));

@@ -15,7 +15,6 @@
 #ifndef S2TA_ARCH_ACCELERATOR_HH
 #define S2TA_ARCH_ACCELERATOR_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,9 +46,12 @@ struct AcceleratorConfig
      * Simulation threads for runNetwork/runLayer: 0 = one lane per
      * hardware thread (the process-wide pool), 1 = serial, N > 1 =
      * a dedicated pool of exactly N lanes. Layers fan out across
-     * the lanes and each layer's functional kernel shards its row
-     * stripes over them. Results are bitwise identical in all cases
-     * (per-layer results are reduced in order).
+     * the lanes; within a layer, an events-only first-sight plan
+     * build splits its bands and profiles and the functional kernel
+     * its row stripes over the same lanes, which a layer's nested
+     * work reaches whenever other lanes are idle. Results are
+     * bitwise identical in all cases (per-layer results are reduced
+     * in order).
      */
     int sim_threads = 0;
 };
@@ -237,13 +239,9 @@ class Accelerator
     /** DBB architectures need 8-aligned im2col channel segments. */
     int channelAlign() const;
 
-    /** Run fn(i) over [0, n) on the configured lane count (the
-     *  layers of runNetwork). */
-    void runIndexed(int64_t n,
-                    const std::function<void(int64_t)> &fn) const;
-
-    /** Pool functional GEMM kernels shard row stripes onto
-     *  (nullptr when the accelerator is configured serial). */
+    /** Pool the layer fan-out, first-sight plan builds and
+     *  functional GEMM kernels split their work over (nullptr when
+     *  the accelerator is configured serial). */
     ThreadPool *shardPool() const;
 
     AcceleratorConfig cfg;

@@ -114,11 +114,47 @@ countMaskBits(const Mask8 *masks, int count, int nb, int bz, int k,
     }
 }
 
+/**
+ * countMaskBits over the vectors of @p mat from @p v0 on, @p count of
+ * them. With @p pool, a group of more than kChunkMaskBytes of masks
+ * is counted in chunks across its lanes: each chunk writes its own
+ * vectors' counts and its own position histogram, and the
+ * histograms are summed into @p hist in chunk order.
+ */
+void
+countVectors(const DbbMatrix &mat, int v0, int count, int k,
+             int32_t *hist, int32_t *nz, ThreadPool *pool)
+{
+    constexpr int64_t kChunkMaskBytes = int64_t{512} << 10;
+    const int nb = mat.blocksPerVector();
+    const int bz = mat.spec().bz;
+    const int chunk = static_cast<int>(
+        std::max<int64_t>(1, kChunkMaskBytes / std::max(nb, 1)));
+    const int chunks = (count + chunk - 1) / chunk;
+    if (pool == nullptr || chunks <= 1) {
+        countMaskBits(mat.vectorMasks(v0), count, nb, bz, k, hist, nz);
+        return;
+    }
+    std::vector<int32_t> part(static_cast<size_t>(chunks - 1) * k, 0);
+    pool->parallelFor(chunks, [&](int64_t c) {
+        const int first = static_cast<int>(c) * chunk;
+        countMaskBits(mat.vectorMasks(v0 + first),
+                      std::min(chunk, count - first), nb, bz, k,
+                      c == 0 ? hist : &part[static_cast<size_t>(c - 1) * k],
+                      nz + first);
+    });
+    for (int c = 1; c < chunks; ++c) {
+        const int32_t *h = &part[static_cast<size_t>(c - 1) * k];
+        for (int pos = 0; pos < k; ++pos)
+            hist[pos] += h[pos];
+    }
+}
+
 } // anonymous namespace
 
 OperandProfile
 OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
-                        const DbbMatrix &wgt, int group)
+                        const DbbMatrix &wgt, int group, ThreadPool *pool)
 {
     s2ta_assert(group >= 0 && group < p.groups, "group %d of %d",
                 group, p.groups);
@@ -135,12 +171,10 @@ OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
     // masks: O(blocks), no dense scan. Tail and segment padding
     // positions are never set in any mask. The group's vectors are
     // consecutive (group-major) in both matrices.
-    countMaskBits(act.vectorMasks(group * p.m), p.m,
-                  act.blocksPerVector(), act.spec().bz, prof.k,
-                  prof.act_nz_at_k.data(), prof.row_nz.data());
-    countMaskBits(wgt.vectorMasks(group * p.n), p.n,
-                  wgt.blocksPerVector(), wgt.spec().bz, prof.k,
-                  prof.wgt_nz_at_k.data(), prof.col_nz.data());
+    countVectors(act, group * p.m, p.m, prof.k, prof.act_nz_at_k.data(),
+                 prof.row_nz.data(), pool);
+    countVectors(wgt, group * p.n, p.n, prof.k, prof.wgt_nz_at_k.data(),
+                 prof.col_nz.data(), pool);
     for (const int32_t nz : prof.row_nz)
         prof.act_nnz += nz;
     for (const int32_t nz : prof.col_nz)

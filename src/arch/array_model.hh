@@ -132,11 +132,15 @@ struct OperandProfile
      * per-vector counts come from the block masks (O(blocks)), no
      * dense scan. Bit-identical to build(). For a grouped
      * or padded problem this is group @p group's profile over its
-     * masks, in the modeled K layout (k = p.modeledK()).
+     * masks, in the modeled K layout (k = p.modeledK()). With
+     * @p pool, an operand of more than 512 KB of masks is counted
+     * in chunks across its lanes and the chunks' position counts
+     * are summed in chunk order: the same integers.
      */
     static OperandProfile fromDbb(const GemmProblem &p,
                                   const DbbMatrix &act,
-                                  const DbbMatrix &wgt, int group = 0);
+                                  const DbbMatrix &wgt, int group = 0,
+                                  ThreadPool *pool = nullptr);
 };
 
 /** Base class for all cycle-level array models. */

@@ -194,7 +194,8 @@ GemmPlan::build(const GemmProblem &p, int bz, bool dense_mirror)
 }
 
 GemmPlan
-GemmPlan::fromMasks(const GemmProblem &p, DbbMatrix act, DbbMatrix wgt)
+GemmPlan::fromMasks(const GemmProblem &p, DbbMatrix act, DbbMatrix wgt,
+                    ThreadPool *pool)
 {
     const int bz = act.spec().bz;
     const int nb = (p.modeledK() + bz - 1) / bz;
@@ -212,11 +213,11 @@ GemmPlan::fromMasks(const GemmProblem &p, DbbMatrix act, DbbMatrix wgt)
     plan.blk_bz = bz;
     plan.act_masks = std::move(act);
     plan.wgt_masks = std::move(wgt);
-    plan.profs.reserve(static_cast<size_t>(p.groups));
-    for (int g = 0; g < p.groups; ++g) {
-        plan.profs.push_back(OperandProfile::fromDbb(
-            p, plan.act_masks, plan.wgt_masks, g));
-    }
+    plan.profs.resize(static_cast<size_t>(p.groups));
+    parallelForOn(pool, p.groups, [&](int64_t g) {
+        plan.profs[static_cast<size_t>(g)] = OperandProfile::fromDbb(
+            p, plan.act_masks, plan.wgt_masks, static_cast<int>(g), pool);
+    });
     plan.is_encoded = true;
     return plan;
 }

@@ -136,12 +136,14 @@ class GemmPlan
     /**
      * The events-only plan of @p p from both operands' block masks
      * (in p's modeled layout, block size act.spec().bz): derives each
-     * group's profile. Reads only p's dims, so p may hold no
+     * group's profile, across @p pool's lanes when given (one group
+     * per index, a large group in chunks; see
+     * OperandProfile::fromDbb). Reads only p's dims, so p may hold no
      * operands; build(p, bz, false) is fromMasks over the masks of
      * p's operands.
      */
     static GemmPlan fromMasks(const GemmProblem &p, DbbMatrix act,
-                              DbbMatrix wgt);
+                              DbbMatrix wgt, ThreadPool *pool = nullptr);
 
     /**
      * Wrap @p p without encoding anything: the legacy scalar engine

@@ -3,12 +3,12 @@
 namespace s2ta {
 
 CachedPlan::CachedPlan(const GemmProblem &p, DbbMatrix act,
-                       const int8_t *w, int bz)
+                       const int8_t *w, int bz, ThreadPool *pool)
     : problem(p.withoutOperands()),
       // The permissive bz/bz spec, as GemmPlan::build encodes.
       plan(GemmPlan::fromMasks(
           problem, std::move(act),
-          DbbMatrix::fromWeights(p, w, DbbSpec{bz, bz})))
+          DbbMatrix::fromWeights(p, w, DbbSpec{bz, bz}, pool), pool))
 {}
 
 uint64_t

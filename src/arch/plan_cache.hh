@@ -85,10 +85,11 @@ struct CachedPlan
      * @p p's dims, activation masks @p act (built at bz/bz) and the
      * K x groups*N weight matrix at @p w (p's operands are not read;
      * pass p.w.data() for p's own): p's dims, and its plan's masks
-     * and profiles. No operand is kept or copied.
+     * and profiles, built across @p pool's lanes when given. No
+     * operand is kept or copied.
      */
     CachedPlan(const GemmProblem &p, DbbMatrix act, const int8_t *w,
-               int bz);
+               int bz, ThreadPool *pool = nullptr);
 
     /** The GEMM: operands and dims in a compute entry, dims alone
      *  in an events-only one. */

@@ -1,13 +1,14 @@
 /**
  * @file
  * Fixed-size thread pool behind every parallel tier of the
- * simulator: the layer fan-out of Accelerator::runNetwork,
- * the intra-GEMM row-stripe sharding of dbbGemm
- * (RunOptions::shard_pool), and the request-level fan-out of
- * serve::StreamScheduler.
+ * simulator: the layer fan-out of Accelerator::runNetwork, the
+ * intra-GEMM row-stripe sharding of dbbGemm
+ * (RunOptions::shard_pool), the bands and profiles of an
+ * events-only first-sight plan build, and the request-level fan-out
+ * of serve::FleetScheduler.
  *
  * parallelFor(n, fn) runs fn(i) for i in [0, n). Indices are handed
- * out through a shared atomic counter (no work stealing, no
+ * out through the job's atomic counter (no work stealing, no
  * per-worker deques); the calling thread participates, and the call
  * returns only when every index has completed. Determinism comes
  * from the usage pattern, not the schedule: callers write result i
@@ -15,15 +16,22 @@
  * bitwise identical to a serial loop no matter how indices
  * interleave across workers.
  *
+ * Callers from outside the pool queue up, one job at a time. A
+ * parallelFor called from a lane of the same pool (from inside fn)
+ * publishes its job beside the running one: an idle lane takes the
+ * newest job that still has an unclaimed index, so one layer's plan
+ * build that runs alone after the other layers are done spreads
+ * over the lanes they left idle. The calling lane drains its own
+ * job, then waits only for that job's in-flight indices and takes
+ * no other index meanwhile, so a lane only ever waits on work
+ * nested below its own and nesting cannot deadlock. A call from a
+ * lane of a different pool runs inline, so pools never
+ * oversubscribe one another.
+ *
  * Jobs are published as shared_ptrs, so completion waits only on
- * lanes that actually claimed work — a worker that wakes late finds
+ * lanes that actually claimed work: a worker that wakes late finds
  * the counter exhausted and goes back to sleep without gating the
  * caller (important when n is much smaller than the pool).
- *
- * Nested parallelFor calls from inside a worker (or from the
- * caller's own lane) run inline (no new threads, no deadlock), so
- * e.g. a layer's row-stripe sharding composes with per-layer
- * parallelism across a network.
  */
 
 #ifndef S2TA_BASE_THREAD_POOL_HH
@@ -103,13 +111,15 @@ class ThreadPool
      * Behavioral contract:
      *  - the caller participates as a lane, so a pool with zero
      *    helpers (or n == 1) degrades to a plain serial loop;
-     *  - thread-safe: concurrent parallelFor calls from different
-     *    threads are serialized (one job at a time, FIFO by mutex
-     *    acquisition); calls from *inside* a worker lane run
-     *    inline, so nested parallelism composes without deadlock
-     *    or oversubscription — this also holds across distinct
-     *    pool instances (the in-worker flag is per thread, not per
-     *    pool);
+     *  - thread-safe: concurrent calls from threads outside the
+     *    pool are serialized (one job at a time, FIFO by mutex
+     *    acquisition);
+     *  - a call from a lane of this pool (from inside fn, at any
+     *    depth) runs beside the job that lane is working on: idle
+     *    lanes take the newest job with an unclaimed index, and the
+     *    caller drains its job, then waits for that job's in-flight
+     *    indices without taking other work;
+     *  - a call from a lane of another pool runs inline;
      *  - scheduling is non-deterministic, results must not be:
      *    have fn(i) write only to slot/stripe i and reduce in
      *    index order afterwards, which makes the outcome bitwise
@@ -125,41 +135,26 @@ class ThreadPool
     {
         if (n <= 0)
             return;
-        if (n == 1 || threads.empty() || inside_worker) {
+        if (n == 1 || threads.empty() ||
+            (lane_of != nullptr && lane_of != this)) {
             for (int64_t i = 0; i < n; ++i)
                 fn(i);
             return;
         }
-
-        // One job at a time; concurrent callers queue up here.
-        std::lock_guard<std::mutex> job_lk(job_mu);
         auto job = std::make_shared<Job>();
         job->limit = n;
         job->call = [&fn](int64_t i) { fn(i); };
-        {
-            std::lock_guard<std::mutex> lk(mu);
-            current = job;
-            ++generation;
+        if (lane_of == this) {
+            run(job);
+            return;
         }
-        wake_cv.notify_all();
-
-        // The caller participates; mark its lane busy so a nested
-        // parallelFor from inside fn runs inline.
-        inside_worker = true;
-        drain(*job);
-        inside_worker = false;
-
-        // Done when the counter is exhausted and no lane is still
-        // executing a claimed index. Lanes that never claimed work
-        // are not waited for (the shared_ptr keeps the job alive
-        // for any of them waking late).
-        std::unique_lock<std::mutex> lk(mu);
-        done_cv.wait(lk, [&] {
-            return job->next.load() >= job->limit &&
-                   job->active.load() == 0;
-        });
-        if (current == job)
-            current.reset();
+        // One outside job at a time; concurrent callers queue up
+        // here. The caller is a lane of this pool until its job is
+        // done, so a nested call from inside fn publishes beside it.
+        std::lock_guard<std::mutex> job_lk(job_mu);
+        lane_of = this;
+        run(job);
+        lane_of = nullptr;
     }
 
     /**
@@ -197,52 +192,76 @@ class ThreadPool
     struct Job
     {
         std::function<void(int64_t)> call;
-        std::atomic<int64_t> next{0};
         int64_t limit = 0;
-        /** Lanes currently inside drain() for this job. */
-        std::atomic<int> active{0};
+        /** Next index to claim (runs past limit once exhausted). */
+        std::atomic<int64_t> next{0};
+        /** Indices that have completed. */
+        std::atomic<int64_t> done{0};
     };
+
+    /** Publish @p job, drain it on the calling lane, and wait for
+     *  the indices other lanes still run. */
+    void
+    run(const std::shared_ptr<Job> &job)
+    {
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            jobs.push_back(job);
+        }
+        wake_cv.notify_all();
+        drain(*job);
+        std::unique_lock<std::mutex> lk(mu);
+        done_cv.wait(lk, [&] { return job->done.load() == job->limit; });
+        jobs.erase(std::find(jobs.begin(), jobs.end(), job));
+    }
 
     void
     drain(Job &job)
     {
-        job.active.fetch_add(1);
+        int64_t ran = 0;
         for (;;) {
-            const int64_t i =
-                job.next.fetch_add(1, std::memory_order_relaxed);
+            const int64_t i = job.next.fetch_add(1);
             if (i >= job.limit)
                 break;
             job.call(i);
+            ++ran;
         }
-        {
-            // Decrement under the lock so the caller's predicate
-            // re-check cannot miss the final transition, and so the
-            // lane's writes happen-before the caller's wakeup.
-            std::lock_guard<std::mutex> lk(mu);
-            job.active.fetch_sub(1);
+        if (ran > 0 && job.done.fetch_add(ran) + ran == job.limit) {
+            // The job's last index. Taking the lock orders this
+            // wakeup after the publisher's predicate check, so the
+            // publisher cannot miss it.
+            { std::lock_guard<std::mutex> lk(mu); }
+            done_cv.notify_all();
         }
-        done_cv.notify_all();
+    }
+
+    /** The newest published job with an unclaimed index, or null
+     *  (mu held). */
+    std::shared_ptr<Job>
+    openJob() const
+    {
+        for (auto it = jobs.rbegin(); it != jobs.rend(); ++it)
+            if ((*it)->next.load() < (*it)->limit)
+                return *it;
+        return nullptr;
     }
 
     void
     workerLoop()
     {
-        inside_worker = true;
-        uint64_t seen = 0;
+        lane_of = this;
         for (;;) {
             std::shared_ptr<Job> job;
             {
                 std::unique_lock<std::mutex> lk(mu);
                 wake_cv.wait(lk, [&] {
-                    return stopping || generation != seen;
+                    job = openJob();
+                    return stopping || job != nullptr;
                 });
                 if (stopping)
                     return;
-                seen = generation;
-                job = current;
             }
-            if (job)
-                drain(*job);
+            drain(*job);
         }
     }
 
@@ -251,14 +270,29 @@ class ThreadPool
     std::mutex mu;
     std::condition_variable wake_cv;
     std::condition_variable done_cv;
-    std::shared_ptr<Job> current;
-    uint64_t generation = 0;
+    /** Published jobs, oldest first: the outside job, then the
+     *  nested jobs its lanes published. */
+    std::vector<std::shared_ptr<Job>> jobs;
     bool stopping = false;
 
-    static thread_local bool inside_worker;
+    /** The pool whose lane this thread currently is, if any. */
+    static thread_local const ThreadPool *lane_of;
 };
 
-inline thread_local bool ThreadPool::inside_worker = false;
+inline thread_local const ThreadPool *ThreadPool::lane_of = nullptr;
+
+/** pool->parallelFor(n, fn), or a serial loop when @p pool is null. */
+template <typename Fn>
+void
+parallelForOn(ThreadPool *pool, int64_t n, Fn &&fn)
+{
+    if (pool != nullptr) {
+        pool->parallelFor(n, fn);
+        return;
+    }
+    for (int64_t i = 0; i < n; ++i)
+        fn(i);
+}
 
 } // namespace s2ta
 

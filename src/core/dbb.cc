@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "base/thread_pool.hh"
+
 namespace s2ta {
 
 std::string
@@ -208,6 +210,18 @@ struct ModeledLayout
                 f(r, s0 + b * bz, std::min(bz, seg - b * bz));
     }
 
+    /** Block @p r's stored values: the len starting at stored
+     *  position first, none when len <= 0 (forEachBlock's r-th
+     *  call). */
+    std::pair<int, int>
+    block(int r) const
+    {
+        if (!padded)
+            return {r * bz, std::min(bz, k - r * bz)};
+        const int b = r % seg_blocks;
+        return {r / seg_blocks * seg + b * bz, std::min(bz, seg - b * bz)};
+    }
+
     /** The masks of the vector whose stored values start at
      *  @p src, into @p out (`blocks` masks). */
     void
@@ -256,6 +270,26 @@ checkDensity(const Mask8 *masks, int nb, const DbbSpec &spec,
     }
 }
 
+/**
+ * The masks of the @p rows activation rows at @p a (row stride
+ * groups * k), rows [i0, i0 + rows) of @p p's M, into @p masks, all
+ * of p's group-major vectors: row i's group-g slice is vector
+ * g * m + i. Row-outer, so each row streams once.
+ */
+void
+maskActivationRows(const GemmProblem &p, const ModeledLayout &layout,
+                   const int8_t *a, int i0, int rows, Mask8 *masks)
+{
+    const size_t lda = static_cast<size_t>(p.groups) * p.k;
+    for (int i = 0; i < rows; ++i) {
+        for (int g = 0; g < p.groups; ++g) {
+            layout.masks(a + i * lda + static_cast<size_t>(g) * p.k,
+                         masks + (static_cast<size_t>(g) * p.m + i0 + i) *
+                                     layout.blocks);
+        }
+    }
+}
+
 } // anonymous namespace
 
 DbbMatrix::DbbMatrix(DbbSpec s, int vectors, int blocks,
@@ -276,7 +310,7 @@ DbbMatrix::fromWeights(const GemmProblem &p, const DbbSpec &spec)
 
 DbbMatrix
 DbbMatrix::fromWeights(const GemmProblem &p, const int8_t *w,
-                       const DbbSpec &spec)
+                       const DbbSpec &spec, ThreadPool *pool)
 {
     s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
                 spec.nnz, spec.bz);
@@ -287,34 +321,30 @@ DbbMatrix::fromWeights(const GemmProblem &p, const int8_t *w,
     const size_t ld = static_cast<size_t>(cols);
     // Mask row r holds block r's mask of every column: the flags
     // of the block's (at most bz) stored W rows; a block with no
-    // stored values stays empty. The rows are built a band at a
-    // time, and each full band is transposed into its columns'
-    // masks [r0, r0 + band rows).
+    // stored values stays empty. One index builds one band of mask
+    // rows [r0, r1) in its own buffer and transposes it into its
+    // columns' masks [r0, r1), so bands write disjoint bytes.
     const int band = std::min(
         nb, std::max(8, static_cast<int>(kMaskBandBytes /
                                          std::max<size_t>(ld, 1)) &
                             ~7));
-    std::vector<Mask8> rows(static_cast<size_t>(band) * ld);
     std::vector<Mask8> masks(static_cast<size_t>(cols) * nb);
-    int r0 = 0;
-    const auto flush = [&](int r_end) {
+    parallelForOn(pool, (nb + band - 1) / band, [&](int64_t bi) {
+        const int r0 = static_cast<int>(bi) * band;
+        const int r1 = std::min(nb, r0 + band);
+        std::vector<Mask8> rows(static_cast<size_t>(r1 - r0) * ld);
+        for (int r = r0; r < r1; ++r) {
+            const auto [first, len] = layout.block(r);
+            if (len > 0) {
+                maskRows(w + static_cast<size_t>(first) * ld, ld, len,
+                         cols, &rows[static_cast<size_t>(r - r0) * ld]);
+            }
+        }
         transposeBytes(reinterpret_cast<const int8_t *>(rows.data()), ld,
-                       r_end - r0, cols,
+                       r1 - r0, cols,
                        reinterpret_cast<int8_t *>(masks.data()) + r0,
                        static_cast<size_t>(nb));
-        std::fill_n(rows.begin(), static_cast<size_t>(r_end - r0) * ld,
-                    Mask8{0});
-        r0 = r_end;
-    };
-    layout.forEachBlock([&](int r, int first, int len) {
-        if (r - r0 == band)
-            flush(r);
-        if (len > 0) {
-            maskRows(w + static_cast<size_t>(first) * ld, ld, len, cols,
-                     &rows[static_cast<size_t>(r - r0) * ld]);
-        }
     });
-    flush(nb);
     for (int j = 0; j < cols; ++j)
         checkDensity(&masks[static_cast<size_t>(j) * nb], nb, spec,
                      "weight", "col", j);
@@ -328,51 +358,39 @@ DbbMatrix::fromActivations(const GemmProblem &p, const DbbSpec &spec)
                 spec.nnz, spec.bz);
     const ModeledLayout layout(p, spec.bz);
     const int nb = layout.blocks;
-    const size_t lda = static_cast<size_t>(p.groups) * p.k;
     std::vector<Mask8> masks(static_cast<size_t>(p.groups) * p.m * nb);
-    // Row-outer, so each stored row streams once; its group slices
-    // land in the groups' group-major vectors.
-    for (int i = 0; i < p.m; ++i) {
-        const int8_t *row = &p.a[i * lda];
-        for (int g = 0; g < p.groups; ++g) {
-            const int v = g * p.m + i;
-            Mask8 *out = &masks[static_cast<size_t>(v) * nb];
-            layout.masks(row + static_cast<size_t>(g) * p.k, out);
-            checkDensity(out, nb, spec, "activation", "row", v);
-        }
-    }
+    maskActivationRows(p, layout, p.a.data(), 0, p.m, masks.data());
+    for (int v = 0; v < p.groups * p.m; ++v)
+        checkDensity(&masks[static_cast<size_t>(v) * nb], nb, spec,
+                     "activation", "row", v);
     return DbbMatrix(spec, p.groups * p.m, nb, std::move(masks));
 }
 
 DbbMatrix
 DbbMatrix::fromActivations(
     const GemmProblem &p, const DbbSpec &spec,
-    const std::function<void(int, int, int8_t *)> &lower)
+    const std::function<void(int, int, int8_t *)> &lower,
+    ThreadPool *pool)
 {
     s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
                 spec.nnz, spec.bz);
-    const int nb = ModeledLayout(p, spec.bz).blocks;
+    const ModeledLayout layout(p, spec.bz);
+    const int nb = layout.blocks;
     const size_t lda = static_cast<size_t>(p.groups) * p.k;
     const int band_rows = std::max(
         1, static_cast<int>(
                std::min<size_t>(kMaskBandBytes / std::max<size_t>(lda, 1),
                                 static_cast<size_t>(p.m))));
-    // Each band is masked as a GEMM of its own rows at the permissive
-    // bz/bz spec, and its groups' masks are copied into place.
-    GemmProblem band = p.withoutOperands();
+    // One index lowers one band of rows into its own zeroed buffer
+    // and masks it into the bands' disjoint rows of the result.
     std::vector<Mask8> masks(static_cast<size_t>(p.groups) * p.m * nb);
-    for (int i0 = 0; i0 < p.m; i0 += band_rows) {
-        band.m = std::min(band_rows, p.m - i0);
-        band.a.assign(static_cast<size_t>(band.m) * lda, 0);
-        lower(i0, band.m, band.a.data());
-        const DbbMatrix part =
-            fromActivations(band, DbbSpec{spec.bz, spec.bz});
-        for (int g = 0; g < p.groups; ++g) {
-            std::memcpy(&masks[(static_cast<size_t>(g) * p.m + i0) * nb],
-                        part.vectorMasks(g * band.m),
-                        static_cast<size_t>(band.m) * nb);
-        }
-    }
+    parallelForOn(pool, (p.m + band_rows - 1) / band_rows, [&](int64_t bi) {
+        const int i0 = static_cast<int>(bi) * band_rows;
+        const int rows = std::min(band_rows, p.m - i0);
+        std::vector<int8_t> band(static_cast<size_t>(rows) * lda);
+        lower(i0, rows, band.data());
+        maskActivationRows(p, layout, band.data(), i0, rows, masks.data());
+    });
     for (int v = 0; v < p.groups * p.m; ++v)
         checkDensity(&masks[static_cast<size_t>(v) * nb], nb, spec,
                      "activation", "row", v);

@@ -28,6 +28,8 @@
 
 namespace s2ta {
 
+class ThreadPool;
+
 /** A DBB density specification: at most nnz non-zeros per bz block. */
 struct DbbSpec
 {
@@ -149,12 +151,15 @@ class DbbMatrix
      * builder for every layout: W is read row by row, each row's
      * non-zero flags are ORed, in one vectorized pass over the
      * columns, into the mask row of that row's modeled block (the
-     * block walk the activation masks use), and one
-     * transposeBytes puts the mask rows in column-major order. W
-     * streams once, in row order, and is never copied.
+     * block walk the activation masks use), and transposeBytes puts
+     * the mask rows in column-major order, a band of about 256 KB of
+     * mask rows at a time. W streams once, in row order, and is
+     * never copied. With @p pool the bands are spread over its
+     * lanes; each writes its own bytes, so the masks are the same.
      */
     static DbbMatrix fromWeights(const GemmProblem &p, const int8_t *w,
-                                 const DbbSpec &spec);
+                                 const DbbSpec &spec,
+                                 ThreadPool *pool = nullptr);
 
     /**
      * Masks of the activation operand of @p p (M x K, blocked along
@@ -166,12 +171,16 @@ class DbbMatrix
     /**
      * The same masks for @p p's dims (p.a is not read), from rows
      * that @p lower(row0, rows, band) writes into a zeroed band of
-     * about 256 KB, one band after another: the whole M x groups*K
-     * activation matrix never exists at once.
+     * about 256 KB: the whole M x groups*K activation matrix never
+     * exists at once. Each band has its own buffer, so with @p pool
+     * the bands are lowered and masked across its lanes (@p lower
+     * must then be safe to call concurrently); they write disjoint
+     * rows, so the masks are the same.
      */
     static DbbMatrix fromActivations(
         const GemmProblem &p, const DbbSpec &spec,
-        const std::function<void(int, int, int8_t *)> &lower);
+        const std::function<void(int, int, int8_t *)> &lower,
+        ThreadPool *pool = nullptr);
 
     const DbbSpec &spec() const { return dbb_spec; }
     int vectors() const { return n_vectors; }

@@ -202,7 +202,8 @@ expectGroupedPlanMatchesPerGroup(const LayerWorkload &wl, int bz,
  * be equal byte for byte.
  */
 void
-expectMasksOnlyPlanMatchesComputePlan(const LayerWorkload &wl, int bz)
+expectMasksOnlyPlanMatchesComputePlan(const LayerWorkload &wl, int bz,
+                                      int lanes)
 {
     ArrayConfig sa = ArrayConfig::saZvcg();
     sa.bz = bz;
@@ -215,10 +216,11 @@ expectMasksOnlyPlanMatchesComputePlan(const LayerWorkload &wl, int bz)
         SCOPED_TRACE("groups " + std::to_string(wl.shape.groups) +
                      " gc " + std::to_string(wl.shape.groupInC()) +
                      " align " + std::to_string(align) + " bz " +
-                     std::to_string(bz));
+                     std::to_string(bz) + " lanes " +
+                     std::to_string(lanes));
         AcceleratorConfig cfg;
         cfg.array = array;
-        cfg.sim_threads = 1;
+        cfg.sim_threads = lanes;
         const PreparedLayer prep =
             Accelerator(cfg).prepareLayer(wl, NetworkRunOptions{});
         ASSERT_EQ(prep.cached.size(), 1u);
@@ -266,20 +268,27 @@ oddSegmentLayer(int gc, int groups, Rng &rng)
 
 TEST(GemmPlan, MasksOnlyPlanMatchesComputePlan)
 {
-    // The conv fuzzer's shapes, then 3-, 12- and 20-channel groups,
-    // whose padded segments span a partly filled first, second or
-    // third block.
-    for (uint64_t trial = 0; trial < 48; ++trial) {
-        SCOPED_TRACE("fuzz trial " + std::to_string(trial));
-        Rng rng(0x6C00 + trial);
-        const int bz = rng.bernoulli(0.5) ? 4 : 8;
-        expectMasksOnlyPlanMatchesComputePlan(fuzzLayer(rng, bz), bz);
-    }
+    // Every layer at 1 lane and at 4, where an events-only plan
+    // lowers and masks its bands, masks its weight bands and derives
+    // its group profiles across the lanes. The conv fuzzer's shapes,
+    // then 3-, 12- and 20-channel groups, whose padded segments span
+    // a partly filled first, second or third block.
     Rng rng(0x6D00);
+    std::vector<LayerWorkload> odd;
     for (const int gc : {3, 12, 20})
         for (const int groups : {1, 2})
-            expectMasksOnlyPlanMatchesComputePlan(
-                oddSegmentLayer(gc, groups, rng), 8);
+            odd.push_back(oddSegmentLayer(gc, groups, rng));
+    for (const int lanes : {1, 4}) {
+        for (uint64_t trial = 0; trial < 48; ++trial) {
+            SCOPED_TRACE("fuzz trial " + std::to_string(trial));
+            Rng fuzz_rng(0x6C00 + trial);
+            const int bz = fuzz_rng.bernoulli(0.5) ? 4 : 8;
+            expectMasksOnlyPlanMatchesComputePlan(fuzzLayer(fuzz_rng, bz),
+                                                  bz, lanes);
+        }
+        for (const LayerWorkload &wl : odd)
+            expectMasksOnlyPlanMatchesComputePlan(wl, 8, lanes);
+    }
 
     // An events-only plan lowers its activations in bands of about
     // 256 KB of rows. These layers span two or three bands, the last
@@ -305,7 +314,8 @@ TEST(GemmPlan, MasksOnlyPlanMatchesComputePlan)
             for (int64_t i = 0; i < t->size(); ++i)
                 v[i] = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
         }
-        expectMasksOnlyPlanMatchesComputePlan(wl, 8);
+        for (const int lanes : {1, 4})
+            expectMasksOnlyPlanMatchesComputePlan(wl, 8, lanes);
     }
 }
 

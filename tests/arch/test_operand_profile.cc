@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "arch/array_model.hh"
+#include "base/thread_pool.hh"
 #include "core/dbb.hh"
 #include "tensor/conv.hh"
 #include "workload/sparse_gen.hh"
@@ -108,11 +109,11 @@ TEST(OperandProfile, FromDbbMatchesDenseScanOnConvCorpus)
 {
     // fromDbb counts mask bits eight blocks at a time in byte-wide
     // counters, flushed every 255 vectors and at the end of each
-    // eight-block column; the dense scan is the reference. Small
-    // random layers, then vectors of 126 to 144 blocks (1152
-    // positions: a 3x3 kernel over 128 channels) with ragged block
-    // and column tails, and 289 or 529 output rows and 300 output
-    // channels, so the counters flush inside a column.
+    // eight-block column; the dense scan is the reference, at 1 lane
+    // and at 4. Small random layers, then vectors of 126 to 144
+    // blocks (1152 positions: a 3x3 kernel over 128 channels) with
+    // ragged block and column tails, and 289 or 529 output rows and
+    // 300 output channels, so the counters flush inside a column.
     // {in_c, h, w, out_c, kernel_h, kernel_w, stride, pad, groups}
     std::vector<Conv2dShape> layers = {
         {112, 9, 9, 40, 3, 3, 1, 1, 1},     // K 1008: 126 blocks
@@ -121,7 +122,12 @@ TEST(OperandProfile, FromDbbMatchesDenseScanOnConvCorpus)
         {113, 17, 17, 24, 3, 3, 1, 1, 1},   // 128, tail of 1
         {1031, 9, 9, 24, 1, 1, 1, 0, 1},    // 129, tail of 7
         {128, 23, 23, 300, 3, 3, 1, 1, 1},  // 144; m 529
+        // 512 or 1024 blocks by 1500 columns: a weight operand of
+        // 750 KB or 1.5 MB of masks, which 4 lanes count in 2 or 3
+        // chunks of 1024 or 512 columns, the last one ragged.
+        {4096, 2, 2, 1500, 1, 1, 1, 0, 1},
     };
+    ThreadPool pool(3);
     Rng rng(0xF0CC);
     const int kern[] = {1, 2, 3, 5};
     for (int trial = 0; trial < 12; ++trial) {
@@ -138,16 +144,20 @@ TEST(OperandProfile, FromDbbMatchesDenseScanOnConvCorpus)
         const GemmProblem p = convGemm(shape, rng);
         const OperandProfile ref = OperandProfile::build(p);
         for (const int bz : {4, 8}) {
-            SCOPED_TRACE("m " + std::to_string(p.m) + " k " +
-                         std::to_string(p.k) + " n " +
-                         std::to_string(p.n) + " bz " +
-                         std::to_string(bz));
             const DbbSpec all{bz, bz};
-            expectProfilesEqual(
-                OperandProfile::fromDbb(
-                    p, DbbMatrix::fromActivations(p, all),
-                    DbbMatrix::fromWeights(p, all)),
-                ref);
+            const DbbMatrix act = DbbMatrix::fromActivations(p, all);
+            const DbbMatrix wgt = DbbMatrix::fromWeights(p, all);
+            for (const int lanes : {1, 4}) {
+                SCOPED_TRACE("m " + std::to_string(p.m) + " k " +
+                             std::to_string(p.k) + " n " +
+                             std::to_string(p.n) + " bz " +
+                             std::to_string(bz) + " lanes " +
+                             std::to_string(lanes));
+                expectProfilesEqual(
+                    OperandProfile::fromDbb(p, act, wgt, 0,
+                                            lanes > 1 ? &pool : nullptr),
+                    ref);
+            }
         }
     }
 }

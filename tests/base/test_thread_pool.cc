@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "base/thread_pool.hh"
@@ -43,18 +47,80 @@ TEST(ThreadPool, SequentialJobsReuseWorkers)
     }
 }
 
-TEST(ThreadPool, NestedParallelForRunsInline)
+TEST(ThreadPool, NestedJobReachesIdleLanes)
 {
-    ThreadPool pool(2);
-    std::vector<std::atomic<int>> hits(64);
-    pool.parallelFor(8, [&](int64_t outer) {
-        pool.parallelFor(8, [&](int64_t inner) {
-            hits[static_cast<size_t>(outer * 8 + inner)].fetch_add(
-                1);
+    // The outer job's other indices return at once, so while index
+    // 0's nested job runs, the other workers are idle: they must
+    // take its indices rather than leave it to the lane that
+    // published it.
+    ThreadPool pool(3);
+    std::mutex mu;
+    std::set<std::thread::id> ran_on;
+    std::vector<std::atomic<int>> hits(32);
+    pool.parallelFor(4, [&](int64_t outer) {
+        if (outer != 0)
+            return;
+        pool.parallelFor(32, [&](int64_t i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            hits[static_cast<size_t>(i)].fetch_add(1);
+            std::lock_guard<std::mutex> lk(mu);
+            ran_on.insert(std::this_thread::get_id());
         });
     });
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+    EXPECT_GE(ran_on.size(), 2u);
+}
+
+TEST(ThreadPool, NestedCallOnAnotherPoolRunsInline)
+{
+    // A lane of one pool calling into another pool runs the nested
+    // job itself, so two pools never oversubscribe each other.
+    ThreadPool outer_pool(2), inner_pool(2);
+    std::vector<std::thread::id> outer_on(6), inner_on(6 * 16);
+    outer_pool.parallelFor(6, [&](int64_t o) {
+        outer_on[static_cast<size_t>(o)] = std::this_thread::get_id();
+        inner_pool.parallelFor(16, [&](int64_t i) {
+            inner_on[static_cast<size_t>(o * 16 + i)] =
+                std::this_thread::get_id();
+        });
+    });
+    for (size_t j = 0; j < inner_on.size(); ++j)
+        EXPECT_EQ(inner_on[j], outer_on[j / 16]) << j;
+}
+
+TEST(ThreadPool, NestedJobsUnderConcurrentCallersStress)
+{
+    // Three outside callers, each nesting two deep: every index of
+    // every level must run exactly once, and every call returns.
+    ThreadPool pool(3);
+    constexpr int kCallers = 3, kRounds = 20;
+    constexpr int kOuter = 6, kMid = 5, kInner = 4;
+    std::vector<std::atomic<int>> hits(static_cast<size_t>(
+        kCallers * kRounds * kOuter * kMid * kInner));
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            for (int r = 0; r < kRounds; ++r) {
+                const int64_t base =
+                    static_cast<int64_t>(c * kRounds + r) * kOuter;
+                pool.parallelFor(kOuter, [&](int64_t o) {
+                    pool.parallelFor(kMid, [&](int64_t m) {
+                        pool.parallelFor(kInner, [&](int64_t i) {
+                            hits[static_cast<size_t>(
+                                     ((base + o) * kMid + m) * kInner +
+                                     i)]
+                                .fetch_add(1);
+                        });
+                    });
+                });
+            }
+        });
+    }
+    for (std::thread &t : callers)
+        t.join();
+    for (size_t j = 0; j < hits.size(); ++j)
+        ASSERT_EQ(hits[j].load(), 1) << j;
 }
 
 TEST(ThreadPool, DeterministicByIndexReduction)

@@ -5,6 +5,7 @@
 #include <array>
 
 #include "base/random.hh"
+#include "base/thread_pool.hh"
 #include "core/dbb.hh"
 #include "core/weight_pruner.hh"
 #include "workload/sparse_gen.hh"
@@ -234,15 +235,19 @@ TEST(DbbMatrix, WeightMasksAcrossMaskRowBands)
     // The weight mask builder transposes its mask rows a band of
     // about 256 KB at a time: at 2001 columns a band is 128 block
     // rows, so these layouts span two to nine bands, the last one
-    // ragged, unpadded and with 3-value segments padded to bz 8.
+    // ragged, unpadded and with 3-value segments padded to bz 8. On
+    // 4 lanes the bands are built concurrently.
     struct Case
     {
         int k, bz, seg;
     };
+    ThreadPool pool(3);
+    for (const int lanes : {1, 4})
     for (const Case c : {Case{1027, 1, 0}, Case{1027, 3, 0},
                          Case{1027, 8, 0}, Case{1026, 8, 3}}) {
         SCOPED_TRACE("bz " + std::to_string(c.bz) + " seg " +
-                     std::to_string(c.seg));
+                     std::to_string(c.seg) + " lanes " +
+                     std::to_string(lanes));
         Rng rng(static_cast<uint64_t>(0xBA0 + c.bz + 16 * c.seg));
         GemmProblem p(1, c.k, 2001);
         if (c.seg > 0) {
@@ -251,7 +256,8 @@ TEST(DbbMatrix, WeightMasksAcrossMaskRowBands)
         }
         fillRandom(p.w, rng);
         const DbbSpec spec{c.bz, c.bz};
-        const DbbMatrix wm = DbbMatrix::fromWeights(p, spec);
+        const DbbMatrix wm = DbbMatrix::fromWeights(
+            p, p.w.data(), spec, lanes > 1 ? &pool : nullptr);
         ASSERT_EQ(wm.vectors(), p.n);
         for (int j = 0; j < p.n; ++j) {
             for (int b = 0; b < wm.blocksPerVector(); ++b) {
