@@ -19,15 +19,25 @@
  *  - virtual timings are identical when the whole bench reruns with
  *    serial simulation (threads cannot leak into virtual time).
  *
+ * It also measures the tracer's overhead on the gated trace's
+ * round-robin drain, fully traced vs untraced (traced and untraced
+ * drains interleaved, at least 50 ms per side per rep; each side's
+ * best mean wall time per drain over 5 reps), and checks it against
+ * a 5% budget: a warning locally, asserted in CI.
+ *
  * Usage: bench_latency_serving [--smoke] [--json PATH]
  *          [--threads N] [--arch s2ta-w|s2ta-aw] [--cache-mb N]
+ *          [--trace-out PATH]
  *        (--model / --no-plan-cache / --engine / --reps are
  *         rejected: the trace is mixed-model by definition, the
  *         shared budgeted cache is part of the scenario, results
  *         are engine-independent, and virtual time needs no
  *         best-of-N)
  *
- * Emits BENCH_latency_serving.json (schema checked in CI).
+ * Emits BENCH_latency_serving.json (schema checked in CI); with
+ * --trace-out the Chrome trace of the whole run opens in
+ * chrome://tracing / Perfetto and summarizes with
+ * tools/trace_summarize.py.
  */
 
 #include <array>
@@ -38,6 +48,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "obs/trace.hh"
 #include "serve/model_registry.hh"
 #include "serve/stream_scheduler.hh"
 #include "serve/telemetry.hh"
@@ -91,6 +102,12 @@ struct PolicyResult
 
 constexpr double kMsPerS = 1e3;
 
+/** Tracer-overhead gate: reps, minimum wall time per side per rep,
+ *  and the budget on the traced drain's relative cost. */
+constexpr int kOverheadReps = 5;
+constexpr double kOverheadRepS = 0.05;
+constexpr double kOverheadBudget = 0.05;
+
 } // anonymous namespace
 
 int
@@ -110,7 +127,8 @@ main(int argc, char **argv)
                     "plan-cached fast path");
     args.rejectFlag(args.reps_given, "--reps",
                     "virtual time is deterministic; there is no "
-                    "wall-clock noise to best-of");
+                    "wall-clock noise to best-of (the tracer-"
+                    "overhead gate keeps a fixed best of 5)");
     args.rejectFlag(args.replicas_given, "--replicas",
                     "this bench serves one accelerator; fleet "
                     "scaling lives in bench_fleet_serving");
@@ -243,6 +261,7 @@ main(int argc, char **argv)
     bool deterministic_timing = true;
     bool edf_le_rr = true;
     double gated_rr_miss = 0.0, gated_edf_miss = 0.0;
+    std::vector<TraceRequest> gated_trace;
 
     for (size_t ri = 0; ri < utilizations.size(); ++ri) {
         const double util = utilizations[ri];
@@ -305,6 +324,7 @@ main(int argc, char **argv)
         }
 
         if (ri == gated) {
+            gated_trace = trace;
             const PolicyResult &edf = results.at(
                 serve::PolicyKind::EarliestDeadlineFirst);
             gated_rr_miss = rr.telemetry.missRate();
@@ -382,14 +402,63 @@ main(int argc, char **argv)
         lookups == 0 ? 0.0
                      : static_cast<double>(cs.hits) /
                            static_cast<double>(lookups);
+
+    // Tracer overhead, measured after the cache counters are read
+    // (each drain here adds plan-cache hits, and how many drains run
+    // depends on wall time). One drain takes a few milliseconds at
+    // most, too short to time alone, so each rep runs traced and
+    // untraced drains of the gated trace in alternation, the side
+    // that goes first switching every pair, until each side has run
+    // for at least kOverheadRepS, and keeps each side's mean time
+    // per drain; the gate compares each side's best mean over the
+    // reps. Alternating drain by drain exposes both sides to the
+    // same drift of the host.
+    obs::Tracer &tracer = obs::Tracer::global();
+    const auto timedDrain = [&](bool traced) {
+        tracer.setEnabled(traced);
+        const double t0 = benchNow();
+        replay(gated_trace, serve::PolicyKind::RoundRobin, acc,
+               args.ctx.threads);
+        return benchNow() - t0;
+    };
+    double untraced_best = 0.0, traced_best = 0.0;
+    for (int rep = 0; rep < kOverheadReps; ++rep) {
+        double side_s[2] = {0.0, 0.0}; // [untraced, traced]
+        int64_t drains = 0;
+        while (side_s[0] < kOverheadRepS || side_s[1] < kOverheadRepS) {
+            const bool traced_first = drains % 2 == 1;
+            side_s[traced_first] += timedDrain(traced_first);
+            side_s[!traced_first] += timedDrain(!traced_first);
+            ++drains;
+        }
+        const double untraced = side_s[0] / static_cast<double>(drains);
+        const double traced = side_s[1] / static_cast<double>(drains);
+        if (rep == 0 || untraced < untraced_best)
+            untraced_best = untraced;
+        if (rep == 0 || traced < traced_best)
+            traced_best = traced;
+    }
+    tracer.setEnabled(!args.trace_out.empty());
+    const double overhead_frac = traced_best / untraced_best - 1.0;
+    const bool overhead_ok = overhead_frac <= kOverheadBudget;
+    const obs::Tracer::Stats ts = tracer.stats();
+
     std::printf("gates: edf miss %.0f%% vs rr %.0f%% (%s) | "
                 "bitwise-equal policies %s | deterministic timing "
-                "%s | cache hit rate %.1f%%\n",
+                "%s | cache hit rate %.1f%%\n"
+                "tracer overhead on the gated rr drain: %.3f ms "
+                "traced vs %.3f ms untraced (best per-drain mean of "
+                "%d reps) -> %+.2f%% (%s) | %lld trace events "
+                "recorded, %lld dropped\n",
                 100.0 * gated_edf_miss, 100.0 * gated_rr_miss,
                 edf_le_rr ? "ok" : "FAIL",
                 bitwise_equal_policies ? "ok" : "FAIL",
                 deterministic_timing ? "ok" : "FAIL",
-                100.0 * hit_rate);
+                100.0 * hit_rate, traced_best * kMsPerS,
+                untraced_best * kMsPerS, kOverheadReps,
+                100.0 * overhead_frac, overhead_ok ? "ok" : "FAIL",
+                static_cast<long long>(ts.recorded),
+                static_cast<long long>(ts.dropped));
 
     jw.field("cache_hits", cs.hits)
         .field("cache_misses", cs.misses)
@@ -397,7 +466,11 @@ main(int argc, char **argv)
         .field("cache_hit_rate", hit_rate, 4)
         .field("edf_miss_le_rr", edf_le_rr)
         .field("bitwise_equal_policies", bitwise_equal_policies)
-        .field("deterministic_timing", deterministic_timing);
+        .field("deterministic_timing", deterministic_timing)
+        .field("tracer_overhead_frac", overhead_frac, 4)
+        .field("tracer_overhead_ok", overhead_ok)
+        .field("trace_events", ts.recorded)
+        .field("trace_events_dropped", ts.dropped);
     jw.write(json_path);
 
     if (!bitwise_equal_policies)
@@ -408,6 +481,12 @@ main(int argc, char **argv)
         s2ta_fatal("EDF misses %.1f%% of deadlines vs round-robin "
                    "%.1f%% on the gated trace",
                    100.0 * gated_edf_miss, 100.0 * gated_rr_miss);
+    }
+    if (!overhead_ok) {
+        s2ta_warn("tracer overhead %.2f%% exceeds the %.0f%% "
+                  "budget (CI gates this on the artifact field; "
+                  "rerun on an idle machine)",
+                  100.0 * overhead_frac, 100.0 * kOverheadBudget);
     }
     return 0;
 }

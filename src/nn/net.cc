@@ -1,6 +1,7 @@
 #include "nn/net.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "core/topk.hh"
 #include "core/weight_pruner.hh"
@@ -21,13 +22,34 @@ void
 sgdUpdate(FloatTensor &param, FloatTensor &grad, FloatTensor &vel,
           float lr, float momentum, int batch)
 {
+    s2ta_assert(grad.shape() == param.shape() &&
+                    vel.shape() == param.shape(),
+                "sgd state shape mismatch");
     const float scale = 1.0f / static_cast<float>(batch);
+    float *p = param.data();
+    float *g = grad.data();
+    float *v = vel.data();
     for (int64_t i = 0; i < param.size(); ++i) {
-        const float g = grad.flat(i) * scale;
-        vel.flat(i) = momentum * vel.flat(i) - lr * g;
-        param.flat(i) += vel.flat(i);
-        grad.flat(i) = 0.0f;
+        const float gi = g[i] * scale;
+        v[i] = momentum * v[i] - lr * gi;
+        p[i] += v[i];
+        g[i] = 0.0f;
     }
+}
+
+/** Assert that a layer's weights, bias and their gradients have
+ *  the shapes its loops index through raw pointers; the bias has
+ *  one element per output, the weights' last dimension. */
+void
+checkParameterShapes(const FloatTensor &w, const FloatTensor &bias,
+                     const FloatTensor &gw, const FloatTensor &gbias,
+                     const std::vector<int> &wshape)
+{
+    s2ta_assert(w.shape() == wshape && gw.shape() == wshape,
+                "weight shape mismatch");
+    s2ta_assert(bias.shape() == std::vector<int>{wshape.back()} &&
+                    gbias.shape() == bias.shape(),
+                "bias shape mismatch");
 }
 
 } // anonymous namespace
@@ -54,16 +76,23 @@ ConvLayer::forward(const FloatTensor &x, bool train)
 {
     s2ta_assert(x.rank() == 3 && x.dim(2) == in_c,
                 "conv input shape mismatch");
+    checkParameterShapes(w, bias, gw, gbias,
+                         {kernel, kernel, in_c, out_c});
     if (train)
         last_in = x;
     const int ih = x.dim(0), iw = x.dim(1);
     const int oh = ih + 2 * pad - kernel + 1;
     const int ow = iw + 2 * pad - kernel + 1;
     FloatTensor y({oh, ow, out_c});
+    const float *xd = x.data();
+    const float *wd = std::as_const(w).data();
+    const float *bd = std::as_const(bias).data();
+    float *yd = y.data();
     for (int oy = 0; oy < oh; ++oy) {
         for (int ox = 0; ox < ow; ++ox) {
+            float *yp = yd + (int64_t{oy} * ow + ox) * out_c;
             for (int oc = 0; oc < out_c; ++oc)
-                y(oy, ox, oc) = bias(oc);
+                yp[oc] = bd[oc];
             for (int ky = 0; ky < kernel; ++ky) {
                 const int iy = oy + ky - pad;
                 if (iy < 0 || iy >= ih)
@@ -72,12 +101,17 @@ ConvLayer::forward(const FloatTensor &x, bool train)
                     const int ix = ox + kx - pad;
                     if (ix < 0 || ix >= iw)
                         continue;
+                    const float *xp =
+                        xd + (int64_t{iy} * iw + ix) * in_c;
+                    const float *wtap =
+                        wd + int64_t{ky * kernel + kx} * in_c * out_c;
                     for (int c = 0; c < in_c; ++c) {
-                        const float xv = x(iy, ix, c);
+                        const float xv = xp[c];
                         if (xv == 0.0f)
                             continue;
+                        const float *wp = wtap + int64_t{c} * out_c;
                         for (int oc = 0; oc < out_c; ++oc)
-                            y(oy, ox, oc) += xv * w(ky, kx, c, oc);
+                            yp[oc] += xv * wp[oc];
                     }
                 }
             }
@@ -90,13 +124,28 @@ FloatTensor
 ConvLayer::backward(const FloatTensor &grad_out)
 {
     const FloatTensor &x = last_in;
+    s2ta_assert(x.rank() == 3 && x.dim(2) == in_c,
+                "conv backward without a training forward");
+    checkParameterShapes(w, bias, gw, gbias,
+                         {kernel, kernel, in_c, out_c});
     const int ih = x.dim(0), iw = x.dim(1);
-    const int oh = grad_out.dim(0), ow = grad_out.dim(1);
+    const int oh = ih + 2 * pad - kernel + 1;
+    const int ow = iw + 2 * pad - kernel + 1;
+    s2ta_assert(grad_out.rank() == 3 && grad_out.dim(0) == oh &&
+                    grad_out.dim(1) == ow && grad_out.dim(2) == out_c,
+                "conv grad_out shape mismatch");
     FloatTensor gx(x.shape());
+    const float *xd = x.data();
+    const float *god = grad_out.data();
+    const float *wd = std::as_const(w).data();
+    float *gxd = gx.data();
+    float *gwd = gw.data();
+    float *gbd = gbias.data();
     for (int oy = 0; oy < oh; ++oy) {
         for (int ox = 0; ox < ow; ++ox) {
+            const float *gop = god + (int64_t{oy} * ow + ox) * out_c;
             for (int oc = 0; oc < out_c; ++oc)
-                gbias(oc) += grad_out(oy, ox, oc);
+                gbd[oc] += gop[oc];
             for (int ky = 0; ky < kernel; ++ky) {
                 const int iy = oy + ky - pad;
                 if (iy < 0 || iy >= ih)
@@ -105,15 +154,21 @@ ConvLayer::backward(const FloatTensor &grad_out)
                     const int ix = ox + kx - pad;
                     if (ix < 0 || ix >= iw)
                         continue;
+                    const int64_t in_off =
+                        (int64_t{iy} * iw + ix) * in_c;
+                    const int64_t tap =
+                        int64_t{ky * kernel + kx} * in_c * out_c;
                     for (int c = 0; c < in_c; ++c) {
-                        const float xv = x(iy, ix, c);
+                        const float xv = xd[in_off + c];
+                        const float *wp = wd + tap + int64_t{c} * out_c;
+                        float *gwp = gwd + tap + int64_t{c} * out_c;
                         float gx_acc = 0.0f;
                         for (int oc = 0; oc < out_c; ++oc) {
-                            const float go = grad_out(oy, ox, oc);
-                            gw(ky, kx, c, oc) += xv * go;
-                            gx_acc += go * w(ky, kx, c, oc);
+                            const float go = gop[oc];
+                            gwp[oc] += xv * go;
+                            gx_acc += go * wp[oc];
                         }
-                        gx(iy, ix, c) += gx_acc;
+                        gxd[in_off + c] += gx_acc;
                     }
                 }
             }
@@ -158,17 +213,23 @@ DenseLayer::forward(const FloatTensor &x, bool train)
 {
     s2ta_assert(x.rank() == 1 && x.dim(0) == in_f,
                 "dense input shape mismatch");
+    checkParameterShapes(w, bias, gw, gbias, {in_f, out_f});
     if (train)
         last_in = x;
     FloatTensor y({out_f});
+    const float *xd = x.data();
+    const float *wd = std::as_const(w).data();
+    const float *bd = std::as_const(bias).data();
+    float *yd = y.data();
     for (int o = 0; o < out_f; ++o)
-        y(o) = bias(o);
+        yd[o] = bd[o];
     for (int i = 0; i < in_f; ++i) {
-        const float xv = x(i);
+        const float xv = xd[i];
         if (xv == 0.0f)
             continue;
+        const float *wp = wd + int64_t{i} * out_f;
         for (int o = 0; o < out_f; ++o)
-            y(o) += xv * w(i, o);
+            yd[o] += xv * wp[o];
     }
     return y;
 }
@@ -176,18 +237,31 @@ DenseLayer::forward(const FloatTensor &x, bool train)
 FloatTensor
 DenseLayer::backward(const FloatTensor &grad_out)
 {
+    s2ta_assert(last_in.rank() == 1 && last_in.dim(0) == in_f,
+                "dense backward without a training forward");
+    s2ta_assert(grad_out.rank() == 1 && grad_out.dim(0) == out_f,
+                "dense grad_out shape mismatch");
+    checkParameterShapes(w, bias, gw, gbias, {in_f, out_f});
     FloatTensor gx({in_f});
+    const float *xd = std::as_const(last_in).data();
+    const float *god = grad_out.data();
+    const float *wd = std::as_const(w).data();
+    float *gxd = gx.data();
+    float *gwd = gw.data();
+    float *gbd = gbias.data();
     for (int o = 0; o < out_f; ++o)
-        gbias(o) += grad_out(o);
+        gbd[o] += god[o];
     for (int i = 0; i < in_f; ++i) {
-        const float xv = last_in(i);
+        const float xv = xd[i];
+        const float *wp = wd + int64_t{i} * out_f;
+        float *gwp = gwd + int64_t{i} * out_f;
         float acc = 0.0f;
         for (int o = 0; o < out_f; ++o) {
-            const float go = grad_out(o);
-            gw(i, o) += xv * go;
-            acc += go * w(i, o);
+            const float go = god[o];
+            gwp[o] += xv * go;
+            acc += go * wp[o];
         }
-        gx(i) = acc;
+        gxd[i] = acc;
     }
     return gx;
 }

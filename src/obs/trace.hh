@@ -3,10 +3,10 @@
  * Structured wall-clock tracing for the serving layer.
  *
  * A Tracer records three kinds of events against one monotonic
- * (steady_clock) epoch: *spans* (a named duration — request
- * simulation, a replayed request's service), *instants* (a point
- * event — admit, failover, crash), and *counter samples* (a named
- * value over time — queue depth, ready-queue length). Events land
+ * (steady_clock) epoch: *spans* (a named duration — a request's
+ * simulation), *instants* (a point event — admit, failover,
+ * crash), and *counter samples* (a named value over time — queue
+ * depth, ready-queue length). Events land
  * in fixed-capacity per-thread ring buffers: the hot path performs
  * zero allocation (category and name must be string literals; the
  * record is a POD copied into a pre-allocated slot under the ring's

@@ -55,6 +55,58 @@ checkInputGradient(Layer &layer, FloatTensor x, double tol = 2e-2)
     }
 }
 
+/**
+ * Numerical vs analytic parameter gradients (every weight and bias
+ * element) for a single layer. backward() accumulates them inside
+ * the layer, so they are read back through step(lr = 1,
+ * momentum = 0, batch = 1), which subtracts each gradient from its
+ * parameter: the gradient is the old parameter minus the new one.
+ */
+void
+checkParameterGradients(Layer &layer, const FloatTensor &x,
+                        double tol = 2e-2)
+{
+    Rng rng(98);
+    const FloatTensor out = layer.forward(x, true);
+    FloatTensor coeffs(out.shape());
+    for (int64_t i = 0; i < coeffs.size(); ++i)
+        coeffs.flat(i) =
+            static_cast<float>(rng.uniformReal(-1.0, 1.0));
+    layer.backward(coeffs);
+
+    const std::vector<FloatTensor *> params = layer.parameters();
+    ASSERT_EQ(params.size(), 2u);
+    std::vector<FloatTensor> grads;
+    for (FloatTensor *p : params)
+        grads.push_back(*p);
+    layer.step(1.0f, 0.0f, 1);
+    for (size_t k = 0; k < params.size(); ++k) {
+        FloatTensor &p = *params[k];
+        for (int64_t i = 0; i < p.size(); ++i) {
+            const float old_v = grads[k].flat(i);
+            grads[k].flat(i) = old_v - p.flat(i);
+            p.flat(i) = old_v;
+        }
+    }
+
+    const float eps = 1e-2f;
+    for (size_t k = 0; k < params.size(); ++k) {
+        FloatTensor &p = *params[k];
+        for (int64_t i = 0; i < p.size(); ++i) {
+            const float v = p.flat(i);
+            p.flat(i) = v + eps;
+            const float lp = lossOf(layer.forward(x, false), coeffs);
+            p.flat(i) = v - eps;
+            const float lm = lossOf(layer.forward(x, false), coeffs);
+            p.flat(i) = v;
+            const double numeric = (lp - lm) / (2.0 * eps);
+            EXPECT_NEAR(grads[k].flat(i), numeric,
+                        tol * std::max(1.0, std::fabs(numeric)))
+                << "parameter " << k << " element " << i;
+        }
+    }
+}
+
 FloatTensor
 randomInput(std::vector<int> shape, uint64_t seed)
 {
@@ -77,6 +129,33 @@ TEST(GradCheck, DenseLayer)
     Rng rng(2);
     DenseLayer dense(10, 7, rng);
     checkInputGradient(dense, randomInput({10}, 12));
+}
+
+TEST(GradCheck, ConvLayerWeightsAndBias)
+{
+    // A non-square input, so swapped height and width indexing
+    // shows.
+    Rng rng(5);
+    ConvLayer conv(3, 4, 3, 1, rng);
+    checkParameterGradients(conv, randomInput({5, 6, 3}, 14));
+}
+
+TEST(GradCheck, DenseLayerWeightsAndBias)
+{
+    Rng rng(6);
+    DenseLayer dense(10, 7, rng);
+    checkParameterGradients(dense, randomInput({10}, 15));
+}
+
+TEST(GradCheck, ConvBackwardRejectsMismatchedGradOut)
+{
+    Rng rng(7);
+    ConvLayer conv(3, 4, 3, 1, rng);
+    conv.forward(randomInput({5, 6, 3}, 16), true);
+    EXPECT_DEATH(conv.backward(FloatTensor({5, 5, 4})),
+                 "grad_out shape");
+    EXPECT_DEATH(conv.backward(FloatTensor({5, 6, 3})),
+                 "grad_out shape");
 }
 
 TEST(GradCheck, ReluLayer)

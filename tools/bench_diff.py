@@ -5,8 +5,10 @@ The virtual-time serving artifacts (BENCH_latency_serving.json,
 BENCH_overload_serving.json, BENCH_fleet_serving.json) are pure
 functions of their seeds, so a fresh run must reproduce the
 committed file exactly: every field, same keys, same values. Only
-host facts may differ (HOST_FACTS: the SIMD tier the run's CPU
-resolved). Prints one line per moved field, old -> new, and exits
+the fields measured on the host may differ (HOST_FIELDS: the SIMD
+tier the run's CPU resolved, and the latency bench's tracer-overhead
+gate, which times wall-clock drains and counts the trace events they
+record). Prints one line per moved field, old -> new, and exits
 non-zero if any field moved.
 
 Usage: python3 tools/bench_diff.py COMMITTED.json FRESH.json
@@ -15,14 +17,20 @@ Usage: python3 tools/bench_diff.py COMMITTED.json FRESH.json
 import json
 import sys
 
-HOST_FACTS = {"simd_kernel"}
+HOST_FIELDS = {
+    "simd_kernel",
+    "tracer_overhead_frac",
+    "tracer_overhead_ok",
+    "trace_events",
+    "trace_events_dropped",
+}
 
 
 def diff(committed, fresh):
     """(key, committed value, fresh value) for every moved field."""
     moved = []
     for key in sorted(set(committed) | set(fresh)):
-        if key in HOST_FACTS:
+        if key in HOST_FIELDS:
             continue
         old = committed.get(key, "<absent>")
         new = fresh.get(key, "<absent>")
