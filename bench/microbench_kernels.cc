@@ -116,48 +116,38 @@ BENCHMARK(BM_DbbGemmSparse)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-/** Scalar reference dense dot (the baseline the VNNI row beats). */
-int32_t
-denseDotScalar(const int8_t *a, const int8_t *w, int k)
-{
-    int32_t sum = 0;
-    for (int x = 0; x < k; ++x)
-        sum += static_cast<int32_t>(a[x]) * w[x];
-    return sum;
-}
-
 /**
- * The dense-lane dot: scalar loop vs the AVX512-VNNI vpdpbusd kernel
- * (range(0)). This is dbbGemm's inner loop at every density.
+ * dbbGemm on ResNet-50's conv2 1x1 shape (3136 x 64 x 64, W 4/8,
+ * A 4/8), at the SSE2 tier (range(0) = 0, the scalar cap) and the
+ * VNNI tier (1): a short K and four panels, so the tile's loop and
+ * store overheads show where the sparse rows' long K hides them.
  */
 void
-BM_DenseDotTier(benchmark::State &state)
+BM_DbbGemmConv2Pw(benchmark::State &state)
 {
     const bool vnni = state.range(0) != 0;
     if (vnni && !dbbVnniKernelSupportedImpl()) {
         state.SkipWithError("no AVX512-VNNI on this host/build");
         return;
     }
-    Rng rng(0xDE4);
-    const int k = 1152;
-    std::vector<int8_t> a(static_cast<size_t>(k));
-    std::vector<int8_t> w(static_cast<size_t>(k));
-    for (int x = 0; x < k; ++x) {
-        a[static_cast<size_t>(x)] =
-            static_cast<int8_t>(rng.uniformInt(-128, 127));
-        w[static_cast<size_t>(x)] =
-            static_cast<int8_t>(rng.uniformInt(-128, 127));
+    Rng rng(0xC2F);
+    const GemmProblem p = makeDbbGemm(3136, 64, 64, 4, 4, rng);
+    const GemmPlan plan = GemmPlan::build(p);
+    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
+    dbbForceKernelCap(vnni ? DbbKernelKind::Avx512 : DbbKernelKind::Scalar);
+    for (auto _ : state) {
+        dbbGemm(plan, out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
-    auto *const fn = vnni ? dbbDenseDotVnni : denseDotScalar;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(fn(a.data(), w.data(), k));
-    state.SetLabel(vnni ? "avx512-vnni" : "scalar");
-    state.SetBytesProcessed(state.iterations() * 2 * k);
+    dbbForceKernelCap(DbbKernelKind::Avx512);
+    state.SetLabel(vnni ? "avx512" : "scalar");
+    state.SetItemsProcessed(state.iterations() * p.denseMacs());
 }
-BENCHMARK(BM_DenseDotTier)
+BENCHMARK(BM_DbbGemmConv2Pw)
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kNanosecond);
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * VGG-16 fc6 at batch 1 and W 4/8: a 25088 x 4096 weight operand

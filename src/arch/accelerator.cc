@@ -44,10 +44,12 @@ layerPlanKey(const LayerWorkload &wl, int channel_align)
 
 /**
  * The plan entry of one layer visit at alignment @p channel_align
- * and block size @p bz. A compute entry owns the layer's grouped
- * GEMM. An events-only entry lowers the activations a band of rows
- * at a time and masks each band, and masks the weight tensor, which
- * already is the GEMM's K x out_c weight matrix, where it lies: it
+ * and block size @p bz. Either entry masks the weight tensor, which
+ * already is the GEMM's K x out_c weight matrix, where it lies. A
+ * compute entry owns the layer's lowered activations and packs the
+ * weight tensor from where it lies: the packed copy is the only copy
+ * of the weights it makes. An events-only entry lowers the
+ * activations a band of rows at a time and masks each band: it
  * keeps the dims, masks and profiles, and the lowered matrix never
  * exists whole. Its bands, weight-mask bands and profiles spread
  * over @p pool's lanes (null: serial), so a first sight that runs
@@ -57,18 +59,20 @@ std::shared_ptr<const CachedPlan>
 buildLayerEntry(const LayerWorkload &wl, int channel_align, int bz,
                 bool compute_output, ThreadPool *pool)
 {
-    if (compute_output) {
-        return std::make_shared<const CachedPlan>(
-            im2colLowerGrouped(wl.shape, wl.input, wl.weights,
-                               channel_align, wl.batch),
-            bz);
-    }
     s2ta_assert(wl.weights.shape() ==
                 std::vector<int>({wl.shape.kernel_h, wl.shape.kernel_w,
                                   wl.shape.groupInC(), wl.shape.out_c}),
                 "layer '%s' weight shape mismatch", wl.name.c_str());
-    const GemmProblem dims =
+    GemmProblem dims =
         im2colActivationDims(wl.shape, channel_align, wl.batch);
+    if (compute_output) {
+        dims.a.assign(static_cast<size_t>(dims.m) * dims.groups * dims.k,
+                      0);
+        im2colLowerActivationRows(wl.shape, wl.input, wl.batch, 0, dims.m,
+                                  dims.a.data());
+        return std::make_shared<const CachedPlan>(
+            std::move(dims), wl.weights.data(), bz);
+    }
     DbbMatrix act = DbbMatrix::fromActivations(
         dims, DbbSpec{bz, bz},
         [&](int row0, int rows, int8_t *band) {

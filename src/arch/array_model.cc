@@ -341,8 +341,8 @@ ArrayModel::run(const GemmProblem &p, const RunOptions &opt) const
             opt.plan_cache->acquire(p, cfg.bz, opt.compute_output);
         return run(entry->plan, opt);
     }
-    // The dense weight mirror only feeds the functional kernels;
-    // events-only runs skip building it.
+    // The packed weights only feed the functional kernel;
+    // events-only runs skip packing them.
     return run(GemmPlan::build(p, cfg.bz, opt.compute_output), opt);
 }
 

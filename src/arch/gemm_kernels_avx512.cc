@@ -3,19 +3,23 @@
  * AVX-512 tier of the DBB kernels, plus the cpuid probes of every
  * tier.
  *
- * The dense dot (avx512bw + avx512vnni): vpdpbusd contracts 64 INT8
- * pairs per instruction. It multiplies u8 x s8, so the signed dot is
- * recovered exactly as dp(a ^ 0x80, w) - 128 * dp(1, w); all
- * arithmetic wraps mod 2^32, bit-identical to the scalar INT32
- * accumulation. It is property-tested against a scalar loop in
+ * The contraction (avx512bw + avx512vnni) runs register tiles of up
+ * to 4 rows x 32 columns over the packed weight panels: per quad of
+ * K, two 64-byte panel loads and one 4-byte broadcast per row feed
+ * 8 vpdpbusd, each contracting 16 columns x 4 INT8 pairs. vpdpbusd
+ * multiplies u8 x s8, so the activations enter XORed with 0x80 and
+ * the signed dot is recovered exactly as dp(a ^ 0x80, w) -
+ * 128 * colsum(w), once per tile; all arithmetic wraps mod 2^32,
+ * bit-identical to the scalar INT32 accumulation. It is
+ * property-tested against gemmReference in
  * tests/arch/test_gemm_kernels.cc.
  *
  * This translation unit is the only one compiled with AVX-512
- * codegen (every x86-64 build; see CMakeLists.txt); the dot runs
- * only where its cpuid probe passes, and the SSE2 dot serves every
- * other CPU. The SIMD branch must not call inline functions from
- * shared headers: a comdat copy compiled here could be kept by the
- * linker for the whole program and break the runtime fallback on
+ * codegen (every x86-64 build; see CMakeLists.txt); the contraction
+ * runs only where its cpuid probe passes, and the SSE2 tile serves
+ * every other CPU. The SIMD branch must not call inline functions
+ * from shared headers: a comdat copy compiled here could be kept by
+ * the linker for the whole program and break the runtime fallback on
  * older CPUs.
  */
 
@@ -25,6 +29,8 @@
     defined(__AVX512VNNI__)
 #include <immintrin.h>
 #define S2TA_HAVE_SIMD_AVX512 1
+#else
+#include <cstdlib>
 #endif
 
 namespace s2ta {
@@ -33,60 +39,133 @@ namespace s2ta {
 
 namespace {
 
-/**
- * Horizontal INT32x16 sum with wraparound. GCC's
- * _mm512_reduce_add_epi32 expands through _mm256_undefined_si256,
- * which -Werror=uninitialized rejects; the store-and-sum form below
- * compiles to the same shuffle tree and keeps the mod-2^32 wrap
- * well-defined by accumulating unsigned.
- */
-inline int32_t
-reduceAdd512(__m512i v)
+/** The @p len <= 4 activation bytes at @p a as one little-endian
+ *  word, XORed with 0x80 per byte; bytes past len read as zero
+ *  before the XOR, so they meet zero-padded weights. A whole quad
+ *  is one 4-byte load; a K tail is read byte by byte, so nothing
+ *  past the row's K values is loaded. */
+inline int
+biasedQuad(const int8_t *a, int len)
 {
-    alignas(64) int32_t lane[16];
-    _mm512_store_si512(lane, v);
-    uint32_t sum = 0;
-    for (int i = 0; i < 16; ++i)
-        sum += static_cast<uint32_t>(lane[i]);
-    return static_cast<int32_t>(sum);
+    uint32_t v = 0;
+    if (len == 4) {
+        __builtin_memcpy(&v, a, 4);
+    } else {
+        for (int b = 0; b < len; ++b)
+            v |= static_cast<uint32_t>(static_cast<uint8_t>(a[b]))
+                 << (8 * b);
+    }
+    return static_cast<int>(v ^ 0x80808080u);
+}
+
+/**
+ * One tile of R rows x NP panels: accumulate every quad of K, then
+ * subtract 128 x each column's sum and store the tile's live
+ * columns (@p cols of them, counted from the first panel).
+ */
+template <int R, int NP>
+inline void
+vnniTile(const int8_t *a, size_t lda, int k, const int8_t *panel,
+         size_t stride, int cols, int32_t *out, size_t ldc)
+{
+    const int full = k / 4;
+    const int tail = k % 4;
+    __m512i acc[R][NP];
+    for (int r = 0; r < R; ++r)
+        for (int p = 0; p < NP; ++p)
+            acc[r][p] = _mm512_setzero_si512();
+    const auto step = [&](int q, const int *bias_a) {
+        __m512i w[NP];
+        for (int p = 0; p < NP; ++p)
+            w[p] = _mm512_load_si512(panel + p * stride +
+                                     static_cast<size_t>(q) * kQuadBytes);
+        for (int r = 0; r < R; ++r) {
+            const __m512i av = _mm512_set1_epi32(bias_a[r]);
+            for (int p = 0; p < NP; ++p)
+                acc[r][p] = _mm512_dpbusd_epi32(acc[r][p], av, w[p]);
+        }
+    };
+    for (int q = 0; q < full; ++q) {
+        int bias_a[R];
+        for (int r = 0; r < R; ++r)
+            bias_a[r] = biasedQuad(a + r * lda + 4 * q, 4);
+        step(q, bias_a);
+    }
+    if (tail != 0) {
+        int bias_a[R];
+        for (int r = 0; r < R; ++r)
+            bias_a[r] = biasedQuad(a + r * lda + 4 * full, tail);
+        step(full, bias_a);
+    }
+    const size_t sums_at = static_cast<size_t>(full + (tail != 0)) *
+                           kQuadBytes;
+    for (int p = 0; p < NP; ++p) {
+        // 128 x colsum. The zero-masking shift: GCC's unmasked
+        // _mm512_slli_epi32 expands through _mm512_undefined_epi32,
+        // which -Werror=uninitialized rejects.
+        const __m512i corr = _mm512_maskz_slli_epi32(
+            static_cast<__mmask16>(0xFFFF),
+            _mm512_load_si512(panel + p * stride + sums_at), 7);
+        const int live = cols - p * kPanelCols;
+        const __mmask16 keep =
+            live >= kPanelCols
+                ? static_cast<__mmask16>(0xFFFF)
+                : static_cast<__mmask16>((1u << live) - 1u);
+        for (int r = 0; r < R; ++r) {
+            _mm512_mask_storeu_epi32(out + r * ldc + p * kPanelCols, keep,
+                                     _mm512_sub_epi32(acc[r][p], corr));
+        }
+    }
+}
+
+template <int NP>
+inline void
+vnniColumnTile(const int8_t *a, size_t lda, int rows, int k,
+               const int8_t *panel, size_t stride, int cols,
+               int32_t *out, size_t ldc)
+{
+    int i = 0;
+    for (; i + 4 <= rows; i += 4)
+        vnniTile<4, NP>(a + i * lda, lda, k, panel, stride, cols,
+                        out + i * ldc, ldc);
+    switch (rows - i) {
+      case 3:
+        vnniTile<3, NP>(a + i * lda, lda, k, panel, stride, cols,
+                        out + i * ldc, ldc);
+        break;
+      case 2:
+        vnniTile<2, NP>(a + i * lda, lda, k, panel, stride, cols,
+                        out + i * ldc, ldc);
+        break;
+      case 1:
+        vnniTile<1, NP>(a + i * lda, lda, k, panel, stride, cols,
+                        out + i * ldc, ldc);
+        break;
+      default:
+        break;
+    }
 }
 
 } // anonymous namespace
 
-int32_t
-dbbDenseDotVnni(const int8_t *a, const int8_t *w, int k)
+void
+dbbPackedGemmVnni(const int8_t *a, size_t lda, int rows, int k,
+                  const int8_t *panels, int n, int32_t *out, size_t ldc)
 {
-    const __m512i bias = _mm512_set1_epi8(
-        static_cast<char>(0x80));
-    const __m512i ones = _mm512_set1_epi8(1);
-    __m512i acc = _mm512_setzero_si512();
-    __m512i wsum = _mm512_setzero_si512();
-    int x = 0;
-    for (; x + 64 <= k; x += 64) {
-        const __m512i av = _mm512_loadu_si512(a + x);
-        const __m512i wv = _mm512_loadu_si512(w + x);
-        acc = _mm512_dpbusd_epi32(acc, _mm512_xor_si512(av, bias),
-                                  wv);
-        wsum = _mm512_dpbusd_epi32(wsum, ones, wv);
+    // packedPanelStride(k), spelled out: this unit calls no inline
+    // function of a shared header.
+    const size_t stride =
+        (static_cast<size_t>((k + 3) / 4) + 1) * kQuadBytes;
+    for (int j = 0; j < n; j += 2 * kPanelCols) {
+        const int8_t *panel = panels + (j / kPanelCols) * stride;
+        const int cols = n - j;
+        if (cols > kPanelCols)
+            vnniColumnTile<2>(a, lda, rows, k, panel, stride, cols,
+                              out + j, ldc);
+        else
+            vnniColumnTile<1>(a, lda, rows, k, panel, stride, cols,
+                              out + j, ldc);
     }
-    if (x < k) {
-        // Masked tail: a zero-filled lane biases to exactly 128 but
-        // meets a zero weight, so both dot products gain nothing.
-        const __mmask64 tail =
-            (~static_cast<uint64_t>(0)) >>
-            (64 - static_cast<unsigned>(k - x));
-        const __m512i av = _mm512_maskz_loadu_epi8(tail, a + x);
-        const __m512i wv = _mm512_maskz_loadu_epi8(tail, w + x);
-        acc = _mm512_dpbusd_epi32(acc, _mm512_xor_si512(av, bias),
-                                  wv);
-        wsum = _mm512_dpbusd_epi32(wsum, ones, wv);
-    }
-    // dp(a + 128, w) - 128 * dp(1, w) == dp(a, w) mod 2^32; do the
-    // correction in unsigned arithmetic so the wrap is well-defined.
-    const uint32_t biased = static_cast<uint32_t>(reduceAdd512(acc));
-    const uint32_t col_sum =
-        static_cast<uint32_t>(reduceAdd512(wsum));
-    return static_cast<int32_t>(biased - 128u * col_sum);
 }
 
 bool
@@ -118,14 +197,12 @@ dbbAvx512KernelSupportedImpl()
 
 // Built for a target without AVX-512 codegen (non-x86): keep the
 // symbols so the dispatcher links, but report every feature
-// unavailable — dispatch then never calls these scalar stand-ins.
-int32_t
-dbbDenseDotVnni(const int8_t *a, const int8_t *w, int k)
+// unavailable — dispatch then never calls the contraction.
+void
+dbbPackedGemmVnni(const int8_t *, size_t, int, int, const int8_t *,
+                  int, int32_t *, size_t)
 {
-    int32_t sum = 0;
-    for (int x = 0; x < k; ++x)
-        sum += static_cast<int32_t>(a[x]) * w[x];
-    return sum;
+    std::abort();
 }
 
 bool dbbVnniKernelSupportedImpl() { return false; }

@@ -6,9 +6,10 @@
  * both operands' block masks (DbbMatrix) are computed exactly once,
  * the OperandProfile is derived from them (O(blocks) mask counts instead
  * of an O(M*K + K*N) dense scan), and density validation is a
- * popcount test per block. The values stay in the dense operands;
- * a plan that computes outputs also caches the transposed weights.
- * Every architecture model consumes the
+ * popcount test per block. A plan that computes outputs also packs
+ * the weights once, in the panel layout dbbGemm contracts
+ * (gemm_kernels.hh); its activations stay in the problem. Every
+ * architecture model consumes the
  * same plan, so nothing is re-encoded inside simulate() and
  * Accelerator::runLayer reuses one plan across the whole tile grid.
  *
@@ -21,10 +22,11 @@
  * values only.
  *
  * A plan borrows the GemmProblem it was built from; the problem must
- * outlive the plan. A compute plan (built with its dense mirror)
- * reads the problem's activations in dbbGemm, so its problem holds
- * both operands. An events-only plan (built without the mirror, or
- * fromMasks) holds the block masks and one profile per group, and
+ * outlive the plan. A compute plan (one with packed weights) reads
+ * the problem's activations in dbbGemm and never its weights, so its
+ * problem need hold only the activations. An events-only plan
+ * (built without packed weights, or fromMasks) holds the block
+ * masks and one profile per group, and
  * reads only its problem's dims: a PlanCache entry keeps those
  * alone (GemmProblem::withoutOperands()), so the lowered operands
  * are freed once masked. Plans are immutable after construction
@@ -40,6 +42,7 @@
 #define S2TA_ARCH_GEMM_PLAN_HH
 
 #include <atomic>
+#include <memory>
 #include <span>
 
 #include "arch/array_model.hh"
@@ -52,17 +55,18 @@ class ThreadPool;
 
 /**
  * SIMD tier of the DBB kernels. The functional GEMM always contracts
- * dense lanes (the SSE2 madd dot on every x86-64 CPU, a plain loop
- * elsewhere); the AVX-512 tier swaps in the VNNI vpdpbusd dot where
- * the CPU has it. Both tiers are bit-identical (INT32 wraparound
- * addition is order-independent). Operand profiles have one
- * portable path on every tier (OperandProfile::fromDbb).
+ * dense lanes of the packed weights in register tiles (the SSE2
+ * pmaddwd tile on every x86-64 CPU, a per-output loop elsewhere);
+ * the AVX-512 tier swaps in the VNNI vpdpbusd tile where the CPU has
+ * it. Both tiers are bit-identical (INT32 wraparound addition is
+ * order-independent). Operand profiles have one portable path on
+ * every tier (OperandProfile::fromDbb).
  */
 enum class DbbKernelKind
 {
-    /** SSE2 dense dot (plain loop off x86). */
+    /** SSE2 pmaddwd tile (per-output loop off x86). */
     Scalar,
-    /** VNNI dense dot. */
+    /** VNNI vpdpbusd tile. */
     Avx512,
 };
 
@@ -76,8 +80,8 @@ DbbKernelKind dbbActiveKernel();
 
 /**
  * Clamp runtime dispatch to at most @p cap (Avx512, the default,
- * means no clamp). Capping at Scalar disables the VNNI dense dot, so
- * a forced "scalar" run executes no AVX-512 instruction anywhere.
+ * means no clamp). Capping at Scalar disables the VNNI tile, so a
+ * forced "scalar" run executes no AVX-512 instruction anywhere.
  * Used by the --simd bench flag and by the tier-equivalence tests;
  * thread-safe.
  */
@@ -86,7 +90,7 @@ void dbbForceKernelCap(DbbKernelKind cap);
 /** The currently forced cap (Avx512 = unclamped). */
 DbbKernelKind dbbKernelCap();
 
-/** True when dbbGemm will use the VNNI vpdpbusd dot (CPU support,
+/** True when dbbGemm will use the VNNI vpdpbusd tile (CPU support,
  *  cap not below Avx512). */
 bool dbbVnniDenseEnabled();
 
@@ -96,16 +100,20 @@ bool dbbProfileSimdEnabled();
 
 /**
  * DBB functional GEMM: one dense-lane contraction of the activation
- * rows against the plan's transposed weight mirror, at every
- * density. Like the paper's DP4M8, the datapath multiplies eight
- * always-on lanes; terms a mask would skip are exact zeros, and
- * INT32 accumulation is order-independent, so the result is
- * bit-identical to gemmReference. Row-tiled so one weight column is
- * reused across a stripe of activation rows. Writes the row-major
+ * rows against the plan's packed weights, at every density. Like the
+ * paper's DP4M8, the datapath multiplies eight always-on lanes;
+ * terms a mask would skip are exact zeros, and INT32 accumulation is
+ * order-independent, so the result is bit-identical to
+ * gemmReference. Like a tensor PE, each tier computes a small
+ * matrix product per register tile (rows x 16-column panels), so
+ * every loaded operand feeds several MACs; a group with one output
+ * column (depthwise) runs a per-output dot instead, since a tile
+ * would be 15/16 padding. Blocks of 64 rows bound the activations a
+ * weight panel meets while it stays cached. Writes the row-major
  * m x (groups*n) result, group g in columns [g*n, (g+1)*n): for a
  * lowered conv layer, the output tensor itself. Only stored values
  * are contracted (segment padding contributes exact zeros). The plan
- * must have been built with its dense mirror.
+ * must be a compute plan, and its problem must hold the activations.
  *
  * When @p shard_pool is non-null the output rows are split into
  * stripes dispatched across the pool's lanes; stripes write disjoint
@@ -125,13 +133,24 @@ class GemmPlan
      * non-zeros kept, in the modeled K layout) and derive each
      * group's mask-based profile. @p bz is the block size; K need
      * not be a multiple (tail blocks are zero-padded), but a padded
-     * problem's segments must span whole blocks. @p dense_mirror
-     * additionally caches the transposed dense weights dbbGemm
-     * contracts against; skip it for events-only runs that never
-     * compute an output, whose plan then reads only p's dims.
+     * problem's segments must span whole blocks. @p compute
+     * additionally packs p's weights for dbbGemm (the overload
+     * below with p.w.data()); skip it for events-only runs that
+     * never compute an output, whose plan then reads only p's dims.
      */
     static GemmPlan build(const GemmProblem &p, int bz = 8,
-                          bool dense_mirror = true);
+                          bool compute = true);
+
+    /**
+     * The compute plan of @p p's activations against the K x
+     * groups*N weight matrix at @p w, laid out as p's weights and
+     * read in place (p.w is not read, and may be empty): both
+     * operands' masks, each group's profile, and one packed copy of
+     * the weights with each column's sum. @p w is not read after the
+     * build, so p need hold only its activations.
+     */
+    static GemmPlan build(const GemmProblem &p, const int8_t *w,
+                          int bz);
 
     /**
      * The events-only plan of @p p from both operands' block masks
@@ -192,16 +211,18 @@ class GemmPlan
     }
 
     /**
-     * Dense transposed weight mirror: row j holds the K stored
-     * elements of weight column j (of groups*N) contiguously,
-     * feeding dbbGemm's contraction. Null when the plan was built
-     * without it.
+     * The packed weights (gemm_kernels.hh's layout), 64-byte
+     * aligned: group g's panel pn, of ceil(n/16) per group, starts
+     * (g * ceil(n/16) + pn) * packedPanelStride(k) bytes in. Null on
+     * an events-only plan.
      */
-    const int8_t *
-    wgtDenseT() const
-    {
-        return wgt_t.empty() ? nullptr : wgt_t.data();
-    }
+    const int8_t *packedWeights() const { return packed; }
+
+    /** Bytes of the packed weights (0 on an events-only plan). */
+    size_t packedBytes() const { return packed_bytes; }
+
+    /** Non-null exactly on compute plans; kept for perfbench. */
+    const int8_t *wgtDenseT() const { return packedWeights(); }
 
     /** Mask test: activation (i, kk) non-zero. */
     bool
@@ -235,7 +256,9 @@ class GemmPlan
         : prob(o.prob), blk_bz(o.blk_bz), is_encoded(o.is_encoded),
           act_masks(std::move(o.act_masks)),
           wgt_masks(std::move(o.wgt_masks)),
-          wgt_t(std::move(o.wgt_t)), profs(std::move(o.profs)),
+          packed_alloc(std::move(o.packed_alloc)), packed(o.packed),
+          packed_bytes(o.packed_bytes),
+          profs(std::move(o.profs)),
           wgt_ok_spec(o.wgt_ok_spec.load()),
           act_ok_spec(o.act_ok_spec.load())
     {}
@@ -248,7 +271,9 @@ class GemmPlan
         is_encoded = o.is_encoded;
         act_masks = std::move(o.act_masks);
         wgt_masks = std::move(o.wgt_masks);
-        wgt_t = std::move(o.wgt_t);
+        packed_alloc = std::move(o.packed_alloc);
+        packed = o.packed;
+        packed_bytes = o.packed_bytes;
         profs = std::move(o.profs);
         wgt_ok_spec.store(o.wgt_ok_spec.load());
         act_ok_spec.store(o.act_ok_spec.load());
@@ -260,6 +285,10 @@ class GemmPlan
 
   private:
     explicit GemmPlan(const GemmProblem &p) : prob(&p) {}
+
+    /** Pack the weight matrix at @p w (laid out as the problem's
+     *  weights) and each column's sum into packed. */
+    void packWeights(const int8_t *w);
 
     /** Pack a spec into a non-zero memo word (nnz >= 1 always). */
     static uint16_t
@@ -274,7 +303,14 @@ class GemmPlan
     bool is_encoded = false;
     DbbMatrix act_masks;
     DbbMatrix wgt_masks;
-    std::vector<int8_t> wgt_t;
+    /** The packed weights' allocation, 63 bytes over so that packed,
+     *  its first 64-byte aligned byte, starts a whole panel. A plain
+     *  new[]: glibc's aligned allocation (memalign) keeps the split
+     *  fragments of its own over-allocation, and held 5 MB more at
+     *  perfbench infer's peak. */
+    std::unique_ptr<int8_t[]> packed_alloc;
+    int8_t *packed = nullptr;
+    size_t packed_bytes = 0;
     std::vector<OperandProfile> profs;
 
     // Last spec each operand was verified against (0 = none).

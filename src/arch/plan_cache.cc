@@ -25,15 +25,14 @@ PlanCache::fingerprint(const GemmProblem &p)
 int64_t
 PlanCache::entryBytes(const CachedPlan &e)
 {
-    // The operands a compute entry holds (an events-only entry holds
-    // none), one mask byte per block, and the mirror (the weights
-    // transposed) if built.
-    const int64_t wgt = static_cast<int64_t>(e.problem.w.size());
-    int64_t bytes = static_cast<int64_t>(e.problem.a.size()) + wgt;
+    // The operands an entry holds (a compute entry's activations; an
+    // events-only entry holds none), one mask byte per block, and the
+    // packed weights with their column sums (0 when not built).
+    int64_t bytes =
+        static_cast<int64_t>(e.problem.a.size() + e.problem.w.size() +
+                             e.plan.packedBytes());
     for (const DbbMatrix *m : {&e.plan.act(), &e.plan.wgt()})
         bytes += static_cast<int64_t>(m->vectors()) * m->blocksPerVector();
-    if (e.plan.wgtDenseT() != nullptr)
-        bytes += wgt;
     return bytes;
 }
 
@@ -71,13 +70,17 @@ PlanCache::insertLocked(uint64_t key,
 }
 
 std::shared_ptr<const CachedPlan>
-PlanCache::acquire(const GemmProblem &p, int bz, bool dense_mirror)
+PlanCache::acquire(const GemmProblem &p, int bz, bool compute)
 {
     auto entry = acquireKeyed(
-        fingerprint(p), bz, dense_mirror,
+        fingerprint(p), bz, compute,
         [&]() -> std::shared_ptr<const CachedPlan> {
-            if (dense_mirror)
-                return std::make_shared<const CachedPlan>(p, bz);
+            if (compute) {
+                GemmProblem acts = p.withoutOperands();
+                acts.a = p.a;
+                return std::make_shared<const CachedPlan>(
+                    std::move(acts), p.w.data(), bz);
+            }
             return std::make_shared<const CachedPlan>(
                 p, DbbMatrix::fromActivations(p, DbbSpec{bz, bz}),
                 p.w.data(), bz);
@@ -100,11 +103,11 @@ PlanCache::acquire(const GemmProblem &p, int bz, bool dense_mirror)
 
 std::shared_ptr<const CachedPlan>
 PlanCache::acquireKeyed(
-    uint64_t key, int bz, bool dense_mirror,
+    uint64_t key, int bz, bool compute,
     const std::function<std::shared_ptr<const CachedPlan>()> &build)
 {
     key = combine(key, static_cast<uint64_t>(bz) |
-                           (dense_mirror ? 0x100u : 0u));
+                           (compute ? 0x100u : 0u));
     {
         std::lock_guard<std::mutex> lk(mu);
         const auto it = slots.find(key);
@@ -118,11 +121,10 @@ PlanCache::acquireKeyed(
     // Lower and encode outside the lock: plan construction is the
     // expensive part and must not serialize concurrent sweep lanes.
     auto entry = build();
-    s2ta_assert(entry->plan.bz() == bz &&
-                    (entry->plan.wgtDenseT() != nullptr) == dense_mirror,
-                "entry built at bz %d, mirror %d for a key of bz %d, "
-                "mirror %d", entry->plan.bz(),
-                entry->plan.wgtDenseT() != nullptr, bz, dense_mirror);
+    const bool packed = entry->plan.packedWeights() != nullptr;
+    s2ta_assert(entry->plan.bz() == bz && packed == compute,
+                "entry built at bz %d, compute %d for a key of bz %d, "
+                "compute %d", entry->plan.bz(), packed, bz, compute);
     {
         std::lock_guard<std::mutex> lk(mu);
         insertLocked(key, entry);

@@ -16,8 +16,8 @@
  * Accelerator::prepareLayer).
  * The cache keys entries by operand *content* (64-bit FNV-1a
  * hashes of both operands plus the GEMM dims, group and segment
- * layout, the DBB block size, and whether the dense weight mirror
- * was materialized), so a mutated operand can never hit a stale
+ * layout, the DBB block size, and whether the weights were packed
+ * for the functional kernel), so a mutated operand can never hit a stale
  * entry and results are bitwise identical with caching on or off.
  * acquire() fingerprints a GemmProblem's operand vectors on every
  * call. A conv layer's key (acquireKeyed) reads the digests its
@@ -32,10 +32,11 @@
  * built from), so cached plans stay valid after the caller's problem
  * dies — acquire() returns shared_ptrs, so an entry evicted while a
  * lane still simulates from it stays alive until the last user
- * drops it. A compute entry (dense mirror) owns the operands; an
- * events-only entry owns the dims alone, beside its plan's masks
- * and profiles, since nothing on the events-only path reads an
- * operand.
+ * drops it. A compute entry owns the activations, beside its plan's
+ * masks, profiles and one packed copy of the weights, which it
+ * packs from the caller's weights in place; an events-only entry
+ * owns the dims alone, beside its plan's masks and profiles, since
+ * nothing on the events-only path reads an operand.
  *
  * Thread-safety: lookups, inserts, stats(), and clear() are
  * mutex-guarded; plan construction runs outside the lock, and when
@@ -73,11 +74,15 @@ namespace s2ta {
 /** One cached workload: its GemmProblem plus its encoded plan. */
 struct CachedPlan
 {
-    /** The compute entry of @p p at block size @p bz: it owns p,
-     *  and its plan, dense mirror included, borrows it. */
-    CachedPlan(GemmProblem p, int bz)
-        : problem(std::move(p)),
-          plan(GemmPlan::build(problem, bz, true))
+    /**
+     * The compute entry at block size @p bz of @p p's activations
+     * against the K x groups*N weight matrix at @p w, packed where
+     * it lies (GemmPlan::build with a weight pointer; pass
+     * p.w.data() for p's own): it owns p, which need hold only the
+     * activations, and its plan borrows it. @p w is not kept.
+     */
+    CachedPlan(GemmProblem p, const int8_t *w, int bz)
+        : problem(std::move(p)), plan(GemmPlan::build(problem, w, bz))
     {}
 
     /**
@@ -91,8 +96,8 @@ struct CachedPlan
     CachedPlan(const GemmProblem &p, DbbMatrix act, const int8_t *w,
                int bz, ThreadPool *pool = nullptr);
 
-    /** The GEMM: operands and dims in a compute entry, dims alone
-     *  in an events-only one. */
+    /** The GEMM: activations and dims in a compute entry, dims
+     *  alone in an events-only one. */
     const GemmProblem problem;
     const GemmPlan plan;
 };
@@ -111,8 +116,9 @@ class PlanCache
         int64_t evictions = 0;
         /** Plan entries currently resident. */
         int64_t entries = 0;
-        /** Bytes held by resident entries: operands (compute
-         *  entries only), one mask byte per block, and mirrors. */
+        /** Bytes held by resident entries: activations and packed
+         *  weights (compute entries only), and one mask byte per
+         *  block. */
         int64_t resident_bytes = 0;
         /** Stays 0; kept for perfbench until a benchmark change. */
         int64_t spill_hits = 0;
@@ -148,11 +154,11 @@ class PlanCache
      * Plan for @p p's operands, encoded at block size @p bz. The
      * operands are fingerprinted on every call, so a stale entry can
      * never be returned for mutated data; on a miss a compute entry
-     * copies the problem, an events-only entry masks it in place.
+     * copies the activations and packs the weights, an events-only
+     * entry masks both in place.
      */
     std::shared_ptr<const CachedPlan> acquire(const GemmProblem &p,
-                                              int bz,
-                                              bool dense_mirror);
+                                              int bz, bool compute);
 
     /**
      * Keyed variant for callers that can identify the workload
@@ -160,13 +166,13 @@ class PlanCache
      * lowering): @p key must already distinguish operand content
      * (combine the source tensors' digest()s, which hash each
      * tensor once per content). @p build runs only on a miss and
-     * builds the entry at block size @p bz, with a mirror exactly
-     * when @p dense_mirror (the key folds both in): for a conv
+     * builds the entry at block size @p bz, a compute entry exactly
+     * when @p compute (the key folds both in): for a conv
      * layer, the whole layer's grouped GEMM, so a layer costs one
      * lookup and, on a miss, one lowering.
      */
     std::shared_ptr<const CachedPlan> acquireKeyed(
-        uint64_t key, int bz, bool dense_mirror,
+        uint64_t key, int bz, bool compute,
         const std::function<std::shared_ptr<const CachedPlan>()> &build);
 
     /**
@@ -208,8 +214,8 @@ class PlanCache
 
   private:
     /** Bytes an entry pins in memory: the operands it holds (a
-     *  compute entry's), one mask byte per block, and the dense
-     *  mirror when built. */
+     *  compute entry's activations), one mask byte per block, and
+     *  the packed weights with their column sums when built. */
     static int64_t entryBytes(const CachedPlan &e);
 
     /** Insert @p entry under @p key and evict per the budgets. */

@@ -66,14 +66,6 @@ dbbSatisfies(std::span<const int8_t> dense, const DbbSpec &spec)
 namespace {
 
 /**
- * The dense mirror transposes W in bands of kBandRows rows by
- * kBandCols columns: W streams in row order, and each band's
- * transposed tile (16 KB) stays in L1 while it is written.
- */
-constexpr int kBandRows = 512;
-constexpr int kBandCols = 32;
-
-/**
  * The bytes of one band of a mask builder's temporary rows. The
  * weight builder keeps its mask rows a band at a time (a multiple of
  * 8 rows, 8 at least) before it transposes them into the result; the
@@ -403,26 +395,6 @@ DbbMatrix::compressedBytes() const
     // nnz value bytes + 1 mask byte per block.
     return static_cast<int64_t>(n_vectors) * n_blocks *
            (dbb_spec.nnz + 1);
-}
-
-std::vector<int8_t>
-transposedWeights(const GemmProblem &p)
-{
-    // Each band's transpose is written straight into the
-    // (groups*n) x k result, whose rows are k apart.
-    const int cols = p.groups * p.n;
-    std::vector<int8_t> wt(static_cast<size_t>(cols) * p.k);
-    const size_t ld = static_cast<size_t>(cols);
-    for (int r0 = 0; r0 < p.k; r0 += kBandRows) {
-        for (int j0 = 0; j0 < cols; j0 += kBandCols) {
-            transposeBytes(p.w.data() + r0 * ld + j0, ld,
-                           std::min(kBandRows, p.k - r0),
-                           std::min(kBandCols, cols - j0),
-                           wt.data() + static_cast<size_t>(j0) * p.k + r0,
-                           p.k);
-        }
-    }
-    return wt;
 }
 
 void

@@ -234,19 +234,12 @@ class DbbMatrix
 };
 
 /**
- * The transposed weights W^T (groups*n x k, row j holding weight
- * column j's K stored elements contiguously): the dense lanes the
- * functional kernel contracts against.
- */
-std::vector<int8_t> transposedWeights(const GemmProblem &p);
-
-/**
  * Transpose the rows x cols byte window at @p src (row stride
  * @p src_ld) into @p dst (row stride @p dst_ld):
  * dst[c * dst_ld + r] = src[r * src_ld + c]. In 8 x 8 squares
- * through registers, the ragged edges element by element. The dense
- * mirror and the weight generators move W with it, and the weight
- * mask builder its mask rows into columns.
+ * through registers, the ragged edges element by element. The weight
+ * generators move W with it, and the weight mask builder its mask
+ * rows into columns.
  */
 void transposeBytes(const int8_t *src, size_t src_ld, int rows,
                     int cols, int8_t *dst, size_t dst_ld);

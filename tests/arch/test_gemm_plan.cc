@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <tuple>
 
 #include "../integration/fuzz_layer.hh"
+#include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "arch/plan_cache.hh"
 #include "base/thread_pool.hh"
@@ -66,21 +68,79 @@ TEST(GemmPlan, TailBlocksEncodeLosslessly)
             EXPECT_EQ(plan.wgtNonZero(kk, j), p.wgtAt(kk, j) != 0);
 }
 
-TEST(GemmPlan, DenseMirrorExactlyWhenRequested)
+TEST(GemmPlan, PackedWeightsAreTheWeightTensorInPanels)
 {
-    // Every density gets the transposed weight mirror when outputs
-    // are requested, and none gets it otherwise.
+    // A layer's compute entry, as Accelerator::prepareLayer builds
+    // it, packs the weight tensor (the K x out_c matrix) where it
+    // lies and keeps no other copy. Every byte of every group's
+    // panels must be the tensor's weight or a zero pad (K to whole
+    // quads, N to whole panels), every panel's sums its columns'
+    // sums, and the block starts 64-byte aligned. An events-only
+    // entry packs nothing. K per group (taps x channels) hits every
+    // quad tail; N per group every panel tail.
     Rng rng(0xA3);
-    for (const int nnz : {1, 4, 8}) {
-        const GemmProblem p = makeDbbGemm(6, 40, 9, nnz, nnz, rng);
-        EXPECT_EQ(GemmPlan::build(p, 8, false).wgtDenseT(), nullptr);
-        const GemmPlan plan = GemmPlan::build(p, 8, true);
-        const int8_t *wt = plan.wgtDenseT();
-        ASSERT_NE(wt, nullptr) << nnz;
-        for (int j = 0; j < p.n; ++j)
-            for (int kk = 0; kk < p.k; ++kk)
-                EXPECT_EQ(wt[static_cast<size_t>(j) * p.k + kk],
-                          p.wgtAt(kk, j));
+    const Conv2dShape shapes[] = {
+        {8, 5, 5, 16, 1, 1, 1, 0, 1},  // K 8, one full panel
+        {3, 6, 6, 17, 3, 3, 1, 1, 1},  // K 27, a 1-column panel
+        {6, 4, 4, 40, 1, 1, 1, 0, 2},  // K 3, 20 columns per group
+        {5, 4, 4, 33, 1, 2, 1, 0, 1},  // K 10, three panels
+        {4, 5, 5, 4, 3, 3, 1, 1, 4}};  // depthwise: K 9, N 1
+    for (const Conv2dShape &s : shapes) {
+        LayerWorkload wl;
+        wl.name = "packed";
+        wl.shape = s;
+        wl.input = Int8Tensor({s.in_h, s.in_w, s.in_c});
+        wl.weights = Int8Tensor({s.kernel_h, s.kernel_w, s.groupInC(),
+                                 s.out_c});
+        for (Int8Tensor *t : {&wl.input, &wl.weights})
+            for (int64_t i = 0; i < t->size(); ++i)
+                t->flat(i) = static_cast<int8_t>(rng.uniformInt(-128, 127));
+        AcceleratorConfig cfg;
+        cfg.array = ArrayConfig::saZvcg();
+        const Accelerator acc(cfg);
+        NetworkRunOptions opt;
+        opt.compute_output = true;
+        const PreparedLayer prep = acc.prepareLayer(wl, opt);
+        ASSERT_EQ(prep.cached.size(), 1u);
+        const CachedPlan &entry = *prep.cached.front();
+        const GemmProblem &p = entry.problem;
+        EXPECT_TRUE(p.w.empty()) << "the entry copied the weights";
+        const int8_t *packed = entry.plan.packedWeights();
+        ASSERT_NE(packed, nullptr);
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(packed) % 64, 0u);
+        const int quads = (p.k + 3) / 4;
+        const int panels = (p.n + kPanelCols - 1) / kPanelCols;
+        const size_t stride = packedPanelStride(p.k);
+        ASSERT_EQ(entry.plan.packedBytes(),
+                  static_cast<size_t>(p.groups) * panels * stride);
+        const int8_t *w = wl.weights.data();
+        const size_t ld = static_cast<size_t>(s.out_c);
+        for (int g = 0; g < p.groups; ++g) {
+            for (int pn = 0; pn < panels; ++pn) {
+                const int8_t *panel =
+                    packed + (static_cast<size_t>(g) * panels + pn) * stride;
+                int32_t sums[kPanelCols];
+                std::memcpy(sums, panel + quads * kQuadBytes, sizeof(sums));
+                for (int c = 0; c < kPanelCols; ++c) {
+                    const int j = pn * kPanelCols + c;
+                    int32_t sum = 0;
+                    for (int kk = 0; kk < 4 * quads; ++kk) {
+                        const bool real = kk < p.k && j < p.n;
+                        const int8_t want =
+                            real ? w[kk * ld + static_cast<size_t>(g) * p.n + j]
+                                 : int8_t{0};
+                        sum += want;
+                        ASSERT_EQ(panel[(kk / 4) * kQuadBytes + c * 4 + kk % 4],
+                                  want)
+                            << "group " << g << " col " << j << " row " << kk;
+                    }
+                    EXPECT_EQ(sums[c], sum) << "group " << g << " col " << j;
+                }
+            }
+        }
+        opt.compute_output = false;
+        const PreparedLayer events = acc.prepareLayer(wl, opt);
+        EXPECT_EQ(events.cached.front()->plan.packedWeights(), nullptr);
     }
 }
 
@@ -226,7 +286,7 @@ expectMasksOnlyPlanMatchesComputePlan(const LayerWorkload &wl, int bz,
         ASSERT_EQ(prep.cached.size(), 1u);
         const GemmPlan &masks_only = prep.cached.front()->plan;
         EXPECT_FALSE(masks_only.problem().hasOperands());
-        EXPECT_EQ(masks_only.wgtDenseT(), nullptr);
+        EXPECT_EQ(masks_only.packedWeights(), nullptr);
 
         const GemmProblem lowered = im2colLowerGrouped(
             wl.shape, wl.input, wl.weights, align, wl.batch);
@@ -353,13 +413,13 @@ TEST(GemmPlanDeath, DensityViolationsAreFatal)
     plan.checkActivations(DbbSpec{6, 8});
 }
 
-TEST(GemmPlanDeath, DbbGemmNeedsTheMirror)
+TEST(GemmPlanDeath, DbbGemmNeedsAComputePlan)
 {
     Rng rng(0xA8);
     const GemmProblem p = makeDbbGemm(8, 16, 8, 4, 4, rng);
     const GemmPlan plan = GemmPlan::build(p, 8, false);
     std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
-    EXPECT_DEATH(dbbGemm(plan, out.data()), "dense mirror");
+    EXPECT_DEATH(dbbGemm(plan, out.data()), "compute plan");
 }
 
 TEST(GemmPlanDeath, PlanWithoutOperandsRefusesKernelAndScalarEngine)
@@ -373,7 +433,7 @@ TEST(GemmPlanDeath, PlanWithoutOperandsRefusesKernelAndScalarEngine)
                            p.w.data(), 8);
     ASSERT_FALSE(entry.plan.problem().hasOperands());
     std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
-    EXPECT_DEATH(dbbGemm(entry.plan, out.data()), "dense mirror");
+    EXPECT_DEATH(dbbGemm(entry.plan, out.data()), "compute plan");
     RunOptions scalar;
     scalar.engine = EngineKind::Scalar;
     scalar.compute_output = false;

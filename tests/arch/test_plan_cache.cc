@@ -28,9 +28,10 @@ smallGemm(uint64_t seed, int m = 24, int k = 64, int n = 16,
     return makeDbbGemm(m, k, n, nnz, nnz, rng);
 }
 
-/** Full structural equality of two cache entries: operands (none in
- *  an events-only entry), group and segment layout, block masks,
- *  mirror, every group's profile, and the functional output. */
+/** Full structural equality of two cache entries: operands (the
+ *  activations of a compute entry, none in an events-only one), group
+ *  and segment layout, block masks, packed weights, every group's
+ *  profile, and the functional output. */
 void
 expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
 {
@@ -57,14 +58,13 @@ expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
     expect_masks_equal(a.plan.act(), b.plan.act());
     expect_masks_equal(a.plan.wgt(), b.plan.wgt());
 
-    ASSERT_EQ(a.plan.wgtDenseT() != nullptr,
-              b.plan.wgtDenseT() != nullptr);
+    ASSERT_EQ(a.plan.packedBytes(), b.plan.packedBytes());
     const size_t cols =
         static_cast<size_t>(a.problem.groups) * a.problem.n;
-    if (a.plan.wgtDenseT() != nullptr) {
-        EXPECT_EQ(std::memcmp(a.plan.wgtDenseT(),
-                              b.plan.wgtDenseT(),
-                              cols * a.problem.k),
+    if (a.plan.packedWeights() != nullptr) {
+        EXPECT_EQ(std::memcmp(a.plan.packedWeights(),
+                              b.plan.packedWeights(),
+                              a.plan.packedBytes()),
                   0);
         std::vector<int32_t> out_a(
             static_cast<size_t>(a.problem.m) * cols);
@@ -93,7 +93,7 @@ TEST(PlanCache, HitMissAccounting)
     PlanCache cache;
     const GemmProblem p = smallGemm(0xA0);
 
-    const auto e1 = cache.acquire(p, 8, /*dense_mirror=*/false);
+    const auto e1 = cache.acquire(p, 8, /*compute=*/false);
     EXPECT_EQ(cache.stats().misses, 1);
     EXPECT_EQ(cache.stats().hits, 0);
     EXPECT_EQ(cache.stats().entries, 1);
@@ -103,8 +103,8 @@ TEST(PlanCache, HitMissAccounting)
     EXPECT_EQ(cache.stats().hits, 1);
     EXPECT_EQ(e1.get(), e2.get()) << "hit must return same entry";
 
-    // A different mirror flag is a different entry (the plan
-    // contents differ), as is a different block size.
+    // A compute entry is a different entry (the plan contents
+    // differ), as is a different block size.
     cache.acquire(p, 8, true);
     cache.acquire(p, 4, false);
     EXPECT_EQ(cache.stats().misses, 3);
@@ -116,25 +116,29 @@ TEST(PlanCache, ResidentBytesCountWhatAnEntryHolds)
 {
     // Every resident entry holds one mask byte per block of each
     // operand, and no compressed value array. A compute entry (when
-    // outputs were requested) also holds its operands and the
-    // transposed weight mirror; an events-only entry holds neither.
-    // K = 67 leaves a ragged tail block on every bz but 1.
+    // outputs were requested) also holds its activations and the
+    // packed weights: 16-column panels of ceil(K/4) 64-byte quads
+    // and 64 bytes of column sums. An events-only entry holds
+    // neither, and no entry keeps the weight operand itself.
+    // K = 67 leaves a ragged tail block on every bz but 1, and a
+    // ragged quad.
     for (const int bz : {8, 5, 1}) {
-        for (const bool mirror : {false, true}) {
+        for (const bool compute : {false, true}) {
             Rng rng(0xB1);
             const GemmProblem p =
                 makeUnstructuredGemm(24, 67, 16, 0.5, 0.5, rng);
             PlanCache cache;
-            const auto e = cache.acquire(p, bz, mirror);
+            const auto e = cache.acquire(p, bz, compute);
             const int64_t nb = (p.k + bz - 1) / bz;
             const int64_t masks = (static_cast<int64_t>(p.m) + p.n) * nb;
+            const int64_t packed = (67 + 3) / 4 * 64 + 64;
             const int64_t want =
-                mirror ? static_cast<int64_t>(p.a.size() + p.w.size()) +
-                             masks + static_cast<int64_t>(p.k) * p.n
-                       : masks;
+                compute ? static_cast<int64_t>(p.a.size()) + masks + packed
+                        : masks;
             EXPECT_EQ(cache.stats().resident_bytes, want)
-                << "bz " << bz << " mirror " << mirror;
-            EXPECT_EQ(e->problem.hasOperands(), mirror);
+                << "bz " << bz << " compute " << compute;
+            EXPECT_EQ(e->problem.a.size(), compute ? p.a.size() : 0u);
+            EXPECT_TRUE(e->problem.w.empty());
         }
     }
 }
@@ -158,15 +162,15 @@ TEST(PlanCache, EvictionIsLruAndDeterministic)
     const GemmProblem b = smallGemm(0xB1);
     const GemmProblem c = smallGemm(0xB2);
 
-    const auto run = [&](PlanCache &cache, bool mirror) {
-        cache.acquire(a, 8, mirror);
-        const auto first_b = cache.acquire(b, 8, mirror);
-        cache.acquire(a, 8, mirror); // promote a over b
-        cache.acquire(c, 8, mirror); // evicts b (LRU)
-        cache.acquire(a, 8, mirror); // still resident
+    const auto run = [&](PlanCache &cache, bool compute) {
+        cache.acquire(a, 8, compute);
+        const auto first_b = cache.acquire(b, 8, compute);
+        cache.acquire(a, 8, compute); // promote a over b
+        cache.acquire(c, 8, compute); // evicts b (LRU)
+        cache.acquire(a, 8, compute); // still resident
         // A miss again: the dropped entry is rebuilt bit for bit,
         // while the old one lives on for its holder.
-        const auto again_b = cache.acquire(b, 8, mirror);
+        const auto again_b = cache.acquire(b, 8, compute);
         EXPECT_NE(first_b.get(), again_b.get());
         expectEntriesEqual(*first_b, *again_b);
         return cache.stats();
@@ -188,7 +192,8 @@ TEST(PlanCache, EvictionIsLruAndDeterministic)
     EXPECT_EQ(s1.evictions, s2.evictions);
     EXPECT_EQ(s1.resident_bytes, s2.resident_bytes);
 
-    // Compute entries (operands and mirror) go the same way.
+    // Compute entries (activations and packed weights) go the same
+    // way.
     PlanCache c3(2);
     const PlanCache::Stats s3 = run(c3, true);
     EXPECT_EQ(s3.misses, s1.misses);

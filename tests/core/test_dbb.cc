@@ -273,24 +273,6 @@ TEST(DbbMatrix, WeightMasksAcrossMaskRowBands)
     }
 }
 
-TEST(DbbMatrix, TransposedWeightsAcrossTileEdges)
-{
-    // The dense mirror is transposed in bands of 512 rows by 32
-    // columns, so ragged K and N edges must land exactly.
-    for (const int k : {1, 7, 8, 513, 1027}) {
-        Rng rng(static_cast<uint64_t>(0x7A + k));
-        GemmProblem p(1, k, 101);
-        fillRandom(p.w, rng);
-        const std::vector<int8_t> wt = transposedWeights(p);
-        ASSERT_EQ(wt.size(), p.w.size());
-        for (int j = 0; j < p.n; ++j)
-            for (int kk = 0; kk < p.k; ++kk)
-                ASSERT_EQ(wt[static_cast<size_t>(j) * p.k + kk],
-                          p.wgtAt(kk, j))
-                    << "k " << k << " col " << j << " row " << kk;
-    }
-}
-
 /** A 2/8-bounded operand pair (K = 1027, N = 101) whose every block
  *  satisfies the bound. */
 GemmProblem

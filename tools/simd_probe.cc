@@ -2,7 +2,7 @@
  * @file
  * Prints what the SIMD kernel tiers resolved to on this machine:
  * the CPU features each tier uses and their runtime cpuid probes,
- * the AVX-512 sub-feature probe (VNNI dense dot), and the tier the
+ * the AVX-512 sub-feature probe (the VNNI tile), and the tier the
  * dispatcher actually selected. CI
  * runs this before the kernel tests so a log of a failing runner
  * shows exactly which paths were live; it is also the quickest way
@@ -23,8 +23,8 @@ using namespace s2ta;
 int
 main()
 {
-    // The scalar tier's dense dot is SSE2 on x86-64 (part of the
-    // baseline ISA) and a plain loop elsewhere.
+    // The scalar tier's tile is SSE2 on x86-64 (part of the
+    // baseline ISA) and a per-output loop elsewhere.
 #ifdef __SSE2__
     std::printf("tier_scalar_features sse2\n");
 #else
