@@ -180,8 +180,10 @@ BENCHMARK(BM_DbbEncodeWeightsFc)->Unit(benchmark::kMillisecond);
 void
 BM_DbbEncodeActivationsConv(benchmark::State &state)
 {
+    // The plain activation mask builder over a matrix the size of
     // VGG-16 conv1_2 lowered at A 4/8: 224 x 224 output pixels by
-    // 3 x 3 x 64 taps (29 MB of activations).
+    // 3 x 3 x 64 taps (29 MB). A conv plan masks the layer's input
+    // instead (BM_EventsOnlyPlanConv), a ninth of these bytes.
     static const GemmProblem p = [] {
         Rng rng(0xC12);
         return makeDbbGemm(50176, 576, 1, 8, 4, rng);
@@ -422,20 +424,26 @@ BM_DepthwiseLayerEventsSmt(benchmark::State &state)
 }
 BENCHMARK(BM_DepthwiseLayerEventsSmt)->Unit(benchmark::kMillisecond);
 
-/** VGG-16 fc6 (25088 x 4096 weights, 102 MB), built once (its
- *  static set-up builds all of VGG-16, a few seconds). */
+/** VGG-16's layer @p name, the model built once (its static set-up
+ *  builds all of VGG-16, a few seconds). */
+const LayerWorkload &
+vgg16Layer(const std::string &name)
+{
+    static const ModelWorkload mw = [] {
+        Rng rng(0xFC6);
+        return buildModelWorkload(vgg16(), rng);
+    }();
+    for (const LayerWorkload &l : mw.layers)
+        if (l.name == name)
+            return l;
+    s2ta_panic("VGG-16 has no %s", name.c_str());
+}
+
+/** VGG-16 fc6 (25088 x 4096 weights, 102 MB). */
 const LayerWorkload &
 vgg16Fc6()
 {
-    static const LayerWorkload wl = [] {
-        Rng rng(0xFC6);
-        const ModelWorkload mw = buildModelWorkload(vgg16(), rng);
-        for (const LayerWorkload &l : mw.layers)
-            if (l.name == "fc6")
-                return l;
-        s2ta_panic("VGG-16 has no fc6");
-    }();
-    return wl;
+    return vgg16Layer("fc6");
 }
 
 /** Events-only options through @p cache. */
@@ -450,10 +458,10 @@ eventsOnlyThrough(PlanCache &cache)
 
 /** fc6 as the sweep's first sight meets it: events-only through a
  *  fresh PlanCache per iteration on SA-ZVCG, on an accelerator of
- *  state.range(0) lanes (1: serial; more: the activation bands,
- *  weight-mask bands and profile chunks split across them). Keying
- *  (the tensors' digests, hashed once for the process), lowering
- *  and planning without the mirror, nothing simulated. */
+ *  state.range(0) lanes (1: serial; more: the weight-mask bands and
+ *  profile chunks split across them). Keying (the tensors' digests,
+ *  hashed once for the process) and planning without the mirror,
+ *  nothing simulated. */
 void
 BM_EventsOnlyPlanFc(benchmark::State &state)
 {
@@ -470,6 +478,33 @@ BM_EventsOnlyPlanFc(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * wl.weights.size());
 }
 BENCHMARK(BM_EventsOnlyPlanFc)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+/** VGG-16 conv1_2 (224 x 224 x 64 in, 3 x 3 x 64 x 64 weights) as the
+ *  sweep's first sight meets it: events-only through a fresh
+ *  PlanCache per iteration on SA-ZVCG, on an accelerator of
+ *  state.range(0) lanes (1: serial; more: the weight-mask bands and
+ *  profile chunks split across them). Keying, masking the input
+ *  tensor and the weights where they lie, and deriving the profile
+ *  from the input masks; nothing lowered, nothing simulated. */
+void
+BM_EventsOnlyPlanConv(benchmark::State &state)
+{
+    const LayerWorkload &wl = vgg16Layer("conv1_2");
+    AcceleratorConfig cfg;
+    cfg.array = ArrayConfig::saZvcg();
+    cfg.sim_threads = static_cast<int>(state.range(0));
+    const Accelerator acc(cfg);
+    for (auto _ : state) {
+        PlanCache cache;
+        benchmark::DoNotOptimize(
+            acc.prepareLayer(wl, eventsOnlyThrough(cache)));
+    }
+    state.SetBytesProcessed(state.iterations() * wl.input.size());
+}
+BENCHMARK(BM_EventsOnlyPlanConv)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);

@@ -44,14 +44,14 @@ layerPlanKey(const LayerWorkload &wl, int channel_align)
 
 /**
  * The plan entry of one layer visit at alignment @p channel_align
- * and block size @p bz. Either entry masks the weight tensor, which
- * already is the GEMM's K x out_c weight matrix, where it lies. A
- * compute entry owns the layer's lowered activations and packs the
- * weight tensor from where it lies: the packed copy is the only copy
- * of the weights it makes. An events-only entry lowers the
- * activations a band of rows at a time and masks each band: it
- * keeps the dims, masks and profiles, and the lowered matrix never
- * exists whole. Its bands, weight-mask bands and profiles spread
+ * and block size @p bz: the input tensor's masks and the conv
+ * geometry, the weight tensor's masks (the weight tensor already is
+ * the GEMM's K x out_c matrix), and each group's profile, derived
+ * from them. Both tensors are masked where they lie. A compute entry
+ * also owns the layer's lowered activations, which only the kernel
+ * reads, and packs the weight tensor from where it lies: the packed
+ * copy is the only copy of the weights it makes. An events-only
+ * entry lowers nothing. Its weight-mask bands and profiles spread
  * over @p pool's lanes (null: serial), so a first sight that runs
  * alone does not leave the other lanes idle.
  */
@@ -63,25 +63,14 @@ buildLayerEntry(const LayerWorkload &wl, int channel_align, int bz,
                 std::vector<int>({wl.shape.kernel_h, wl.shape.kernel_w,
                                   wl.shape.groupInC(), wl.shape.out_c}),
                 "layer '%s' weight shape mismatch", wl.name.c_str());
-    GemmProblem dims =
-        im2colActivationDims(wl.shape, channel_align, wl.batch);
-    if (compute_output) {
-        dims.a.assign(static_cast<size_t>(dims.m) * dims.groups * dims.k,
-                      0);
-        im2colLowerActivationRows(wl.shape, wl.input, wl.batch, 0, dims.m,
-                                  dims.a.data());
-        return std::make_shared<const CachedPlan>(
-            std::move(dims), wl.weights.data(), bz);
-    }
-    DbbMatrix act = DbbMatrix::fromActivations(
-        dims, DbbSpec{bz, bz},
-        [&](int row0, int rows, int8_t *band) {
-            im2colLowerActivationRows(wl.shape, wl.input, wl.batch, row0,
-                                      rows, band);
-        },
-        pool);
-    return std::make_shared<const CachedPlan>(dims, std::move(act),
-                                              wl.weights.data(), bz, pool);
+    GemmProblem p =
+        compute_output
+            ? im2colLowerActivations(wl.shape, wl.input, channel_align,
+                                     wl.batch)
+            : im2colActivationDims(wl.shape, channel_align, wl.batch);
+    return std::make_shared<const CachedPlan>(
+        std::move(p), wl.shape, wl.input.data(), wl.weights.data(), bz,
+        compute_output, pool);
 }
 
 } // anonymous namespace
@@ -163,12 +152,13 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
     prep.acfg = acfg;
     prep.model = makeArrayModel(acfg);
 
-    // The fast engine lowers the whole layer, every group at once,
-    // to one grouped GEMM whose plan (encoding + per-group profiles)
-    // is built once and reused across the whole tile grid; an
-    // events-only plan keeps no operand (buildLayerEntry). With a
-    // plan cache the layer lowers and encodes only on first sight;
-    // every later design point in the sweep reuses the cached plan.
+    // The fast engine plans the whole layer, every group at once,
+    // as one grouped GEMM whose plan (the input's masks + per-group
+    // profiles) is built once and reused across the whole tile grid;
+    // only a plan that computes outputs lowers the activations, for
+    // the kernel (buildLayerEntry). With a plan cache the layer
+    // encodes only on first sight; every later design point in the
+    // sweep reuses the cached plan.
     // The scalar reference engine lowers each group to its own
     // padded GEMM and encodes nothing.
     const bool fast = opt.engine != EngineKind::Scalar;

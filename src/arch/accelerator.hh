@@ -6,10 +6,11 @@
  * per-layer event records for the energy model.
  *
  * On the fast engine every conv layer is one GEMM with a group axis
- * (one group unless the layer is grouped or depthwise): one
- * lowering, one plan, one plan-cache entry and one kernel call that
- * writes the layer's output. The scalar reference engine runs one
- * GEMM per group and scatters each result into the output.
+ * (one group unless the layer is grouped or depthwise): one plan
+ * over the input's masks, one plan-cache entry and, when outputs are
+ * computed, one lowering and one kernel call that writes the layer's
+ * output. The scalar reference engine runs one GEMM per group and
+ * scatters each result into the output.
  */
 
 #ifndef S2TA_ARCH_ACCELERATOR_HH
@@ -46,8 +47,8 @@ struct AcceleratorConfig
      * Simulation threads for runNetwork/runLayer: 0 = one lane per
      * hardware thread (the process-wide pool), 1 = serial, N > 1 =
      * a dedicated pool of exactly N lanes. Layers fan out across
-     * the lanes; within a layer, an events-only first-sight plan
-     * build splits its bands and profiles and the functional kernel
+     * the lanes; within a layer, a first-sight plan build splits
+     * its weight-mask bands and profiles and the functional kernel
      * its row stripes over the same lanes, which a layer's nested
      * work reaches whenever other lanes are idle. Results are
      * bitwise identical in all cases (per-layer results are reduced
@@ -123,8 +124,9 @@ struct LayerRun
 /**
  * Host-side stage of one layer, split out of runLayer so a traced
  * pass can time it apart from array execution: shape checks, the
- * per-layer tightened array config, im2col lowering, DBB encoding
- * (or plan-cache acquisition) and the DMA-traffic pricing —
+ * per-layer tightened array config, DBB encoding (with im2col
+ * lowering when outputs are computed) or plan-cache acquisition, and
+ * the DMA-traffic pricing —
  * everything that happens before the array runs. Movable; holds
  * shared handles so cached encodings stay alive until
  * executePrepared() has run.
@@ -179,18 +181,18 @@ class Accelerator
     /**
      * Simulate one convolution (or FC, expressed as 1x1 conv) layer.
      * On the fast engine a layer is one GEMM with a group axis (one
-     * group unless the layer is grouped or depthwise): one lowering,
-     * one plan, one cache entry and one kernel call, its events
-     * summed over the groups in group order. The scalar engine runs
-     * one GEMM per group.
+     * group unless the layer is grouped or depthwise): one plan, one
+     * cache entry and, with outputs, one lowering and one kernel
+     * call, its events summed over the groups in group order. The
+     * scalar engine runs one GEMM per group.
      */
     LayerRun runLayer(const LayerWorkload &wl,
                       const NetworkRunOptions &opt) const;
 
     /**
      * Host-side stage of runLayer: validate, build the per-layer
-     * array model, lower and encode (or acquire from the plan
-     * cache), and price the DMA traffic. No array cycles are
+     * array model, encode (or acquire from the plan cache), and
+     * price the DMA traffic. No array cycles are
      * simulated. The result must be executed with the same options
      * it was prepared with.
      */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <span>
 
 #include "arch/gemm_plan.hh"
@@ -48,138 +47,6 @@ OperandProfile::build(const GemmProblem &p)
     for (int j = 0; j < p.n; ++j)
         prof.wgt_nnz += prof.col_nz[static_cast<size_t>(j)];
     for (int kk = 0; kk < p.k; ++kk) {
-        prof.matched_products +=
-            static_cast<int64_t>(
-                prof.act_nz_at_k[static_cast<size_t>(kk)]) *
-            prof.wgt_nz_at_k[static_cast<size_t>(kk)];
-    }
-    return prof;
-}
-
-namespace {
-
-/**
- * Per-position and per-vector non-zero counts of @p count
- * consecutive vectors of @p nb masks each (block size @p bz):
- * hist[b*bz + bit] (for positions below @p k) gains the vectors
- * with @p bit set in block b, and nz[v] is vector v's popcount.
- * Block-column outer: eight blocks of every vector are counted at a
- * time in byte-wide SWAR counters, one 64-bit word per bit
- * position, flushed before a byte can wrap.
- */
-void
-countMaskBits(const Mask8 *masks, int count, int nb, int bz, int k,
-              int32_t *hist, int32_t *nz)
-{
-    constexpr uint64_t kOnes = 0x0101010101010101ull;
-    std::fill(nz, nz + count, 0);
-    for (int b0 = 0; b0 < nb; b0 += 8) {
-        const int len = std::min(8, nb - b0);
-        uint64_t acc[8] = {};
-        int pending = 0;
-        const auto flush = [&] {
-            for (int b = 0; b < len; ++b) {
-                // A tail block's positions past K are never set.
-                const int pos0 = (b0 + b) * bz;
-                for (int bit = 0; bit < std::min(bz, k - pos0); ++bit) {
-                    hist[pos0 + bit] += static_cast<int32_t>(
-                        (acc[bit] >> (8 * b)) & 0xFF);
-                }
-            }
-            std::fill(acc, acc + 8, 0);
-            pending = 0;
-        };
-        for (int v = 0; v < count; ++v) {
-            const Mask8 *src = masks + static_cast<size_t>(v) * nb + b0;
-            uint64_t w = 0;
-            if (len == 8) {
-                std::memcpy(&w, src, 8);
-            } else {
-                for (int b = 0; b < len; ++b)
-                    w |= uint64_t{src[b]} << (8 * b);
-            }
-            // Per-byte bit counts: one counter word per bit, and
-            // their sum (at most 8 per byte) for the popcount.
-            uint64_t sum = 0;
-            for (int bit = 0; bit < 8; ++bit) {
-                const uint64_t flags = (w >> bit) & kOnes;
-                acc[bit] += flags;
-                sum += flags;
-            }
-            nz[v] += static_cast<int32_t>((sum * kOnes) >> 56);
-            if (++pending == 255)
-                flush();
-        }
-        flush();
-    }
-}
-
-/**
- * countMaskBits over the vectors of @p mat from @p v0 on, @p count of
- * them. With @p pool, a group of more than kChunkMaskBytes of masks
- * is counted in chunks across its lanes: each chunk writes its own
- * vectors' counts and its own position histogram, and the
- * histograms are summed into @p hist in chunk order.
- */
-void
-countVectors(const DbbMatrix &mat, int v0, int count, int k,
-             int32_t *hist, int32_t *nz, ThreadPool *pool)
-{
-    constexpr int64_t kChunkMaskBytes = int64_t{512} << 10;
-    const int nb = mat.blocksPerVector();
-    const int bz = mat.spec().bz;
-    const int chunk = static_cast<int>(
-        std::max<int64_t>(1, kChunkMaskBytes / std::max(nb, 1)));
-    const int chunks = (count + chunk - 1) / chunk;
-    if (pool == nullptr || chunks <= 1) {
-        countMaskBits(mat.vectorMasks(v0), count, nb, bz, k, hist, nz);
-        return;
-    }
-    std::vector<int32_t> part(static_cast<size_t>(chunks - 1) * k, 0);
-    pool->parallelFor(chunks, [&](int64_t c) {
-        const int first = static_cast<int>(c) * chunk;
-        countMaskBits(mat.vectorMasks(v0 + first),
-                      std::min(chunk, count - first), nb, bz, k,
-                      c == 0 ? hist : &part[static_cast<size_t>(c - 1) * k],
-                      nz + first);
-    });
-    for (int c = 1; c < chunks; ++c) {
-        const int32_t *h = &part[static_cast<size_t>(c - 1) * k];
-        for (int pos = 0; pos < k; ++pos)
-            hist[pos] += h[pos];
-    }
-}
-
-} // anonymous namespace
-
-OperandProfile
-OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
-                        const DbbMatrix &wgt, int group, ThreadPool *pool)
-{
-    s2ta_assert(group >= 0 && group < p.groups, "group %d of %d",
-                group, p.groups);
-    OperandProfile prof;
-    prof.m = p.m;
-    prof.k = p.modeledK();
-    prof.n = p.n;
-    prof.row_nz.assign(static_cast<size_t>(p.m), 0);
-    prof.col_nz.assign(static_cast<size_t>(p.n), 0);
-    prof.act_nz_at_k.assign(static_cast<size_t>(prof.k), 0);
-    prof.wgt_nz_at_k.assign(static_cast<size_t>(prof.k), 0);
-
-    // Per-vector counts and per-position counts straight from the
-    // masks: O(blocks), no dense scan. Tail and segment padding
-    // positions are never set in any mask. The group's vectors are
-    // consecutive (group-major) in both matrices.
-    countVectors(act, group * p.m, p.m, prof.k, prof.act_nz_at_k.data(),
-                 prof.row_nz.data(), pool);
-    countVectors(wgt, group * p.n, p.n, prof.k, prof.wgt_nz_at_k.data(),
-                 prof.col_nz.data(), pool);
-    for (const int32_t nz : prof.row_nz)
-        prof.act_nnz += nz;
-    for (const int32_t nz : prof.col_nz)
-        prof.wgt_nnz += nz;
-    for (int kk = 0; kk < prof.k; ++kk) {
         prof.matched_products +=
             static_cast<int64_t>(
                 prof.act_nz_at_k[static_cast<size_t>(kk)]) *

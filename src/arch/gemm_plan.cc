@@ -1,6 +1,7 @@
 #include "arch/gemm_plan.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 
@@ -333,32 +334,447 @@ dbbGemm(const GemmPlan &plan, int32_t *out, ThreadPool *shard_pool)
     });
 }
 
+namespace {
+
+/**
+ * Per-position non-zero counts of an @p nr x @p nc grid of mask
+ * vectors of @p nb masks each (block size @p bz): vector (r, c)
+ * starts at masks + r * row_stride + c * col_stride, and
+ * hist[b*bz + bit] (for positions below @p k) gains the vectors with
+ * @p bit set in block b. With kVectorCounts, vector (r, c)'s
+ * popcount goes to nz[r * nc + c]. Each byte of a 64-bit word holds
+ * one mask, counted at once in byte-wide SWAR counters, one word per
+ * bit position, flushed before a byte can wrap: block-column outer,
+ * eight blocks of every vector at a time, or, for vectors of fewer
+ * than eight blocks (a stem's pixel), 8 / nb vectors per word.
+ */
+template <bool kVectorCounts>
+void
+countMaskBits(const Mask8 *masks, int nr, size_t row_stride, int nc,
+              size_t col_stride, int nb, int bz, int k, int32_t *hist,
+              int32_t *nz)
+{
+    constexpr uint64_t kOnes = 0x0101010101010101ull;
+    if (kVectorCounts)
+        std::fill(nz, nz + static_cast<size_t>(nr) * nc, 0);
+    // Vectors per word: one when counting per vector.
+    const int per = kVectorCounts || nb >= 8 ? 1 : 8 / nb;
+    for (int b0 = 0; b0 < nb; b0 += 8) {
+        const int len = std::min(8, nb - b0);
+        uint64_t acc[8] = {};
+        int pending = 0;
+        const auto flush = [&] {
+            // Byte v * len + b counted block b0 + b of a word's
+            // vector v.
+            for (int v = 0; v < per; ++v) {
+                for (int b = 0; b < len; ++b) {
+                    // A tail block's positions past K are never set.
+                    const int pos0 = (b0 + b) * bz;
+                    const int shift = 8 * (v * len + b);
+                    for (int bit = 0; bit < std::min(bz, k - pos0); ++bit) {
+                        hist[pos0 + bit] += static_cast<int32_t>(
+                            (acc[bit] >> shift) & 0xFF);
+                    }
+                }
+            }
+            std::fill(acc, acc + 8, 0);
+            pending = 0;
+        };
+        const auto add = [&](uint64_t w) {
+            // Per-byte bit counts: one counter word per bit, and
+            // their sum (at most 8 per byte) for the popcount.
+            uint64_t sum = 0;
+            for (int bit = 0; bit < 8; ++bit) {
+                const uint64_t flags = (w >> bit) & kOnes;
+                acc[bit] += flags;
+                sum += flags;
+            }
+            if (++pending == 255)
+                flush();
+            return static_cast<int32_t>((sum * kOnes) >> 56);
+        };
+        int32_t *vec_nz = nz;
+        for (int r = 0; r < nr; ++r) {
+            const Mask8 *src = masks + r * row_stride + b0;
+            for (int c = 0; c < nc; c += per) {
+                uint64_t w = 0;
+                if (len == 8) {
+                    std::memcpy(&w, src, 8);
+                    src += col_stride;
+                } else {
+                    for (int v = 0; v < std::min(per, nc - c);
+                         ++v, src += col_stride) {
+                        for (int b = 0; b < len; ++b)
+                            w |= uint64_t{src[b]} << (8 * (v * len + b));
+                    }
+                }
+                const int32_t vec_pop = add(w);
+                if (kVectorCounts)
+                    *vec_nz++ += vec_pop;
+            }
+        }
+        flush();
+    }
+}
+
+/**
+ * countMaskBits over the vectors of @p mat from @p v0 on, @p count of
+ * them. With @p pool, a group of more than kChunkMaskBytes of masks
+ * is counted in chunks across its lanes: each chunk writes its own
+ * vectors' counts and its own position histogram, and the
+ * histograms are summed into @p hist in chunk order.
+ */
+void
+countVectors(const DbbMatrix &mat, int v0, int count, int k,
+             int32_t *hist, int32_t *nz, ThreadPool *pool)
+{
+    constexpr int64_t kChunkMaskBytes = int64_t{512} << 10;
+    const int nb = mat.blocksPerVector();
+    const int bz = mat.spec().bz;
+    const int chunk = static_cast<int>(
+        std::max<int64_t>(1, kChunkMaskBytes / std::max(nb, 1)));
+    const int chunks = (count + chunk - 1) / chunk;
+    const auto count_chunk = [&](int first, int n, int32_t *h) {
+        countMaskBits<true>(mat.vectorMasks(v0 + first), 1, 0, n,
+                            static_cast<size_t>(nb), nb, bz, k, h,
+                            nz + first);
+    };
+    if (pool == nullptr || chunks <= 1) {
+        count_chunk(0, count, hist);
+        return;
+    }
+    std::vector<int32_t> part(static_cast<size_t>(chunks - 1) * k, 0);
+    pool->parallelFor(chunks, [&](int64_t c) {
+        const int first = static_cast<int>(c) * chunk;
+        count_chunk(first, std::min(chunk, count - first),
+                    c == 0 ? hist : &part[static_cast<size_t>(c - 1) * k]);
+    });
+    for (int c = 1; c < chunks; ++c) {
+        const int32_t *h = &part[static_cast<size_t>(c - 1) * k];
+        for (int pos = 0; pos < k; ++pos)
+            hist[pos] += h[pos];
+    }
+}
+
+/** A zeroed profile of one group of @p p, in its modeled K. */
+OperandProfile
+emptyProfile(const GemmProblem &p)
+{
+    OperandProfile prof;
+    prof.m = p.m;
+    prof.k = p.modeledK();
+    prof.n = p.n;
+    prof.row_nz.assign(static_cast<size_t>(p.m), 0);
+    prof.col_nz.assign(static_cast<size_t>(p.n), 0);
+    prof.act_nz_at_k.assign(static_cast<size_t>(prof.k), 0);
+    prof.wgt_nz_at_k.assign(static_cast<size_t>(prof.k), 0);
+    return prof;
+}
+
+/** The weight half of group @p g's profile from @p wgt, then the
+ *  totals and the matched products (the activation half filled). */
+void
+finishProfile(const GemmProblem &p, const DbbMatrix &wgt, int g,
+              ThreadPool *pool, OperandProfile &prof)
+{
+    countVectors(wgt, g * p.n, p.n, prof.k, prof.wgt_nz_at_k.data(),
+                 prof.col_nz.data(), pool);
+    for (const int32_t nz : prof.row_nz)
+        prof.act_nnz += nz;
+    for (const int32_t nz : prof.col_nz)
+        prof.wgt_nnz += nz;
+    for (int kk = 0; kk < prof.k; ++kk) {
+        prof.matched_products +=
+            static_cast<int64_t>(
+                prof.act_nz_at_k[static_cast<size_t>(kk)]) *
+            prof.wgt_nz_at_k[static_cast<size_t>(kk)];
+    }
+}
+
+/** The outputs [first, last) along one axis whose tap @p t reads an
+ *  input position in [0, @p in): o * stride - pad + t in range. */
+std::pair<int, int>
+tapOutputs(int t, int pad, int stride, int in, int out)
+{
+    const int lead = pad - t;
+    const int first = lead <= 0 ? 0 : (lead + stride - 1) / stride;
+    const int last = in - 1 + lead < 0 ? 0 : (in - 1 + lead) / stride + 1;
+    return {first, std::min(out, last)};
+}
+
+/** Add the @p n values at @p src, @p step apart, to @p dst[0, n),
+ *  and return their sum. */
+int32_t
+addRun(const int32_t *src, int step, int n, int32_t *dst)
+{
+    int32_t sum = 0;
+    if (step == 1) {
+        // Contiguous: the loop the compiler vectorizes.
+        for (int o = 0; o < n; ++o) {
+            dst[o] += src[o];
+            sum += src[o];
+        }
+        return sum;
+    }
+    for (int o = 0; o < n; ++o) {
+        dst[o] += src[o * step];
+        sum += src[o * step];
+    }
+    return sum;
+}
+
+} // anonymous namespace
+
+OperandProfile
+OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
+                        const DbbMatrix &wgt, int group, ThreadPool *pool)
+{
+    s2ta_assert(group >= 0 && group < p.groups, "group %d of %d",
+                group, p.groups);
+    // Per-vector counts and per-position counts straight from the
+    // masks: O(blocks), no dense scan. Tail and segment padding
+    // positions are never set in any mask. The group's vectors are
+    // consecutive (group-major) in both matrices.
+    OperandProfile prof = emptyProfile(p);
+    countVectors(act, group * p.m, p.m, prof.k, prof.act_nz_at_k.data(),
+                 prof.row_nz.data(), pool);
+    finishProfile(p, wgt, group, pool, prof);
+    return prof;
+}
+
 GemmPlan
 GemmPlan::build(const GemmProblem &p, int bz, bool compute)
 {
-    if (compute)
-        return build(p, p.w.data(), bz);
+    return build(p, p.a.data(), p.w.data(), bz, compute);
+}
+
+GemmPlan
+GemmPlan::build(const GemmProblem &p, const int8_t *a, const int8_t *w,
+                int bz, bool compute)
+{
+    return encode(p, p, nullptr, a, w, bz, compute, nullptr);
+}
+
+GemmPlan
+GemmPlan::build(const GemmProblem &p, const Conv2dShape &shape,
+                const int8_t *input, const int8_t *w, int bz,
+                bool compute, ThreadPool *pool)
+{
+    const int oh = shape.outH(), ow = shape.outW();
+    const int batch = p.m / (oh * ow);
+    s2ta_assert(shape.valid() && batch >= 1 && p.m == batch * oh * ow &&
+                    p.groups == shape.groups && p.n == shape.groupOutC() &&
+                    p.seg == shape.groupInC() &&
+                    p.k == shape.kernel_h * shape.kernel_w * p.seg,
+                "a %dx%dx%d GEMM of %d groups (segments of %d) is not "
+                "the lowering of this conv layer", p.m, p.k, p.n,
+                p.groups, p.seg);
+    // The layer seen as its 1x1 grouped GEMM: one row per input
+    // pixel, one segment of groupInC channels per group. A 1x1
+    // stride-1 layer without padding is that GEMM: its rows are its
+    // pixels, with no taps to resolve.
+    GemmProblem in = p.withoutOperands();
+    in.m = batch * shape.in_h * shape.in_w;
+    in.k = p.seg;
+    const bool pointwise = shape.kernel_h == 1 && shape.kernel_w == 1 &&
+                           shape.stride == 1 && shape.pad == 0;
+    return encode(p, in, pointwise ? nullptr : &shape, input, w, bz,
+                  compute, pool);
+}
+
+GemmPlan
+GemmPlan::encode(const GemmProblem &p, const GemmProblem &in,
+                 const Conv2dShape *shape, const int8_t *a,
+                 const int8_t *w, int bz, bool compute, ThreadPool *pool)
+{
     s2ta_assert(bz >= 1 && bz <= 8, "block size %d", bz);
+    s2ta_assert(!compute ||
+                    p.a.size() == static_cast<size_t>(p.m) * p.groups * p.k,
+                "a compute plan needs its problem's activations (%zu of "
+                "%dx%d)", p.a.size(), p.m, p.groups * p.k);
     // Encode with the permissive bz/bz spec: a plan caches content,
     // not a density contract; bounds are checked against the masks
     // by checkWeights / checkActivations.
     const DbbSpec all{bz, bz};
-    return fromMasks(p, DbbMatrix::fromActivations(p, all),
-                     DbbMatrix::fromWeights(p, all));
+    GemmPlan plan(p);
+    plan.blk_bz = bz;
+    plan.has_taps = shape != nullptr;
+    if (shape != nullptr)
+        plan.conv = *shape;
+    plan.row_blocks = (p.modeledK() + bz - 1) / bz;
+    plan.tap_positions = p.modeledSeg();
+    plan.group_pixels = in.m;
+    plan.act_masks = DbbMatrix::fromActivations(in, a, all);
+    plan.wgt_masks = DbbMatrix::fromWeights(p, w, all, pool);
+    plan.profs.resize(static_cast<size_t>(p.groups));
+    parallelForOn(pool, p.groups, [&](int64_t g) {
+        plan.profs[static_cast<size_t>(g)] =
+            plan.has_taps
+                ? plan.convProfile(static_cast<int>(g), pool)
+                : OperandProfile::fromDbb(p, plan.act_masks, plan.wgt_masks,
+                                          static_cast<int>(g), pool);
+    });
+    plan.is_encoded = true;
+    if (compute)
+        plan.packWeights(w);
+    return plan;
 }
 
-GemmPlan
-GemmPlan::build(const GemmProblem &p, const int8_t *w, int bz)
+OperandProfile
+GemmPlan::convProfile(int g, ThreadPool *pool) const
 {
-    s2ta_assert(bz >= 1 && bz <= 8, "block size %d", bz);
-    s2ta_assert(p.a.size() == static_cast<size_t>(p.m) * p.groups * p.k,
-                "a compute plan needs its problem's activations (%zu of "
-                "%dx%d)", p.a.size(), p.m, p.groups * p.k);
-    const DbbSpec all{bz, bz};
-    GemmPlan plan = fromMasks(p, DbbMatrix::fromActivations(p, all),
-                              DbbMatrix::fromWeights(p, w, all));
-    plan.packWeights(w);
-    return plan;
+    const GemmProblem &p = *prob;
+    const Conv2dShape &s = conv;
+    const int h = s.in_h, w = s.in_w, oh = s.outH(), ow = s.outW();
+    const int batch = p.m / (oh * ow);
+    const int pixels = group_pixels;
+    const int nb = act_masks.blocksPerVector();
+    const int seg = tap_positions;
+    const Mask8 *in = act_masks.vectorMasks(g * pixels);
+    OperandProfile prof = emptyProfile(p);
+
+    std::vector<int32_t> pc(static_cast<size_t>(pixels));
+    for (int q = 0; q < pixels; ++q) {
+        const Mask8 *v = in + static_cast<size_t>(q) * nb;
+        int32_t c = 0;
+        int b = 0;
+        for (; b + 8 <= nb; b += 8) {
+            uint64_t x;
+            std::memcpy(&x, v + b, 8);
+            c += std::popcount(x);
+        }
+        for (; b < nb; ++b)
+            c += maskPopcount(v[b]);
+        pc[static_cast<size_t>(q)] = c;
+    }
+
+    // Tap (ky, kx) reads, for the outputs [oy0, oy1) x [ox0, ox1),
+    // the input rectangle from (iy0, ix0) at the layer's stride. A
+    // row's count is the sum of its in-image taps' pixel counts: each
+    // tap adds its rectangle's counts to its outputs' rows, a run of
+    // outputs at a time. A (tap, channel) position's count is that
+    // channel's bit count over the tap's rectangle; with one channel
+    // per group (a depthwise layer) it is the rectangle's pixel
+    // count.
+    for (int ky = 0; ky < s.kernel_h; ++ky) {
+        const auto [oy0, oy1] = tapOutputs(ky, s.pad, s.stride, h, oh);
+        for (int kx = 0; kx < s.kernel_w; ++kx) {
+            const auto [ox0, ox1] = tapOutputs(kx, s.pad, s.stride, w, ow);
+            if (oy0 >= oy1 || ox0 >= ox1)
+                continue;
+            const int iy0 = oy0 * s.stride - s.pad + ky;
+            const int ix0 = ox0 * s.stride - s.pad + kx;
+            const int run = ox1 - ox0;
+            int32_t *hist = prof.act_nz_at_k.data() +
+                            static_cast<size_t>(ky * s.kernel_w + kx) * seg;
+            for (int b = 0; b < batch; ++b) {
+                int32_t tap_nz = 0;
+                for (int oy = oy0; oy < oy1; ++oy) {
+                    const int32_t *src =
+                        pc.data() +
+                        static_cast<size_t>(b * h + iy0 + (oy - oy0) * s.stride) *
+                            w +
+                        ix0;
+                    int32_t *dst = prof.row_nz.data() +
+                                   static_cast<size_t>(b * oh + oy) * ow + ox0;
+                    tap_nz += addRun(src, s.stride, run, dst);
+                }
+                if (p.seg == 1) {
+                    hist[0] += tap_nz;
+                    continue;
+                }
+                countMaskBits<false>(
+                    in + (static_cast<size_t>(b * h + iy0) * w + ix0) * nb,
+                    oy1 - oy0, static_cast<size_t>(s.stride) * w * nb, run,
+                    static_cast<size_t>(s.stride) * nb, nb, blk_bz, seg,
+                    hist, nullptr);
+            }
+        }
+    }
+    finishProfile(p, wgt_masks, g, pool, prof);
+    return prof;
+}
+
+void
+GemmPlan::rowPixels(int i, int32_t *pixels) const
+{
+    if (!has_taps) {
+        pixels[0] = i;
+        return;
+    }
+    const Conv2dShape &s = conv;
+    const int oh = s.outH(), ow = s.outW();
+    const int b = i / (oh * ow), oy = i / ow % oh, ox = i % ow;
+    for (int ky = 0; ky < s.kernel_h; ++ky) {
+        const int iy = oy * s.stride - s.pad + ky;
+        for (int kx = 0; kx < s.kernel_w; ++kx) {
+            const int ix = ox * s.stride - s.pad + kx;
+            *pixels++ = iy >= 0 && iy < s.in_h && ix >= 0 && ix < s.in_w
+                            ? (b * s.in_h + iy) * s.in_w + ix
+                            : -1;
+        }
+    }
+}
+
+const Mask8 *
+GemmPlan::actRow(int g, const int32_t *pixels, Mask8 *scratch) const
+{
+    const int nb = act_masks.blocksPerVector();
+    const Mask8 *in = act_masks.vectorMasks(g * group_pixels);
+    if (!has_taps)
+        return in + static_cast<size_t>(pixels[0]) * nb;
+    const int taps = rowTaps();
+    const int seg = tap_positions;
+    // A padding tap (pixel -1, pad -1) reads pixel 0 under an empty
+    // keep mask; an in-image one (pad 0) its pixel under a full one.
+    const auto pixel = [&](int t) {
+        const int32_t pad = pixels[t] >> 31;
+        return in + static_cast<size_t>(pixels[t] & ~pad) * nb;
+    };
+    const auto keep = [&](int t) {
+        return static_cast<Mask8>(~(pixels[t] >> 31));
+    };
+    if (nb * blk_bz == seg) {
+        // Every tap's segment is whole blocks: the pixel's masks.
+        for (int t = 0; t < taps; ++t) {
+            const Mask8 *src = pixel(t);
+            const Mask8 k = keep(t);
+            Mask8 *dst = scratch + static_cast<size_t>(t) * nb;
+            for (int b = 0; b < nb; ++b)
+                dst[b] = src[b] & k;
+        }
+        return scratch;
+    }
+    // Segments of seg % bz positions straddle blocks (alignment 1):
+    // block b of tap t's pixel holds row bits from t * seg + b * bz
+    // on.
+    const uint32_t low = (1u << blk_bz) - 1;
+    if (nb == 1 && taps * seg <= 64) {
+        // The whole row in one word (a depthwise or 3x3 stem row).
+        uint64_t row = 0;
+        for (int t = 0; t < taps; ++t)
+            row |= static_cast<uint64_t>(*pixel(t) & keep(t)) << (t * seg);
+        for (int o = 0; o < row_blocks; ++o, row >>= blk_bz)
+            scratch[o] = static_cast<Mask8>(row & low);
+        return scratch;
+    }
+    // A longer row streams: acc holds its bits from block `out` on,
+    // and every block below a position is whole once it is reached.
+    uint32_t acc = 0;
+    int out = 0;
+    for (int t = 0; t < taps; ++t) {
+        const Mask8 *src = pixel(t);
+        const Mask8 k = keep(t);
+        for (int b = 0; b < nb; ++b) {
+            const int pos = t * seg + b * blk_bz;
+            for (; (out + 1) * blk_bz <= pos; ++out, acc >>= blk_bz)
+                scratch[out] = static_cast<Mask8>(acc & low);
+            acc |= static_cast<uint32_t>(src[b] & k) << (pos - out * blk_bz);
+        }
+    }
+    for (; out < row_blocks; ++out, acc >>= blk_bz)
+        scratch[out] = static_cast<Mask8>(acc & low);
+    return scratch;
 }
 
 void
@@ -424,35 +840,6 @@ GemmPlan::packWeights(const int8_t *w)
 }
 
 GemmPlan
-GemmPlan::fromMasks(const GemmProblem &p, DbbMatrix act, DbbMatrix wgt,
-                    ThreadPool *pool)
-{
-    const int bz = act.spec().bz;
-    const int nb = (p.modeledK() + bz - 1) / bz;
-    s2ta_assert(wgt.spec().bz == bz &&
-                    act.vectors() == p.groups * p.m &&
-                    wgt.vectors() == p.groups * p.n &&
-                    act.blocksPerVector() == nb &&
-                    wgt.blocksPerVector() == nb,
-                "masks (%d + %d vectors of %d/%d blocks) do not fit a "
-                "%dx%dx%d GEMM of %d groups at bz %d", act.vectors(),
-                wgt.vectors(), act.blocksPerVector(),
-                wgt.blocksPerVector(), p.m, p.modeledK(), p.n,
-                p.groups, bz);
-    GemmPlan plan(p);
-    plan.blk_bz = bz;
-    plan.act_masks = std::move(act);
-    plan.wgt_masks = std::move(wgt);
-    plan.profs.resize(static_cast<size_t>(p.groups));
-    parallelForOn(pool, p.groups, [&](int64_t g) {
-        plan.profs[static_cast<size_t>(g)] = OperandProfile::fromDbb(
-            p, plan.act_masks, plan.wgt_masks, static_cast<int>(g), pool);
-    });
-    plan.is_encoded = true;
-    return plan;
-}
-
-GemmPlan
 GemmPlan::shallow(const GemmProblem &p)
 {
     s2ta_assert(p.groups == 1 && !p.padded(),
@@ -488,23 +875,24 @@ void
 GemmPlan::checkWeights(const DbbSpec &spec) const
 {
     s2ta_assert(is_encoded, "plan is shallow (scalar engine)");
-    if (wgt_ok_spec.load(std::memory_order_acquire) ==
+    if (wgt_ok.spec.load(std::memory_order_acquire) ==
         encodeSpec(spec))
         return;
     checkBlockDensity(wgt_masks, spec, "weight", "col",
                       "pruneWeightsDbb");
-    wgt_ok_spec.store(encodeSpec(spec), std::memory_order_release);
+    wgt_ok.spec.store(encodeSpec(spec), std::memory_order_release);
 }
 
 void
 GemmPlan::checkActivations(const DbbSpec &spec) const
 {
     s2ta_assert(is_encoded, "plan is shallow (scalar engine)");
-    if (act_ok_spec.load(std::memory_order_acquire) ==
+    if (act_ok.spec.load(std::memory_order_acquire) ==
         encodeSpec(spec))
         return;
-    checkBlockDensity(act_masks, spec, "activation", "row", "DAP");
-    act_ok_spec.store(encodeSpec(spec), std::memory_order_release);
+    checkBlockDensity(act_masks, spec, "activation",
+                      has_taps ? "pixel" : "row", "DAP");
+    act_ok.spec.store(encodeSpec(spec), std::memory_order_release);
 }
 
 } // namespace s2ta

@@ -4,38 +4,51 @@
  *
  * The DBB-native engine exploits the simulator's own sparse format:
  * both operands' block masks (DbbMatrix) are computed exactly once,
- * the OperandProfile is derived from them (O(blocks) mask counts instead
- * of an O(M*K + K*N) dense scan), and density validation is a
- * popcount test per block. A plan that computes outputs also packs
+ * each group's OperandProfile is derived from them (mask counts
+ * instead of an O(M*K + K*N) dense scan), and density validation is
+ * a popcount test per block. A plan that computes outputs also packs
  * the weights once, in the panel layout dbbGemm contracts
  * (gemm_kernels.hh); its activations stay in the problem. Every
- * architecture model consumes the
- * same plan, so nothing is re-encoded inside simulate() and
- * Accelerator::runLayer reuses one plan across the whole tile grid.
+ * architecture model consumes the same plan, so nothing is
+ * re-encoded inside simulate() and Accelerator::runLayer reuses one
+ * plan across the whole tile grid.
+ *
+ * Activation masks live in input space. S2TA has no im2col matrix:
+ * DAP compresses activations into DBB blocks per (pixel, channel
+ * block) as it writes them to the activation SRAM (paper Sec. 5).
+ * A conv plan likewise masks its layer's input tensor where it lies,
+ * the input seen as the layer's 1x1 grouped GEMM (one vector per
+ * pixel and group, of groupInC channels), and keeps the conv
+ * geometry. Its lowered rows are never masked: each group's profile
+ * is derived from the input masks exactly (a row's count sums its
+ * in-image taps' pixel counts; a (tap, channel) position counts that
+ * channel over the input rectangle the tap reads, at the layer's
+ * stride), and SA-SMT asks the plan for the lowered masks of the
+ * rows it samples (actRow), gathered tap by tap. A plain GEMM is the
+ * 1x1 case, as is a 1x1 stride-1 layer: its rows are its input's
+ * pixels, so its masks are its rows' own and a row is read in place.
  *
  * A grouped problem (a grouped or depthwise conv layer, see
- * GemmProblem) is one plan: its masks hold every group in the
- * modeled K layout, it keeps one profile per group, and dbbGemm
- * contracts every group in one call, writing the layer's output.
- * Segment padding exists only in the masks' layout, the modeled
- * dims and the event arithmetic; the plan stores and contracts real
- * values only.
+ * GemmProblem) is one plan: its masks hold every group, group-major,
+ * it keeps one profile per group, and dbbGemm contracts every group
+ * in one call, writing the layer's output. Segment padding exists
+ * only in the masks' layout, the modeled dims and the event
+ * arithmetic; the plan stores and contracts real values only.
  *
- * A plan borrows the GemmProblem it was built from; the problem must
- * outlive the plan. A compute plan (one with packed weights) reads
- * the problem's activations in dbbGemm and never its weights, so its
- * problem need hold only the activations. An events-only plan
- * (built without packed weights, or fromMasks) holds the block
- * masks and one profile per group, and
- * reads only its problem's dims: a PlanCache entry keeps those
- * alone (GemmProblem::withoutOperands()), so the lowered operands
- * are freed once masked. Plans are immutable after construction
- * apart from a small validation memo, which is atomic so one plan
- * can be shared across concurrent consumers: sweep lanes (PlanCache hands
- * the same encoding to every design point under comparison) and
- * serving streams (every request re-sending a workload simulates
- * from the same cached encoding). Batched workloads need nothing
- * special here — batch > 1 only grows the problem's M axis.
+ * A plan borrows the GemmProblem it was built from, the lowered GEMM
+ * a conv plan's rows are; the problem must outlive the plan. A
+ * compute plan (one with packed weights) reads the problem's lowered
+ * activations in dbbGemm and nothing else of its operands. An
+ * events-only plan holds the block masks, the conv geometry and one
+ * profile per group, and reads only its problem's dims: a PlanCache
+ * entry keeps those alone (GemmProblem::withoutOperands()). Plans
+ * are immutable after construction apart from a small validation
+ * memo, which is atomic so one plan can be shared across concurrent
+ * consumers: sweep lanes (PlanCache hands the same encoding to every
+ * design point under comparison) and serving streams (every request
+ * re-sending a workload simulates from the same cached encoding).
+ * Batched workloads need nothing special here: batch > 1 only grows
+ * the problem's M axis and the input's pixel rows.
  */
 
 #ifndef S2TA_ARCH_GEMM_PLAN_HH
@@ -47,6 +60,7 @@
 
 #include "arch/array_model.hh"
 #include "core/dbb.hh"
+#include "tensor/conv.hh"
 
 namespace s2ta {
 
@@ -129,40 +143,45 @@ class GemmPlan
 {
   public:
     /**
-     * Compute both operands' block masks (one pass each, all
-     * non-zeros kept, in the modeled K layout) and derive each
-     * group's mask-based profile. @p bz is the block size; K need
-     * not be a multiple (tail blocks are zero-padded), but a padded
-     * problem's segments must span whole blocks. @p compute
-     * additionally packs p's weights for dbbGemm (the overload
-     * below with p.w.data()); skip it for events-only runs that
+     * The plan of the plain GEMM @p p (the 1x1 case: its rows are its
+     * input's): both operands' block masks (one pass each, all
+     * non-zeros kept, in the modeled K layout) and each group's
+     * mask-based profile. @p bz is the block size; K need not be a
+     * multiple (tail blocks are zero-padded), but a padded problem's
+     * segments must span whole blocks. @p compute additionally packs
+     * p's weights for dbbGemm; skip it for events-only runs that
      * never compute an output, whose plan then reads only p's dims.
      */
     static GemmPlan build(const GemmProblem &p, int bz = 8,
                           bool compute = true);
 
     /**
-     * The compute plan of @p p's activations against the K x
-     * groups*N weight matrix at @p w, laid out as p's weights and
-     * read in place (p.w is not read, and may be empty): both
-     * operands' masks, each group's profile, and one packed copy of
-     * the weights with each column's sum. @p w is not read after the
-     * build, so p need hold only its activations.
+     * The same plan of the GEMM with @p p's dims whose activation
+     * matrix is at @p a and whose K x groups*N weight matrix is at
+     * @p w, both laid out as p's operands and read in place (p's own
+     * operands are not read, and may be empty). A compute plan (one
+     * that packs @p w, with each column's sum) needs p to hold the
+     * activations, which dbbGemm contracts. Neither pointer is read
+     * after the build.
      */
-    static GemmPlan build(const GemmProblem &p, const int8_t *w,
-                          int bz);
+    static GemmPlan build(const GemmProblem &p, const int8_t *a,
+                          const int8_t *w, int bz, bool compute);
 
     /**
-     * The events-only plan of @p p from both operands' block masks
-     * (in p's modeled layout, block size act.spec().bz): derives each
-     * group's profile, across @p pool's lanes when given (one group
-     * per index, a large group in chunks; see
-     * OperandProfile::fromDbb). Reads only p's dims, so p may hold no
-     * operands; build(p, bz, false) is fromMasks over the masks of
-     * p's operands.
+     * The plan of conv layer @p shape, @p p being its lowered GEMM
+     * (im2colActivationDims(shape, align, batch), with the lowered
+     * activations only if @p compute), over the input tensor at
+     * @p input (batch samples, NHWC) and the weight tensor at @p w
+     * (the K x out_c matrix), both read in place and not after the
+     * build. The activation masks are the input's, one vector per
+     * (pixel, group) (act()); each group's profile is derived from
+     * them and the conv geometry, exactly the lowered-then-masked
+     * plan's. A 1x1 stride-1 layer without padding is the plain
+     * case: its input is its lowered matrix.
      */
-    static GemmPlan fromMasks(const GemmProblem &p, DbbMatrix act,
-                              DbbMatrix wgt, ThreadPool *pool = nullptr);
+    static GemmPlan build(const GemmProblem &p, const Conv2dShape &shape,
+                          const int8_t *input, const int8_t *w, int bz,
+                          bool compute, ThreadPool *pool = nullptr);
 
     /**
      * Wrap @p p without encoding anything: the legacy scalar engine
@@ -175,8 +194,15 @@ class GemmPlan
     int bz() const { return blk_bz; }
     bool encoded() const { return is_encoded; }
 
-    /** Activation block masks (groups*M vectors of
-     *  ceil(modeledK/bz) blocks, group-major). */
+    /**
+     * Activation block masks of the plan's input, group-major:
+     * vector g * P + q is group g's input pixel q (P pixels per
+     * group), in the modeled layout of one of the lowered row's
+     * segments (or, on a plain GEMM, of its whole row). A plain
+     * GEMM's pixels are its rows (P = M); a conv layer's are its
+     * input's batch*H*W pixels of groupInC channels, and its lowered
+     * rows are read through actRow.
+     */
     const DbbMatrix &
     act() const
     {
@@ -210,6 +236,36 @@ class GemmPlan
         return profs;
     }
 
+    /** Taps of a lowered activation row: kernel_h * kernel_w on a
+     *  conv plan, 1 on a plan whose rows are its input's. */
+    int
+    rowTaps() const
+    {
+        return has_taps ? conv.kernel_h * conv.kernel_w : 1;
+    }
+
+    /** Masks of a lowered activation row: ceil(modeledK / bz). */
+    int rowBlocks() const { return row_blocks; }
+
+    /**
+     * The input pixel each tap of lowered row @p i reads, in (ky, kx)
+     * order, or -1 for a padding tap, into @p pixels (rowTaps()
+     * entries): the same for every group, so a caller reading one
+     * row of many groups resolves it once.
+     */
+    void rowPixels(int i, int32_t *pixels) const;
+
+    /**
+     * Group @p g's lowered activation row whose taps read @p pixels
+     * (rowPixels): its rowBlocks() masks, exactly the lowered-then-
+     * masked row's (a padding tap's positions empty). A plan whose
+     * rows are its input's returns the row in place; a conv plan
+     * gathers it into @p scratch (rowBlocks() masks) and returns
+     * scratch.
+     */
+    const Mask8 *actRow(int g, const int32_t *pixels,
+                        Mask8 *scratch) const;
+
     /**
      * The packed weights (gemm_kernels.hh's layout), 64-byte
      * aligned: group g's panel pn, of ceil(n/16) per group, starts
@@ -224,20 +280,6 @@ class GemmPlan
     /** Non-null exactly on compute plans; kept for perfbench. */
     const int8_t *wgtDenseT() const { return packedWeights(); }
 
-    /** Mask test: activation (i, kk) non-zero. */
-    bool
-    actNonZero(int i, int kk) const
-    {
-        return act_masks.nonZeroAt(i, kk);
-    }
-
-    /** Mask test: weight (kk, j) non-zero. */
-    bool
-    wgtNonZero(int kk, int j) const
-    {
-        return wgt_masks.nonZeroAt(j, kk);
-    }
-
     /**
      * Verify every weight block satisfies @p spec via its cached
      * mask popcount; fatal on violation. Repeat calls with the same
@@ -247,44 +289,37 @@ class GemmPlan
      */
     void checkWeights(const DbbSpec &spec) const;
 
-    /** Same contract for the activation operand. */
+    /**
+     * Same contract for the activation operand, over every input
+     * block (act()): a conv plan checks its whole input, pixels no
+     * tap reads included (a 1x1 stride-2 layer reads one pixel in
+     * four), which is no stricter than what any workload already
+     * meets: the one design that checks activations, S2TA-AW, also
+     * runs DAP over the whole input tensor and asserts that it drops
+     * nothing (Accelerator::executePrepared). A lowered block at
+     * alignment bz is a copy of an input block or empty.
+     */
     void checkActivations(const DbbSpec &spec) const;
 
-    // Movable (the memo atomics need explicit transfer); plans are
-    // heavyweight, so copies stay disallowed — share via PlanCache.
-    GemmPlan(GemmPlan &&o) noexcept
-        : prob(o.prob), blk_bz(o.blk_bz), is_encoded(o.is_encoded),
-          act_masks(std::move(o.act_masks)),
-          wgt_masks(std::move(o.wgt_masks)),
-          packed_alloc(std::move(o.packed_alloc)), packed(o.packed),
-          packed_bytes(o.packed_bytes),
-          profs(std::move(o.profs)),
-          wgt_ok_spec(o.wgt_ok_spec.load()),
-          act_ok_spec(o.act_ok_spec.load())
-    {}
-
-    GemmPlan &
-    operator=(GemmPlan &&o) noexcept
-    {
-        prob = o.prob;
-        blk_bz = o.blk_bz;
-        is_encoded = o.is_encoded;
-        act_masks = std::move(o.act_masks);
-        wgt_masks = std::move(o.wgt_masks);
-        packed_alloc = std::move(o.packed_alloc);
-        packed = o.packed;
-        packed_bytes = o.packed_bytes;
-        profs = std::move(o.profs);
-        wgt_ok_spec.store(o.wgt_ok_spec.load());
-        act_ok_spec.store(o.act_ok_spec.load());
-        return *this;
-    }
-
+    // Movable; plans are heavyweight, so copies stay disallowed —
+    // share via PlanCache.
+    GemmPlan(GemmPlan &&) noexcept = default;
     GemmPlan(const GemmPlan &) = delete;
     GemmPlan &operator=(const GemmPlan &) = delete;
 
   private:
     explicit GemmPlan(const GemmProblem &p) : prob(&p) {}
+
+    /** The plan over the activation matrix @p a of @p in (the
+     *  input's pixels; p itself on a plain plan) and the weights at
+     *  @p w: masks, profiles and, if @p compute, packed weights. */
+    static GemmPlan encode(const GemmProblem &p, const GemmProblem &in,
+                           const Conv2dShape *shape, const int8_t *a,
+                           const int8_t *w, int bz, bool compute,
+                           ThreadPool *pool);
+
+    /** Group @p g's profile of a conv plan, from the input masks. */
+    OperandProfile convProfile(int g, ThreadPool *pool) const;
 
     /** Pack the weight matrix at @p w (laid out as the problem's
      *  weights) and each column's sum into packed. */
@@ -301,6 +336,17 @@ class GemmPlan
     const GemmProblem *prob;
     int blk_bz = 8;
     bool is_encoded = false;
+    /** True on a conv plan, whose lowered rows read conv's taps;
+     *  false when the rows are the input's own. */
+    bool has_taps = false;
+    /** The layer's geometry (a conv plan only). */
+    Conv2dShape conv;
+    /** rowBlocks(); modeled positions of one tap's segment (the
+     *  problem's modeledSeg()); input pixels per group. Kept so that
+     *  reading a row divides nothing. */
+    int row_blocks = 0;
+    int tap_positions = 0;
+    int group_pixels = 0;
     DbbMatrix act_masks;
     DbbMatrix wgt_masks;
     /** The packed weights' allocation, 63 bytes over so that packed,
@@ -313,12 +359,18 @@ class GemmPlan
     size_t packed_bytes = 0;
     std::vector<OperandProfile> profs;
 
-    // Last spec each operand was verified against (0 = none).
-    // Atomic so a cached plan shared across sweep lanes can be
-    // validated concurrently; re-validation by a racing lane is
-    // idempotent.
-    mutable std::atomic<uint16_t> wgt_ok_spec{0};
-    mutable std::atomic<uint16_t> act_ok_spec{0};
+    /** The last spec an operand was verified against (0 = none).
+     *  Atomic so a cached plan shared across sweep lanes can be
+     *  validated concurrently (re-validation by a racing lane is
+     *  idempotent), and moved with its plan. */
+    struct SpecMemo
+    {
+        mutable std::atomic<uint16_t> spec{0};
+        SpecMemo() = default;
+        SpecMemo(SpecMemo &&o) noexcept : spec(o.spec.load()) {}
+    };
+    SpecMemo wgt_ok;
+    SpecMemo act_ok;
 };
 
 } // namespace s2ta

@@ -46,7 +46,8 @@ class SaModel : public ArrayModel
  * Every cycle pops one queued pair except the first cycle of a slot
  * entered with an empty FIFO, so a PE takes its matched pairs plus
  * its idle slots. The scalar engine steps queueCycles() slot by
- * slot; the fast engine ANDs the PE's mask bytes into a match
+ * slot; the fast engine ANDs the PE's mask bytes (its activation
+ * row's as the plan gathers them, GemmPlan::actRow) into a match
  * bitmap (thread 0 owns bits [0, spt), thread 1 bits [spt, 2*spt),
  * spt = ceil(K / 2)) and matchCycles() walks it four slots per
  * lookup of a (Q+1) x 256 table built here: thread 0's nibble |

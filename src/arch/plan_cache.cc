@@ -2,15 +2,6 @@
 
 namespace s2ta {
 
-CachedPlan::CachedPlan(const GemmProblem &p, DbbMatrix act,
-                       const int8_t *w, int bz, ThreadPool *pool)
-    : problem(p.withoutOperands()),
-      // The permissive bz/bz spec, as GemmPlan::build encodes.
-      plan(GemmPlan::fromMasks(
-          problem, std::move(act),
-          DbbMatrix::fromWeights(p, w, DbbSpec{bz, bz}, pool), pool))
-{}
-
 uint64_t
 PlanCache::fingerprint(const GemmProblem &p)
 {
@@ -81,9 +72,7 @@ PlanCache::acquire(const GemmProblem &p, int bz, bool compute)
                 return std::make_shared<const CachedPlan>(
                     std::move(acts), p.w.data(), bz);
             }
-            return std::make_shared<const CachedPlan>(
-                p, DbbMatrix::fromActivations(p, DbbSpec{bz, bz}),
-                p.w.data(), bz);
+            return std::make_shared<const CachedPlan>(p, bz);
         });
     // Cross-check the geometry against the resident operands: a
     // 64-bit fingerprint collision between distinct workloads

@@ -5,7 +5,10 @@
  * The compressed DBB form of a workload is config-independent: the
  * same encoded GemmPlan serves every array geometry, SMT depth, and
  * sparsity bound under comparison, so a sweep over many design
- * points only needs to im2col-lower and encode each workload once.
+ * points only needs to encode each workload once: a conv layer's
+ * input and weight tensors, masked where they lie (an events-only
+ * entry lowers nothing; a compute entry lowers its activations once
+ * for the kernel).
  * The same property makes the format weight-static under serving
  * traffic: one cache shared across every stream of a
  * serve::StreamScheduler lets repeated (model, batch) requests —
@@ -32,11 +35,13 @@
  * built from), so cached plans stay valid after the caller's problem
  * dies — acquire() returns shared_ptrs, so an entry evicted while a
  * lane still simulates from it stays alive until the last user
- * drops it. A compute entry owns the activations, beside its plan's
- * masks, profiles and one packed copy of the weights, which it
- * packs from the caller's weights in place; an events-only entry
- * owns the dims alone, beside its plan's masks and profiles, since
- * nothing on the events-only path reads an operand.
+ * drops it. A compute entry owns the (lowered) activations, beside
+ * its plan's masks, profiles and one packed copy of the weights,
+ * which it packs from the caller's weights in place; an events-only
+ * entry owns the dims alone, beside its plan's masks and profiles,
+ * since nothing on the events-only path reads an operand. A conv
+ * layer's activation masks are its input's, one per (pixel, channel
+ * block), not its lowered rows'.
  *
  * Thread-safety: lookups, inserts, stats(), and clear() are
  * mutex-guarded; plan construction runs outside the lock, and when
@@ -77,24 +82,38 @@ struct CachedPlan
     /**
      * The compute entry at block size @p bz of @p p's activations
      * against the K x groups*N weight matrix at @p w, packed where
-     * it lies (GemmPlan::build with a weight pointer; pass
-     * p.w.data() for p's own): it owns p, which need hold only the
-     * activations, and its plan borrows it. @p w is not kept.
+     * it lies: it owns p, which need hold only the activations, and
+     * its plan borrows it. @p w is not kept.
      */
     CachedPlan(GemmProblem p, const int8_t *w, int bz)
-        : problem(std::move(p)), plan(GemmPlan::build(problem, w, bz))
+        : problem(std::move(p)),
+          plan(GemmPlan::build(problem, problem.a.data(), w, bz, true))
+    {}
+
+    /** The events-only entry at block size @p bz of @p p: p's dims,
+     *  and its plan's masks and profiles. No operand is kept. */
+    CachedPlan(const GemmProblem &p, int bz)
+        : problem(p.withoutOperands()),
+          plan(GemmPlan::build(problem, p.a.data(), p.w.data(), bz,
+                               false))
     {}
 
     /**
-     * The events-only entry at block size @p bz of the GEMM with
-     * @p p's dims, activation masks @p act (built at bz/bz) and the
-     * K x groups*N weight matrix at @p w (p's operands are not read;
-     * pass p.w.data() for p's own): p's dims, and its plan's masks
-     * and profiles, built across @p pool's lanes when given. No
-     * operand is kept or copied.
+     * The entry at block size @p bz of conv layer @p shape, @p p
+     * being its lowered GEMM (with the lowered activations for a
+     * compute entry, its dims alone otherwise), over the input
+     * tensor at @p input and the weight tensor at @p w, masked (and,
+     * if @p compute, packed) where they lie: GemmPlan's conv build,
+     * across @p pool's lanes when given. It owns p; neither tensor
+     * is kept or copied.
      */
-    CachedPlan(const GemmProblem &p, DbbMatrix act, const int8_t *w,
-               int bz, ThreadPool *pool = nullptr);
+    CachedPlan(GemmProblem p, const Conv2dShape &shape,
+               const int8_t *input, const int8_t *w, int bz, bool compute,
+               ThreadPool *pool = nullptr)
+        : problem(std::move(p)),
+          plan(GemmPlan::build(problem, shape, input, w, bz, compute,
+                               pool))
+    {}
 
     /** The GEMM: activations and dims in a compute entry, dims
      *  alone in an events-only one. */

@@ -180,7 +180,10 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     // same grid and sampler seed, so the sampled (tile, PE)
     // coordinates are the same for every group: draw them once, in
     // the sampler's order (tile row, tile column, then each PE's row
-    // and column).
+    // and column). A tile's maximum does not depend on the order of
+    // its PEs, nor on a PE drawn twice, so each tile's are sorted by
+    // row and column: PEs of one row then follow each other and share
+    // one read of the row, and a PE drawn again is skipped.
     struct SamplePe
     {
         int i, j;
@@ -208,30 +211,46 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
                 col0 + static_cast<int>(rng.uniformInt(0, cols - 1));
             pes.push_back({i, j});
         }
+        std::sort(pes.end() - kSamplePes, pes.end(),
+                  [](const SamplePe &a, const SamplePe &b) {
+                      return a.i != b.i ? a.i < b.i : a.j < b.j;
+                  });
     }
 
     // Thread th owns the contiguous K chunk [th*slots_per_thread,
     // ...). The scalar engine counts each slot's non-zero pairs from
     // the dense operands and steps the automaton; the fast engine
-    // reads the same booleans from the cached masks (tail and
-    // segment padding positions are never set in any mask) and
-    // walks their match bitmap through the table.
+    // reads the same booleans from the masks of the PE's lowered
+    // activation row and weight column (tail and segment padding
+    // positions are never set in any mask) and walks their match
+    // bitmap through the table. A conv plan keeps its input's masks,
+    // and gathers a lowered row from the pixels its taps read: those
+    // are the same for every group, so each sampled PE's are
+    // resolved once here.
     std::vector<int> arrivals;
     std::vector<uint64_t> bitmap;
+    std::vector<int32_t> pixels;
+    std::vector<Mask8> row;
+    const int taps = plan.rowTaps();
+    const int row_blocks = scalar ? 0 : plan.rowBlocks();
     if (scalar) {
         arrivals.resize(static_cast<size_t>(slots_per_thread));
     } else {
-        const int bits = plan.act().blocksPerVector() * plan.bz();
+        const int bits = row_blocks * plan.bz();
         bitmap.assign(matchBitmapWords(
                           std::max(bits, 2 * slots_per_thread)),
                       0);
+        pixels.resize(pes.size() * static_cast<size_t>(taps));
+        for (size_t e = 0; e < pes.size(); ++e)
+            plan.rowPixels(pes[e].i, &pixels[e * taps]);
+        row.resize(static_cast<size_t>(row_blocks));
     }
-    const auto pe_cycles = [&](int g, int i, int j) {
+    // PE e of group g; @p act is its activation row's masks.
+    const auto pe_cycles = [&](int g, size_t e, const Mask8 *act) {
+        const int i = pes[e].i, j = pes[e].j;
         if (!scalar) {
-            packMatchBitmap(plan.act().vectorMasks(g * p.m + i),
-                            plan.wgt().vectorMasks(g * p.n + j),
-                            plan.act().blocksPerVector(), plan.bz(),
-                            bitmap.data());
+            packMatchBitmap(act, plan.wgt().vectorMasks(g * p.n + j),
+                            row_blocks, plan.bz(), bitmap.data());
             return matchCycles(bitmap.data(), slots_per_thread);
         }
         for (int sl = 0; sl < slots_per_thread; ++sl) {
@@ -287,12 +306,17 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
 
         // ---- Tile timing (sampled queue simulation) -------------
         int64_t sampled_cycles = 0;
+        const Mask8 *act = nullptr;
         for (int s = 0; s < sim_tiles; ++s) {
             int64_t worst = 0;
             for (int t = 0; t < kSamplePes; ++t) {
-                const SamplePe &pe =
-                    pes[static_cast<size_t>(s) * kSamplePes + t];
-                worst = std::max(worst, pe_cycles(g, pe.i, pe.j));
+                const size_t e = static_cast<size_t>(s) * kSamplePes + t;
+                const bool new_row = t == 0 || pes[e].i != pes[e - 1].i;
+                if (!new_row && pes[e].j == pes[e - 1].j)
+                    continue;
+                if (!scalar && new_row)
+                    act = plan.actRow(g, &pixels[e * taps], row.data());
+                worst = std::max(worst, pe_cycles(g, e, act));
             }
             sampled_cycles += worst + fill;
         }

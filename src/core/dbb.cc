@@ -66,12 +66,12 @@ dbbSatisfies(std::span<const int8_t> dense, const DbbSpec &spec)
 namespace {
 
 /**
- * The bytes of one band of a mask builder's temporary rows. The
- * weight builder keeps its mask rows a band at a time (a multiple of
- * 8 rows, 8 at least) before it transposes them into the result; the
- * banded activation builder lowers its rows a band at a time (one
- * row at least). A band stays in L2 between being written and being
- * read, and the builder's temporary is one band, not a matrix.
+ * The bytes of one band of a mask builder's temporary rows (a
+ * multiple of 8 rows, 8 at least), which it transposes into the
+ * result a band at a time: the weight builder's mask rows, and a
+ * depthwise input's non-zero flags. A band stays in L2 between being
+ * written and being read, and the temporary is one band, not a
+ * matrix.
  */
 constexpr size_t kMaskBandBytes = size_t{256} << 10;
 
@@ -219,19 +219,6 @@ struct ModeledLayout
     void
     masks(const int8_t *src, Mask8 *out) const
     {
-        if (padded && seg == 1 && seg_blocks == 1) {
-            // One value per one-block segment (a depthwise tap):
-            // each mask is its value's non-zero flag, eight
-            // segments per word.
-            int t = 0;
-            for (; t + 8 <= k; t += 8) {
-                const uint64_t flags = nonZeroBytes(loadBytes(src + t, 8));
-                std::memcpy(out + t, &flags, 8);
-            }
-            for (; t < k; ++t)
-                out[t] = src[t] != 0;
-            return;
-        }
         forEachBlock([&](int r, int first, int len) {
             out[r] = len > 0 ? blockMask(src + first, len) : 0;
         });
@@ -245,38 +232,59 @@ struct ModeledLayout
     int blocks;
 };
 
-/** Fatal unless every one of the @p nb masks at @p masks (vector
- *  @p v) holds at most spec.nnz non-zeros (a dense spec admits
- *  every mask). */
+/** Fatal unless each of the @p vectors vectors of @p nb masks at
+ *  @p masks holds at most spec.nnz non-zeros per mask (a dense spec
+ *  admits every mask). */
 void
-checkDensity(const Mask8 *masks, int nb, const DbbSpec &spec,
-             const char *kind, const char *vec_name, int v)
+checkDensity(const Mask8 *masks, int vectors, int nb, const DbbSpec &spec,
+             const char *kind, const char *vec_name)
 {
     if (spec.isDense())
         return;
-    for (int b = 0; b < nb; ++b) {
-        s2ta_assert(maskPopcount(masks[b]) <= spec.nnz,
-                    "%s block (%s %d, block %d) violates %s density "
-                    "bound; prune first",
-                    kind, vec_name, v, b, spec.toString().c_str());
+    for (int v = 0; v < vectors; ++v) {
+        for (int b = 0; b < nb; ++b) {
+            s2ta_assert(maskPopcount(masks[static_cast<size_t>(v) * nb + b]) <=
+                            spec.nnz,
+                        "%s block (%s %d, block %d) violates %s density "
+                        "bound; prune first",
+                        kind, vec_name, v, b, spec.toString().c_str());
+        }
     }
 }
 
 /**
- * The masks of the @p rows activation rows at @p a (row stride
- * groups * k), rows [i0, i0 + rows) of @p p's M, into @p masks, all
- * of p's group-major vectors: row i's group-g slice is vector
- * g * m + i. Row-outer, so each row streams once.
+ * The masks of the M x groups*K activation matrix at @p a into
+ * @p masks, all of p's group-major vectors: row i's group-g slice
+ * is vector g * m + i. Row-outer, so each row streams once.
  */
 void
 maskActivationRows(const GemmProblem &p, const ModeledLayout &layout,
-                   const int8_t *a, int i0, int rows, Mask8 *masks)
+                   const int8_t *a, Mask8 *masks)
 {
     const size_t lda = static_cast<size_t>(p.groups) * p.k;
-    for (int i = 0; i < rows; ++i) {
+    if (p.k == 1) {
+        // One value per vector (a depthwise layer's input pixel): a
+        // mask is its value's non-zero flag, so the masks are the
+        // flags of the M x groups matrix in group-major order,
+        // transposed a band of rows at a time.
+        const int band = std::min(
+            p.m, std::max(8, static_cast<int>(kMaskBandBytes / lda) & ~7));
+        std::vector<int8_t> flags(static_cast<size_t>(band) * lda);
+        for (int i0 = 0; i0 < p.m; i0 += band) {
+            const int rows = std::min(band, p.m - i0);
+            const int8_t *src = a + i0 * lda;
+            for (size_t e = 0; e < rows * lda; ++e)
+                flags[e] = src[e] != 0;
+            transposeBytes(flags.data(), lda, rows, p.groups,
+                           reinterpret_cast<int8_t *>(masks) + i0,
+                           static_cast<size_t>(p.m));
+        }
+        return;
+    }
+    for (int i = 0; i < p.m; ++i) {
         for (int g = 0; g < p.groups; ++g) {
             layout.masks(a + i * lda + static_cast<size_t>(g) * p.k,
-                         masks + (static_cast<size_t>(g) * p.m + i0 + i) *
+                         masks + (static_cast<size_t>(g) * p.m + i) *
                                      layout.blocks);
         }
     }
@@ -337,55 +345,28 @@ DbbMatrix::fromWeights(const GemmProblem &p, const int8_t *w,
                        reinterpret_cast<int8_t *>(masks.data()) + r0,
                        static_cast<size_t>(nb));
     });
-    for (int j = 0; j < cols; ++j)
-        checkDensity(&masks[static_cast<size_t>(j) * nb], nb, spec,
-                     "weight", "col", j);
+    checkDensity(masks.data(), cols, nb, spec, "weight", "col");
     return DbbMatrix(spec, cols, nb, std::move(masks));
 }
 
 DbbMatrix
 DbbMatrix::fromActivations(const GemmProblem &p, const DbbSpec &spec)
 {
-    s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
-                spec.nnz, spec.bz);
-    const ModeledLayout layout(p, spec.bz);
-    const int nb = layout.blocks;
-    std::vector<Mask8> masks(static_cast<size_t>(p.groups) * p.m * nb);
-    maskActivationRows(p, layout, p.a.data(), 0, p.m, masks.data());
-    for (int v = 0; v < p.groups * p.m; ++v)
-        checkDensity(&masks[static_cast<size_t>(v) * nb], nb, spec,
-                     "activation", "row", v);
-    return DbbMatrix(spec, p.groups * p.m, nb, std::move(masks));
+    return fromActivations(p, p.a.data(), spec);
 }
 
 DbbMatrix
-DbbMatrix::fromActivations(
-    const GemmProblem &p, const DbbSpec &spec,
-    const std::function<void(int, int, int8_t *)> &lower,
-    ThreadPool *pool)
+DbbMatrix::fromActivations(const GemmProblem &p, const int8_t *a,
+                           const DbbSpec &spec)
 {
     s2ta_assert(spec.valid(), "invalid DBB spec %d/%d",
                 spec.nnz, spec.bz);
     const ModeledLayout layout(p, spec.bz);
     const int nb = layout.blocks;
-    const size_t lda = static_cast<size_t>(p.groups) * p.k;
-    const int band_rows = std::max(
-        1, static_cast<int>(
-               std::min<size_t>(kMaskBandBytes / std::max<size_t>(lda, 1),
-                                static_cast<size_t>(p.m))));
-    // One index lowers one band of rows into its own zeroed buffer
-    // and masks it into the bands' disjoint rows of the result.
     std::vector<Mask8> masks(static_cast<size_t>(p.groups) * p.m * nb);
-    parallelForOn(pool, (p.m + band_rows - 1) / band_rows, [&](int64_t bi) {
-        const int i0 = static_cast<int>(bi) * band_rows;
-        const int rows = std::min(band_rows, p.m - i0);
-        std::vector<int8_t> band(static_cast<size_t>(rows) * lda);
-        lower(i0, rows, band.data());
-        maskActivationRows(p, layout, band.data(), i0, rows, masks.data());
-    });
-    for (int v = 0; v < p.groups * p.m; ++v)
-        checkDensity(&masks[static_cast<size_t>(v) * nb], nb, spec,
-                     "activation", "row", v);
+    maskActivationRows(p, layout, a, masks.data());
+    checkDensity(masks.data(), p.groups * p.m, nb, spec, "activation",
+                 "row");
     return DbbMatrix(spec, p.groups * p.m, nb, std::move(masks));
 }
 

@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -169,18 +168,16 @@ class DbbMatrix
                                      const DbbSpec &spec);
 
     /**
-     * The same masks for @p p's dims (p.a is not read), from rows
-     * that @p lower(row0, rows, band) writes into a zeroed band of
-     * about 256 KB: the whole M x groups*K activation matrix never
-     * exists at once. Each band has its own buffer, so with @p pool
-     * the bands are lowered and masked across its lanes (@p lower
-     * must then be safe to call concurrently); they write disjoint
-     * rows, so the masks are the same.
+     * The same for the M x groups*K activation matrix at @p a, laid
+     * out as @p p's activations (p.a is not read, and may be empty).
+     * Row by row, each row streaming once: a conv layer's input
+     * tensor, read where it lies, is the activation matrix of the
+     * layer seen as its 1x1 grouped GEMM (pixel rows of groupInC
+     * channels), and these are a conv plan's masks (GemmPlan).
      */
-    static DbbMatrix fromActivations(
-        const GemmProblem &p, const DbbSpec &spec,
-        const std::function<void(int, int, int8_t *)> &lower,
-        ThreadPool *pool = nullptr);
+    static DbbMatrix fromActivations(const GemmProblem &p,
+                                     const int8_t *a,
+                                     const DbbSpec &spec);
 
     const DbbSpec &spec() const { return dbb_spec; }
     int vectors() const { return n_vectors; }

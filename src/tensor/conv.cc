@@ -181,9 +181,8 @@ im2colLowerGrouped(const Conv2dShape &shape, const Int8Tensor &input,
                 std::vector<int>({shape.kernel_h, shape.kernel_w,
                                   shape.groupInC(), shape.out_c}),
                 "weight shape mismatch");
-    GemmProblem p = im2colActivationDims(shape, channel_align, batch);
-    p.a.assign(static_cast<size_t>(p.m) * p.groups * p.k, 0);
-    im2colLowerActivationRows(shape, input, batch, 0, p.m, p.a.data());
+    GemmProblem p =
+        im2colLowerActivations(shape, input, channel_align, batch);
     // (kh, kw, groupInC, out_c) row-major is already the k x out_c
     // weight matrix, group g's columns at [g*n, (g+1)*n).
     p.w.assign(weights.data(), weights.data() + weights.size());
@@ -207,20 +206,17 @@ im2colActivationDims(const Conv2dShape &shape, int channel_align,
     return p;
 }
 
-void
-im2colLowerActivationRows(const Conv2dShape &shape,
-                          const Int8Tensor &input, int batch, int row0,
-                          int rows, int8_t *out)
+GemmProblem
+im2colLowerActivations(const Conv2dShape &shape, const Int8Tensor &input,
+                       int channel_align, int batch)
 {
-    s2ta_assert(shape.valid(), "invalid conv shape");
     checkBatchedInput(shape, input, batch);
+    GemmProblem p = im2colActivationDims(shape, channel_align, batch);
+    p.a.assign(static_cast<size_t>(p.m) * p.groups * p.k, 0);
     const int oh = shape.outH(), ow = shape.outW();
-    s2ta_assert(row0 >= 0 && rows >= 0 && row0 + rows <= batch * oh * ow,
-                "rows [%d, %d) of %d", row0, row0 + rows,
-                batch * oh * ow);
     const int gc = shape.groupInC();
-    const int groups = shape.groups;
-    const int k = shape.kernel_h * shape.kernel_w * gc;
+    const int groups = p.groups;
+    const int k = p.k;
     const size_t lda = static_cast<size_t>(groups) * k;
     const int64_t sample_elems = static_cast<int64_t>(shape.in_h) *
                                  shape.in_w * shape.in_c;
@@ -228,11 +224,11 @@ im2colLowerActivationRows(const Conv2dShape &shape,
     // Each in-image tap's channel row (contiguous in NHWC) is split
     // across the groups' column blocks of the lowered row;
     // out-of-image taps keep the zeros already in place.
-    for (int r = row0; r < row0 + rows; ++r) {
+    for (int r = 0; r < p.m; ++r) {
         const int s = r / (oh * ow), oy = r / ow % oh, ox = r % ow;
         const int8_t *in =
             input.data() + static_cast<size_t>(s) * sample_elems;
-        int8_t *row = out + static_cast<size_t>(r - row0) * lda;
+        int8_t *row = p.a.data() + static_cast<size_t>(r) * lda;
         for (int ky = 0; ky < shape.kernel_h; ++ky) {
             const int iy = oy * shape.stride + ky - shape.pad;
             if (iy < 0 || iy >= shape.in_h)
@@ -257,6 +253,7 @@ im2colLowerActivationRows(const Conv2dShape &shape,
             }
         }
     }
+    return p;
 }
 
 void

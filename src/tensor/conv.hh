@@ -13,11 +13,13 @@
  *
  * Two lowerings share one K layout, (ky, kx, c) with the channel
  * fastest and each tap's channel segment padded to the DBB
- * alignment. The fast engine lowers a layer once, as one grouped
- * GEMM that stores only real values (im2colLowerGrouped; its
- * activations alone, a band of rows at a time,
- * im2colLowerActivationRows, when no output is computed); the
- * scalar reference engine lowers each group to its
+ * alignment. The fast engine lowers a layer that computes outputs
+ * once, as one grouped GEMM that stores only real values
+ * (im2colLowerGrouped; its activations alone,
+ * im2colLowerActivations, for the kernel). An events-only run
+ * lowers nothing: its plan masks the input tensor where it lies and
+ * reads the lowered rows' masks through the conv geometry
+ * (GemmPlan). The scalar reference engine lowers each group to its
  * own GEMM with the padding stored (im2colLowerAll), and scatters
  * each group's result into the output (scatterGemmResult).
  *
@@ -157,17 +159,14 @@ GemmProblem im2colActivationDims(const Conv2dShape &shape,
                                  int channel_align = 8, int batch = 1);
 
 /**
- * Rows [@p row0, @p row0 + @p rows) of im2colLowerGrouped's
- * activation matrix, written to @p out (rows x groups*k, row-major),
- * which must hold zeros: only in-image taps are written. An
- * events-only plan lowers a band of rows at a time and masks it, so
- * the whole lowered matrix never exists; its weights are the layer's
- * weight tensor, masked where it lies (DbbMatrix::fromWeights with a
- * weight pointer).
+ * im2colLowerGrouped's problem with its activations alone (w
+ * empty): what a layer's compute plan keeps for the kernel, whose
+ * weights it packs from the weight tensor where it lies.
  */
-void im2colLowerActivationRows(const Conv2dShape &shape,
-                               const Int8Tensor &input, int batch,
-                               int row0, int rows, int8_t *out);
+GemmProblem im2colLowerActivations(const Conv2dShape &shape,
+                                   const Int8Tensor &input,
+                                   int channel_align = 8,
+                                   int batch = 1);
 
 /**
  * Scatter a GEMM result for one group back into the output tensor.

@@ -1,9 +1,12 @@
 /** @file Unit tests for the GemmPlan mask/profile cache and the
  *  dbbGemm kernel, including the grouped plan of a whole conv layer
- *  against the per-group plans of the scalar engine's lowering. */
+ *  against the per-group plans of the scalar engine's lowering, and
+ *  a conv plan's input-space masks against the lowered-then-masked
+ *  plan. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -62,10 +65,10 @@ TEST(GemmPlan, TailBlocksEncodeLosslessly)
     EXPECT_EQ(plan.act().blocksPerVector(), 3);
     for (int i = 0; i < p.m; ++i)
         for (int kk = 0; kk < p.k; ++kk)
-            EXPECT_EQ(plan.actNonZero(i, kk), p.actAt(i, kk) != 0);
+            EXPECT_EQ(plan.act().nonZeroAt(i, kk), p.actAt(i, kk) != 0);
     for (int j = 0; j < p.n; ++j)
         for (int kk = 0; kk < p.k; ++kk)
-            EXPECT_EQ(plan.wgtNonZero(kk, j), p.wgtAt(kk, j) != 0);
+            EXPECT_EQ(plan.wgt().nonZeroAt(j, kk), p.wgtAt(kk, j) != 0);
 }
 
 TEST(GemmPlan, PackedWeightsAreTheWeightTensorInPanels)
@@ -253,17 +256,29 @@ expectGroupedPlanMatchesPerGroup(const LayerWorkload &wl, int bz,
     }
 }
 
+/** Rows of lowered-then-masked rows whose blocks straddle taps, and
+ *  rows with a padding tap, that expectMasksOnlyPlanMatchesComputePlan
+ *  checked: a test over neither would prove nothing about them. */
+struct GatherCoverage
+{
+    int64_t straddling_rows = 0;
+    int64_t padded_rows = 0;
+};
+
 /**
- * The events-only plan of a conv layer, as Accelerator::prepareLayer
- * builds it (the masks of the lowered activations and of the weight
- * tensor in place, no operand kept), against the compute plan of
- * the same lowering, at alignment 1 (an SA-family design) and at
- * @p bz (S2TA): both operands' masks and every group's profile must
- * be equal byte for byte.
+ * A conv layer's plans, as Accelerator::prepareLayer builds them on
+ * @p lanes lanes: the events-only one, which masks the input and
+ * keeps no operand, and the compute one, which also holds the lowered
+ * activations for the kernel, must hold the same input masks. Both
+ * are checked against the lowered-then-masked plan of the same
+ * layer, at alignment 1 (an SA-family design) and at @p bz (S2TA):
+ * the reference's weight masks and every group's profile byte for
+ * byte, and every lowered row the plan gathers (actRow, each row of
+ * each group) equal to the reference's row masks.
  */
 void
 expectMasksOnlyPlanMatchesComputePlan(const LayerWorkload &wl, int bz,
-                                      int lanes)
+                                   int lanes, GatherCoverage &cover)
 {
     ArrayConfig sa = ArrayConfig::saZvcg();
     sa.bz = bz;
@@ -275,37 +290,79 @@ expectMasksOnlyPlanMatchesComputePlan(const LayerWorkload &wl, int bz,
         const int align = array.kind == ArchKind::S2taW ? bz : 1;
         SCOPED_TRACE("groups " + std::to_string(wl.shape.groups) +
                      " gc " + std::to_string(wl.shape.groupInC()) +
-                     " align " + std::to_string(align) + " bz " +
-                     std::to_string(bz) + " lanes " +
-                     std::to_string(lanes));
+                     " kernel " + std::to_string(wl.shape.kernel_h) + "x" +
+                     std::to_string(wl.shape.kernel_w) + " stride " +
+                     std::to_string(wl.shape.stride) + " pad " +
+                     std::to_string(wl.shape.pad) + " batch " +
+                     std::to_string(wl.batch) + " align " +
+                     std::to_string(align) + " bz " + std::to_string(bz) +
+                     " lanes " + std::to_string(lanes));
         AcceleratorConfig cfg;
         cfg.array = array;
         cfg.sim_threads = lanes;
-        const PreparedLayer prep =
-            Accelerator(cfg).prepareLayer(wl, NetworkRunOptions{});
-        ASSERT_EQ(prep.cached.size(), 1u);
-        const GemmPlan &masks_only = prep.cached.front()->plan;
-        EXPECT_FALSE(masks_only.problem().hasOperands());
-        EXPECT_EQ(masks_only.packedWeights(), nullptr);
+        const Accelerator acc(cfg);
+        NetworkRunOptions opt;
+        const PreparedLayer events = acc.prepareLayer(wl, opt);
+        opt.compute_output = true;
+        const PreparedLayer compute = acc.prepareLayer(wl, opt);
+        ASSERT_EQ(events.cached.size(), 1u);
+        ASSERT_EQ(compute.cached.size(), 1u);
+        EXPECT_FALSE(events.cached.front()->plan.problem().hasOperands());
+        EXPECT_EQ(events.cached.front()->plan.packedWeights(), nullptr);
+        const DbbMatrix &in_masks = events.cached.front()->plan.act();
+        const DbbMatrix &compute_masks = compute.cached.front()->plan.act();
+        ASSERT_EQ(in_masks.vectors(), compute_masks.vectors());
+        ASSERT_EQ(in_masks.blocksPerVector(),
+                  compute_masks.blocksPerVector());
+        EXPECT_EQ(std::memcmp(in_masks.vectorMasks(0),
+                              compute_masks.vectorMasks(0),
+                              static_cast<size_t>(in_masks.vectors()) *
+                                  in_masks.blocksPerVector()),
+                  0)
+            << "input masks";
 
         const GemmProblem lowered = im2colLowerGrouped(
             wl.shape, wl.input, wl.weights, align, wl.batch);
-        const GemmPlan full = GemmPlan::build(lowered, bz, true);
-        for (const auto &[got, want] :
-             {std::pair{&masks_only.act(), &full.act()},
-              std::pair{&masks_only.wgt(), &full.wgt()}}) {
-            ASSERT_EQ(got->vectors(), want->vectors());
-            ASSERT_EQ(got->blocksPerVector(), want->blocksPerVector());
-            EXPECT_EQ(std::memcmp(got->vectorMasks(0),
-                                  want->vectorMasks(0),
-                                  static_cast<size_t>(got->vectors()) *
-                                      got->blocksPerVector()),
-                      0);
-        }
-        ASSERT_EQ(masks_only.profiles().size(), full.profiles().size());
-        for (int g = 0; g < wl.shape.groups; ++g) {
-            SCOPED_TRACE("group " + std::to_string(g));
-            expectProfilesEqual(masks_only.profile(g), full.profile(g));
+        const GemmPlan ref = GemmPlan::build(lowered, bz, false);
+        const int m = lowered.m;
+        const int nb = ref.act().blocksPerVector();
+        const bool straddles = lowered.modeledSeg() % bz != 0;
+        for (const GemmPlan *plan : {&events.cached.front()->plan,
+                                     &compute.cached.front()->plan}) {
+            ASSERT_EQ(plan->rowBlocks(), nb);
+            ASSERT_EQ(plan->wgt().vectors(), ref.wgt().vectors());
+            ASSERT_EQ(plan->wgt().blocksPerVector(), nb);
+            EXPECT_EQ(std::memcmp(plan->wgt().vectorMasks(0),
+                                  ref.wgt().vectorMasks(0),
+                                  static_cast<size_t>(ref.wgt().vectors()) *
+                                      nb),
+                      0)
+                << "weight masks";
+            ASSERT_EQ(plan->profiles().size(), ref.profiles().size());
+            for (int g = 0; g < wl.shape.groups; ++g) {
+                SCOPED_TRACE("group " + std::to_string(g));
+                expectProfilesEqual(plan->profile(g), ref.profile(g));
+            }
+            std::vector<int32_t> pixels(
+                static_cast<size_t>(plan->rowTaps()));
+            std::vector<Mask8> scratch(static_cast<size_t>(nb));
+            for (int i = 0; i < m; ++i) {
+                plan->rowPixels(i, pixels.data());
+                const bool padding_tap =
+                    std::find(pixels.begin(), pixels.end(), -1) !=
+                    pixels.end();
+                cover.padded_rows += padding_tap;
+                cover.straddling_rows += straddles;
+                for (int g = 0; g < wl.shape.groups; ++g) {
+                    const Mask8 *row =
+                        plan->actRow(g, pixels.data(), scratch.data());
+                    ASSERT_EQ(std::memcmp(row, ref.act().vectorMasks(g * m + i),
+                                          static_cast<size_t>(nb)),
+                              0)
+                        << "gathered row " << i << " of group " << g
+                        << (padding_tap ? " (a padding tap)" : "");
+                }
+            }
         }
     }
 }
@@ -326,40 +383,58 @@ oddSegmentLayer(int gc, int groups, Rng &rng)
     return wl;
 }
 
+/** @p wl at @p batch samples: the input redrawn at the fuzzer's
+ *  bound, so each sample holds its own values. */
+LayerWorkload
+atBatch(LayerWorkload wl, int batch, Rng &rng)
+{
+    wl.batch = batch;
+    std::vector<int> in = {wl.shape.in_h, wl.shape.in_w, wl.shape.in_c};
+    if (batch > 1)
+        in.insert(in.begin(), batch);
+    wl.input = makeDbbTensor(in, wl.act_nnz, rng);
+    return wl;
+}
+
 TEST(GemmPlan, MasksOnlyPlanMatchesComputePlan)
 {
-    // Every layer at 1 lane and at 4, where an events-only plan
-    // lowers and masks its bands, masks its weight bands and derives
-    // its group profiles across the lanes. The conv fuzzer's shapes,
+    // The conv fuzzer's shapes at bz 4 and 8 (1, 4, 8 or 16 channels
+    // per group, every kernel, stride and padding it draws), each at
+    // batch 1 and 2, on 1 lane and on 4, where a plan masks its
+    // weight bands and derives its group profiles across the lanes;
     // then 3-, 12- and 20-channel groups, whose padded segments span
     // a partly filled first, second or third block.
+    GatherCoverage cover;
     Rng rng(0x6D00);
     std::vector<LayerWorkload> odd;
     for (const int gc : {3, 12, 20})
         for (const int groups : {1, 2})
             odd.push_back(oddSegmentLayer(gc, groups, rng));
     for (const int lanes : {1, 4}) {
-        for (uint64_t trial = 0; trial < 48; ++trial) {
-            SCOPED_TRACE("fuzz trial " + std::to_string(trial));
-            Rng fuzz_rng(0x6C00 + trial);
-            const int bz = fuzz_rng.bernoulli(0.5) ? 4 : 8;
-            expectMasksOnlyPlanMatchesComputePlan(fuzzLayer(fuzz_rng, bz),
-                                                  bz, lanes);
+        for (uint64_t trial = 0; trial < 24; ++trial) {
+            for (const int bz : {4, 8}) {
+                SCOPED_TRACE("fuzz trial " + std::to_string(trial));
+                Rng fuzz_rng(0x6C00 + trial * 2 + (bz == 8));
+                const LayerWorkload wl = fuzzLayer(fuzz_rng, bz);
+                for (const int batch : {1, 2}) {
+                    expectMasksOnlyPlanMatchesComputePlan(
+                        atBatch(wl, batch, fuzz_rng), bz, lanes, cover);
+                }
+            }
         }
         for (const LayerWorkload &wl : odd)
-            expectMasksOnlyPlanMatchesComputePlan(wl, 8, lanes);
+            expectMasksOnlyPlanMatchesComputePlan(wl, 8, lanes, cover);
     }
 
-    // An events-only plan lowers its activations in bands of about
-    // 256 KB of rows. These layers span two or three bands, the last
-    // one partial: a dense 3x3, a strided depthwise layer at batch 2,
-    // a 3-channel stem, and rows wider than a band (one row each).
-    const std::pair<Conv2dShape, int> banded[] = {
+    // Larger layers: a dense 3x3, a strided depthwise layer at batch
+    // 2, a 3-channel 7x7 stem at stride 2 (padding taps on every
+    // side), and a 1x1 layer over rows wider than 256 KB.
+    const std::pair<Conv2dShape, int> large[] = {
         {{64, 24, 24, 16, 3, 3, 1, 1, 1}, 1},
         {{64, 32, 32, 64, 3, 3, 2, 1, 64}, 2},
         {{3, 112, 112, 8, 7, 7, 2, 3, 1}, 1},
         {{270000, 1, 1, 2, 1, 1, 1, 0, 1}, 3}};
-    for (const auto &[shape, batch] : banded) {
+    for (const auto &[shape, batch] : large) {
         LayerWorkload wl;
         wl.shape = shape;
         wl.batch = batch;
@@ -375,8 +450,10 @@ TEST(GemmPlan, MasksOnlyPlanMatchesComputePlan)
                 v[i] = rng.bernoulli(0.4) ? 0 : rng.nonZeroInt8();
         }
         for (const int lanes : {1, 4})
-            expectMasksOnlyPlanMatchesComputePlan(wl, 8, lanes);
+            expectMasksOnlyPlanMatchesComputePlan(wl, 8, lanes, cover);
     }
+    EXPECT_GT(cover.straddling_rows, 0);
+    EXPECT_GT(cover.padded_rows, 0);
 }
 
 TEST(GemmPlan, GroupedPlanMatchesPerGroupPlans)
@@ -413,6 +490,34 @@ TEST(GemmPlanDeath, DensityViolationsAreFatal)
     plan.checkActivations(DbbSpec{6, 8});
 }
 
+TEST(GemmPlanDeath, ConvPlanChecksEveryInputPixel)
+{
+    // A conv plan checks its input's blocks, pixels no tap reads
+    // included: a 1x1 stride-2 layer reads pixels (0, 0), (0, 2),
+    // (2, 0) and (2, 2) of a 4x4 input, and pixel (1, 1), read by no
+    // tap, holds a block over the 4/8 bound. The lowered plan never
+    // sees that pixel and passes; the conv plan fails on it.
+    const Conv2dShape s = {8, 4, 4, 8, 1, 1, 2, 0, 1};
+    Int8Tensor input({4, 4, 8});
+    for (int c = 0; c < 4; ++c)
+        for (int y = 0; y < 4; ++y)
+            for (int x = 0; x < 4; ++x)
+                input(y, x, c) = 1;
+    for (int c = 4; c < 8; ++c)
+        input(1, 1, c) = 1;
+    Int8Tensor weights({1, 1, 8, 8});
+    for (int64_t i = 0; i < weights.size(); ++i)
+        weights.flat(i) = i % 2 == 0 ? 1 : 0;
+    const GemmProblem lowered = im2colLowerGrouped(s, input, weights, 8);
+    GemmPlan::build(lowered, 8, false).checkActivations(DbbSpec{4, 8});
+    const GemmProblem dims = im2colActivationDims(s, 8);
+    const GemmPlan plan = GemmPlan::build(dims, s, input.data(),
+                                          weights.data(), 8, false);
+    EXPECT_DEATH(plan.checkActivations(DbbSpec{4, 8}),
+                 "pixel 5, block 0.*DAP");
+    plan.checkActivations(DbbSpec{8, 8});
+}
+
 TEST(GemmPlanDeath, DbbGemmNeedsAComputePlan)
 {
     Rng rng(0xA8);
@@ -429,8 +534,7 @@ TEST(GemmPlanDeath, PlanWithoutOperandsRefusesKernelAndScalarEngine)
     // operands, must refuse it rather than read empty vectors.
     Rng rng(0xAA);
     const GemmProblem p = makeDbbGemm(8, 16, 8, 4, 4, rng);
-    const CachedPlan entry(p, DbbMatrix::fromActivations(p, DbbSpec{8, 8}),
-                           p.w.data(), 8);
+    const CachedPlan entry(p, 8);
     ASSERT_FALSE(entry.plan.problem().hasOperands());
     std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
     EXPECT_DEATH(dbbGemm(entry.plan, out.data()), "compute plan");
